@@ -14,6 +14,7 @@ from .errors import (
     GfwignerError,
     InconsistentStabilizer,
     InvalidDensityMatrix,
+    MalformedInput,
     NonCommutingGenerators,
     NonPrimitivePolynomial,
     SingularBasis,

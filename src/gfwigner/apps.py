@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import AmbiguousInference, InconsistentStabilizer
+from .errors import AmbiguousInference, InconsistentStabilizer, MalformedInput
 from .galois import GF2Field, field_new
 from .net import (
     QuantumNet,
@@ -82,6 +82,10 @@ def bell_state(label: str) -> np.ndarray:
 
 
 def bell_stabilizer(field: GF2Field, label: str) -> StabilizerGroup:
+    if label not in _BELL_SIGNS:
+        raise MalformedInput(
+            f"unknown Bell state {label!r}; expected one of {', '.join(BELL_LABELS)}"
+        )
     xx, zz = bell_translations(field)
     s1, s2 = _BELL_SIGNS[label]
     return StabilizerGroup.from_generators(field, [(xx, s1), (zz, s2)])

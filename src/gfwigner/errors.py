@@ -49,5 +49,5 @@ class AmbiguousInference(GfwignerError):
     """A retrodiction branch is consistent with more than one king outcome."""
 
 
-class DegenerateConstraints(GfwignerError):
-    """Constraint states are linearly dependent; no unique solution state."""
+class MalformedInput(GfwignerError):
+    """Input names an unknown preset or label, or lacks a required entry."""

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     DimensionTooLarge,
+    MalformedInput,
     NonCommutingGenerators,
     SingularBasis,
 )
@@ -139,13 +140,6 @@ def u_omega_from_gates(field: GF2Field) -> np.ndarray:
     for gate in u_omega_gates(field):
         U = gate_matrix(gate, field.n) @ U
     return U
-
-
-def squeeze_point(field: GF2Field, point: BinaryPoint) -> BinaryPoint:
-    """Classical action of u_w on binary coordinates: (a, b) -> (aM, bM~^-1)."""
-    return BinaryPoint(
-        field.apply_m(point.qbits), field.apply_mt_inv(point.pbits), field.n
-    )
 
 
 # -- linear algebra over GF(2) for generator decomposition --------------------
@@ -282,6 +276,12 @@ class QuantumNet:
 
 def net_from_json(text: str) -> QuantumNet:
     payload = json.loads(text)
+    if not (
+        isinstance(payload, dict)
+        and {"n", "poly", "signs"} <= payload.keys()
+        and isinstance(payload["signs"], dict)
+    ):
+        raise MalformedInput('net JSON needs "n", "poly" and a "signs" object')
     n = payload["n"]
     poly = int(payload["poly"][::-1], 2)
     field = field_new(n, poly)
@@ -289,6 +289,12 @@ def net_from_json(text: str) -> QuantumNet:
     for key, eps in payload["signs"].items():
         label = key if key in (HORIZONTAL, VERTICAL) else int(key)
         signs[label] = tuple(eps)
+    labels = striation_labels(field)
+    if set(signs) != set(labels):
+        raise MalformedInput(
+            f"net JSON needs one sign vector per striation "
+            f"{', '.join(map(str, labels))}; got {', '.join(map(str, signs))}"
+        )
     return QuantumNet(field, signs, payload.get("mode", "independent"))
 
 

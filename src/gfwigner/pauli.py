@@ -10,7 +10,6 @@ s = popcount(a & b) mod 4, which makes it hermitian and unitary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -156,8 +155,3 @@ def parse_pauli(text: str) -> PauliTranslation:
         a |= ai << i
         b |= bi << i
     return PauliTranslation(len(s), a, b, (phase + (a & b).bit_count()) % 4)
-
-
-@lru_cache(maxsize=None)
-def identity_matrix(n: int) -> np.ndarray:
-    return np.eye(1 << n, dtype=complex)

@@ -5,9 +5,11 @@ Two routes are provided and cross-checked in the tests:
 * a dense route: phase-space point operators A(alpha) built from a quantum
   net, with W(alpha) = Tr(rho A(alpha)) / reconstruction / expectation values
   computed with numpy;
-* an exact route for stabilizer states: the closed-form
-  W(alpha) = N^-2 sum_{beta in S} f(beta) g(beta) (-1)^<alpha,beta>
-  evaluated in rational arithmetic, which scales far beyond the dense cap.
+* an exact route for stabilizer states: the closed form
+  W(alpha) = N^-2 sum_{beta in S} f(beta) g(beta) (-1)^<alpha,beta>.
+  The sum over S for all N^2 points at once is one integer symplectic
+  Walsh-Hadamard transform, O(N^2 log N), with one denominator N^2, so the
+  grid stays rational; a GHZ grid at n = 8 takes well under a second.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import numpy as np
 
@@ -175,45 +178,51 @@ def translation_from_points(net: QuantumNet, beta: BinaryPoint) -> np.ndarray:
     return net.f(beta) * T
 
 
-def inner_product_identity(grid_a: WignerGrid, grid_b: WignerGrid) -> tuple:
-    """|Tr(rho rho')| via Wigner overlap: N sum_alpha W W'.
+def _symplectic_transform(v: np.ndarray, n: int) -> np.ndarray:
+    """H[alpha] = sum_beta v[beta] (-1)^<alpha,beta> over all N^2 points.
 
-    Returns (overlap, purity_lhs, purity_rhs) where for grid_a == grid_b the
-    last two realize the self-consistency identity
-    |sum W (-1)^<alpha,beta>|^2 = sum_beta' W(beta') W(beta' + beta) at beta=0.
+    Arrays are flat and indexed by (qbits << n) | pbits.  Swapping the q and
+    p halves of beta's index turns the symplectic form into a plain dot
+    product, so H is one fast Walsh-Hadamard transform of the swapped vector.
+    Integer arrays (int64, or object arrays of Python ints) give exact sums.
     """
-    if grid_a.field != grid_b.field:
-        raise FieldMismatch("grids use different fields")
-    N = grid_a.field.N
-    overlap = N * sum(
-        grid_a.values[k] * grid_b.values[k] for k in grid_a.values
-    )
-    return overlap
+    N = 1 << n
+    x = v.reshape(N, N).T.reshape(-1)
+    h = 1
+    while h < x.size:
+        pairs = x.reshape(-1, 2, h)
+        x = np.stack(
+            (pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1
+        ).reshape(-1)
+        h *= 2
+    return x
 
 
-def autocorrelation(grid: WignerGrid, beta: BinaryPoint):
-    """sum_alpha W(alpha) W(alpha + beta)."""
-    field = grid.field
-    total = 0
-    for (qb, pb), w in grid.values.items():
-        total += w * grid.values[(qb ^ beta.qbits, pb ^ beta.pbits)]
-    return total
-
-
-def purity_identity_residual(net: QuantumNet, grid: WignerGrid) -> float:
+def purity_identity_residual(net: QuantumNet, grid: WignerGrid) -> float | Fraction:
     """Max residual of |sum_a W(a)(-1)^<a,b>|^2 = N sum_a W(a)W(a+b) over b.
 
     Zero (up to rounding) iff the grid is the Wigner function of a pure state.
+    Every hat W(b) is one symplectic transform of W, and every
+    autocorrelation sum_a W(a)W(a+b) is the transform of hat W^2 over N^2.
+    An exact grid is scaled to integer numerators over a common denominator
+    D and gives an exact Fraction; a dense grid gives a float.
     """
     field = grid.field
-    worst = 0.0
-    for beta in all_points(field):
-        s = sum(
-            w * (-1) ** wedge(BinaryPoint(qb, pb, field.n), beta)
-            for (qb, pb), w in grid.values.items()
-        )
-        worst = max(worst, abs(s * s - field.N * autocorrelation(grid, beta)))
-    return worst
+    n, N = field.n, field.N
+    vals = [grid.values[(qb, pb)] for qb in range(N) for pb in range(N)]
+    if grid.exact:
+        # Python ints, not int64: numerators over an arbitrary common
+        # denominator D can overflow 64 bits once squared and summed.
+        D = lcm(*(w.denominator for w in vals))
+        nums = [w.numerator * (D // w.denominator) for w in vals]
+        hat = _symplectic_transform(np.array(nums, dtype=object), n)
+        sq = hat * hat
+        resid = np.abs(sq - N * (_symplectic_transform(sq, n) // (N * N)))
+        return Fraction(int(resid.max()), D * D)
+    hat = _symplectic_transform(np.array(vals, dtype=float), n)
+    sq = hat * hat
+    resid = np.abs(sq - N * _symplectic_transform(sq, n) / (N * N))
+    return float(resid.max())
 
 
 # -- exact stabilizer route ------------------------------------------------------
@@ -241,11 +250,17 @@ class StabilizerGroup:
         """Expand n signed generators into the full group.
 
         Each generator is (T, sign) meaning sign * T is a stabilizer.  Raises
-        if generators do not commute, are dependent, or -I lands in the group.
+        if a sign is not +1 or -1, if generators do not commute, are
+        dependent, or -I lands in the group.
         """
         n = field.n
         if len(gens) != n:
             raise InconsistentStabilizer(f"need {n} generators, got {len(gens)}")
+        for g, sg in gens:
+            if isinstance(sg, bool) or sg not in (1, -1):
+                raise InconsistentStabilizer(
+                    f"sign of {g} must be +1 or -1, got {sg!r}"
+                )
         for (g, _), (h, _) in combinations(gens, 2):
             if not commutes(g, h):
                 raise NonCommutingGenerators(f"{g} and {h} do not commute")
@@ -256,7 +271,7 @@ class StabilizerGroup:
             t = g.phase_vs_canonical
             if t % 2:
                 raise InconsistentStabilizer(f"non-hermitian generator {g}")
-            sg = sg * (1 if t == 0 else -1)  # sign relative to canonical T
+            sg = int(sg) * (1 if t == 0 else -1)  # sign relative to canonical T
             new = {}
             for (qb, pb), sign in elements.items():
                 prod = compose(translation(n, qb, pb), translation(n, g.a, g.b))
@@ -303,16 +318,27 @@ def stabilizer_wigner_value(
 
 
 def stabilizer_wigner(net: QuantumNet, group: StabilizerGroup) -> WignerGrid:
-    """Exact Wigner grid of a stabilizer state (grid size caps at 2^8 axes)."""
+    """Exact Wigner grid of a stabilizer state (grid size caps at 2^8 axes).
+
+    One integer symplectic transform of f(beta) g(beta) on S gives the
+    numerators of all N^2 values over the common denominator N^2.
+    """
     field = net.field
+    if group.field != field:
+        raise FieldMismatch("group and net use different fields")
     if field.n > GRID_MAX_QUBITS:
         raise DimensionTooLarge(
             f"full grids capped at {GRID_MAX_QUBITS} qubits; "
             "use stabilizer_wigner_value for single points"
         )
+    n, N = field.n, field.N
+    v = np.zeros(N * N, dtype=np.int64)
+    for beta in group.points():
+        v[(beta.qbits << n) | beta.pbits] = net.f(beta) * group.g(beta)
+    nums = _symplectic_transform(v, n).tolist()
+    frac = {k: Fraction(k, N * N) for k in set(nums)}  # at most 2N + 1 values
     values = {
-        (alpha.qbits, alpha.pbits): stabilizer_wigner_value(net, group, alpha)
-        for alpha in all_points(field)
+        (qb, pb): frac[nums[(qb << n) | pb]] for qb in range(N) for pb in range(N)
     }
     return WignerGrid(field, values, exact=True)
 

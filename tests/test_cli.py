@@ -56,6 +56,39 @@ def test_preset_field_size_mismatch_is_validation_error(capsys):
     assert "error:" in err
 
 
+def test_unknown_bell_preset_is_validation_error(capsys):
+    code, out, err = run(capsys, "wigner", "--n", "2", "--state", "bell_phi_bogus")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "phi_bogus" in err
+
+
+def test_stabilizer_sign_other_than_one_is_validation_error(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"stabilizer": [["+XX", 1], ["+ZZ", 2]]}))
+    code, out, err = run(capsys, "wigner", "--n", "2", "--state", str(state))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("breakage", [
+    lambda payload: payload["signs"].pop("h"),
+    lambda payload: payload.pop("poly"),
+    lambda payload: payload.update(signs=[]),
+], ids=["no_h_striation", "no_poly", "signs_not_an_object"])
+def test_net_file_missing_entry_is_validation_error(tmp_path, capsys, breakage):
+    payload = json.loads(build_net(field_new(2)).to_json())
+    breakage(payload)
+    netfile = tmp_path / "net.json"
+    netfile.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "wigner", "--n", "2", "--net", str(netfile),
+                         "--state", "bell_phi_plus")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 # -- field -------------------------------------------------------------------------
 
 

@@ -1,0 +1,155 @@
+"""Property tests: the transform routes against the per-point references.
+
+States are random graph states (generator i is X_i or Y_i times Z on each
+neighbour of i) with random signs; nets are random independent sign vectors.
+Each n >= 3 is drawn with its default polynomial or one other primitive one.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gfwigner.errors import GfwignerError
+from gfwigner.galois import PRIMITIVE_POLYS, field_new
+from gfwigner.net import QuantumNet
+from gfwigner.pauli import parse_pauli, translation
+from gfwigner.phasespace import striation_labels
+from gfwigner.wigner import (
+    StabilizerGroup,
+    WignerGrid,
+    all_points,
+    purity_identity_residual,
+    stabilizer_wigner,
+    stabilizer_wigner_value,
+    wigner_of,
+)
+from oracles import purity_identity_residual_loop
+
+PROPERTY = settings(max_examples=10, deadline=None)
+
+
+def other_primitive_poly(n: int) -> int:
+    """The smallest primitive polynomial of degree n other than the default."""
+    for poly in range((1 << n) | 1, 1 << (n + 1), 2):
+        if poly == PRIMITIVE_POLYS[n]:
+            continue
+        try:
+            field_new(n, poly)
+        except GfwignerError:
+            continue
+        return poly
+    raise AssertionError(f"no second primitive polynomial of degree {n}")
+
+
+OTHER_POLY = {n: other_primitive_poly(n) for n in range(3, 7)}
+
+
+@st.composite
+def fields(draw, max_n, min_n=1):
+    n = draw(st.integers(min_n, max_n))
+    poly = draw(st.sampled_from([None, OTHER_POLY[n]])) if n >= 3 else None
+    return field_new(n, poly)
+
+
+@st.composite
+def graph_states(draw, field):
+    n = field.n
+    adj = [[False] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            adj[i][j] = adj[j][i] = draw(st.booleans())
+    gens = []
+    for i in range(n):
+        b = sum(1 << j for j in range(n) if adj[i][j])
+        if draw(st.booleans()):
+            b |= 1 << i  # Y_i in place of X_i
+        gens.append((translation(n, 1 << i, b), draw(st.sampled_from((1, -1)))))
+    return StabilizerGroup.from_generators(field, gens)
+
+
+@st.composite
+def independent_nets(draw, field):
+    signs = {
+        label: tuple(draw(st.lists(st.sampled_from((1, -1)),
+                                   min_size=field.n, max_size=field.n)))
+        for label in striation_labels(field)
+    }
+    return QuantumNet(field, signs)
+
+
+def check_grid_against_closed_form(data, field):
+    net = data.draw(independent_nets(field))
+    group = data.draw(graph_states(field))
+    grid = stabilizer_wigner(net, group)
+    assert grid.exact
+    for alpha in all_points(field):
+        got = grid.value(alpha)
+        assert isinstance(got, Fraction)
+        assert got == stabilizer_wigner_value(net, group, alpha)
+
+
+@settings(PROPERTY, max_examples=15)
+@given(st.data())
+def test_stabilizer_grid_equals_pointwise_closed_form(data):
+    check_grid_against_closed_form(data, data.draw(fields(5)))
+
+
+@settings(PROPERTY, max_examples=1)
+@given(st.data())
+def test_stabilizer_grid_equals_pointwise_closed_form_n6(data):
+    # one example: the pointwise reference costs N^3 terms, about 1 s at n = 6
+    check_grid_against_closed_form(data, data.draw(fields(6, min_n=6)))
+
+
+@PROPERTY
+@given(st.data())
+def test_purity_residual_exact_grids_match_loop(data):
+    # n <= 3: the Fraction reference loop costs N^4 terms, about 0.7 s at n = 4
+    field = data.draw(fields(3))
+    net = data.draw(independent_nets(field))
+    pure = stabilizer_wigner(net, data.draw(graph_states(field)))
+    other = stabilizer_wigner(net, data.draw(graph_states(field)))
+    weight = Fraction(data.draw(st.integers(0, 6)), 6)
+    mixed = WignerGrid(field, {
+        k: weight * pure.values[k] + (1 - weight) * other.values[k]
+        for k in pure.values
+    }, exact=True)
+    got = purity_identity_residual(net, mixed)
+    assert isinstance(got, Fraction)
+    assert got == purity_identity_residual_loop(mixed)
+    assert purity_identity_residual(net, pure) == 0
+
+
+@PROPERTY
+@given(st.data())
+def test_purity_residual_dense_grids_match_loop(data):
+    field = data.draw(fields(4))
+    net = data.draw(independent_nets(field))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rank = data.draw(st.integers(1, field.N))
+    g = rng.normal(size=(field.N, rank)) + 1j * rng.normal(size=(field.N, rank))
+    rho = g @ g.conj().T
+    grid = wigner_of(net, rho / np.trace(rho).real)
+    got = purity_identity_residual(net, grid)
+    assert abs(got - purity_identity_residual_loop(grid)) < 1e-12
+    if rank == 1:
+        assert got < 1e-12
+
+
+def test_ghz_grid_n8_is_normalised_pure_and_on_the_lattice():
+    field = field_new(8)
+    net = QuantumNet(field, {label: (1,) * 8 for label in striation_labels(field)})
+    gens = [parse_pauli("+" + "X" * 8)] + [
+        parse_pauli("+" + "I" * k + "ZZ" + "I" * (6 - k)) for k in range(7)
+    ]
+    grid = stabilizer_wigner(
+        net, StabilizerGroup.from_generators(field, [(g, 1) for g in gens]))
+    N = field.N
+    values = list(grid.values.values())
+    assert len(values) == N * N
+    assert all(N * N % v.denominator == 0 for v in values)  # in (1/N^2) Z
+    nums = [v.numerator * (N * N // v.denominator) for v in values]
+    assert sum(nums) == N * N  # sum W = 1
+    assert sum(x * x for x in nums) == N**3  # N sum W^2 = 1

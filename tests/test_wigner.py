@@ -18,9 +18,9 @@ from gfwigner.pauli import to_matrix, translation, translation_for
 from gfwigner.phasespace import BinaryPoint, all_striations, to_binary
 from gfwigner.wigner import (
     StabilizerGroup,
+    WignerGrid,
     all_points,
     all_stabilizer_groups,
-    autocorrelation,
     check_density_matrix,
     expectation_translation,
     point_operator,
@@ -33,6 +33,7 @@ from gfwigner.wigner import (
     translation_from_points,
     wigner_of,
 )
+from oracles import autocorrelation, purity_identity_residual_loop
 
 
 def random_state(field, rng):
@@ -154,6 +155,19 @@ def test_purity_identity_detects_mixedness():
         assert purity_identity_residual(net, mixed) > 1e-3
 
 
+def test_purity_identity_exact_grid_beyond_int64_matches_loop():
+    # denominators near 2^61 push the integer numerators past int64
+    f = field_new(2)
+    rng = random.Random(43)
+    dens = [(1 << 61) - 1, (1 << 31) - 1, 8191]
+    values = {(qb, pb): Fraction(rng.randrange(-99, 100), rng.choice(dens))
+              for qb in range(4) for pb in range(4)}
+    grid = WignerGrid(f, values, exact=True)
+    got = purity_identity_residual(build_net(f), grid)
+    assert got == purity_identity_residual_loop(grid)
+    assert got > 0
+
+
 def test_autocorrelation_at_origin_is_purity_over_n():
     rng = np.random.default_rng(37)
     f = field_new(2)
@@ -189,6 +203,9 @@ def test_stabilizer_group_rejects_bad_generators():
             f, [(translation(2, 1, 0), 1), (translation(2, 1, 0), 1)])
     with pytest.raises(InconsistentStabilizer):
         StabilizerGroup.from_generators(f, [(translation(2, 1, 0), 1)])
+    with pytest.raises(InconsistentStabilizer):
+        StabilizerGroup.from_generators(
+            f, [(translation(2, 0b11, 0), 1), (translation(2, 0, 0b11), 2)])
 
 
 def test_stabilizer_wigner_matches_dense_exhaustive_n2():
