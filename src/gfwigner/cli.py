@@ -8,30 +8,26 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 from fractions import Fraction
 
 import numpy as np
 
 from . import apps
-from .errors import GfwignerError
+from .errors import GfwignerError, MalformedInput
 from .galois import GF2Field, field_new, power_ordering
 from .net import (
     QuantumNet,
-    all_plus_signs,
     build_net,
     mub_bases,
+    mub_overlap_report,
     net_from_json,
     u_omega_gates,
 )
-from .pauli import parse_pauli, to_matrix
-from .phasespace import (
-    BinaryPoint,
-    all_striations,
-    axis_index,
-    grid_axis,
-    to_binary,
-)
+from .pauli import parse_pauli
+from .phasespace import all_striations, grid_axis, to_binary
 from .wigner import (
     StabilizerGroup,
     WignerGrid,
@@ -105,17 +101,46 @@ def export_grid(grid: WignerGrid, fmt: str, meta: dict | None = None) -> str:
     raise GfwignerError(f"unknown format {fmt!r}")
 
 
+_FRACTION = re.compile(r"-?\d+(/\d+)?")
+
+
+def _grid_cell(cell, exact: bool):
+    """One exported cell: an exact fraction string, or a finite number."""
+    if exact and isinstance(cell, str) and _FRACTION.fullmatch(cell):
+        return Fraction(cell)
+    if not exact and isinstance(cell, (str, int, float)) and not isinstance(cell, bool):
+        try:
+            if math.isfinite(val := float(cell)):
+                return val
+        except ValueError:
+            pass
+    raise MalformedInput(
+        f"grid cell {cell!r} is not {'a fraction' if exact else 'a finite number'}"
+    )
+
+
 def import_grid(text: str) -> WignerGrid:
-    """Inverse of export_grid(fmt='json')."""
+    """Inverse of export_grid(fmt='json'); rejects malformed grids."""
     payload = json.loads(text)
+    keys = {"n", "poly", "exact", "rows_p_descending"}
+    if not (isinstance(payload, dict) and keys <= payload.keys()
+            and isinstance(payload["n"], int) and isinstance(payload["poly"], str)
+            and isinstance(payload["exact"], bool)):
+        raise MalformedInput(
+            f"grid JSON needs the keys {', '.join(sorted(keys))}: an integer n, "
+            "a poly bit string and a boolean exact"
+        )
     field = field_new(payload["n"], int(payload["poly"][::-1], 2))
+    rows, exact = payload["rows_p_descending"], payload["exact"]
+    N = field.N
+    if not (isinstance(rows, list) and len(rows) == N
+            and all(isinstance(row, list) and len(row) == N for row in rows)):
+        raise MalformedInput(f"grid JSON needs {N} rows of {N} cells")
     axis = grid_axis(field)
     values = {}
-    exact = payload["exact"]
-    for name_row, row in zip(reversed(axis), payload["rows_p_descending"]):
+    for name_row, row in zip(reversed(axis), rows):
         for q, cell in zip(axis, row):
-            val = Fraction(cell) if exact else float(cell)
-            values[(q, field.p_to_bits(name_row))] = val
+            values[(q, field.p_to_bits(name_row))] = _grid_cell(cell, exact)
     return WignerGrid(field, values, exact=exact)
 
 
@@ -216,29 +241,14 @@ def cmd_mub(args) -> int:
     field = field_new(args.n, args.poly)
     net = resolve_net(field, args.net)
     bases = mub_bases(net)
-    labels = list(bases)
     payload = {
         "n": field.n,
         "net": net.fingerprint(),
         "bases": {
-            str(lb): [[[round(z.real, 12), round(z.imag, 12)] for z in v]
-                      for v in bases[lb]]
-            for lb in labels
+            str(lb): [[[round(z.real, 12), round(z.imag, 12)] for z in v] for v in vecs]
+            for lb, vecs in bases.items()
         },
-    }
-    worst_cross = 0.0
-    worst_gram = 0.0
-    for i, la in enumerate(labels):
-        G = np.array([[np.vdot(u, v) for v in bases[la]] for u in bases[la]])
-        worst_gram = max(worst_gram, float(np.abs(G - np.eye(field.N)).max()))
-        for lb in labels[i + 1:]:
-            for u in bases[la]:
-                for v in bases[lb]:
-                    dev = abs(abs(np.vdot(u, v)) ** 2 - 1 / field.N)
-                    worst_cross = max(worst_cross, dev)
-    payload["overlap_report"] = {
-        "max_gram_deviation": worst_gram,
-        "max_cross_overlap_deviation": worst_cross,
+        "overlap_report": mub_overlap_report(bases),
     }
     print(json.dumps(payload, indent=2))
     return 0
@@ -349,16 +359,9 @@ def net_checks(field: GF2Field):
     net = build_net(field, "covariant")
 
     def mub_property():
-        bases = mub_bases(net)
-        labels = list(bases)
-        for i, la in enumerate(labels):
-            G = np.array([[np.vdot(u, v) for v in bases[la]] for u in bases[la]])
-            assert np.abs(G - np.eye(field.N)).max() < 1e-10, f"gram {la}"
-            for lb in labels[i + 1:]:
-                for u in bases[la]:
-                    for v in bases[lb]:
-                        dev = abs(abs(np.vdot(u, v)) ** 2 - 1 / field.N)
-                        assert dev < 1e-10, f"cross {la}/{lb}"
+        report = mub_overlap_report(mub_bases(net))
+        assert report["max_gram_deviation"] < 1e-10, report
+        assert report["max_cross_overlap_deviation"] < 1e-10, report
 
     def f_signs():
         for v in net.f_table().values():

@@ -11,7 +11,6 @@ element 1 and "010" is w.
 
 from __future__ import annotations
 
-import os
 from functools import cached_property
 
 from .errors import (
@@ -44,32 +43,11 @@ PRIMITIVE_POLYS = {
     16: 0b10001000000001011,  # x^16 + x^12 + x^3 + x + 1
 }
 
-POLY_TABLE_ENV = "GFWIGNER_POLY_TABLE"
-
-
-def _polys_from_env():
-    """Optional override table: one polynomial per line, bits low-to-high."""
-    path = os.environ.get(POLY_TABLE_ENV)
-    if not path:
-        return {}
-    table = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            bits = line.split()[0]
-            poly = int(bits[::-1], 2)
-            table[len(bits) - 1] = poly
-    return table
-
 
 def default_poly(n: int) -> int:
-    table = dict(PRIMITIVE_POLYS)
-    table.update(_polys_from_env())
-    if n not in table:
+    if n not in PRIMITIVE_POLYS:
         raise DegreeMismatch(f"no default primitive polynomial for n={n}")
-    return table[n]
+    return PRIMITIVE_POLYS[n]
 
 
 class GF2Field:
@@ -173,26 +151,21 @@ class GF2Field:
         rows.append(self.poly & (self.N - 1))
         return tuple(rows)
 
+    @staticmethod
+    def _row_times(a: int, rows: tuple[int, ...]) -> int:
+        out = 0
+        for i, row in enumerate(rows):
+            if a >> i & 1:
+                out ^= row
+        return out
+
     def apply_m(self, a: int) -> int:
         """Row-vector action a' = a M (multiplication by w on coordinates)."""
-        out = 0
-        for i in range(self.n):
-            if a >> i & 1:
-                out ^= self.companion_rows[i]
-        return out
+        return self._row_times(a, self.companion_rows)
 
     def apply_mt(self, a: int) -> int:
         """Row-vector action a' = a M~ with M~ the transpose of M."""
-        out = 0
-        rows = self.companion_rows
-        for i in range(self.n):
-            # column i of M is row i of M~
-            col = 0
-            for j in range(self.n):
-                col |= (rows[j] >> i & 1) << j
-            if a >> i & 1:
-                out ^= col
-        return out
+        return self._row_times(a, self._mt_cols)
 
     @cached_property
     def _mt_cols(self) -> tuple[int, ...]:
@@ -242,11 +215,7 @@ class GF2Field:
         bits = 1
         for j in range(self.order):
             table[self._exp[j]] = bits
-            out = 0
-            for i in range(self.n):
-                if bits >> i & 1:
-                    out ^= self._mt_cols[i]
-            bits = out
+            bits = self.apply_mt(bits)
         return tuple(table)
 
     def p_to_bits(self, p: int) -> int:

@@ -5,6 +5,11 @@ A net is encoded by one sign vector per striation: the ray of striation
 lambda is assigned the joint eigenstate of its n generators G_k with
 eigenvalues eps_k.  Everything else (line states, the f table, phase-space
 point operators) follows from translation covariance.
+
+Covariant nets are derived on the same sign data, for any n <= 16: U_w
+permutes translations, U_w T(a, b) U_w^dagger = +-T(a M, b M~^-1).  U_w's
+matrix is a dense realisation that nets do not need; dense matrices are
+built only when a caller asks for them.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -25,9 +31,9 @@ from .galois import GF2Field, field_new
 from .pauli import (
     DENSE_MAX_QUBITS,
     PauliTranslation,
-    class_points,
     commutes,
     compose,
+    ray_walk,
     to_matrix,
     translation,
     translation_for,
@@ -65,29 +71,10 @@ class RayGenerators:
 
 
 def ray_generators(field: GF2Field, label) -> RayGenerators:
-    """The n generators of the commuting class of one ray.
-
-    For the diagonal ray lambda = j these are T(1 M^k, 1 M~^(k+j)); the
-    horizontal and vertical rays use pure X and pure Z strings.
-    """
-    n = field.n
-    gens = []
-    a, b = 1, 1
-    if label == HORIZONTAL:
-        for _ in range(n):
-            gens.append(translation(n, a, 0))
-            a = field.apply_m(a)
-    elif label == VERTICAL:
-        for _ in range(n):
-            gens.append(translation(n, 0, b))
-            b = field.apply_mt(b)
-    else:
-        for _ in range(int(label)):
-            b = field.apply_mt(b)
-        for _ in range(n):
-            gens.append(translation(n, a, b))
-            a, b = field.apply_m(a), field.apply_mt(b)
-    return RayGenerators(label, tuple(gens))
+    """The n generators of one ray's class: the first n points of its walk,
+    T(1 M^k, 1 M~^(k+j)) for the diagonal ray j, X strings for h, Z for v."""
+    points = islice(ray_walk(field, label), field.n)
+    return RayGenerators(label, tuple(translation(field.n, a, b) for a, b in points))
 
 
 # -- squeezing operator -------------------------------------------------------
@@ -118,28 +105,10 @@ def u_omega_matrix(field: GF2Field) -> np.ndarray:
     return U
 
 
-def gate_matrix(gate: tuple[str, int, int], n: int) -> np.ndarray:
-    """Dense matrix of a single swap/cnot gate on n qubits."""
-    name, i, j = gate
-    N = 1 << n
-    G = np.zeros((N, N), dtype=complex)
-    for bits in range(N):
-        xi, xj = bits >> i & 1, bits >> j & 1
-        if name == "swap":
-            out = bits & ~((1 << i) | (1 << j)) | (xj << i) | (xi << j)
-        elif name == "cnot":
-            out = bits ^ (xi << j)
-        else:
-            raise ValueError(f"unknown gate {name!r}")
-        G[basis_index(out, n), basis_index(bits, n)] = 1
-    return G
-
-
-def u_omega_from_gates(field: GF2Field) -> np.ndarray:
-    U = np.eye(1 << field.n, dtype=complex)
-    for gate in u_omega_gates(field):
-        U = gate_matrix(gate, field.n) @ U
-    return U
+def conjugate_by_u_omega(field: GF2Field, t: PauliTranslation) -> PauliTranslation:
+    """U_w t U_w^dagger on labels: U_w maps X^a to X^(a M) and Z^b to
+    Z^(b M~^-1) with no phase, so i^s X^a Z^b keeps its i^s."""
+    return PauliTranslation(t.n, field.apply_m(t.a), field.apply_mt_inv(t.b), t.s)
 
 
 # -- linear algebra over GF(2) for generator decomposition --------------------
@@ -168,6 +137,29 @@ def _decompose(points: list[tuple[int, int]], target: tuple[int, int], n: int) -
     return sol
 
 
+def _canonical_sign(prod: PauliTranslation, sign: int) -> int:
+    """Eigenvalue of the canonical T(prod.a, prod.b) on a state on which the
+    operator prod has eigenvalue sign."""
+    # prod = i^t T with t in {0, 2}: a product of commuting hermitian operators.
+    t = prod.phase_vs_canonical
+    if t % 2:
+        raise NonCommutingGenerators("ray member product has an odd phase")
+    return sign if t == 0 else -sign
+
+
+def _eigenvalue(gens, signs, a: int, b: int) -> int:
+    """Eigenvalue of the canonical T(a, b), (a, b) in the span of the
+    commuting translations gens, on their joint eigenstate with eigenvalues
+    signs."""
+    n = gens[0].n
+    x = _decompose([(g.a, g.b) for g in gens], (a, b), n)
+    prod, sign = PauliTranslation(n, 0, 0), 1
+    for k, g in enumerate(gens):
+        if x >> k & 1:
+            prod, sign = compose(prod, g), sign * signs[k]
+    return _canonical_sign(prod, sign)
+
+
 # -- the quantum net -----------------------------------------------------------
 
 
@@ -187,6 +179,7 @@ class QuantumNet:
         for label, eps in self.signs.items():
             if len(eps) != field.n or set(eps) - {1, -1}:
                 raise ValueError(f"bad sign vector for striation {label}: {eps}")
+        self._gens = {}
         self._f_cache = {}
         self._proj_cache = {}
         self._a0 = None
@@ -194,7 +187,9 @@ class QuantumNet:
     # -- ray data ----------------------------------------------------------
 
     def generators(self, label) -> RayGenerators:
-        return ray_generators(self.field, label)
+        if label not in self._gens:
+            self._gens[label] = ray_generators(self.field, label)
+        return self._gens[label]
 
     def ray_projector(self, label) -> np.ndarray:
         if label not in self._proj_cache:
@@ -213,37 +208,29 @@ class QuantumNet:
             return 1
         key = (beta.qbits, beta.pbits)
         if key not in self._f_cache:
-            self._f_cache[key] = self._f_exact(beta)
+            label = ray_through(self.field, from_binary(self.field, beta))
+            self._f_cache[key] = _eigenvalue(
+                self.generators(label).gens, self.signs[label], *key
+            )
         return self._f_cache[key]
 
-    def _f_exact(self, beta: BinaryPoint) -> int:
-        field = self.field
-        label = ray_through(field, from_binary(field, beta))
-        gens = self.generators(label).gens
-        points = [(g.a, g.b) for g in gens]
-        x = _decompose(points, (beta.qbits, beta.pbits), field.n)
-        prod = PauliTranslation(field.n, 0, 0, 0)
-        sign = 1
-        for k, g in enumerate(gens):
-            if x >> k & 1:
-                prod = compose(prod, g)
-                sign *= self.signs[label][k]
-        # prod = i^t T_beta with t in {0, 2}; the state's T_beta eigenvalue
-        # is the generator sign product corrected by that phase.
-        t = prod.phase_vs_canonical
-        if t % 2:
-            raise NonCommutingGenerators("ray member product has an odd phase")
-        return sign * (1 if t == 0 else -1)
-
     def f_table(self) -> dict[tuple[int, int], int]:
-        """f on every nonzero point; exact +-1 integers."""
+        """f on every nonzero point, exact +-1 integers: each ray's span in
+        Gray-code order, one compose per point, filling the cache f reads."""
         field = self.field
-        out = {}
-        for qbits in range(field.N):
-            for pbits in range(field.N):
-                if qbits or pbits:
-                    out[(qbits, pbits)] = self.f(BinaryPoint(qbits, pbits, field.n))
-        return out
+        if len(self._f_cache) < field.N * field.N - 1:
+            for label in striation_labels(field):
+                gens, eps = self.generators(label).gens, self.signs[label]
+                prod, sign = PauliTranslation(field.n, 0, 0), 1
+                for step in range(1, field.N):
+                    k = (step & -step).bit_length() - 1
+                    prod, sign = compose(prod, gens[k]), sign * eps[k]
+                    self._f_cache[(prod.a, prod.b)] = _canonical_sign(prod, sign)
+        return dict(self._f_cache)
+
+    def _f_json(self) -> dict[str, int]:
+        bits = self.field.bits_str
+        return {f"{bits(q)},{bits(p)}": v for (q, p), v in sorted(self.f_table().items())}
 
     # -- phase-space point operators -----------------------------------------
 
@@ -266,22 +253,30 @@ class QuantumNet:
             "poly": field.bits_str(field.poly & (field.N - 1)) + "1",
             "mode": self.mode,
             "signs": {str(k): list(v) for k, v in self.signs.items()},
-            "f": {
-                f"{field.bits_str(q)},{field.bits_str(p)}": v
-                for (q, p), v in sorted(self.f_table().items())
-            },
+            "f": self._f_json(),
         }
         return json.dumps(payload, indent=2)
 
 
 def net_from_json(text: str) -> QuantumNet:
+    """Load a QuantumNet.to_json net; a "covariant" net must carry the signs
+    derived from its h, v and 0 signs, and "f" must match the signs."""
     payload = json.loads(text)
     if not (
         isinstance(payload, dict)
         and {"n", "poly", "signs"} <= payload.keys()
+        and isinstance(payload["n"], int)
+        and isinstance(payload["poly"], str)
         and isinstance(payload["signs"], dict)
     ):
-        raise MalformedInput('net JSON needs "n", "poly" and a "signs" object')
+        raise MalformedInput(
+            'net JSON needs an integer "n", a "poly" bit string and a "signs" object'
+        )
+    mode = payload.get("mode", "independent")
+    if mode not in ("independent", "covariant"):
+        raise MalformedInput(
+            f'net JSON "mode" must be "independent" or "covariant", got {mode!r}'
+        )
     n = payload["n"]
     poly = int(payload["poly"][::-1], 2)
     field = field_new(n, poly)
@@ -295,7 +290,17 @@ def net_from_json(text: str) -> QuantumNet:
             f"net JSON needs one sign vector per striation "
             f"{', '.join(map(str, labels))}; got {', '.join(map(str, signs))}"
         )
-    return QuantumNet(field, signs, payload.get("mode", "independent"))
+    net = QuantumNet(field, signs, mode)
+    if mode == "covariant":
+        seeds = {label: signs[label] for label in (HORIZONTAL, VERTICAL, 0)}
+        if build_net(field, "covariant", seeds).signs != net.signs:
+            raise MalformedInput(
+                "net JSON is marked covariant, but its diagonal signs differ "
+                "from those derived from its h, v and 0 signs"
+            )
+    if "f" in payload and payload["f"] != net._f_json():
+        raise MalformedInput('net JSON "f" table disagrees with its signs')
+    return net
 
 
 def ray_projector(gens: RayGenerators, signs) -> np.ndarray:
@@ -339,8 +344,9 @@ def build_net(field: GF2Field, mode: str = "independent", signs: dict | None = N
 
     independent: one sign vector per striation (missing entries default to
     all +1).  covariant: sign vectors for h, v and lambda = 0 are taken as
-    given; the remaining diagonal rays are derived from the squeezing
-    covariance P(u_w lambda) = U_w P(lambda) U_w^dagger.
+    given; the remaining diagonal rays follow from the squeezing covariance
+    P(lambda - 2) = U_w P(lambda) U_w^dagger: ray lambda's generators, pushed
+    through U_w on labels, fix its image with the same signs eps_k.
     """
     base = all_plus_signs(field)
     if signs:
@@ -349,26 +355,15 @@ def build_net(field: GF2Field, mode: str = "independent", signs: dict | None = N
         return QuantumNet(field, base, mode)
     if mode != "covariant":
         raise ValueError(f"mode must be 'independent' or 'covariant', got {mode!r}")
-    if field.n > DENSE_MAX_QUBITS:
-        raise DimensionTooLarge("covariant construction needs dense matrices")
-    U = u_omega_matrix(field)
     order = field.order
     lam = 0
-    P = ray_projector(ray_generators(field, 0), base[0])
+    gens = ray_generators(field, lam).gens
     for _ in range(order - 1):
-        nxt = (lam - 2) % order
-        P = U @ P @ U.conj().T
-        gens = ray_generators(field, nxt)
-        eps = []
-        for g in gens.gens:
-            val = float(np.trace(to_matrix(g) @ P).real)
-            if abs(abs(val) - 1) > ATOL:
-                raise NonCommutingGenerators(
-                    f"derived ray {nxt} state is not a generator eigenstate"
-                )
-            eps.append(1 if val > 0 else -1)
-        base[nxt] = tuple(eps)
-        lam = nxt
+        pushed = [conjugate_by_u_omega(field, g) for g in gens]
+        eps = base[lam]
+        lam = (lam - 2) % order
+        gens = ray_generators(field, lam).gens
+        base[lam] = tuple(_eigenvalue(pushed, eps, g.a, g.b) for g in gens)
     return QuantumNet(field, base, "covariant")
 
 
@@ -426,3 +421,14 @@ def mub_bases(net: QuantumNet) -> dict:
     for ms in mub_states(net):
         bases.setdefault(ms.striation_label, []).append(ms.vector)
     return bases
+
+
+def mub_overlap_report(bases: dict) -> dict:
+    """Worst deviations from orthonormality within each basis and from
+    |<u|v>|^2 = 1/N across bases; one N x N product per basis and per pair."""
+    mats = [np.array(vectors) for vectors in bases.values()]
+    N = mats[0].shape[1]
+    gram = max(np.abs(A.conj() @ A.T - np.eye(N)).max() for A in mats)
+    cross = max(np.abs(np.abs(A.conj() @ B.T) ** 2 - 1 / N).max()
+                for i, A in enumerate(mats) for B in mats[i + 1:])
+    return {"max_gram_deviation": float(gram), "max_cross_overlap_deviation": float(cross)}

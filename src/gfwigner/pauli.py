@@ -10,12 +10,13 @@ s = popcount(a & b) mod 4, which makes it hermitian and unitary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import DimensionMismatch, DimensionTooLarge
 from .galois import GF2Field
-from .phasespace import BinaryPoint
+from .phasespace import HORIZONTAL, VERTICAL, BinaryPoint
 
 DENSE_MAX_QUBITS = 6
 
@@ -36,10 +37,6 @@ class PauliTranslation:
 
     def __post_init__(self):
         object.__setattr__(self, "s", self.s % 4)
-
-    @property
-    def is_canonical(self) -> bool:
-        return self.s == (self.a & self.b).bit_count() % 4
 
     @property
     def phase_vs_canonical(self) -> int:
@@ -92,20 +89,24 @@ class CommutingClass:
     members: tuple[PauliTranslation, ...]  # N - 1 nontrivial operators
 
 
+def ray_walk(field: GF2Field, label):
+    """The (a, b) labels of one striation's class, lazily: from (1, 0) for h,
+    (0, 1) for v or (1, 1 M~^lambda) for ray lambda, by steps (a M, b M~).
+    The first n points generate the ray; the first N - 1 are the class."""
+    if label == HORIZONTAL:
+        a, b = 1, 0
+    elif label == VERTICAL:
+        a, b = 0, 1
+    else:
+        a, b = 1, field.p_to_bits(field.pow_omega(int(label)))
+    while True:
+        yield a, b
+        a, b = field.apply_m(a), field.apply_mt(b)
+
+
 def class_points(field: GF2Field, label) -> list[tuple[int, int]]:
     """(a, b) pairs of the nontrivial members for one striation."""
-    if label == "h":
-        seed_a, seed_b = 1, 0
-    elif label == "v":
-        seed_a, seed_b = 0, 1
-    else:
-        seed_a, seed_b = 1, field.p_to_bits(field.pow_omega(int(label)))
-    out = []
-    a, b = seed_a, seed_b
-    for _ in range(field.order):
-        out.append((a, b))
-        a, b = field.apply_m(a), field.apply_mt(b)
-    return out
+    return list(islice(ray_walk(field, label), field.order))
 
 
 def commuting_classes(field: GF2Field) -> list[CommutingClass]:

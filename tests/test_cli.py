@@ -8,8 +8,9 @@ import pytest
 
 from gfwigner import apps
 from gfwigner.cli import dispatch, export_grid, import_grid
+from gfwigner.errors import MalformedInput
 from gfwigner.galois import field_new
-from gfwigner.net import build_net
+from gfwigner.net import QuantumNet, all_plus_signs, build_net
 from gfwigner.wigner import stabilizer_wigner, state_density, wigner_of
 
 
@@ -76,7 +77,8 @@ def test_stabilizer_sign_other_than_one_is_validation_error(tmp_path, capsys):
     lambda payload: payload["signs"].pop("h"),
     lambda payload: payload.pop("poly"),
     lambda payload: payload.update(signs=[]),
-], ids=["no_h_striation", "no_poly", "signs_not_an_object"])
+    lambda payload: payload.update(poly=7),
+], ids=["no_h_striation", "no_poly", "signs_not_an_object", "poly_not_a_string"])
 def test_net_file_missing_entry_is_validation_error(tmp_path, capsys, breakage):
     payload = json.loads(build_net(field_new(2)).to_json())
     breakage(payload)
@@ -87,6 +89,46 @@ def test_net_file_missing_entry_is_validation_error(tmp_path, capsys, breakage):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def _flip_first_diagonal_sign(payload):
+    payload["signs"]["1"][0] *= -1
+    del payload["f"]
+
+
+def _flip_one_f_value(payload):
+    key = next(iter(payload["f"]))
+    payload["f"][key] *= -1
+
+
+@pytest.mark.parametrize("mode, breakage", [
+    ("covariant", lambda payload: payload.update(mode="squeezed")),
+    ("covariant", _flip_first_diagonal_sign),
+    ("independent", _flip_one_f_value),
+    ("covariant", _flip_one_f_value),
+], ids=["unknown_mode", "covariant_signs_not_derived", "f_table_disagrees",
+        "covariant_f_table_disagrees"])
+def test_net_file_false_claim_is_validation_error(tmp_path, capsys, mode, breakage):
+    payload = json.loads(build_net(field_new(3), mode).to_json())
+    breakage(payload)
+    netfile = tmp_path / "net.json"
+    netfile.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "wigner", "--n", "3", "--net", str(netfile),
+                         "--state", "qec_logical_0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_net_file_with_independent_signs_loads_unchecked_diagonals(tmp_path, capsys):
+    field = field_new(3)
+    signs = all_plus_signs(field)
+    signs[1] = (1, -1, 1)
+    netfile = tmp_path / "net.json"
+    netfile.write_text(QuantumNet(field, signs).to_json())
+    code, _, _ = run(capsys, "wigner", "--n", "3", "--net", str(netfile),
+                     "--state", "qec_logical_0")
+    assert code == 0
 
 
 # -- field -------------------------------------------------------------------------
@@ -229,6 +271,20 @@ def test_wigner_net_file(tmp_path, capsys):
     assert json.loads(out)["net"] == net.fingerprint()
 
 
+def test_wigner_covariant_net_n7_ghz(tmp_path, capsys):
+    state = tmp_path / "ghz7.json"
+    gens = [["+" + "X" * 7, 1]] + [
+        ["+" + "I" * k + "ZZ" + "I" * (5 - k), 1] for k in range(6)
+    ]
+    state.write_text(json.dumps({"stabilizer": gens}))
+    code, out, err = run(capsys, "wigner", "--n", "7", "--net", "covariant",
+                         "--state", str(state), "--format", "json")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["exact"] is True
+    assert sum(Fraction(c) for row in payload["rows_p_descending"] for c in row) == 1
+
+
 # -- grid export / import ----------------------------------------------------------
 
 
@@ -249,6 +305,40 @@ def test_export_import_grid_json_roundtrip_dense():
     back = import_grid(export_grid(grid, "json"))
     for key, val in grid.values.items():
         assert abs(back.values[key] - val) < 1e-11
+
+
+def _exported_grid_payload(exact: bool) -> dict:
+    field = field_new(2)
+    net = build_net(field)
+    if exact:
+        grid = stabilizer_wigner(net, apps.bell_stabilizer(field, "phi_plus"))
+    else:
+        grid = wigner_of(net, state_density(np.ones(4)))
+    return json.loads(export_grid(grid, "json"))
+
+
+@pytest.mark.parametrize("exact, breakage", [
+    (True, lambda payload: payload.pop("rows_p_descending")),
+    (True, lambda payload: payload.pop("exact")),
+    (True, lambda payload: payload.update(poly=7)),
+    (True, lambda payload: payload["rows_p_descending"].pop()),
+    (False, lambda payload: payload["rows_p_descending"].append(["0"] * 4)),
+    (True, lambda payload: payload["rows_p_descending"][1].pop()),
+    (False, lambda payload: payload["rows_p_descending"][0].append("0")),
+    (False, lambda payload: payload["rows_p_descending"][2].__setitem__(1, "abc")),
+    (False, lambda payload: payload["rows_p_descending"][2].__setitem__(1, None)),
+    (False, lambda payload: payload["rows_p_descending"][2].__setitem__(1, "nan")),
+    (True, lambda payload: payload["rows_p_descending"][0].__setitem__(0, "0.25")),
+    (True, lambda payload: payload["rows_p_descending"][0].__setitem__(0, 0.25)),
+    (True, lambda payload: payload["rows_p_descending"][0].__setitem__(0, "1/x")),
+], ids=["no_rows", "no_exact", "poly_not_a_string", "missing_row", "extra_row", "short_row", "long_row",
+        "text_cell", "null_cell", "nan_cell", "exact_decimal_string",
+        "exact_float", "exact_bad_fraction"])
+def test_import_grid_rejects_malformed_grids(exact, breakage):
+    payload = _exported_grid_payload(exact)
+    breakage(payload)
+    with pytest.raises(MalformedInput):
+        import_grid(json.dumps(payload))
 
 
 def test_export_grid_ascii_shading():

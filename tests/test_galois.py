@@ -1,7 +1,5 @@
 """Field arithmetic, companion matrices, dual bases and power orderings."""
 
-import os
-
 import pytest
 
 from gfwigner.errors import NonPrimitivePolynomial, SingularBasis, ZeroSeed
@@ -157,15 +155,3 @@ def test_momentum_coordinates_match_dual_basis():
                     acc ^= fbasis[i]
             assert acc == p
             assert f.bits_to_p(bits) == p
-
-
-def test_poly_table_env_override(tmp_path, monkeypatch):
-    table = tmp_path / "polys.txt"
-    # n=3 alternative primitive polynomial x^3 + x + 1 -> bits 1101? low-to-high
-    # coefficients (1, x, x^2, x^3) = 1,1,0,1 -> "1101"
-    table.write_text("11\n111\n1101\n")
-    monkeypatch.setenv("GFWIGNER_POLY_TABLE", str(table))
-    f = field_new(3)
-    assert f.poly == 0b1011
-    # the alternative field still works
-    assert f.mul(f.pow_omega(3), 1) == 1 ^ f.pow_omega(1)

@@ -10,16 +10,22 @@ from gfwigner.net import (
     all_plus_signs,
     basis_index,
     build_net,
+    conjugate_by_u_omega,
     index_bits,
     line_state,
     mub_bases,
     mub_states,
     net_from_json,
     ray_generators,
-    u_omega_from_gates,
     u_omega_matrix,
 )
-from gfwigner.pauli import format_pauli, to_matrix, translation, translation_for
+from gfwigner.pauli import (
+    PauliTranslation,
+    format_pauli,
+    to_matrix,
+    translation,
+    translation_for,
+)
 from gfwigner.phasespace import (
     BinaryPoint,
     HORIZONTAL,
@@ -29,6 +35,7 @@ from gfwigner.phasespace import (
     ray_through,
     striation_labels,
 )
+from oracles import u_omega_from_gates
 
 
 def test_basis_index_roundtrip():
@@ -82,6 +89,19 @@ def test_u_omega_conjugation():
                 to_matrix(translation(n, 0, f.apply_mt_inv(a))))
 
 
+def test_u_omega_conjugation_on_labels():
+    # the label map carries the exact phase, not just the sign up to +-1
+    for n in (1, 2, 3, 4):
+        f = field_new(n)
+        U = u_omega_matrix(f)
+        for a in f.elements():
+            for b in f.elements():
+                t = PauliTranslation(n, a, b, (a + b) % 4)
+                assert np.allclose(
+                    U @ to_matrix(t) @ U.conj().T,
+                    to_matrix(conjugate_by_u_omega(f, t)))
+
+
 def test_ray_projectors_rank_one():
     f = field_new(3)
     net = build_net(f)
@@ -131,6 +151,19 @@ def test_covariance_of_covariant_net():
             lhs = net.ray_projector((lam - 2) % f.order)
             rhs = U @ net.ray_projector(lam) @ U.conj().T
             assert np.allclose(lhs, rhs, atol=1e-10)
+
+
+def test_covariant_net_n10_maps_each_ray_generator_covariantly():
+    # beyond the dense range: f(U beta) = sigma f(beta) on every generator,
+    # where U_w T_beta U_w^dagger = sigma T_(U beta)
+    f = field_new(10)
+    net = build_net(f, "covariant", {0: (1, -1) * 5})
+    for label in striation_labels(f):
+        for g in ray_generators(f, label).gens:
+            pushed = conjugate_by_u_omega(f, g)
+            sigma = 1 if pushed.phase_vs_canonical == 0 else -1
+            assert net.f(BinaryPoint(pushed.a, pushed.b, 10)) == \
+                sigma * net.f(BinaryPoint(g.a, g.b, 10))
 
 
 def test_h_v_ray_states_invariant_under_u_omega():

@@ -1,8 +1,9 @@
-"""Property tests: the transform routes against the per-point references.
+"""Property tests: the fast routes against the per-point and dense references.
 
 States are random graph states (generator i is X_i or Y_i times Z on each
-neighbour of i) with random signs; nets are random independent sign vectors.
-Each n >= 3 is drawn with its default polynomial or one other primitive one.
+neighbour of i) with random signs; nets are random independent sign vectors,
+or covariant nets derived from random h, v and 0 sign vectors.  Each n >= 3
+is drawn with its default polynomial or one other primitive one.
 """
 
 from fractions import Fraction
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 
 from gfwigner.errors import GfwignerError
 from gfwigner.galois import PRIMITIVE_POLYS, field_new
-from gfwigner.net import QuantumNet
-from gfwigner.pauli import parse_pauli, translation
-from gfwigner.phasespace import striation_labels
+from gfwigner.net import QuantumNet, build_net, conjugate_by_u_omega
+from gfwigner.pauli import class_points, parse_pauli, translation
+from gfwigner.phasespace import BinaryPoint, striation_labels
 from gfwigner.wigner import (
     StabilizerGroup,
     WignerGrid,
@@ -25,7 +26,7 @@ from gfwigner.wigner import (
     stabilizer_wigner_value,
     wigner_of,
 )
-from oracles import purity_identity_residual_loop
+from oracles import covariant_signs_dense, purity_identity_residual_loop
 
 PROPERTY = settings(max_examples=10, deadline=None)
 
@@ -43,7 +44,7 @@ def other_primitive_poly(n: int) -> int:
     raise AssertionError(f"no second primitive polynomial of degree {n}")
 
 
-OTHER_POLY = {n: other_primitive_poly(n) for n in range(3, 7)}
+OTHER_POLY = {n: other_primitive_poly(n) for n in range(3, 11)}
 
 
 @st.composite
@@ -69,13 +70,13 @@ def graph_states(draw, field):
     return StabilizerGroup.from_generators(field, gens)
 
 
+def sign_vectors(n):
+    return st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n).map(tuple)
+
+
 @st.composite
 def independent_nets(draw, field):
-    signs = {
-        label: tuple(draw(st.lists(st.sampled_from((1, -1)),
-                                   min_size=field.n, max_size=field.n)))
-        for label in striation_labels(field)
-    }
+    signs = {label: draw(sign_vectors(field.n)) for label in striation_labels(field)}
     return QuantumNet(field, signs)
 
 
@@ -153,3 +154,60 @@ def test_ghz_grid_n8_is_normalised_pure_and_on_the_lattice():
     nums = [v.numerator * (N * N // v.denominator) for v in values]
     assert sum(nums) == N * N  # sum W = 1
     assert sum(x * x for x in nums) == N**3  # N sum W^2 = 1
+
+
+def check_covariant_signs_against_dense(data, field):
+    signs = {label: data.draw(sign_vectors(field.n)) for label in ("h", "v", 0)}
+    assert build_net(field, "covariant", signs).signs == \
+        covariant_signs_dense(field, signs)
+
+
+@settings(PROPERTY, max_examples=15)
+@given(st.data())
+def test_covariant_signs_equal_dense_conjugation(data):
+    check_covariant_signs_against_dense(data, data.draw(fields(5)))
+
+
+@settings(PROPERTY, max_examples=2)
+@given(st.data())
+def test_covariant_signs_equal_dense_conjugation_n6(data):
+    # the dense oracle conjugates 62 projectors of size 64 x 64
+    check_covariant_signs_against_dense(data, data.draw(fields(6, min_n=6)))
+
+
+@settings(PROPERTY, max_examples=4)
+@given(st.data())
+def test_covariant_net_is_covariant_in_symbols(data):
+    """f(U beta) = sigma(beta) f(beta), where U_w T_beta U_w^dagger =
+    sigma(beta) T_(U beta), for a derived net beyond the dense range.
+
+    h and v keep all +1 signs, the only ones U_w leaves invariant.  n = 7, 8
+    check every nonzero beta through the whole f table; n = 9, 10 check
+    every point of h, v and three drawn diagonal rays, point by point.
+    """
+    field = data.draw(fields(10, min_n=7))
+    net = build_net(field, "covariant", {0: data.draw(sign_vectors(field.n))})
+    if field.n <= 8:
+        points = list(net.f_table())
+    else:
+        rays = ["h", "v"] + data.draw(st.lists(
+            st.integers(0, field.order - 1), min_size=3, max_size=3, unique=True))
+        points = [pt for label in rays for pt in class_points(field, label)]
+    for a, b in points:
+        pushed = conjugate_by_u_omega(field, translation(field.n, a, b))
+        sigma = 1 if pushed.phase_vs_canonical == 0 else -1
+        beta = BinaryPoint(a, b, field.n)
+        image = BinaryPoint(pushed.a, pushed.b, field.n)
+        assert net.f(image) == sigma * net.f(beta)
+
+
+@PROPERTY
+@given(st.data())
+def test_f_table_walk_equals_pointwise_f(data):
+    field = data.draw(fields(6))
+    net = data.draw(independent_nets(field))
+    table = net.f_table()
+    assert len(table) == field.N * field.N - 1
+    fresh = QuantumNet(field, net.signs)
+    for (a, b), value in table.items():
+        assert fresh.f(BinaryPoint(a, b, field.n)) == value
