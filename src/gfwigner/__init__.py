@@ -18,7 +18,6 @@ from .errors import (
     NonCommutingGenerators,
     NonPrimitivePolynomial,
     SingularBasis,
-    ZeroSeed,
 )
 from .galois import GF2Field, PRIMITIVE_POLYS, dual_basis, field_new, power_ordering
 from .net import (

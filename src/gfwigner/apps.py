@@ -124,7 +124,7 @@ def bell_parameters(net: QuantumNet, label: str) -> tuple[Fraction, ...]:
     grid = stabilizer_wigner(net, bell_stabilizer(field, label))
     params = []
     for orbit in bell_orbits(field):
-        vals = {grid.values[(bp.qbits, bp.pbits)] for bp in orbit}
+        vals = {grid.value(bp) for bp in orbit}
         if len(vals) != 1:
             raise InconsistentStabilizer("Wigner values not constant on an orbit")
         params.append(vals.pop())
@@ -237,13 +237,14 @@ def qec_row_pairs(field: GF2Field) -> dict[str, list[int]]:
 _LETTER_PAIRS = {"a": "b", "c": "d", "e": "f", "g": "h"}
 
 
-def qec_slots(field: GF2Field) -> dict[str, list[tuple[int, int]]]:
-    """Parameter letter -> the 8 grid cells (qbits, pbits) sharing its value."""
+def qec_slots(field: GF2Field) -> dict[str, list[int]]:
+    """Parameter letter -> the 8 flat grid indices (qbits << n) | pbits
+    sharing its value."""
     q0, q1 = qec_column_classes(field)
     slots = {}
     for letter, ps in qec_row_pairs(field).items():
         for name, qs in ((letter, q0), (_LETTER_PAIRS[letter], q1)):
-            slots[name] = [(q, field.p_to_bits(p)) for q in qs for p in ps]
+            slots[name] = [(q << field.n) | field.p_to_bits(p) for q in qs for p in ps]
     return slots
 
 
@@ -252,7 +253,7 @@ def grid_parameters(field: GF2Field, grid: WignerGrid) -> dict[str, object]:
     that the grid is constant on every slot."""
     params = {}
     for letter, cells in qec_slots(field).items():
-        vals = {grid.values[c] for c in cells}
+        vals = set(grid.flat[cells].tolist())
         if len(vals) != 1:
             raise InconsistentStabilizer(f"grid not constant on slot {letter}")
         params[letter] = vals.pop()
@@ -261,11 +262,10 @@ def grid_parameters(field: GF2Field, grid: WignerGrid) -> dict[str, object]:
 
 def grid_from_parameters(field: GF2Field, params: dict) -> WignerGrid:
     """Build the 8 x 8 grid realizing given slot parameters."""
-    values = {}
+    flat = np.empty(field.N * field.N, dtype=object)
     for letter, cells in qec_slots(field).items():
-        for cell in cells:
-            values[cell] = params[letter]
-    return WignerGrid(field, values, exact=True)
+        flat[cells] = params[letter]
+    return WignerGrid(field, flat, exact=True)
 
 
 def code_solution_family() -> list[dict[str, Fraction]]:
@@ -420,7 +420,7 @@ def mean_king_line_sums(net: QuantumNet) -> dict:
 
 
 def infer_king_outcome(net: QuantumNet, basis: list[np.ndarray], result: int,
-                       observable: str, atol: float = 1e-8) -> int:
+                       observable: str) -> int:
     """Retrodict the king's outcome from the physicist's measurement result.
 
     The outcome is the support line (1 or 2) of the announced observable whose
@@ -432,7 +432,7 @@ def infer_king_outcome(net: QuantumNet, basis: list[np.ndarray], result: int,
     consistent = [
         idx
         for idx, line in enumerate(king_lines(field, observable), start=1)
-        if abs(np.vdot(line_state(net, line), phi)) > atol
+        if abs(np.vdot(line_state(net, line), phi)) > 1e-8
     ]
     if len(consistent) != 1:
         raise AmbiguousInference(

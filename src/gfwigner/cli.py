@@ -12,6 +12,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -21,17 +22,22 @@ from .galois import GF2Field, field_new, power_ordering
 from .net import (
     QuantumNet,
     build_net,
+    line_state,
     mub_bases,
     mub_overlap_report,
     net_from_json,
     u_omega_gates,
 )
 from .pauli import parse_pauli
-from .phasespace import all_striations, grid_axis, to_binary
+from .phasespace import all_striations, display_index, grid_axis
 from .wigner import (
     StabilizerGroup,
     WignerGrid,
+    all_points,
     check_density_matrix,
+    point_operator,
+    purity_identity_residual,
+    reconstruct,
     state_density,
     stabilizer_wigner,
     wigner_of,
@@ -53,15 +59,7 @@ def _fmt_value(v) -> str:
 
 def grid_rows(grid: WignerGrid) -> list[list]:
     """Grid as rows of values: rows are p descending, columns q ascending."""
-    field = grid.field
-    axis = grid_axis(field)
-    rows = []
-    for p in reversed(axis):
-        row = []
-        for q in axis:
-            row.append(grid.values[(q, field.p_to_bits(p))])
-        rows.append(row)
-    return rows
+    return grid.flat[display_index(grid.field).T[::-1]].tolist()
 
 
 def export_grid(grid: WignerGrid, fmt: str, meta: dict | None = None) -> str:
@@ -136,12 +134,10 @@ def import_grid(text: str) -> WignerGrid:
     if not (isinstance(rows, list) and len(rows) == N
             and all(isinstance(row, list) and len(row) == N for row in rows)):
         raise MalformedInput(f"grid JSON needs {N} rows of {N} cells")
-    axis = grid_axis(field)
-    values = {}
-    for name_row, row in zip(reversed(axis), rows):
-        for q, cell in zip(axis, row):
-            values[(q, field.p_to_bits(name_row))] = _grid_cell(cell, exact)
-    return WignerGrid(field, values, exact=exact)
+    flat = np.empty(N * N, dtype=object if exact else float)
+    flat[display_index(field).T[::-1]] = np.array(
+        [[_grid_cell(cell, exact) for cell in row] for row in rows], dtype=flat.dtype)
+    return WignerGrid(field, flat, exact=exact)
 
 
 # -- net and state resolution ------------------------------------------------------
@@ -192,14 +188,29 @@ def resolve_state(field: GF2Field, spec: str):
         return "dense", state_density(phi1)
     with open(spec) as fh:
         payload = json.load(fh)
+    if not (isinstance(payload, dict) and payload.keys() & {"stabilizer", "density"}):
+        raise MalformedInput("state file needs a JSON object with a 'stabilizer' "
+                             "or 'density' key")
     if "stabilizer" in payload:
-        gens = [(parse_pauli(s), sign) for s, sign in payload["stabilizer"]]
+        gens = payload["stabilizer"]
+        if not (isinstance(gens, list) and all(
+                isinstance(g, list) and len(g) == 2 and isinstance(g[0], str)
+                for g in gens)):
+            raise MalformedInput('"stabilizer" needs ["+XZ...", sign] pairs')
+        gens = [(parse_pauli(s), sign) for s, sign in gens]
         return "stabilizer", StabilizerGroup.from_generators(field, gens)
-    if "density" in payload:
-        rho = np.array([[complex(re, im) for re, im in row]
-                        for row in payload["density"]])
-        return "dense", check_density_matrix(rho, n)
-    raise GfwignerError("state file needs a 'stabilizer' or 'density' key")
+    rows = payload["density"]
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and all(_is_pair(cell) for cell in row)
+            for row in rows)):
+        raise MalformedInput('"density" needs rows of [re, im] number pairs')
+    rho = np.array([[complex(re, im) for re, im in row] for row in rows])
+    return "dense", check_density_matrix(rho, n)
+
+
+def _is_pair(cell) -> bool:
+    return isinstance(cell, list) and len(cell) == 2 and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell)
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -371,34 +382,29 @@ def net_checks(field: GF2Field):
 
 
 def wigner_checks(field: GF2Field):
-    from .wigner import (
-        all_points,
-        point_operator,
-        purity_identity_residual,
-        reconstruct,
-    )
-
     net = build_net(field, "covariant")
 
+    @cache  # lazily, so a failure is reported by the check that needs them
+    def point_operators() -> list[np.ndarray]:
+        """A(alpha) for every point, by flat index (qbits << n) | pbits."""
+        return [point_operator(net, a) for a in all_points(field)]
+
     def orthogonality():
-        pts = list(all_points(field))
-        ops = [point_operator(net, a) for a in pts]
+        ops = point_operators()
         for i, A in enumerate(ops):
             for j, B in enumerate(ops):
                 want = 1 / field.N if i == j else 0.0
                 assert abs(np.trace(A @ B).real - want) < 1e-10
 
     def line_projectors():
+        ops = point_operators()
         for st in all_striations(field):
             for line in st.lines:
-                total = sum(
-                    point_operator(net, to_binary(field, pt))
-                    for pt in line.points(field)
-                )
-                from .net import line_state
-
+                total = sum(ops[(pt.q << field.n) | field.p_to_bits(pt.p)]
+                            for pt in line.points(field))
                 v = line_state(net, line)
                 assert np.abs(total - np.outer(v, v.conj())).max() < 1e-10
+        point_operators.cache_clear()  # the last user: free them for later checks
 
     def roundtrip():
         rng = np.random.default_rng(11)
@@ -430,8 +436,6 @@ def qec_checks(field: GF2Field):
         assert len(cov) == 4, f"{len(cov)} covariant solutions"
 
     def preset_grid():
-        from .wigner import stabilizer_wigner
-
         net = apps.qec_net(field)
         params = apps.grid_parameters(
             field, stabilizer_wigner(net, apps.logical_group(field, 0))

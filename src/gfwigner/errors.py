@@ -17,10 +17,6 @@ class FieldMismatch(GfwignerError):
     """Operands belong to different field constructions."""
 
 
-class ZeroSeed(GfwignerError):
-    """A power ordering was requested with the zero string as seed."""
-
-
 class SingularBasis(GfwignerError):
     """The given field elements are not linearly independent over GF(2)."""
 

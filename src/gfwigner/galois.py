@@ -13,12 +13,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import (
-    DegreeMismatch,
-    NonPrimitivePolynomial,
-    SingularBasis,
-    ZeroSeed,
-)
+from .errors import DegreeMismatch, NonPrimitivePolynomial, SingularBasis
 
 # Default primitive polynomials, one per degree, stored with bit j = coefficient
 # of x^j.  n = 2, 3, 4 are pinned to x^2+x+1, x^3+x^2+1 and x^4+x+1 so that the
@@ -315,23 +310,19 @@ def dual_basis(field: GF2Field, basis: list[int]) -> list[int]:
     return out
 
 
-def power_ordering(field: GF2Field, generator: str = "canonical",
-                   seed: int | None = None, include_zero: bool = True) -> list[int]:
-    """The cyclic ordering seed, seed·M, seed·M^2, ... of all nonzero strings.
+def power_ordering(field: GF2Field, generator: str = "canonical") -> list[int]:
+    """The zero string, then the cyclic ordering 1, 1·M, 1·M^2, ... of all
+    nonzero strings (the axis labelling).
 
     generator is "canonical" for the companion matrix M or "dual" for its
-    transpose.  The zero string is prepended by default for axis labelling.
+    transpose.
     """
-    if seed is None:
-        seed = 1
-    if seed == 0:
-        raise ZeroSeed("power ordering needs a nonzero seed")
-    step = field.apply_m if generator == "canonical" else field.apply_mt
     if generator not in ("canonical", "dual"):
         raise ValueError(f"generator must be 'canonical' or 'dual', got {generator!r}")
-    out = []
-    a = seed
+    step = field.apply_m if generator == "canonical" else field.apply_mt
+    out = [0]
+    a = 1
     for _ in range(field.order):
         out.append(a)
         a = step(a)
-    return ([0] + out) if include_zero else out
+    return out

@@ -318,20 +318,20 @@ def ray_projector(gens: RayGenerators, signs) -> np.ndarray:
     return P
 
 
-def projector_to_state(P: np.ndarray, atol: float = ATOL) -> np.ndarray:
+def projector_to_state(P: np.ndarray) -> np.ndarray:
     """Unit vector spanning a rank-one projector, first nonzero entry made
     real positive."""
     col = int(np.argmax(np.abs(np.diag(P))))
     v = P[:, col]
     norm = np.linalg.norm(v)
-    if norm < atol:
+    if norm < ATOL:
         raise SingularBasis("projector is numerically zero")
     v = v / norm
-    return fix_phase(v, atol)
+    return fix_phase(v)
 
 
-def fix_phase(v: np.ndarray, atol: float = ATOL) -> np.ndarray:
-    idx = int(np.argmax(np.abs(v) > atol))
+def fix_phase(v: np.ndarray) -> np.ndarray:
+    idx = int(np.argmax(np.abs(v) > ATOL))
     return v * (abs(v[idx]) / v[idx])
 
 

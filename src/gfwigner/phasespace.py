@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import FieldMismatch
 from .galois import GF2Field
 
@@ -176,5 +178,9 @@ def grid_axis(field: GF2Field) -> list[int]:
     return [0] + [field.pow_omega(j) for j in range(field.order)]
 
 
-def axis_index(field: GF2Field, x: int) -> int:
-    return 0 if x == 0 else field.log(x) + 1
+def display_index(field: GF2Field) -> np.ndarray:
+    """Flat grid indices (qbits << n) | pbits in display order: entry [i, j]
+    is the point with q = axis[i] and p = axis[j], axis = grid_axis(field)."""
+    axis = grid_axis(field)
+    pbits = [field.p_to_bits(p) for p in axis]
+    return np.array([[(q << field.n) | pb for pb in pbits] for q in axis])

@@ -1,22 +1,31 @@
 """Discrete Wigner functions on the GF(2^n) phase space.
 
+A grid is one flat array of N^2 values indexed by (qbits << n) | pbits:
+float64 for dense grids, Fraction objects for exact ones.  Display order is
+one permutation of it (phasespace.display_index); grid.values is a
+{(qbits, pbits): value} dict built on request.
+
 Two routes are provided and cross-checked in the tests:
 
-* a dense route: phase-space point operators A(alpha) built from a quantum
-  net, with W(alpha) = Tr(rho A(alpha)) / reconstruction / expectation values
-  computed with numpy;
+* a dense route: W(alpha) = Tr(rho A(alpha)) with the phase-space point
+  operators A(alpha) built from a quantum net;
 * an exact route for stabilizer states: the closed form
   W(alpha) = N^-2 sum_{beta in S} f(beta) g(beta) (-1)^<alpha,beta>.
   The sum over S for all N^2 points at once is one integer symplectic
   Walsh-Hadamard transform, O(N^2 log N), with one denominator N^2, so the
   grid stays rational; a GHZ grid at n = 8 takes well under a second.
+
+The same transform inverts a grid of either kind: with
+hat W(beta) = sum_alpha W(alpha) (-1)^<alpha,beta>, <T_beta> is
+f(beta) hat W(beta) (exact on exact grids) and
+rho = N^-1 sum_beta f(beta) hat W(beta) T_beta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 
 import numpy as np
@@ -29,7 +38,7 @@ from .errors import (
     NonCommutingGenerators,
 )
 from .galois import GF2Field
-from .net import QuantumNet, basis_index
+from .net import QuantumNet
 from .pauli import (
     DENSE_MAX_QUBITS,
     PauliTranslation,
@@ -39,9 +48,7 @@ from .pauli import (
     translation,
     translation_for,
 )
-from .phasespace import BinaryPoint, axis_index, grid_axis, wedge
-
-ATOL = 1e-10
+from .phasespace import BinaryPoint, display_index, wedge
 
 GRID_MAX_QUBITS = 8
 
@@ -53,9 +60,9 @@ def all_points(field: GF2Field):
             yield BinaryPoint(qbits, pbits, field.n)
 
 
-def check_density_matrix(rho: np.ndarray, n: int, atol: float = 1e-8) -> np.ndarray:
-    """Validate shape, hermiticity, unit trace and positivity."""
-    N = 1 << n
+def check_density_matrix(rho: np.ndarray, n: int) -> np.ndarray:
+    """Validate shape, hermiticity, unit trace and positivity (to 1e-8)."""
+    N, atol = 1 << n, 1e-8
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (N, N):
         raise InvalidDensityMatrix(f"expected shape ({N}, {N}), got {rho.shape}")
@@ -74,40 +81,38 @@ def state_density(vec: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-@dataclass
+@dataclass(eq=False)
 class WignerGrid:
-    """Wigner values on the N x N grid, keyed by binary coordinates.
+    """Wigner values on the N x N grid: flat[(qbits << n) | pbits].
 
-    exact=True marks grids whose values are Fractions (stabilizer route);
-    dense grids hold floats.
+    exact=True marks grids whose values are Fractions in an object array
+    (stabilizer route); dense grids hold float64.
     """
 
     field: GF2Field
-    values: dict
+    flat: np.ndarray
     exact: bool = False
 
+    @property
+    def values(self) -> dict:
+        """A {(qbits, pbits): value} dict, built on each access."""
+        N = self.field.N
+        return dict(zip(product(range(N), repeat=2), self.flat.tolist()))
+
     def value(self, point: BinaryPoint):
-        return self.values[(point.qbits, point.pbits)]
+        return self.flat.item((point.qbits << self.field.n) | point.pbits)
 
     def total(self):
-        return sum(self.values.values())
+        return sum(self.flat.tolist())
 
     def as_array(self) -> np.ndarray:
         """Array indexed [q_axis][p_axis] with axis order 0, 1, w, w^2, ..."""
-        field = self.field
-        out = np.zeros((field.N, field.N))
-        for (qb, pb), val in self.values.items():
-            q, p = qb, field.bits_to_p(pb)
-            out[axis_index(field, q), axis_index(field, p)] = float(val)
-        return out
+        return np.asarray(self.flat[display_index(self.field)], dtype=float)
 
     def line_sum(self, line) -> float:
-        from .phasespace import to_binary
-
-        total = 0
-        for pt in line.points(self.field):
-            bp = to_binary(self.field, pt)
-            total += self.values[(bp.qbits, bp.pbits)]
+        field, total = self.field, 0
+        for pt in line.points(field):
+            total += self.flat.item((pt.q << field.n) | field.p_to_bits(pt.p))
         return total
 
 
@@ -123,59 +128,40 @@ def point_operator(net: QuantumNet, alpha: BinaryPoint) -> np.ndarray:
     return T @ A0 @ T.conj().T
 
 
-def point_operator_sum(net: QuantumNet, alpha: BinaryPoint) -> np.ndarray:
-    """Independent route: A(alpha) = N^-2 sum_beta f(beta) (-1)^<alpha,beta> T_beta."""
-    field = net.field
-    N = field.N
-    A = np.zeros((N, N), dtype=complex)
-    for beta in all_points(field):
-        sign = net.f(beta) * (-1) ** wedge(alpha, beta)
-        A += sign * to_matrix(translation_for(beta))
-    return A / (N * N)
-
-
 def wigner_of(net: QuantumNet, rho: np.ndarray) -> WignerGrid:
     """W(alpha) = Tr(rho A(alpha)) for every phase-space point."""
     field = net.field
     rho = check_density_matrix(rho, field.n)
-    values = {}
-    for alpha in all_points(field):
+    flat = np.empty(field.N * field.N)
+    for i, alpha in enumerate(all_points(field)):
         w = np.trace(rho @ point_operator(net, alpha))
         if abs(w.imag) > 1e-8:
             raise InvalidDensityMatrix(f"complex Wigner value {w} at {alpha}")
-        values[(alpha.qbits, alpha.pbits)] = float(w.real)
-    return WignerGrid(field, values)
+        flat[i] = w.real
+    return WignerGrid(field, flat)
 
 
 def reconstruct(net: QuantumNet, grid: WignerGrid) -> np.ndarray:
-    """rho = N sum_alpha W(alpha) A(alpha)."""
+    """rho = N^-1 sum_beta f(beta) hat W(beta) T_beta."""
     field = net.field
     if grid.field != field:
         raise FieldMismatch("grid and net use different fields")
-    N = field.N
-    rho = np.zeros((N, N), dtype=complex)
-    for (qb, pb), w in grid.values.items():
-        rho += float(w) * point_operator(net, BinaryPoint(qb, pb, field.n))
-    return N * rho
+    n, N = field.n, field.N
+    hat = _symplectic_transform(grid.flat.astype(float), n)
+    rho = hat[0] * np.eye(N, dtype=complex)
+    for (a, b), sign in net.f_table().items():
+        rho += sign * hat[(a << n) | b] * to_matrix(translation(n, a, b))
+    return rho / N
 
 
 def expectation_translation(net: QuantumNet, grid: WignerGrid, beta: BinaryPoint):
-    """<T_beta> = f(beta) sum_alpha W(alpha) (-1)^<alpha,beta>."""
+    """<T_beta> = f(beta) hat W(beta): a Fraction on exact grids."""
     field = net.field
-    total = 0
-    for (qb, pb), w in grid.values.items():
-        total += w * (-1) ** wedge(BinaryPoint(qb, pb, field.n), beta)
-    return net.f(beta) * total
-
-
-def translation_from_points(net: QuantumNet, beta: BinaryPoint) -> np.ndarray:
-    """T_beta = f(beta) sum_alpha A(alpha) (-1)^<alpha,beta> (dense check)."""
-    field = net.field
-    N = field.N
-    T = np.zeros((N, N), dtype=complex)
-    for alpha in all_points(field):
-        T += point_operator(net, alpha) * (-1) ** wedge(alpha, beta)
-    return net.f(beta) * T
+    if grid.field != field or beta.n != field.n:
+        raise FieldMismatch("grid, net and point use different fields")
+    hat, D = _hat(grid)
+    value = net.f(beta) * hat[(beta.qbits << field.n) | beta.pbits]
+    return Fraction(value, D) if grid.exact else float(value)
 
 
 def _symplectic_transform(v: np.ndarray, n: int) -> np.ndarray:
@@ -198,40 +184,41 @@ def _symplectic_transform(v: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
+def _hat(grid: WignerGrid) -> tuple[np.ndarray, int]:
+    """hat W = the symplectic transform of the grid, over a denominator D.
+
+    An exact grid is scaled to integer numerators over the common
+    denominator D of its values, so its sums are exact; a dense grid gives
+    floats over D = 1.
+    """
+    if not grid.exact:
+        return _symplectic_transform(grid.flat, grid.field.n), 1
+    # Python ints, not int64: numerators over an arbitrary common
+    # denominator D can overflow 64 bits once squared and summed.
+    D = lcm(*(w.denominator for w in grid.flat))
+    nums = [w.numerator * (D // w.denominator) for w in grid.flat]
+    return _symplectic_transform(np.array(nums, dtype=object), grid.field.n), D
+
+
 def purity_identity_residual(net: QuantumNet, grid: WignerGrid) -> float | Fraction:
     """Max residual of |sum_a W(a)(-1)^<a,b>|^2 = N sum_a W(a)W(a+b) over b.
 
     Zero (up to rounding) iff the grid is the Wigner function of a pure state.
     Every hat W(b) is one symplectic transform of W, and every
     autocorrelation sum_a W(a)W(a+b) is the transform of hat W^2 over N^2.
-    An exact grid is scaled to integer numerators over a common denominator
-    D and gives an exact Fraction; a dense grid gives a float.
+    An exact grid gives an exact Fraction; a dense grid gives a float.
     """
-    field = grid.field
-    n, N = field.n, field.N
-    vals = [grid.values[(qb, pb)] for qb in range(N) for pb in range(N)]
+    n, N = grid.field.n, grid.field.N
+    hat, D = _hat(grid)
+    sq = hat * hat
     if grid.exact:
-        # Python ints, not int64: numerators over an arbitrary common
-        # denominator D can overflow 64 bits once squared and summed.
-        D = lcm(*(w.denominator for w in vals))
-        nums = [w.numerator * (D // w.denominator) for w in vals]
-        hat = _symplectic_transform(np.array(nums, dtype=object), n)
-        sq = hat * hat
         resid = np.abs(sq - N * (_symplectic_transform(sq, n) // (N * N)))
         return Fraction(int(resid.max()), D * D)
-    hat = _symplectic_transform(np.array(vals, dtype=float), n)
-    sq = hat * hat
     resid = np.abs(sq - N * _symplectic_transform(sq, n) / (N * N))
     return float(resid.max())
 
 
 # -- exact stabilizer route ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StabilizerElement:
-    point: BinaryPoint
-    sign: int  # g(beta): the group element is g(beta) T_beta
 
 
 class StabilizerGroup:
@@ -337,10 +324,7 @@ def stabilizer_wigner(net: QuantumNet, group: StabilizerGroup) -> WignerGrid:
         v[(beta.qbits << n) | beta.pbits] = net.f(beta) * group.g(beta)
     nums = _symplectic_transform(v, n).tolist()
     frac = {k: Fraction(k, N * N) for k in set(nums)}  # at most 2N + 1 values
-    values = {
-        (qb, pb): frac[nums[(qb << n) | pb]] for qb in range(N) for pb in range(N)
-    }
-    return WignerGrid(field, values, exact=True)
+    return WignerGrid(field, np.array([frac[k] for k in nums], dtype=object), exact=True)
 
 
 def all_stabilizer_groups(field: GF2Field) -> list[frozenset]:

@@ -11,16 +11,38 @@ from gfwigner.net import (
     u_omega_gates,
     u_omega_matrix,
 )
-from gfwigner.pauli import to_matrix
+from gfwigner.pauli import to_matrix, translation_for
 from gfwigner.phasespace import BinaryPoint, wedge
-from gfwigner.wigner import all_points
+from gfwigner.wigner import all_points, point_operator
+
+
+def point_operator_sum(net, alpha: BinaryPoint) -> np.ndarray:
+    """Independent route: A(alpha) = N^-2 sum_beta f(beta) (-1)^<alpha,beta> T_beta."""
+    field = net.field
+    N = field.N
+    A = np.zeros((N, N), dtype=complex)
+    for beta in all_points(field):
+        sign = net.f(beta) * (-1) ** wedge(alpha, beta)
+        A += sign * to_matrix(translation_for(beta))
+    return A / (N * N)
+
+
+def translation_from_points(net, beta: BinaryPoint) -> np.ndarray:
+    """T_beta = f(beta) sum_alpha A(alpha) (-1)^<alpha,beta> (dense check)."""
+    field = net.field
+    N = field.N
+    T = np.zeros((N, N), dtype=complex)
+    for alpha in all_points(field):
+        T += point_operator(net, alpha) * (-1) ** wedge(alpha, beta)
+    return net.f(beta) * T
 
 
 def autocorrelation(grid, beta: BinaryPoint):
     """sum_alpha W(alpha) W(alpha + beta)."""
+    values = grid.values
     total = 0
-    for (qb, pb), w in grid.values.items():
-        total += w * grid.values[(qb ^ beta.qbits, pb ^ beta.pbits)]
+    for (qb, pb), w in values.items():
+        total += w * values[(qb ^ beta.qbits, pb ^ beta.pbits)]
     return total
 
 
@@ -28,11 +50,12 @@ def purity_identity_residual_loop(grid):
     """Max over beta of |sum_a W(a)(-1)^<a,b>|^2 - N sum_a W(a)W(a+b)|, one
     beta at a time: O(N^4)."""
     field = grid.field
+    values = grid.values
     worst = 0.0
     for beta in all_points(field):
         s = sum(
             w * (-1) ** wedge(BinaryPoint(qb, pb, field.n), beta)
-            for (qb, pb), w in grid.values.items()
+            for (qb, pb), w in values.items()
         )
         worst = max(worst, abs(s * s - field.N * autocorrelation(grid, beta)))
     return worst

@@ -73,6 +73,22 @@ def test_stabilizer_sign_other_than_one_is_validation_error(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("payload", [
+    "density",
+    {"stabilizer": 5},
+    {"density": [[1, 0], [0, 0]]},
+    {"stabilizer": [[5, 1], ["+ZZ", 1]]},
+], ids=["bare_string", "stabilizer_not_a_list", "density_cells_not_pairs",
+        "pauli_label_not_a_string"])
+def test_malformed_state_file_is_validation_error(tmp_path, capsys, payload):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "wigner", "--n", "2", "--state", str(state))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("breakage", [
     lambda payload: payload["signs"].pop("h"),
     lambda payload: payload.pop("poly"),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from gfwigner.errors import NonPrimitivePolynomial, SingularBasis, ZeroSeed
+from gfwigner.errors import NonPrimitivePolynomial, SingularBasis
 from gfwigner.galois import (
     PRIMITIVE_POLYS,
     dual_basis,
@@ -128,11 +128,6 @@ def test_power_ordering_visits_everything():
             assert len(seq) == f.N
             assert set(seq) == set(range(f.N))
             assert seq[0] == 0 and seq[1] == 1
-
-
-def test_power_ordering_zero_seed_rejected():
-    with pytest.raises(ZeroSeed):
-        power_ordering(field_new(2), seed=0)
 
 
 def test_pinned_polynomials_build():

@@ -10,7 +10,7 @@ from gfwigner.phasespace import (
     PhasePoint,
     VERTICAL,
     all_striations,
-    axis_index,
+    display_index,
     from_binary,
     grid_axis,
     intersect,
@@ -140,8 +140,16 @@ def test_grid_axis_order():
     f = field_new(2)
     w = f.pow_omega(1)
     assert grid_axis(f) == [0, 1, w, f.mul(w, w)]
-    for i, x in enumerate(grid_axis(f)):
-        assert axis_index(f, x) == i
+
+
+def test_display_index_places_each_point_on_its_axes():
+    for n in (1, 2, 3):
+        f = field_new(n)
+        idx = display_index(f)
+        assert sorted(idx.ravel().tolist()) == list(range(f.N * f.N))
+        for i, q in enumerate(grid_axis(f)):
+            for j, p in enumerate(grid_axis(f)):
+                assert idx[i, j] == (q << n) | f.p_to_bits(p)
 
 
 def test_points_on_line_iff_wedge_with_direction_vanishes():

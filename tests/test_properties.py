@@ -12,16 +12,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfwigner.cli import export_grid, grid_rows, import_grid
 from gfwigner.errors import GfwignerError
 from gfwigner.galois import PRIMITIVE_POLYS, field_new
 from gfwigner.net import QuantumNet, build_net, conjugate_by_u_omega
-from gfwigner.pauli import class_points, parse_pauli, translation
+from gfwigner.pauli import class_points, parse_pauli, to_matrix, translation
 from gfwigner.phasespace import BinaryPoint, striation_labels
 from gfwigner.wigner import (
     StabilizerGroup,
     WignerGrid,
     all_points,
+    expectation_translation,
     purity_identity_residual,
+    reconstruct,
     stabilizer_wigner,
     stabilizer_wigner_value,
     wigner_of,
@@ -80,6 +83,16 @@ def independent_nets(draw, field):
     return QuantumNet(field, signs)
 
 
+@st.composite
+def densities(draw, field):
+    """rho = G G^dagger / Tr, G a complex Gaussian N x rank, rank drawn."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.integers(1, field.N))
+    g = rng.normal(size=(field.N, rank)) + 1j * rng.normal(size=(field.N, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
 def check_grid_against_closed_form(data, field):
     net = data.draw(independent_nets(field))
     group = data.draw(graph_states(field))
@@ -113,10 +126,8 @@ def test_purity_residual_exact_grids_match_loop(data):
     pure = stabilizer_wigner(net, data.draw(graph_states(field)))
     other = stabilizer_wigner(net, data.draw(graph_states(field)))
     weight = Fraction(data.draw(st.integers(0, 6)), 6)
-    mixed = WignerGrid(field, {
-        k: weight * pure.values[k] + (1 - weight) * other.values[k]
-        for k in pure.values
-    }, exact=True)
+    mixed = WignerGrid(field, weight * pure.flat + (1 - weight) * other.flat,
+                       exact=True)
     got = purity_identity_residual(net, mixed)
     assert isinstance(got, Fraction)
     assert got == purity_identity_residual_loop(mixed)
@@ -128,15 +139,78 @@ def test_purity_residual_exact_grids_match_loop(data):
 def test_purity_residual_dense_grids_match_loop(data):
     field = data.draw(fields(4))
     net = data.draw(independent_nets(field))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    rank = data.draw(st.integers(1, field.N))
-    g = rng.normal(size=(field.N, rank)) + 1j * rng.normal(size=(field.N, rank))
-    rho = g @ g.conj().T
-    grid = wigner_of(net, rho / np.trace(rho).real)
+    rho = data.draw(densities(field))
+    grid = wigner_of(net, rho)
     got = purity_identity_residual(net, grid)
     assert abs(got - purity_identity_residual_loop(grid)) < 1e-12
-    if rank == 1:
+    if np.linalg.matrix_rank(rho) == 1:
         assert got < 1e-12
+
+
+@PROPERTY
+@given(st.data())
+def test_reconstruct_inverts_wigner_of(data):
+    field = data.draw(fields(5))
+    net = data.draw(independent_nets(field))
+    rho = data.draw(densities(field))
+    assert np.abs(reconstruct(net, wigner_of(net, rho)) - rho).max() < 1e-10
+
+
+@PROPERTY
+@given(st.data())
+def test_expectation_translation_equals_trace(data):
+    field = data.draw(fields(5))
+    net = data.draw(independent_nets(field))
+    rho = data.draw(densities(field))
+    grid = wigner_of(net, rho)
+    for beta in all_points(field):
+        direct = np.trace(rho @ to_matrix(translation(field.n, beta.qbits, beta.pbits)))
+        assert abs(expectation_translation(net, grid, beta) - direct.real) < 1e-10
+
+
+@PROPERTY
+@given(st.data())
+def test_expectation_translation_on_stabilizer_grids_is_exact_g(data):
+    # <T_beta> = g(beta) on S and 0 off S, as exact Fractions
+    field = data.draw(fields(5))
+    net = data.draw(independent_nets(field))
+    group = data.draw(graph_states(field))
+    grid = stabilizer_wigner(net, group)
+    for beta in all_points(field):
+        got = expectation_translation(net, grid, beta)
+        assert isinstance(got, Fraction)
+        assert got == group.elements.get((beta.qbits, beta.pbits), 0)
+
+
+def axis_position(field, x: int) -> int:
+    """Position of x on a displayed axis 0, 1, w, w^2, ..."""
+    return 0 if x == 0 else field.log(x) + 1
+
+
+@PROPERTY
+@given(st.data())
+def test_displayed_grids_agree_with_per_point_placement(data):
+    field = data.draw(fields(5))
+    N = field.N
+    if data.draw(st.booleans()):
+        net = data.draw(independent_nets(field))
+        grid = stabilizer_wigner(net, data.draw(graph_states(field)))
+    else:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        grid = WignerGrid(field, rng.normal(size=N * N) / N)
+    arr, rows = grid.as_array(), grid_rows(grid)
+    back = import_grid(export_grid(grid, "json"))
+    assert back.exact == grid.exact
+    for alpha in all_points(field):
+        value = grid.value(alpha)
+        i = axis_position(field, alpha.qbits)
+        j = axis_position(field, field.bits_to_p(alpha.pbits))
+        assert arr[i, j] == float(value)
+        assert rows[N - 1 - j][i] == value
+        if grid.exact:
+            assert back.value(alpha) == value
+        else:
+            assert abs(back.value(alpha) - value) < 1e-11
 
 
 def test_ghz_grid_n8_is_normalised_pure_and_on_the_lattice():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gfwigner.errors import (
+    FieldMismatch,
     InconsistentStabilizer,
     InvalidDensityMatrix,
     NonCommutingGenerators,
@@ -24,16 +25,19 @@ from gfwigner.wigner import (
     check_density_matrix,
     expectation_translation,
     point_operator,
-    point_operator_sum,
     purity_identity_residual,
     reconstruct,
     stabilizer_wigner,
     stabilizer_wigner_value,
     state_density,
-    translation_from_points,
     wigner_of,
 )
-from oracles import autocorrelation, purity_identity_residual_loop
+from oracles import (
+    autocorrelation,
+    point_operator_sum,
+    purity_identity_residual_loop,
+    translation_from_points,
+)
 
 
 def random_state(field, rng):
@@ -133,6 +137,16 @@ def test_expectation_of_translations_two_ways():
             assert abs(via_grid - direct.real) < 1e-9
 
 
+def test_expectation_translation_rejects_a_grid_of_another_field():
+    f = field_new(3)
+    other = field_new(3, 0b1011)  # x^3 + x + 1
+    grp = StabilizerGroup.from_generators(
+        other, [(g, 1) for g in ray_generators(other, 0).gens])
+    grid = stabilizer_wigner(build_net(other), grp)
+    with pytest.raises(FieldMismatch):
+        expectation_translation(build_net(f), grid, BinaryPoint(1, 0, 3))
+
+
 def test_translations_recovered_from_point_operators():
     f = field_new(2)
     net = build_net(f, "covariant")
@@ -160,9 +174,9 @@ def test_purity_identity_exact_grid_beyond_int64_matches_loop():
     f = field_new(2)
     rng = random.Random(43)
     dens = [(1 << 61) - 1, (1 << 31) - 1, 8191]
-    values = {(qb, pb): Fraction(rng.randrange(-99, 100), rng.choice(dens))
-              for qb in range(4) for pb in range(4)}
-    grid = WignerGrid(f, values, exact=True)
+    flat = np.array([Fraction(rng.randrange(-99, 100), rng.choice(dens))
+                     for _ in range(16)], dtype=object)
+    grid = WignerGrid(f, flat, exact=True)
     got = purity_identity_residual(build_net(f), grid)
     assert got == purity_identity_residual_loop(grid)
     assert got > 0
