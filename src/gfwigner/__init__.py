@@ -42,6 +42,7 @@ from .pauli import (
     compose,
     format_pauli,
     parse_pauli,
+    pauli_sum,
     to_matrix,
     translation,
     translation_for,

@@ -385,16 +385,18 @@ def wigner_checks(field: GF2Field):
     net = build_net(field, "covariant")
 
     @cache  # lazily, so a failure is reported by the check that needs them
-    def point_operators() -> list[np.ndarray]:
-        """A(alpha) for every point, by flat index (qbits << n) | pbits."""
-        return [point_operator(net, a) for a in all_points(field)]
+    def point_operators() -> np.ndarray:
+        """A(alpha) for every point, stacked by flat index (qbits << n) | pbits."""
+        return np.array([point_operator(net, a) for a in all_points(field)])
 
     def orthogonality():
-        ops = point_operators()
-        for i, A in enumerate(ops):
-            for j, B in enumerate(ops):
-                want = 1 / field.N if i == j else 0.0
-                assert abs(np.trace(A @ B).real - want) < 1e-10
+        # Tr(A_i A_j) of hermitian operators is the Gram matrix of their
+        # entries; N rows of it at a time
+        N = field.N
+        V = point_operators().reshape(N * N, -1)
+        for i in range(0, len(V), N):
+            gram = V[i:i + N].conj() @ V.T
+            assert np.abs(gram - np.eye(N, len(V), i) / N).max() < 1e-10
 
     def line_projectors():
         ops = point_operators()

@@ -9,30 +9,32 @@ point operators) follows from translation covariance.
 Covariant nets are derived on the same sign data, for any n <= 16: U_w
 permutes translations, U_w T(a, b) U_w^dagger = +-T(a M, b M~^-1).  U_w's
 matrix is a dense realisation that nets do not need; dense matrices are
-built only when a caller asks for them.
+built only when a caller asks for them, each as one Pauli sum of the flat f
+vector: a ray projector is N^-1 sum_{beta in ray} f(beta) T_beta and A(0)
+is N^-2 sum_beta f(beta) T_beta.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 
 import numpy as np
 
 from .errors import (
-    DimensionTooLarge,
     MalformedInput,
     NonCommutingGenerators,
     SingularBasis,
 )
 from .galois import GF2Field, field_new
 from .pauli import (
-    DENSE_MAX_QUBITS,
     PauliTranslation,
-    commutes,
+    basis_index,
+    class_points,
     compose,
+    dense_dim,
+    pauli_sum,
     ray_walk,
     to_matrix,
     translation,
@@ -43,7 +45,6 @@ from .phasespace import (
     HORIZONTAL,
     Line,
     PhasePoint,
-    Striation,
     VERTICAL,
     all_striations,
     from_binary,
@@ -55,26 +56,11 @@ from .phasespace import (
 ATOL = 1e-10
 
 
-def basis_index(bits: int, n: int) -> int:
-    """Computational-basis index of |bits>: qubit 0 is the leftmost factor."""
-    return sum(((bits >> i) & 1) << (n - 1 - i) for i in range(n))
-
-
-def index_bits(idx: int, n: int) -> int:
-    return sum(((idx >> (n - 1 - i)) & 1) << i for i in range(n))
-
-
-@dataclass(frozen=True)
-class RayGenerators:
-    striation_label: object
-    gens: tuple[PauliTranslation, ...]
-
-
-def ray_generators(field: GF2Field, label) -> RayGenerators:
+def ray_generators(field: GF2Field, label) -> tuple[PauliTranslation, ...]:
     """The n generators of one ray's class: the first n points of its walk,
     T(1 M^k, 1 M~^(k+j)) for the diagonal ray j, X strings for h, Z for v."""
     points = islice(ray_walk(field, label), field.n)
-    return RayGenerators(label, tuple(translation(field.n, a, b) for a, b in points))
+    return tuple(translation(field.n, a, b) for a, b in points)
 
 
 # -- squeezing operator -------------------------------------------------------
@@ -96,9 +82,7 @@ def u_omega_gates(field: GF2Field) -> list[tuple[str, int, int]]:
 def u_omega_matrix(field: GF2Field) -> np.ndarray:
     """Dense U_w as the basis permutation |bits> -> |bits . M>."""
     n = field.n
-    if n > DENSE_MAX_QUBITS:
-        raise DimensionTooLarge(f"dense U_w capped at {DENSE_MAX_QUBITS} qubits")
-    N = 1 << n
+    N = dense_dim(n)
     U = np.zeros((N, N), dtype=complex)
     for bits in range(N):
         U[basis_index(field.apply_m(bits), n), basis_index(bits, n)] = 1
@@ -181,24 +165,29 @@ class QuantumNet:
                 raise ValueError(f"bad sign vector for striation {label}: {eps}")
         self._gens = {}
         self._f_cache = {}
-        self._proj_cache = {}
+        self._f_vector = None
+        self._ray_states = {}
         self._a0 = None
 
     # -- ray data ----------------------------------------------------------
 
-    def generators(self, label) -> RayGenerators:
+    def generators(self, label) -> tuple[PauliTranslation, ...]:
         if label not in self._gens:
             self._gens[label] = ray_generators(self.field, label)
         return self._gens[label]
 
     def ray_projector(self, label) -> np.ndarray:
-        if label not in self._proj_cache:
-            gens = self.generators(label)
-            self._proj_cache[label] = ray_projector(gens, self.signs[label])
-        return self._proj_cache[label]
+        """P = N^-1 sum_{beta in ray} f(beta) T_beta; rank one."""
+        n, f = self.field.n, self.f_vector()
+        on_ray = [0] + [(a << n) | b for a, b in class_points(self.field, label)]
+        coeffs = np.zeros_like(f)
+        coeffs[on_ray] = f[on_ray]
+        return pauli_sum(n, coeffs) / self.field.N
 
     def ray_state(self, label) -> np.ndarray:
-        return projector_to_state(self.ray_projector(label))
+        if label not in self._ray_states:
+            self._ray_states[label] = projector_to_state(self.ray_projector(label))
+        return self._ray_states[label]
 
     # -- the sign function f -------------------------------------------------
 
@@ -210,7 +199,7 @@ class QuantumNet:
         if key not in self._f_cache:
             label = ray_through(self.field, from_binary(self.field, beta))
             self._f_cache[key] = _eigenvalue(
-                self.generators(label).gens, self.signs[label], *key
+                self.generators(label), self.signs[label], *key
             )
         return self._f_cache[key]
 
@@ -220,13 +209,23 @@ class QuantumNet:
         field = self.field
         if len(self._f_cache) < field.N * field.N - 1:
             for label in striation_labels(field):
-                gens, eps = self.generators(label).gens, self.signs[label]
+                gens, eps = self.generators(label), self.signs[label]
                 prod, sign = PauliTranslation(field.n, 0, 0), 1
                 for step in range(1, field.N):
                     k = (step & -step).bit_length() - 1
                     prod, sign = compose(prod, gens[k]), sign * eps[k]
                     self._f_cache[(prod.a, prod.b)] = _canonical_sign(prod, sign)
         return dict(self._f_cache)
+
+    def f_vector(self) -> np.ndarray:
+        """f at every (qbits << n) | pbits, f(0) = 1: dense Pauli sums' input."""
+        if self._f_vector is None:
+            n, N = self.field.n, dense_dim(self.field.n)
+            f = np.ones(N * N, dtype=np.int64)
+            for (a, b), sign in self.f_table().items():
+                f[(a << n) | b] = sign
+            self._f_vector = f
+        return self._f_vector
 
     def _f_json(self) -> dict[str, int]:
         bits = self.field.bits_str
@@ -235,10 +234,10 @@ class QuantumNet:
     # -- phase-space point operators -----------------------------------------
 
     def a0_matrix(self) -> np.ndarray:
+        """A(0) = N^-2 sum_beta f(beta) T_beta = N^-1 (sum_lambda P_lambda - I)."""
         if self._a0 is None:
             N = self.field.N
-            total = sum(self.ray_projector(lb) for lb in striation_labels(self.field))
-            self._a0 = (total - np.eye(N)) / N
+            self._a0 = pauli_sum(self.field.n, self.f_vector()) / (N * N)
         return self._a0
 
     def fingerprint(self) -> str:
@@ -303,21 +302,6 @@ def net_from_json(text: str) -> QuantumNet:
     return net
 
 
-def ray_projector(gens: RayGenerators, signs) -> np.ndarray:
-    """P = 2^-n prod_k (I + eps_k G_k); rank-one by construction."""
-    n = gens.gens[0].n
-    if n > DENSE_MAX_QUBITS:
-        raise DimensionTooLarge(f"dense projectors capped at {DENSE_MAX_QUBITS} qubits")
-    for i, g in enumerate(gens.gens):
-        for h in gens.gens[i + 1:]:
-            if not commutes(g, h):
-                raise NonCommutingGenerators(f"{g} and {h} do not commute")
-    P = np.eye(1 << n, dtype=complex)
-    for eps, g in zip(signs, gens.gens):
-        P = P @ (np.eye(1 << n) + eps * to_matrix(g)) / 2
-    return P
-
-
 def projector_to_state(P: np.ndarray) -> np.ndarray:
     """Unit vector spanning a rank-one projector, first nonzero entry made
     real positive."""
@@ -357,12 +341,12 @@ def build_net(field: GF2Field, mode: str = "independent", signs: dict | None = N
         raise ValueError(f"mode must be 'independent' or 'covariant', got {mode!r}")
     order = field.order
     lam = 0
-    gens = ray_generators(field, lam).gens
+    gens = ray_generators(field, lam)
     for _ in range(order - 1):
         pushed = [conjugate_by_u_omega(field, g) for g in gens]
         eps = base[lam]
         lam = (lam - 2) % order
-        gens = ray_generators(field, lam).gens
+        gens = ray_generators(field, lam)
         base[lam] = tuple(_eigenvalue(pushed, eps, g.a, g.b) for g in gens)
     return QuantumNet(field, base, "covariant")
 
@@ -377,19 +361,13 @@ class MubState:
     vector: np.ndarray
 
 
-@lru_cache(maxsize=None)
-def _lex_order(field: GF2Field) -> tuple[int, ...]:
-    """Field elements sorted by their printed bit string (bit 0 first)."""
-    return tuple(sorted(field.elements(), key=field.bits_str))
-
-
 def line_displacement(field: GF2Field, line: Line) -> PhasePoint:
-    """Lexicographically smallest d with a d_q + b d_p = c (maps ray to line)."""
-    for dq in _lex_order(field):
-        for dp in _lex_order(field):
-            if field.mul(line.a, dq) ^ field.mul(line.b, dp) == line.c:
-                return PhasePoint(dq, dp)
-    raise SingularBasis("no displacement reaches the line")  # unreachable
+    """Lexicographically smallest d with a d_q + b d_p = c (maps ray to line):
+    0 prints first and d_p = c / b is unique, so d = (0, c / b), or (c, 0)
+    when b = 0 (a = 1 on a normalised line)."""
+    if line.b:
+        return PhasePoint(0, field.mul(line.c, field.inv(line.b)))
+    return PhasePoint(line.c, 0)
 
 
 def line_state(net: QuantumNet, line: Line) -> np.ndarray:

@@ -1,15 +1,20 @@
-"""Translation operators i^s X^a Z^b with exact Z4 phase tracking.
+"""Translation operators i^s X^a Z^b with exact Z4 phase tracking, and
+their dense realisation.
 
 a and b are n-bit masks (bit i acts on qubit i; qubit 0 is the leftmost
 Kronecker factor).  The phase exponent s counts powers of i in front of the
 plain product X^a Z^b, where each factor X^(a_i) Z^(b_i) carries no phase of
 its own.  The canonical translation for a phase-space point has
 s = popcount(a & b) mod 4, which makes it hermitian and unitary.
+
+Every dense operator of the package is built here, as a Pauli sum
+sum_beta c(beta) T_beta: one Walsh-Hadamard transform over b for each a.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
 
 import numpy as np
@@ -20,12 +25,7 @@ from .phasespace import HORIZONTAL, VERTICAL, BinaryPoint
 
 DENSE_MAX_QUBITS = 6
 
-_XZ = {
-    (0, 0): np.eye(2, dtype=complex),
-    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
-    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
-    (1, 1): np.array([[0, -1], [1, 0]], dtype=complex),  # X @ Z
-}
+_I_POW = np.array([1, 1j, -1, -1j])
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,56 @@ def commutes(t1: PauliTranslation, t2: PauliTranslation) -> bool:
     return ((t1.b & t2.a).bit_count() + (t1.a & t2.b).bit_count()) % 2 == 0
 
 
-def to_matrix(t: PauliTranslation) -> np.ndarray:
-    if t.n > DENSE_MAX_QUBITS:
+# -- dense realisation -------------------------------------------------------
+
+
+def basis_index(bits: int, n: int) -> int:
+    """Computational-basis index of |bits>: qubit 0 is the leftmost factor."""
+    return sum(((bits >> i) & 1) << (n - 1 - i) for i in range(n))
+
+
+def dense_dim(n: int) -> int:
+    """N = 2^n, the side of a dense operator on n qubits; capped."""
+    if n > DENSE_MAX_QUBITS:
         raise DimensionTooLarge(f"dense realization capped at {DENSE_MAX_QUBITS} qubits")
-    out = np.array([[1]], dtype=complex)
-    for i in range(t.n):
-        out = np.kron(out, _XZ[(t.a >> i & 1, t.b >> i & 1)])
-    return (1j ** t.s) * out
+    return 1 << n
+
+
+@cache
+def _dense_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x = 0..N-1, the basis index of each x and popcount(x)."""
+    x = np.arange(dense_dim(n))
+    return x, np.array([basis_index(b, n) for b in x]), sum((x >> i) & 1 for i in range(n))
+
+
+def walsh_hadamard(v: np.ndarray) -> np.ndarray:
+    """H[..., y] = sum_x v[..., x] (-1)^(x.y) along the last axis (of length
+    2^k); unnormalised, so int64 and object arrays of ints sum exactly."""
+    shape, h = v.shape, 1
+    while h < shape[-1]:
+        lo, hi = np.moveaxis(v.reshape(*shape[:-1], -1, 2, h), -2, 0)
+        v = np.stack((lo + hi, lo - hi), axis=-2).reshape(shape)
+        h *= 2
+    return v
+
+
+def to_matrix(t: PauliTranslation) -> np.ndarray:
+    """The signed permutation |x> -> i^s (-1)^(b.x) |x ^ a>."""
+    x, index, popcount = _dense_tables(t.n)
+    out = np.zeros((x.size, x.size), dtype=complex)
+    out[index[x ^ t.a], index] = _I_POW[(t.s + 2 * popcount[t.b & x]) % 4]
+    return out
+
+
+def pauli_sum(n: int, coeffs: np.ndarray) -> np.ndarray:
+    """sum_beta coeffs[(a << n) | b] T(a, b) over the canonical T.  Column x
+    of T(a, b) holds i^(a.b) (-1)^(b.x) in row x ^ a, so entry (x ^ a, x) of
+    the sum is the Walsh-Hadamard transform over b of coeffs i^(a.b) at x."""
+    x, index, popcount = _dense_tables(n)
+    terms = np.reshape(coeffs, (x.size, x.size)) * _I_POW[popcount[x[:, None] & x] % 4]
+    out = np.empty((x.size, x.size), dtype=complex)
+    out[index[x[:, None] ^ x], index] = walsh_hadamard(terms)
+    return out
 
 
 @dataclass(frozen=True)

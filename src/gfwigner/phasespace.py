@@ -137,26 +137,6 @@ def ray_through(field: GF2Field, point: PhasePoint):
     return (field.log(point.p) - field.log(point.q)) % field.order
 
 
-def intersect(field: GF2Field, l1: Line, l2: Line):
-    """None if parallel, the string "same" for equal lines, else the point."""
-    if (l1.a, l1.b) == (l2.a, l2.b):
-        return "same" if l1.c == l2.c else None
-    # Solve the 2x2 system over the field by elimination.
-    det = field.mul(l1.a, l2.b) ^ field.mul(l2.a, l1.b)
-    dinv = field.inv(det)
-    q = field.mul(dinv, field.mul(l1.c, l2.b) ^ field.mul(l2.c, l1.b))
-    p = field.mul(dinv, field.mul(l1.a, l2.c) ^ field.mul(l2.a, l1.c))
-    return PhasePoint(q, p)
-
-
-def translate_line(field: GF2Field, line: Line, d: PhasePoint) -> Line:
-    return Line(
-        line.a,
-        line.b,
-        line.c ^ field.mul(line.a, d.q) ^ field.mul(line.b, d.p),
-    )
-
-
 def wedge(alpha: BinaryPoint, beta: BinaryPoint) -> int:
     """The symplectic exponent (q_a . p_b - q_b . p_a) mod 2."""
     if alpha.n != beta.n:

@@ -8,7 +8,7 @@ one permutation of it (phasespace.display_index); grid.values is a
 Two routes are provided and cross-checked in the tests:
 
 * a dense route: W(alpha) = Tr(rho A(alpha)) with the phase-space point
-  operators A(alpha) built from a quantum net;
+  operators A(alpha) = T_alpha A(0) T_alpha^dagger built from a quantum net;
 * an exact route for stabilizer states: the closed form
   W(alpha) = N^-2 sum_{beta in S} f(beta) g(beta) (-1)^<alpha,beta>.
   The sum over S for all N^2 points at once is one integer symplectic
@@ -18,7 +18,9 @@ Two routes are provided and cross-checked in the tests:
 The same transform inverts a grid of either kind: with
 hat W(beta) = sum_alpha W(alpha) (-1)^<alpha,beta>, <T_beta> is
 f(beta) hat W(beta) (exact on exact grids) and
-rho = N^-1 sum_beta f(beta) hat W(beta) T_beta.
+rho = N^-1 sum_beta f(beta) hat W(beta) T_beta, one Pauli sum
+(pauli.pauli_sum), as is a stabilizer projector N^-1 sum_{beta in S}
+g(beta) T_beta.
 """
 
 from __future__ import annotations
@@ -40,13 +42,15 @@ from .errors import (
 from .galois import GF2Field
 from .net import QuantumNet
 from .pauli import (
-    DENSE_MAX_QUBITS,
     PauliTranslation,
     commutes,
     compose,
+    dense_dim,
+    pauli_sum,
     to_matrix,
     translation,
     translation_for,
+    walsh_hadamard,
 )
 from .phasespace import BinaryPoint, display_index, wedge
 
@@ -146,12 +150,8 @@ def reconstruct(net: QuantumNet, grid: WignerGrid) -> np.ndarray:
     field = net.field
     if grid.field != field:
         raise FieldMismatch("grid and net use different fields")
-    n, N = field.n, field.N
-    hat = _symplectic_transform(grid.flat.astype(float), n)
-    rho = hat[0] * np.eye(N, dtype=complex)
-    for (a, b), sign in net.f_table().items():
-        rho += sign * hat[(a << n) | b] * to_matrix(translation(n, a, b))
-    return rho / N
+    hat = _symplectic_transform(grid.flat.astype(float), field.n)
+    return pauli_sum(field.n, net.f_vector() * hat) / field.N
 
 
 def expectation_translation(net: QuantumNet, grid: WignerGrid, beta: BinaryPoint):
@@ -173,15 +173,7 @@ def _symplectic_transform(v: np.ndarray, n: int) -> np.ndarray:
     Integer arrays (int64, or object arrays of Python ints) give exact sums.
     """
     N = 1 << n
-    x = v.reshape(N, N).T.reshape(-1)
-    h = 1
-    while h < x.size:
-        pairs = x.reshape(-1, 2, h)
-        x = np.stack(
-            (pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1
-        ).reshape(-1)
-        h *= 2
-    return x
+    return walsh_hadamard(v.reshape(N, N).T.reshape(-1))
 
 
 def _hat(grid: WignerGrid) -> tuple[np.ndarray, int]:
@@ -280,15 +272,12 @@ class StabilizerGroup:
         return [BinaryPoint(qb, pb, n) for (qb, pb) in self.elements]
 
     def projector(self) -> np.ndarray:
-        """Dense rank-one projector sum of the group (small n only)."""
-        n = self.field.n
-        if n > DENSE_MAX_QUBITS:
-            raise DimensionTooLarge(f"dense projectors capped at {DENSE_MAX_QUBITS}")
-        N = 1 << n
-        P = np.zeros((N, N), dtype=complex)
+        """Dense rank-one projector N^-1 sum_{beta in S} g(beta) T_beta."""
+        n, N = self.field.n, dense_dim(self.field.n)
+        g = np.zeros(N * N, dtype=np.int64)
         for (qb, pb), sign in self.elements.items():
-            P += sign * to_matrix(translation(n, qb, pb))
-        return P / N
+            g[(qb << n) | pb] = sign
+        return pauli_sum(n, g) / N
 
 
 def stabilizer_wigner_value(

@@ -5,15 +5,63 @@ import numpy as np
 
 from gfwigner.net import (
     all_plus_signs,
-    basis_index,
     ray_generators,
-    ray_projector,
     u_omega_gates,
     u_omega_matrix,
 )
-from gfwigner.pauli import to_matrix, translation_for
-from gfwigner.phasespace import BinaryPoint, wedge
+from gfwigner.pauli import basis_index, to_matrix, translation, translation_for
+from gfwigner.phasespace import BinaryPoint, PhasePoint, wedge
 from gfwigner.wigner import all_points, point_operator
+
+_XZ = {
+    (0, 0): np.eye(2, dtype=complex),
+    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
+    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
+    (1, 1): np.array([[0, -1], [1, 0]], dtype=complex),  # X @ Z
+}
+
+
+def to_matrix_kron(t) -> np.ndarray:
+    """i^s times the Kronecker product of X^(a_i) Z^(b_i), qubit 0 leftmost."""
+    out = np.array([[1]], dtype=complex)
+    for i in range(t.n):
+        out = np.kron(out, _XZ[(t.a >> i & 1, t.b >> i & 1)])
+    return (1j ** t.s) * out
+
+
+def ray_projector(gens, signs) -> np.ndarray:
+    """P = 2^-n prod_k (I + eps_k G_k); rank-one by construction."""
+    N = 1 << gens[0].n
+    P = np.eye(N, dtype=complex)
+    for eps, g in zip(signs, gens):
+        P = P @ (np.eye(N) + eps * to_matrix_kron(g)) / 2
+    return P
+
+
+def a0_from_projectors(projectors) -> np.ndarray:
+    """A(0) = N^-1 (sum_lambda P_lambda - I) over the N + 1 ray projectors."""
+    N = len(projectors) - 1
+    return (sum(projectors) - np.eye(N)) / N
+
+
+def stabilizer_projector_loop(group) -> np.ndarray:
+    """N^-1 sum_{beta in S} g(beta) T_beta, one dense T_beta at a time."""
+    n, N = group.field.n, group.field.N
+    P = np.zeros((N, N), dtype=complex)
+    for (qb, pb), sign in group.elements.items():
+        P += sign * to_matrix_kron(translation(n, qb, pb))
+    return P / N
+
+
+def line_displacement_search(field, line) -> PhasePoint:
+    """The d with a d_q + b d_p = c whose printed bit strings (d_q, d_p) come
+    first in lexicographic order, by search over all N^2 points."""
+    order = sorted(field.elements(), key=field.bits_str)
+    for dq in order:
+        for dp in order:
+            if field.mul(line.a, dq) ^ field.mul(line.b, dp) == line.c:
+                return PhasePoint(dq, dp)
+    raise AssertionError(f"no displacement reaches {line}")
 
 
 def point_operator_sum(net, alpha: BinaryPoint) -> np.ndarray:
@@ -98,7 +146,7 @@ def covariant_signs_dense(field, signs: dict) -> dict:
         lam = (lam - 2) % field.order
         P = U @ P @ U.conj().T
         eps = []
-        for g in ray_generators(field, lam).gens:
+        for g in ray_generators(field, lam):
             val = np.trace(to_matrix(g) @ P)
             assert abs(abs(val) - 1) < 1e-10, f"ray {lam} is not a generator eigenstate"
             eps.append(1 if val.real > 0 else -1)

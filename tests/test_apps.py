@@ -135,7 +135,7 @@ def test_solution_family_has_eight_members():
 
 
 def test_family_solutions_have_nonnegative_line_sums():
-    from gfwigner.phasespace import all_striations, to_binary
+    from gfwigner.phasespace import all_striations
 
     f = apps.qec_field()
     for sol in apps.code_solution_family():

@@ -11,7 +11,7 @@ from gfwigner.net import (
     basis_index,
     build_net,
     conjugate_by_u_omega,
-    index_bits,
+    line_displacement,
     line_state,
     mub_bases,
     mub_states,
@@ -35,7 +35,11 @@ from gfwigner.phasespace import (
     ray_through,
     striation_labels,
 )
-from oracles import u_omega_from_gates
+from oracles import line_displacement_search, ray_projector, u_omega_from_gates
+
+
+def index_bits(idx: int, n: int) -> int:
+    return sum(((idx >> (n - 1 - i)) & 1) << i for i in range(n))
 
 
 def test_basis_index_roundtrip():
@@ -48,7 +52,7 @@ def test_ray_generators_commute_and_span_the_class():
     for n in (2, 3):
         f = field_new(n)
         for label in striation_labels(f):
-            gens = ray_generators(f, label).gens
+            gens = ray_generators(f, label)
             assert len(gens) == n
             for g in gens:
                 assert ray_through(
@@ -61,11 +65,11 @@ def test_ray_generators_commute_and_span_the_class():
 
 def test_printed_generator_lists_n3():
     f = field_new(3)
-    g0 = [format_pauli(g) for g in ray_generators(f, 0).gens]
+    g0 = [format_pauli(g) for g in ray_generators(f, 0)]
     assert g0 == ["+YII", "+IXZ", "+IZY"]
-    gv = [format_pauli(g) for g in ray_generators(f, VERTICAL).gens]
+    gv = [format_pauli(g) for g in ray_generators(f, VERTICAL)]
     assert gv == ["+ZII", "+IIZ", "+IZZ"]
-    gh = [format_pauli(g) for g in ray_generators(f, HORIZONTAL).gens]
+    gh = [format_pauli(g) for g in ray_generators(f, HORIZONTAL)]
     assert gh == ["+XII", "+IXI", "+IIX"]
 
 
@@ -126,8 +130,8 @@ def test_f_matches_dense_trace():
             for (qb, pb), fv in net.f_table().items():
                 beta = BinaryPoint(qb, pb, n)
                 label = ray_through(f, from_binary(f, beta))
-                dense = np.trace(
-                    to_matrix(translation_for(beta)) @ net.ray_projector(label))
+                P = ray_projector(net.generators(label), net.signs[label])
+                dense = np.trace(to_matrix(translation_for(beta)) @ P)
                 assert abs(dense.imag) < 1e-12
                 assert abs(dense.real - fv) < 1e-10
 
@@ -135,7 +139,7 @@ def test_f_matches_dense_trace():
 def test_f_decomposition_rejects_off_ray_points():
     f = field_new(2)
     net = build_net(f)
-    gens = ray_generators(f, 0).gens
+    gens = ray_generators(f, 0)
     from gfwigner.net import _decompose
 
     with pytest.raises(SingularBasis):
@@ -159,7 +163,7 @@ def test_covariant_net_n10_maps_each_ray_generator_covariantly():
     f = field_new(10)
     net = build_net(f, "covariant", {0: (1, -1) * 5})
     for label in striation_labels(f):
-        for g in ray_generators(f, label).gens:
+        for g in ray_generators(f, label):
             pushed = conjugate_by_u_omega(f, g)
             sigma = 1 if pushed.phase_vs_canonical == 0 else -1
             assert net.f(BinaryPoint(pushed.a, pushed.b, 10)) == \
@@ -207,6 +211,14 @@ def test_line_states_are_translated_ray_states():
         for line in st.lines:
             v = line_state(net, line)
             assert abs(np.linalg.norm(v) - 1) < 1e-12
+
+
+def test_line_displacement_closed_form_equals_search():
+    for n in range(1, 6):
+        f = field_new(n)
+        for st in all_striations(f):
+            for line in st.lines:
+                assert line_displacement(f, line) == line_displacement_search(f, line)
 
 
 def test_net_json_roundtrip():

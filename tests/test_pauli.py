@@ -5,6 +5,7 @@ import pytest
 
 from gfwigner.errors import DimensionTooLarge
 from gfwigner.galois import field_new
+from gfwigner.net import build_net, u_omega_matrix
 from gfwigner.pauli import (
     PauliTranslation,
     class_points,
@@ -13,9 +14,11 @@ from gfwigner.pauli import (
     compose,
     format_pauli,
     parse_pauli,
+    pauli_sum,
     to_matrix,
     translation,
     translation_for,
+    walsh_hadamard,
 )
 from gfwigner.phasespace import (
     BinaryPoint,
@@ -26,6 +29,8 @@ from gfwigner.phasespace import (
     to_binary,
     wedge,
 )
+from gfwigner.wigner import StabilizerGroup, WignerGrid, reconstruct
+from oracles import to_matrix_kron
 
 
 def test_translations_are_hermitian_unitary():
@@ -139,10 +144,45 @@ def test_class_points_lie_on_the_ray():
 
 
 def test_dense_cap():
-    with pytest.raises(DimensionTooLarge):
-        to_matrix(translation(7, 1, 0))
+    field = field_new(7)
+    group = StabilizerGroup.from_generators(
+        field, [(translation(7, 0, 1 << i), 1) for i in range(7)])
+    net = build_net(field)
+    for build in (
+        lambda: to_matrix(translation(7, 1, 0)),
+        lambda: pauli_sum(7, np.zeros(1 << 14)),
+        lambda: net.a0_matrix(),
+        lambda: net.ray_projector(0),
+        lambda: group.projector(),
+        lambda: reconstruct(net, WignerGrid(field, np.zeros(1 << 14))),
+        lambda: u_omega_matrix(field),
+    ):
+        with pytest.raises(DimensionTooLarge):
+            build()
 
 
 def test_qubit_zero_is_leftmost_factor():
     T = to_matrix(translation(2, 0b01, 0))  # X on qubit 0
     assert np.allclose(T, np.kron([[0, 1], [1, 0]], np.eye(2)))
+
+
+def test_to_matrix_equals_kron_for_every_label():
+    for n in range(1, 5):
+        for a in range(1 << n):
+            for b in range(1 << n):
+                for s in range(4):
+                    t = PauliTranslation(n, a, b, s)
+                    assert np.array_equal(to_matrix(t), to_matrix_kron(t))
+
+
+def test_walsh_hadamard_is_the_signed_sum_on_each_row():
+    rng = np.random.default_rng(5)
+    for k in range(5):
+        size = 1 << k
+        v = rng.integers(-9, 10, size=(3, size))
+        want = [[sum(int(row[x]) * (-1) ** (x & y).bit_count() for x in range(size))
+                 for y in range(size)] for row in v]
+        assert walsh_hadamard(v).dtype == np.int64
+        assert walsh_hadamard(v).tolist() == want
+        assert walsh_hadamard(v.astype(object) * 2**70).tolist() == \
+            [[w * 2**70 for w in row] for row in want]

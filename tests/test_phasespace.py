@@ -7,23 +7,38 @@ from gfwigner.galois import field_new
 from gfwigner.phasespace import (
     BinaryPoint,
     HORIZONTAL,
+    Line,
     PhasePoint,
     VERTICAL,
     all_striations,
     display_index,
     from_binary,
     grid_axis,
-    intersect,
     label_of_line,
     make_line,
     ray_through,
     striation,
     striation_labels,
     to_binary,
-    translate_line,
     wedge,
     wedge_field_form,
 )
+
+
+def intersect(field, l1, l2):
+    """None if parallel, the string "same" for equal lines, else the point."""
+    if (l1.a, l1.b) == (l2.a, l2.b):
+        return "same" if l1.c == l2.c else None
+    # Solve the 2x2 system over the field by elimination.
+    det = field.mul(l1.a, l2.b) ^ field.mul(l2.a, l1.b)
+    dinv = field.inv(det)
+    q = field.mul(dinv, field.mul(l1.c, l2.b) ^ field.mul(l2.c, l1.b))
+    p = field.mul(dinv, field.mul(l1.a, l2.c) ^ field.mul(l2.a, l1.c))
+    return PhasePoint(q, p)
+
+
+def translate_line(field, line, d):
+    return Line(line.a, line.b, line.c ^ field.mul(line.a, d.q) ^ field.mul(line.b, d.p))
 
 
 def test_line_has_n_points_each_point_on_n_plus_1_lines():

@@ -16,7 +16,14 @@ from gfwigner.cli import export_grid, grid_rows, import_grid
 from gfwigner.errors import GfwignerError
 from gfwigner.galois import PRIMITIVE_POLYS, field_new
 from gfwigner.net import QuantumNet, build_net, conjugate_by_u_omega
-from gfwigner.pauli import class_points, parse_pauli, to_matrix, translation
+from gfwigner.pauli import (
+    PauliTranslation,
+    class_points,
+    parse_pauli,
+    pauli_sum,
+    to_matrix,
+    translation,
+)
 from gfwigner.phasespace import BinaryPoint, striation_labels
 from gfwigner.wigner import (
     StabilizerGroup,
@@ -29,7 +36,14 @@ from gfwigner.wigner import (
     stabilizer_wigner_value,
     wigner_of,
 )
-from oracles import covariant_signs_dense, purity_identity_residual_loop
+from oracles import (
+    a0_from_projectors,
+    covariant_signs_dense,
+    purity_identity_residual_loop,
+    ray_projector,
+    stabilizer_projector_loop,
+    to_matrix_kron,
+)
 
 PROPERTY = settings(max_examples=10, deadline=None)
 
@@ -81,6 +95,15 @@ def sign_vectors(n):
 def independent_nets(draw, field):
     signs = {label: draw(sign_vectors(field.n)) for label in striation_labels(field)}
     return QuantumNet(field, signs)
+
+
+@st.composite
+def nets(draw, field):
+    """An independent net, or a covariant one from drawn h, v and 0 signs."""
+    if draw(st.booleans()):
+        return draw(independent_nets(field))
+    seeds = {label: draw(sign_vectors(field.n)) for label in ("h", "v", 0)}
+    return build_net(field, "covariant", seeds)
 
 
 @st.composite
@@ -285,3 +308,44 @@ def test_f_table_walk_equals_pointwise_f(data):
     fresh = QuantumNet(field, net.signs)
     for (a, b), value in table.items():
         assert fresh.f(BinaryPoint(a, b, field.n)) == value
+
+
+@settings(PROPERTY, max_examples=30)
+@given(st.data())
+def test_to_matrix_equals_kron(data):
+    n = data.draw(st.integers(1, 6))
+    a, b = (data.draw(st.integers(0, (1 << n) - 1)) for _ in range(2))
+    t = PauliTranslation(n, a, b, data.draw(st.integers(0, 3)))
+    assert np.array_equal(to_matrix(t), to_matrix_kron(t))
+
+
+@PROPERTY
+@given(st.data())
+def test_pauli_sum_equals_the_sum_of_dense_translations(data):
+    n = data.draw(st.integers(1, 6))
+    N = 1 << n
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    c = rng.normal(size=N * N) + 1j * rng.normal(size=N * N)
+    want = sum(c[(a << n) | b] * to_matrix(translation(n, a, b))
+               for a in range(N) for b in range(N))
+    assert np.abs(pauli_sum(n, c) - want).max() < 1e-12
+
+
+@settings(PROPERTY, max_examples=15)
+@given(st.data())
+def test_ray_projectors_and_a0_equal_the_projector_products(data):
+    # exact: every entry is a dyadic rational times a unit phase
+    field = data.draw(fields(6))
+    net = data.draw(nets(field))
+    products = []
+    for label in striation_labels(field):
+        products.append(ray_projector(net.generators(label), net.signs[label]))
+        assert np.array_equal(net.ray_projector(label), products[-1])
+    assert np.array_equal(net.a0_matrix(), a0_from_projectors(products))
+
+
+@settings(PROPERTY, max_examples=15)
+@given(st.data())
+def test_stabilizer_projector_equals_the_element_loop(data):
+    group = data.draw(graph_states(data.draw(fields(6))))
+    assert np.array_equal(group.projector(), stabilizer_projector_loop(group))

@@ -141,7 +141,7 @@ def test_expectation_translation_rejects_a_grid_of_another_field():
     f = field_new(3)
     other = field_new(3, 0b1011)  # x^3 + x + 1
     grp = StabilizerGroup.from_generators(
-        other, [(g, 1) for g in ray_generators(other, 0).gens])
+        other, [(g, 1) for g in ray_generators(other, 0)])
     grid = stabilizer_wigner(build_net(other), grp)
     with pytest.raises(FieldMismatch):
         expectation_translation(build_net(f), grid, BinaryPoint(1, 0, 3))
@@ -266,7 +266,7 @@ def test_aligned_stabilizer_state_gives_line_indicator():
     for n in (2, 3):
         f = field_new(n)
         net = build_net(f)
-        gens = ray_generators(f, 0).gens
+        gens = ray_generators(f, 0)
         grp = StabilizerGroup.from_generators(f, [(g, 1) for g in gens])
         grid = stabilizer_wigner(net, grp)
         nonzero = {k for k, v in grid.values.items() if v != 0}
@@ -277,7 +277,7 @@ def test_aligned_stabilizer_state_gives_line_indicator():
 def test_stabilizer_route_scales_past_dense_cap():
     f = field_new(12)
     net = QuantumNet(f, all_plus_signs(f))
-    gens = [(g, 1) for g in ray_generators(f, 0).gens]
+    gens = [(g, 1) for g in ray_generators(f, 0)]
     grp = StabilizerGroup.from_generators(f, gens)
     val = stabilizer_wigner_value(net, grp, BinaryPoint(0, 0, 12))
     assert val == Fraction(1, f.N)
