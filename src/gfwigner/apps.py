@@ -25,7 +25,13 @@ from .net import (
     line_state,
     projector_to_state,
 )
-from .pauli import PauliTranslation, to_matrix, translation, translation_for
+from .pauli import (
+    PauliTranslation,
+    to_matrix,
+    translation,
+    translation_for,
+    walsh_hadamard,
+)
 from .phasespace import (
     BinaryPoint,
     HORIZONTAL,
@@ -274,28 +280,23 @@ def code_solution_family() -> list[dict[str, Fraction]]:
     The constraints are: normalization, eigenvalue +1 of S1, S2 and Z_L,
     orthogonality of the grids translated by the correctable errors Z0, Z1,
     Z2, purity, and non-negativity of all line sums.  The last condition
-    forces b = 1/8 - a, d = -c, f = -e, h = -g, after which the system
-    reduces to four unknowns; sympy returns its eight exact solutions.
-    """
-    import sympy as sp
+    forces b = 1/8 - a, d = -c, f = -e, h = -g, after which the system is
 
-    a, c, e, g = sp.symbols("a c e g", real=True)
-    eighth = sp.Rational(1, 8)
-    eqs = [
-        a + c + e + g - eighth,
-        2 * a * e + 2 * c * g - e * eighth,
-        2 * a * c + 2 * e * g - c * eighth,
-        2 * a * g + 2 * c * e - g * eighth,
-        c**2 + e**2 + g**2 - (a * eighth - a**2),
-    ]
+        a + c + e + g = 1/8,
+        2ae + 2cg = e/8,    2ac + 2eg = c/8,    2ag + 2ce = g/8,
+        c^2 + e^2 + g^2 = a/8 - a^2.
+
+    On the Klein group Z_2^2, with x = (a, c, e, g) at 00, 01, 10, 11, this
+    is x * x = x/8 (convolution) and sum(x) = 1/8.  The Walsh-Hadamard
+    transform turns the convolution into a pointwise product, so each
+    transform value is 0 or 1/8, and the first is sum(x) = 1/8.  That leaves
+    eight solutions x = H(xhat)/4, all exact.
+    """
     family = []
-    for sol in sp.solve(eqs, [a, c, e, g], dict=True):
-        params = {str(s): Fraction(int(sol[s].p), int(sol[s].q)) for s in (a, c, e, g)}
-        params["b"] = Fraction(1, 8) - params["a"]
-        params["d"] = -params["c"]
-        params["f"] = -params["e"]
-        params["h"] = -params["g"]
-        family.append(params)
+    for rest in product((0, Fraction(1, 8)), repeat=3):
+        a, c, e, g = walsh_hadamard(np.array([Fraction(1, 8), *rest], dtype=object)) / 4
+        family.append({"a": a, "c": c, "e": e, "g": g,
+                       "b": Fraction(1, 8) - a, "d": -c, "f": -e, "h": -g})
     family.sort(key=lambda p: (p["a"], p["c"], p["e"], p["g"]))
     return family
 

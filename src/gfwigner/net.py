@@ -144,6 +144,10 @@ def _eigenvalue(gens, signs, a: int, b: int) -> int:
     return _canonical_sign(prod, sign)
 
 
+def _is_sign(e) -> bool:
+    return isinstance(e, (int, np.integer)) and not isinstance(e, bool) and e in (1, -1)
+
+
 # -- the quantum net -----------------------------------------------------------
 
 
@@ -159,10 +163,14 @@ class QuantumNet:
     def __init__(self, field: GF2Field, signs: dict, mode: str = "independent"):
         self.field = field
         self.mode = mode
-        self.signs = {label: tuple(signs[label]) for label in striation_labels(field)}
-        for label, eps in self.signs.items():
-            if len(eps) != field.n or set(eps) - {1, -1}:
-                raise ValueError(f"bad sign vector for striation {label}: {eps}")
+        self.signs = {}
+        for label in striation_labels(field):
+            eps = signs[label]
+            if not (isinstance(eps, (list, tuple)) and len(eps) == field.n
+                    and all(map(_is_sign, eps))):
+                raise MalformedInput(f"sign vector for striation {label} must be "
+                                     f"{field.n} entries +1 or -1, got {eps!r}")
+            self.signs[label] = tuple(eps)
         self._gens = {}
         self._f_cache = {}
         self._f_vector = None
@@ -282,7 +290,7 @@ def net_from_json(text: str) -> QuantumNet:
     signs = {}
     for key, eps in payload["signs"].items():
         label = key if key in (HORIZONTAL, VERTICAL) else int(key)
-        signs[label] = tuple(eps)
+        signs[label] = eps
     labels = striation_labels(field)
     if set(signs) != set(labels):
         raise MalformedInput(

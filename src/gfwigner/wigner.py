@@ -33,6 +33,7 @@ from math import lcm
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     DimensionTooLarge,
     FieldMismatch,
     InconsistentStabilizer,
@@ -236,6 +237,8 @@ class StabilizerGroup:
         if len(gens) != n:
             raise InconsistentStabilizer(f"need {n} generators, got {len(gens)}")
         for g, sg in gens:
+            if g.n != n:
+                raise DimensionMismatch(f"generator {g} acts on {g.n} qubits, not {n}")
             if isinstance(sg, bool) or sg not in (1, -1):
                 raise InconsistentStabilizer(
                     f"sign of {g} must be +1 or -1, got {sg!r}"

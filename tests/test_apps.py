@@ -122,16 +122,31 @@ def test_logical_one_is_x0_translated_logical_zero():
 def test_solution_family_has_eight_members():
     family = apps.code_solution_family()
     assert len(family) == 8
+    F = Fraction
+    assert [tuple(sol[k] for k in "aceg") for sol in family] == [
+        (F(1, 32), F(1, 32), F(1, 32), F(1, 32)),
+        (F(1, 16), 0, 0, F(1, 16)),
+        (F(1, 16), 0, F(1, 16), 0),
+        (F(1, 16), F(1, 16), 0, 0),
+        (F(3, 32), F(-1, 32), F(1, 32), F(1, 32)),
+        (F(3, 32), F(1, 32), F(-1, 32), F(1, 32)),
+        (F(3, 32), F(1, 32), F(1, 32), F(-1, 32)),
+        (F(1, 8), 0, 0, 0),
+    ]
+    eighth = F(1, 8)
     for sol in family:
-        assert sol["b"] == Fraction(1, 8) - sol["a"]
-        assert sol["d"] == -sol["c"]
-        assert sol["f"] == -sol["e"]
-        assert sol["h"] == -sol["g"]
-        assert sum(sol[k] for k in "aceg") == Fraction(1, 8)
-        assert sum(v * v for v in sol.values()) == Fraction(1, 64)
-    values = {tuple(sol[k] for k in "aceg") for sol in family}
-    assert (Fraction(1, 8), 0, 0, 0) in values
-    assert (Fraction(1, 32),) * 4 in values
+        a, c, e, g = (sol[k] for k in "aceg")
+        assert all(isinstance(v, Fraction) for v in sol.values())
+        assert a + c + e + g - eighth == 0
+        assert 2 * a * e + 2 * c * g - e * eighth == 0
+        assert 2 * a * c + 2 * e * g - c * eighth == 0
+        assert 2 * a * g + 2 * c * e - g * eighth == 0
+        assert c**2 + e**2 + g**2 - (a * eighth - a**2) == 0
+        assert sol["b"] == eighth - a
+        assert sol["d"] == -c
+        assert sol["f"] == -e
+        assert sol["h"] == -g
+        assert sum(v * v for v in sol.values()) == F(1, 64)
 
 
 def test_family_solutions_have_nonnegative_line_sums():

@@ -1,11 +1,16 @@
 """Command line interface behaviour: exit codes, formats, round trips."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gfwigner
 from gfwigner import apps
 from gfwigner.cli import dispatch, export_grid, import_grid
 from gfwigner.errors import MalformedInput
@@ -78,8 +83,11 @@ def test_stabilizer_sign_other_than_one_is_validation_error(tmp_path, capsys):
     {"stabilizer": 5},
     {"density": [[1, 0], [0, 0]]},
     {"stabilizer": [[5, 1], ["+ZZ", 1]]},
+    {"stabilizer": [["+XXI", 1], ["+ZZI", 1]]},
+    {"stabilizer": [["+IXX", 1], ["+IZZ", 1]]},
 ], ids=["bare_string", "stabilizer_not_a_list", "density_cells_not_pairs",
-        "pauli_label_not_a_string"])
+        "pauli_label_not_a_string", "three_qubit_generators_xxi",
+        "three_qubit_generators_ixx"])
 def test_malformed_state_file_is_validation_error(tmp_path, capsys, payload):
     state = tmp_path / "state.json"
     state.write_text(json.dumps(payload))
@@ -94,7 +102,10 @@ def test_malformed_state_file_is_validation_error(tmp_path, capsys, payload):
     lambda payload: payload.pop("poly"),
     lambda payload: payload.update(signs=[]),
     lambda payload: payload.update(poly=7),
-], ids=["no_h_striation", "no_poly", "signs_not_an_object", "poly_not_a_string"])
+    lambda payload: payload["signs"].update(h=5),
+    lambda payload: payload["signs"].update({"0": None}),
+], ids=["no_h_striation", "no_poly", "signs_not_an_object", "poly_not_a_string",
+        "sign_vector_not_a_list", "sign_vector_null"])
 def test_net_file_missing_entry_is_validation_error(tmp_path, capsys, breakage):
     payload = json.loads(build_net(field_new(2)).to_json())
     breakage(payload)
@@ -392,6 +403,17 @@ def test_app_verify_flags(capsys, cmd):
     code, out, _ = run(capsys, cmd, "--verify")
     assert code == 0
     assert "FAIL" not in out and "PASS" in out
+
+
+def test_qec_and_verify_do_not_import_sympy():
+    src = Path(gfwigner.__file__).parent.parent
+    script = ("import sys\n"
+              "from gfwigner.cli import dispatch\n"
+              "assert dispatch(['qec']) == 0 and dispatch(['verify', '--n', '3']) == 0\n"
+              "sys.exit('sympy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
 
 
 # -- verify ------------------------------------------------------------------------

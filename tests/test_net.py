@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gfwigner.errors import SingularBasis
+from gfwigner.errors import MalformedInput, SingularBasis
 from gfwigner.galois import field_new
 from gfwigner.net import (
     QuantumNet,
@@ -237,7 +237,8 @@ def test_net_json_roundtrip():
 
 def test_bad_signs_rejected():
     f = field_new(2)
-    signs = all_plus_signs(f)
-    signs[0] = (1, 0)
-    with pytest.raises(ValueError):
-        QuantumNet(f, signs)
+    for eps in ((1, 0), (1,), (True, 1), (1.0, 1), 5, None, "+-"):
+        signs = all_plus_signs(f)
+        signs[0] = eps
+        with pytest.raises(MalformedInput):
+            QuantumNet(f, signs)
