@@ -35,10 +35,10 @@ from .net import (
 )
 from .pauli import (
     DENSE_MAX_QUBITS,
-    CommutingClass,
+    IDENTITY_ATOL,
+    INPUT_ATOL,
     PauliTranslation,
     commutes,
-    commuting_classes,
     compose,
     format_pauli,
     parse_pauli,

@@ -26,6 +26,8 @@ from .net import (
     projector_to_state,
 )
 from .pauli import (
+    IDENTITY_ATOL,
+    INPUT_ATOL,
     PauliTranslation,
     to_matrix,
     translation,
@@ -47,9 +49,6 @@ from .wigner import (
     stabilizer_wigner,
     wigner_of,
 )
-
-ATOL = 1e-10
-
 
 # -- Bell states (n = 2) ---------------------------------------------------------
 
@@ -385,7 +384,7 @@ def mean_king_basis(net: QuantumNet) -> list[np.ndarray]:
     field = net.field
     ortho = [line_state(net, king_lines(field, o)[0]) for o in ("x", "z", "y")]
     _, sv, vh = np.linalg.svd(np.array([v.conj() for v in ortho]))
-    if sv[-1] < ATOL:
+    if sv[-1] < IDENTITY_ATOL:
         raise AmbiguousInference("the three line states are linearly dependent")
     phi1 = fix_phase(vh[-1].conj())
     w2 = field.pow_omega(2)
@@ -433,7 +432,7 @@ def infer_king_outcome(net: QuantumNet, basis: list[np.ndarray], result: int,
     consistent = [
         idx
         for idx, line in enumerate(king_lines(field, observable), start=1)
-        if abs(np.vdot(line_state(net, line), phi)) > 1e-8
+        if abs(np.vdot(line_state(net, line), phi)) > INPUT_ATOL
     ]
     if len(consistent) != 1:
         raise AmbiguousInference(
@@ -453,11 +452,11 @@ def mean_king_simulate(net: QuantumNet, basis: list[np.ndarray] | None = None) -
         for idx, line in enumerate(king_lines(field, observable), start=1):
             ls = line_state(net, line)
             p_line = abs(np.vdot(ls, initial)) ** 2
-            if p_line < ATOL:
+            if p_line < IDENTITY_ATOL:
                 continue
             for result, phi in enumerate(basis):
                 p_result = abs(np.vdot(phi, ls)) ** 2
-                if p_result < ATOL:
+                if p_result < IDENTITY_ATOL:
                     continue
                 guess = infer_king_outcome(net, basis, result, observable)
                 if guess == idx:

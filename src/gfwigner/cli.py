@@ -28,7 +28,7 @@ from .net import (
     net_from_json,
     u_omega_gates,
 )
-from .pauli import parse_pauli
+from .pauli import IDENTITY_ATOL, parse_pauli
 from .phasespace import all_striations, display_index, grid_axis
 from .wigner import (
     StabilizerGroup,
@@ -371,8 +371,8 @@ def net_checks(field: GF2Field):
 
     def mub_property():
         report = mub_overlap_report(mub_bases(net))
-        assert report["max_gram_deviation"] < 1e-10, report
-        assert report["max_cross_overlap_deviation"] < 1e-10, report
+        assert report["max_gram_deviation"] < IDENTITY_ATOL, report
+        assert report["max_cross_overlap_deviation"] < IDENTITY_ATOL, report
 
     def f_signs():
         for v in net.f_table().values():
@@ -396,7 +396,7 @@ def wigner_checks(field: GF2Field):
         V = point_operators().reshape(N * N, -1)
         for i in range(0, len(V), N):
             gram = V[i:i + N].conj() @ V.T
-            assert np.abs(gram - np.eye(N, len(V), i) / N).max() < 1e-10
+            assert np.abs(gram - np.eye(N, len(V), i) / N).max() < IDENTITY_ATOL
 
     def line_projectors():
         ops = point_operators()
@@ -405,7 +405,7 @@ def wigner_checks(field: GF2Field):
                 total = sum(ops[(pt.q << field.n) | field.p_to_bits(pt.p)]
                             for pt in line.points(field))
                 v = line_state(net, line)
-                assert np.abs(total - np.outer(v, v.conj())).max() < 1e-10
+                assert np.abs(total - np.outer(v, v.conj())).max() < IDENTITY_ATOL
         point_operators.cache_clear()  # the last user: free them for later checks
 
     def roundtrip():
@@ -413,8 +413,8 @@ def wigner_checks(field: GF2Field):
         v = rng.normal(size=field.N) + 1j * rng.normal(size=field.N)
         rho = state_density(v)
         grid = wigner_of(net, rho)
-        assert np.abs(reconstruct(net, grid) - rho).max() < 1e-10
-        assert purity_identity_residual(net, grid) < 1e-10
+        assert np.abs(reconstruct(net, grid) - rho).max() < IDENTITY_ATOL
+        assert purity_identity_residual(net, grid) < IDENTITY_ATOL
 
     return [("wigner.operator_orthogonality", orthogonality),
             ("wigner.line_projectors", line_projectors),
@@ -452,15 +452,15 @@ def meanking_checks(field: GF2Field):
         net = apps.mean_king_net(field)
         basis = apps.mean_king_basis(net)
         G = np.array([[np.vdot(u, v) for v in basis] for u in basis])
-        assert np.abs(G - np.eye(4)).max() < 1e-10
+        assert np.abs(G - np.eye(4)).max() < IDENTITY_ATOL
         sums = apps.mean_king_line_sums(net)
         for (obs, idx), val in sums.items():
             want = {1: 0.0, 2: 0.5}.get(idx, 0.25)
-            assert abs(val - want) < 1e-10, (obs, idx, val)
+            assert abs(val - want) < IDENTITY_ATOL, (obs, idx, val)
 
     def retrodiction():
         net = apps.mean_king_net(field)
-        assert abs(apps.mean_king_simulate(net) - 1) < 1e-10
+        assert abs(apps.mean_king_simulate(net) - 1) < IDENTITY_ATOL
 
     return [("meanking.basis_and_line_sums", basis_and_sums),
             ("meanking.retrodiction", retrodiction)]

@@ -3,15 +3,17 @@ covariant net construction, the sign function f, and MUB generation.
 
 A net is encoded by one sign vector per striation: the ray of striation
 lambda is assigned the joint eigenstate of its n generators G_k with
-eigenvalues eps_k.  Everything else (line states, the f table, phase-space
-point operators) follows from translation covariance.
+eigenvalues eps_k, the pauli.StabilizerGroup QuantumNet.ray(lambda).  The
+sign function f is the union of the rays' groups: f(beta) is the sign of
+T_beta in the group of the ray through beta.  Everything else (line states,
+phase-space point operators) follows from translation covariance.
 
 Covariant nets are derived on the same sign data, for any n <= 16: U_w
 permutes translations, U_w T(a, b) U_w^dagger = +-T(a M, b M~^-1).  U_w's
 matrix is a dense realisation that nets do not need; dense matrices are
-built only when a caller asks for them, each as one Pauli sum of the flat f
-vector: a ray projector is N^-1 sum_{beta in ray} f(beta) T_beta and A(0)
-is N^-2 sum_beta f(beta) T_beta.
+built only when a caller asks for them, each as one Pauli sum: a ray
+projector is the ray group's N^-1 sum_{beta in ray} f(beta) T_beta and A(0)
+is N^-2 sum_beta f(beta) T_beta over the flat f vector.
 """
 
 from __future__ import annotations
@@ -22,17 +24,13 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import (
-    MalformedInput,
-    NonCommutingGenerators,
-    SingularBasis,
-)
+from .errors import MalformedInput, SingularBasis
 from .galois import GF2Field, field_new
 from .pauli import (
+    IDENTITY_ATOL,
     PauliTranslation,
+    StabilizerGroup,
     basis_index,
-    class_points,
-    compose,
     dense_dim,
     pauli_sum,
     ray_walk,
@@ -52,8 +50,6 @@ from .phasespace import (
     striation_labels,
     to_binary,
 )
-
-ATOL = 1e-10
 
 
 def ray_generators(field: GF2Field, label) -> tuple[PauliTranslation, ...]:
@@ -95,57 +91,26 @@ def conjugate_by_u_omega(field: GF2Field, t: PauliTranslation) -> PauliTranslati
     return PauliTranslation(t.n, field.apply_m(t.a), field.apply_mt_inv(t.b), t.s)
 
 
-# -- linear algebra over GF(2) for generator decomposition --------------------
-
-
-def _decompose(points: list[tuple[int, int]], target: tuple[int, int], n: int) -> int:
-    """Solve sum_k x_k (a_k, b_k) = target over GF(2); returns the mask x."""
-    rhs = target[0] | (target[1] << n)
-    basis = {}  # lowest set bit -> (reduced column, combination mask)
-    for k, (a, b) in enumerate(points):
-        col, mask = a | (b << n), 1 << k
-        while col:
-            low = col & -col
-            if low not in basis:
-                basis[low] = (col, mask)
-                break
-            col ^= basis[low][0]
-            mask ^= basis[low][1]
-    sol, r = 0, rhs
-    while r:
-        low = r & -r
-        if low not in basis:
-            raise SingularBasis("target not in the span of the generators")
-        r ^= basis[low][0]
-        sol ^= basis[low][1]
-    return sol
-
-
-def _canonical_sign(prod: PauliTranslation, sign: int) -> int:
-    """Eigenvalue of the canonical T(prod.a, prod.b) on a state on which the
-    operator prod has eigenvalue sign."""
-    # prod = i^t T with t in {0, 2}: a product of commuting hermitian operators.
-    t = prod.phase_vs_canonical
-    if t % 2:
-        raise NonCommutingGenerators("ray member product has an odd phase")
-    return sign if t == 0 else -sign
-
-
-def _eigenvalue(gens, signs, a: int, b: int) -> int:
-    """Eigenvalue of the canonical T(a, b), (a, b) in the span of the
-    commuting translations gens, on their joint eigenstate with eigenvalues
-    signs."""
-    n = gens[0].n
-    x = _decompose([(g.a, g.b) for g in gens], (a, b), n)
-    prod, sign = PauliTranslation(n, 0, 0), 1
-    for k, g in enumerate(gens):
-        if x >> k & 1:
-            prod, sign = compose(prod, g), sign * signs[k]
-    return _canonical_sign(prod, sign)
-
-
 def _is_sign(e) -> bool:
     return isinstance(e, (int, np.integer)) and not isinstance(e, bool) and e in (1, -1)
+
+
+def _checked_signs(field: GF2Field, signs: dict) -> dict:
+    """One tuple of n signs +1 or -1 per striation, in striation order."""
+    labels = striation_labels(field)
+    unknown = [k for k in signs if k not in labels]
+    if unknown:
+        raise MalformedInput(f"no striation {unknown[0]!r} at n = {field.n}; "
+                             f"the labels are {', '.join(map(str, labels))}")
+    out = {}
+    for label in labels:
+        eps = signs.get(label)
+        if not (isinstance(eps, (list, tuple)) and len(eps) == field.n
+                and all(map(_is_sign, eps))):
+            raise MalformedInput(f"sign vector for striation {label} must be "
+                                 f"{field.n} entries +1 or -1, got {eps!r}")
+        out[label] = tuple(eps)
+    return out
 
 
 # -- the quantum net -----------------------------------------------------------
@@ -161,17 +126,12 @@ class QuantumNet:
     """
 
     def __init__(self, field: GF2Field, signs: dict, mode: str = "independent"):
+        if mode not in ("independent", "covariant"):
+            raise MalformedInput(f'net mode must be "independent" or "covariant", got {mode!r}')
         self.field = field
         self.mode = mode
-        self.signs = {}
-        for label in striation_labels(field):
-            eps = signs[label]
-            if not (isinstance(eps, (list, tuple)) and len(eps) == field.n
-                    and all(map(_is_sign, eps))):
-                raise MalformedInput(f"sign vector for striation {label} must be "
-                                     f"{field.n} entries +1 or -1, got {eps!r}")
-            self.signs[label] = tuple(eps)
-        self._gens = {}
+        self.signs = _checked_signs(field, signs)
+        self._rays = {}
         self._f_cache = {}
         self._f_vector = None
         self._ray_states = {}
@@ -179,18 +139,20 @@ class QuantumNet:
 
     # -- ray data ----------------------------------------------------------
 
+    def ray(self, label) -> StabilizerGroup:
+        """The stabilizer group of the ray's state: its generators, signed by
+        the striation's sign vector."""
+        if label not in self._rays:
+            self._rays[label] = StabilizerGroup(
+                self.field, ray_generators(self.field, label), self.signs[label])
+        return self._rays[label]
+
     def generators(self, label) -> tuple[PauliTranslation, ...]:
-        if label not in self._gens:
-            self._gens[label] = ray_generators(self.field, label)
-        return self._gens[label]
+        return self.ray(label).gens
 
     def ray_projector(self, label) -> np.ndarray:
         """P = N^-1 sum_{beta in ray} f(beta) T_beta; rank one."""
-        n, f = self.field.n, self.f_vector()
-        on_ray = [0] + [(a << n) | b for a, b in class_points(self.field, label)]
-        coeffs = np.zeros_like(f)
-        coeffs[on_ray] = f[on_ray]
-        return pauli_sum(n, coeffs) / self.field.N
+        return self.ray(label).projector()
 
     def ray_state(self, label) -> np.ndarray:
         if label not in self._ray_states:
@@ -206,23 +168,17 @@ class QuantumNet:
         key = (beta.qbits, beta.pbits)
         if key not in self._f_cache:
             label = ray_through(self.field, from_binary(self.field, beta))
-            self._f_cache[key] = _eigenvalue(
-                self.generators(label), self.signs[label], *key
-            )
+            self._f_cache[key] = self.ray(label).sign(*key)
         return self._f_cache[key]
 
     def f_table(self) -> dict[tuple[int, int], int]:
-        """f on every nonzero point, exact +-1 integers: each ray's span in
-        Gray-code order, one compose per point, filling the cache f reads."""
+        """f on every nonzero point, exact +-1 integers: the union of the
+        rays' elements without the origin, filling the cache f reads."""
         field = self.field
         if len(self._f_cache) < field.N * field.N - 1:
             for label in striation_labels(field):
-                gens, eps = self.generators(label), self.signs[label]
-                prod, sign = PauliTranslation(field.n, 0, 0), 1
-                for step in range(1, field.N):
-                    k = (step & -step).bit_length() - 1
-                    prod, sign = compose(prod, gens[k]), sign * eps[k]
-                    self._f_cache[(prod.a, prod.b)] = _canonical_sign(prod, sign)
+                self._f_cache.update(self.ray(label).elements)
+            del self._f_cache[(0, 0)]
         return dict(self._f_cache)
 
     def f_vector(self) -> np.ndarray:
@@ -280,10 +236,6 @@ def net_from_json(text: str) -> QuantumNet:
             'net JSON needs an integer "n", a "poly" bit string and a "signs" object'
         )
     mode = payload.get("mode", "independent")
-    if mode not in ("independent", "covariant"):
-        raise MalformedInput(
-            f'net JSON "mode" must be "independent" or "covariant", got {mode!r}'
-        )
     n = payload["n"]
     poly = int(payload["poly"][::-1], 2)
     field = field_new(n, poly)
@@ -291,12 +243,6 @@ def net_from_json(text: str) -> QuantumNet:
     for key, eps in payload["signs"].items():
         label = key if key in (HORIZONTAL, VERTICAL) else int(key)
         signs[label] = eps
-    labels = striation_labels(field)
-    if set(signs) != set(labels):
-        raise MalformedInput(
-            f"net JSON needs one sign vector per striation "
-            f"{', '.join(map(str, labels))}; got {', '.join(map(str, signs))}"
-        )
     net = QuantumNet(field, signs, mode)
     if mode == "covariant":
         seeds = {label: signs[label] for label in (HORIZONTAL, VERTICAL, 0)}
@@ -316,14 +262,14 @@ def projector_to_state(P: np.ndarray) -> np.ndarray:
     col = int(np.argmax(np.abs(np.diag(P))))
     v = P[:, col]
     norm = np.linalg.norm(v)
-    if norm < ATOL:
+    if norm < IDENTITY_ATOL:
         raise SingularBasis("projector is numerically zero")
     v = v / norm
     return fix_phase(v)
 
 
 def fix_phase(v: np.ndarray) -> np.ndarray:
-    idx = int(np.argmax(np.abs(v) > ATOL))
+    idx = int(np.argmax(np.abs(v) > IDENTITY_ATOL))
     return v * (abs(v[idx]) / v[idx])
 
 
@@ -335,27 +281,28 @@ def build_net(field: GF2Field, mode: str = "independent", signs: dict | None = N
     """Build a quantum net.
 
     independent: one sign vector per striation (missing entries default to
-    all +1).  covariant: sign vectors for h, v and lambda = 0 are taken as
-    given; the remaining diagonal rays follow from the squeezing covariance
+    all +1).  covariant: sign vectors for h, v and lambda = 0 only; the
+    remaining diagonal rays follow from the squeezing covariance
     P(lambda - 2) = U_w P(lambda) U_w^dagger: ray lambda's generators, pushed
-    through U_w on labels, fix its image with the same signs eps_k.
+    through U_w on labels, fix its image with the same signs eps_k.  Any
+    other label, or a vector that is not n signs, raises MalformedInput.
     """
-    base = all_plus_signs(field)
-    if signs:
-        base.update({k: tuple(v) for k, v in signs.items()})
+    signs = signs or {}
+    if mode == "covariant" and set(signs) - {HORIZONTAL, VERTICAL, 0}:
+        raise MalformedInput("a covariant net takes sign vectors for h, v and 0 "
+                             f"only; got {', '.join(map(str, signs))}")
+    net = QuantumNet(field, {**all_plus_signs(field), **signs}, mode)
     if mode == "independent":
-        return QuantumNet(field, base, mode)
-    if mode != "covariant":
-        raise ValueError(f"mode must be 'independent' or 'covariant', got {mode!r}")
-    order = field.order
+        return net
+    base, order = dict(net.signs), field.order
     lam = 0
     gens = ray_generators(field, lam)
     for _ in range(order - 1):
         pushed = [conjugate_by_u_omega(field, g) for g in gens]
-        eps = base[lam]
+        image = StabilizerGroup(field, pushed, base[lam])
         lam = (lam - 2) % order
         gens = ray_generators(field, lam)
-        base[lam] = tuple(_eigenvalue(pushed, eps, g.a, g.b) for g in gens)
+        base[lam] = tuple(image.sign(g.a, g.b) for g in gens)
     return QuantumNet(field, base, "covariant")
 
 

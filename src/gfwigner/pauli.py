@@ -1,11 +1,15 @@
-"""Translation operators i^s X^a Z^b with exact Z4 phase tracking, and
-their dense realisation.
+"""Translation operators i^s X^a Z^b with exact Z4 phase tracking, signed
+stabilizer groups, and their dense realisation.
 
 a and b are n-bit masks (bit i acts on qubit i; qubit 0 is the leftmost
 Kronecker factor).  The phase exponent s counts powers of i in front of the
 plain product X^a Z^b, where each factor X^(a_i) Z^(b_i) carries no phase of
 its own.  The canonical translation for a phase-space point has
 s = popcount(a & b) mod 4, which makes it hermitian and unitary.
+
+A StabilizerGroup is n commuting signed translations and their span, with
+the sign of each canonical member: the state of a net's ray and a
+stabilizer state are both one.
 
 Every dense operator of the package is built here, as a Pauli sum
 sum_beta c(beta) T_beta: one Walsh-Hadamard transform over b for each a.
@@ -14,16 +18,26 @@ sum_beta c(beta) T_beta: one Walsh-Hadamard transform over b for each a.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import islice
+from functools import cache, cached_property
+from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionMismatch, DimensionTooLarge
+from .errors import (DimensionMismatch, DimensionTooLarge, InconsistentStabilizer,
+                     NonCommutingGenerators, SingularBasis)
 from .galois import GF2Field
 from .phasespace import HORIZONTAL, VERTICAL, BinaryPoint
 
 DENSE_MAX_QUBITS = 6
+
+# The tolerance policy: every float comparison in the package uses one of
+# these two absolute tolerances.
+IDENTITY_ATOL = 1e-10
+"""For identities the package computes: orthonormality, reconstruction,
+purity, norms and probabilities of its own states."""
+INPUT_ATOL = 1e-8
+"""For outside input (a density matrix, a measurement basis) and values
+derived from it, such as the imaginary part of a Wigner value."""
 
 _I_POW = np.array([1, 1j, -1, -1j])
 
@@ -124,14 +138,6 @@ def pauli_sum(n: int, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class CommutingClass:
-    """One of the N + 1 maximal commuting sets of translations."""
-
-    striation_label: object
-    members: tuple[PauliTranslation, ...]  # N - 1 nontrivial operators
-
-
 def ray_walk(field: GF2Field, label):
     """The (a, b) labels of one striation's class, lazily: from (1, 0) for h,
     (0, 1) for v or (1, 1 M~^lambda) for ray lambda, by steps (a M, b M~).
@@ -147,22 +153,112 @@ def ray_walk(field: GF2Field, label):
         a, b = field.apply_m(a), field.apply_mt(b)
 
 
-def class_points(field: GF2Field, label) -> list[tuple[int, int]]:
-    """(a, b) pairs of the nontrivial members for one striation."""
-    return list(islice(ray_walk(field, label), field.order))
+# -- signed stabilizer groups --------------------------------------------------
 
 
-def commuting_classes(field: GF2Field) -> list[CommutingClass]:
-    """Partition of the N^2 - 1 nontrivial translations into N + 1 classes."""
-    from .phasespace import striation_labels
+def _decompose(points: list[tuple[int, int]], target: tuple[int, int], n: int) -> int:
+    """Solve sum_k x_k (a_k, b_k) = target over GF(2); returns the mask x."""
+    rhs = target[0] | (target[1] << n)
+    basis = {}  # lowest set bit -> (reduced column, combination mask)
+    for k, (a, b) in enumerate(points):
+        col, mask = a | (b << n), 1 << k
+        while col:
+            low = col & -col
+            if low not in basis:
+                basis[low] = (col, mask)
+                break
+            col ^= basis[low][0]
+            mask ^= basis[low][1]
+    sol, r = 0, rhs
+    while r:
+        low = r & -r
+        if low not in basis:
+            raise SingularBasis("target not in the span of the generators")
+        r ^= basis[low][0]
+        sol ^= basis[low][1]
+    return sol
 
-    classes = []
-    for label in striation_labels(field):
-        members = tuple(
-            translation(field.n, a, b) for a, b in class_points(field, label)
-        )
-        classes.append(CommutingClass(label, members))
-    return classes
+
+def _canonical_sign(prod: PauliTranslation, sign: int) -> int:
+    """Eigenvalue of the canonical T(prod.a, prod.b) on a state on which the
+    operator prod has eigenvalue sign."""
+    # prod = i^t T with t in {0, 2}: a product of commuting hermitian operators.
+    t = prod.phase_vs_canonical
+    if t % 2:
+        raise NonCommutingGenerators("group member product has an odd phase")
+    return sign if t == 0 else -sign
+
+
+class StabilizerGroup:
+    """Commuting translations gens with signs: sign_k gens_k stabilizes the
+    state, for a ray of a net (its n generators and the striation's sign
+    vector) or a stabilizer state.
+
+    elements maps each (qbits, pbits) of the span to the sign g(beta) of the
+    canonical T_beta in the group; sign(a, b) reads one member without
+    expanding the group.
+    """
+
+    def __init__(self, field: GF2Field, gens, signs):
+        self.field = field
+        self.gens = tuple(gens)
+        self.signs = tuple(signs)
+
+    @classmethod
+    def from_generators(cls, field: GF2Field, gens: list[tuple[PauliTranslation, int]]):
+        """The group of n signed generators (T, sign), sign * T a stabilizer.
+
+        Raises if a sign is not +1 or -1, if generators do not commute, are
+        not hermitian, are dependent (the identity included), or -I lands in
+        the group.
+        """
+        n = field.n
+        if len(gens) != n:
+            raise InconsistentStabilizer(f"need {n} generators, got {len(gens)}")
+        for g, sg in gens:
+            if g.n != n:
+                raise DimensionMismatch(f"generator {g} acts on {g.n} qubits, not {n}")
+            if isinstance(sg, bool) or sg not in (1, -1):
+                raise InconsistentStabilizer(f"sign of {g} must be +1 or -1, got {sg!r}")
+        for (g, _), (h, _) in combinations(gens, 2):
+            if not commutes(g, h):
+                raise NonCommutingGenerators(f"{g} and {h} do not commute")
+        for g, _ in gens:
+            if g.phase_vs_canonical % 2:
+                raise InconsistentStabilizer(f"non-hermitian generator {g}")
+        group = cls(field, [g for g, _ in gens], [int(sg) for _, sg in gens])
+        if len(group.elements) != field.N:
+            raise InconsistentStabilizer("generators are dependent or include the identity")
+        return group
+
+    @cached_property
+    def elements(self) -> dict[tuple[int, int], int]:
+        """g on the whole span, the origin first: the span in Gray-code order,
+        one compose per member."""
+        prod, sign = PauliTranslation(self.field.n, 0, 0), 1
+        out = {(0, 0): 1}
+        for step in range(1, 1 << len(self.gens)):
+            k = (step & -step).bit_length() - 1
+            prod, sign = compose(prod, self.gens[k]), sign * self.signs[k]
+            out[(prod.a, prod.b)] = _canonical_sign(prod, sign)
+        return out
+
+    def sign(self, a: int, b: int) -> int:
+        """g at (a, b), which must lie in the span (else SingularBasis)."""
+        x = _decompose([(g.a, g.b) for g in self.gens], (a, b), self.field.n)
+        prod, sign = PauliTranslation(self.field.n, 0, 0), 1
+        for k, g in enumerate(self.gens):
+            if x >> k & 1:
+                prod, sign = compose(prod, g), sign * self.signs[k]
+        return _canonical_sign(prod, sign)
+
+    def projector(self) -> np.ndarray:
+        """Dense rank-one projector N^-1 sum_{beta in S} g(beta) T_beta."""
+        n, N = self.field.n, dense_dim(self.field.n)
+        g = np.zeros(N * N, dtype=np.int64)
+        for (qb, pb), sign in self.elements.items():
+            g[(qb << n) | pb] = sign
+        return pauli_sum(n, g) / N
 
 
 # -- textual Pauli-string format ---------------------------------------------

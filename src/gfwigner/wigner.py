@@ -11,45 +11,40 @@ Two routes are provided and cross-checked in the tests:
   operators A(alpha) = T_alpha A(0) T_alpha^dagger built from a quantum net;
 * an exact route for stabilizer states: the closed form
   W(alpha) = N^-2 sum_{beta in S} f(beta) g(beta) (-1)^<alpha,beta>.
-  The sum over S for all N^2 points at once is one integer symplectic
-  Walsh-Hadamard transform, O(N^2 log N), with one denominator N^2, so the
-  grid stays rational; a GHZ grid at n = 8 takes well under a second.
+  f and g are the same kind of sign: f(beta) is the sign of T_beta in the
+  group of the net's ray through beta, g(beta) its sign in the state's
+  group S, and both groups are pauli.StabilizerGroup.  The sum over S for
+  all N^2 points at once is one integer symplectic Walsh-Hadamard
+  transform, O(N^2 log N), with one denominator N^2, so the grid stays
+  rational; a GHZ grid at n = 8 takes well under a second.
 
 The same transform inverts a grid of either kind: with
 hat W(beta) = sum_alpha W(alpha) (-1)^<alpha,beta>, <T_beta> is
 f(beta) hat W(beta) (exact on exact grids) and
 rho = N^-1 sum_beta f(beta) hat W(beta) T_beta, one Pauli sum
 (pauli.pauli_sum), as is a stabilizer projector N^-1 sum_{beta in S}
-g(beta) T_beta.
+g(beta) T_beta.  A grid caches hat W, so it is not changed after it is
+built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import lcm
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DimensionTooLarge,
-    FieldMismatch,
-    InconsistentStabilizer,
-    InvalidDensityMatrix,
-    NonCommutingGenerators,
-)
+from .errors import DimensionTooLarge, FieldMismatch, InvalidDensityMatrix
 from .galois import GF2Field
 from .net import QuantumNet
 from .pauli import (
-    PauliTranslation,
-    commutes,
-    compose,
-    dense_dim,
+    INPUT_ATOL,
+    StabilizerGroup,
     pauli_sum,
     to_matrix,
-    translation,
     translation_for,
     walsh_hadamard,
 )
@@ -66,8 +61,8 @@ def all_points(field: GF2Field):
 
 
 def check_density_matrix(rho: np.ndarray, n: int) -> np.ndarray:
-    """Validate shape, hermiticity, unit trace and positivity (to 1e-8)."""
-    N, atol = 1 << n, 1e-8
+    """Validate shape, hermiticity, unit trace and positivity (to INPUT_ATOL)."""
+    N, atol = 1 << n, INPUT_ATOL
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (N, N):
         raise InvalidDensityMatrix(f"expected shape ({N}, {N}), got {rho.shape}")
@@ -91,7 +86,8 @@ class WignerGrid:
     """Wigner values on the N x N grid: flat[(qbits << n) | pbits].
 
     exact=True marks grids whose values are Fractions in an object array
-    (stabilizer route); dense grids hold float64.
+    (stabilizer route); dense grids hold float64.  A grid is not changed
+    after it is built: its transform hat is computed once and cached.
     """
 
     field: GF2Field
@@ -109,6 +105,22 @@ class WignerGrid:
 
     def total(self):
         return sum(self.flat.tolist())
+
+    @cached_property
+    def hat(self) -> tuple[np.ndarray, int]:
+        """hat W = the symplectic transform of the grid, over a denominator D.
+
+        An exact grid is scaled to integer numerators over the common
+        denominator D of its values, so its sums are exact; a dense grid
+        gives floats over D = 1.
+        """
+        if not self.exact:
+            return _symplectic_transform(self.flat, self.field.n), 1
+        # Python ints, not int64: numerators over an arbitrary common
+        # denominator D can overflow 64 bits once squared and summed.
+        D = lcm(*(w.denominator for w in self.flat))
+        nums = [w.numerator * (D // w.denominator) for w in self.flat]
+        return _symplectic_transform(np.array(nums, dtype=object), self.field.n), D
 
     def as_array(self) -> np.ndarray:
         """Array indexed [q_axis][p_axis] with axis order 0, 1, w, w^2, ..."""
@@ -140,7 +152,7 @@ def wigner_of(net: QuantumNet, rho: np.ndarray) -> WignerGrid:
     flat = np.empty(field.N * field.N)
     for i, alpha in enumerate(all_points(field)):
         w = np.trace(rho @ point_operator(net, alpha))
-        if abs(w.imag) > 1e-8:
+        if abs(w.imag) > INPUT_ATOL:
             raise InvalidDensityMatrix(f"complex Wigner value {w} at {alpha}")
         flat[i] = w.real
     return WignerGrid(field, flat)
@@ -160,7 +172,7 @@ def expectation_translation(net: QuantumNet, grid: WignerGrid, beta: BinaryPoint
     field = net.field
     if grid.field != field or beta.n != field.n:
         raise FieldMismatch("grid, net and point use different fields")
-    hat, D = _hat(grid)
+    hat, D = grid.hat
     value = net.f(beta) * hat[(beta.qbits << field.n) | beta.pbits]
     return Fraction(value, D) if grid.exact else float(value)
 
@@ -177,22 +189,6 @@ def _symplectic_transform(v: np.ndarray, n: int) -> np.ndarray:
     return walsh_hadamard(v.reshape(N, N).T.reshape(-1))
 
 
-def _hat(grid: WignerGrid) -> tuple[np.ndarray, int]:
-    """hat W = the symplectic transform of the grid, over a denominator D.
-
-    An exact grid is scaled to integer numerators over the common
-    denominator D of its values, so its sums are exact; a dense grid gives
-    floats over D = 1.
-    """
-    if not grid.exact:
-        return _symplectic_transform(grid.flat, grid.field.n), 1
-    # Python ints, not int64: numerators over an arbitrary common
-    # denominator D can overflow 64 bits once squared and summed.
-    D = lcm(*(w.denominator for w in grid.flat))
-    nums = [w.numerator * (D // w.denominator) for w in grid.flat]
-    return _symplectic_transform(np.array(nums, dtype=object), grid.field.n), D
-
-
 def purity_identity_residual(net: QuantumNet, grid: WignerGrid) -> float | Fraction:
     """Max residual of |sum_a W(a)(-1)^<a,b>|^2 = N sum_a W(a)W(a+b) over b.
 
@@ -202,7 +198,7 @@ def purity_identity_residual(net: QuantumNet, grid: WignerGrid) -> float | Fract
     An exact grid gives an exact Fraction; a dense grid gives a float.
     """
     n, N = grid.field.n, grid.field.N
-    hat, D = _hat(grid)
+    hat, D = grid.hat
     sq = hat * hat
     if grid.exact:
         resid = np.abs(sq - N * (_symplectic_transform(sq, n) // (N * N)))
@@ -214,75 +210,6 @@ def purity_identity_residual(net: QuantumNet, grid: WignerGrid) -> float | Fract
 # -- exact stabilizer route ------------------------------------------------------
 
 
-class StabilizerGroup:
-    """A maximal stabilizer group: 2^n commuting signed translations.
-
-    Elements are stored as (point, sign) with sign g(beta) = +-1 such that
-    g(beta) T_beta stabilizes the (unique) joint +1 eigenstate.
-    """
-
-    def __init__(self, field: GF2Field, elements: dict):
-        self.field = field
-        self.elements = elements  # (qbits, pbits) -> sign
-
-    @classmethod
-    def from_generators(cls, field: GF2Field, gens: list[tuple[PauliTranslation, int]]):
-        """Expand n signed generators into the full group.
-
-        Each generator is (T, sign) meaning sign * T is a stabilizer.  Raises
-        if a sign is not +1 or -1, if generators do not commute, are
-        dependent, or -I lands in the group.
-        """
-        n = field.n
-        if len(gens) != n:
-            raise InconsistentStabilizer(f"need {n} generators, got {len(gens)}")
-        for g, sg in gens:
-            if g.n != n:
-                raise DimensionMismatch(f"generator {g} acts on {g.n} qubits, not {n}")
-            if isinstance(sg, bool) or sg not in (1, -1):
-                raise InconsistentStabilizer(
-                    f"sign of {g} must be +1 or -1, got {sg!r}"
-                )
-        for (g, _), (h, _) in combinations(gens, 2):
-            if not commutes(g, h):
-                raise NonCommutingGenerators(f"{g} and {h} do not commute")
-        elements = {(0, 0): 1}
-        for g, sg in gens:
-            if g.a == 0 and g.b == 0:
-                raise InconsistentStabilizer(f"identity generator {g}")
-            t = g.phase_vs_canonical
-            if t % 2:
-                raise InconsistentStabilizer(f"non-hermitian generator {g}")
-            sg = int(sg) * (1 if t == 0 else -1)  # sign relative to canonical T
-            new = {}
-            for (qb, pb), sign in elements.items():
-                prod = compose(translation(n, qb, pb), translation(n, g.a, g.b))
-                key = (prod.a, prod.b)
-                if key in elements or key in new:
-                    raise InconsistentStabilizer("generators are dependent")
-                t = prod.phase_vs_canonical
-                if t % 2:
-                    raise InconsistentStabilizer("group member has an odd phase")
-                new[key] = sign * sg * (1 if t == 0 else -1)
-            elements.update(new)
-        return cls(field, elements)
-
-    def g(self, beta: BinaryPoint) -> int:
-        return self.elements[(beta.qbits, beta.pbits)]
-
-    def points(self):
-        n = self.field.n
-        return [BinaryPoint(qb, pb, n) for (qb, pb) in self.elements]
-
-    def projector(self) -> np.ndarray:
-        """Dense rank-one projector N^-1 sum_{beta in S} g(beta) T_beta."""
-        n, N = self.field.n, dense_dim(self.field.n)
-        g = np.zeros(N * N, dtype=np.int64)
-        for (qb, pb), sign in self.elements.items():
-            g[(qb << n) | pb] = sign
-        return pauli_sum(n, g) / N
-
-
 def stabilizer_wigner_value(
     net: QuantumNet, group: StabilizerGroup, alpha: BinaryPoint
 ) -> Fraction:
@@ -291,8 +218,9 @@ def stabilizer_wigner_value(
     if group.field != field:
         raise FieldMismatch("group and net use different fields")
     total = 0
-    for beta in group.points():
-        total += net.f(beta) * group.g(beta) * (-1) ** wedge(alpha, beta)
+    for (qb, pb), g in group.elements.items():
+        beta = BinaryPoint(qb, pb, field.n)
+        total += net.f(beta) * g * (-1) ** wedge(alpha, beta)
     return Fraction(total, field.N * field.N)
 
 
@@ -312,8 +240,8 @@ def stabilizer_wigner(net: QuantumNet, group: StabilizerGroup) -> WignerGrid:
         )
     n, N = field.n, field.N
     v = np.zeros(N * N, dtype=np.int64)
-    for beta in group.points():
-        v[(beta.qbits << n) | beta.pbits] = net.f(beta) * group.g(beta)
+    for (qb, pb), g in group.elements.items():
+        v[(qb << n) | pb] = net.f(BinaryPoint(qb, pb, n)) * g
     nums = _symplectic_transform(v, n).tolist()
     frac = {k: Fraction(k, N * N) for k in set(nums)}  # at most 2N + 1 values
     return WignerGrid(field, np.array([frac[k] for k in nums], dtype=object), exact=True)
@@ -322,23 +250,12 @@ def stabilizer_wigner(net: QuantumNet, group: StabilizerGroup) -> WignerGrid:
 def all_stabilizer_groups(field: GF2Field) -> list[frozenset]:
     """All maximal isotropic subspaces of the phase space, as frozensets of
     (qbits, pbits) pairs.  Brute force; intended for small n."""
-    n, N = field.n, field.N
-    nonzero = [
-        BinaryPoint(qb, pb, n)
-        for qb in range(N)
-        for pb in range(N)
-        if qb or pb
-    ]
+    nonzero = [pt for pt in all_points(field) if not pt.is_origin]
     found = set()
-    for combo in combinations(nonzero, n):
-        if any(
-            wedge(a, b)
-            for a, b in combinations(combo, 2)
-        ):
+    for combo in combinations(nonzero, field.n):
+        if any(wedge(a, b) for a, b in combinations(combo, 2)):
             continue
-        span = {(0, 0)}
-        for pt in combo:
-            span |= {(qb ^ pt.qbits, pb ^ pt.pbits) for (qb, pb) in span}
-        if len(span) == N:
+        span = StabilizerGroup(field, map(translation_for, combo), [1] * field.n).elements
+        if len(span) == field.N:
             found.add(frozenset(span))
     return sorted(found, key=sorted)

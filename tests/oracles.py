@@ -1,6 +1,8 @@
 """Reference routes that the fast code is checked against: per-point loops
 and dense matrix constructions."""
 
+from itertools import islice
+
 import numpy as np
 
 from gfwigner.net import (
@@ -9,7 +11,14 @@ from gfwigner.net import (
     u_omega_gates,
     u_omega_matrix,
 )
-from gfwigner.pauli import basis_index, to_matrix, translation, translation_for
+from gfwigner.pauli import (
+    basis_index,
+    compose,
+    ray_walk,
+    to_matrix,
+    translation,
+    translation_for,
+)
 from gfwigner.phasespace import BinaryPoint, PhasePoint, wedge
 from gfwigner.wigner import all_points, point_operator
 
@@ -19,6 +28,11 @@ _XZ = {
     (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
     (1, 1): np.array([[0, -1], [1, 0]], dtype=complex),  # X @ Z
 }
+
+
+def class_points(field, label) -> list[tuple[int, int]]:
+    """(a, b) pairs of the N - 1 nontrivial members of one striation's class."""
+    return list(islice(ray_walk(field, label), field.order))
 
 
 def to_matrix_kron(t) -> np.ndarray:
@@ -51,6 +65,25 @@ def stabilizer_projector_loop(group) -> np.ndarray:
     for (qb, pb), sign in group.elements.items():
         P += sign * to_matrix_kron(translation(n, qb, pb))
     return P / N
+
+
+def stabilizer_elements_doubling(gens, signs) -> dict:
+    """{(qbits, pbits): sign of the canonical T} over the span of the signed
+    generators, doubling the set once per generator."""
+    n = gens[0].n
+    elements = {(0, 0): 1}
+    for g, sg in zip(gens, signs):
+        sg *= 1 if g.phase_vs_canonical == 0 else -1  # relative to canonical T
+        new = {}
+        for (qb, pb), sign in elements.items():
+            prod = compose(translation(n, qb, pb), translation(n, g.a, g.b))
+            key = (prod.a, prod.b)
+            assert key not in elements and key not in new, "dependent generators"
+            t = prod.phase_vs_canonical
+            assert t % 2 == 0, "group member has an odd phase"
+            new[key] = sign * sg * (1 if t == 0 else -1)
+        elements.update(new)
+    return elements
 
 
 def line_displacement_search(field, line) -> PhasePoint:

@@ -140,7 +140,7 @@ def test_f_decomposition_rejects_off_ray_points():
     f = field_new(2)
     net = build_net(f)
     gens = ray_generators(f, 0)
-    from gfwigner.net import _decompose
+    from gfwigner.pauli import _decompose
 
     with pytest.raises(SingularBasis):
         _decompose([(g.a, g.b) for g in gens], (1, 0), 2)
@@ -242,3 +242,18 @@ def test_bad_signs_rejected():
         signs[0] = eps
         with pytest.raises(MalformedInput):
             QuantumNet(f, signs)
+        for mode in ("independent", "covariant"):
+            with pytest.raises(MalformedInput):
+                build_net(f, mode, {0: eps})
+    for mode, signs in (
+        ("independent", {7: (1, 1)}),  # no striation 7 at n = 2
+        ("covariant", {7: (1, 1)}),
+        ("covariant", {1: (1, -1)}),  # derived from ray 0, not given
+        ("sideways", None),
+    ):
+        with pytest.raises(MalformedInput):
+            build_net(f, mode, signs)
+    missing = all_plus_signs(f)
+    del missing[VERTICAL]
+    with pytest.raises(MalformedInput):
+        QuantumNet(f, missing)

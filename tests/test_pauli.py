@@ -8,9 +8,7 @@ from gfwigner.galois import field_new
 from gfwigner.net import build_net, u_omega_matrix
 from gfwigner.pauli import (
     PauliTranslation,
-    class_points,
     commutes,
-    commuting_classes,
     compose,
     format_pauli,
     parse_pauli,
@@ -30,7 +28,7 @@ from gfwigner.phasespace import (
     wedge,
 )
 from gfwigner.wigner import StabilizerGroup, WignerGrid, reconstruct
-from oracles import to_matrix_kron
+from oracles import class_points, to_matrix_kron
 
 
 def test_translations_are_hermitian_unitary():
@@ -105,17 +103,18 @@ def test_format_examples():
 def test_commuting_classes_partition():
     for n in (2, 3):
         f = field_new(n)
-        classes = commuting_classes(f)
-        assert len(classes) == f.N + 1
+        labels = striation_labels(f)
+        assert len(labels) == f.N + 1
         seen = set()
-        for cls in classes:
-            assert len(cls.members) == f.N - 1
-            for t in cls.members:
+        for label in labels:
+            members = [translation(n, a, b) for a, b in class_points(f, label)]
+            assert len(members) == f.N - 1
+            for t in members:
                 assert (t.a, t.b) != (0, 0)
                 assert (t.a, t.b) not in seen
                 seen.add((t.a, t.b))
-            for t1 in cls.members:
-                for t2 in cls.members:
+            for t1 in members:
+                for t2 in members:
                     assert commutes(t1, t2)
         assert len(seen) == f.N * f.N - 1
 

@@ -17,8 +17,8 @@ from gfwigner.errors import GfwignerError
 from gfwigner.galois import PRIMITIVE_POLYS, field_new
 from gfwigner.net import QuantumNet, build_net, conjugate_by_u_omega
 from gfwigner.pauli import (
+    IDENTITY_ATOL,
     PauliTranslation,
-    class_points,
     parse_pauli,
     pauli_sum,
     to_matrix,
@@ -38,9 +38,11 @@ from gfwigner.wigner import (
 )
 from oracles import (
     a0_from_projectors,
+    class_points,
     covariant_signs_dense,
     purity_identity_residual_loop,
     ray_projector,
+    stabilizer_elements_doubling,
     stabilizer_projector_loop,
     to_matrix_kron,
 )
@@ -349,3 +351,23 @@ def test_ray_projectors_and_a0_equal_the_projector_products(data):
 def test_stabilizer_projector_equals_the_element_loop(data):
     group = data.draw(graph_states(data.draw(fields(6))))
     assert np.array_equal(group.projector(), stabilizer_projector_loop(group))
+
+
+@settings(PROPERTY, max_examples=20)
+@given(st.data())
+def test_group_walk_and_sign_equal_the_doubling_loop(data):
+    group = data.draw(graph_states(data.draw(fields(8))))
+    assert group.elements == stabilizer_elements_doubling(group.gens, group.signs)
+    for (a, b), sign in group.elements.items():
+        assert group.sign(a, b) == sign
+
+
+@settings(PROPERTY, max_examples=15)
+@given(st.data())
+def test_stabilizer_wigner_equals_wigner_of_its_projector(data):
+    field = data.draw(fields(5))
+    net = data.draw(nets(field))
+    group = data.draw(graph_states(field))
+    exact = stabilizer_wigner(net, group).flat.astype(float)
+    dense = wigner_of(net, group.projector()).flat
+    assert np.abs(exact - dense).max() < IDENTITY_ATOL

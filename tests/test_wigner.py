@@ -137,6 +137,28 @@ def test_expectation_of_translations_two_ways():
             assert abs(via_grid - direct.real) < 1e-9
 
 
+def test_expectation_translation_transforms_a_grid_once(monkeypatch):
+    from gfwigner import wigner
+
+    f = field_new(3)
+    net = build_net(f, "covariant")
+    grp = StabilizerGroup.from_generators(
+        f, [(g, 1) for g in ray_generators(f, 0)])
+    grids = [stabilizer_wigner(net, grp),
+             wigner_of(net, random_state(f, np.random.default_rng(5)))]
+    calls = []
+    transform = wigner._symplectic_transform
+    monkeypatch.setattr(wigner, "_symplectic_transform",
+                        lambda v, n: calls.append(n) or transform(v, n))
+    for grid in grids:
+        calls.clear()
+        for beta in all_points(f):
+            expectation_translation(net, grid, beta)
+        assert len(calls) == 1  # hat W, once for all N^2 points
+        purity_identity_residual(net, grid)
+        assert len(calls) == 2  # the same hat W, then the autocorrelation
+
+
 def test_expectation_translation_rejects_a_grid_of_another_field():
     f = field_new(3)
     other = field_new(3, 0b1011)  # x^3 + x + 1
