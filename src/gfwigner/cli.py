@@ -1,7 +1,8 @@
 """Command line interface.
 
 Subcommands: field, rays, mub, uomega, wigner, bell, qec, meanking, verify.
-Exit codes: 0 success, 2 validation/usage error, 1 internal error.
+Exit codes: 0 success, 2 validation/usage error, 1 internal error, 141
+(128 + SIGPIPE) when the reader of stdout goes away, as in `| head -1`.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -97,6 +99,37 @@ def export_grid(grid: WignerGrid, fmt: str, meta: dict | None = None) -> str:
         out.append(header)
         return "\n".join(out) + "\n"
     raise GfwignerError(f"unknown format {fmt!r}")
+
+
+def mub_json(n: int, net: str, bases: dict, overlap_report: dict) -> str:
+    """The `mub` document and a newline, byte for byte as
+    json.dumps(..., indent=2) writes {"n", "net", "bases", "overlap_report"}
+    with each amplitude z of a basis as [round(z.real, 12), round(z.imag, 12)].
+
+    The amplitudes take few distinct values, so each distinct one (keyed by
+    its bits, which keeps 0.0 and -0.0 apart) is rounded and rendered once,
+    and the fixed layout is joined around the rendered pieces."""
+    mats = [np.asarray(vecs, dtype=complex) for vecs in bases.values()]
+    flat = np.concatenate([A.ravel() for A in mats])
+    _, first, inverse = np.unique(flat.view(np.dtype((np.void, flat.itemsize))),
+                                  return_index=True, return_inverse=True)
+    pieces = np.array([
+        f"        [\n          {json.dumps(round(z.real, 12))},\n"
+        f"          {json.dumps(round(z.imag, 12))}\n        ]"
+        for z in flat[first]
+    ], dtype=object)[inverse]
+    parts = [json.dumps({"n": n, "net": net}, indent=2)[:-2] + ',\n  "bases": {']
+    start = 0
+    for k, (label, A) in enumerate(zip(bases, mats)):
+        rows = pieces[start:start + A.size].reshape(A.shape).tolist()
+        start += A.size
+        parts += [
+            ("," if k else "") + f"\n    {json.dumps(str(label))}: [\n      [\n",
+            "\n      ],\n      [\n".join(",\n".join(row) for row in rows),
+            "\n      ]\n    ]",
+        ]
+    parts.append("\n  }," + json.dumps({"overlap_report": overlap_report}, indent=2)[1:] + "\n")
+    return "".join(parts)
 
 
 _FRACTION = re.compile(r"-?\d+(/\d+)?")
@@ -252,16 +285,8 @@ def cmd_mub(args) -> int:
     field = field_new(args.n, args.poly)
     net = resolve_net(field, args.net)
     bases = mub_bases(net)
-    payload = {
-        "n": field.n,
-        "net": net.fingerprint(),
-        "bases": {
-            str(lb): [[[round(z.real, 12), round(z.imag, 12)] for z in v] for v in vecs]
-            for lb, vecs in bases.items()
-        },
-        "overlap_report": mub_overlap_report(bases),
-    }
-    print(json.dumps(payload, indent=2))
+    report = mub_overlap_report(bases)
+    sys.stdout.write(mub_json(field.n, net.fingerprint(), bases, report))
     return 0
 
 
@@ -527,7 +552,16 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush at
+        # exit cannot fail again, and exit quietly as SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (GfwignerError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -236,13 +236,18 @@ def net_from_json(text: str) -> QuantumNet:
             'net JSON needs an integer "n", a "poly" bit string and a "signs" object'
         )
     mode = payload.get("mode", "independent")
-    n = payload["n"]
-    poly = int(payload["poly"][::-1], 2)
-    field = field_new(n, poly)
+    n, poly = payload["n"], payload["poly"]
+    if not poly or set(poly) - {"0", "1"}:
+        raise MalformedInput(f'net JSON "poly" {poly!r} is not a string of 0s and 1s')
+    field = field_new(n, int(poly[::-1], 2))
     signs = {}
     for key, eps in payload["signs"].items():
-        label = key if key in (HORIZONTAL, VERTICAL) else int(key)
-        signs[label] = eps
+        if key in (HORIZONTAL, VERTICAL):
+            signs[key] = eps
+        elif key.isascii() and key.isdecimal():
+            signs[int(key)] = eps
+        else:
+            raise MalformedInput(f"net JSON striation key {key!r} is not h, v or a number")
     net = QuantumNet(field, signs, mode)
     if mode == "covariant":
         seeds = {label: signs[label] for label in (HORIZONTAL, VERTICAL, 0)}

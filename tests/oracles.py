@@ -1,12 +1,17 @@
-"""Reference routes that the fast code is checked against: per-point loops
-and dense matrix constructions."""
+"""Reference routes that the fast code is checked against: per-point loops,
+dense matrix constructions, and the nested-list `mub` export."""
 
+import json
 from itertools import islice
 
 import numpy as np
 
+from gfwigner.cli import resolve_net
+from gfwigner.galois import field_new
 from gfwigner.net import (
     all_plus_signs,
+    mub_bases,
+    mub_overlap_report,
     ray_generators,
     u_omega_gates,
     u_omega_matrix,
@@ -185,3 +190,26 @@ def covariant_signs_dense(field, signs: dict) -> dict:
             eps.append(1 if val.real > 0 else -1)
         base[lam] = tuple(eps)
     return base
+
+
+def mub_json_nested(n: int, net: str, bases: dict, overlap_report: dict) -> str:
+    """The `mub` document built as nested lists and written by
+    json.dumps(indent=2), with its newline."""
+    payload = {
+        "n": n,
+        "net": net,
+        "bases": {
+            str(lb): [[[round(z.real, 12), round(z.imag, 12)] for z in v] for v in vecs]
+            for lb, vecs in bases.items()
+        },
+        "overlap_report": overlap_report,
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def mub_stdout_nested(n: int, net_spec: str = "covariant", poly: int | None = None) -> str:
+    """What `gfwigner mub --n n --net net_spec [--poly]` writes, by the
+    nested-list route; `mub`'s default net is the covariant one."""
+    net = resolve_net(field_new(n, poly), net_spec)
+    bases = mub_bases(net)
+    return mub_json_nested(n, net.fingerprint(), bases, mub_overlap_report(bases))

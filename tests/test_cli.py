@@ -12,11 +12,12 @@ import pytest
 
 import gfwigner
 from gfwigner import apps
-from gfwigner.cli import dispatch, export_grid, import_grid
+from gfwigner.cli import dispatch, export_grid, import_grid, mub_json
 from gfwigner.errors import MalformedInput
 from gfwigner.galois import field_new
 from gfwigner.net import QuantumNet, all_plus_signs, build_net
 from gfwigner.wigner import stabilizer_wigner, state_density, wigner_of
+from oracles import mub_json_nested, mub_stdout_nested
 
 
 def run(capsys, *argv):
@@ -104,8 +105,11 @@ def test_malformed_state_file_is_validation_error(tmp_path, capsys, payload):
     lambda payload: payload.update(poly=7),
     lambda payload: payload["signs"].update(h=5),
     lambda payload: payload["signs"].update({"0": None}),
+    lambda payload: payload["signs"].update(x=[1, 1]),
+    lambda payload: payload.update(poly="1a1"),
 ], ids=["no_h_striation", "no_poly", "signs_not_an_object", "poly_not_a_string",
-        "sign_vector_not_a_list", "sign_vector_null"])
+        "sign_vector_not_a_list", "sign_vector_null", "striation_key_not_a_number",
+        "poly_not_bits"])
 def test_net_file_missing_entry_is_validation_error(tmp_path, capsys, breakage):
     payload = json.loads(build_net(field_new(2)).to_json())
     breakage(payload)
@@ -215,6 +219,47 @@ def test_mub_reports_tiny_deviations(capsys):
     assert report["max_gram_deviation"] < 1e-10
     assert report["max_cross_overlap_deviation"] < 1e-10
     assert len(payload["bases"]) == 2 ** 3 + 1
+
+
+@pytest.mark.parametrize("net", ["default", "covariant"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_mub_stdout_equals_the_nested_json_reference(capsys, n, net):
+    code, out, _ = run(capsys, "mub", "--n", str(n), "--net", net)
+    assert code == 0
+    assert out == mub_stdout_nested(n, net)
+
+
+@pytest.mark.parametrize("n, seed", [(3, 5), (4, 6)])
+def test_mub_stdout_on_a_seeded_net_file_equals_the_reference(tmp_path, capsys, n, seed):
+    field = field_new(n)
+    rng = np.random.default_rng(seed)
+    signs = {label: tuple(int(s) for s in rng.choice((1, -1), size=n))
+             for label in all_plus_signs(field)}
+    netfile = tmp_path / "net.json"
+    netfile.write_text(QuantumNet(field, signs).to_json())
+    code, out, _ = run(capsys, "mub", "--n", str(n), "--net", str(netfile))
+    assert code == 0
+    assert out == mub_stdout_nested(n, str(netfile))
+
+
+def test_mub_stdout_with_another_polynomial_equals_the_reference(capsys):
+    # x^4 + x^3 + 1, the reciprocal of the default x^4 + x + 1
+    code, out, _ = run(capsys, "mub", "--n", "4", "--poly", "10011", "--net", "covariant")
+    assert code == 0
+    assert out == mub_stdout_nested(4, "covariant", poly=0b11001)
+
+
+def test_mub_json_keeps_signed_zeros_apart():
+    # 0.0 == -0.0, so a memo keyed by value would print one for the other
+    zeros = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    bases = {
+        "h": [np.array(zeros), np.array([0.5, -0.5j, 1 / 3, -1e-13 + 2j])],
+        0: [np.array(zeros[::-1]), np.array([2 ** -0.5] * 2 + zeros[1:3])],
+    }
+    report = {"max_gram_deviation": 0.0, "max_cross_overlap_deviation": 1e-17}
+    text = mub_json(2, "n=2;test", bases, report)
+    assert text == mub_json_nested(2, "n=2;test", bases, report)
+    assert "-0.0" in text and " 0.0" in text
 
 
 # -- wigner ------------------------------------------------------------------------
@@ -414,6 +459,22 @@ def test_qec_and_verify_do_not_import_sympy():
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
     assert done.returncode == 0, done.stderr.decode()
+
+
+def test_closed_stdout_pipe_exits_141_quietly():
+    # unbuffered text stdout drops the rest of a short write to a closed pipe
+    # instead of raising, so the child runs with the default buffering
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(gfwigner.__file__).parent.parent)
+    # 2 MB of output: more than a pipe holds, so the writer sees the close
+    proc = subprocess.Popen([sys.executable, "-m", "gfwigner.cli", "mub", "--n", "5"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == b""
 
 
 # -- verify ------------------------------------------------------------------------

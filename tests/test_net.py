@@ -1,5 +1,7 @@
 """Quantum nets, the squeezing circuit, the sign function f, and MUBs."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,17 @@ def test_net_json_roundtrip():
     assert other.field == net.field
     assert other.signs == net.signs
     assert other.f_table() == net.f_table()
+
+
+@pytest.mark.parametrize("breakage", [
+    lambda payload: payload["signs"].update(x=[1, 1]),
+    lambda payload: payload.update(poly="1a1"),
+], ids=["striation_key_not_a_number", "poly_not_bits"])
+def test_net_json_with_unparsable_entries_is_malformed_input(breakage):
+    payload = json.loads(build_net(field_new(2)).to_json())
+    breakage(payload)
+    with pytest.raises(MalformedInput, match="net JSON"):
+        net_from_json(json.dumps(payload))
 
 
 def test_bad_signs_rejected():

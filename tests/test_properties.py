@@ -9,13 +9,14 @@ is drawn with its default polynomial or one other primitive one.
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfwigner.cli import export_grid, grid_rows, import_grid
 from gfwigner.errors import GfwignerError
 from gfwigner.galois import PRIMITIVE_POLYS, field_new
-from gfwigner.net import QuantumNet, build_net, conjugate_by_u_omega
+from gfwigner.net import QuantumNet, build_net, conjugate_by_u_omega, line_state
 from gfwigner.pauli import (
     IDENTITY_ATOL,
     PauliTranslation,
@@ -24,7 +25,7 @@ from gfwigner.pauli import (
     to_matrix,
     translation,
 )
-from gfwigner.phasespace import BinaryPoint, striation_labels
+from gfwigner.phasespace import BinaryPoint, all_striations, striation_labels
 from gfwigner.wigner import (
     StabilizerGroup,
     WignerGrid,
@@ -100,12 +101,14 @@ def independent_nets(draw, field):
 
 
 @st.composite
-def nets(draw, field):
-    """An independent net, or a covariant one from drawn h, v and 0 signs."""
-    if draw(st.booleans()):
-        return draw(independent_nets(field))
+def covariant_nets(draw, field):
     seeds = {label: draw(sign_vectors(field.n)) for label in ("h", "v", 0)}
     return build_net(field, "covariant", seeds)
+
+
+def nets(field):
+    """An independent net, or a covariant one from drawn h, v and 0 signs."""
+    return st.one_of(independent_nets(field), covariant_nets(field))
 
 
 @st.composite
@@ -179,6 +182,23 @@ def test_reconstruct_inverts_wigner_of(data):
     net = data.draw(independent_nets(field))
     rho = data.draw(densities(field))
     assert np.abs(reconstruct(net, wigner_of(net, rho)) - rho).max() < 1e-10
+
+
+@pytest.mark.parametrize("net_kind", [independent_nets, covariant_nets],
+                         ids=["independent", "covariant"])
+@PROPERTY
+@given(st.data())
+def test_line_sums_equal_line_state_probabilities(net_kind, data):
+    # the sum of W over a line is <psi|rho|psi> for the state psi that the
+    # net assigns to the line, the vectors that `mub` exports
+    field = data.draw(fields(4))
+    net = data.draw(net_kind(field))
+    rho = data.draw(densities(field))
+    grid = wigner_of(net, rho)
+    for striation in all_striations(field):
+        for line in striation.lines:
+            psi = line_state(net, line)
+            assert abs(grid.line_sum(line) - (psi.conj() @ rho @ psi).real) < IDENTITY_ATOL
 
 
 @PROPERTY
