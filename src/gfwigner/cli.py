@@ -20,7 +20,7 @@ import numpy as np
 
 from . import apps
 from .errors import GfwignerError, MalformedInput
-from .galois import GF2Field, field_new, power_ordering
+from .galois import GF2Field, field_new, parse_poly, power_ordering
 from .net import (
     QuantumNet,
     build_net,
@@ -77,7 +77,7 @@ def export_grid(grid: WignerGrid, fmt: str, meta: dict | None = None) -> str:
     if fmt == "json":
         payload = {
             "n": field.n,
-            "poly": field.bits_str(field.poly & (field.N - 1)) + "1",
+            "poly": field.poly_str(),
             "exact": grid.exact,
             "axis": names,
             "rows_p_descending": [[_fmt_value(v) for v in row] for row in rows],
@@ -161,7 +161,7 @@ def import_grid(text: str) -> WignerGrid:
             f"grid JSON needs the keys {', '.join(sorted(keys))}: an integer n, "
             "a poly bit string and a boolean exact"
         )
-    field = field_new(payload["n"], int(payload["poly"][::-1], 2))
+    field = field_new(payload["n"], parse_poly(payload["poly"], 'grid JSON "poly"'))
     rows, exact = payload["rows_p_descending"], payload["exact"]
     N = field.N
     if not (isinstance(rows, list) and len(rows) == N
@@ -258,8 +258,7 @@ def cmd_field(args) -> int:
         for c, d in zip(can, dual):
             print(f"{c},{d}")
     else:
-        print(f"GF(2^{args.n}), polynomial bits (low to high): "
-              f"{field.bits_str(field.poly & (field.N - 1))}1")
+        print(f"GF(2^{args.n}), polynomial bits (low to high): {field.poly_str()}")
         print(f"{'canonical':>{args.n + 6}}  {'dual':>{args.n + 6}}")
         for c, d in zip(can, dual):
             print(f"{c:>{args.n + 6}}  {d:>{args.n + 6}}")
@@ -497,7 +496,8 @@ def cmd_verify(args) -> int:
     if args.n == 2:
         checks += bell_checks(field) + meanking_checks(field)
     if args.n == 3:
-        checks += qec_checks(field)
+        # as qec --verify: the code's slots (w^6, w^5, w^3) hold on its own field
+        checks += qec_checks(apps.qec_field())
     return run_checks(checks)
 
 

@@ -1,19 +1,30 @@
-"""Exact arithmetic in GF(2^n) via primitive polynomials and companion matrices.
+"""Exact arithmetic in GF(2^n) via primitive polynomials, and the package's
+GF(2) linear algebra.
 
 Field elements are plain Python ints used as n-bit coefficient vectors in the
 canonical basis {1, w, ..., w^(n-1)}: bit i of the int is the coefficient of
 w^i.  Addition is XOR; multiplication is polynomial multiplication modulo the
 primitive polynomial, served from precomputed log/antilog tables.
 
+Following Gibbons, Hoffman and Wootters, the q axis uses the canonical basis,
+on which multiplication by w is the companion matrix M, and the p axis the
+rescaled dual basis, on which it is M~, the transpose of M.  On row vectors
+all four maps are shifts: a M shifts a up and folds the overflow back in with
+the polynomial, a M^-1 undoes that, b M~ shifts b down with the parity of
+b & poly as its new top bit, and b M~^-1 shifts up with the same parity as
+its new low bit.  The trace is a linear form: tr(a) is the parity of a & mask,
+bit i of the mask being tr(w^i).  solve_gf2 is the one Gaussian elimination,
+for dual bases and for the signs of stabilizer group members.
+
 Binary strings are printed with bit 0 first, so the string "100" is the field
-element 1 and "010" is w.
+element 1 and "010" is w; a polynomial prints the same way, with n + 1 digits.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import DegreeMismatch, NonPrimitivePolynomial, SingularBasis
+from .errors import DegreeMismatch, MalformedInput, NonPrimitivePolynomial, SingularBasis
 
 # Default primitive polynomials, one per degree, stored with bit j = coefficient
 # of x^j.  n = 2, 3, 4 are pinned to x^2+x+1, x^3+x^2+1 and x^4+x+1 so that the
@@ -86,18 +97,20 @@ class GF2Field:
                 )
             exp[j] = x
             log[x] = j
-            x = self._mul_by_x(x)
+            x = self.apply_m(x)
         if x != 1:
             raise NonPrimitivePolynomial("x^(2^n - 1) != 1; pi(x) is not primitive")
         self._exp = exp
         self._log = log
-        self._trace = [self._trace_slow(v) for v in range(self.N)]
-
-    def _mul_by_x(self, a: int) -> int:
-        a <<= 1
-        if a >> self.n & 1:
-            a ^= self.poly
-        return a & (self.N - 1)
+        # bit i of the trace mask is tr(w^i) = sum_k w^(i 2^k)
+        self._trace_mask = 0
+        for i in range(n):
+            t = 0
+            for k in range(n):
+                t ^= exp[(i << k) % self.order]
+            if t not in (0, 1):
+                raise NonPrimitivePolynomial("trace fell outside GF(2)")
+            self._trace_mask |= t << i
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -124,76 +137,29 @@ class GF2Field:
             raise ZeroDivisionError("log of zero")
         return self._log[a]
 
-    def _trace_slow(self, a: int) -> int:
-        t, acc = a, a
-        for _ in range(self.n - 1):
-            t = self.mul(t, t)
-            acc ^= t
-        if acc not in (0, 1):
-            raise NonPrimitivePolynomial("trace fell outside GF(2)")
-        return acc
-
     def trace(self, a: int) -> int:
         """tr(a) = a + a^2 + ... + a^(2^(n-1)), valued in {0, 1}."""
-        return self._trace[a]
+        return (a & self._trace_mask).bit_count() & 1
 
-    # -- companion matrix ---------------------------------------------------
-
-    @cached_property
-    def companion_rows(self) -> tuple[int, ...]:
-        """Rows of the companion matrix M as bit masks (bit j = column j)."""
-        rows = [1 << (i + 1) for i in range(self.n - 1)]
-        rows.append(self.poly & (self.N - 1))
-        return tuple(rows)
-
-    @staticmethod
-    def _row_times(a: int, rows: tuple[int, ...]) -> int:
-        out = 0
-        for i, row in enumerate(rows):
-            if a >> i & 1:
-                out ^= row
-        return out
+    # -- companion matrix M and its transpose M~, as shifts ------------------
 
     def apply_m(self, a: int) -> int:
         """Row-vector action a' = a M (multiplication by w on coordinates)."""
-        return self._row_times(a, self.companion_rows)
-
-    def apply_mt(self, a: int) -> int:
-        """Row-vector action a' = a M~ with M~ the transpose of M."""
-        return self._row_times(a, self._mt_cols)
-
-    @cached_property
-    def _mt_cols(self) -> tuple[int, ...]:
-        rows = self.companion_rows
-        cols = []
-        for i in range(self.n):
-            col = 0
-            for j in range(self.n):
-                col |= (rows[j] >> i & 1) << j
-            cols.append(col)
-        return tuple(cols)
-
-    @cached_property
-    def _mt_inv_table(self) -> tuple[int, ...]:
-        table = [0] * self.N
-        for a in range(self.N):
-            table[self.apply_mt(a)] = a
-        return tuple(table)
-
-    def apply_mt_inv(self, a: int) -> int:
-        """Row-vector action a' = a M~^-1."""
-        return self._mt_inv_table[a]
-
-    @cached_property
-    def _m_inv_table(self) -> tuple[int, ...]:
-        table = [0] * self.N
-        for a in range(self.N):
-            table[self.apply_m(a)] = a
-        return tuple(table)
+        a <<= 1
+        return a ^ self.poly if a >> self.n else a
 
     def apply_m_inv(self, a: int) -> int:
         """Row-vector action a' = a M^-1."""
-        return self._m_inv_table[a]
+        return (a ^ self.poly) >> 1 if a & 1 else a >> 1
+
+    def apply_mt(self, b: int) -> int:
+        """Row-vector action b' = b M~ with M~ the transpose of M."""
+        return b >> 1 | ((b & self.poly).bit_count() & 1) << (self.n - 1)
+
+    def apply_mt_inv(self, b: int) -> int:
+        """Row-vector action b' = b M~^-1."""
+        b <<= 1
+        return (b & (self.N - 1)) | ((b & self.poly).bit_count() & 1)
 
     # -- momentum-axis coordinate map --------------------------------------
 
@@ -234,6 +200,11 @@ class GF2Field:
 
     # -- misc ---------------------------------------------------------------
 
+    def poly_str(self) -> str:
+        """The polynomial's n + 1 coefficient bits, x^0 first (parse_poly's
+        input format)."""
+        return f"{self.poly:b}"[::-1]
+
     def bits_str(self, a: int) -> str:
         """Render a bit vector with bit 0 (coefficient of w^0) first."""
         return "".join(str(a >> i & 1) for i in range(self.n))
@@ -267,27 +238,36 @@ def field_new(n: int, poly: int | None = None) -> GF2Field:
     return GF2Field(n, poly)
 
 
-def _solve_gf2(rows: list[int], rhs: list[int], n: int) -> int:
-    """Solve the GF(2) system given by row bit masks; returns the solution mask.
+def parse_poly(text, what: str = "polynomial") -> int:
+    """Polynomial bits from a string of 0s and 1s, x^0 first, as poly_str
+    prints them; degree and primitivity are left to field_new.  what names
+    the input in the MalformedInput message."""
+    if not (isinstance(text, str) and text) or set(text) - {"0", "1"}:
+        raise MalformedInput(f"{what} {text!r} is not a string of 0s and 1s")
+    return int(text[::-1], 2)
 
-    Raises SingularBasis when the matrix is singular.
-    """
-    aug = [rows[i] | (rhs[i] << n) for i in range(n)]
-    pivot_row_for_col = {}
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, n) if aug[i] >> col & 1), None)
-        if pivot is None:
-            raise SingularBasis("matrix is singular over GF(2)")
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        for i in range(n):
-            if i != r and aug[i] >> col & 1:
-                aug[i] ^= aug[r]
-        pivot_row_for_col[col] = r
-        r += 1
+
+def solve_gf2(columns: list[int], target: int) -> int:
+    """The mask x with the xor of columns[k] over the set bits k of x equal to
+    target; columns and target are GF(2) vectors as bit masks.  Raises
+    SingularBasis when target is outside the span of the columns."""
+    basis = {}  # lowest set bit -> (reduced column, combination mask)
+    for k, col in enumerate(columns):
+        mask = 1 << k
+        while col:
+            low = col & -col
+            if low not in basis:
+                basis[low] = (col, mask)
+                break
+            col ^= basis[low][0]
+            mask ^= basis[low][1]
     sol = 0
-    for col, row in pivot_row_for_col.items():
-        sol |= (aug[row] >> n & 1) << col
+    while target:
+        low = target & -target
+        if low not in basis:
+            raise SingularBasis("target not in the span of the columns")
+        target ^= basis[low][0]
+        sol ^= basis[low][1]
     return sol
 
 
@@ -296,18 +276,11 @@ def dual_basis(field: GF2Field, basis: list[int]) -> list[int]:
     n = field.n
     if len(basis) != n:
         raise SingularBasis(f"need {n} elements, got {len(basis)}")
-    # Row j, column k: tr(w^k e_j).
-    rows = []
-    for e in basis:
-        mask = 0
-        for k in range(n):
-            mask |= field.trace(field.mul(field.pow_omega(k), e)) << k
-        rows.append(mask)
-    out = []
-    for i in range(n):
-        rhs = [1 if j == i else 0 for j in range(n)]
-        out.append(_solve_gf2(list(rows), rhs, n))
-    return out
+    # ebar_i = sum_k x_k w^k with sum_k x_k tr(w^k e_j) = delta_ij: column k
+    # holds tr(w^k e_j) at bit j
+    columns = [sum(field.trace(field.mul(field.pow_omega(k), e)) << j
+                   for j, e in enumerate(basis)) for k in range(n)]
+    return [solve_gf2(columns, 1 << i) for i in range(n)]
 
 
 def power_ordering(field: GF2Field, generator: str = "canonical") -> list[int]:

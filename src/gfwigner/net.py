@@ -25,7 +25,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import MalformedInput, SingularBasis
-from .galois import GF2Field, field_new
+from .galois import GF2Field, field_new, parse_poly
 from .pauli import (
     IDENTITY_ATOL,
     PauliTranslation,
@@ -213,7 +213,7 @@ class QuantumNet:
         field = self.field
         payload = {
             "n": field.n,
-            "poly": field.bits_str(field.poly & (field.N - 1)) + "1",
+            "poly": field.poly_str(),
             "mode": self.mode,
             "signs": {str(k): list(v) for k, v in self.signs.items()},
             "f": self._f_json(),
@@ -236,10 +236,7 @@ def net_from_json(text: str) -> QuantumNet:
             'net JSON needs an integer "n", a "poly" bit string and a "signs" object'
         )
     mode = payload.get("mode", "independent")
-    n, poly = payload["n"], payload["poly"]
-    if not poly or set(poly) - {"0", "1"}:
-        raise MalformedInput(f'net JSON "poly" {poly!r} is not a string of 0s and 1s')
-    field = field_new(n, int(poly[::-1], 2))
+    field = field_new(payload["n"], parse_poly(payload["poly"], 'net JSON "poly"'))
     signs = {}
     for key, eps in payload["signs"].items():
         if key in (HORIZONTAL, VERTICAL):

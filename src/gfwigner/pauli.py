@@ -24,8 +24,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import (DimensionMismatch, DimensionTooLarge, InconsistentStabilizer,
-                     NonCommutingGenerators, SingularBasis)
-from .galois import GF2Field
+                     MalformedInput, NonCommutingGenerators)
+from .galois import GF2Field, solve_gf2
 from .phasespace import HORIZONTAL, VERTICAL, BinaryPoint
 
 DENSE_MAX_QUBITS = 6
@@ -156,29 +156,6 @@ def ray_walk(field: GF2Field, label):
 # -- signed stabilizer groups --------------------------------------------------
 
 
-def _decompose(points: list[tuple[int, int]], target: tuple[int, int], n: int) -> int:
-    """Solve sum_k x_k (a_k, b_k) = target over GF(2); returns the mask x."""
-    rhs = target[0] | (target[1] << n)
-    basis = {}  # lowest set bit -> (reduced column, combination mask)
-    for k, (a, b) in enumerate(points):
-        col, mask = a | (b << n), 1 << k
-        while col:
-            low = col & -col
-            if low not in basis:
-                basis[low] = (col, mask)
-                break
-            col ^= basis[low][0]
-            mask ^= basis[low][1]
-    sol, r = 0, rhs
-    while r:
-        low = r & -r
-        if low not in basis:
-            raise SingularBasis("target not in the span of the generators")
-        r ^= basis[low][0]
-        sol ^= basis[low][1]
-    return sol
-
-
 def _canonical_sign(prod: PauliTranslation, sign: int) -> int:
     """Eigenvalue of the canonical T(prod.a, prod.b) on a state on which the
     operator prod has eigenvalue sign."""
@@ -245,8 +222,9 @@ class StabilizerGroup:
 
     def sign(self, a: int, b: int) -> int:
         """g at (a, b), which must lie in the span (else SingularBasis)."""
-        x = _decompose([(g.a, g.b) for g in self.gens], (a, b), self.field.n)
-        prod, sign = PauliTranslation(self.field.n, 0, 0), 1
+        n = self.field.n
+        x = solve_gf2([g.a | g.b << n for g in self.gens], a | b << n)
+        prod, sign = PauliTranslation(n, 0, 0), 1
         for k, g in enumerate(self.gens):
             if x >> k & 1:
                 prod, sign = compose(prod, g), sign * self.signs[k]
@@ -288,7 +266,7 @@ def parse_pauli(text: str) -> PauliTranslation:
             s = s[len(prefix):]
             break
     if not s or set(s) - set("IXYZ"):
-        raise ValueError(f"bad Pauli string {text!r}")
+        raise MalformedInput(f"bad Pauli string {text!r}")
     a = b = 0
     for i, ch in enumerate(s):
         ai, bi = _AB[ch]

@@ -1,5 +1,6 @@
 """Reference routes that the fast code is checked against: per-point loops,
-dense matrix constructions, and the nested-list `mub` export."""
+dense matrix constructions, the nested-list `mub` export, and GF(2)
+arithmetic by explicit matrices and Gauss-Jordan elimination."""
 
 import json
 from itertools import islice
@@ -7,6 +8,7 @@ from itertools import islice
 import numpy as np
 
 from gfwigner.cli import resolve_net
+from gfwigner.errors import SingularBasis
 from gfwigner.galois import field_new
 from gfwigner.net import (
     all_plus_signs,
@@ -213,3 +215,75 @@ def mub_stdout_nested(n: int, net_spec: str = "covariant", poly: int | None = No
     net = resolve_net(field_new(n, poly), net_spec)
     bases = mub_bases(net)
     return mub_json_nested(n, net.fingerprint(), bases, mub_overlap_report(bases))
+
+
+# -- GF(2) references: the companion matrices as row masks, Gauss-Jordan -----
+
+
+def companion_rows(field) -> tuple[int, ...]:
+    """Rows of the companion matrix M as bit masks (bit j = column j)."""
+    rows = [1 << (i + 1) for i in range(field.n - 1)]
+    rows.append(field.poly & (field.N - 1))
+    return tuple(rows)
+
+
+def transpose_rows(rows) -> tuple[int, ...]:
+    """Row masks of the transpose of a square matrix given by row masks."""
+    n = len(rows)
+    return tuple(sum((rows[j] >> i & 1) << j for j in range(n)) for i in range(n))
+
+
+def row_times_all(rows) -> np.ndarray:
+    """The row vector a R for every a = 0..2^n - 1, R given by row masks."""
+    a = np.arange(1 << len(rows))
+    out = np.zeros_like(a)
+    for i, row in enumerate(rows):
+        out ^= (a >> i & 1) * row
+    return out
+
+
+def traces_by_squaring(field) -> np.ndarray:
+    """tr(a) = a + a^2 + ... + a^(2^(n-1)) for every a, each square taken as
+    a polynomial (bit i to bit 2i) and reduced modulo the field's polynomial."""
+    n = field.n
+    t = acc = np.arange(field.N)
+    for _ in range(n - 1):
+        t = sum((t >> i & 1) << 2 * i for i in range(n))
+        for d in range(2 * n - 2, n - 1, -1):
+            t = t ^ (t >> d & 1) * (field.poly << d - n)
+        acc = acc ^ t
+    return acc
+
+
+def solve_gf2_gauss_jordan(rows: list[int], rhs: list[int], n: int) -> int:
+    """Solve the GF(2) system given by row bit masks; returns the solution mask.
+
+    Raises SingularBasis when the matrix is singular.
+    """
+    aug = [rows[i] | (rhs[i] << n) for i in range(n)]
+    pivot_row_for_col = {}
+    r = 0
+    for col in range(n):
+        pivot = next((i for i in range(r, n) if aug[i] >> col & 1), None)
+        if pivot is None:
+            raise SingularBasis("matrix is singular over GF(2)")
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        for i in range(n):
+            if i != r and aug[i] >> col & 1:
+                aug[i] ^= aug[r]
+        pivot_row_for_col[col] = r
+        r += 1
+    sol = 0
+    for col, row in pivot_row_for_col.items():
+        sol |= (aug[row] >> n & 1) << col
+    return sol
+
+
+def dual_basis_gauss_jordan(field, basis: list[int], traces) -> list[int]:
+    """The basis ebar with tr(ebar_i e_j) = delta_ij: row j, column k of the
+    system is tr(w^k e_j), with traces[a] = tr(a)."""
+    n = field.n
+    rows = [sum(int(traces[field.mul(field.pow_omega(k), e)]) << k for k in range(n))
+            for e in basis]
+    return [solve_gf2_gauss_jordan(rows, [int(i == j) for j in range(n)], n)
+            for i in range(n)]

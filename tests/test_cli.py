@@ -86,9 +86,11 @@ def test_stabilizer_sign_other_than_one_is_validation_error(tmp_path, capsys):
     {"stabilizer": [[5, 1], ["+ZZ", 1]]},
     {"stabilizer": [["+XXI", 1], ["+ZZI", 1]]},
     {"stabilizer": [["+IXX", 1], ["+IZZ", 1]]},
+    {"stabilizer": [["+XQ", 1], ["+ZZ", 1]]},
+    {"stabilizer": [["-i", 1], ["+ZZ", 1]]},
 ], ids=["bare_string", "stabilizer_not_a_list", "density_cells_not_pairs",
         "pauli_label_not_a_string", "three_qubit_generators_xxi",
-        "three_qubit_generators_ixx"])
+        "three_qubit_generators_ixx", "pauli_label_bad_letter", "pauli_label_no_letters"])
 def test_malformed_state_file_is_validation_error(tmp_path, capsys, payload):
     state = tmp_path / "state.json"
     state.write_text(json.dumps(payload))
@@ -393,6 +395,8 @@ def _exported_grid_payload(exact: bool) -> dict:
     (True, lambda payload: payload.pop("rows_p_descending")),
     (True, lambda payload: payload.pop("exact")),
     (True, lambda payload: payload.update(poly=7)),
+    (True, lambda payload: payload.update(poly="1a1")),
+    (False, lambda payload: payload.update(poly="")),
     (True, lambda payload: payload["rows_p_descending"].pop()),
     (False, lambda payload: payload["rows_p_descending"].append(["0"] * 4)),
     (True, lambda payload: payload["rows_p_descending"][1].pop()),
@@ -403,7 +407,8 @@ def _exported_grid_payload(exact: bool) -> dict:
     (True, lambda payload: payload["rows_p_descending"][0].__setitem__(0, "0.25")),
     (True, lambda payload: payload["rows_p_descending"][0].__setitem__(0, 0.25)),
     (True, lambda payload: payload["rows_p_descending"][0].__setitem__(0, "1/x")),
-], ids=["no_rows", "no_exact", "poly_not_a_string", "missing_row", "extra_row", "short_row", "long_row",
+], ids=["no_rows", "no_exact", "poly_not_a_string", "poly_not_bits", "poly_empty",
+        "missing_row", "extra_row", "short_row", "long_row",
         "text_cell", "null_cell", "nan_cell", "exact_decimal_string",
         "exact_float", "exact_bad_fraction"])
 def test_import_grid_rejects_malformed_grids(exact, breakage):
@@ -471,18 +476,24 @@ def test_closed_stdout_pipe_exits_141_quietly():
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
+    try:
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()  # a no-op once the child has exited
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait() == 141
     assert err == b""
 
 
 # -- verify ------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_verify_passes(capsys, n):
-    code, out, _ = run(capsys, "verify", "--n", str(n))
+@pytest.mark.parametrize("n, poly", [(1, None), (2, None), (3, None), (4, None),
+                                     (3, "1101"), (4, "11001")],
+                         ids=["1", "2", "3", "4", "3-1101", "4-11001"])
+def test_verify_passes(capsys, n, poly):
+    # the qec checks run on the paper's field whatever --poly says
+    code, out, _ = run(capsys, "verify", "--n", str(n), *(("--poly", poly) if poly else ()))
     assert code == 0
     assert "FAIL" not in out
     assert out.count("PASS") >= 4

@@ -1,14 +1,42 @@
 """Field arithmetic, companion matrices, dual bases and power orderings."""
 
+from functools import cache
+from math import gcd
+
 import pytest
 
-from gfwigner.errors import NonPrimitivePolynomial, SingularBasis
+from gfwigner.errors import MalformedInput, NonPrimitivePolynomial, SingularBasis
 from gfwigner.galois import (
     PRIMITIVE_POLYS,
     dual_basis,
     field_new,
+    parse_poly,
     power_ordering,
 )
+from oracles import (
+    companion_rows,
+    dual_basis_gauss_jordan,
+    row_times_all,
+    traces_by_squaring,
+    transpose_rows,
+)
+
+
+@cache
+def fields_of_degree(n: int) -> list:
+    """GF(2^n) for every primitive polynomial of degree n <= 8 (there are
+    phi(2^n - 1) / n), and for the default one alone above degree 8."""
+    if n > 8:
+        return [field_new(n)]
+    out = []
+    for poly in range((1 << n) | 1, 1 << (n + 1), 2):
+        try:
+            out.append(field_new(n, poly))
+        except NonPrimitivePolynomial:
+            pass
+    order = (1 << n) - 1
+    assert len(out) * n == sum(gcd(k, order) == 1 for k in range(1, order + 1))
+    return out
 
 
 def test_field_axioms_exhaustive():
@@ -80,6 +108,43 @@ def test_companion_matrix_is_multiplication_by_omega():
             assert f.apply_m(a) == f.mul(a, w)
             assert f.apply_m_inv(f.apply_m(a)) == a
             assert f.apply_mt_inv(f.apply_mt(a)) == a
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_companion_shifts_equal_the_row_mask_matrices(n):
+    # a M, a M^-1, b M~ and b M~^-1 on every element against the matrices
+    for f in fields_of_degree(n):
+        m = companion_rows(f)
+        for rows, forward, inverse in ((m, f.apply_m, f.apply_m_inv),
+                                       (transpose_rows(m), f.apply_mt, f.apply_mt_inv)):
+            image = row_times_all(rows).tolist()
+            assert [forward(a) for a in f.elements()] == image
+            assert [inverse(b) for b in image] == list(f.elements())
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_trace_form_equals_repeated_squaring(n):
+    for f in fields_of_degree(n):
+        assert [f.trace(a) for a in f.elements()] == traces_by_squaring(f).tolist()
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_dual_basis_equals_gauss_jordan(n):
+    for f in fields_of_degree(n):
+        traces = traces_by_squaring(f)
+        for basis in ([1 << i for i in range(n)], [f.pow_omega(i + 1) for i in range(n)]):
+            assert dual_basis(f, basis) == dual_basis_gauss_jordan(f, basis, traces)
+
+
+def test_poly_string_round_trip_and_malformed_strings():
+    for n in (1, 4, 16):
+        f = field_new(n)
+        assert len(f.poly_str()) == n + 1
+        assert parse_poly(f.poly_str()) == f.poly
+    assert field_new(3).poly_str() == "1011"  # x^3 + x^2 + 1, x^0 first
+    for text in ("", "1a1", " 11", None, 7):
+        with pytest.raises(MalformedInput):
+            parse_poly(text)
 
 
 def test_dual_basis_defining_property():

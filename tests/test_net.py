@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gfwigner.errors import MalformedInput, SingularBasis
-from gfwigner.galois import field_new
+from gfwigner.galois import field_new, solve_gf2
 from gfwigner.net import (
     QuantumNet,
     all_plus_signs,
@@ -142,10 +142,10 @@ def test_f_decomposition_rejects_off_ray_points():
     f = field_new(2)
     net = build_net(f)
     gens = ray_generators(f, 0)
-    from gfwigner.pauli import _decompose
-
     with pytest.raises(SingularBasis):
-        _decompose([(g.a, g.b) for g in gens], (1, 0), 2)
+        solve_gf2([g.a | g.b << 2 for g in gens], 1)
+    with pytest.raises(SingularBasis):
+        net.ray(0).sign(1, 0)
 
 
 def test_covariance_of_covariant_net():

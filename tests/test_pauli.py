@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gfwigner.errors import DimensionTooLarge
+from gfwigner.errors import DimensionTooLarge, MalformedInput
 from gfwigner.galois import field_new
 from gfwigner.net import build_net, u_omega_matrix
 from gfwigner.pauli import (
@@ -89,6 +89,12 @@ def test_format_parse_roundtrip():
                 for s in range(4):
                     t = PauliTranslation(n, a, b, s)
                     assert parse_pauli(format_pauli(t)) == t
+
+
+@pytest.mark.parametrize("text", ["+XQ", "", "-i", "X Z", "+xz"])
+def test_parse_pauli_rejects_malformed_strings(text):
+    with pytest.raises(MalformedInput):
+        parse_pauli(text)
 
 
 def test_format_examples():

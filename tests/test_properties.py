@@ -7,6 +7,8 @@ is drawn with its default polynomial or one other primitive one.
 """
 
 from fractions import Fraction
+from functools import reduce
+from operator import xor
 
 import numpy as np
 import pytest
@@ -14,12 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfwigner.cli import export_grid, grid_rows, import_grid
-from gfwigner.errors import GfwignerError
-from gfwigner.galois import PRIMITIVE_POLYS, field_new
+from gfwigner.errors import GfwignerError, SingularBasis
+from gfwigner.galois import PRIMITIVE_POLYS, field_new, solve_gf2
 from gfwigner.net import QuantumNet, build_net, conjugate_by_u_omega, line_state
 from gfwigner.pauli import (
     IDENTITY_ATOL,
     PauliTranslation,
+    commutes,
     parse_pauli,
     pauli_sum,
     to_matrix,
@@ -391,3 +394,45 @@ def test_stabilizer_wigner_equals_wigner_of_its_projector(data):
     exact = stabilizer_wigner(net, group).flat.astype(float)
     dense = wigner_of(net, group.projector()).flat
     assert np.abs(exact - dense).max() < IDENTITY_ATOL
+
+
+@pytest.mark.parametrize("net_kind", [independent_nets, covariant_nets],
+                         ids=["independent", "covariant"])
+@PROPERTY
+@given(st.data())
+def test_wigner_function_is_translation_covariant(net_kind, data):
+    # W of T_gamma rho T_gamma^dagger at alpha + gamma is W of rho at alpha;
+    # alpha + gamma has the flat index i ^ g
+    field = data.draw(fields(5))
+    n, N = field.n, field.N
+    net = data.draw(net_kind(field))
+    t = translation(n, data.draw(st.integers(0, N - 1)), data.draw(st.integers(0, N - 1)))
+    moved = np.arange(N * N) ^ ((t.a << n) | t.b)
+    rho = data.draw(densities(field))
+    T = to_matrix(t)
+    dense = wigner_of(net, T @ rho @ T.conj().T).flat[moved]
+    assert np.abs(dense - wigner_of(net, rho).flat).max() < IDENTITY_ATOL
+    # on a stabilizer state: T_gamma G T_gamma^dagger = (-1)^<gamma, G> G
+    group = data.draw(graph_states(field))
+    gens = [(g, s if commutes(t, g) else -s) for g, s in zip(group.gens, group.signs)]
+    exact = stabilizer_wigner(net, StabilizerGroup.from_generators(field, gens)).flat[moved]
+    assert np.array_equal(exact, stabilizer_wigner(net, group).flat)
+
+
+@settings(PROPERTY, max_examples=50)
+@given(st.data())
+def test_solve_gf2_reproduces_the_target_or_raises_outside_the_span(data):
+    m = data.draw(st.integers(1, 12))
+    vectors = st.integers(0, (1 << m) - 1)
+    columns = data.draw(st.lists(vectors, max_size=m + 2))
+    span = {0}
+    for col in columns:
+        span |= {v ^ col for v in span}
+    target = data.draw(st.one_of(vectors, st.sampled_from(sorted(span))))
+    if target not in span:
+        with pytest.raises(SingularBasis):
+            solve_gf2(columns, target)
+        return
+    x = solve_gf2(columns, target)
+    assert x >> len(columns) == 0
+    assert reduce(xor, (col for k, col in enumerate(columns) if x >> k & 1), 0) == target
