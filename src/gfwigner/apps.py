@@ -192,8 +192,13 @@ def qec_stabilizer_generators(field: GF2Field):
 
 
 def logical_group(field: GF2Field, which: int) -> StabilizerGroup:
-    """Stabilizer group of |0_L> (which = 0) or |1_L> (which = 1)."""
-    s1, s2, zl = qec_stabilizer_generators(field)
+    """Stabilizer group of |0_L> (which = 0) or |1_L> (which = 1) on field.
+
+    The generators are the paper's +IXX, +XXI, +ZZZ: placed at w^6, w^5 and
+    w^3 of qec_field(), where that layout holds, then carried as the same
+    Pauli strings into field, since translations do not depend on the
+    polynomial."""
+    s1, s2, zl = qec_stabilizer_generators(qec_field())
     return StabilizerGroup.from_generators(
         field, [(s1, 1), (s2, 1), (zl, 1 if which == 0 else -1)]
     )

@@ -3,11 +3,22 @@
 Subcommands: field, rays, mub, uomega, wigner, bell, qec, meanking, verify.
 Exit codes: 0 success, 2 validation/usage error, 1 internal error, 141
 (128 + SIGPIPE) when the reader of stdout goes away, as in `| head -1`.
+
+Start-up costs only what a subcommand uses.  The package namespace is lazy
+(gfwigner/__init__.py loads no submodule), and at module level this file
+imports the standard library, `errors`, `galois` and `phasespace`, none of
+which imports numpy, so `field`, `rays`, `uomega`, `--help` and usage errors
+never load it.  The array modules (numpy, `pauli`, `net`, `wigner`, `apps`)
+are imported inside the functions that use them, when `mub`, `wigner`,
+`bell`, `qec`, `meanking` or `verify` runs.  `main` freezes the heap
+(gc.freeze) before exiting, so the final garbage collection at interpreter
+exit does not walk every object the request created.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -15,35 +26,15 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import apps
 from .errors import GfwignerError, MalformedInput
-from .galois import GF2Field, field_new, parse_poly, power_ordering
-from .net import (
-    QuantumNet,
-    build_net,
-    line_state,
-    mub_bases,
-    mub_overlap_report,
-    net_from_json,
-    u_omega_gates,
-)
-from .pauli import IDENTITY_ATOL, parse_pauli
-from .phasespace import all_striations, display_index, grid_axis
-from .wigner import (
-    StabilizerGroup,
-    WignerGrid,
-    all_points,
-    check_density_matrix,
-    point_operator,
-    purity_identity_residual,
-    reconstruct,
-    state_density,
-    stabilizer_wigner,
-    wigner_of,
-)
+from .galois import GF2Field, field_new, parse_poly, power_ordering, u_omega_gates
+from .phasespace import all_striations, grid_axis
+
+if TYPE_CHECKING:
+    from .net import QuantumNet
+    from .wigner import WignerGrid
 
 # -- formatting helpers ----------------------------------------------------------
 
@@ -61,6 +52,8 @@ def _fmt_value(v) -> str:
 
 def grid_rows(grid: WignerGrid) -> list[list]:
     """Grid as rows of values: rows are p descending, columns q ascending."""
+    from .wigner import display_index
+
     return grid.flat[display_index(grid.field).T[::-1]].tolist()
 
 
@@ -109,6 +102,8 @@ def mub_json(n: int, net: str, bases: dict, overlap_report: dict) -> str:
     The amplitudes take few distinct values, so each distinct one (keyed by
     its bits, which keeps 0.0 and -0.0 apart) is rounded and rendered once,
     and the fixed layout is joined around the rendered pieces."""
+    import numpy as np
+
     mats = [np.asarray(vecs, dtype=complex) for vecs in bases.values()]
     flat = np.concatenate([A.ravel() for A in mats])
     _, first, inverse = np.unique(flat.view(np.dtype((np.void, flat.itemsize))),
@@ -152,6 +147,10 @@ def _grid_cell(cell, exact: bool):
 
 def import_grid(text: str) -> WignerGrid:
     """Inverse of export_grid(fmt='json'); rejects malformed grids."""
+    import numpy as np
+
+    from .wigner import WignerGrid, display_index
+
     payload = json.loads(text)
     keys = {"n", "poly", "exact", "rows_p_descending"}
     if not (isinstance(payload, dict) and keys <= payload.keys()
@@ -178,6 +177,8 @@ def import_grid(text: str) -> WignerGrid:
 
 def resolve_net(field: GF2Field, spec: str) -> QuantumNet:
     """'default' (all +1, independent), 'covariant', or a JSON file path."""
+    from .net import build_net, net_from_json
+
     if spec == "default":
         return build_net(field)
     if spec == "covariant":
@@ -197,6 +198,12 @@ def resolve_state(field: GF2Field, spec: str):
     qec_logical_{0,1}, meanking_phi1.  Files: JSON with either
     {"stabilizer": [["+XXI", 1], ...]} or {"density": [[[re, im], ...], ...]}.
     """
+    import numpy as np
+
+    from . import apps
+    from .pauli import parse_pauli
+    from .wigner import StabilizerGroup, check_density_matrix, state_density
+
     n = field.n
     if spec.startswith("computational_"):
         bits = field.parse_bits(spec.removeprefix("computational_"))
@@ -281,6 +288,8 @@ def cmd_rays(args) -> int:
 
 
 def cmd_mub(args) -> int:
+    from .net import mub_bases, mub_overlap_report
+
     field = field_new(args.n, args.poly)
     net = resolve_net(field, args.net)
     bases = mub_bases(net)
@@ -297,6 +306,8 @@ def cmd_uomega(args) -> int:
 
 
 def cmd_wigner(args) -> int:
+    from .wigner import stabilizer_wigner, wigner_of
+
     field = field_new(args.n, args.poly)
     net = resolve_net(field, args.net)
     kind, state = resolve_state(field, args.state)
@@ -309,6 +320,10 @@ def cmd_wigner(args) -> int:
 
 
 def cmd_bell(args) -> int:
+    from . import apps
+    from .net import build_net
+    from .wigner import stabilizer_wigner
+
     field = apps.bell_field()
     net = build_net(field, "covariant")
     if args.verify:
@@ -323,6 +338,9 @@ def cmd_bell(args) -> int:
 
 
 def cmd_qec(args) -> int:
+    from . import apps
+    from .wigner import stabilizer_wigner
+
     field = apps.qec_field()
     net = apps.qec_net(field)
     if args.verify:
@@ -342,6 +360,8 @@ def cmd_qec(args) -> int:
 
 
 def cmd_meanking(args) -> int:
+    from . import apps
+
     field = apps.bell_field()
     net = apps.mean_king_net(field)
     if args.verify:
@@ -391,6 +411,9 @@ def field_checks(field: GF2Field):
 
 
 def net_checks(field: GF2Field):
+    from .net import build_net, mub_bases, mub_overlap_report
+    from .pauli import IDENTITY_ATOL
+
     net = build_net(field, "covariant")
 
     def mub_property():
@@ -406,6 +429,13 @@ def net_checks(field: GF2Field):
 
 
 def wigner_checks(field: GF2Field):
+    import numpy as np
+
+    from .net import build_net, line_state
+    from .pauli import IDENTITY_ATOL
+    from .wigner import (all_points, point_operator, purity_identity_residual,
+                         reconstruct, state_density, wigner_of)
+
     net = build_net(field, "covariant")
 
     @cache  # lazily, so a failure is reported by the check that needs them
@@ -446,6 +476,8 @@ def wigner_checks(field: GF2Field):
 
 
 def bell_checks(field: GF2Field):
+    from . import apps
+
     def survey():
         counts = apps.bell_survey(field)
         assert counts["concentrated"] > 0 and counts["spread"] > 0
@@ -455,6 +487,9 @@ def bell_checks(field: GF2Field):
 
 
 def qec_checks(field: GF2Field):
+    from . import apps
+    from .wigner import stabilizer_wigner
+
     def family():
         fam = apps.code_solution_family()
         assert len(fam) == 8, f"{len(fam)} family solutions"
@@ -472,6 +507,11 @@ def qec_checks(field: GF2Field):
 
 
 def meanking_checks(field: GF2Field):
+    import numpy as np
+
+    from . import apps
+    from .pauli import IDENTITY_ATOL
+
     def basis_and_sums():
         net = apps.mean_king_net(field)
         basis = apps.mean_king_basis(net)
@@ -491,6 +531,8 @@ def meanking_checks(field: GF2Field):
 
 
 def cmd_verify(args) -> int:
+    from . import apps
+
     field = field_new(args.n, args.poly)
     checks = field_checks(field) + net_checks(field) + wigner_checks(field)
     if args.n == 2:
@@ -571,7 +613,11 @@ def dispatch(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch())
+    code = dispatch()
+    # move the heap to the permanent generation, so the collection at
+    # interpreter exit skips it; flushes and atexit handlers still run
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

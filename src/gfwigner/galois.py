@@ -15,6 +15,8 @@ b & poly as its new top bit, and b M~^-1 shifts up with the same parity as
 its new low bit.  The trace is a linear form: tr(a) is the parity of a & mask,
 bit i of the mask being tr(w^i).  solve_gf2 is the one Gaussian elimination,
 for dual bases and for the signs of stabilizer group members.
+u_omega_gates is the qubit circuit of U_w, which realizes a -> a M on
+computational basis labels.
 
 Binary strings are printed with bit 0 first, so the string "100" is the field
 element 1 and "010" is w; a polynomial prints the same way, with n + 1 digits.
@@ -236,6 +238,19 @@ class GF2Field:
 def field_new(n: int, poly: int | None = None) -> GF2Field:
     """Construct a validated GF(2^n) with precomputed log/antilog tables."""
     return GF2Field(n, poly)
+
+
+def u_omega_gates(field: GF2Field) -> list[tuple[str, int, int]]:
+    """Gate list for U_w in application order (first gate acts first).
+
+    The circuit realizes the classical map bits -> bits . M (field.apply_m)
+    on computational basis labels: a cyclic shift of the qubits followed by
+    CNOTs from qubit 0 controlled by the polynomial coefficients.
+    """
+    n = field.n
+    gates = [("swap", 0, j) for j in range(1, n)]
+    gates += [("cnot", 0, j) for j in range(1, n) if field.poly >> j & 1]
+    return gates
 
 
 def parse_poly(text, what: str = "polynomial") -> int:

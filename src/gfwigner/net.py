@@ -1,5 +1,6 @@
-"""Quantum nets: ray generators, ray states, the squeezing circuit U_w,
-covariant net construction, the sign function f, and MUB generation.
+"""Quantum nets: ray generators, ray states, the squeezing operator U_w
+(its gate list, galois.u_omega_gates, is re-exported here), covariant net
+construction, the sign function f, and MUB generation.
 
 A net is encoded by one sign vector per striation: the ray of striation
 lambda is assigned the joint eigenstate of its n generators G_k with
@@ -26,6 +27,7 @@ import numpy as np
 
 from .errors import MalformedInput, SingularBasis
 from .galois import GF2Field, field_new, parse_poly
+from .galois import u_omega_gates  # noqa: F401  (re-exported beside u_omega_matrix)
 from .pauli import (
     IDENTITY_ATOL,
     PauliTranslation,
@@ -60,19 +62,6 @@ def ray_generators(field: GF2Field, label) -> tuple[PauliTranslation, ...]:
 
 
 # -- squeezing operator -------------------------------------------------------
-
-
-def u_omega_gates(field: GF2Field) -> list[tuple[str, int, int]]:
-    """Gate list for U_w in application order (first gate acts first).
-
-    The circuit realizes the classical map bits -> bits . M on computational
-    basis labels: a cyclic shift of the qubits followed by CNOTs from qubit 0
-    controlled by the polynomial coefficients.
-    """
-    n = field.n
-    gates = [("swap", 0, j) for j in range(1, n)]
-    gates += [("cnot", 0, j) for j in range(1, n) if field.poly >> j & 1]
-    return gates
 
 
 def u_omega_matrix(field: GF2Field) -> np.ndarray:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import FieldMismatch
 from .galois import GF2Field
 
@@ -156,11 +154,3 @@ def wedge_field_form(field: GF2Field, a: PhasePoint, b: PhasePoint) -> int:
 def grid_axis(field: GF2Field) -> list[int]:
     """Axis labels in power ordering: 0, 1, w, w^2, ..."""
     return [0] + [field.pow_omega(j) for j in range(field.order)]
-
-
-def display_index(field: GF2Field) -> np.ndarray:
-    """Flat grid indices (qbits << n) | pbits in display order: entry [i, j]
-    is the point with q = axis[i] and p = axis[j], axis = grid_axis(field)."""
-    axis = grid_axis(field)
-    pbits = [field.p_to_bits(p) for p in axis]
-    return np.array([[(q << field.n) | pb for pb in pbits] for q in axis])

@@ -2,7 +2,7 @@
 
 A grid is one flat array of N^2 values indexed by (qbits << n) | pbits:
 float64 for dense grids, Fraction objects for exact ones.  Display order is
-one permutation of it (phasespace.display_index); grid.values is a
+one permutation of it (display_index); grid.values is a
 {(qbits, pbits): value} dict built on request.
 
 Two routes are provided and cross-checked in the tests:
@@ -48,7 +48,7 @@ from .pauli import (
     translation_for,
     walsh_hadamard,
 )
-from .phasespace import BinaryPoint, display_index, wedge
+from .phasespace import BinaryPoint, grid_axis, wedge
 
 GRID_MAX_QUBITS = 8
 
@@ -79,6 +79,14 @@ def state_density(vec: np.ndarray) -> np.ndarray:
     v = np.asarray(vec, dtype=complex)
     v = v / np.linalg.norm(v)
     return np.outer(v, v.conj())
+
+
+def display_index(field: GF2Field) -> np.ndarray:
+    """Flat grid indices (qbits << n) | pbits in display order: entry [i, j]
+    is the point with q = axis[i] and p = axis[j], axis = grid_axis(field)."""
+    axis = grid_axis(field)
+    pbits = [field.p_to_bits(p) for p in axis]
+    return np.array([[(q << field.n) | pb for pb in pbits] for q in axis])
 
 
 @dataclass(eq=False)

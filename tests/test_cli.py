@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -359,6 +360,19 @@ def test_wigner_covariant_net_n7_ghz(tmp_path, capsys):
     assert sum(Fraction(c) for row in payload["rows_p_descending"] for c in row) == 1
 
 
+@pytest.mark.parametrize("poly", [None, "1101"], ids=["default", "1101"])
+@pytest.mark.parametrize("which", [0, 1])
+def test_qec_preset_is_the_papers_code_on_any_polynomial(tmp_path, capsys, poly, which):
+    # the preset is the state of +IXX, +XXI, (-1)^which ZZZ whatever the field
+    state = tmp_path / "qec.json"
+    state.write_text(json.dumps(
+        {"stabilizer": [["+IXX", 1], ["+XXI", 1], ["+ZZZ", 1 - 2 * which]]}))
+    poly_args = ["--poly", poly] if poly else []
+    grids = [run(capsys, "wigner", "--n", "3", *poly_args, "--state", spec,
+                 "--format", "json") for spec in (f"qec_logical_{which}", str(state))]
+    assert grids[0][0] == 0 and grids[0] == grids[1]
+
+
 # -- grid export / import ----------------------------------------------------------
 
 
@@ -455,12 +469,37 @@ def test_app_verify_flags(capsys, cmd):
     assert "FAIL" not in out and "PASS" in out
 
 
-def test_qec_and_verify_do_not_import_sympy():
+def test_startup_imports_only_what_a_command_uses():
+    # a fresh process: the package and the cli load without numpy, the
+    # commands without array work run without it, and a later array command
+    # in the same process still works; nothing loads sympy
     src = Path(gfwigner.__file__).parent.parent
-    script = ("import sys\n"
-              "from gfwigner.cli import dispatch\n"
-              "assert dispatch(['qec']) == 0 and dispatch(['verify', '--n', '3']) == 0\n"
-              "sys.exit('sympy' in sys.modules)\n")
+    script = textwrap.dedent("""\
+        import contextlib, io, sys
+
+        def no_numpy(when):
+            assert "numpy" not in sys.modules, "numpy imported by " + when
+
+        import gfwigner
+        no_numpy("import gfwigner")
+        gfwigner.field_new, gfwigner.all_striations, gfwigner.GfwignerError
+        no_numpy("numpy-free package names")
+        from gfwigner.cli import dispatch
+        no_numpy("import gfwigner.cli")
+        sink = io.StringIO()
+        for argv, want in ((["field", "--n", "1"], 0), (["rays", "--n", "3"], 0),
+                           (["uomega", "--n", "3"], 0), (["--help"], 0),
+                           (["field", "--n"], 2), (["frobnicate"], 2)):
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                code = dispatch(argv)
+            assert code == want, (argv, code)
+            no_numpy(" ".join(argv))
+        with contextlib.redirect_stdout(sink):
+            assert dispatch(["wigner", "--n", "2", "--state", "bell_phi_plus"]) == 0
+            assert dispatch(["qec"]) == 0 and dispatch(["verify", "--n", "3"]) == 0
+        assert "numpy" in sys.modules
+        assert "sympy" not in sys.modules
+    """)
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
     assert done.returncode == 0, done.stderr.decode()

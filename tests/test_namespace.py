@@ -1,0 +1,60 @@
+"""The lazy package namespace binds the same names as the eager one did."""
+
+import importlib
+
+import pytest
+
+import gfwigner
+
+# every public name that gfwigner/__init__.py imported eagerly, with the
+# submodule it came from
+EAGER_NAMES = {
+    "errors": ["AmbiguousInference", "DegreeMismatch", "DimensionMismatch",
+               "DimensionTooLarge", "FieldMismatch", "GfwignerError",
+               "InconsistentStabilizer", "InvalidDensityMatrix", "MalformedInput",
+               "NonCommutingGenerators", "NonPrimitivePolynomial", "SingularBasis"],
+    "galois": ["GF2Field", "PRIMITIVE_POLYS", "dual_basis", "field_new",
+               "power_ordering"],
+    "net": ["MubState", "QuantumNet", "all_plus_signs", "build_net", "line_state",
+            "mub_bases", "mub_states", "net_from_json", "ray_generators",
+            "u_omega_gates", "u_omega_matrix"],
+    "pauli": ["DENSE_MAX_QUBITS", "IDENTITY_ATOL", "INPUT_ATOL", "PauliTranslation",
+              "commutes", "compose", "format_pauli", "parse_pauli", "pauli_sum",
+              "to_matrix", "translation", "translation_for"],
+    "phasespace": ["BinaryPoint", "HORIZONTAL", "Line", "PhasePoint", "Striation",
+                   "VERTICAL", "all_striations", "from_binary", "make_line",
+                   "ray_through", "striation", "striation_labels", "to_binary",
+                   "wedge", "wedge_field_form"],
+    "wigner": ["StabilizerGroup", "WignerGrid", "all_stabilizer_groups",
+               "check_density_matrix", "expectation_translation", "point_operator",
+               "purity_identity_residual", "reconstruct", "stabilizer_wigner",
+               "stabilizer_wigner_value", "state_density", "wigner_of"],
+}
+PAIRS = [(module, name) for module, names in EAGER_NAMES.items() for name in names]
+
+
+@pytest.mark.parametrize("module, name", PAIRS, ids=[name for _, name in PAIRS])
+def test_each_eager_name_is_the_submodule_attribute(module, name):
+    submodule = importlib.import_module(f"gfwigner.{module}")
+    assert getattr(gfwigner, name) is getattr(submodule, name)
+    assert name in dir(gfwigner)
+
+
+def test_star_import_binds_every_eager_name():
+    namespace = {}
+    exec("from gfwigner import *", namespace)
+    for module, name in PAIRS:
+        assert namespace[name] is getattr(importlib.import_module(f"gfwigner.{module}"), name)
+
+
+def test_submodules_and_version_are_attributes():
+    for module in [*EAGER_NAMES, "apps", "cli"]:
+        assert getattr(gfwigner, module) is importlib.import_module(f"gfwigner.{module}")
+    assert gfwigner.__version__ == "0.1.0"
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gfwigner.no_such_name
+    with pytest.raises(ImportError):
+        from gfwigner import no_such_name  # noqa: F401

@@ -11,7 +11,6 @@ from gfwigner.phasespace import (
     PhasePoint,
     VERTICAL,
     all_striations,
-    display_index,
     from_binary,
     grid_axis,
     label_of_line,
@@ -23,6 +22,7 @@ from gfwigner.phasespace import (
     wedge,
     wedge_field_form,
 )
+from gfwigner.wigner import display_index
 
 
 def intersect(field, l1, l2):
