@@ -38,13 +38,11 @@ _EXPORTS = {
         "u_omega_gates",
     ),
     "net": (
-        "MubState",
         "QuantumNet",
         "all_plus_signs",
         "build_net",
         "line_state",
         "mub_bases",
-        "mub_states",
         "net_from_json",
         "ray_generators",
         "u_omega_matrix",

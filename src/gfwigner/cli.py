@@ -13,6 +13,14 @@ are imported inside the functions that use them, when `mub`, `wigner`,
 `bell`, `qec`, `meanking` or `verify` runs.  `main` freezes the heap
 (gc.freeze) before exiting, so the final garbage collection at interpreter
 exit does not walk every object the request created.
+
+The paper's checks are one table, `check_rows`: 12 (group, name, check)
+rows, and `run_checks(field, *groups)` runs the rows of the named groups in
+table order, printing `PASS <name>` or `FAIL <name>: <message>` for each and
+returning 2 if any failed.  `verify --n N` runs the field, net and wigner
+groups, plus bell and meanking at N = 2 and qec at N = 3; `bell --verify`,
+`qec --verify` and `meanking --verify` run their own group.  Tier-1
+parametrises over the same rows.
 """
 
 from __future__ import annotations
@@ -132,14 +140,14 @@ _FRACTION = re.compile(r"-?\d+(/\d+)?")
 
 def _grid_cell(cell, exact: bool):
     """One exported cell: an exact fraction string, or a finite number."""
-    if exact and isinstance(cell, str) and _FRACTION.fullmatch(cell):
-        return Fraction(cell)
-    if not exact and isinstance(cell, (str, int, float)) and not isinstance(cell, bool):
-        try:
+    try:
+        if exact and isinstance(cell, str) and _FRACTION.fullmatch(cell):
+            return Fraction(cell)
+        if not exact and isinstance(cell, (str, int, float)) and not isinstance(cell, bool):
             if math.isfinite(val := float(cell)):
                 return val
-        except ValueError:
-            pass
+    except (ArithmeticError, ValueError):  # 1/0, an integer beyond float range, text
+        pass
     raise MalformedInput(
         f"grid cell {cell!r} is not {'a fraction' if exact else 'a finite number'}"
     )
@@ -244,7 +252,10 @@ def resolve_state(field: GF2Field, spec: str):
             isinstance(row, list) and all(_is_pair(cell) for cell in row)
             for row in rows)):
         raise MalformedInput('"density" needs rows of [re, im] number pairs')
-    rho = np.array([[complex(re, im) for re, im in row] for row in rows])
+    try:
+        rho = np.array([[complex(re, im) for re, im in row] for row in rows])
+    except OverflowError:
+        raise MalformedInput('"density" holds a number beyond float range') from None
     return "dense", check_density_matrix(rho, n)
 
 
@@ -254,6 +265,17 @@ def _is_pair(cell) -> bool:
 
 
 # -- subcommands -------------------------------------------------------------------
+
+
+def write_out(text: str) -> None:
+    """Write text to stdout, every byte of it.  Under `python -u` (or
+    PYTHONUNBUFFERED) stdout's binary layer is a raw file, whose write takes
+    only part of the bytes when the reader goes away; writing the rest makes
+    that show as BrokenPipeError, as it does with the default buffering."""
+    sys.stdout.flush()  # what print wrote comes first
+    out, data = sys.stdout.buffer, memoryview(text.encode(sys.stdout.encoding))
+    while data:
+        data = data[out.write(data):]
 
 
 def cmd_field(args) -> int:
@@ -294,7 +316,7 @@ def cmd_mub(args) -> int:
     net = resolve_net(field, args.net)
     bases = mub_bases(net)
     report = mub_overlap_report(bases)
-    sys.stdout.write(mub_json(field.n, net.fingerprint(), bases, report))
+    write_out(mub_json(field.n, net.fingerprint(), bases, report))
     return 0
 
 
@@ -315,7 +337,7 @@ def cmd_wigner(args) -> int:
         grid = stabilizer_wigner(net, state)
     else:
         grid = wigner_of(net, state)
-    sys.stdout.write(export_grid(grid, args.format, {"net": net.fingerprint()}))
+    write_out(export_grid(grid, args.format, {"net": net.fingerprint()}))
     return 0
 
 
@@ -325,15 +347,15 @@ def cmd_bell(args) -> int:
     from .wigner import stabilizer_wigner
 
     field = apps.bell_field()
-    net = build_net(field, "covariant")
     if args.verify:
-        return run_checks(bell_checks(field))
+        return run_checks(field, "bell")
+    net = build_net(field, "covariant")
     counts = apps.bell_survey(field)
     print(f"patterns over 64 nets x 4 states: {counts}")
     for label in apps.BELL_LABELS:
         grid = stabilizer_wigner(net, apps.bell_stabilizer(field, label))
         print(f"\n{label} (covariant all-+1 net):")
-        sys.stdout.write(export_grid(grid, args.format))
+        write_out(export_grid(grid, args.format))
     return 0
 
 
@@ -342,13 +364,13 @@ def cmd_qec(args) -> int:
     from .wigner import stabilizer_wigner
 
     field = apps.qec_field()
-    net = apps.qec_net(field)
     if args.verify:
-        return run_checks(qec_checks(field))
+        return run_checks(field, "qec")
+    net = apps.qec_net(field)
     for which in (0, 1):
         grid = stabilizer_wigner(net, apps.logical_group(field, which))
         print(f"logical |{which}_L> (main-diagonal preset net):")
-        sys.stdout.write(export_grid(grid, args.format))
+        write_out(export_grid(grid, args.format))
         print()
     print("solution family (a, c, e, g):")
     for sol in apps.code_solution_family():
@@ -363,12 +385,12 @@ def cmd_meanking(args) -> int:
     from . import apps
 
     field = apps.bell_field()
-    net = apps.mean_king_net(field)
     if args.verify:
-        return run_checks(meanking_checks(field))
+        return run_checks(field, "meanking")
+    net = apps.mean_king_net(field)
     grid = apps.mean_king_grid(net)
     print("W(phi_1):")
-    sys.stdout.write(export_grid(grid, args.format))
+    write_out(export_grid(grid, args.format))
     sums = apps.mean_king_line_sums(net)
     print("line sums:")
     for (obs, idx), val in sorted(sums.items()):
@@ -381,21 +403,26 @@ def cmd_meanking(args) -> int:
 # -- verify ------------------------------------------------------------------------
 
 
-def run_checks(checks) -> int:
-    """Run (name, callable) pairs; print one line each; exit 0 iff all pass."""
-    failed = 0
-    for name, fn in checks:
-        try:
-            fn()
-        except Exception as exc:  # report and keep going
-            print(f"FAIL {name}: {exc}")
-            failed += 1
-        else:
-            print(f"PASS {name}")
-    return 2 if failed else 0
+def check_rows(field: GF2Field) -> list[tuple]:
+    """The paper's checks as (group, name, check) rows, in print order; a
+    check raises when its claim fails.  The wigner rows use one covariant net
+    on field, the bell and meanking rows need field = GF(4), and the qec rows
+    run on apps.qec_field(), the only field where the code's slots hold."""
+    import numpy as np
 
+    from . import apps
+    from .net import build_net, line_state, mub_bases, mub_overlap_report
+    from .pauli import IDENTITY_ATOL
+    from .wigner import (all_points, point_operator, purity_identity_residual,
+                         reconstruct, stabilizer_wigner, state_density, wigner_of)
 
-def field_checks(field: GF2Field):
+    net = build_net(field, "covariant")
+
+    @cache  # lazily, so a failure is reported by the check that needs them
+    def point_operators() -> np.ndarray:
+        """A(alpha) for every point, stacked by flat index (qbits << n) | pbits."""
+        return np.array([point_operator(net, a) for a in all_points(field)])
+
     def orderings():
         for gen in ("canonical", "dual"):
             seq = power_ordering(field, gen)
@@ -406,16 +433,6 @@ def field_checks(field: GF2Field):
             for y in field.elements():
                 assert field.trace(x ^ y) == field.trace(x) ^ field.trace(y)
 
-    return [("field.power_ordering_complete", orderings),
-            ("field.trace_linear", trace_linear)]
-
-
-def net_checks(field: GF2Field):
-    from .net import build_net, mub_bases, mub_overlap_report
-    from .pauli import IDENTITY_ATOL
-
-    net = build_net(field, "covariant")
-
     def mub_property():
         report = mub_overlap_report(mub_bases(net))
         assert report["max_gram_deviation"] < IDENTITY_ATOL, report
@@ -424,24 +441,6 @@ def net_checks(field: GF2Field):
     def f_signs():
         for v in net.f_table().values():
             assert v in (1, -1)
-
-    return [("net.mub_property", mub_property), ("net.f_is_sign", f_signs)]
-
-
-def wigner_checks(field: GF2Field):
-    import numpy as np
-
-    from .net import build_net, line_state
-    from .pauli import IDENTITY_ATOL
-    from .wigner import (all_points, point_operator, purity_identity_residual,
-                         reconstruct, state_density, wigner_of)
-
-    net = build_net(field, "covariant")
-
-    @cache  # lazily, so a failure is reported by the check that needs them
-    def point_operators() -> np.ndarray:
-        """A(alpha) for every point, stacked by flat index (qbits << n) | pbits."""
-        return np.array([point_operator(net, a) for a in all_points(field)])
 
     def orthogonality():
         # Tr(A_i A_j) of hermitian operators is the Gram matrix of their
@@ -470,85 +469,79 @@ def wigner_checks(field: GF2Field):
         assert np.abs(reconstruct(net, grid) - rho).max() < IDENTITY_ATOL
         assert purity_identity_residual(net, grid) < IDENTITY_ATOL
 
-    return [("wigner.operator_orthogonality", orthogonality),
-            ("wigner.line_projectors", line_projectors),
-            ("wigner.reconstruction_roundtrip", roundtrip)]
-
-
-def bell_checks(field: GF2Field):
-    from . import apps
-
     def survey():
         counts = apps.bell_survey(field)
         assert counts["concentrated"] > 0 and counts["spread"] > 0
         assert sum(counts.values()) == 256
 
-    return [("bell.pattern_survey", survey)]
-
-
-def qec_checks(field: GF2Field):
-    from . import apps
-    from .wigner import stabilizer_wigner
-
     def family():
         fam = apps.code_solution_family()
         assert len(fam) == 8, f"{len(fam)} family solutions"
-        cov = apps.covariant_code_solutions(field)
+        cov = apps.covariant_code_solutions(apps.qec_field())
         assert len(cov) == 4, f"{len(cov)} covariant solutions"
 
     def preset_grid():
-        net = apps.qec_net(field)
-        params = apps.grid_parameters(
-            field, stabilizer_wigner(net, apps.logical_group(field, 0))
-        )
+        qec_field = apps.qec_field()
+        grid = stabilizer_wigner(apps.qec_net(qec_field), apps.logical_group(qec_field, 0))
+        params = apps.grid_parameters(qec_field, grid)
         assert all(params[k] == Fraction(1, 32) for k in "aceg"), params
 
-    return [("qec.solution_family", family), ("qec.preset_grid", preset_grid)]
-
-
-def meanking_checks(field: GF2Field):
-    import numpy as np
-
-    from . import apps
-    from .pauli import IDENTITY_ATOL
-
     def basis_and_sums():
-        net = apps.mean_king_net(field)
-        basis = apps.mean_king_basis(net)
+        king_net = apps.mean_king_net(field)
+        basis = apps.mean_king_basis(king_net)
         G = np.array([[np.vdot(u, v) for v in basis] for u in basis])
         assert np.abs(G - np.eye(4)).max() < IDENTITY_ATOL
-        sums = apps.mean_king_line_sums(net)
-        for (obs, idx), val in sums.items():
+        for (obs, idx), val in apps.mean_king_line_sums(king_net).items():
             want = {1: 0.0, 2: 0.5}.get(idx, 0.25)
             assert abs(val - want) < IDENTITY_ATOL, (obs, idx, val)
 
     def retrodiction():
-        net = apps.mean_king_net(field)
-        assert abs(apps.mean_king_simulate(net) - 1) < IDENTITY_ATOL
+        king_net = apps.mean_king_net(field)
+        assert abs(apps.mean_king_simulate(king_net) - 1) < IDENTITY_ATOL
 
-    return [("meanking.basis_and_line_sums", basis_and_sums),
-            ("meanking.retrodiction", retrodiction)]
+    return [
+        ("field", "field.power_ordering_complete", orderings),
+        ("field", "field.trace_linear", trace_linear),
+        ("net", "net.mub_property", mub_property),
+        ("net", "net.f_is_sign", f_signs),
+        ("wigner", "wigner.operator_orthogonality", orthogonality),
+        ("wigner", "wigner.line_projectors", line_projectors),
+        ("wigner", "wigner.reconstruction_roundtrip", roundtrip),
+        ("bell", "bell.pattern_survey", survey),
+        ("qec", "qec.solution_family", family),
+        ("qec", "qec.preset_grid", preset_grid),
+        ("meanking", "meanking.basis_and_line_sums", basis_and_sums),
+        ("meanking", "meanking.retrodiction", retrodiction),
+    ]
+
+
+def verify_groups(n: int) -> tuple[str, ...]:
+    """The check groups `verify --n n` runs."""
+    return ("field", "net", "wigner") + {2: ("bell", "meanking"), 3: ("qec",)}.get(n, ())
+
+
+def run_checks(field: GF2Field, *groups: str) -> int:
+    """Run the rows of the named groups; print one line each; exit 0 iff all
+    pass."""
+    failed = 0
+    for group, name, check in check_rows(field):
+        if group not in groups:
+            continue
+        try:
+            check()
+        except Exception as exc:  # report and keep going
+            print(f"FAIL {name}: {exc}")
+            failed += 1
+        else:
+            print(f"PASS {name}")
+    return 2 if failed else 0
 
 
 def cmd_verify(args) -> int:
-    from . import apps
-
-    field = field_new(args.n, args.poly)
-    checks = field_checks(field) + net_checks(field) + wigner_checks(field)
-    if args.n == 2:
-        checks += bell_checks(field) + meanking_checks(field)
-    if args.n == 3:
-        # as qec --verify: the code's slots (w^6, w^5, w^3) hold on its own field
-        checks += qec_checks(apps.qec_field())
-    return run_checks(checks)
+    return run_checks(field_new(args.n, args.poly), *verify_groups(args.n))
 
 
 # -- dispatcher ----------------------------------------------------------------------
-
-
-def _poly_arg(text: str) -> int:
-    """Polynomial bits, low-to-high, e.g. '111' for x^2 + x + 1."""
-    return int(text[::-1], 2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -563,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         if needs_n:
             p.add_argument("--n", type=int, required=True)
-            p.add_argument("--poly", type=_poly_arg, default=None,
+            p.add_argument("--poly", type=lambda text: parse_poly(text, "--poly"),
                            help="polynomial coefficient bits, low to high")
         if formats:
             p.add_argument("--format", choices=formats, default=default_fmt)
@@ -590,13 +583,13 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv=None) -> int:
     parser = build_parser()
     try:
+        # SystemExit for --help and usage errors; MalformedInput for --poly
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
+    except SystemExit as exc:
+        return 2 if exc.code else 0
     except BrokenPipeError:
         # the reader is gone: point stdout at devnull so that the flush at
         # exit cannot fail again, and exit quietly as SIGPIPE would

@@ -20,7 +20,6 @@ is N^-2 sum_beta f(beta) T_beta over the flat f vector.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -300,13 +299,6 @@ def build_net(field: GF2Field, mode: str = "independent", signs: dict | None = N
 # -- MUB states ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MubState:
-    striation_label: object
-    line: Line
-    vector: np.ndarray
-
-
 def line_displacement(field: GF2Field, line: Line) -> PhasePoint:
     """Lexicographically smallest d with a d_q + b d_p = c (maps ray to line):
     0 prints first and d_p = c / b is unique, so d = (0, c / b), or (c, 0)
@@ -330,21 +322,11 @@ def line_state(net: QuantumNet, line: Line) -> np.ndarray:
     return fix_phase(T @ ray_vec)
 
 
-def mub_states(net: QuantumNet) -> list[MubState]:
-    """All N + 1 bases, one per striation, N states each."""
-    out = []
-    for st in all_striations(net.field):
-        for line in st.lines:
-            out.append(MubState(st.label, line, line_state(net, line)))
-    return out
-
-
 def mub_bases(net: QuantumNet) -> dict:
-    """Striation label -> list of N state vectors (line order: ray first)."""
-    bases = {}
-    for ms in mub_states(net):
-        bases.setdefault(ms.striation_label, []).append(ms.vector)
-    return bases
+    """The N + 1 bases: striation label -> list of N state vectors, one per
+    line (line order: ray first)."""
+    return {st.label: [line_state(net, line) for line in st.lines]
+            for st in all_striations(net.field)}
 
 
 def mub_overlap_report(bases: dict) -> dict:

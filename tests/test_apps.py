@@ -196,21 +196,6 @@ def test_general_encoded_state_first_columns():
 # -- mean king -----------------------------------------------------------------------
 
 
-def test_mean_king_basis_is_orthonormal():
-    net = apps.mean_king_net()
-    basis = apps.mean_king_basis(net)
-    G = np.array([[np.vdot(u, v) for v in basis] for u in basis])
-    assert np.abs(G - np.eye(4)).max() < 1e-10
-
-
-def test_mean_king_line_sums():
-    net = apps.mean_king_net()
-    sums = apps.mean_king_line_sums(net)
-    for (obs, idx), val in sums.items():
-        want = {1: 0.0, 2: 0.5}.get(idx, 0.25)
-        assert abs(val - want) < 1e-10, (obs, idx)
-
-
 def test_mean_king_grid_values():
     # diagonal-symmetric grid with values 3/16, 1/16 and -1/16 only
     net = apps.mean_king_net()

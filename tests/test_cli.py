@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import gfwigner
-from gfwigner import apps
-from gfwigner.cli import dispatch, export_grid, import_grid, mub_json
+from gfwigner import apps, cli
+from gfwigner.cli import (check_rows, dispatch, export_grid, import_grid, mub_json,
+                          verify_groups)
 from gfwigner.errors import MalformedInput
-from gfwigner.galois import field_new
+from gfwigner.galois import field_new, parse_poly
 from gfwigner.net import QuantumNet, all_plus_signs, build_net
 from gfwigner.wigner import stabilizer_wigner, state_density, wigner_of
 from oracles import mub_json_nested, mub_stdout_nested
@@ -47,10 +48,12 @@ def test_bad_n_is_validation_error(capsys):
 
 
 def test_non_primitive_poly_is_validation_error(capsys):
-    # x^2 + 1 has coefficient bits 101 (low to high)
-    code, _, err = run(capsys, "field", "--n", "2", "--poly", "101")
-    assert code == 2
-    assert "error:" in err
+    # x^2 + 1 has coefficient bits 101 (low to high); the others are not bit
+    # strings, though int(text, 2) would read both as 111
+    for poly in ("101", "1_11", " 111"):
+        code, out, err = run(capsys, "field", "--n", "2", "--poly", poly)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_missing_state_file_is_validation_error(capsys):
@@ -89,9 +92,11 @@ def test_stabilizer_sign_other_than_one_is_validation_error(tmp_path, capsys):
     {"stabilizer": [["+IXX", 1], ["+IZZ", 1]]},
     {"stabilizer": [["+XQ", 1], ["+ZZ", 1]]},
     {"stabilizer": [["-i", 1], ["+ZZ", 1]]},
+    {"density": [[[10 ** 400, 0]]]},
 ], ids=["bare_string", "stabilizer_not_a_list", "density_cells_not_pairs",
         "pauli_label_not_a_string", "three_qubit_generators_xxi",
-        "three_qubit_generators_ixx", "pauli_label_bad_letter", "pauli_label_no_letters"])
+        "three_qubit_generators_ixx", "pauli_label_bad_letter", "pauli_label_no_letters",
+        "density_number_beyond_float_range"])
 def test_malformed_state_file_is_validation_error(tmp_path, capsys, payload):
     state = tmp_path / "state.json"
     state.write_text(json.dumps(payload))
@@ -421,10 +426,13 @@ def _exported_grid_payload(exact: bool) -> dict:
     (True, lambda payload: payload["rows_p_descending"][0].__setitem__(0, "0.25")),
     (True, lambda payload: payload["rows_p_descending"][0].__setitem__(0, 0.25)),
     (True, lambda payload: payload["rows_p_descending"][0].__setitem__(0, "1/x")),
+    (True, lambda payload: payload["rows_p_descending"][0].__setitem__(0, "1/0")),
+    (False, lambda payload: payload["rows_p_descending"][2].__setitem__(1, 10 ** 400)),
 ], ids=["no_rows", "no_exact", "poly_not_a_string", "poly_not_bits", "poly_empty",
         "missing_row", "extra_row", "short_row", "long_row",
         "text_cell", "null_cell", "nan_cell", "exact_decimal_string",
-        "exact_float", "exact_bad_fraction"])
+        "exact_float", "exact_bad_fraction", "exact_zero_denominator",
+        "number_beyond_float_range"])
 def test_import_grid_rejects_malformed_grids(exact, breakage):
     payload = _exported_grid_payload(exact)
     breakage(payload)
@@ -462,13 +470,6 @@ def test_meanking_subcommand(capsys):
     assert "retrodiction success probability: 1.000000000000" in out
 
 
-@pytest.mark.parametrize("cmd", ["bell", "qec", "meanking"])
-def test_app_verify_flags(capsys, cmd):
-    code, out, _ = run(capsys, cmd, "--verify")
-    assert code == 0
-    assert "FAIL" not in out and "PASS" in out
-
-
 def test_startup_imports_only_what_a_command_uses():
     # a fresh process: the package and the cli load without numpy, the
     # commands without array work run without it, and a later array command
@@ -486,7 +487,7 @@ def test_startup_imports_only_what_a_command_uses():
         no_numpy("numpy-free package names")
         from gfwigner.cli import dispatch
         no_numpy("import gfwigner.cli")
-        sink = io.StringIO()
+        sink = io.TextIOWrapper(io.BytesIO())  # bytes below, as sys.stdout
         for argv, want in ((["field", "--n", "1"], 0), (["rays", "--n", "3"], 0),
                            (["uomega", "--n", "3"], 0), (["--help"], 0),
                            (["field", "--n"], 2), (["frobnicate"], 2)):
@@ -505,10 +506,13 @@ def test_startup_imports_only_what_a_command_uses():
     assert done.returncode == 0, done.stderr.decode()
 
 
-def test_closed_stdout_pipe_exits_141_quietly():
-    # unbuffered text stdout drops the rest of a short write to a closed pipe
-    # instead of raising, so the child runs with the default buffering
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["unset", "PYTHONUNBUFFERED=1"])
+def test_closed_stdout_pipe_exits_141_quietly(unbuffered):
+    # unbuffered, a write to a closed pipe can take part of the bytes and
+    # return; the command must still see the close and exit 141
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
     env["PYTHONPATH"] = str(Path(gfwigner.__file__).parent.parent)
     # 2 MB of output: more than a pipe holds, so the writer sees the close
     proc = subprocess.Popen([sys.executable, "-m", "gfwigner.cli", "mub", "--n", "5"],
@@ -527,12 +531,42 @@ def test_closed_stdout_pipe_exits_141_quietly():
 # -- verify ------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n, poly", [(1, None), (2, None), (3, None), (4, None),
-                                     (3, "1101"), (4, "11001")],
-                         ids=["1", "2", "3", "4", "3-1101", "4-11001"])
-def test_verify_passes(capsys, n, poly):
-    # the qec checks run on the paper's field whatever --poly says
-    code, out, _ = run(capsys, "verify", "--n", str(n), *(("--poly", poly) if poly else ()))
-    assert code == 0
-    assert "FAIL" not in out
-    assert out.count("PASS") >= 4
+def _check_pairs() -> dict:
+    """Each (field, row) that verify --n 1..4, --n 3 --poly 1101, --n 4 --poly
+    11001 and the bell, qec and meanking --verify flags run, once, by test id."""
+    runs = [(field_new(n, poly and parse_poly(poly)), verify_groups(n))
+            for n, poly in ((1, None), (2, None), (3, None), (4, None),
+                            (3, "1101"), (4, "11001"))]
+    runs += [(apps.bell_field(), ("bell",)), (apps.qec_field(), ("qec",)),
+             (apps.bell_field(), ("meanking",))]
+    pairs = {}
+    for field, groups in runs:
+        for group, name, check in check_rows(field):
+            if group in groups:
+                pairs.setdefault(f"{field.n}-{field.poly_str()}-{name}", check)
+    return pairs
+
+
+CHECK_PAIRS = _check_pairs()
+
+
+@pytest.mark.parametrize("check", CHECK_PAIRS.values(), ids=CHECK_PAIRS.keys())
+def test_check_row_passes(check):
+    check()
+
+
+def test_failing_row_is_reported_and_later_rows_still_run(capsys, monkeypatch):
+    def failing():
+        raise AssertionError("broken on purpose")
+
+    rows = [(group, name, failing if name == "net.mub_property" else check)
+            for group, name, check in check_rows(field_new(1))]
+    monkeypatch.setattr(cli, "check_rows", lambda field: rows)
+    code, out, _ = run(capsys, "verify", "--n", "1")
+    assert code == 2
+    assert out.splitlines() == [
+        "PASS field.power_ordering_complete", "PASS field.trace_linear",
+        "FAIL net.mub_property: broken on purpose", "PASS net.f_is_sign",
+        "PASS wigner.operator_orthogonality", "PASS wigner.line_projectors",
+        "PASS wigner.reconstruction_roundtrip",
+    ]

@@ -15,9 +15,8 @@ EAGER_NAMES = {
                "NonCommutingGenerators", "NonPrimitivePolynomial", "SingularBasis"],
     "galois": ["GF2Field", "PRIMITIVE_POLYS", "dual_basis", "field_new",
                "power_ordering"],
-    "net": ["MubState", "QuantumNet", "all_plus_signs", "build_net", "line_state",
-            "mub_bases", "mub_states", "net_from_json", "ray_generators",
-            "u_omega_gates", "u_omega_matrix"],
+    "net": ["QuantumNet", "all_plus_signs", "build_net", "line_state", "mub_bases",
+            "net_from_json", "ray_generators", "u_omega_gates", "u_omega_matrix"],
     "pauli": ["DENSE_MAX_QUBITS", "IDENTITY_ATOL", "INPUT_ATOL", "PauliTranslation",
               "commutes", "compose", "format_pauli", "parse_pauli", "pauli_sum",
               "to_matrix", "translation", "translation_for"],

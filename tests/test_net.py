@@ -16,7 +16,6 @@ from gfwigner.net import (
     line_displacement,
     line_state,
     mub_bases,
-    mub_states,
     net_from_json,
     ray_generators,
     u_omega_matrix,
@@ -35,6 +34,7 @@ from gfwigner.phasespace import (
     all_striations,
     from_binary,
     ray_through,
+    striation,
     striation_labels,
 )
 from oracles import line_displacement_search, ray_projector, u_omega_from_gates
@@ -184,10 +184,9 @@ def test_h_v_ray_states_invariant_under_u_omega():
 def test_vertical_basis_is_computational():
     f = field_new(2)
     net = build_net(f, "covariant")
-    for ms in mub_states(net):
-        if ms.striation_label == VERTICAL:
-            q = ms.line.c
-            assert abs(ms.vector[basis_index(q, 2)]) > 1 - 1e-10
+    vertical = mub_bases(net)[VERTICAL]
+    for line, vector in zip(striation(f, VERTICAL).lines, vertical, strict=True):
+        assert abs(vector[basis_index(line.c, 2)]) > 1 - 1e-10
 
 
 def test_mub_property():

@@ -16,7 +16,7 @@ from gfwigner.errors import (
 from gfwigner.galois import field_new
 from gfwigner.net import QuantumNet, all_plus_signs, build_net, line_state, ray_generators
 from gfwigner.pauli import to_matrix, translation, translation_for
-from gfwigner.phasespace import BinaryPoint, all_striations, to_binary
+from gfwigner.phasespace import BinaryPoint, all_striations
 from gfwigner.wigner import (
     StabilizerGroup,
     WignerGrid,
@@ -83,18 +83,6 @@ def test_point_operator_orthogonality():
             for j, B in enumerate(ops):
                 want = 1 / f.N if i == j else 0.0
                 assert abs(np.trace(A @ B).real - want) < 1e-10
-
-
-def test_line_sums_of_point_operators_are_projectors():
-    for n in (2, 3):
-        f = field_new(n)
-        net = build_net(f, "covariant")
-        for st in all_striations(f):
-            for line in st.lines:
-                total = sum(point_operator(net, to_binary(f, pt))
-                            for pt in line.points(f))
-                v = line_state(net, line)
-                assert np.abs(total - np.outer(v, v.conj())).max() < 1e-10
 
 
 def test_line_state_wigner_is_indicator():
