@@ -10,7 +10,9 @@ imports the standard library, `errors`, `galois` and `phasespace`, none of
 which imports numpy, so `field`, `rays`, `uomega`, `--help` and usage errors
 never load it.  The array modules (numpy, `pauli`, `net`, `wigner`, `apps`)
 are imported inside the functions that use them, when `mub`, `wigner`,
-`bell`, `qec`, `meanking` or `verify` runs.  `main` freezes the heap
+`bell`, `qec`, `meanking` or `verify` runs.  `main` asks for one BLAS thread
+(OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS default to 1; a
+value already set is kept) before numpy loads, and freezes the heap
 (gc.freeze) before exiting, so the final garbage collection at interpreter
 exit does not walk every object the request created.
 
@@ -403,6 +405,13 @@ def cmd_meanking(args) -> int:
 # -- verify ------------------------------------------------------------------------
 
 
+def _claim(holds, message="") -> None:
+    """Raise AssertionError(message) unless holds: a check's claim, stated
+    so that `python -O` does not strip it as it strips `assert`."""
+    if not holds:
+        raise AssertionError(message)
+
+
 def check_rows(field: GF2Field) -> list[tuple]:
     """The paper's checks as (group, name, check) rows, in print order; a
     check raises when its claim fails.  The wigner rows use one covariant net
@@ -413,34 +422,34 @@ def check_rows(field: GF2Field) -> list[tuple]:
     from . import apps
     from .net import build_net, line_state, mub_bases, mub_overlap_report
     from .pauli import IDENTITY_ATOL
-    from .wigner import (all_points, point_operator, purity_identity_residual,
-                         reconstruct, stabilizer_wigner, state_density, wigner_of)
+    from .wigner import (_row_operators, purity_identity_residual, reconstruct,
+                         stabilizer_wigner, state_density, wigner_of)
 
     net = build_net(field, "covariant")
 
     @cache  # lazily, so a failure is reported by the check that needs them
     def point_operators() -> np.ndarray:
         """A(alpha) for every point, stacked by flat index (qbits << n) | pbits."""
-        return np.array([point_operator(net, a) for a in all_points(field)])
+        return np.array([A for q in range(field.N) for A in _row_operators(net, q)])
 
     def orderings():
         for gen in ("canonical", "dual"):
             seq = power_ordering(field, gen)
-            assert len(set(seq)) == field.N, "ordering misses elements"
+            _claim(len(set(seq)) == field.N, "ordering misses elements")
 
     def trace_linear():
         for x in field.elements():
             for y in field.elements():
-                assert field.trace(x ^ y) == field.trace(x) ^ field.trace(y)
+                _claim(field.trace(x ^ y) == field.trace(x) ^ field.trace(y))
 
     def mub_property():
         report = mub_overlap_report(mub_bases(net))
-        assert report["max_gram_deviation"] < IDENTITY_ATOL, report
-        assert report["max_cross_overlap_deviation"] < IDENTITY_ATOL, report
+        _claim(report["max_gram_deviation"] < IDENTITY_ATOL, report)
+        _claim(report["max_cross_overlap_deviation"] < IDENTITY_ATOL, report)
 
     def f_signs():
         for v in net.f_table().values():
-            assert v in (1, -1)
+            _claim(v in (1, -1))
 
     def orthogonality():
         # Tr(A_i A_j) of hermitian operators is the Gram matrix of their
@@ -449,7 +458,7 @@ def check_rows(field: GF2Field) -> list[tuple]:
         V = point_operators().reshape(N * N, -1)
         for i in range(0, len(V), N):
             gram = V[i:i + N].conj() @ V.T
-            assert np.abs(gram - np.eye(N, len(V), i) / N).max() < IDENTITY_ATOL
+            _claim(np.abs(gram - np.eye(N, len(V), i) / N).max() < IDENTITY_ATOL)
 
     def line_projectors():
         ops = point_operators()
@@ -458,7 +467,7 @@ def check_rows(field: GF2Field) -> list[tuple]:
                 total = sum(ops[(pt.q << field.n) | field.p_to_bits(pt.p)]
                             for pt in line.points(field))
                 v = line_state(net, line)
-                assert np.abs(total - np.outer(v, v.conj())).max() < IDENTITY_ATOL
+                _claim(np.abs(total - np.outer(v, v.conj())).max() < IDENTITY_ATOL)
         point_operators.cache_clear()  # the last user: free them for later checks
 
     def roundtrip():
@@ -466,38 +475,38 @@ def check_rows(field: GF2Field) -> list[tuple]:
         v = rng.normal(size=field.N) + 1j * rng.normal(size=field.N)
         rho = state_density(v)
         grid = wigner_of(net, rho)
-        assert np.abs(reconstruct(net, grid) - rho).max() < IDENTITY_ATOL
-        assert purity_identity_residual(net, grid) < IDENTITY_ATOL
+        _claim(np.abs(reconstruct(net, grid) - rho).max() < IDENTITY_ATOL)
+        _claim(purity_identity_residual(net, grid) < IDENTITY_ATOL)
 
     def survey():
         counts = apps.bell_survey(field)
-        assert counts["concentrated"] > 0 and counts["spread"] > 0
-        assert sum(counts.values()) == 256
+        _claim(counts["concentrated"] > 0 and counts["spread"] > 0)
+        _claim(sum(counts.values()) == 256)
 
     def family():
         fam = apps.code_solution_family()
-        assert len(fam) == 8, f"{len(fam)} family solutions"
+        _claim(len(fam) == 8, f"{len(fam)} family solutions")
         cov = apps.covariant_code_solutions(apps.qec_field())
-        assert len(cov) == 4, f"{len(cov)} covariant solutions"
+        _claim(len(cov) == 4, f"{len(cov)} covariant solutions")
 
     def preset_grid():
         qec_field = apps.qec_field()
         grid = stabilizer_wigner(apps.qec_net(qec_field), apps.logical_group(qec_field, 0))
         params = apps.grid_parameters(qec_field, grid)
-        assert all(params[k] == Fraction(1, 32) for k in "aceg"), params
+        _claim(all(params[k] == Fraction(1, 32) for k in "aceg"), params)
 
     def basis_and_sums():
         king_net = apps.mean_king_net(field)
         basis = apps.mean_king_basis(king_net)
         G = np.array([[np.vdot(u, v) for v in basis] for u in basis])
-        assert np.abs(G - np.eye(4)).max() < IDENTITY_ATOL
+        _claim(np.abs(G - np.eye(4)).max() < IDENTITY_ATOL)
         for (obs, idx), val in apps.mean_king_line_sums(king_net).items():
             want = {1: 0.0, 2: 0.5}.get(idx, 0.25)
-            assert abs(val - want) < IDENTITY_ATOL, (obs, idx, val)
+            _claim(abs(val - want) < IDENTITY_ATOL, (obs, idx, val))
 
     def retrodiction():
         king_net = apps.mean_king_net(field)
-        assert abs(apps.mean_king_simulate(king_net) - 1) < IDENTITY_ATOL
+        _claim(abs(apps.mean_king_simulate(king_net) - 1) < IDENTITY_ATOL)
 
     return [
         ("field", "field.power_ordering_complete", orderings),
@@ -606,6 +615,11 @@ def dispatch(argv=None) -> int:
 
 
 def main() -> None:
+    # one BLAS thread unless the user says otherwise: every dense product
+    # here is at most 64 x 64, where a thread pool only burns CPU; set
+    # before anything imports numpy, which reads these once
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     code = dispatch()
     # move the heap to the permanent generation, so the collection at
     # interpreter exit skips it; flushes and atexit handlers still run

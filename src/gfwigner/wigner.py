@@ -8,7 +8,16 @@ one permutation of it (display_index); grid.values is a
 Two routes are provided and cross-checked in the tests:
 
 * a dense route: W(alpha) = Tr(rho A(alpha)) with the phase-space point
-  operators A(alpha) = T_alpha A(0) T_alpha^dagger built from a quantum net;
+  operators A(alpha) = T_alpha A(0) T_alpha^dagger built from a quantum net.
+  T_alpha is a signed permutation of the basis, so A(alpha) is A(0) with
+  its indices moved (r -> r ^ index[qbits]) and signed (sigma_b[r]
+  sigma_b[r'], sigma_b[r] = (-1)^popcount(b & index[r])): one gather of
+  A(0) per qbits row and one +-1 outer product per point, no matrix
+  product.  Each W(alpha) is still the trace of the full BLAS product
+  rho @ A(alpha): its summation order fixes the float noise of cells that
+  are zero up to rounding, whose sign the exported ascii shading shows, so
+  a cheaper trace (or the transform of chi(beta) = Tr(rho T_beta)) waits
+  until the exported digests no longer depend on that noise;
 * an exact route for stabilizer states: the closed form
   W(alpha) = N^-2 sum_{beta in S} f(beta) g(beta) (-1)^<alpha,beta>.
   f and g are the same kind of sign: f(beta) is the sign of T_beta in the
@@ -43,8 +52,8 @@ from .net import QuantumNet
 from .pauli import (
     INPUT_ATOL,
     StabilizerGroup,
+    _dense_tables,
     pauli_sum,
-    to_matrix,
     translation_for,
     walsh_hadamard,
 )
@@ -144,25 +153,48 @@ class WignerGrid:
 # -- dense route ----------------------------------------------------------------
 
 
+def _row_operators(net: QuantumNet, qbits: int, pbits=None):
+    """A(alpha) for the points alpha = (qbits, b), b in pbits (default all N,
+    in order), one at a time.
+
+    T(a, b) is the signed permutation r -> r ^ index[a] with signs
+    sigma_b[r] = (-1)^popcount(b & index[r]) (and a phase i^(a.b) that
+    cancels between T and T^dagger), r the basis index.  So
+    A(alpha)[r, r'] = sigma_b[r] sigma_b[r'] A(0)[r ^ index[a], r' ^ index[a]]:
+    one gather of A(0) per row, one real +-1 outer product per point.  The
+    values are those of T A(0) T^dagger exactly, up to the sign of zeros.
+    """
+    x, index, popcount = _dense_tables(net.field.n)
+    moved = x ^ index[qbits]
+    A = net.a0_matrix()[np.ix_(moved, moved)]
+    for b in x if pbits is None else pbits:
+        sigma = 1 - 2 * (popcount[b & index] & 1)
+        yield A * np.outer(sigma, sigma)
+
+
 def point_operator(net: QuantumNet, alpha: BinaryPoint) -> np.ndarray:
-    """A(alpha) = T_alpha A(0) T_alpha^dagger."""
-    A0 = net.a0_matrix()
-    if alpha.is_origin:
-        return A0
-    T = to_matrix(translation_for(alpha))
-    return T @ A0 @ T.conj().T
+    """A(alpha) = T_alpha A(0) T_alpha^dagger, as A(0) moved and signed."""
+    (A,) = _row_operators(net, alpha.qbits, [alpha.pbits])
+    return A
 
 
 def wigner_of(net: QuantumNet, rho: np.ndarray) -> WignerGrid:
-    """W(alpha) = Tr(rho A(alpha)) for every phase-space point."""
+    """W(alpha) = Tr(rho A(alpha)) for every phase-space point.
+
+    Each trace is read off the full product rho @ A(alpha): its BLAS
+    summation order fixes the float noise of cells that are zero up to
+    rounding, whose signs the exported grids show.
+    """
     field = net.field
     rho = check_density_matrix(rho, field.n)
     flat = np.empty(field.N * field.N)
-    for i, alpha in enumerate(all_points(field)):
-        w = np.trace(rho @ point_operator(net, alpha))
-        if abs(w.imag) > INPUT_ATOL:
-            raise InvalidDensityMatrix(f"complex Wigner value {w} at {alpha}")
-        flat[i] = w.real
+    for qbits in range(field.N):
+        for pbits, A in enumerate(_row_operators(net, qbits)):
+            w = np.trace(rho @ A)
+            if abs(w.imag) > INPUT_ATOL:
+                alpha = BinaryPoint(qbits, pbits, field.n)
+                raise InvalidDensityMatrix(f"complex Wigner value {w} at {alpha}")
+            flat[(qbits << field.n) | pbits] = w.real
     return WignerGrid(field, flat)
 
 

@@ -7,7 +7,7 @@ from itertools import islice
 
 import numpy as np
 
-from gfwigner.cli import resolve_net
+from gfwigner.cli import export_grid, resolve_net, resolve_state
 from gfwigner.errors import SingularBasis
 from gfwigner.galois import field_new
 from gfwigner.net import (
@@ -27,7 +27,8 @@ from gfwigner.pauli import (
     translation_for,
 )
 from gfwigner.phasespace import BinaryPoint, PhasePoint, wedge
-from gfwigner.wigner import all_points, point_operator
+from gfwigner.wigner import (WignerGrid, all_points, check_density_matrix,
+                             point_operator)
 
 _XZ = {
     (0, 0): np.eye(2, dtype=complex),
@@ -113,6 +114,35 @@ def point_operator_sum(net, alpha: BinaryPoint) -> np.ndarray:
         sign = net.f(beta) * (-1) ** wedge(alpha, beta)
         A += sign * to_matrix(translation_for(beta))
     return A / (N * N)
+
+
+def point_operator_conjugation(net, alpha: BinaryPoint) -> np.ndarray:
+    """A(alpha) = T_alpha A(0) T_alpha^dagger by two dense products."""
+    A0 = net.a0_matrix()
+    if alpha.is_origin:
+        return A0
+    T = to_matrix(translation_for(alpha))
+    return T @ A0 @ T.conj().T
+
+
+def wigner_of_loop(net, rho) -> WignerGrid:
+    """W(alpha) = Tr(rho A(alpha)), one conjugated point operator and one
+    full product rho @ A(alpha) per point."""
+    field = net.field
+    rho = check_density_matrix(rho, field.n)
+    flat = np.array([np.trace(rho @ point_operator_conjugation(net, alpha)).real
+                     for alpha in all_points(field)])
+    return WignerGrid(field, flat)
+
+
+def wigner_stdout_loop(n: int, state_spec: str, net_spec: str = "default",
+                       poly: int | None = None) -> str:
+    """What `gfwigner wigner --n n --state state_spec --net net_spec
+    --format json [--poly]` writes for a density-matrix state, by the
+    per-point loop."""
+    net = resolve_net(field_new(n, poly), net_spec)
+    _, rho = resolve_state(net.field, state_spec)
+    return export_grid(wigner_of_loop(net, rho), "json", {"net": net.fingerprint()})
 
 
 def translation_from_points(net, beta: BinaryPoint) -> np.ndarray:

@@ -528,6 +528,23 @@ def test_closed_stdout_pipe_exits_141_quietly(unbuffered):
     assert err == b""
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "3"], ids=["unset", "preset"])
+def test_main_defaults_to_one_blas_thread(monkeypatch, preset):
+    for var in BLAS_VARS:
+        if preset:
+            monkeypatch.setenv(var, preset)
+        else:
+            monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(cli, "dispatch", lambda: 0)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: None)
+    with pytest.raises(SystemExit):
+        cli.main()
+    assert [os.environ[var] for var in BLAS_VARS] == [preset or "1"] * 3
+
+
 # -- verify ------------------------------------------------------------------------
 
 
@@ -569,4 +586,24 @@ def test_failing_row_is_reported_and_later_rows_still_run(capsys, monkeypatch):
         "FAIL net.mub_property: broken on purpose", "PASS net.f_is_sign",
         "PASS wigner.operator_orthogonality", "PASS wigner.line_projectors",
         "PASS wigner.reconstruction_roundtrip",
+    ]
+
+
+def test_a_failing_claim_fails_under_python_O():
+    # -O strips assert statements; verify's claims must fail there all the same
+    script = textwrap.dedent("""
+        import sys
+        from gfwigner import cli
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        cli.power_ordering = lambda field, gen: [0] * field.N
+        sys.exit(cli.dispatch(["verify", "--n", "1"]))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(gfwigner.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout.splitlines()[:2] == [
+        "FAIL field.power_ordering_complete: ordering misses elements",
+        "PASS field.trace_linear",
     ]

@@ -34,6 +34,7 @@ from gfwigner.wigner import (
     WignerGrid,
     all_points,
     expectation_translation,
+    point_operator,
     purity_identity_residual,
     reconstruct,
     stabilizer_wigner,
@@ -44,11 +45,13 @@ from oracles import (
     a0_from_projectors,
     class_points,
     covariant_signs_dense,
+    point_operator_conjugation,
     purity_identity_residual_loop,
     ray_projector,
     stabilizer_elements_doubling,
     stabilizer_projector_loop,
     to_matrix_kron,
+    wigner_of_loop,
 )
 
 PROPERTY = settings(max_examples=10, deadline=None)
@@ -163,6 +166,33 @@ def test_purity_residual_exact_grids_match_loop(data):
     assert isinstance(got, Fraction)
     assert got == purity_identity_residual_loop(mixed)
     assert purity_identity_residual(net, pure) == 0
+
+
+@pytest.mark.parametrize("net_kind", [independent_nets, covariant_nets],
+                         ids=["independent", "covariant"])
+@PROPERTY
+@given(st.data())
+def test_point_operator_equals_the_conjugation(net_kind, data):
+    # A(0) moved and signed equals T A(0) T^dagger by dense products, on one
+    # drawn row of N points (up to the sign of zeros, which array_equal
+    # ignores)
+    field = data.draw(fields(6))
+    net = data.draw(net_kind(field))
+    qbits = data.draw(st.integers(0, field.N - 1))
+    for pbits in range(field.N):
+        alpha = BinaryPoint(qbits, pbits, field.n)
+        assert np.array_equal(point_operator(net, alpha), point_operator_conjugation(net, alpha))
+
+
+@PROPERTY
+@given(st.data())
+def test_wigner_of_equals_the_loop_bit_for_bit(data):
+    # the exported float text, noise cells included, follows these bits
+    field = data.draw(fields(5))
+    net = data.draw(nets(field))
+    rho = data.draw(densities(field))
+    got = wigner_of(net, rho).flat.view(np.int64)
+    assert np.array_equal(got, wigner_of_loop(net, rho).flat.view(np.int64))
 
 
 @PROPERTY

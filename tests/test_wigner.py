@@ -1,6 +1,7 @@
 """Point operators, Wigner transforms, and the exact stabilizer route."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -32,11 +33,14 @@ from gfwigner.wigner import (
     state_density,
     wigner_of,
 )
+from gfwigner.cli import resolve_state
+from gfwigner.pauli import IDENTITY_ATOL
 from oracles import (
     autocorrelation,
     point_operator_sum,
     purity_identity_residual_loop,
     translation_from_points,
+    wigner_of_loop,
 )
 
 
@@ -69,6 +73,34 @@ def test_point_operator_two_routes_agree():
                 point_operator_sum(net, alpha),
                 atol=1e-10,
             )
+
+
+def test_meanking_phi1_grid_equals_the_loop_bit_for_bit():
+    # `wigner --n 2 --state meanking_phi1` prints the sign of the cells that
+    # are zero up to rounding (8 of float noise, 1 exact 0): the grid must
+    # keep every bit of the per-point T A(0) T^dagger route
+    field = field_new(2)
+    net = build_net(field)
+    _, rho = resolve_state(field, "meanking_phi1")
+    got = wigner_of(net, rho).flat
+    assert np.array_equal(got.view(np.int64), wigner_of_loop(net, rho).flat.view(np.int64))
+    assert np.count_nonzero(np.abs(got) < IDENTITY_ATOL) == 9
+
+
+def test_complex_wigner_value_names_its_point():
+    # the hermiticity check is loose on the diagonal (allclose's rtol), so an
+    # imaginary diagonal part of 1e-6 passes it and shows in W as Im W; the
+    # diagonal of A(0) is (1/4, 0, 0, 0), so the first such point is not the
+    # origin
+    field = field_new(2)
+    rho = np.diag(0.25 + 1e-6j * np.array([0, 1, -1, 0]))
+    net = build_net(field)
+    first = next(alpha for alpha in all_points(field)
+                 if abs(np.trace(rho @ point_operator_sum(net, alpha)).imag) > 1e-8)
+    assert not first.is_origin
+    with pytest.raises(InvalidDensityMatrix,
+                       match=f"complex Wigner value .* at {re.escape(str(first))}$"):
+        wigner_of(net, rho)
 
 
 def test_point_operator_orthogonality():
