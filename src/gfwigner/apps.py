@@ -263,7 +263,7 @@ def grid_parameters(field: GF2Field, grid: WignerGrid) -> dict[str, object]:
     that the grid is constant on every slot."""
     params = {}
     for letter, cells in qec_slots(field).items():
-        vals = set(grid.flat[cells].tolist())
+        vals = {grid.flat[i] for i in cells}
         if len(vals) != 1:
             raise InconsistentStabilizer(f"grid not constant on slot {letter}")
         params[letter] = vals.pop()
@@ -272,10 +272,11 @@ def grid_parameters(field: GF2Field, grid: WignerGrid) -> dict[str, object]:
 
 def grid_from_parameters(field: GF2Field, params: dict) -> WignerGrid:
     """Build the 8 x 8 grid realizing given slot parameters."""
-    flat = np.empty(field.N * field.N, dtype=object)
+    flat = [None] * (field.N * field.N)
     for letter, cells in qec_slots(field).items():
-        flat[cells] = params[letter]
-    return WignerGrid(field, flat, exact=True)
+        for i in cells:
+            flat[i] = params[letter]
+    return WignerGrid(field, tuple(flat), exact=True)
 
 
 def code_solution_family() -> list[dict[str, Fraction]]:

@@ -8,9 +8,13 @@ Start-up costs only what a subcommand uses.  The package namespace is lazy
 (gfwigner/__init__.py loads no submodule), and at module level this file
 imports the standard library, `errors`, `galois` and `phasespace`, none of
 which imports numpy, so `field`, `rays`, `uomega`, `--help` and usage errors
-never load it.  The array modules (numpy, `pauli`, `net`, `wigner`, `apps`)
-are imported inside the functions that use them, when `mub`, `wigner`,
-`bell`, `qec`, `meanking` or `verify` runs.  `main` asks for one BLAS thread
+never load it.  `pauli`, `net` and `wigner` are imported inside the
+functions that use them, and import numpy only inside their own functions
+that build arrays; `apps` imports numpy when it loads.  So exact `wigner`
+requests (a stabilizer file or a `computational_*` preset, on any net)
+start without numpy too, and it is loaded by `mub`, `bell`, `qec`,
+`meanking`, `verify` and `wigner` on a density file or an `apps` preset
+(`bell_*`, `qec_*`, `meanking_phi1`).  `main` asks for one BLAS thread
 (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS default to 1; a
 value already set is kept) before numpy loads, and freezes the heap
 (gc.freeze) before exiting, so the final garbage collection at interpreter
@@ -62,9 +66,10 @@ def _fmt_value(v) -> str:
 
 def grid_rows(grid: WignerGrid) -> list[list]:
     """Grid as rows of values: rows are p descending, columns q ascending."""
-    from .wigner import display_index
+    from .wigner import display_rows
 
-    return grid.flat[display_index(grid.field).T[::-1]].tolist()
+    cells = grid.flat if grid.exact else grid.flat.tolist()
+    return [[cells[i] for i in row] for row in display_rows(grid.field)]
 
 
 def export_grid(grid: WignerGrid, fmt: str, meta: dict | None = None) -> str:
@@ -157,9 +162,7 @@ def _grid_cell(cell, exact: bool):
 
 def import_grid(text: str) -> WignerGrid:
     """Inverse of export_grid(fmt='json'); rejects malformed grids."""
-    import numpy as np
-
-    from .wigner import WignerGrid, display_index
+    from .wigner import WignerGrid, display_rows
 
     payload = json.loads(text)
     keys = {"n", "poly", "exact", "rows_p_descending"}
@@ -176,10 +179,15 @@ def import_grid(text: str) -> WignerGrid:
     if not (isinstance(rows, list) and len(rows) == N
             and all(isinstance(row, list) and len(row) == N for row in rows)):
         raise MalformedInput(f"grid JSON needs {N} rows of {N} cells")
-    flat = np.empty(N * N, dtype=object if exact else float)
-    flat[display_index(field).T[::-1]] = np.array(
-        [[_grid_cell(cell, exact) for cell in row] for row in rows], dtype=flat.dtype)
-    return WignerGrid(field, flat, exact=exact)
+    flat = [None] * (N * N)
+    for indices, row in zip(display_rows(field), rows):
+        for i, cell in zip(indices, row):
+            flat[i] = _grid_cell(cell, exact)
+    if exact:
+        return WignerGrid(field, tuple(flat), exact=True)
+    import numpy as np
+
+    return WignerGrid(field, np.array(flat, dtype=float))
 
 
 # -- net and state resolution ------------------------------------------------------
@@ -208,11 +216,7 @@ def resolve_state(field: GF2Field, spec: str):
     qec_logical_{0,1}, meanking_phi1.  Files: JSON with either
     {"stabilizer": [["+XXI", 1], ...]} or {"density": [[[re, im], ...], ...]}.
     """
-    import numpy as np
-
-    from . import apps
-    from .pauli import parse_pauli
-    from .wigner import StabilizerGroup, check_density_matrix, state_density
+    from .pauli import StabilizerGroup, parse_pauli
 
     n = field.n
     if spec.startswith("computational_"):
@@ -226,14 +230,21 @@ def resolve_state(field: GF2Field, spec: str):
     if spec.startswith(("bell_phi_", "bell_psi_")):
         if n != 2:
             raise GfwignerError("bell presets need --n 2")
+        from . import apps
+
         return "stabilizer", apps.bell_stabilizer(field, spec.removeprefix("bell_"))
     if spec in ("qec_logical_0", "qec_logical_1"):
         if n != 3:
             raise GfwignerError("qec presets need --n 3")
+        from . import apps
+
         return "stabilizer", apps.logical_group(field, int(spec[-1]))
     if spec == "meanking_phi1":
         if n != 2:
             raise GfwignerError("meanking_phi1 needs --n 2")
+        from . import apps
+        from .wigner import state_density
+
         phi1 = apps.mean_king_basis(apps.mean_king_net(field))[0]
         return "dense", state_density(phi1)
     with open(spec) as fh:
@@ -254,6 +265,10 @@ def resolve_state(field: GF2Field, spec: str):
             isinstance(row, list) and all(_is_pair(cell) for cell in row)
             for row in rows)):
         raise MalformedInput('"density" needs rows of [re, im] number pairs')
+    import numpy as np
+
+    from .wigner import check_density_matrix
+
     try:
         rho = np.array([[complex(re, im) for re, im in row] for row in rows])
     except OverflowError:

@@ -14,15 +14,16 @@ permutes translations, U_w T(a, b) U_w^dagger = +-T(a M, b M~^-1).  U_w's
 matrix is a dense realisation that nets do not need; dense matrices are
 built only when a caller asks for them, each as one Pauli sum: a ray
 projector is the ray group's N^-1 sum_{beta in ray} f(beta) T_beta and A(0)
-is N^-2 sum_beta f(beta) T_beta over the flat f vector.
+is N^-2 sum_beta f(beta) T_beta over the flat f vector.  numpy is imported
+only inside the functions that build arrays.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import islice
-
-import numpy as np
+from numbers import Integral
+from typing import TYPE_CHECKING
 
 from .errors import MalformedInput, SingularBasis
 from .galois import GF2Field, field_new, parse_poly
@@ -52,6 +53,9 @@ from .phasespace import (
     to_binary,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def ray_generators(field: GF2Field, label) -> tuple[PauliTranslation, ...]:
     """The n generators of one ray's class: the first n points of its walk,
@@ -65,6 +69,8 @@ def ray_generators(field: GF2Field, label) -> tuple[PauliTranslation, ...]:
 
 def u_omega_matrix(field: GF2Field) -> np.ndarray:
     """Dense U_w as the basis permutation |bits> -> |bits . M>."""
+    import numpy as np
+
     n = field.n
     N = dense_dim(n)
     U = np.zeros((N, N), dtype=complex)
@@ -80,7 +86,7 @@ def conjugate_by_u_omega(field: GF2Field, t: PauliTranslation) -> PauliTranslati
 
 
 def _is_sign(e) -> bool:
-    return isinstance(e, (int, np.integer)) and not isinstance(e, bool) and e in (1, -1)
+    return isinstance(e, Integral) and not isinstance(e, bool) and e in (1, -1)
 
 
 def _checked_signs(field: GF2Field, signs: dict) -> dict:
@@ -172,6 +178,8 @@ class QuantumNet:
     def f_vector(self) -> np.ndarray:
         """f at every (qbits << n) | pbits, f(0) = 1: dense Pauli sums' input."""
         if self._f_vector is None:
+            import numpy as np
+
             n, N = self.field.n, dense_dim(self.field.n)
             f = np.ones(N * N, dtype=np.int64)
             for (a, b), sign in self.f_table().items():
@@ -180,8 +188,9 @@ class QuantumNet:
         return self._f_vector
 
     def _f_json(self) -> dict[str, int]:
-        bits = self.field.bits_str
-        return {f"{bits(q)},{bits(p)}": v for (q, p), v in sorted(self.f_table().items())}
+        """f keyed by "qbits,pbits" strings, each element's bits rendered once."""
+        bits = [self.field.bits_str(x) for x in range(self.field.N)]
+        return {f"{bits[q]},{bits[p]}": v for (q, p), v in sorted(self.f_table().items())}
 
     # -- phase-space point operators -----------------------------------------
 
@@ -249,6 +258,8 @@ def net_from_json(text: str) -> QuantumNet:
 def projector_to_state(P: np.ndarray) -> np.ndarray:
     """Unit vector spanning a rank-one projector, first nonzero entry made
     real positive."""
+    import numpy as np
+
     col = int(np.argmax(np.abs(np.diag(P))))
     v = P[:, col]
     norm = np.linalg.norm(v)
@@ -259,6 +270,8 @@ def projector_to_state(P: np.ndarray) -> np.ndarray:
 
 
 def fix_phase(v: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     idx = int(np.argmax(np.abs(v) > IDENTITY_ATOL))
     return v * (abs(v[idx]) / v[idx])
 
@@ -332,6 +345,8 @@ def mub_bases(net: QuantumNet) -> dict:
 def mub_overlap_report(bases: dict) -> dict:
     """Worst deviations from orthonormality within each basis and from
     |<u|v>|^2 = 1/N across bases; one N x N product per basis and per pair."""
+    import numpy as np
+
     mats = [np.array(vectors) for vectors in bases.values()]
     N = mats[0].shape[1]
     gram = max(np.abs(A.conj() @ A.T - np.eye(N)).max() for A in mats)

@@ -13,6 +13,7 @@ stabilizer state are both one.
 
 Every dense operator of the package is built here, as a Pauli sum
 sum_beta c(beta) T_beta: one Walsh-Hadamard transform over b for each a.
+numpy is imported only inside the functions that build arrays.
 """
 
 from __future__ import annotations
@@ -20,13 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (DimensionMismatch, DimensionTooLarge, InconsistentStabilizer,
                      MalformedInput, NonCommutingGenerators)
 from .galois import GF2Field, solve_gf2
 from .phasespace import HORIZONTAL, VERTICAL, BinaryPoint
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DENSE_MAX_QUBITS = 6
 
@@ -39,7 +42,7 @@ INPUT_ATOL = 1e-8
 """For outside input (a density matrix, a measurement basis) and values
 derived from it, such as the imaginary part of a Wigner value."""
 
-_I_POW = np.array([1, 1j, -1, -1j])
+_I_POW = (1, 1j, -1, -1j)
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,8 @@ def dense_dim(n: int) -> int:
 @cache
 def _dense_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """x = 0..N-1, the basis index of each x and popcount(x)."""
+    import numpy as np
+
     x = np.arange(dense_dim(n))
     return x, np.array([basis_index(b, n) for b in x]), sum((x >> i) & 1 for i in range(n))
 
@@ -111,6 +116,8 @@ def _dense_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def walsh_hadamard(v: np.ndarray) -> np.ndarray:
     """H[..., y] = sum_x v[..., x] (-1)^(x.y) along the last axis (of length
     2^k); unnormalised, so int64 and object arrays of ints sum exactly."""
+    import numpy as np
+
     shape, h = v.shape, 1
     while h < shape[-1]:
         lo, hi = np.moveaxis(v.reshape(*shape[:-1], -1, 2, h), -2, 0)
@@ -121,9 +128,11 @@ def walsh_hadamard(v: np.ndarray) -> np.ndarray:
 
 def to_matrix(t: PauliTranslation) -> np.ndarray:
     """The signed permutation |x> -> i^s (-1)^(b.x) |x ^ a>."""
+    import numpy as np
+
     x, index, popcount = _dense_tables(t.n)
     out = np.zeros((x.size, x.size), dtype=complex)
-    out[index[x ^ t.a], index] = _I_POW[(t.s + 2 * popcount[t.b & x]) % 4]
+    out[index[x ^ t.a], index] = np.take(_I_POW, (t.s + 2 * popcount[t.b & x]) % 4)
     return out
 
 
@@ -131,8 +140,10 @@ def pauli_sum(n: int, coeffs: np.ndarray) -> np.ndarray:
     """sum_beta coeffs[(a << n) | b] T(a, b) over the canonical T.  Column x
     of T(a, b) holds i^(a.b) (-1)^(b.x) in row x ^ a, so entry (x ^ a, x) of
     the sum is the Walsh-Hadamard transform over b of coeffs i^(a.b) at x."""
+    import numpy as np
+
     x, index, popcount = _dense_tables(n)
-    terms = np.reshape(coeffs, (x.size, x.size)) * _I_POW[popcount[x[:, None] & x] % 4]
+    terms = np.reshape(coeffs, (x.size, x.size)) * np.take(_I_POW, popcount[x[:, None] & x] % 4)
     out = np.empty((x.size, x.size), dtype=complex)
     out[index[x[:, None] ^ x], index] = walsh_hadamard(terms)
     return out
@@ -211,7 +222,8 @@ class StabilizerGroup:
     @cached_property
     def elements(self) -> dict[tuple[int, int], int]:
         """g on the whole span, the origin first: the span in Gray-code order,
-        one compose per member."""
+        one compose per member, so the i-th member is the product of the
+        generators k with bit k set in x = i ^ (i >> 1)."""
         prod, sign = PauliTranslation(self.field.n, 0, 0), 1
         out = {(0, 0): 1}
         for step in range(1, 1 << len(self.gens)):
@@ -232,6 +244,8 @@ class StabilizerGroup:
 
     def projector(self) -> np.ndarray:
         """Dense rank-one projector N^-1 sum_{beta in S} g(beta) T_beta."""
+        import numpy as np
+
         n, N = self.field.n, dense_dim(self.field.n)
         g = np.zeros(N * N, dtype=np.int64)
         for (qb, pb), sign in self.elements.items():

@@ -1,9 +1,10 @@
 """Discrete Wigner functions on the GF(2^n) phase space.
 
-A grid is one flat array of N^2 values indexed by (qbits << n) | pbits:
-float64 for dense grids, Fraction objects for exact ones.  Display order is
-one permutation of it (display_index); grid.values is a
-{(qbits, pbits): value} dict built on request.
+A grid is N^2 values in one flat sequence indexed by (qbits << n) | pbits:
+a float64 array for dense grids, a tuple of Fractions for exact ones.
+Display order is one permutation of it (display_rows, or display_index
+as an array); grid.values is a {(qbits, pbits): value} dict built on
+request.
 
 Two routes are provided and cross-checked in the tests:
 
@@ -22,18 +23,24 @@ Two routes are provided and cross-checked in the tests:
   W(alpha) = N^-2 sum_{beta in S} f(beta) g(beta) (-1)^<alpha,beta>.
   f and g are the same kind of sign: f(beta) is the sign of T_beta in the
   group of the net's ray through beta, g(beta) its sign in the state's
-  group S, and both groups are pauli.StabilizerGroup.  The sum over S for
-  all N^2 points at once is one integer symplectic Walsh-Hadamard
-  transform, O(N^2 log N), with one denominator N^2, so the grid stays
-  rational; a GHZ grid at n = 8 takes well under a second.
+  group S, and both groups are pauli.StabilizerGroup.  S is spanned by n
+  generators g_k, so with beta(x) = sum_k x_k g_k the sign
+  (-1)^<alpha,beta(x)> is (-1)^(x . s(alpha)), s(alpha)_k = <alpha, g_k>
+  the syndrome of alpha.  The whole grid is therefore one N-point integer
+  Walsh-Hadamard transform of c[x] = f(beta(x)) g(beta(x)), read off at
+  each point's syndrome: O(N log N + N^2) in plain Python ints, with one
+  denominator N^2, so the grid stays rational and needs no numpy.
 
-The same transform inverts a grid of either kind: with
+The symplectic transform inverts a grid of either kind: with
 hat W(beta) = sum_alpha W(alpha) (-1)^<alpha,beta>, <T_beta> is
 f(beta) hat W(beta) (exact on exact grids) and
 rho = N^-1 sum_beta f(beta) hat W(beta) T_beta, one Pauli sum
 (pauli.pauli_sum), as is a stabilizer projector N^-1 sum_{beta in S}
 g(beta) T_beta.  A grid caches hat W, so it is not changed after it is
 built.
+
+numpy is imported only inside the functions that build arrays, so an exact
+grid is computed and exported without it.
 """
 
 from __future__ import annotations
@@ -43,8 +50,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 from math import lcm
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DimensionTooLarge, FieldMismatch, InvalidDensityMatrix
 from .galois import GF2Field
@@ -59,6 +65,9 @@ from .pauli import (
 )
 from .phasespace import BinaryPoint, grid_axis, wedge
 
+if TYPE_CHECKING:
+    import numpy as np
+
 GRID_MAX_QUBITS = 8
 
 
@@ -71,6 +80,8 @@ def all_points(field: GF2Field):
 
 def check_density_matrix(rho: np.ndarray, n: int) -> np.ndarray:
     """Validate shape, hermiticity, unit trace and positivity (to INPUT_ATOL)."""
+    import numpy as np
+
     N, atol = 1 << n, INPUT_ATOL
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (N, N):
@@ -85,43 +96,57 @@ def check_density_matrix(rho: np.ndarray, n: int) -> np.ndarray:
 
 
 def state_density(vec: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     v = np.asarray(vec, dtype=complex)
     v = v / np.linalg.norm(v)
     return np.outer(v, v.conj())
 
 
+def display_rows(field: GF2Field) -> list[list[int]]:
+    """Flat grid indices (qbits << n) | pbits as a grid is printed: rows are
+    p descending, columns q ascending, both along axis = grid_axis(field)."""
+    axis = grid_axis(field)
+    return [[(q << field.n) | pb for q in axis]
+            for pb in map(field.p_to_bits, reversed(axis))]
+
+
 def display_index(field: GF2Field) -> np.ndarray:
     """Flat grid indices (qbits << n) | pbits in display order: entry [i, j]
     is the point with q = axis[i] and p = axis[j], axis = grid_axis(field)."""
-    axis = grid_axis(field)
-    pbits = [field.p_to_bits(p) for p in axis]
-    return np.array([[(q << field.n) | pb for pb in pbits] for q in axis])
+    import numpy as np
+
+    return np.array(display_rows(field))[::-1].T
 
 
 @dataclass(eq=False)
 class WignerGrid:
     """Wigner values on the N x N grid: flat[(qbits << n) | pbits].
 
-    exact=True marks grids whose values are Fractions in an object array
-    (stabilizer route); dense grids hold float64.  A grid is not changed
-    after it is built: its transform hat is computed once and cached.
+    exact=True marks grids whose values are Fractions in a tuple
+    (stabilizer route); dense grids hold a float64 array.  A grid is not
+    changed after it is built: its transform hat is computed once and cached.
     """
 
     field: GF2Field
-    flat: np.ndarray
+    flat: tuple[Fraction, ...] | np.ndarray
     exact: bool = False
+
+    def _at(self, i: int):
+        """The value at flat index i: a Fraction, or a Python float."""
+        return self.flat[i] if self.exact else self.flat.item(i)
 
     @property
     def values(self) -> dict:
         """A {(qbits, pbits): value} dict, built on each access."""
         N = self.field.N
-        return dict(zip(product(range(N), repeat=2), self.flat.tolist()))
+        return dict(zip(product(range(N), repeat=2), map(self._at, range(N * N))))
 
     def value(self, point: BinaryPoint):
-        return self.flat.item((point.qbits << self.field.n) | point.pbits)
+        return self._at((point.qbits << self.field.n) | point.pbits)
 
     def total(self):
-        return sum(self.flat.tolist())
+        return sum(map(self._at, range(len(self.flat))))
 
     @cached_property
     def hat(self) -> tuple[np.ndarray, int]:
@@ -133,6 +158,8 @@ class WignerGrid:
         """
         if not self.exact:
             return _symplectic_transform(self.flat, self.field.n), 1
+        import numpy as np
+
         # Python ints, not int64: numerators over an arbitrary common
         # denominator D can overflow 64 bits once squared and summed.
         D = lcm(*(w.denominator for w in self.flat))
@@ -141,12 +168,14 @@ class WignerGrid:
 
     def as_array(self) -> np.ndarray:
         """Array indexed [q_axis][p_axis] with axis order 0, 1, w, w^2, ..."""
-        return np.asarray(self.flat[display_index(self.field)], dtype=float)
+        import numpy as np
+
+        return np.asarray(self.flat, dtype=float)[display_index(self.field)]
 
     def line_sum(self, line) -> float:
         field, total = self.field, 0
         for pt in line.points(field):
-            total += self.flat.item((pt.q << field.n) | field.p_to_bits(pt.p))
+            total += self._at((pt.q << field.n) | field.p_to_bits(pt.p))
         return total
 
 
@@ -164,6 +193,8 @@ def _row_operators(net: QuantumNet, qbits: int, pbits=None):
     one gather of A(0) per row, one real +-1 outer product per point.  The
     values are those of T A(0) T^dagger exactly, up to the sign of zeros.
     """
+    import numpy as np
+
     x, index, popcount = _dense_tables(net.field.n)
     moved = x ^ index[qbits]
     A = net.a0_matrix()[np.ix_(moved, moved)]
@@ -185,6 +216,8 @@ def wigner_of(net: QuantumNet, rho: np.ndarray) -> WignerGrid:
     summation order fixes the float noise of cells that are zero up to
     rounding, whose signs the exported grids show.
     """
+    import numpy as np
+
     field = net.field
     rho = check_density_matrix(rho, field.n)
     flat = np.empty(field.N * field.N)
@@ -200,10 +233,12 @@ def wigner_of(net: QuantumNet, rho: np.ndarray) -> WignerGrid:
 
 def reconstruct(net: QuantumNet, grid: WignerGrid) -> np.ndarray:
     """rho = N^-1 sum_beta f(beta) hat W(beta) T_beta."""
+    import numpy as np
+
     field = net.field
     if grid.field != field:
         raise FieldMismatch("grid and net use different fields")
-    hat = _symplectic_transform(grid.flat.astype(float), field.n)
+    hat = _symplectic_transform(np.asarray(grid.flat, dtype=float), field.n)
     return pauli_sum(field.n, net.f_vector() * hat) / field.N
 
 
@@ -237,6 +272,8 @@ def purity_identity_residual(net: QuantumNet, grid: WignerGrid) -> float | Fract
     autocorrelation sum_a W(a)W(a+b) is the transform of hat W^2 over N^2.
     An exact grid gives an exact Fraction; a dense grid gives a float.
     """
+    import numpy as np
+
     n, N = grid.field.n, grid.field.N
     hat, D = grid.hat
     sq = hat * hat
@@ -267,8 +304,10 @@ def stabilizer_wigner_value(
 def stabilizer_wigner(net: QuantumNet, group: StabilizerGroup) -> WignerGrid:
     """Exact Wigner grid of a stabilizer state (grid size caps at 2^8 axes).
 
-    One integer symplectic transform of f(beta) g(beta) on S gives the
-    numerators of all N^2 values over the common denominator N^2.
+    One N-point integer Walsh-Hadamard transform of c[x] = f(beta(x))
+    g(beta(x)) over the generator coordinates x gives every numerator over
+    the common denominator N^2; the point alpha reads it at its syndrome
+    s(alpha)_k = <alpha, g_k>.
     """
     field = net.field
     if group.field != field:
@@ -279,12 +318,27 @@ def stabilizer_wigner(net: QuantumNet, group: StabilizerGroup) -> WignerGrid:
             "use stabilizer_wigner_value for single points"
         )
     n, N = field.n, field.N
-    v = np.zeros(N * N, dtype=np.int64)
-    for (qb, pb), g in group.elements.items():
-        v[(qb << n) | pb] = net.f(BinaryPoint(qb, pb, n)) * g
-    nums = _symplectic_transform(v, n).tolist()
-    frac = {k: Fraction(k, N * N) for k in set(nums)}  # at most 2N + 1 values
-    return WignerGrid(field, np.array([frac[k] for k in nums], dtype=object), exact=True)
+    # the group's elements come in Gray-code order: step i is x = i ^ (i >> 1)
+    c = [0] * N
+    for i, ((qb, pb), g) in enumerate(group.elements.items()):
+        c[i ^ (i >> 1)] = net.f(BinaryPoint(qb, pb, n)) * g
+    h = 1  # c becomes its Walsh-Hadamard transform, in place
+    while h < N:
+        for lo in range(0, N, 2 * h):
+            for j in range(lo, lo + h):
+                c[j], c[j + h] = c[j] + c[j + h], c[j] - c[j + h]
+        h *= 2
+    # s(alpha)_k = <alpha, g_k> is the parity of i & w_k, for i the flat
+    # index of alpha and w_k = (b_k << n) | a_k: one XOR doubling of the
+    # table per bit j of i
+    w = [(g.b << n) | g.a for g in group.gens]
+    syndrome = [0]
+    for j in range(2 * n):
+        m = sum((wk >> j & 1) << k for k, wk in enumerate(w))
+        syndrome += [s ^ m for s in syndrome]
+    frac = {k: Fraction(k, N * N) for k in set(c)}  # at most 2N + 1 values
+    cells = [frac[k] for k in c]
+    return WignerGrid(field, tuple(map(cells.__getitem__, syndrome)), exact=True)
 
 
 def all_stabilizer_groups(field: GF2Field) -> list[frozenset]:

@@ -1,8 +1,10 @@
 """Reference routes that the fast code is checked against: per-point loops,
-dense matrix constructions, the nested-list `mub` export, and GF(2)
-arithmetic by explicit matrices and Gauss-Jordan elimination."""
+dense matrix constructions, the N^2-point transform of stabilizer grids, the
+nested-list `mub` export, and GF(2) arithmetic by explicit matrices and
+Gauss-Jordan elimination."""
 
 import json
+from fractions import Fraction
 from itertools import islice
 
 import numpy as np
@@ -27,8 +29,8 @@ from gfwigner.pauli import (
     translation_for,
 )
 from gfwigner.phasespace import BinaryPoint, PhasePoint, wedge
-from gfwigner.wigner import (WignerGrid, all_points, check_density_matrix,
-                             point_operator)
+from gfwigner.wigner import (WignerGrid, _symplectic_transform, all_points,
+                             check_density_matrix, point_operator)
 
 _XZ = {
     (0, 0): np.eye(2, dtype=complex),
@@ -135,14 +137,30 @@ def wigner_of_loop(net, rho) -> WignerGrid:
     return WignerGrid(field, flat)
 
 
-def wigner_stdout_loop(n: int, state_spec: str, net_spec: str = "default",
-                       poly: int | None = None) -> str:
+def stabilizer_wigner_transform(net, group) -> WignerGrid:
+    """Exact W(alpha) = N^-2 sum_{beta in S} f(beta) g(beta) (-1)^<alpha,beta>
+    at all N^2 points as one int64 symplectic transform of f g placed on S."""
+    field = net.field
+    n, N = field.n, field.N
+    v = np.zeros(N * N, dtype=np.int64)
+    for (qb, pb), g in group.elements.items():
+        v[(qb << n) | pb] = net.f(BinaryPoint(qb, pb, n)) * g
+    nums = _symplectic_transform(v, n).tolist()
+    return WignerGrid(field, tuple(Fraction(k, N * N) for k in nums), exact=True)
+
+
+def wigner_stdout_reference(n: int, state_spec: str, net_spec: str = "default",
+                            poly: int | None = None) -> str:
     """What `gfwigner wigner --n n --state state_spec --net net_spec
-    --format json [--poly]` writes for a density-matrix state, by the
-    per-point loop."""
+    --format json [--poly]` writes, by the per-point loop for a density
+    matrix and by the N^2-point transform for a stabilizer state."""
     net = resolve_net(field_new(n, poly), net_spec)
-    _, rho = resolve_state(net.field, state_spec)
-    return export_grid(wigner_of_loop(net, rho), "json", {"net": net.fingerprint()})
+    kind, state = resolve_state(net.field, state_spec)
+    if kind == "stabilizer":
+        grid = stabilizer_wigner_transform(net, state)
+    else:
+        grid = wigner_of_loop(net, state)
+    return export_grid(grid, "json", {"net": net.fingerprint()})
 
 
 def translation_from_points(net, beta: BinaryPoint) -> np.ndarray:

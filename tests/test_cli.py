@@ -470,13 +470,22 @@ def test_meanking_subcommand(capsys):
     assert "retrodiction success probability: 1.000000000000" in out
 
 
-def test_startup_imports_only_what_a_command_uses():
+def test_startup_imports_only_what_a_command_uses(tmp_path):
     # a fresh process: the package and the cli load without numpy, the
-    # commands without array work run without it, and a later array command
-    # in the same process still works; nothing loads sympy
+    # commands without array work run without it (exact wigner grids
+    # included, on every kind of net), a density file loads it, and later
+    # array commands in the same process still work; nothing loads sympy
     src = Path(gfwigner.__file__).parent.parent
+    stab = tmp_path / "ghz3.json"
+    stab.write_text(json.dumps({"stabilizer": [["+XXX", 1], ["+ZZI", 1], ["+IZZ", -1]]}))
+    net = tmp_path / "net3.json"
+    net.write_text(build_net(field_new(3), "independent", {0: (1, -1, 1)}).to_json())
+    rho = tmp_path / "rho1.json"
+    rho.write_text(json.dumps({"density": [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]}))
     script = textwrap.dedent("""\
         import contextlib, io, sys
+
+        stab, net, rho = sys.argv[1:]
 
         def no_numpy(when):
             assert "numpy" not in sys.modules, "numpy imported by " + when
@@ -488,13 +497,20 @@ def test_startup_imports_only_what_a_command_uses():
         from gfwigner.cli import dispatch
         no_numpy("import gfwigner.cli")
         sink = io.TextIOWrapper(io.BytesIO())  # bytes below, as sys.stdout
+        exact = [["wigner", "--n", "3", "--state", stab, "--net", net_spec]
+                 for net_spec in ("default", "covariant", net)]
+        exact.append(["wigner", "--n", "3", "--state", "computational_010"])
         for argv, want in ((["field", "--n", "1"], 0), (["rays", "--n", "3"], 0),
                            (["uomega", "--n", "3"], 0), (["--help"], 0),
-                           (["field", "--n"], 2), (["frobnicate"], 2)):
+                           (["field", "--n"], 2), (["frobnicate"], 2),
+                           *((argv, 0) for argv in exact)):
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 code = dispatch(argv)
             assert code == want, (argv, code)
             no_numpy(" ".join(argv))
+        with contextlib.redirect_stdout(sink):
+            assert dispatch(["wigner", "--n", "1", "--state", rho]) == 0
+        assert "numpy" in sys.modules
         with contextlib.redirect_stdout(sink):
             assert dispatch(["wigner", "--n", "2", "--state", "bell_phi_plus"]) == 0
             assert dispatch(["qec"]) == 0 and dispatch(["verify", "--n", "3"]) == 0
@@ -502,7 +518,8 @@ def test_startup_imports_only_what_a_command_uses():
         assert "sympy" not in sys.modules
     """)
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
+    done = subprocess.run([sys.executable, "-c", script, str(stab), str(net), str(rho)],
+                          env=env, capture_output=True)
     assert done.returncode == 0, done.stderr.decode()
 
 

@@ -230,6 +230,9 @@ def test_net_json_roundtrip():
         for label in striation_labels(f)
     }
     net = QuantumNet(f, signs)
+    # "f" lists every nonzero point as "qbits,pbits" in (qbits, pbits) order
+    assert list(json.loads(net.to_json())["f"].items()) == [
+        (f"{f.bits_str(q)},{f.bits_str(p)}", v) for (q, p), v in sorted(net.f_table().items())]
     other = net_from_json(net.to_json())
     assert other.field == net.field
     assert other.signs == net.signs

@@ -12,7 +12,7 @@ from operator import xor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gfwigner.cli import export_grid, grid_rows, import_grid
@@ -23,6 +23,7 @@ from gfwigner.pauli import (
     IDENTITY_ATOL,
     PauliTranslation,
     commutes,
+    compose,
     parse_pauli,
     pauli_sum,
     to_matrix,
@@ -50,6 +51,7 @@ from oracles import (
     ray_projector,
     stabilizer_elements_doubling,
     stabilizer_projector_loop,
+    stabilizer_wigner_transform,
     to_matrix_kron,
     wigner_of_loop,
 )
@@ -160,8 +162,9 @@ def test_purity_residual_exact_grids_match_loop(data):
     pure = stabilizer_wigner(net, data.draw(graph_states(field)))
     other = stabilizer_wigner(net, data.draw(graph_states(field)))
     weight = Fraction(data.draw(st.integers(0, 6)), 6)
-    mixed = WignerGrid(field, weight * pure.flat + (1 - weight) * other.flat,
-                       exact=True)
+    # an exact flat is a tuple of Fractions: mix them as object arrays
+    mixed = WignerGrid(field, weight * np.array(pure.flat, dtype=object)
+                       + (1 - weight) * np.array(other.flat, dtype=object), exact=True)
     got = purity_identity_residual(net, mixed)
     assert isinstance(got, Fraction)
     assert got == purity_identity_residual_loop(mixed)
@@ -415,13 +418,50 @@ def test_group_walk_and_sign_equal_the_doubling_loop(data):
         assert group.sign(a, b) == sign
 
 
+@st.composite
+def regenerated(draw, group):
+    """The same group on other generators: each step multiplies one signed
+    generator into another, so the a and b masks are no longer unit vectors."""
+    gens = list(zip(group.gens, group.signs))
+    n = len(gens)
+    for _ in range(draw(st.integers(0, 2 * n)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        (g, s), (h, t) = gens[i], gens[j]
+        gens[i] = (compose(g, h), s * t)
+    return StabilizerGroup.from_generators(group.field, gens)
+
+
+FIELDS_1_TO_8 = [(n, poly) for n in range(1, 9)
+                 for poly in ([None] if n < 3 else [None, OTHER_POLY[n]])]
+
+
+@pytest.mark.parametrize("net_kind", [independent_nets, covariant_nets],
+                         ids=["independent", "covariant"])
+@pytest.mark.parametrize("n, poly", FIELDS_1_TO_8,
+                         ids=[f"n{n}-{'default' if p is None else bin(p)[2:]}"
+                              for n, p in FIELDS_1_TO_8])
+# an independent net at n = 8 is 257 drawn sign vectors, so even its
+# smallest example is large
+@settings(PROPERTY, max_examples=3, suppress_health_check=[HealthCheck.large_base_example])
+@given(st.data())
+def test_stabilizer_wigner_equals_the_n2_point_transform(net_kind, n, poly, data):
+    # the N-point transform read through the syndrome map against the int64
+    # transform over all N^2 points: the same Fractions, exactly
+    field = field_new(n, poly)
+    net = data.draw(net_kind(field))
+    group = data.draw(regenerated(data.draw(graph_states(field))))
+    grid = stabilizer_wigner(net, group)
+    assert grid.exact and type(grid.flat) is tuple
+    assert grid.flat == stabilizer_wigner_transform(net, group).flat
+
+
 @settings(PROPERTY, max_examples=15)
 @given(st.data())
 def test_stabilizer_wigner_equals_wigner_of_its_projector(data):
     field = data.draw(fields(5))
     net = data.draw(nets(field))
     group = data.draw(graph_states(field))
-    exact = stabilizer_wigner(net, group).flat.astype(float)
+    exact = np.array(stabilizer_wigner(net, group).flat, dtype=float)
     dense = wigner_of(net, group.projector()).flat
     assert np.abs(exact - dense).max() < IDENTITY_ATOL
 
@@ -445,8 +485,9 @@ def test_wigner_function_is_translation_covariant(net_kind, data):
     # on a stabilizer state: T_gamma G T_gamma^dagger = (-1)^<gamma, G> G
     group = data.draw(graph_states(field))
     gens = [(g, s if commutes(t, g) else -s) for g, s in zip(group.gens, group.signs)]
-    exact = stabilizer_wigner(net, StabilizerGroup.from_generators(field, gens)).flat[moved]
-    assert np.array_equal(exact, stabilizer_wigner(net, group).flat)
+    moved_group = StabilizerGroup.from_generators(field, gens)
+    exact = np.array(stabilizer_wigner(net, moved_group).flat, dtype=object)[moved]
+    assert np.array_equal(exact, np.array(stabilizer_wigner(net, group).flat, dtype=object))
 
 
 @settings(PROPERTY, max_examples=50)
