@@ -5,9 +5,10 @@ phases, quantum nets / mutually unbiased bases, and discrete Wigner functions
 with both a dense route and an exact closed form for stabilizer states.
 
 The namespace is lazy (PEP 562): `import gfwigner` loads no submodule, and
-the first use of a public name imports the submodule that defines it, so
-numpy is loaded only by a name that needs arrays.  `errors`, `galois` and
-`phasespace` do not import numpy.
+the first use of a public name imports the submodule that defines it.  No
+submodule imports numpy when it is loaded: it is imported inside the
+functions that build arrays, so numpy is loaded only by a call that needs
+arrays.
 """
 
 from importlib import import_module

@@ -6,14 +6,18 @@ Every result is produced by two independent routes where possible: exact
 rational arithmetic via the stabilizer closed form, and dense numerics via the
 point operators.  The application-specific constants (slot layouts, parameter
 systems) are solved from first principles rather than hard-coded.
+
+numpy is imported only inside the functions that build arrays (the dense
+Bell, encoded and mean king states and the retrodiction game), so the Bell
+survey, the code's logical grids and its solution family run in plain
+Python.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import AmbiguousInference, InconsistentStabilizer, MalformedInput
 from .galois import GF2Field, field_new
@@ -32,7 +36,7 @@ from .pauli import (
     to_matrix,
     translation,
     translation_for,
-    walsh_hadamard,
+    walsh_hadamard_list,
 )
 from .phasespace import (
     BinaryPoint,
@@ -49,6 +53,9 @@ from .wigner import (
     stabilizer_wigner,
     wigner_of,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # -- Bell states (n = 2) ---------------------------------------------------------
 
@@ -78,6 +85,8 @@ def bell_translations(field: GF2Field) -> tuple[PauliTranslation, PauliTranslati
 
 def bell_state(label: str) -> np.ndarray:
     """Dense Bell state vector (qubit 0 is the leftmost tensor factor)."""
+    import numpy as np
+
     s = 1 if label.endswith("plus") else -1
     if label.startswith("phi"):
         v = np.array([1, 0, 0, s], dtype=complex)
@@ -123,17 +132,29 @@ def bell_symmetric_nets(field: GF2Field):
         yield QuantumNet(field, signs)
 
 
-def bell_parameters(net: QuantumNet, label: str) -> tuple[Fraction, ...]:
-    """Exact orbit values (a, b, c, d) of one Bell state's Wigner function."""
-    field = net.field
-    grid = stabilizer_wigner(net, bell_stabilizer(field, label))
+def _bell_orbit_indices(field: GF2Field) -> list[list[int]]:
+    """bell_orbits as flat grid indices (qbits << n) | pbits."""
+    return [[(bp.qbits << field.n) | bp.pbits for bp in orbit]
+            for orbit in bell_orbits(field)]
+
+
+def _orbit_values(grid: WignerGrid, orbits: list[list[int]]) -> tuple[Fraction, ...]:
+    """The grid's value on each orbit of flat indices; it must be constant
+    on every orbit."""
     params = []
-    for orbit in bell_orbits(field):
-        vals = {grid.value(bp) for bp in orbit}
+    for orbit in orbits:
+        vals = {grid.flat[i] for i in orbit}
         if len(vals) != 1:
             raise InconsistentStabilizer("Wigner values not constant on an orbit")
         params.append(vals.pop())
     return tuple(params)
+
+
+def bell_parameters(net: QuantumNet, label: str) -> tuple[Fraction, ...]:
+    """Exact orbit values (a, b, c, d) of one Bell state's Wigner function."""
+    field = net.field
+    grid = stabilizer_wigner(net, bell_stabilizer(field, label))
+    return _orbit_values(grid, _bell_orbit_indices(field))
 
 
 def classify_bell_parameters(params) -> str:
@@ -154,10 +175,12 @@ def bell_survey(field: GF2Field | None = None) -> dict:
     orthogonality constraint ab + cd = 0.  Returns the pattern counts.
     """
     field = field or bell_field()
+    groups = {label: bell_stabilizer(field, label) for label in BELL_LABELS}
+    orbits = _bell_orbit_indices(field)
     counts = {"concentrated": 0, "spread": 0}
     for net in bell_symmetric_nets(field):
-        for label in BELL_LABELS:
-            a, b, c, d = bell_parameters(net, label)
+        for label, group in groups.items():
+            a, b, c, d = _orbit_values(stabilizer_wigner(net, group), orbits)
             if a + b + c + d != Fraction(1, 4):
                 raise InconsistentStabilizer("normalization violated")
             s1, s2 = _BELL_SIGNS[label]
@@ -214,6 +237,8 @@ def logical_state(field: GF2Field, which: int) -> np.ndarray:
 
 def encode(field: GF2Field, alpha: complex, beta: complex) -> np.ndarray:
     """Encoded state alpha |0_L> + beta |1_L>, normalized."""
+    import numpy as np
+
     v = alpha * logical_state(field, 0) + beta * logical_state(field, 1)
     return v / np.linalg.norm(v)
 
@@ -299,7 +324,7 @@ def code_solution_family() -> list[dict[str, Fraction]]:
     """
     family = []
     for rest in product((0, Fraction(1, 8)), repeat=3):
-        a, c, e, g = walsh_hadamard(np.array([Fraction(1, 8), *rest], dtype=object)) / 4
+        a, c, e, g = (x / 4 for x in walsh_hadamard_list([Fraction(1, 8), *rest]))
         family.append({"a": a, "c": c, "e": e, "g": g,
                        "b": Fraction(1, 8) - a, "d": -c, "f": -e, "h": -g})
     family.sort(key=lambda p: (p["a"], p["c"], p["e"], p["g"]))
@@ -322,6 +347,8 @@ def covariant_code_solutions(field: GF2Field | None = None) -> list[dict]:
 def logical_f_functions(alpha: complex, beta: complex) -> tuple[float, ...]:
     """The four real functions determining the Wigner function of a general
     encoded state alpha |0_L> + beta |1_L| in the q = 0 column."""
+    import numpy as np
+
     aa, bb = abs(alpha) ** 2, abs(beta) ** 2
     cross = alpha * np.conj(beta)
     f1 = (aa + 3 * bb + (2 + 1j) * cross + (2 - 1j) * np.conj(cross)) / 32
@@ -387,6 +414,8 @@ def mean_king_basis(net: QuantumNet) -> list[np.ndarray]:
     phi_1 is the state orthogonal to the three line states h_1, v_1 and d_1;
     the rest are its translates under Z0 Z1, Y0 Y1 and X0 X1.
     """
+    import numpy as np
+
     field = net.field
     ortho = [line_state(net, king_lines(field, o)[0]) for o in ("x", "z", "y")]
     _, sv, vh = np.linalg.svd(np.array([v.conj() for v in ortho]))
@@ -433,6 +462,8 @@ def infer_king_outcome(net: QuantumNet, basis: list[np.ndarray], result: int,
     line state is *not* orthogonal to basis[result].  Raises
     AmbiguousInference unless exactly one line qualifies.
     """
+    import numpy as np
+
     field = net.field
     phi = basis[result]
     consistent = [
@@ -450,6 +481,8 @@ def infer_king_outcome(net: QuantumNet, basis: list[np.ndarray], result: int,
 def mean_king_simulate(net: QuantumNet, basis: list[np.ndarray] | None = None) -> float:
     """Play every branch of the protocol exhaustively; return the success
     probability of the retrodiction (1.0 for the phi basis)."""
+    import numpy as np
+
     field = net.field
     basis = basis if basis is not None else mean_king_basis(net)
     initial = bell_state("phi_plus")

@@ -7,14 +7,15 @@ Exit codes: 0 success, 2 validation/usage error, 1 internal error, 141
 Start-up costs only what a subcommand uses.  The package namespace is lazy
 (gfwigner/__init__.py loads no submodule), and at module level this file
 imports the standard library, `errors`, `galois` and `phasespace`, none of
-which imports numpy, so `field`, `rays`, `uomega`, `--help` and usage errors
-never load it.  `pauli`, `net` and `wigner` are imported inside the
-functions that use them, and import numpy only inside their own functions
-that build arrays; `apps` imports numpy when it loads.  So exact `wigner`
-requests (a stabilizer file or a `computational_*` preset, on any net)
-start without numpy too, and it is loaded by `mub`, `bell`, `qec`,
-`meanking`, `verify` and `wigner` on a density file or an `apps` preset
-(`bell_*`, `qec_*`, `meanking_phi1`).  `main` asks for one BLAS thread
+which imports numpy or dataclasses, so `field`, `rays`, `uomega`, `--help`
+and usage errors never load them.  `pauli`, `net`, `wigner` and `apps` are
+imported inside the functions that use them, and import numpy only inside
+their own functions that build arrays, as do the array checks of
+`check_rows`.  So exact `wigner` requests (a stabilizer file or a
+`computational_*`, `bell_*` or `qec_logical_*` preset, on any net), `bell`,
+`qec`, `bell --verify` and `qec --verify` start without numpy too, and it
+is loaded by `mub`, `meanking`, `verify` and `wigner` on a density file or
+the `meanking_phi1` preset.  `main` asks for one BLAS thread
 (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS default to 1; a
 value already set is kept) before numpy loads, and freezes the heap
 (gc.freeze) before exiting, so the final garbage collection at interpreter
@@ -431,9 +432,9 @@ def check_rows(field: GF2Field) -> list[tuple]:
     """The paper's checks as (group, name, check) rows, in print order; a
     check raises when its claim fails.  The wigner rows use one covariant net
     on field, the bell and meanking rows need field = GF(4), and the qec rows
-    run on apps.qec_field(), the only field where the code's slots hold."""
-    import numpy as np
-
+    run on apps.qec_field(), the only field where the code's slots hold.
+    numpy is imported by the checks that use arrays, so the bell and qec
+    rows run without it."""
     from . import apps
     from .net import build_net, line_state, mub_bases, mub_overlap_report
     from .pauli import IDENTITY_ATOL
@@ -445,6 +446,8 @@ def check_rows(field: GF2Field) -> list[tuple]:
     @cache  # lazily, so a failure is reported by the check that needs them
     def point_operators() -> np.ndarray:
         """A(alpha) for every point, stacked by flat index (qbits << n) | pbits."""
+        import numpy as np
+
         return np.array([A for q in range(field.N) for A in _row_operators(net, q)])
 
     def orderings():
@@ -469,6 +472,8 @@ def check_rows(field: GF2Field) -> list[tuple]:
     def orthogonality():
         # Tr(A_i A_j) of hermitian operators is the Gram matrix of their
         # entries; N rows of it at a time
+        import numpy as np
+
         N = field.N
         V = point_operators().reshape(N * N, -1)
         for i in range(0, len(V), N):
@@ -476,6 +481,8 @@ def check_rows(field: GF2Field) -> list[tuple]:
             _claim(np.abs(gram - np.eye(N, len(V), i) / N).max() < IDENTITY_ATOL)
 
     def line_projectors():
+        import numpy as np
+
         ops = point_operators()
         for st in all_striations(field):
             for line in st.lines:
@@ -486,6 +493,8 @@ def check_rows(field: GF2Field) -> list[tuple]:
         point_operators.cache_clear()  # the last user: free them for later checks
 
     def roundtrip():
+        import numpy as np
+
         rng = np.random.default_rng(11)
         v = rng.normal(size=field.N) + 1j * rng.normal(size=field.N)
         rho = state_density(v)
@@ -511,6 +520,8 @@ def check_rows(field: GF2Field) -> list[tuple]:
         _claim(all(params[k] == Fraction(1, 32) for k in "aceg"), params)
 
     def basis_and_sums():
+        import numpy as np
+
         king_net = apps.mean_king_net(field)
         basis = apps.mean_king_basis(king_net)
         G = np.array([[np.vdot(u, v) for v in basis] for u in basis])

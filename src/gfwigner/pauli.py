@@ -18,7 +18,6 @@ numpy is imported only inside the functions that build arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 from typing import TYPE_CHECKING
@@ -26,7 +25,7 @@ from typing import TYPE_CHECKING
 from .errors import (DimensionMismatch, DimensionTooLarge, InconsistentStabilizer,
                      MalformedInput, NonCommutingGenerators)
 from .galois import GF2Field, solve_gf2
-from .phasespace import HORIZONTAL, VERTICAL, BinaryPoint
+from .phasespace import HORIZONTAL, VERTICAL, BinaryPoint, Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -44,16 +43,19 @@ derived from it, such as the imaginary part of a Wigner value."""
 
 _I_POW = (1, 1j, -1, -1j)
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class PauliTranslation:
-    n: int
-    a: int
-    b: int
-    s: int = 0
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", self.s % 4)
+class PauliTranslation(Record):
+    """i^s X^a Z^b on n qubits; s is stored mod 4."""
+
+    __slots__ = ("n", "a", "b", "s")
+
+    def __init__(self, n: int, a: int, b: int, s: int = 0):
+        _set(self, "n", n)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "s", s % 4)
 
     @property
     def phase_vs_canonical(self) -> int:
@@ -124,6 +126,18 @@ def walsh_hadamard(v: np.ndarray) -> np.ndarray:
         v = np.stack((lo + hi, lo - hi), axis=-2).reshape(shape)
         h *= 2
     return v
+
+
+def walsh_hadamard_list(values) -> list:
+    """walsh_hadamard of one sequence of length 2^k, in plain Python: a new
+    list, exact on ints and Fractions, with no numpy."""
+    c, h = list(values), 1
+    while h < len(c):
+        for lo in range(0, len(c), 2 * h):
+            for j in range(lo, lo + h):
+                c[j], c[j + h] = c[j] + c[j + h], c[j] - c[j + h]
+        h *= 2
+    return c
 
 
 def to_matrix(t: PauliTranslation) -> np.ndarray:

@@ -9,7 +9,7 @@ is 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import FieldMismatch
 from .galois import GF2Field
@@ -17,20 +17,62 @@ from .galois import GF2Field
 HORIZONTAL = "h"
 VERTICAL = "v"
 
-
-@dataclass(frozen=True)
-class PhasePoint:
-    q: int
-    p: int
+_set = object.__setattr__  # how a Record's own __init__ sets its fields
 
 
-@dataclass(frozen=True)
-class BinaryPoint:
+class Record:
+    """Base of the immutable value types (points, lines, striations, Pauli
+    translations).  A subclass names its fields in __slots__ and sets them
+    in its own positional __init__ with object.__setattr__.  Records are
+    equal, and hash alike, when type and fields are; assignment raises
+    AttributeError; repr reads like a dataclass's, BinaryPoint(qbits=1,
+    pbits=2, n=3)."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # the fields as a tuple: every record has at least two
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash((type(self), self._values(self)))
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle through __init__
+        return type(self), self._values(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PhasePoint(Record):
+    __slots__ = ("q", "p")
+
+    def __init__(self, q: int, p: int):
+        _set(self, "q", q)
+        _set(self, "p", p)
+
+
+class BinaryPoint(Record):
     """A phase-space point in binary coordinates (qbits canonical, pbits dual)."""
 
-    qbits: int
-    pbits: int
-    n: int
+    __slots__ = ("qbits", "pbits", "n")
+
+    def __init__(self, qbits: int, pbits: int, n: int):
+        _set(self, "qbits", qbits)
+        _set(self, "pbits", pbits)
+        _set(self, "n", n)
 
     @property
     def is_origin(self) -> bool:
@@ -45,14 +87,16 @@ def from_binary(field: GF2Field, point: BinaryPoint) -> PhasePoint:
     return PhasePoint(point.qbits, field.bits_to_p(point.pbits))
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(Record):
     """The set {(q, p): a q + b p = c}, with (a, b) != (0, 0) and leading
     nonzero coefficient normalized to 1."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: int, b: int, c: int):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
 
     def contains(self, field: GF2Field, point: PhasePoint) -> bool:
         return field.mul(self.a, point.q) ^ field.mul(self.b, point.p) == self.c
@@ -77,13 +121,15 @@ def make_line(field: GF2Field, a: int, b: int, c: int) -> Line:
     return Line(field.mul(scale, a), field.mul(scale, b), field.mul(scale, c))
 
 
-@dataclass(frozen=True)
-class Striation:
+class Striation(Record):
     """N parallel lines covering the grid; label 'h', 'v' or the slope
     exponent of the ray p = w^label q.  The ray comes first."""
 
-    label: object
-    lines: tuple[Line, ...]
+    __slots__ = ("label", "lines")
+
+    def __init__(self, label, lines: tuple[Line, ...]):
+        _set(self, "label", label)
+        _set(self, "lines", lines)
 
     @property
     def ray(self) -> Line:

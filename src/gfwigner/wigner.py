@@ -45,7 +45,6 @@ grid is computed and exported without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
@@ -62,6 +61,7 @@ from .pauli import (
     pauli_sum,
     translation_for,
     walsh_hadamard,
+    walsh_hadamard_list,
 )
 from .phasespace import BinaryPoint, grid_axis, wedge
 
@@ -119,7 +119,6 @@ def display_index(field: GF2Field) -> np.ndarray:
     return np.array(display_rows(field))[::-1].T
 
 
-@dataclass(eq=False)
 class WignerGrid:
     """Wigner values on the N x N grid: flat[(qbits << n) | pbits].
 
@@ -128,9 +127,11 @@ class WignerGrid:
     changed after it is built: its transform hat is computed once and cached.
     """
 
-    field: GF2Field
-    flat: tuple[Fraction, ...] | np.ndarray
-    exact: bool = False
+    def __init__(self, field: GF2Field, flat: tuple[Fraction, ...] | np.ndarray,
+                 exact: bool = False):
+        self.field = field
+        self.flat = flat
+        self.exact = exact
 
     def _at(self, i: int):
         """The value at flat index i: a Fraction, or a Python float."""
@@ -322,12 +323,7 @@ def stabilizer_wigner(net: QuantumNet, group: StabilizerGroup) -> WignerGrid:
     c = [0] * N
     for i, ((qb, pb), g) in enumerate(group.elements.items()):
         c[i ^ (i >> 1)] = net.f(BinaryPoint(qb, pb, n)) * g
-    h = 1  # c becomes its Walsh-Hadamard transform, in place
-    while h < N:
-        for lo in range(0, N, 2 * h):
-            for j in range(lo, lo + h):
-                c[j], c[j + h] = c[j] + c[j + h], c[j] - c[j + h]
-        h *= 2
+    c = walsh_hadamard_list(c)
     # s(alpha)_k = <alpha, g_k> is the parity of i & w_k, for i the flat
     # index of alpha and w_k = (b_k << n) | a_k: one XOR doubling of the
     # table per bit j of i

@@ -471,10 +471,11 @@ def test_meanking_subcommand(capsys):
 
 
 def test_startup_imports_only_what_a_command_uses(tmp_path):
-    # a fresh process: the package and the cli load without numpy, the
-    # commands without array work run without it (exact wigner grids
-    # included, on every kind of net), a density file loads it, and later
-    # array commands in the same process still work; nothing loads sympy
+    # a fresh process: the package and the cli load without numpy or
+    # dataclasses, and so do the commands without array work (exact wigner
+    # grids on every kind of net, the bell and qec commands and presets);
+    # each array command loads numpy, and later array commands in the same
+    # process still work; nothing loads sympy
     src = Path(gfwigner.__file__).parent.parent
     stab = tmp_path / "ghz3.json"
     stab.write_text(json.dumps({"stabilizer": [["+XXX", 1], ["+ZZI", 1], ["+IZZ", -1]]}))
@@ -483,23 +484,27 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
     rho = tmp_path / "rho1.json"
     rho.write_text(json.dumps({"density": [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]}))
     script = textwrap.dedent("""\
-        import contextlib, io, sys
+        import contextlib, io, json, sys
 
-        stab, net, rho = sys.argv[1:]
+        stab, net, loader = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
 
-        def no_numpy(when):
-            assert "numpy" not in sys.modules, "numpy imported by " + when
+        def absent(when, *modules):
+            for module in modules:
+                assert module not in sys.modules, module + " imported by " + when
 
         import gfwigner
-        no_numpy("import gfwigner")
+        absent("import gfwigner", "numpy", "dataclasses")
         gfwigner.field_new, gfwigner.all_striations, gfwigner.GfwignerError
-        no_numpy("numpy-free package names")
+        absent("numpy-free package names", "numpy", "dataclasses")
         from gfwigner.cli import dispatch
-        no_numpy("import gfwigner.cli")
+        absent("import gfwigner.cli", "numpy", "dataclasses")
         sink = io.TextIOWrapper(io.BytesIO())  # bytes below, as sys.stdout
         exact = [["wigner", "--n", "3", "--state", stab, "--net", net_spec]
                  for net_spec in ("default", "covariant", net)]
-        exact.append(["wigner", "--n", "3", "--state", "computational_010"])
+        exact += [["wigner", "--n", "3", "--state", "computational_010"],
+                  ["wigner", "--n", "2", "--state", "bell_phi_plus"],
+                  ["wigner", "--n", "3", "--state", "qec_logical_1"],
+                  ["bell"], ["qec"], ["bell", "--verify"], ["qec", "--verify"]]
         for argv, want in ((["field", "--n", "1"], 0), (["rays", "--n", "3"], 0),
                            (["uomega", "--n", "3"], 0), (["--help"], 0),
                            (["field", "--n"], 2), (["frobnicate"], 2),
@@ -507,20 +512,20 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 code = dispatch(argv)
             assert code == want, (argv, code)
-            no_numpy(" ".join(argv))
+            absent(" ".join(argv), "numpy", "dataclasses")
         with contextlib.redirect_stdout(sink):
-            assert dispatch(["wigner", "--n", "1", "--state", rho]) == 0
-        assert "numpy" in sys.modules
+            assert dispatch(loader) == 0
+        assert "numpy" in sys.modules, " ".join(loader) + " did not load numpy"
         with contextlib.redirect_stdout(sink):
-            assert dispatch(["wigner", "--n", "2", "--state", "bell_phi_plus"]) == 0
-            assert dispatch(["qec"]) == 0 and dispatch(["verify", "--n", "3"]) == 0
-        assert "numpy" in sys.modules
-        assert "sympy" not in sys.modules
+            assert dispatch(["verify", "--n", "3"]) == 0
+        absent("verify --n 3", "sympy")
     """)
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", script, str(stab), str(net), str(rho)],
-                          env=env, capture_output=True)
-    assert done.returncode == 0, done.stderr.decode()
+    for loader in (["wigner", "--n", "1", "--state", str(rho)], ["meanking"],
+                   ["verify", "--n", "2"]):
+        done = subprocess.run([sys.executable, "-c", script, str(stab), str(net),
+                               json.dumps(loader)], env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr.decode()
 
 
 @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["unset", "PYTHONUNBUFFERED=1"])

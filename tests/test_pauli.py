@@ -1,5 +1,7 @@
 """Translation operators: phases, composition, commutation, classes."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from gfwigner.pauli import (
     translation,
     translation_for,
     walsh_hadamard,
+    walsh_hadamard_list,
 )
 from gfwigner.phasespace import (
     BinaryPoint,
@@ -191,3 +194,9 @@ def test_walsh_hadamard_is_the_signed_sum_on_each_row():
         assert walsh_hadamard(v).tolist() == want
         assert walsh_hadamard(v.astype(object) * 2**70).tolist() == \
             [[w * 2**70 for w in row] for row in want]
+        # the pure-Python form agrees, on ints and on Fractions
+        for row, row_want in zip(v.tolist(), want):
+            assert walsh_hadamard_list(row) == row_want
+            fracs = [Fraction(x, 7) for x in row]
+            assert walsh_hadamard_list(fracs) == \
+                walsh_hadamard(np.array(fracs, dtype=object)).tolist()

@@ -1,14 +1,19 @@
 """Lines, striations, rays and the symplectic form."""
 
+import copy
+import pickle
+
 import pytest
 
 from gfwigner.errors import FieldMismatch
 from gfwigner.galois import field_new
+from gfwigner.pauli import PauliTranslation
 from gfwigner.phasespace import (
     BinaryPoint,
     HORIZONTAL,
     Line,
     PhasePoint,
+    Striation,
     VERTICAL,
     all_striations,
     from_binary,
@@ -39,6 +44,24 @@ def intersect(field, l1, l2):
 
 def translate_line(field, line, d):
     return Line(line.a, line.b, line.c ^ field.mul(line.a, d.q) ^ field.mul(line.b, d.p))
+
+
+def test_value_types_compare_hash_and_print_by_type_and_fields():
+    pt = BinaryPoint(1, 2, 3)
+    assert pt == BinaryPoint(1, 2, 3) and hash(pt) == hash(BinaryPoint(1, 2, 3))
+    assert pt != BinaryPoint(1, 2, 4) and pt != Line(1, 2, 3)
+    assert len({pt, BinaryPoint(1, 2, 3), Line(1, 2, 3)}) == 2
+    assert Striation("h", (Line(0, 1, 0),)) == Striation("h", (Line(0, 1, 0),))
+    for value in (pt, PhasePoint(1, 2), Line(1, 2, 3), PauliTranslation(3, 1, 2)):
+        with pytest.raises(AttributeError):
+            value.n = 0
+        with pytest.raises(AttributeError):
+            del value.n
+        assert copy.copy(value) == value == pickle.loads(pickle.dumps(value))
+    assert repr(pt) == "BinaryPoint(qbits=1, pbits=2, n=3)"
+    assert repr(PauliTranslation(2, 1, 3, 5)) == "PauliTranslation(n=2, a=1, b=3, s=1)"
+    assert PauliTranslation(2, 1, 3, 5).s == 1
+    assert PauliTranslation(2, 1, 3).s == 0
 
 
 def test_line_has_n_points_each_point_on_n_plus_1_lines():
