@@ -71,13 +71,11 @@ _EXPORTS = {
         "VERTICAL",
         "all_striations",
         "from_binary",
-        "make_line",
         "ray_through",
         "striation",
         "striation_labels",
         "to_binary",
         "wedge",
-        "wedge_field_form",
     ),
     "wigner": (
         "StabilizerGroup",

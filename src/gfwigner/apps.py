@@ -4,8 +4,11 @@ three-qubit phase-error code (n = 3), and the mean king retrodiction problem
 
 Every result is produced by two independent routes where possible: exact
 rational arithmetic via the stabilizer closed form, and dense numerics via the
-point operators.  The application-specific constants (slot layouts, parameter
-systems) are solved from first principles rather than hard-coded.
+point operators.  The application-specific constants are solved from first
+principles rather than hard-coded: the Bell orbits and the code's eight slots
+are the orbits of the paper's representatives under the state's stabilizer
+group (wigner.symmetry_orbits), and the code's parameter system is solved in
+closed form.
 
 numpy is imported only inside the functions that build arrays (the dense
 Bell, encoded and mean king states and the retrodiction game), so the Bell
@@ -39,7 +42,6 @@ from .pauli import (
     walsh_hadamard_list,
 )
 from .phasespace import (
-    BinaryPoint,
     HORIZONTAL,
     PhasePoint,
     VERTICAL,
@@ -51,6 +53,7 @@ from .wigner import (
     WignerGrid,
     state_density,
     stabilizer_wigner,
+    symmetry_orbits,
     wigner_of,
 )
 
@@ -105,22 +108,13 @@ def bell_stabilizer(field: GF2Field, label: str) -> StabilizerGroup:
     return StabilizerGroup.from_generators(field, [(xx, s1), (zz, s2)])
 
 
-def bell_orbits(field: GF2Field) -> list[list[BinaryPoint]]:
-    """The four orbits of the grid under the Bell-state symmetry group.
-
-    Translating by (w^2, 0), (0, w^2) or (w^2, w^2) leaves Bell-state Wigner
-    functions invariant; the 16 cells split into four orbits of four, listed
-    in the parameter order (a, b, c, d) with representatives (0, 0), (1, 0),
-    (0, 1) and (1, 1).
-    """
-    w2 = field.pow_omega(2)
-    group = [(0, 0), (w2, 0), (0, w2), (w2, w2)]
-    orbits = []
-    for rq, rp in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        orbits.append(
-            [to_binary(field, PhasePoint(rq ^ gq, rp ^ gp)) for gq, gp in group]
-        )
-    return orbits
+def bell_orbits(field: GF2Field) -> dict[str, list[int]]:
+    """The four orbits of the grid under the symmetry group {I, XX, ZZ, YY}
+    that all four Bell states share, as flat indices (qbits << n) | pbits:
+    the parameters a, b, c and d, with representatives (0, 0), (1, 0),
+    (0, 1) and (1, 1)."""
+    cells = [(q << field.n) | pb for q, pb in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    return dict(zip("abcd", symmetry_orbits(bell_stabilizer(field, "phi_plus"), cells)))
 
 
 def bell_symmetric_nets(field: GF2Field):
@@ -132,29 +126,23 @@ def bell_symmetric_nets(field: GF2Field):
         yield QuantumNet(field, signs)
 
 
-def _bell_orbit_indices(field: GF2Field) -> list[list[int]]:
-    """bell_orbits as flat grid indices (qbits << n) | pbits."""
-    return [[(bp.qbits << field.n) | bp.pbits for bp in orbit]
-            for orbit in bell_orbits(field)]
-
-
-def _orbit_values(grid: WignerGrid, orbits: list[list[int]]) -> tuple[Fraction, ...]:
-    """The grid's value on each orbit of flat indices; it must be constant
-    on every orbit."""
-    params = []
-    for orbit in orbits:
-        vals = {grid.flat[i] for i in orbit}
+def _slot_values(grid: WignerGrid, slots: dict[str, list[int]]) -> dict:
+    """The grid's value on each named set of flat indices; it must be
+    constant on every set."""
+    params = {}
+    for name, cells in slots.items():
+        vals = {grid.flat[i] for i in cells}
         if len(vals) != 1:
-            raise InconsistentStabilizer("Wigner values not constant on an orbit")
-        params.append(vals.pop())
-    return tuple(params)
+            raise InconsistentStabilizer(f"grid not constant on slot {name}")
+        params[name] = vals.pop()
+    return params
 
 
 def bell_parameters(net: QuantumNet, label: str) -> tuple[Fraction, ...]:
     """Exact orbit values (a, b, c, d) of one Bell state's Wigner function."""
     field = net.field
     grid = stabilizer_wigner(net, bell_stabilizer(field, label))
-    return _orbit_values(grid, _bell_orbit_indices(field))
+    return tuple(_slot_values(grid, bell_orbits(field)).values())
 
 
 def classify_bell_parameters(params) -> str:
@@ -176,11 +164,11 @@ def bell_survey(field: GF2Field | None = None) -> dict:
     """
     field = field or bell_field()
     groups = {label: bell_stabilizer(field, label) for label in BELL_LABELS}
-    orbits = _bell_orbit_indices(field)
+    orbits = bell_orbits(field)
     counts = {"concentrated": 0, "spread": 0}
     for net in bell_symmetric_nets(field):
         for label, group in groups.items():
-            a, b, c, d = _orbit_values(stabilizer_wigner(net, group), orbits)
+            a, b, c, d = _slot_values(stabilizer_wigner(net, group), orbits).values()
             if a + b + c + d != Fraction(1, 4):
                 raise InconsistentStabilizer("normalization violated")
             s1, s2 = _BELL_SIGNS[label]
@@ -243,56 +231,22 @@ def encode(field: GF2Field, alpha: complex, beta: complex) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def qec_column_classes(field: GF2Field) -> tuple[list[int], list[int]]:
-    """q values identified by the stabilizer symmetry: the S1, S2 orbits of
-    the vertical lines.  Q0 contains q = 0, Q1 contains q = 1."""
-    w = field.pow_omega
-    d1, d2 = w(6), w(5)
-    classes = []
-    for start in (0, 1):
-        orbit = {start}
-        for dq in (d1, d2, d1 ^ d2):
-            orbit |= {q ^ dq for q in orbit}
-        classes.append(sorted(orbit))
-    return classes[0], classes[1]
-
-
-def qec_row_pairs(field: GF2Field) -> dict[str, list[int]]:
-    """p values identified by the Z_L symmetry, keyed by the parameter letter
-    of the Q0 column class ('a' holds p = 0)."""
-    w = field.pow_omega
-    return {
-        "a": [0, w(3)],
-        "c": [w(5), w(6)],
-        "e": [w(0), w(2)],
-        "g": [w(1), w(4)],
-    }
-
-
-_LETTER_PAIRS = {"a": "b", "c": "d", "e": "f", "g": "h"}
-
-
 def qec_slots(field: GF2Field) -> dict[str, list[int]]:
     """Parameter letter -> the 8 flat grid indices (qbits << n) | pbits
-    sharing its value."""
-    q0, q1 = qec_column_classes(field)
-    slots = {}
-    for letter, ps in qec_row_pairs(field).items():
-        for name, qs in ((letter, q0), (_LETTER_PAIRS[letter], q1)):
-            slots[name] = [(q << field.n) | field.p_to_bits(p) for q in qs for p in ps]
-    return slots
+    sharing its value: the orbits under |0_L>'s stabilizer group of the
+    paper's representatives a (0, 0), b (1, 0), c (0, w^5), d (1, w^5),
+    e (0, 1), f (1, 1), g (0, w) and h (1, w), taken in qec_field()'s binary
+    coordinates, where logical_group places the paper's strings."""
+    paper = qec_field()
+    ps = [paper.p_to_bits(p) for p in (0, paper.pow_omega(5), 1, paper.pow_omega(1))]
+    cells = [(q << paper.n) | pb for pb in ps for q in (0, 1)]
+    return dict(zip("abcdefgh", symmetry_orbits(logical_group(field, 0), cells)))
 
 
 def grid_parameters(field: GF2Field, grid: WignerGrid) -> dict[str, object]:
     """Extract the eight slot parameters from a logical-state grid, checking
     that the grid is constant on every slot."""
-    params = {}
-    for letter, cells in qec_slots(field).items():
-        vals = {grid.flat[i] for i in cells}
-        if len(vals) != 1:
-            raise InconsistentStabilizer(f"grid not constant on slot {letter}")
-        params[letter] = vals.pop()
-    return params
+    return _slot_values(grid, qec_slots(field))
 
 
 def grid_from_parameters(field: GF2Field, params: dict) -> WignerGrid:
@@ -335,11 +289,11 @@ def covariant_code_solutions(field: GF2Field | None = None) -> list[dict]:
     """Parameter sets of |0_L> realized by the eight covariant nets (the
     h/v-standard nets with free main-diagonal signs); four are distinct."""
     field = field or qec_field()
-    grp = logical_group(field, 0)
+    grp, slots = logical_group(field, 0), qec_slots(field)
     seen = {}
     for sg in product((1, -1), repeat=field.n):
         net = build_net(field, "covariant", {0: sg})
-        params = grid_parameters(field, stabilizer_wigner(net, grp))
+        params = _slot_values(stabilizer_wigner(net, grp), slots)
         seen[tuple(params[k] for k in "abcdefgh")] = params
     return [seen[k] for k in sorted(seen)]
 

@@ -432,7 +432,7 @@ def check_rows(field: GF2Field) -> list[tuple]:
     """The paper's checks as (group, name, check) rows, in print order; a
     check raises when its claim fails.  The wigner rows use one covariant net
     on field, the bell and meanking rows need field = GF(4), and the qec rows
-    run on apps.qec_field(), the only field where the code's slots hold.
+    run on apps.qec_field(), where the preset net gives the paper's grid.
     numpy is imported by the checks that use arrays, so the bell and qec
     rows run without it."""
     from . import apps

@@ -9,8 +9,8 @@ primitive polynomial, served from precomputed log/antilog tables.
 Following Gibbons, Hoffman and Wootters, the q axis uses the canonical basis,
 on which multiplication by w is the companion matrix M, and the p axis the
 rescaled dual basis, on which it is M~, the transpose of M.  On row vectors
-all four maps are shifts: a M shifts a up and folds the overflow back in with
-the polynomial, a M^-1 undoes that, b M~ shifts b down with the parity of
+the three maps the package uses are shifts: a M shifts a up and folds the
+overflow back in with the polynomial, b M~ shifts b down with the parity of
 b & poly as its new top bit, and b M~^-1 shifts up with the same parity as
 its new low bit.  The trace is a linear form: tr(a) is the parity of a & mask,
 bit i of the mask being tr(w^i).  solve_gf2 is the one Gaussian elimination,
@@ -52,12 +52,6 @@ PRIMITIVE_POLYS = {
 }
 
 
-def default_poly(n: int) -> int:
-    if n not in PRIMITIVE_POLYS:
-        raise DegreeMismatch(f"no default primitive polynomial for n={n}")
-    return PRIMITIVE_POLYS[n]
-
-
 class GF2Field:
     """The field GF(2^n) for a given primitive polynomial.
 
@@ -76,7 +70,7 @@ class GF2Field:
         if not 1 <= n <= 16:
             raise DegreeMismatch(f"n must be in [1, 16], got {n}")
         if poly is None:
-            poly = default_poly(n)
+            poly = PRIMITIVE_POLYS[n]
         if poly.bit_length() != n + 1:
             raise DegreeMismatch(
                 f"polynomial must have degree exactly {n} (bit length {n + 1})"
@@ -116,10 +110,6 @@ class GF2Field:
 
     # -- basic arithmetic ---------------------------------------------------
 
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -149,10 +139,6 @@ class GF2Field:
         """Row-vector action a' = a M (multiplication by w on coordinates)."""
         a <<= 1
         return a ^ self.poly if a >> self.n else a
-
-    def apply_m_inv(self, a: int) -> int:
-        """Row-vector action a' = a M^-1."""
-        return (a ^ self.poly) >> 1 if a & 1 else a >> 1
 
     def apply_mt(self, b: int) -> int:
         """Row-vector action b' = b M~ with M~ the transpose of M."""
@@ -193,12 +179,6 @@ class GF2Field:
 
     def bits_to_p(self, bits: int) -> int:
         return self._b2p[bits]
-
-    @cached_property
-    def dual_scale(self) -> int:
-        """The element ebar_0 with f_i = ebar_i / ebar_0; its inverse is the
-        field factor appearing in the trace form of the phase-space wedge."""
-        return dual_basis(self, [self.pow_omega(i) for i in range(self.n)])[0]
 
     # -- misc ---------------------------------------------------------------
 

@@ -141,16 +141,9 @@ class QuantumNet:
                 self.field, ray_generators(self.field, label), self.signs[label])
         return self._rays[label]
 
-    def generators(self, label) -> tuple[PauliTranslation, ...]:
-        return self.ray(label).gens
-
-    def ray_projector(self, label) -> np.ndarray:
-        """P = N^-1 sum_{beta in ray} f(beta) T_beta; rank one."""
-        return self.ray(label).projector()
-
     def ray_state(self, label) -> np.ndarray:
         if label not in self._ray_states:
-            self._ray_states[label] = projector_to_state(self.ray_projector(label))
+            self._ray_states[label] = projector_to_state(self.ray(label).projector())
         return self._ray_states[label]
 
     # -- the sign function f -------------------------------------------------

@@ -98,9 +98,6 @@ class Line(Record):
         _set(self, "b", b)
         _set(self, "c", c)
 
-    def contains(self, field: GF2Field, point: PhasePoint) -> bool:
-        return field.mul(self.a, point.q) ^ field.mul(self.b, point.p) == self.c
-
     def points(self, field: GF2Field) -> list[PhasePoint]:
         if self.a != 0:
             # q = a^-1 (c + b p), parametrized by p
@@ -111,14 +108,6 @@ class Line(Record):
             ]
         binv = field.inv(self.b)
         return [PhasePoint(q, field.mul(binv, self.c)) for q in field.elements()]
-
-
-def make_line(field: GF2Field, a: int, b: int, c: int) -> Line:
-    """Normalize (a, b, c) so equal lines compare equal."""
-    if a == 0 and b == 0:
-        raise ValueError("(a, b) must be nonzero")
-    scale = field.inv(a) if a != 0 else field.inv(b)
-    return Line(field.mul(scale, a), field.mul(scale, b), field.mul(scale, c))
 
 
 class Striation(Record):
@@ -187,14 +176,6 @@ def wedge(alpha: BinaryPoint, beta: BinaryPoint) -> int:
         raise FieldMismatch("points live in different fields")
     return ((alpha.qbits & beta.pbits).bit_count()
             ^ (beta.qbits & alpha.pbits).bit_count()) & 1
-
-
-def wedge_field_form(field: GF2Field, a: PhasePoint, b: PhasePoint) -> int:
-    """Basis-independent wedge: tr(s (q_a p_b - q_b p_a)) with s = ebar_0,
-    the dual-basis scaling element (coordinates pair through the trace as
-    q_a . p_b = tr(ebar_0 q_a p_b))."""
-    cross = field.mul(a.q, b.p) ^ field.mul(b.q, a.p)
-    return field.trace(field.mul(field.dual_scale, cross)) if cross else 0
 
 
 def grid_axis(field: GF2Field) -> list[int]:

@@ -86,7 +86,7 @@ def check_density_matrix(rho: np.ndarray, n: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (N, N):
         raise InvalidDensityMatrix(f"expected shape ({N}, {N}), got {rho.shape}")
-    if not np.allclose(rho, rho.conj().T, atol=atol):
+    if not np.allclose(rho, rho.conj().T, rtol=0, atol=atol):
         raise InvalidDensityMatrix("matrix is not hermitian")
     if abs(np.trace(rho) - 1) > atol:
         raise InvalidDensityMatrix("trace is not 1")
@@ -119,6 +119,20 @@ def display_index(field: GF2Field) -> np.ndarray:
     return np.array(display_rows(field))[::-1].T
 
 
+def symmetry_orbits(group: StabilizerGroup, cells) -> list[list[int]]:
+    """The orbit of each flat index i in cells under translation by the
+    group's members: i ^ ((a << n) | b) for every (a, b) in the group.
+
+    Point operators are translation covariant, A(alpha + beta) =
+    T_beta A(alpha) T_beta^dagger, and T_beta rho T_beta^dagger = rho for
+    every member beta of a state's stabilizer group, so on every net the
+    state's Wigner function is constant on each orbit.
+    """
+    n = group.field.n
+    shifts = [(a << n) | b for a, b in group.elements]
+    return [[i ^ s for s in shifts] for i in cells]
+
+
 class WignerGrid:
     """Wigner values on the N x N grid: flat[(qbits << n) | pbits].
 
@@ -145,9 +159,6 @@ class WignerGrid:
 
     def value(self, point: BinaryPoint):
         return self._at((point.qbits << self.field.n) | point.pbits)
-
-    def total(self):
-        return sum(map(self._at, range(len(self.flat))))
 
     @cached_property
     def hat(self) -> tuple[np.ndarray, int]:
@@ -233,14 +244,12 @@ def wigner_of(net: QuantumNet, rho: np.ndarray) -> WignerGrid:
 
 
 def reconstruct(net: QuantumNet, grid: WignerGrid) -> np.ndarray:
-    """rho = N^-1 sum_beta f(beta) hat W(beta) T_beta."""
-    import numpy as np
-
+    """rho = N^-1 sum_beta f(beta) hat W(beta) T_beta, hat W = grid.hat."""
     field = net.field
     if grid.field != field:
         raise FieldMismatch("grid and net use different fields")
-    hat = _symplectic_transform(np.asarray(grid.flat, dtype=float), field.n)
-    return pauli_sum(field.n, net.f_vector() * hat) / field.N
+    hat, D = grid.hat
+    return pauli_sum(field.n, net.f_vector() * (hat / D).astype(float)) / field.N
 
 
 def expectation_translation(net: QuantumNet, grid: WignerGrid, beta: BinaryPoint):

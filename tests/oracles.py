@@ -11,7 +11,7 @@ import numpy as np
 
 from gfwigner.cli import export_grid, resolve_net, resolve_state
 from gfwigner.errors import SingularBasis
-from gfwigner.galois import field_new
+from gfwigner.galois import dual_basis, field_new
 from gfwigner.net import (
     all_plus_signs,
     mub_bases,
@@ -335,3 +335,12 @@ def dual_basis_gauss_jordan(field, basis: list[int], traces) -> list[int]:
             for e in basis]
     return [solve_gf2_gauss_jordan(rows, [int(i == j) for j in range(n)], n)
             for i in range(n)]
+
+
+def wedge_field_form(field, a: PhasePoint, b: PhasePoint) -> int:
+    """Basis-independent wedge: tr(s (q_a p_b - q_b p_a)) with s = ebar_0,
+    the dual-basis scaling element (coordinates pair through the trace as
+    q_a . p_b = tr(ebar_0 q_a p_b)); the reference for phasespace.wedge."""
+    dual_scale = dual_basis(field, [field.pow_omega(i) for i in range(field.n)])[0]
+    cross = field.mul(a.q, b.p) ^ field.mul(b.q, a.p)
+    return field.trace(field.mul(dual_scale, cross)) if cross else 0

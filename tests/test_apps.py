@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from gfwigner import apps
-from gfwigner.errors import AmbiguousInference
+from gfwigner.errors import AmbiguousInference, InconsistentStabilizer
+from gfwigner.galois import field_new
 from gfwigner.net import build_net
 from gfwigner.pauli import format_pauli, to_matrix, translation
-from gfwigner.wigner import stabilizer_wigner, state_density, wigner_of
+from gfwigner.wigner import (StabilizerGroup, WignerGrid, stabilizer_wigner,
+                             state_density, symmetry_orbits, wigner_of)
 
 
 # -- Bell ------------------------------------------------------------------------
@@ -31,13 +33,15 @@ def test_bell_translations_are_xx_and_zz():
 
 
 def test_bell_orbits_partition_the_grid():
+    # the orbits of (0, 0), (1, 0), (0, 1) and (1, 1) under translation by
+    # XX, ZZ and YY, whose binary coordinates are (3, 0), (0, 3) and (3, 3)
     f = apps.bell_field()
+    group = apps.bell_stabilizer(f, "psi_minus")
+    assert sorted(group.elements) == [(0, 0), (0, 3), (3, 0), (3, 3)]
     orbits = apps.bell_orbits(f)
-    cells = set()
-    for orbit in orbits:
-        assert len(orbit) == 4
-        cells |= {(bp.qbits, bp.pbits) for bp in orbit}
-    assert len(cells) == 16
+    assert orbits == dict(zip("abcd", symmetry_orbits(group, [0, 4, 1, 5])))
+    cells = [i for orbit in orbits.values() for i in orbit]
+    assert sorted(cells) == list(range(16))
 
 
 def test_bell_survey_realizes_exactly_two_patterns():
@@ -149,6 +153,17 @@ def test_solution_family_has_eight_members():
         assert sum(v * v for v in sol.values()) == F(1, 64)
 
 
+def test_grid_parameters_reject_a_grid_not_constant_on_a_slot():
+    f = apps.qec_field()
+    sol = apps.code_solution_family()[0]
+    grid = apps.grid_from_parameters(f, sol)
+    assert apps.grid_parameters(f, grid) == sol
+    flat = list(grid.flat)
+    flat[apps.qec_slots(f)["c"][3]] += 1
+    with pytest.raises(InconsistentStabilizer, match="not constant on slot c"):
+        apps.grid_parameters(f, WignerGrid(f, tuple(flat), exact=True))
+
+
 def test_family_solutions_have_nonnegative_line_sums():
     from gfwigner.phasespace import all_striations
 
@@ -161,20 +176,27 @@ def test_family_solutions_have_nonnegative_line_sums():
 
 
 def test_exactly_four_covariant_solutions():
-    f = apps.qec_field()
-    cov = apps.covariant_code_solutions(f)
-    assert len(cov) == 4
+    # on the paper's x^3 + x^2 + 1 and on x^3 + x + 1
     family = {tuple(sol[k] for k in "abcdefgh")
               for sol in apps.code_solution_family()}
-    for sol in cov:
-        key = tuple(sol[k] for k in "abcdefgh")
-        assert key in family
-        assert sol["a"] in (Fraction(1, 32), Fraction(3, 32))
+    for f in (apps.qec_field(), field_new(3, 0b1011)):
+        cov = apps.covariant_code_solutions(f)
+        assert len(cov) == 4
+        for sol in cov:
+            key = tuple(sol[k] for k in "abcdefgh")
+            assert key in family
+            assert 8 * sum(key) == 1
+            assert sol["a"] in (Fraction(1, 32), Fraction(3, 32))
 
 
 def test_general_encoded_state_first_columns():
     f = apps.qec_field()
     net = apps.qec_net(f)
+    # the column classes of q = 0 and q = 1 are their orbits under S1 and S2
+    s1, s2, _ = apps.qec_stabilizer_generators(f)
+    orbits = symmetry_orbits(StabilizerGroup(f, [s1, s2], [1, 1]),
+                             [(q << 3) | pb for q in (0, 1) for pb in range(8)])
+    assert sorted(i for orbit in orbits for i in orbit) == list(range(64))
     rng = np.random.default_rng(43)
     for _ in range(100):
         alpha, beta = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -185,12 +207,8 @@ def test_general_encoded_state_first_columns():
         for key, val in closed.items():
             assert abs(grid.values[key] - val) < 1e-10
         # remaining columns repeat their column class
-        q0, q1 = apps.qec_column_classes(f)
-        for pb in range(8):
-            for q in q0:
-                assert abs(grid.values[(q, pb)] - grid.values[(0, pb)]) < 1e-10
-            for q in q1:
-                assert abs(grid.values[(q, pb)] - grid.values[(1, pb)]) < 1e-10
+        for orbit in orbits:
+            assert np.ptp(grid.flat[orbit]) < 1e-10
 
 
 # -- mean king -----------------------------------------------------------------------

@@ -112,7 +112,7 @@ def test_ray_projectors_rank_one():
     f = field_new(3)
     net = build_net(f)
     for label in striation_labels(f):
-        P = net.ray_projector(label)
+        P = net.ray(label).projector()
         assert np.allclose(P @ P, P, atol=1e-12)
         assert abs(np.trace(P) - 1) < 1e-12
         v = net.ray_state(label)
@@ -132,7 +132,7 @@ def test_f_matches_dense_trace():
             for (qb, pb), fv in net.f_table().items():
                 beta = BinaryPoint(qb, pb, n)
                 label = ray_through(f, from_binary(f, beta))
-                P = ray_projector(net.generators(label), net.signs[label])
+                P = ray_projector(net.ray(label).gens, net.signs[label])
                 dense = np.trace(to_matrix(translation_for(beta)) @ P)
                 assert abs(dense.imag) < 1e-12
                 assert abs(dense.real - fv) < 1e-10
@@ -154,8 +154,8 @@ def test_covariance_of_covariant_net():
         net = build_net(f, "covariant")
         U = u_omega_matrix(f)
         for lam in range(f.order):
-            lhs = net.ray_projector((lam - 2) % f.order)
-            rhs = U @ net.ray_projector(lam) @ U.conj().T
+            lhs = net.ray((lam - 2) % f.order).projector()
+            rhs = U @ net.ray(lam).projector() @ U.conj().T
             assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -177,7 +177,7 @@ def test_h_v_ray_states_invariant_under_u_omega():
     net = build_net(f, "covariant")
     U = u_omega_matrix(f)
     for label in (HORIZONTAL, VERTICAL):
-        P = net.ray_projector(label)
+        P = net.ray(label).projector()
         assert np.allclose(U @ P @ U.conj().T, P, atol=1e-10)
 
 

@@ -160,7 +160,7 @@ def test_dense_cap():
         lambda: to_matrix(translation(7, 1, 0)),
         lambda: pauli_sum(7, np.zeros(1 << 14)),
         lambda: net.a0_matrix(),
-        lambda: net.ray_projector(0),
+        lambda: net.ray(0).projector(),
         lambda: group.projector(),
         lambda: reconstruct(net, WignerGrid(field, np.zeros(1 << 14))),
         lambda: u_omega_matrix(field),

@@ -40,6 +40,7 @@ from gfwigner.wigner import (
     reconstruct,
     stabilizer_wigner,
     stabilizer_wigner_value,
+    symmetry_orbits,
     wigner_of,
 )
 from oracles import (
@@ -397,8 +398,8 @@ def test_ray_projectors_and_a0_equal_the_projector_products(data):
     net = data.draw(nets(field))
     products = []
     for label in striation_labels(field):
-        products.append(ray_projector(net.generators(label), net.signs[label]))
-        assert np.array_equal(net.ray_projector(label), products[-1])
+        products.append(ray_projector(net.ray(label).gens, net.signs[label]))
+        assert np.array_equal(net.ray(label).projector(), products[-1])
     assert np.array_equal(net.a0_matrix(), a0_from_projectors(products))
 
 
@@ -461,9 +462,11 @@ def test_stabilizer_wigner_equals_wigner_of_its_projector(data):
     field = data.draw(fields(5))
     net = data.draw(nets(field))
     group = data.draw(graph_states(field))
-    exact = np.array(stabilizer_wigner(net, group).flat, dtype=float)
+    grid = stabilizer_wigner(net, group)
     dense = wigner_of(net, group.projector()).flat
-    assert np.abs(exact - dense).max() < IDENTITY_ATOL
+    assert np.abs(np.array(grid.flat, dtype=float) - dense).max() < IDENTITY_ATOL
+    # and back, through the exact grid's own hat W
+    assert np.abs(reconstruct(net, grid) - group.projector()).max() < IDENTITY_ATOL
 
 
 @pytest.mark.parametrize("net_kind", [independent_nets, covariant_nets],
@@ -488,6 +491,20 @@ def test_wigner_function_is_translation_covariant(net_kind, data):
     moved_group = StabilizerGroup.from_generators(field, gens)
     exact = np.array(stabilizer_wigner(net, moved_group).flat, dtype=object)[moved]
     assert np.array_equal(exact, np.array(stabilizer_wigner(net, group).flat, dtype=object))
+
+
+@settings(PROPERTY, max_examples=15)
+@given(st.data())
+def test_stabilizer_grid_is_constant_on_the_orbits_of_its_group(data):
+    # T_beta rho T_beta^dagger = rho for every member beta of the state's
+    # group, so translation covariance makes W constant on each orbit
+    field = data.draw(fields(6))
+    net = data.draw(nets(field))
+    group = data.draw(regenerated(data.draw(graph_states(field))))
+    flat = stabilizer_wigner(net, group).flat
+    for orbit in symmetry_orbits(group, range(field.N * field.N)):
+        assert len(set(orbit)) == field.N
+        assert len({flat[i] for i in orbit}) == 1
 
 
 @settings(PROPERTY, max_examples=50)

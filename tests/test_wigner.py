@@ -88,19 +88,31 @@ def test_meanking_phi1_grid_equals_the_loop_bit_for_bit():
 
 
 def test_complex_wigner_value_names_its_point():
-    # the hermiticity check is loose on the diagonal (allclose's rtol), so an
-    # imaginary diagonal part of 1e-6 passes it and shows in W as Im W; the
-    # diagonal of A(0) is (1/4, 0, 0, 0), so the first such point is not the
-    # origin
-    field = field_new(2)
-    rho = np.diag(0.25 + 1e-6j * np.array([0, 1, -1, 0]))
+    # an anti-hermitian part within INPUT_ATOL passes the hermiticity check
+    # but shows in W as Im W: I/N plus 0.49e-8 i times the phases of A(alpha)
+    # off the diagonal gives Im W(alpha) = 1.24e-8 at a point other than the
+    # origin, while |rho - rho^dagger| stays at 0.98e-8
+    field = field_new(5)
     net = build_net(field)
+    A = point_operator_sum(net, BinaryPoint(0, 1, 5))
+    phases = np.divide(A, abs(A), out=np.zeros_like(A), where=abs(A) > 1e-12)
+    np.fill_diagonal(phases, 0)
+    rho = np.eye(field.N) / field.N + 0.49e-8j * phases
+    check_density_matrix(rho, 5)
     first = next(alpha for alpha in all_points(field)
                  if abs(np.trace(rho @ point_operator_sum(net, alpha)).imag) > 1e-8)
     assert not first.is_origin
     with pytest.raises(InvalidDensityMatrix,
                        match=f"complex Wigner value .* at {re.escape(str(first))}$"):
         wigner_of(net, rho)
+
+
+def test_hermiticity_check_has_no_relative_tolerance():
+    # an imaginary diagonal of 1e-6 is 1e-6 from hermitian, beyond INPUT_ATOL,
+    # however large the entries it sits on
+    rho = np.diag(0.25 + 1e-6j * np.array([0, 1, -1, 0]))
+    with pytest.raises(InvalidDensityMatrix, match="matrix is not hermitian"):
+        check_density_matrix(rho, 2)
 
 
 def test_point_operator_orthogonality():
@@ -139,7 +151,7 @@ def test_wigner_reconstruct_roundtrip():
         for _ in range(10):
             rho = random_state(f, rng)
             grid = wigner_of(net, rho)
-            assert abs(grid.total() - 1) < 1e-10
+            assert abs(grid.flat.sum() - 1) < 1e-10
             assert np.abs(reconstruct(net, grid) - rho).max() < 1e-10
 
 
