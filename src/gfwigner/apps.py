@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING
 
-from .errors import AmbiguousInference, InconsistentStabilizer, MalformedInput
+from .errors import AmbiguousInference, FieldMismatch, InconsistentStabilizer, MalformedInput
 from .galois import GF2Field, field_new
 from .net import (
     QuantumNet,
@@ -134,7 +134,7 @@ def _slot_values(grid: WignerGrid, slots: dict[str, list[int]]) -> dict:
         vals = {grid.flat[i] for i in cells}
         if len(vals) != 1:
             raise InconsistentStabilizer(f"grid not constant on slot {name}")
-        params[name] = vals.pop()
+        params[name] = Fraction(vals.pop(), grid.den) if grid.exact else vals.pop()
     return params
 
 
@@ -255,7 +255,7 @@ def grid_from_parameters(field: GF2Field, params: dict) -> WignerGrid:
     for letter, cells in qec_slots(field).items():
         for i in cells:
             flat[i] = params[letter]
-    return WignerGrid(field, tuple(flat), exact=True)
+    return WignerGrid.from_rationals(field, flat)
 
 
 def code_solution_family() -> list[dict[str, Fraction]]:
@@ -313,14 +313,17 @@ def logical_f_functions(alpha: complex, beta: complex) -> tuple[float, ...]:
 
 
 def logical_first_columns(field: GF2Field, alpha: complex, beta: complex) -> dict:
-    """Closed-form Wigner values on the columns q = 0 and q = 1.
+    """Closed-form Wigner values on the columns q = 0 and q = 1 (preset net).
 
     The q = 0 column is given by f1..f4 of (alpha, beta); the q = 1 column by
     the same functions with the arguments swapped.  Rows map to function
     indices as p = 0 -> f1, p = w^3 -> f4, p in {1, w^4, w^5} -> f2 and
     p in {w, w^2, w^6} -> f3.  The remaining columns follow from the S1, S2
-    symmetry (every q-class member repeats its class column).
+    symmetry (every q-class member repeats its class column).  A field
+    other than qec_field() raises FieldMismatch: no row layout fits there.
     """
+    if field != qec_field():
+        raise FieldMismatch(f"the closed form holds on {qec_field()} only, not {field}")
     w = field.pow_omega
     row_fn = {0: 0, w(3): 3}
     row_fn |= {p: 1 for p in (w(0), w(4), w(5))}

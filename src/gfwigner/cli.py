@@ -15,11 +15,14 @@ their own functions that build arrays, as do the array checks of
 `computational_*`, `bell_*` or `qec_logical_*` preset, on any net), `bell`,
 `qec`, `bell --verify` and `qec --verify` start without numpy too, and it
 is loaded by `mub`, `meanking`, `verify` and `wigner` on a density file or
-the `meanking_phi1` preset.  `main` asks for one BLAS thread
-(OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS default to 1; a
-value already set is kept) before numpy loads, and freezes the heap
-(gc.freeze) before exiting, so the final garbage collection at interpreter
-exit does not walk every object the request created.
+the `meanking_phi1` preset.  An exact grid is integer numerators, which
+export_grid renders itself, so `fractions` loads for none of `field`,
+`rays`, `uomega` and `wigner` on a stabilizer file or a `computational_*`
+preset.  `main` asks for one BLAS thread (OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS default to 1; a value already set is
+kept) before numpy loads, and freezes the heap (gc.freeze) before
+exiting, so the final garbage collection at interpreter exit does not
+walk every object the request created.
 
 The paper's checks are one table, `check_rows`: 12 (group, name, check)
 rows, and `run_checks(field, *groups)` runs the rows of the named groups in
@@ -39,7 +42,6 @@ import math
 import os
 import re
 import sys
-from fractions import Fraction
 from functools import cache
 from typing import TYPE_CHECKING
 
@@ -59,55 +61,56 @@ def _axis_names(field: GF2Field) -> list[str]:
                     for j in range(field.order)]
 
 
-def _fmt_value(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v)
-    return f"{float(v):.12g}"
-
-
-def grid_rows(grid: WignerGrid) -> list[list]:
-    """Grid as rows of values: rows are p descending, columns q ascending."""
-    from .wigner import display_rows
-
-    cells = grid.flat if grid.exact else grid.flat.tolist()
-    return [[cells[i] for i in row] for row in display_rows(grid.field)]
+def _ratio_text(k: int, den: int) -> str:
+    """str(Fraction(k, den)) without making the Fraction."""
+    g = math.gcd(k, den)
+    return str(k // g) if g == den else f"{k // g}/{den // g}"
 
 
 def export_grid(grid: WignerGrid, fmt: str, meta: dict | None = None) -> str:
-    """Render a Wigner grid as csv, json or ascii text."""
+    """Render a Wigner grid as csv, json (as json.dumps(..., indent=2) of
+    {"n", "poly", "exact", "axis", "rows_p_descending"} | meta) or ascii
+    text.  Each distinct numerator of an exact grid (at most 2N + 1) and each
+    dense cell is rendered once; the fixed layout is joined around them."""
+    from .wigner import display_rows
+
+    if fmt not in ("csv", "json", "ascii"):
+        raise GfwignerError(f"unknown format {fmt!r}")
     field = grid.field
     names = _axis_names(field)
-    rows = grid_rows(grid)
+    if grid.exact:
+        values = list(set(grid.flat))
+        texts = [_ratio_text(k, grid.den) for k in values]
+    else:  # by cell: 0.0 and -0.0 print apart
+        values = grid.flat.tolist()
+        texts = [f"{v:.12g}" for v in values]
+    if fmt == "json":  # digits, signs, "/", "." and "e": nothing to escape
+        texts = [f'"{t}"' for t in texts]
+    elif fmt == "ascii":
+        width = max(map(len, texts))
+        texts = [f"{'#' if v > 0 else 'o' if v < 0 else '.'} {t:>{width}}"
+                 for v, t in zip(values, texts)]
+    cells = list(map(dict(zip(values, texts)).__getitem__, grid.flat)) if grid.exact else texts
+    rows = [list(map(cells.__getitem__, row)) for row in display_rows(field)]
     if fmt == "csv":
         lines = ["p\\q," + ",".join(names)]
-        for name, row in zip(reversed(names), rows):
-            lines.append(name + "," + ",".join(_fmt_value(v) for v in row))
+        lines += [name + "," + ",".join(row) for name, row in zip(reversed(names), rows)]
         return "\n".join(lines) + "\n"
-    if fmt == "json":
-        payload = {
-            "n": field.n,
-            "poly": field.poly_str(),
-            "exact": grid.exact,
-            "axis": names,
-            "rows_p_descending": [[_fmt_value(v) for v in row] for row in rows],
-        }
-        payload.update(meta or {})
-        return json.dumps(payload, indent=2) + "\n"
     if fmt == "ascii":
-        width = max(len(_fmt_value(v)) for row in rows for v in row)
-        label_w = max(len(s) for s in names)
-        out = []
-        for name, row in zip(reversed(names), rows):
-            cells = []
-            for v in row:
-                shade = "#" if v > 0 else ("o" if v < 0 else ".")
-                cells.append(f"{shade} {_fmt_value(v):>{width}}")
-            out.append(f"{name:>{label_w}} | " + "  ".join(cells))
+        label_w = max(map(len, names))
+        out = [f"{name:>{label_w}} | " + "  ".join(row)
+               for name, row in zip(reversed(names), rows)]
         out.append("-" * len(out[-1]))
-        header = " " * label_w + " | " + "  ".join(f"  {s:>{width}}" for s in names)
-        out.append(header)
+        out.append(" " * label_w + " | " + "  ".join(f"  {s:>{width}}" for s in names))
         return "\n".join(out) + "\n"
-    raise GfwignerError(f"unknown format {fmt!r}")
+    table = "[\n    [\n      " + "\n    ],\n    [\n      ".join(
+        ",\n      ".join(row) for row in rows) + "\n    ]\n  ]"
+    payload = {"n": field.n, "poly": field.poly_str(), "exact": grid.exact,
+               "axis": names, "rows_p_descending": table, **(meta or {})}
+    # every other member as json.dumps writes it inside the document
+    return "{\n" + ",\n".join(f'  "rows_p_descending": {v}' if v is table
+                               else json.dumps({k: v}, indent=2)[2:-2]
+                               for k, v in payload.items()) + "\n}\n"
 
 
 def mub_json(n: int, net: str, bases: dict, overlap_report: dict) -> str:
@@ -150,6 +153,8 @@ def _grid_cell(cell, exact: bool):
     """One exported cell: an exact fraction string, or a finite number."""
     try:
         if exact and isinstance(cell, str) and _FRACTION.fullmatch(cell):
+            from fractions import Fraction
+
             return Fraction(cell)
         if not exact and isinstance(cell, (str, int, float)) and not isinstance(cell, bool):
             if math.isfinite(val := float(cell)):
@@ -185,7 +190,7 @@ def import_grid(text: str) -> WignerGrid:
         for i, cell in zip(indices, row):
             flat[i] = _grid_cell(cell, exact)
     if exact:
-        return WignerGrid(field, tuple(flat), exact=True)
+        return WignerGrid.from_rationals(field, flat)
     import numpy as np
 
     return WignerGrid(field, np.array(flat, dtype=float))
@@ -517,7 +522,7 @@ def check_rows(field: GF2Field) -> list[tuple]:
         qec_field = apps.qec_field()
         grid = stabilizer_wigner(apps.qec_net(qec_field), apps.logical_group(qec_field, 0))
         params = apps.grid_parameters(qec_field, grid)
-        _claim(all(params[k] == Fraction(1, 32) for k in "aceg"), params)
+        _claim(all(32 * params[k] == 1 for k in "aceg"), params)
 
     def basis_and_sums():
         import numpy as np

@@ -182,8 +182,9 @@ class QuantumNet:
 
     def _f_json(self) -> dict[str, int]:
         """f keyed by "qbits,pbits" strings, each element's bits rendered once."""
-        bits = [self.field.bits_str(x) for x in range(self.field.N)]
-        return {f"{bits[q]},{bits[p]}": v for (q, p), v in sorted(self.f_table().items())}
+        N, f = self.field.N, self.f_table()
+        bits = [self.field.bits_str(x) for x in range(N)]
+        return {f"{bits[q]},{bits[p]}": f[q, p] for q in range(N) for p in range(N) if q or p}
 
     # -- phase-space point operators -----------------------------------------
 

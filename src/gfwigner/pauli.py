@@ -9,7 +9,8 @@ s = popcount(a & b) mod 4, which makes it hermitian and unitary.
 
 A StabilizerGroup is n commuting signed translations and their span, with
 the sign of each canonical member: the state of a net's ray and a
-stabilizer state are both one.
+stabilizer state are both one.  Its members are walked as (a, b, s) ints
+(Aaronson and Gottesman, PRA 70, 052328).
 
 Every dense operator of the package is built here, as a Pauli sum
 sum_beta c(beta) T_beta: one Walsh-Hadamard transform over b for each a.
@@ -181,14 +182,14 @@ def ray_walk(field: GF2Field, label):
 # -- signed stabilizer groups --------------------------------------------------
 
 
-def _canonical_sign(prod: PauliTranslation, sign: int) -> int:
-    """Eigenvalue of the canonical T(prod.a, prod.b) on a state on which the
-    operator prod has eigenvalue sign."""
-    # prod = i^t T with t in {0, 2}: a product of commuting hermitian operators.
-    t = prod.phase_vs_canonical
+def _canonical_sign(a: int, b: int, s: int) -> int:
+    """Eigenvalue of the canonical T(a, b) on a state that the group member
+    i^s X^a Z^b stabilizes."""
+    # i^s X^a Z^b = i^t T with t in {0, 2}: a product of commuting hermitians
+    t = (s - (a & b).bit_count()) % 4
     if t % 2:
         raise NonCommutingGenerators("group member product has an odd phase")
-    return sign if t == 0 else -sign
+    return 1 - t
 
 
 class StabilizerGroup:
@@ -235,26 +236,28 @@ class StabilizerGroup:
 
     @cached_property
     def elements(self) -> dict[tuple[int, int], int]:
-        """g on the whole span, the origin first: the span in Gray-code order,
-        one compose per member, so the i-th member is the product of the
-        generators k with bit k set in x = i ^ (i >> 1)."""
-        prod, sign = PauliTranslation(self.field.n, 0, 0), 1
+        """g on the whole span, the origin first, in Gray-code order: the
+        i-th member is the product i^s X^a Z^b of the stabilizers k with bit k
+        set in x = i ^ (i >> 1), and a step by sign_k gens_k adds
+        s_k + 2 popcount(b & a_k) to s, as Z^b X^a_k = (-1)^(b.a_k) X^a_k Z^b."""
+        words = [(g.a, g.b, g.s + 1 - sg) for g, sg in zip(self.gens, self.signs)]  # -1 = i^2
+        a = b = s = 0
         out = {(0, 0): 1}
-        for step in range(1, 1 << len(self.gens)):
-            k = (step & -step).bit_length() - 1
-            prod, sign = compose(prod, self.gens[k]), sign * self.signs[k]
-            out[(prod.a, prod.b)] = _canonical_sign(prod, sign)
+        for i in range(1, 1 << len(words)):
+            ak, bk, sk = words[(i & -i).bit_length() - 1]
+            a, b, s = a ^ ak, b ^ bk, s + sk + 2 * (b & ak).bit_count()
+            out[(a, b)] = _canonical_sign(a, b, s)
         return out
 
     def sign(self, a: int, b: int) -> int:
         """g at (a, b), which must lie in the span (else SingularBasis)."""
         n = self.field.n
         x = solve_gf2([g.a | g.b << n for g in self.gens], a | b << n)
-        prod, sign = PauliTranslation(n, 0, 0), 1
-        for k, g in enumerate(self.gens):
+        pa = pb = s = 0
+        for k, (g, sg) in enumerate(zip(self.gens, self.signs)):
             if x >> k & 1:
-                prod, sign = compose(prod, g), sign * self.signs[k]
-        return _canonical_sign(prod, sign)
+                pa, pb, s = pa ^ g.a, pb ^ g.b, s + g.s + 1 - sg + 2 * (pb & g.a).bit_count()
+        return _canonical_sign(pa, pb, s)
 
     def projector(self) -> np.ndarray:
         """Dense rank-one projector N^-1 sum_{beta in S} g(beta) T_beta."""

@@ -1,10 +1,10 @@
 """Discrete Wigner functions on the GF(2^n) phase space.
 
 A grid is N^2 values in one flat sequence indexed by (qbits << n) | pbits:
-a float64 array for dense grids, a tuple of Fractions for exact ones.
-Display order is one permutation of it (display_rows, or display_index
-as an array); grid.values is a {(qbits, pbits): value} dict built on
-request.
+a float64 array for dense grids, integer numerators over grid.den for
+exact ones.  Display order is one permutation of it (display_rows, or
+display_index as an array); grid.values is a {(qbits, pbits): value} dict
+built on request.
 
 Two routes are provided and cross-checked in the tests:
 
@@ -39,13 +39,13 @@ rho = N^-1 sum_beta f(beta) hat W(beta) T_beta, one Pauli sum
 g(beta) T_beta.  A grid caches hat W, so it is not changed after it is
 built.
 
-numpy is imported only inside the functions that build arrays, so an exact
-grid is computed and exported without it.
+numpy is imported only inside the functions that build arrays, and
+fractions only where a Fraction is made, so an exact grid is computed and
+exported without either.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 from math import lcm
@@ -66,6 +66,8 @@ from .pauli import (
 from .phasespace import BinaryPoint, grid_axis, wedge
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 GRID_MAX_QUBITS = 8
@@ -133,23 +135,39 @@ def symmetry_orbits(group: StabilizerGroup, cells) -> list[list[int]]:
     return [[i ^ s for s in shifts] for i in cells]
 
 
+def _fraction(num: int, den: int) -> Fraction:
+    """Fraction(num, den), importing fractions (and decimal) on first use."""
+    from fractions import Fraction
+
+    return Fraction(num, den)
+
+
 class WignerGrid:
     """Wigner values on the N x N grid: flat[(qbits << n) | pbits].
 
-    exact=True marks grids whose values are Fractions in a tuple
-    (stabilizer route); dense grids hold a float64 array.  A grid is not
-    changed after it is built: its transform hat is computed once and cached.
+    A dense grid holds a float64 array (den None); an exact grid, integer
+    numerators over den (N^2 on the stabilizer route), making a Fraction only
+    for a value asked for.  A grid is not changed after it is built: its
+    transform hat is computed once and cached.
     """
 
-    def __init__(self, field: GF2Field, flat: tuple[Fraction, ...] | np.ndarray,
-                 exact: bool = False):
+    def __init__(self, field: GF2Field, flat: tuple[int, ...] | np.ndarray,
+                 den: int | None = None):
         self.field = field
         self.flat = flat
-        self.exact = exact
+        self.den = den
+        self.exact = den is not None
+
+    @classmethod
+    def from_rationals(cls, field: GF2Field, values) -> WignerGrid:
+        """The exact grid of rational values (Fractions or ints) by flat
+        index, over their least common denominator."""
+        den = lcm(*(v.denominator for v in values))
+        return cls(field, tuple(v.numerator * (den // v.denominator) for v in values), den)
 
     def _at(self, i: int):
         """The value at flat index i: a Fraction, or a Python float."""
-        return self.flat[i] if self.exact else self.flat.item(i)
+        return _fraction(self.flat[i], self.den) if self.exact else self.flat.item(i)
 
     @property
     def values(self) -> dict:
@@ -162,27 +180,21 @@ class WignerGrid:
 
     @cached_property
     def hat(self) -> tuple[np.ndarray, int]:
-        """hat W = the symplectic transform of the grid, over a denominator D.
-
-        An exact grid is scaled to integer numerators over the common
-        denominator D of its values, so its sums are exact; a dense grid
-        gives floats over D = 1.
-        """
+        """hat W = the symplectic transform of the grid, over a denominator D:
+        an exact grid's numerators over den as Python ints (squared and
+        summed, they can pass 64 bits), or a dense grid's floats over 1."""
         if not self.exact:
             return _symplectic_transform(self.flat, self.field.n), 1
         import numpy as np
 
-        # Python ints, not int64: numerators over an arbitrary common
-        # denominator D can overflow 64 bits once squared and summed.
-        D = lcm(*(w.denominator for w in self.flat))
-        nums = [w.numerator * (D // w.denominator) for w in self.flat]
-        return _symplectic_transform(np.array(nums, dtype=object), self.field.n), D
+        return _symplectic_transform(np.array(self.flat, dtype=object), self.field.n), self.den
 
     def as_array(self) -> np.ndarray:
         """Array indexed [q_axis][p_axis] with axis order 0, 1, w, w^2, ..."""
         import numpy as np
 
-        return np.asarray(self.flat, dtype=float)[display_index(self.field)]
+        flat = [k / self.den for k in self.flat] if self.exact else self.flat
+        return np.asarray(flat, dtype=float)[display_index(self.field)]
 
     def line_sum(self, line) -> float:
         field, total = self.field, 0
@@ -259,7 +271,7 @@ def expectation_translation(net: QuantumNet, grid: WignerGrid, beta: BinaryPoint
         raise FieldMismatch("grid, net and point use different fields")
     hat, D = grid.hat
     value = net.f(beta) * hat[(beta.qbits << field.n) | beta.pbits]
-    return Fraction(value, D) if grid.exact else float(value)
+    return _fraction(value, D) if grid.exact else float(value)
 
 
 def _symplectic_transform(v: np.ndarray, n: int) -> np.ndarray:
@@ -289,7 +301,7 @@ def purity_identity_residual(net: QuantumNet, grid: WignerGrid) -> float | Fract
     sq = hat * hat
     if grid.exact:
         resid = np.abs(sq - N * (_symplectic_transform(sq, n) // (N * N)))
-        return Fraction(int(resid.max()), D * D)
+        return _fraction(int(resid.max()), D * D)
     resid = np.abs(sq - N * _symplectic_transform(sq, n) / (N * N))
     return float(resid.max())
 
@@ -308,7 +320,7 @@ def stabilizer_wigner_value(
     for (qb, pb), g in group.elements.items():
         beta = BinaryPoint(qb, pb, field.n)
         total += net.f(beta) * g * (-1) ** wedge(alpha, beta)
-    return Fraction(total, field.N * field.N)
+    return _fraction(total, field.N * field.N)
 
 
 def stabilizer_wigner(net: QuantumNet, group: StabilizerGroup) -> WignerGrid:
@@ -341,9 +353,7 @@ def stabilizer_wigner(net: QuantumNet, group: StabilizerGroup) -> WignerGrid:
     for j in range(2 * n):
         m = sum((wk >> j & 1) << k for k, wk in enumerate(w))
         syndrome += [s ^ m for s in syndrome]
-    frac = {k: Fraction(k, N * N) for k in set(c)}  # at most 2N + 1 values
-    cells = [frac[k] for k in c]
-    return WignerGrid(field, tuple(map(cells.__getitem__, syndrome)), exact=True)
+    return WignerGrid(field, tuple(map(c.__getitem__, syndrome)), N * N)
 
 
 def all_stabilizer_groups(field: GF2Field) -> list[frozenset]:

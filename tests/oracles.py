@@ -1,7 +1,8 @@
 """Reference routes that the fast code is checked against: per-point loops,
-dense matrix constructions, the N^2-point transform of stabilizer grids, the
-nested-list `mub` export, and GF(2) arithmetic by explicit matrices and
-Gauss-Jordan elimination."""
+dense matrix constructions, the N^2-point transform of stabilizer grids,
+stabilizer groups walked by composing Pauli translations, the cell-by-cell
+grid export and the nested-list `mub` export, and GF(2) arithmetic by
+explicit matrices and Gauss-Jordan elimination."""
 
 import json
 from fractions import Fraction
@@ -9,9 +10,9 @@ from itertools import islice
 
 import numpy as np
 
-from gfwigner.cli import export_grid, resolve_net, resolve_state
-from gfwigner.errors import SingularBasis
-from gfwigner.galois import dual_basis, field_new
+from gfwigner.cli import _axis_names, resolve_net, resolve_state
+from gfwigner.errors import GfwignerError, NonCommutingGenerators, SingularBasis
+from gfwigner.galois import dual_basis, field_new, solve_gf2
 from gfwigner.net import (
     all_plus_signs,
     mub_bases,
@@ -21,6 +22,7 @@ from gfwigner.net import (
     u_omega_matrix,
 )
 from gfwigner.pauli import (
+    PauliTranslation,
     basis_index,
     compose,
     ray_walk,
@@ -30,7 +32,7 @@ from gfwigner.pauli import (
 )
 from gfwigner.phasespace import BinaryPoint, PhasePoint, wedge
 from gfwigner.wigner import (WignerGrid, _symplectic_transform, all_points,
-                             check_density_matrix, point_operator)
+                             check_density_matrix, display_rows, point_operator)
 
 _XZ = {
     (0, 0): np.eye(2, dtype=complex),
@@ -145,22 +147,104 @@ def stabilizer_wigner_transform(net, group) -> WignerGrid:
     v = np.zeros(N * N, dtype=np.int64)
     for (qb, pb), g in group.elements.items():
         v[(qb << n) | pb] = net.f(BinaryPoint(qb, pb, n)) * g
-    nums = _symplectic_transform(v, n).tolist()
-    return WignerGrid(field, tuple(Fraction(k, N * N) for k in nums), exact=True)
+    return WignerGrid(field, tuple(_symplectic_transform(v, n).tolist()), N * N)
+
+
+def _canonical_sign(prod, sign: int) -> int:
+    """Eigenvalue of the canonical T(prod.a, prod.b) on a state on which the
+    operator prod has eigenvalue sign."""
+    t = prod.phase_vs_canonical
+    if t % 2:
+        raise NonCommutingGenerators("group member product has an odd phase")
+    return sign if t == 0 else -sign
+
+
+def group_elements_compose(group) -> dict:
+    """StabilizerGroup.elements by one compose of PauliTranslations per
+    member, in Gray-code order, the sign carried beside the product."""
+    prod, sign = PauliTranslation(group.field.n, 0, 0), 1
+    out = {(0, 0): 1}
+    for step in range(1, 1 << len(group.gens)):
+        k = (step & -step).bit_length() - 1
+        prod, sign = compose(prod, group.gens[k]), sign * group.signs[k]
+        out[(prod.a, prod.b)] = _canonical_sign(prod, sign)
+    return out
+
+
+def group_sign_compose(group, a: int, b: int) -> int:
+    """StabilizerGroup.sign by composing the generators that span (a, b)."""
+    n = group.field.n
+    x = solve_gf2([g.a | g.b << n for g in group.gens], a | b << n)
+    prod, sign = PauliTranslation(n, 0, 0), 1
+    for k, g in enumerate(group.gens):
+        if x >> k & 1:
+            prod, sign = compose(prod, g), sign * group.signs[k]
+    return _canonical_sign(prod, sign)
+
+
+def _fmt_value(v) -> str:
+    if isinstance(v, Fraction):
+        return str(v)
+    return f"{float(v):.12g}"
+
+
+def grid_rows(grid) -> list[list]:
+    """Grid as rows of values: rows are p descending, columns q ascending."""
+    cells = list(grid.values.values())
+    return [[cells[i] for i in row] for row in display_rows(grid.field)]
+
+
+def export_grid_cells(grid, fmt: str, meta: dict | None = None) -> str:
+    """cli.export_grid cell by cell: each cell's value made, formatted and
+    shaded on its own, and the json document written by json.dumps."""
+    field = grid.field
+    names = _axis_names(field)
+    rows = grid_rows(grid)
+    if fmt == "csv":
+        lines = ["p\\q," + ",".join(names)]
+        for name, row in zip(reversed(names), rows):
+            lines.append(name + "," + ",".join(_fmt_value(v) for v in row))
+        return "\n".join(lines) + "\n"
+    if fmt == "json":
+        payload = {
+            "n": field.n,
+            "poly": field.poly_str(),
+            "exact": grid.exact,
+            "axis": names,
+            "rows_p_descending": [[_fmt_value(v) for v in row] for row in rows],
+        }
+        payload.update(meta or {})
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "ascii":
+        width = max(len(_fmt_value(v)) for row in rows for v in row)
+        label_w = max(len(s) for s in names)
+        out = []
+        for name, row in zip(reversed(names), rows):
+            cells = []
+            for v in row:
+                shade = "#" if v > 0 else ("o" if v < 0 else ".")
+                cells.append(f"{shade} {_fmt_value(v):>{width}}")
+            out.append(f"{name:>{label_w}} | " + "  ".join(cells))
+        out.append("-" * len(out[-1]))
+        header = " " * label_w + " | " + "  ".join(f"  {s:>{width}}" for s in names)
+        out.append(header)
+        return "\n".join(out) + "\n"
+    raise GfwignerError(f"unknown format {fmt!r}")
 
 
 def wigner_stdout_reference(n: int, state_spec: str, net_spec: str = "default",
-                            poly: int | None = None) -> str:
+                            poly: int | None = None, fmt: str = "json") -> str:
     """What `gfwigner wigner --n n --state state_spec --net net_spec
-    --format json [--poly]` writes, by the per-point loop for a density
-    matrix and by the N^2-point transform for a stabilizer state."""
+    --format fmt [--poly]` writes, by the per-point loop for a density
+    matrix and by the N^2-point transform for a stabilizer state, exported
+    cell by cell."""
     net = resolve_net(field_new(n, poly), net_spec)
     kind, state = resolve_state(net.field, state_spec)
     if kind == "stabilizer":
         grid = stabilizer_wigner_transform(net, state)
     else:
         grid = wigner_of_loop(net, state)
-    return export_grid(grid, "json", {"net": net.fingerprint()})
+    return export_grid_cells(grid, fmt, {"net": net.fingerprint()})
 
 
 def translation_from_points(net, beta: BinaryPoint) -> np.ndarray:

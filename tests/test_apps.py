@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gfwigner import apps
-from gfwigner.errors import AmbiguousInference, InconsistentStabilizer
+from gfwigner.errors import AmbiguousInference, FieldMismatch, InconsistentStabilizer
 from gfwigner.galois import field_new
 from gfwigner.net import build_net
 from gfwigner.pauli import format_pauli, to_matrix, translation
@@ -161,7 +161,7 @@ def test_grid_parameters_reject_a_grid_not_constant_on_a_slot():
     flat = list(grid.flat)
     flat[apps.qec_slots(f)["c"][3]] += 1
     with pytest.raises(InconsistentStabilizer, match="not constant on slot c"):
-        apps.grid_parameters(f, WignerGrid(f, tuple(flat), exact=True))
+        apps.grid_parameters(f, WignerGrid(f, tuple(flat), grid.den))
 
 
 def test_family_solutions_have_nonnegative_line_sums():
@@ -209,6 +209,17 @@ def test_general_encoded_state_first_columns():
         # remaining columns repeat their column class
         for orbit in orbits:
             assert np.ptp(grid.flat[orbit]) < 1e-10
+
+
+def test_first_columns_refuse_a_field_whose_preset_net_breaks_the_closed_form():
+    # on x^3 + x + 1 the preset net's grid matches no row layout of f1..f4:
+    # it differs from the paper field's layout by about 0.1 at (0.6, 0.8i)
+    f = field_new(3, 0b1011)
+    grid = apps.encoded_wigner(apps.qec_net(f), 0.6, 0.8j)
+    paper = apps.logical_first_columns(apps.qec_field(), 0.6, 0.8j)
+    assert max(abs(grid.values[key] - val) for key, val in paper.items()) > 0.05
+    with pytest.raises(FieldMismatch, match="closed form"):
+        apps.logical_first_columns(f, 0.6, 0.8j)
 
 
 # -- mean king -----------------------------------------------------------------------

@@ -336,7 +336,7 @@ def test_wigner_density_file(tmp_path, capsys):
 
 
 def export_rows(grid):
-    from gfwigner.cli import grid_rows
+    from oracles import grid_rows
     return [[float(v) for v in row] for row in grid_rows(grid)]
 
 
@@ -474,7 +474,9 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
     # a fresh process: the package and the cli load without numpy or
     # dataclasses, and so do the commands without array work (exact wigner
     # grids on every kind of net, the bell and qec commands and presets);
-    # each array command loads numpy, and later array commands in the same
+    # field, rays, uomega and exact wigner grids of a stabilizer file or a
+    # computational preset load neither fractions nor decimal either; each
+    # array command loads numpy, and later array commands in the same
     # process still work; nothing loads sympy
     src = Path(gfwigner.__file__).parent.parent
     stab = tmp_path / "ghz3.json"
@@ -492,27 +494,35 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
             for module in modules:
                 assert module not in sys.modules, module + " imported by " + when
 
+        lean = ("numpy", "dataclasses", "fractions", "decimal")
         import gfwigner
-        absent("import gfwigner", "numpy", "dataclasses")
+        absent("import gfwigner", *lean)
         gfwigner.field_new, gfwigner.all_striations, gfwigner.GfwignerError
-        absent("numpy-free package names", "numpy", "dataclasses")
+        absent("numpy-free package names", *lean)
         from gfwigner.cli import dispatch
-        absent("import gfwigner.cli", "numpy", "dataclasses")
+        absent("import gfwigner.cli", *lean)
         sink = io.TextIOWrapper(io.BytesIO())  # bytes below, as sys.stdout
-        exact = [["wigner", "--n", "3", "--state", stab, "--net", net_spec]
-                 for net_spec in ("default", "covariant", net)]
-        exact += [["wigner", "--n", "3", "--state", "computational_010"],
-                  ["wigner", "--n", "2", "--state", "bell_phi_plus"],
-                  ["wigner", "--n", "3", "--state", "qec_logical_1"],
-                  ["bell"], ["qec"], ["bell", "--verify"], ["qec", "--verify"]]
-        for argv, want in ((["field", "--n", "1"], 0), (["rays", "--n", "3"], 0),
-                           (["uomega", "--n", "3"], 0), (["--help"], 0),
-                           (["field", "--n"], 2), (["frobnicate"], 2),
-                           *((argv, 0) for argv in exact)):
+        integer = [["wigner", "--n", "3", "--state", stab, "--net", net_spec, "--format", fmt]
+                   for net_spec, fmt in (("default", "json"), ("covariant", "csv"),
+                                         (net, "ascii"))]
+        integer += [["wigner", "--n", "3", "--state", "computational_010"]]
+        exact = [["wigner", "--n", "2", "--state", "bell_phi_plus"],
+                 ["wigner", "--n", "3", "--state", "qec_logical_1"],
+                 ["bell"], ["qec"], ["bell", "--verify"], ["qec", "--verify"]]
+
+        def run(argv, want, *modules):
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 code = dispatch(argv)
             assert code == want, (argv, code)
-            absent(" ".join(argv), "numpy", "dataclasses")
+            absent(" ".join(argv), *modules)
+
+        for argv, want in ((["field", "--n", "1"], 0), (["rays", "--n", "3"], 0),
+                           (["uomega", "--n", "3"], 0), (["--help"], 0),
+                           (["field", "--n"], 2), (["frobnicate"], 2),
+                           *((argv, 0) for argv in integer)):
+            run(argv, want, *lean)
+        for argv in exact:
+            run(argv, 0, "numpy", "dataclasses")
         with contextlib.redirect_stdout(sink):
             assert dispatch(loader) == 0
         assert "numpy" in sys.modules, " ".join(loader) + " did not load numpy"

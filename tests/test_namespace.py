@@ -70,6 +70,8 @@ UNREFERENCED_BY_DESIGN = {
     "grid_from_parameters": "builds the code's grid from its eight slot values",
     "QuantumNet.to_json": "writes the net files that --net reads",
     "dual_basis": "the dual basis that the p axis is expanded in",
+    "compose": "the exact product of two translations; StabilizerGroup walks "
+               "the same rule on plain (a, b, s) ints",
 }
 
 

@@ -250,6 +250,30 @@ def test_net_json_with_unparsable_entries_is_malformed_input(breakage):
         net_from_json(json.dumps(payload))
 
 
+def _flip_one(table):
+    key = sorted(table)[len(table) // 2]
+    table[key] = -table[key]
+
+
+@pytest.mark.parametrize("mode", ["independent", "covariant"])
+@pytest.mark.parametrize("breakage", [
+    _flip_one,
+    lambda table: table.pop(sorted(table)[-1]),
+    lambda table: table.update({"000,000": 1}),
+], ids=["one_sign_flipped", "one_key_missing", "one_key_added"])
+def test_net_json_f_table_must_match_the_signs(mode, breakage):
+    # random signs at n = 4, so the table checked is not all +1
+    f = field_new(4)
+    rng = np.random.default_rng(17)
+    labels = striation_labels(f) if mode == "independent" else (HORIZONTAL, VERTICAL, 0)
+    signs = {label: tuple(int(s) for s in rng.choice((1, -1), size=4)) for label in labels}
+    payload = json.loads(build_net(f, mode, signs).to_json())
+    assert net_from_json(json.dumps(payload)).signs == build_net(f, mode, signs).signs
+    breakage(payload["f"])
+    with pytest.raises(MalformedInput, match='"f" table disagrees'):
+        net_from_json(json.dumps(payload))
+
+
 def test_bad_signs_rejected():
     f = field_new(2)
     for eps in ((1, 0), (1,), (True, 1), (1.0, 1), 5, None, "+-"):

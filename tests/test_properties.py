@@ -6,6 +6,7 @@ or covariant nets derived from random h, v and 0 sign vectors.  Each n >= 3
 is drawn with its default polynomial or one other primitive one.
 """
 
+import random
 from fractions import Fraction
 from functools import reduce
 from operator import xor
@@ -15,8 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gfwigner.cli import export_grid, grid_rows, import_grid
-from gfwigner.errors import GfwignerError, SingularBasis
+from gfwigner.cli import export_grid, import_grid
+from gfwigner.errors import GfwignerError, NonCommutingGenerators, SingularBasis
 from gfwigner.galois import PRIMITIVE_POLYS, field_new, solve_gf2
 from gfwigner.net import QuantumNet, build_net, conjugate_by_u_omega, line_state
 from gfwigner.pauli import (
@@ -47,6 +48,10 @@ from oracles import (
     a0_from_projectors,
     class_points,
     covariant_signs_dense,
+    export_grid_cells,
+    grid_rows,
+    group_elements_compose,
+    group_sign_compose,
     point_operator_conjugation,
     purity_identity_residual_loop,
     ray_projector,
@@ -163,9 +168,9 @@ def test_purity_residual_exact_grids_match_loop(data):
     pure = stabilizer_wigner(net, data.draw(graph_states(field)))
     other = stabilizer_wigner(net, data.draw(graph_states(field)))
     weight = Fraction(data.draw(st.integers(0, 6)), 6)
-    # an exact flat is a tuple of Fractions: mix them as object arrays
-    mixed = WignerGrid(field, weight * np.array(pure.flat, dtype=object)
-                       + (1 - weight) * np.array(other.flat, dtype=object), exact=True)
+    mixed = WignerGrid.from_rationals(field, [
+        weight * u + (1 - weight) * v
+        for u, v in zip(pure.values.values(), other.values.values())])
     got = purity_identity_residual(net, mixed)
     assert isinstance(got, Fraction)
     assert got == purity_identity_residual_loop(mixed)
@@ -447,13 +452,111 @@ FIELDS_1_TO_8 = [(n, poly) for n in range(1, 9)
 @given(st.data())
 def test_stabilizer_wigner_equals_the_n2_point_transform(net_kind, n, poly, data):
     # the N-point transform read through the syndrome map against the int64
-    # transform over all N^2 points: the same Fractions, exactly
+    # transform over all N^2 points: the same integer numerators over N^2
     field = field_new(n, poly)
     net = data.draw(net_kind(field))
     group = data.draw(regenerated(data.draw(graph_states(field))))
     grid = stabilizer_wigner(net, group)
-    assert grid.exact and type(grid.flat) is tuple
+    assert grid.exact and type(grid.flat) is tuple and grid.den == field.N ** 2
+    assert all(type(k) is int for k in grid.flat)
     assert grid.flat == stabilizer_wigner_transform(net, group).flat
+
+
+@pytest.mark.parametrize("net_kind", [independent_nets, covariant_nets],
+                         ids=["independent", "covariant"])
+@pytest.mark.parametrize("n, poly", FIELDS_1_TO_8,
+                         ids=[f"n{n}-{'default' if p is None else bin(p)[2:]}"
+                              for n, p in FIELDS_1_TO_8])
+@settings(PROPERTY, max_examples=2, suppress_health_check=[HealthCheck.large_base_example])
+@given(st.data())
+def test_group_walk_on_ints_equals_the_compose_walk(net_kind, n, poly, data):
+    # the (a, b, s) walk against one PauliTranslation compose per member: the
+    # same members, order and signs, on drawn rays of a net with drawn signs
+    # and on a state's group with drawn signs; sign(a, b) at drawn members
+    field = field_new(n, poly)
+    net = data.draw(net_kind(field))
+    labels = data.draw(st.lists(st.sampled_from(striation_labels(field)),
+                                min_size=1, max_size=4, unique=True))
+    groups = [net.ray(label) for label in labels]
+    groups.append(data.draw(regenerated(data.draw(graph_states(field)))))
+    for group in groups:
+        members = list(group_elements_compose(group).items())
+        assert list(group.elements.items()) == members
+        for k in data.draw(st.lists(st.integers(0, field.N - 1), min_size=1, max_size=4)):
+            (a, b), sign = members[k]
+            assert group.sign(a, b) == group_sign_compose(group, a, b) == sign
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_an_odd_phase_raises_in_both_walks(n):
+    # X and Z on qubit 0 do not commute: their product X Z = -i Y has an
+    # odd phase against the canonical T(1, 1)
+    field = field_new(n)
+    gens = [translation(n, 1, 0), translation(n, 0, 1)]
+    gens += [translation(n, 1 << k, 0) for k in range(2, n)]
+    group = StabilizerGroup(field, gens, [1, -1] + [1] * (n - 2))
+    for walk in (lambda: group.elements, lambda: group_elements_compose(group),
+                 lambda: group.sign(1, 1), lambda: group_sign_compose(group, 1, 1)):
+        with pytest.raises(NonCommutingGenerators, match="odd phase"):
+            walk()
+
+
+META = st.dictionaries(
+    st.sampled_from(["net", "n", "poly", "exact", "axis", "rows_p_descending"])
+    | st.text(max_size=4) | st.integers() | st.booleans() | st.none(),
+    st.recursive(st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+                 | st.floats(allow_nan=False),
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                 max_leaves=6),
+    max_size=3)
+
+
+@st.composite
+def exportable_grids(draw, field):
+    """A grid whose cells repeat a drawn palette of values: integer numerators
+    over N^2, Fractions over their least common denominator (as apps and
+    import_grid build), a stabilizer grid, or floats that include 0.0, -0.0
+    and +-1e-17."""
+    N = field.N
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["numerators", "fractions", "stabilizer", "dense"]))
+    if kind == "stabilizer":
+        return stabilizer_wigner(draw(nets(field)), draw(graph_states(field)))
+    values = {
+        "numerators": st.integers(-N, N),
+        "fractions": st.fractions(min_value=-1, max_value=1, max_denominator=4 * N * N),
+        "dense": st.sampled_from([0.0, -0.0, 1e-17, -1e-17]) | st.floats(allow_nan=False),
+    }[kind]
+    palette = draw(st.lists(values, min_size=1, max_size=2 * N + 1))
+    cells = [rng.choice(palette) for _ in range(N * N)]
+    if kind == "numerators":
+        return WignerGrid(field, tuple(cells), N * N)
+    if kind == "fractions":
+        return WignerGrid.from_rationals(field, cells)
+    return WignerGrid(field, np.array(cells, dtype=float))
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.data())
+def test_export_grid_equals_the_cell_by_cell_writer(data):
+    # csv, json and ascii, byte for byte, with and without meta
+    field = data.draw(fields(6))
+    grid = data.draw(exportable_grids(field))
+    meta = data.draw(st.none() | META)
+    for fmt in ("csv", "json", "ascii"):
+        assert export_grid(grid, fmt, meta) == export_grid_cells(grid, fmt, meta)
+
+
+def test_export_grid_shades_signed_zeros_and_float_noise():
+    field = field_new(2)
+    cells = [0.0, -0.0, 1e-17, -1e-17, 0.25, -0.125] + [0.0] * 10
+    grid = WignerGrid(field, np.array(cells))
+    text = export_grid(grid, "ascii")
+    assert text == export_grid_cells(grid, "ascii")
+    # the widest text is 6 characters; zeros of either sign shade as "."
+    for piece in (".      0", ".     -0", "#  1e-17", "o -1e-17", "#   0.25", "o -0.125"):
+        assert piece in text
 
 
 @settings(PROPERTY, max_examples=15)
@@ -464,7 +567,7 @@ def test_stabilizer_wigner_equals_wigner_of_its_projector(data):
     group = data.draw(graph_states(field))
     grid = stabilizer_wigner(net, group)
     dense = wigner_of(net, group.projector()).flat
-    assert np.abs(np.array(grid.flat, dtype=float) - dense).max() < IDENTITY_ATOL
+    assert np.abs(np.array(grid.flat, dtype=float) / grid.den - dense).max() < IDENTITY_ATOL
     # and back, through the exact grid's own hat W
     assert np.abs(reconstruct(net, grid) - group.projector()).max() < IDENTITY_ATOL
 

@@ -223,14 +223,23 @@ def test_purity_identity_detects_mixedness():
         assert purity_identity_residual(net, mixed) > 1e-3
 
 
+def test_from_rationals_keeps_each_value_over_the_least_common_denominator():
+    # denominators that are not powers of two, as a grid file may hold
+    f = field_new(2)
+    values = [Fraction(1, 3), Fraction(-1, 4), Fraction(2, 5), 1, 0, Fraction(-7, 6)]
+    values += [Fraction(1, 12)] * 10
+    grid = WignerGrid.from_rationals(f, values)
+    assert grid.exact and grid.den == 60 and all(type(k) is int for k in grid.flat)
+    assert list(grid.values.values()) == values
+
+
 def test_purity_identity_exact_grid_beyond_int64_matches_loop():
     # denominators near 2^61 push the integer numerators past int64
     f = field_new(2)
     rng = random.Random(43)
     dens = [(1 << 61) - 1, (1 << 31) - 1, 8191]
-    flat = np.array([Fraction(rng.randrange(-99, 100), rng.choice(dens))
-                     for _ in range(16)], dtype=object)
-    grid = WignerGrid(f, flat, exact=True)
+    grid = WignerGrid.from_rationals(f, [Fraction(rng.randrange(-99, 100), rng.choice(dens))
+                                         for _ in range(16)])
     got = purity_identity_residual(build_net(f), grid)
     assert got == purity_identity_residual_loop(grid)
     assert got > 0
