@@ -87,15 +87,9 @@ def bell_translations(field: GF2Field) -> tuple[PauliTranslation, PauliTranslati
 
 
 def bell_state(label: str) -> np.ndarray:
-    """Dense Bell state vector (qubit 0 is the leftmost tensor factor)."""
-    import numpy as np
-
-    s = 1 if label.endswith("plus") else -1
-    if label.startswith("phi"):
-        v = np.array([1, 0, 0, s], dtype=complex)
-    else:
-        v = np.array([0, s, 1, 0], dtype=complex)
-    return fix_phase(v / np.sqrt(2))
+    """Dense Bell state vector (qubit 0 is the leftmost tensor factor): the
+    state of its stabilizer group, first nonzero entry real positive."""
+    return projector_to_state(bell_stabilizer(bell_field(), label).projector())
 
 
 def bell_stabilizer(field: GF2Field, label: str) -> StabilizerGroup:

@@ -318,16 +318,17 @@ def cmd_field(args) -> int:
 
 
 def cmd_rays(args) -> int:
+    """Each striation's cells (q, p) marked by their line a q + b p = c: R
+    on the ray (c = 0), else 1 + log c, the line's place in the striation."""
     field = field_new(args.n, args.poly)
     axis = grid_axis(field)
+    marks = ["R"] + [str(1 + field.log(c)) for c in range(1, field.N)]
     for st in all_striations(field):
         print(f"striation {st.label} (ray first):")
-        marks = {}
-        for i, line in enumerate(st.lines):
-            for pt in line.points(field):
-                marks[(pt.q, pt.p)] = "R" if i == 0 else str(i)
+        aq = [field.mul(st.ray.a, q) for q in axis]
         for p in reversed(axis):
-            print("  " + " ".join(marks[(q, p)] for q in axis))
+            bp = field.mul(st.ray.b, p)
+            print("  " + " ".join([marks[c ^ bp] for c in aq]))
         print()
     return 0
 

@@ -14,7 +14,7 @@ overflow back in with the polynomial, b M~ shifts b down with the parity of
 b & poly as its new top bit, and b M~^-1 shifts up with the same parity as
 its new low bit.  The trace is a linear form: tr(a) is the parity of a & mask,
 bit i of the mask being tr(w^i).  solve_gf2 is the one Gaussian elimination,
-for dual bases and for the signs of stabilizer group members.
+for dual bases.
 u_omega_gates is the qubit circuit of U_w, which realizes a -> a M on
 computational basis labels.
 
@@ -58,7 +58,7 @@ class GF2Field:
     Parameters
     ----------
     n : int
-        Extension degree (number of qubits), 1 <= n <= 16.
+        Extension degree (number of qubits): an int, not a bool, 1 <= n <= 16.
     poly : int, optional
         Primitive polynomial with bit j = coefficient of x^j.  Must have
         degree exactly n and constant term 1.  Defaults to the built-in
@@ -67,8 +67,8 @@ class GF2Field:
     """
 
     def __init__(self, n: int, poly: int | None = None):
-        if not 1 <= n <= 16:
-            raise DegreeMismatch(f"n must be in [1, 16], got {n}")
+        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= 16:
+            raise DegreeMismatch(f"n must be an integer in [1, 16], got {n!r}")
         if poly is None:
             poly = PRIMITIVE_POLYS[n]
         if poly.bit_length() != n + 1:

@@ -115,8 +115,8 @@ class QuantumNet:
 
     The derived sign function f maps every nonzero phase-space point beta to
     the eigenvalue of T_beta on the state assigned to the ray through beta.
-    f is computed exactly from the sign vectors by decomposing T_beta over
-    the ray generators, so it works symbolically at any supported n.
+    f is computed exactly from the sign vectors, one ray member per point,
+    so it works symbolically at any supported n.
     """
 
     def __init__(self, field: GF2Field, signs: dict, mode: str = "independent"):
@@ -126,7 +126,6 @@ class QuantumNet:
         self.mode = mode
         self.signs = _checked_signs(field, signs)
         self._rays = {}
-        self._f_cache = {}
         self._f_vector = None
         self._ray_states = {}
         self._a0 = None
@@ -149,24 +148,21 @@ class QuantumNet:
     # -- the sign function f -------------------------------------------------
 
     def f(self, beta: BinaryPoint) -> int:
-        """Eigenvalue of T_beta on the state of the ray through beta (+-1)."""
+        """T_beta's eigenvalue (+-1) on its ray's state: the member at x = q (p on v; ray_walk)."""
         if beta.is_origin:
             return 1
-        key = (beta.qbits, beta.pbits)
-        if key not in self._f_cache:
-            label = ray_through(self.field, from_binary(self.field, beta))
-            self._f_cache[key] = self.ray(label).sign(*key)
-        return self._f_cache[key]
+        point = from_binary(self.field, beta)
+        label = ray_through(self.field, point)
+        return self.ray(label).at(point.p if label == VERTICAL else point.q)
 
     def f_table(self) -> dict[tuple[int, int], int]:
         """f on every nonzero point, exact +-1 integers: the union of the
-        rays' elements without the origin, filling the cache f reads."""
-        field = self.field
-        if len(self._f_cache) < field.N * field.N - 1:
-            for label in striation_labels(field):
-                self._f_cache.update(self.ray(label).elements)
-            del self._f_cache[(0, 0)]
-        return dict(self._f_cache)
+        rays' elements without the origin."""
+        table = {}
+        for label in striation_labels(self.field):
+            table.update(self.ray(label).elements)
+        del table[(0, 0)]
+        return table
 
     def f_vector(self) -> np.ndarray:
         """f at every (qbits << n) | pbits, f(0) = 1: dense Pauli sums' input."""
@@ -281,8 +277,9 @@ def build_net(field: GF2Field, mode: str = "independent", signs: dict | None = N
     all +1).  covariant: sign vectors for h, v and lambda = 0 only; the
     remaining diagonal rays follow from the squeezing covariance
     P(lambda - 2) = U_w P(lambda) U_w^dagger: ray lambda's generators, pushed
-    through U_w on labels, fix its image with the same signs eps_k.  Any
-    other label, or a vector that is not n signs, raises MalformedInput.
+    through U_w on labels, fix its image with the same signs eps_k; pushed
+    generator k has q = w^(k+1), so the image's generator j is at w^(j-1).
+    Any other label, or a vector that is not n signs, raises MalformedInput.
     """
     signs = signs or {}
     if mode == "covariant" and set(signs) - {HORIZONTAL, VERTICAL, 0}:
@@ -292,14 +289,13 @@ def build_net(field: GF2Field, mode: str = "independent", signs: dict | None = N
     if mode == "independent":
         return net
     base, order = dict(net.signs), field.order
+    coords = [field.pow_omega(j - 1) for j in range(field.n)]
     lam = 0
-    gens = ray_generators(field, lam)
     for _ in range(order - 1):
-        pushed = [conjugate_by_u_omega(field, g) for g in gens]
+        pushed = [conjugate_by_u_omega(field, g) for g in ray_generators(field, lam)]
         image = StabilizerGroup(field, pushed, base[lam])
         lam = (lam - 2) % order
-        gens = ray_generators(field, lam)
-        base[lam] = tuple(image.sign(g.a, g.b) for g in gens)
+        base[lam] = tuple(map(image.at, coords))
     return QuantumNet(field, base, "covariant")
 
 

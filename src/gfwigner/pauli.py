@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (DimensionMismatch, DimensionTooLarge, InconsistentStabilizer,
                      MalformedInput, NonCommutingGenerators)
-from .galois import GF2Field, solve_gf2
+from .galois import GF2Field
 from .phasespace import HORIZONTAL, VERTICAL, BinaryPoint, Record
 
 if TYPE_CHECKING:
@@ -167,7 +167,9 @@ def pauli_sum(n: int, coeffs: np.ndarray) -> np.ndarray:
 def ray_walk(field: GF2Field, label):
     """The (a, b) labels of one striation's class, lazily: from (1, 0) for h,
     (0, 1) for v or (1, 1 M~^lambda) for ray lambda, by steps (a M, b M~).
-    The first n points generate the ray; the first N - 1 are the class."""
+    The first n points generate the ray; the first N - 1 are the class.
+    Point k has q = w^k (p = w^k on v), so a ray's member at generator
+    coordinates x has q = x: x is its qbits, or bits_to_p(pbits) on v."""
     if label == HORIZONTAL:
         a, b = 1, 0
     elif label == VERTICAL:
@@ -198,8 +200,8 @@ class StabilizerGroup:
     vector) or a stabilizer state.
 
     elements maps each (qbits, pbits) of the span to the sign g(beta) of the
-    canonical T_beta in the group; sign(a, b) reads one member without
-    expanding the group.
+    canonical T_beta in the group; at(x) reads one member by its generator
+    coordinates without expanding the group.
     """
 
     def __init__(self, field: GF2Field, gens, signs):
@@ -249,15 +251,14 @@ class StabilizerGroup:
             out[(a, b)] = _canonical_sign(a, b, s)
         return out
 
-    def sign(self, a: int, b: int) -> int:
-        """g at (a, b), which must lie in the span (else SingularBasis)."""
-        n = self.field.n
-        x = solve_gf2([g.a | g.b << n for g in self.gens], a | b << n)
-        pa = pb = s = 0
+    def at(self, x: int) -> int:
+        """g at generator coordinates x: the canonical sign of the product of
+        the stabilizers sign_k gens_k over the set bits k of x."""
+        a = b = s = 0
         for k, (g, sg) in enumerate(zip(self.gens, self.signs)):
             if x >> k & 1:
-                pa, pb, s = pa ^ g.a, pb ^ g.b, s + g.s + 1 - sg + 2 * (pb & g.a).bit_count()
-        return _canonical_sign(pa, pb, s)
+                a, b, s = a ^ g.a, b ^ g.b, s + g.s + 1 - sg + 2 * (b & g.a).bit_count()
+        return _canonical_sign(a, b, s)
 
     def projector(self) -> np.ndarray:
         """Dense rank-one projector N^-1 sum_{beta in S} g(beta) T_beta."""

@@ -1,7 +1,8 @@
 """Reference routes that the fast code is checked against: per-point loops,
 dense matrix constructions, the N^2-point transform of stabilizer grids,
-stabilizer groups walked by composing Pauli translations, the cell-by-cell
-grid export and the nested-list `mub` export, and GF(2) arithmetic by
+stabilizer groups walked by composing Pauli translations, covariant signs
+by GF(2) solves, the cell-by-cell grid export, the nested-list `mub` export
+and the `rays` output from each line's points, and GF(2) arithmetic by
 explicit matrices and Gauss-Jordan elimination."""
 
 import json
@@ -15,6 +16,7 @@ from gfwigner.errors import GfwignerError, NonCommutingGenerators, SingularBasis
 from gfwigner.galois import dual_basis, field_new, solve_gf2
 from gfwigner.net import (
     all_plus_signs,
+    conjugate_by_u_omega,
     mub_bases,
     mub_overlap_report,
     ray_generators,
@@ -30,8 +32,8 @@ from gfwigner.pauli import (
     translation,
     translation_for,
 )
-from gfwigner.phasespace import BinaryPoint, PhasePoint, wedge
-from gfwigner.wigner import (WignerGrid, _symplectic_transform, all_points,
+from gfwigner.phasespace import BinaryPoint, PhasePoint, all_striations, grid_axis, wedge
+from gfwigner.wigner import (StabilizerGroup, WignerGrid, _symplectic_transform, all_points,
                              check_density_matrix, display_rows, point_operator)
 
 _XZ = {
@@ -172,7 +174,8 @@ def group_elements_compose(group) -> dict:
 
 
 def group_sign_compose(group, a: int, b: int) -> int:
-    """StabilizerGroup.sign by composing the generators that span (a, b)."""
+    """The group's sign at (a, b), which must lie in its span (else
+    SingularBasis), by composing the generators that a GF(2) solve finds."""
     n = group.field.n
     x = solve_gf2([g.a | g.b << n for g in group.gens], a | b << n)
     prod, sign = PauliTranslation(n, 0, 0), 1
@@ -324,6 +327,37 @@ def covariant_signs_dense(field, signs: dict) -> dict:
             eps.append(1 if val.real > 0 else -1)
         base[lam] = tuple(eps)
     return base
+
+
+def covariant_signs_solve(field, signs: dict) -> dict:
+    """build_net's covariant signs by locating each generator of the image
+    ray in the pushed group with a GF(2) solve (group_sign_compose)."""
+    base = {**all_plus_signs(field), **signs}
+    lam = 0
+    for _ in range(field.order - 1):
+        pushed = [conjugate_by_u_omega(field, g) for g in ray_generators(field, lam)]
+        image = StabilizerGroup(field, pushed, base[lam])
+        lam = (lam - 2) % field.order
+        base[lam] = tuple(group_sign_compose(image, g.a, g.b)
+                          for g in ray_generators(field, lam))
+    return base
+
+
+def rays_stdout_reference(n: int, poly: int | None = None) -> str:
+    """`gfwigner rays` output from each line's points (Line.points), through
+    an N^2-entry mark table per striation."""
+    field = field_new(n, poly)
+    axis = grid_axis(field)
+    out = []
+    for st in all_striations(field):
+        out.append(f"striation {st.label} (ray first):")
+        marks = {}
+        for i, line in enumerate(st.lines):
+            for pt in line.points(field):
+                marks[(pt.q, pt.p)] = "R" if i == 0 else str(i)
+        out += ["  " + " ".join(marks[(q, p)] for q in axis) for p in reversed(axis)]
+        out.append("")
+    return "\n".join(out) + "\n"
 
 
 def mub_json_nested(n: int, net: str, bases: dict, overlap_report: dict) -> str:

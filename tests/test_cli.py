@@ -15,11 +15,11 @@ import gfwigner
 from gfwigner import apps, cli
 from gfwigner.cli import (check_rows, dispatch, export_grid, import_grid, mub_json,
                           verify_groups)
-from gfwigner.errors import MalformedInput
+from gfwigner.errors import DegreeMismatch, MalformedInput
 from gfwigner.galois import field_new, parse_poly
 from gfwigner.net import QuantumNet, all_plus_signs, build_net
 from gfwigner.wigner import stabilizer_wigner, state_density, wigner_of
-from oracles import mub_json_nested, mub_stdout_nested
+from oracles import mub_json_nested, mub_stdout_nested, rays_stdout_reference
 
 
 def run(capsys, *argv):
@@ -159,6 +159,19 @@ def test_net_file_false_claim_is_validation_error(tmp_path, capsys, mode, breaka
     assert err.startswith("error:")
 
 
+def test_net_file_with_a_boolean_n_is_validation_error(tmp_path, capsys):
+    # true == 1, so the n = 1 net loaded as n = 1 and printed "n=True"
+    payload = json.loads(build_net(field_new(1)).to_json())
+    payload["n"] = True
+    netfile = tmp_path / "net.json"
+    netfile.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "wigner", "--n", "1", "--net", str(netfile),
+                         "--state", "computational_0", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "True" in err
+
+
 def test_net_file_with_independent_signs_loads_unchecked_diagonals(tmp_path, capsys):
     field = field_new(3)
     signs = all_plus_signs(field)
@@ -207,6 +220,20 @@ def test_rays_lists_all_striations(capsys):
     code, out, _ = run(capsys, "rays", "--n", "2")
     assert code == 0
     assert out.count("striation") == 5
+
+
+@pytest.mark.parametrize("n, poly", [(1, None), (2, None), (3, None), (4, None), (5, None),
+                                     (3, "1101"), (4, "10011"), (5, "100101")])
+def test_rays_stdout_equals_the_line_points_reference(capsys, n, poly):
+    # marks read off c = a q + b p against each line's listed points, on the
+    # default polynomials and on x^3 + x + 1, x^4 + x^3 + 1 and x^5 + x^3 + 1;
+    # compared as lists of lines, since pytest's diff of two whole n = 5
+    # outputs takes over half a minute, and the first differing line shows
+    argv = ["rays", "--n", str(n)] + (["--poly", poly] if poly else [])
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    want = rays_stdout_reference(n, poly and parse_poly(poly))
+    assert out.splitlines(keepends=True) == want.splitlines(keepends=True)
 
 
 def test_uomega_gate_list(capsys):
@@ -437,6 +464,20 @@ def test_import_grid_rejects_malformed_grids(exact, breakage):
     payload = _exported_grid_payload(exact)
     breakage(payload)
     with pytest.raises(MalformedInput):
+        import_grid(json.dumps(payload))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_import_grid_rejects_a_boolean_n(exact):
+    field = field_new(1)
+    _, group = cli.resolve_state(field, "computational_0")
+    if exact:
+        grid = stabilizer_wigner(build_net(field), group)
+    else:
+        grid = wigner_of(build_net(field), state_density(np.array([1, 0])))
+    payload = json.loads(export_grid(grid, "json"))
+    payload["n"] = True
+    with pytest.raises(DegreeMismatch):
         import_grid(json.dumps(payload))
 
 

@@ -5,7 +5,8 @@ from math import gcd
 
 import pytest
 
-from gfwigner.errors import MalformedInput, NonPrimitivePolynomial, SingularBasis
+from gfwigner.errors import (DegreeMismatch, MalformedInput, NonPrimitivePolynomial,
+                             SingularBasis)
 from gfwigner.galois import (
     PRIMITIVE_POLYS,
     dual_basis,
@@ -84,6 +85,13 @@ def test_non_primitive_polynomial_rejected():
     # x^4 + x^3 + x^2 + x + 1 is irreducible but not primitive (order 5 root)
     with pytest.raises(NonPrimitivePolynomial):
         field_new(4, 0b111111 >> 1)
+
+
+@pytest.mark.parametrize("n", [True, False, 1.0, "2", None, 0, 17])
+def test_degree_must_be_an_int_in_range(n):
+    # True == 1, so a bool passed the range check and built GF(2)
+    with pytest.raises(DegreeMismatch):
+        field_new(n)
 
 
 def test_trace_is_gf2_linear_and_nontrivial():
