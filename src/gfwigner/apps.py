@@ -28,14 +28,13 @@ from .net import (
     QuantumNet,
     all_plus_signs,
     build_net,
-    fix_phase,
     line_state,
-    projector_to_state,
 )
 from .pauli import (
     IDENTITY_ATOL,
     INPUT_ATOL,
     PauliTranslation,
+    fix_phase,
     to_matrix,
     translation,
     translation_for,
@@ -89,7 +88,7 @@ def bell_translations(field: GF2Field) -> tuple[PauliTranslation, PauliTranslati
 def bell_state(label: str) -> np.ndarray:
     """Dense Bell state vector (qubit 0 is the leftmost tensor factor): the
     state of its stabilizer group, first nonzero entry real positive."""
-    return projector_to_state(bell_stabilizer(bell_field(), label).projector())
+    return bell_stabilizer(bell_field(), label).state()
 
 
 def bell_stabilizer(field: GF2Field, label: str) -> StabilizerGroup:
@@ -211,7 +210,7 @@ def logical_group(field: GF2Field, which: int) -> StabilizerGroup:
 
 def logical_state(field: GF2Field, which: int) -> np.ndarray:
     """Dense logical basis vector; |1_L> = X_L |0_L> with X_L = X0 X1 X2."""
-    v0 = projector_to_state(logical_group(field, 0).projector())
+    v0 = logical_group(field, 0).state()
     if which == 0:
         return v0
     return to_matrix(translation(field.n, (1 << field.n) - 1, 0)) @ v0

@@ -442,7 +442,7 @@ def check_rows(field: GF2Field) -> list[tuple]:
     numpy is imported by the checks that use arrays, so the bell and qec
     rows run without it."""
     from . import apps
-    from .net import build_net, line_state, mub_bases, mub_overlap_report
+    from .net import build_net, mub_bases, mub_overlap_report
     from .pauli import IDENTITY_ATOL
     from .wigner import (_row_operators, purity_identity_residual, reconstruct,
                          stabilizer_wigner, state_density, wigner_of)
@@ -467,7 +467,7 @@ def check_rows(field: GF2Field) -> list[tuple]:
                 _claim(field.trace(x ^ y) == field.trace(x) ^ field.trace(y))
 
     def mub_property():
-        report = mub_overlap_report(mub_bases(net))
+        report = mub_overlap_report(mub_bases(net))  # cached on net for line_projectors
         _claim(report["max_gram_deviation"] < IDENTITY_ATOL, report)
         _claim(report["max_cross_overlap_deviation"] < IDENTITY_ATOL, report)
 
@@ -491,19 +491,21 @@ def check_rows(field: GF2Field) -> list[tuple]:
 
         ops = point_operators()
         for st in all_striations(field):
-            for line in st.lines:
+            for line, v in zip(st.lines, mub_bases(net)[st.label]):
                 total = sum(ops[(pt.q << field.n) | field.p_to_bits(pt.p)]
                             for pt in line.points(field))
-                v = line_state(net, line)
                 _claim(np.abs(total - np.outer(v, v.conj())).max() < IDENTITY_ATOL)
         point_operators.cache_clear()  # the last user: free them for later checks
 
     def roundtrip():
+        # a complex Gaussian pure state from the standard library's
+        # generator: importing numpy.random would cost more than the check
+        import random
+
         import numpy as np
 
-        rng = np.random.default_rng(11)
-        v = rng.normal(size=field.N) + 1j * rng.normal(size=field.N)
-        rho = state_density(v)
+        rng = random.Random(11)
+        rho = state_density([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(field.N)])
         grid = wigner_of(net, rho)
         _claim(np.abs(reconstruct(net, grid) - rho).max() < IDENTITY_ATOL)
         _claim(purity_identity_residual(net, grid) < IDENTITY_ATOL)

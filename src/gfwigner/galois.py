@@ -60,7 +60,8 @@ class GF2Field:
     n : int
         Extension degree (number of qubits): an int, not a bool, 1 <= n <= 16.
     poly : int, optional
-        Primitive polynomial with bit j = coefficient of x^j.  Must have
+        Primitive polynomial with bit j = coefficient of x^j: an int, not a
+        bool (parse_poly reads the string form).  Must have
         degree exactly n and constant term 1.  Defaults to the built-in
         table.  Primitivity is verified at construction by checking that
         x generates the full cyclic group of order 2^n - 1.
@@ -71,6 +72,9 @@ class GF2Field:
             raise DegreeMismatch(f"n must be an integer in [1, 16], got {n!r}")
         if poly is None:
             poly = PRIMITIVE_POLYS[n]
+        elif isinstance(poly, bool) or not isinstance(poly, int):
+            raise MalformedInput(f"polynomial must be an int bit mask (bit j = coefficient "
+                                 f"of x^j), got {poly!r}; parse_poly reads the string form")
         if poly.bit_length() != n + 1:
             raise DegreeMismatch(
                 f"polynomial must have degree exactly {n} (bit length {n + 1})"

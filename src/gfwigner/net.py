@@ -12,10 +12,11 @@ phase-space point operators) follows from translation covariance.
 Covariant nets are derived on the same sign data, for any n <= 16: U_w
 permutes translations, U_w T(a, b) U_w^dagger = +-T(a M, b M~^-1).  U_w's
 matrix is a dense realisation that nets do not need; dense matrices are
-built only when a caller asks for them, each as one Pauli sum: a ray
-projector is the ray group's N^-1 sum_{beta in ray} f(beta) T_beta and A(0)
-is N^-2 sum_beta f(beta) T_beta over the flat f vector.  numpy is imported
-only inside the functions that build arrays.
+built only when a caller asks for them: A(0) is one Pauli sum,
+N^-2 sum_beta f(beta) T_beta over the flat f vector, a ray state is read
+off its group (StabilizerGroup.state), and each striation's N line states,
+its mutually unbiased basis, are the ray state moved by one scatter.  numpy
+is imported only inside the functions that build arrays.
 """
 
 from __future__ import annotations
@@ -25,20 +26,20 @@ from itertools import islice
 from numbers import Integral
 from typing import TYPE_CHECKING
 
-from .errors import MalformedInput, SingularBasis
+from .errors import FieldMismatch, MalformedInput
 from .galois import GF2Field, field_new, parse_poly
 from .galois import u_omega_gates  # noqa: F401  (re-exported beside u_omega_matrix)
 from .pauli import (
-    IDENTITY_ATOL,
+    _I_POW,
     PauliTranslation,
     StabilizerGroup,
+    _dense_tables,
     basis_index,
     dense_dim,
+    fix_phase,
     pauli_sum,
     ray_walk,
-    to_matrix,
     translation,
-    translation_for,
 )
 from .phasespace import (
     BinaryPoint,
@@ -46,11 +47,12 @@ from .phasespace import (
     Line,
     PhasePoint,
     VERTICAL,
-    all_striations,
+    _direction,
     from_binary,
+    label_of_line,
     ray_through,
+    striation,
     striation_labels,
-    to_binary,
 )
 
 if TYPE_CHECKING:
@@ -127,7 +129,7 @@ class QuantumNet:
         self.signs = _checked_signs(field, signs)
         self._rays = {}
         self._f_vector = None
-        self._ray_states = {}
+        self._bases = {}
         self._a0 = None
 
     # -- ray data ----------------------------------------------------------
@@ -141,14 +143,42 @@ class QuantumNet:
         return self._rays[label]
 
     def ray_state(self, label) -> np.ndarray:
-        if label not in self._ray_states:
-            self._ray_states[label] = projector_to_state(self.ray(label).projector())
-        return self._ray_states[label]
+        """The ray's state, read off its group; basis(label) keeps it as row 0."""
+        return self.ray(label).state()
+
+    def basis(self, label) -> np.ndarray:
+        """The striation's N line states as the rows of one read-only N x N
+        array, in line order: the ray first, then line c at row 1 + log c.
+        Row i is the ray state v moved by line i's displacement (a, b) and
+        phase-fixed.  Column x of T(a, b) sends i^(a.b) (-1)^(b.x) v[index x]
+        to row index(x ^ a), so all N rows are one scatter."""
+        if label not in self._bases:
+            import numpy as np
+
+            field = self.field
+            x, index, popcount = _dense_tables(field.n)
+            v = self.ray_state(label)
+            ds = [line_displacement(field, line) for line in striation(field, label).lines]
+            a = np.array([d.q for d in ds])[:, None]
+            b = np.array([field.p_to_bits(d.p) for d in ds])[:, None]
+            rows = np.empty((field.N, field.N), dtype=complex)
+            rows[np.arange(field.N)[:, None], index[x ^ a]] = (
+                np.take(_I_POW, (popcount[a & b] + 2 * popcount[b & x]) % 4) * v[index])
+            rows = fix_phase(rows)
+            rows[0] = v
+            rows.flags.writeable = False
+            self._bases[label] = rows
+        return self._bases[label]
 
     # -- the sign function f -------------------------------------------------
 
     def f(self, beta: BinaryPoint) -> int:
-        """T_beta's eigenvalue (+-1) on its ray's state: the member at x = q (p on v; ray_walk)."""
+        """T_beta's eigenvalue (+-1) on its ray's state: the member at x = q
+        (p on v; ray_walk).  Raises FieldMismatch for a point of another n
+        or with bits beyond n."""
+        n = self.field.n
+        if beta.n != n or (beta.qbits | beta.pbits) >> n:
+            raise FieldMismatch(f"point {beta} is not on the n = {n} grid")
         if beta.is_origin:
             return 1
         point = from_binary(self.field, beta)
@@ -245,27 +275,6 @@ def net_from_json(text: str) -> QuantumNet:
     return net
 
 
-def projector_to_state(P: np.ndarray) -> np.ndarray:
-    """Unit vector spanning a rank-one projector, first nonzero entry made
-    real positive."""
-    import numpy as np
-
-    col = int(np.argmax(np.abs(np.diag(P))))
-    v = P[:, col]
-    norm = np.linalg.norm(v)
-    if norm < IDENTITY_ATOL:
-        raise SingularBasis("projector is numerically zero")
-    v = v / norm
-    return fix_phase(v)
-
-
-def fix_phase(v: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    idx = int(np.argmax(np.abs(v) > IDENTITY_ATOL))
-    return v * (abs(v[idx]) / v[idx])
-
-
 def all_plus_signs(field: GF2Field) -> dict:
     return {label: (1,) * field.n for label in striation_labels(field)}
 
@@ -312,24 +321,22 @@ def line_displacement(field: GF2Field, line: Line) -> PhasePoint:
 
 
 def line_state(net: QuantumNet, line: Line) -> np.ndarray:
-    """State assigned to a line: the translated ray state, phase-fixed."""
-    from .phasespace import label_of_line
-
+    """State assigned to a line: the translated ray state, phase-fixed; row
+    0 of its striation's basis when c = 0, else row 1 + log c.  A line must
+    be in the normalised form that striation() gives, with a, b and c field
+    elements; any other raises MalformedInput."""
     field = net.field
-    label = label_of_line(field, line)
-    ray_vec = net.ray_state(label)
-    d = line_displacement(field, line)
-    if d.q == 0 and d.p == 0:
-        return ray_vec
-    T = to_matrix(translation_for(to_binary(field, d)))
-    return fix_phase(T @ ray_vec)
+    if all(0 <= k < field.N for k in (line.a, line.b, line.c)):
+        label = label_of_line(field, line)
+        if (line.a, line.b) == _direction(field, label):
+            return net.basis(label)[1 + field.log(line.c) if line.c else 0]
+    raise MalformedInput(f"{line} is not a normalised line of the n = {field.n} grid")
 
 
 def mub_bases(net: QuantumNet) -> dict:
-    """The N + 1 bases: striation label -> list of N state vectors, one per
-    line (line order: ray first)."""
-    return {st.label: [line_state(net, line) for line in st.lines]
-            for st in all_striations(net.field)}
+    """The N + 1 bases: striation label -> N x N read-only array whose row
+    i is line i's state (line order: ray first)."""
+    return {label: net.basis(label) for label in striation_labels(net.field)}
 
 
 def mub_overlap_report(bases: dict) -> dict:
@@ -337,7 +344,7 @@ def mub_overlap_report(bases: dict) -> dict:
     |<u|v>|^2 = 1/N across bases; one N x N product per basis and per pair."""
     import numpy as np
 
-    mats = [np.array(vectors) for vectors in bases.values()]
+    mats = [np.asarray(vectors) for vectors in bases.values()]
     N = mats[0].shape[1]
     gram = max(np.abs(A.conj() @ A.T - np.eye(N)).max() for A in mats)
     cross = max(np.abs(np.abs(A.conj() @ B.T) ** 2 - 1 / N).max()

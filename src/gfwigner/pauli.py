@@ -14,7 +14,10 @@ stabilizer state are both one.  Its members are walked as (a, b, s) ints
 
 Every dense operator of the package is built here, as a Pauli sum
 sum_beta c(beta) T_beta: one Walsh-Hadamard transform over b for each a.
-numpy is imported only inside the functions that build arrays.
+A group's state is one column of its projector's sum, read straight off the
+members with no N x N array (a stabilizer state's amplitudes follow from
+its group: Dehaene and De Moor, PRA 68, 042318).  numpy is imported only
+inside the functions that build arrays.
 """
 
 from __future__ import annotations
@@ -151,6 +154,16 @@ def to_matrix(t: PauliTranslation) -> np.ndarray:
     return out
 
 
+def fix_phase(v: np.ndarray) -> np.ndarray:
+    """v times the phase that makes its first entry above IDENTITY_ATOL
+    real positive; an array of rows, row by row.  The entry's modulus is
+    np.hypot of its parts, as abs() of a complex scalar computes it."""
+    import numpy as np
+
+    first = np.take_along_axis(v, np.argmax(np.abs(v) > IDENTITY_ATOL, axis=-1)[..., None], -1)
+    return v * (np.hypot(first.real, first.imag) / first)
+
+
 def pauli_sum(n: int, coeffs: np.ndarray) -> np.ndarray:
     """sum_beta coeffs[(a << n) | b] T(a, b) over the canonical T.  Column x
     of T(a, b) holds i^(a.b) (-1)^(b.x) in row x ^ a, so entry (x ^ a, x) of
@@ -259,6 +272,29 @@ class StabilizerGroup:
             if x >> k & 1:
                 a, b, s = a ^ g.a, b ^ g.b, s + g.s + 1 - sg + 2 * (b & g.a).bit_count()
         return _canonical_sign(a, b, s)
+
+    def state(self) -> np.ndarray:
+        """The group's state, first nonzero entry real positive, read off
+        the members with no N x N projector.  The projector's column at |y>
+        holds, at |y ^ a>, N^-1 times the sum of g i^(a.b) (-1)^(b.y) over
+        the members (a, b) with that a (see pauli_sum), so its diagonal is
+        the transform of the a = 0 members' signs.  The column taken is the
+        first, by basis index, where the diagonal is largest, and it is
+        scaled and normalised as the projector's was: the same bits."""
+        import numpy as np
+
+        x, index, popcount = _dense_tables(self.field.n)
+        diag = [0] * x.size
+        for (a, b), g in self.elements.items():
+            if not a:
+                diag[b] = g
+        y = index[np.argmax(np.abs(walsh_hadamard_list(diag))[index])]
+        (a, b), g = np.array(list(self.elements)).T, np.array(list(self.elements.values()))
+        col = np.zeros(x.size, dtype=complex)
+        phase = (popcount[a & b] + 2 * popcount[b & y] + 1 - g) % 4  # -1 = i^2
+        np.add.at(col, index[a ^ y], np.take(_I_POW, phase))
+        v = col / x.size
+        return fix_phase(v / np.linalg.norm(v))
 
     def projector(self) -> np.ndarray:
         """Dense rank-one projector N^-1 sum_{beta in S} g(beta) T_beta."""

@@ -1,9 +1,10 @@
 """Reference routes that the fast code is checked against: per-point loops,
 dense matrix constructions, the N^2-point transform of stabilizer grids,
-stabilizer groups walked by composing Pauli translations, covariant signs
-by GF(2) solves, the cell-by-cell grid export, the nested-list `mub` export
-and the `rays` output from each line's points, and GF(2) arithmetic by
-explicit matrices and Gauss-Jordan elimination."""
+stabilizer groups walked by composing Pauli translations, states read off
+dense projectors, MUB line states by one dense translation per line,
+covariant signs by GF(2) solves, the cell-by-cell grid export, the
+nested-list `mub` export and the `rays` output from each line's points, and
+GF(2) arithmetic by explicit matrices and Gauss-Jordan elimination."""
 
 import json
 from fractions import Fraction
@@ -17,13 +18,14 @@ from gfwigner.galois import dual_basis, field_new, solve_gf2
 from gfwigner.net import (
     all_plus_signs,
     conjugate_by_u_omega,
-    mub_bases,
+    line_displacement,
     mub_overlap_report,
     ray_generators,
     u_omega_gates,
     u_omega_matrix,
 )
 from gfwigner.pauli import (
+    IDENTITY_ATOL,
     PauliTranslation,
     basis_index,
     compose,
@@ -32,7 +34,8 @@ from gfwigner.pauli import (
     translation,
     translation_for,
 )
-from gfwigner.phasespace import BinaryPoint, PhasePoint, all_striations, grid_axis, wedge
+from gfwigner.phasespace import (BinaryPoint, PhasePoint, all_striations, grid_axis, to_binary,
+                                 wedge)
 from gfwigner.wigner import (StabilizerGroup, WignerGrid, _symplectic_transform, all_points,
                              check_density_matrix, display_rows, point_operator)
 
@@ -98,6 +101,34 @@ def stabilizer_elements_doubling(gens, signs) -> dict:
             new[key] = sign * sg * (1 if t == 0 else -1)
         elements.update(new)
     return elements
+
+
+def fix_phase_scalar(v) -> np.ndarray:
+    """v times abs(v[i]) / v[i] for the first entry v[i] above IDENTITY_ATOL,
+    on numpy scalars."""
+    i = int(np.argmax(np.abs(v) > IDENTITY_ATOL))
+    return v * (abs(v[i]) / v[i])
+
+
+def projector_to_state(P) -> np.ndarray:
+    """Unit vector spanning a rank-one projector, first nonzero entry made
+    real positive: P's column at the first largest diagonal entry."""
+    v = P[:, int(np.argmax(np.abs(np.diag(P))))]
+    return fix_phase_scalar(v / np.linalg.norm(v))
+
+
+def mub_bases_per_line(net) -> dict:
+    """The N + 1 bases as lists of line states: each ray state from its
+    dense projector, moved by one dense translation and one matrix-vector
+    product per line."""
+    field, bases = net.field, {}
+    for st in all_striations(field):
+        v = projector_to_state(net.ray(st.label).projector())
+        bases[st.label] = [v] + [
+            fix_phase_scalar(to_matrix(translation_for(
+                to_binary(field, line_displacement(field, line)))) @ v)
+            for line in st.lines[1:]]
+    return bases
 
 
 def line_displacement_search(field, line) -> PhasePoint:
@@ -377,9 +408,10 @@ def mub_json_nested(n: int, net: str, bases: dict, overlap_report: dict) -> str:
 
 def mub_stdout_nested(n: int, net_spec: str = "covariant", poly: int | None = None) -> str:
     """What `gfwigner mub --n n --net net_spec [--poly]` writes, by the
-    nested-list route; `mub`'s default net is the covariant one."""
+    per-line bases and the nested-list route; `mub`'s default net is the
+    covariant one."""
     net = resolve_net(field_new(n, poly), net_spec)
-    bases = mub_bases(net)
+    bases = mub_bases_per_line(net)
     return mub_json_nested(n, net.fingerprint(), bases, mub_overlap_report(bases))
 
 

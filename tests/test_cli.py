@@ -518,7 +518,8 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
     # field, rays, uomega and exact wigner grids of a stabilizer file or a
     # computational preset load neither fractions nor decimal either; each
     # array command loads numpy, and later array commands in the same
-    # process still work; nothing loads sympy
+    # process still work; nothing loads sympy, and no verify loads
+    # numpy.random (its round trip draws from the standard library)
     src = Path(gfwigner.__file__).parent.parent
     stab = tmp_path / "ghz3.json"
     stab.write_text(json.dumps({"stabilizer": [["+XXX", 1], ["+ZZI", 1], ["+IZZ", -1]]}))
@@ -567,9 +568,10 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
         with contextlib.redirect_stdout(sink):
             assert dispatch(loader) == 0
         assert "numpy" in sys.modules, " ".join(loader) + " did not load numpy"
-        with contextlib.redirect_stdout(sink):
-            assert dispatch(["verify", "--n", "3"]) == 0
-        absent("verify --n 3", "sympy")
+        for n in ("1", "3"):
+            with contextlib.redirect_stdout(sink):
+                assert dispatch(["verify", "--n", n]) == 0
+            absent(" ".join([*loader, "and verify --n", n]), "sympy", "numpy.random")
     """)
     env = dict(os.environ, PYTHONPATH=str(src))
     for loader in (["wigner", "--n", "1", "--state", str(rho)], ["meanking"],

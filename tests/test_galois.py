@@ -94,6 +94,16 @@ def test_degree_must_be_an_int_in_range(n):
         field_new(n)
 
 
+@pytest.mark.parametrize("poly", ["1101", 13.0, True, False, [1, 0, 1, 1]])
+def test_polynomial_must_be_an_int(poly):
+    # the file form "1101" is read by parse_poly; a str, float or list
+    # raised a bare AttributeError (no bit_length), and a bool was read as
+    # the polynomial 1 or 0
+    with pytest.raises(MalformedInput, match="int bit mask"):
+        field_new(3, poly)
+    assert field_new(3, 13).poly == 13
+
+
 def test_trace_is_gf2_linear_and_nontrivial():
     for n in (2, 3, 4):
         f = field_new(n)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gfwigner.errors import MalformedInput, SingularBasis
+from gfwigner.errors import FieldMismatch, MalformedInput, SingularBasis
 from gfwigner.galois import field_new, solve_gf2
 from gfwigner.net import (
     QuantumNet,
@@ -30,6 +30,7 @@ from gfwigner.pauli import (
 from gfwigner.phasespace import (
     BinaryPoint,
     HORIZONTAL,
+    Line,
     VERTICAL,
     all_striations,
     from_binary,
@@ -145,6 +146,15 @@ def test_f_decomposition_rejects_off_ray_points():
         solve_gf2([g.a | g.b << 2 for g in gens], 1)
 
 
+@pytest.mark.parametrize("beta", [BinaryPoint(5, 1, 3), BinaryPoint(1, 9, 2),
+                                  BinaryPoint(0, 0, 3), BinaryPoint(4, 0, 2),
+                                  BinaryPoint(-1, 0, 2)], ids=str)
+def test_f_rejects_points_off_the_net_grid(beta):
+    # a point of another n, or with bits beyond n, raised a bare IndexError
+    with pytest.raises(FieldMismatch):
+        build_net(field_new(2)).f(beta)
+
+
 def test_covariance_of_covariant_net():
     for n in (2, 3):
         f = field_new(n)
@@ -209,6 +219,32 @@ def test_line_states_are_translated_ray_states():
         for line in st.lines:
             v = line_state(net, line)
             assert abs(np.linalg.norm(v) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("line", [Line(0, 2, 1), Line(0, 0, 1), Line(2, 0, 1), Line(2, 3, 0),
+                                  Line(0, 1, -1), Line(0, 1, 4), Line(1, 4, 0)], ids=str)
+def test_line_state_rejects_lines_not_in_striation_form(line):
+    # the row is read off c, which names the line only in the normalised
+    # form: unchecked, Line(0, 2, 1), the line 2 p = 1, would get the state
+    # of p = 1
+    with pytest.raises(MalformedInput):
+        line_state(build_net(field_new(2)), line)
+
+
+def test_bases_are_cached_read_only_rows_ray_first():
+    # one array per striation, shared by mub_bases and line_state; a caller
+    # cannot change the cached states
+    f = field_new(3)
+    net = build_net(f, "covariant")
+    bases = mub_bases(net)
+    for st in all_striations(f):
+        assert bases[st.label] is net.basis(st.label)
+        assert np.array_equal(bases[st.label][0], net.ray_state(st.label))
+        for i, line in enumerate(st.lines):
+            assert line_state(net, line).base is bases[st.label]
+            assert np.array_equal(line_state(net, line), bases[st.label][i])
+        with pytest.raises(ValueError):
+            bases[st.label][0, 0] = 1
 
 
 def test_line_displacement_closed_form_equals_search():

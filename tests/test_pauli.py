@@ -12,6 +12,7 @@ from gfwigner.pauli import (
     PauliTranslation,
     commutes,
     compose,
+    fix_phase,
     format_pauli,
     parse_pauli,
     pauli_sum,
@@ -31,7 +32,7 @@ from gfwigner.phasespace import (
     wedge,
 )
 from gfwigner.wigner import StabilizerGroup, WignerGrid, reconstruct
-from oracles import class_points, to_matrix_kron
+from oracles import class_points, fix_phase_scalar, to_matrix_kron
 
 
 def test_translations_are_hermitian_unitary():
@@ -200,3 +201,19 @@ def test_walsh_hadamard_is_the_signed_sum_on_each_row():
             fracs = [Fraction(x, 7) for x in row]
             assert walsh_hadamard_list(fracs) == \
                 walsh_hadamard(np.array(fracs, dtype=object)).tolist()
+
+
+def test_fix_phase_equals_the_scalar_form_bit_for_bit():
+    # on general vectors (the mean king basis is phase-fixed SVD output),
+    # with leading zeros and signed zero parts, and row by row on a stack
+    rng = np.random.default_rng(19)
+    for size in (1, 2, 4, 64):
+        rows = rng.normal(size=(200, size)) + 1j * rng.normal(size=(200, size))
+        rows[::4, :size // 2] = 0
+        rows.imag[1::4] = -0.0
+        rows.real[2::4] = 0.0
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        want = np.array([fix_phase_scalar(v) for v in rows])
+        assert np.array_equal(fix_phase(rows).view(np.int64), want.view(np.int64))
+        for v, w in zip(rows, want):
+            assert np.array_equal(fix_phase(v).view(np.int64), w.view(np.int64))

@@ -16,10 +16,11 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
+from gfwigner import apps
 from gfwigner.cli import export_grid, import_grid
 from gfwigner.errors import GfwignerError, NonCommutingGenerators, SingularBasis
 from gfwigner.galois import PRIMITIVE_POLYS, field_new, solve_gf2
-from gfwigner.net import QuantumNet, build_net, conjugate_by_u_omega, line_state
+from gfwigner.net import QuantumNet, build_net, conjugate_by_u_omega, line_state, mub_bases
 from gfwigner.pauli import (
     IDENTITY_ATOL,
     PauliTranslation,
@@ -54,7 +55,9 @@ from oracles import (
     grid_rows,
     group_elements_compose,
     group_sign_compose,
+    mub_bases_per_line,
     point_operator_conjugation,
+    projector_to_state,
     purity_identity_residual_loop,
     ray_projector,
     stabilizer_elements_doubling,
@@ -489,6 +492,53 @@ def test_group_walk_on_ints_equals_the_compose_walk(net_kind, n, poly, data):
         for k in data.draw(st.lists(st.integers(0, field.N - 1), min_size=1, max_size=4)):
             (a, b), sign = members[k]
             assert group.at(k ^ (k >> 1)) == group_sign_compose(group, a, b) == sign
+
+
+def same_bits(u, w) -> bool:
+    """Equal shapes and float64 bits, so 0.0 and -0.0 differ."""
+    u, w = np.asarray(u), np.asarray(w)
+    return u.shape == w.shape and np.array_equal(u.view(np.int64), w.view(np.int64))
+
+
+FIELDS_1_TO_6 = FIELDS_1_TO_8[:FIELDS_1_TO_8.index((7, None))]
+
+
+@pytest.mark.parametrize("n, poly", FIELDS_1_TO_6,
+                         ids=[f"n{n}-{'default' if p is None else bin(p)[2:]}"
+                              for n, p in FIELDS_1_TO_6])
+@settings(PROPERTY, max_examples=3, suppress_health_check=[HealthCheck.large_base_example])
+@given(st.data())
+def test_mub_bases_and_line_state_equal_the_per_line_reference(n, poly, data):
+    # one scatter per striation against one dense T and one matrix-vector
+    # product per line, bit for bit: mean_king_basis reads line_state, and
+    # the signs of its float noise show in exported grids
+    field = field_new(n, poly)
+    net = data.draw(st.one_of(st.just(build_net(field)),
+                              st.just(build_net(field, "covariant")), nets(field)))
+    want = mub_bases_per_line(net)
+    bases = mub_bases(net)
+    assert list(bases) == list(want)
+    for stn in all_striations(field):
+        assert same_bits(bases[stn.label], want[stn.label])
+        for line, vector in zip(stn.lines, want[stn.label], strict=True):
+            assert same_bits(line_state(net, line), vector)
+
+
+@settings(PROPERTY, max_examples=15)
+@given(st.data())
+def test_group_state_equals_the_projector_column(data):
+    # the state read off the members against the column of the dense
+    # projector, bit for bit: drawn rays, drawn graph states, the Bell
+    # states and the code's logical states
+    field = data.draw(fields(6))
+    net = data.draw(nets(field))
+    groups = [net.ray(label) for label in striation_labels(field)]
+    groups.append(data.draw(regenerated(data.draw(graph_states(field)))))
+    groups += [apps.bell_stabilizer(apps.bell_field(), label) for label in apps.BELL_LABELS]
+    groups += [apps.logical_group(f, which) for f in (field_new(3), field_new(3, OTHER_POLY[3]))
+               for which in (0, 1)]
+    for group in groups:
+        assert same_bits(group.state(), projector_to_state(group.projector()))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
