@@ -4,25 +4,33 @@ Subcommands: field, rays, mub, uomega, wigner, bell, qec, meanking, verify.
 Exit codes: 0 success, 2 validation/usage error, 1 internal error, 141
 (128 + SIGPIPE) when the reader of stdout goes away, as in `| head -1`.
 
+One table, COMMANDS, maps each command to its handler and its options;
+parse_args reads argv from it and help_text renders --help from it.  Options
+are `--name value` or `--name=value`, by full name or a unique prefix; `-h`
+or `--help` anywhere prints the help and exits 0, and a usage error prints
+one `error: ...` line and exits 2.
+
 Start-up costs only what a subcommand uses.  The package namespace is lazy
 (gfwigner/__init__.py loads no submodule), and at module level this file
-imports the standard library, `errors`, `galois` and `phasespace`, none of
-which imports numpy or dataclasses, so `field`, `rays`, `uomega`, `--help`
-and usage errors never load them.  `pauli`, `net`, `wigner` and `apps` are
-imported inside the functions that use them, and import numpy only inside
-their own functions that build arrays, as do the array checks of
-`check_rows`.  So exact `wigner` requests (a stabilizer file or a
-`computational_*`, `bell_*` or `qec_logical_*` preset, on any net), `bell`,
-`qec`, `bell --verify` and `qec --verify` start without numpy too, and it
-is loaded by `mub`, `meanking`, `verify` and `wigner` on a density file or
-the `meanking_phi1` preset.  An exact grid is integer numerators, which
-export_grid renders itself, so `fractions` loads for none of `field`,
-`rays`, `uomega` and `wigner` on a stabilizer file or a `computational_*`
-preset.  `main` asks for one BLAS thread (OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS and MKL_NUM_THREADS default to 1; a value already set is
-kept) before numpy loads, and freezes the heap (gc.freeze) before
-exiting, so the final garbage collection at interpreter exit does not
-walk every object the request created.
+imports the standard library (not argparse, which with gettext and locale
+cost more than a trivial request's own work), `errors`, `galois` and
+`phasespace`, none of which imports numpy or dataclasses, so `field`,
+`rays`, `uomega`, `--help` and usage errors never load them.  `pauli`,
+`net`, `wigner` and `apps` are imported inside the functions that use them,
+and import numpy only inside their own functions that build arrays, as do
+the array checks of `check_rows`.  So exact `wigner` requests (a stabilizer
+file or a `computational_*`, `bell_*` or `qec_logical_*` preset, on any
+net), `bell`, `qec`, `bell --verify` and `qec --verify` start without numpy
+too, and it is loaded by `mub`, `meanking`, `verify` and `wigner` on a
+density file or the `meanking_phi1` preset.  An exact grid is integer
+numerators, which export_grid renders itself, so `fractions` loads for none
+of `field`, `rays`, `uomega` and `wigner` on a stabilizer file or a
+`computational_*` preset; `verify` loads it (with `apps`) only at n = 2 and
+3, where it runs the bell, meanking or qec rows.  `main` asks for one BLAS
+thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS default
+to 1; a value already set is kept) before numpy loads, and freezes the heap
+(gc.freeze) before exiting, so the final garbage collection at interpreter
+exit does not walk every object the request created.
 
 The paper's checks are one table, `check_rows`: 12 (group, name, check)
 rows, and `run_checks(field, *groups)` runs the rows of the named groups in
@@ -35,7 +43,6 @@ parametrises over the same rows.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import math
@@ -43,6 +50,7 @@ import os
 import re
 import sys
 from functools import cache
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .errors import GfwignerError, MalformedInput
@@ -440,8 +448,7 @@ def check_rows(field: GF2Field) -> list[tuple]:
     on field, the bell and meanking rows need field = GF(4), and the qec rows
     run on apps.qec_field(), where the preset net gives the paper's grid.
     numpy is imported by the checks that use arrays, so the bell and qec
-    rows run without it."""
-    from . import apps
+    rows run without it, and apps only by the bell, qec and meanking rows."""
     from .net import build_net, mub_bases, mub_overlap_report
     from .pauli import IDENTITY_ATOL
     from .wigner import (_row_operators, purity_identity_residual, reconstruct,
@@ -511,17 +518,23 @@ def check_rows(field: GF2Field) -> list[tuple]:
         _claim(purity_identity_residual(net, grid) < IDENTITY_ATOL)
 
     def survey():
+        from . import apps
+
         counts = apps.bell_survey(field)
         _claim(counts["concentrated"] > 0 and counts["spread"] > 0)
         _claim(sum(counts.values()) == 256)
 
     def family():
+        from . import apps
+
         fam = apps.code_solution_family()
         _claim(len(fam) == 8, f"{len(fam)} family solutions")
         cov = apps.covariant_code_solutions(apps.qec_field())
         _claim(len(cov) == 4, f"{len(cov)} covariant solutions")
 
     def preset_grid():
+        from . import apps
+
         qec_field = apps.qec_field()
         grid = stabilizer_wigner(apps.qec_net(qec_field), apps.logical_group(qec_field, 0))
         params = apps.grid_parameters(qec_field, grid)
@@ -529,6 +542,8 @@ def check_rows(field: GF2Field) -> list[tuple]:
 
     def basis_and_sums():
         import numpy as np
+
+        from . import apps
 
         king_net = apps.mean_king_net(field)
         basis = apps.mean_king_basis(king_net)
@@ -539,6 +554,8 @@ def check_rows(field: GF2Field) -> list[tuple]:
             _claim(abs(val - want) < IDENTITY_ATOL, (obs, idx, val))
 
     def retrodiction():
+        from . import apps
+
         king_net = apps.mean_king_net(field)
         _claim(abs(apps.mean_king_simulate(king_net) - 1) < IDENTITY_ATOL)
 
@@ -587,52 +604,91 @@ def cmd_verify(args) -> int:
 # -- dispatcher ----------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gfwigner",
-        description="Discrete Wigner functions on GF(2^n) phase space.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# The one command table: parse_args reads argv from it and help_text renders
+# --help from it.  A command maps to its handler and its options.  An option
+# is (name, kind, default, required, help) and sets args.<name without "--">;
+# its kind converts the value (int, str or parse_poly), lists the choices (a
+# tuple) or makes the option a flag (bool).
+_N = ("--n", int, None, True, "number of qubits: the field is GF(2^n)")
+_POLY = ("--poly", lambda t: parse_poly(t, "--poly"), None, False, "polynomial bits, x^0 first")
+_FORMAT = ("--format", ("ascii", "csv", "json"), "ascii", False, "output format")
+_VERIFY = ("--verify", bool, False, False, "run the command's checks instead")
+_NET = "default, covariant or a net JSON file"
+_HELP = ("--help", bool, False, False, "show this help (also -h) and exit")
+COMMANDS = {
+    "field": (cmd_field, (_N, _POLY,
+                          ("--format", ("ascii", "csv"), "ascii", False, "output format"),
+                          ("--table", bool, False, False, "the ordering table (the default)"))),
+    "rays": (cmd_rays, (_N, _POLY)),
+    "mub": (cmd_mub, (_N, _POLY, ("--net", str, "covariant", False, _NET))),
+    "uomega": (cmd_uomega, (_N, _POLY)),
+    "wigner": (cmd_wigner, (_N, _POLY, _FORMAT,
+                            ("--state", str, None, True, "a state preset or a state file"),
+                            ("--net", str, "default", False, _NET))),
+    "bell": (cmd_bell, (_FORMAT, _VERIFY)),
+    "qec": (cmd_qec, (_FORMAT, _VERIFY)),
+    "meanking": (cmd_meanking, (_FORMAT, _VERIFY)),
+    "verify": (cmd_verify, (_N, _POLY)),
+}
 
-    def add(name, fn, needs_n=True, formats=None, default_fmt="ascii"):
-        p = sub.add_parser(name)
-        p.set_defaults(fn=fn)
-        if needs_n:
-            p.add_argument("--n", type=int, required=True)
-            p.add_argument("--poly", type=lambda text: parse_poly(text, "--poly"),
-                           help="polynomial coefficient bits, low to high")
-        if formats:
-            p.add_argument("--format", choices=formats, default=default_fmt)
-        return p
 
-    p = add("field", cmd_field, formats=("ascii", "csv"))
-    p.add_argument("--table", action="store_true",
-                   help="emit the canonical/dual ordering table (default)")
-    add("rays", cmd_rays)
-    p = add("mub", cmd_mub)
-    p.add_argument("--net", default="covariant")
-    add("uomega", cmd_uomega)
-    p = add("wigner", cmd_wigner, formats=("ascii", "csv", "json"))
-    p.add_argument("--state", required=True)
-    p.add_argument("--net", default="default")
-    for name, fn in (("bell", cmd_bell), ("qec", cmd_qec),
-                     ("meanking", cmd_meanking)):
-        p = add(name, fn, needs_n=False, formats=("ascii", "csv", "json"))
-        p.add_argument("--verify", action="store_true")
-    add("verify", cmd_verify)
-    return parser
+def help_text(command) -> str:
+    """A command's usage line, then one line per option; for anything but a
+    command, the description and then the help of every command."""
+    if command not in COMMANDS:
+        return "\n\n".join(["Discrete Wigner functions on GF(2^n) phase space.",
+                            *map(help_text, COMMANDS)])
+    options = (*COMMANDS[command][1], _HELP)
+    spelled = [o[0] if o[1] is bool else f"{o[0]} {{{','.join(o[1])}}}"
+               if isinstance(o[1], tuple) else f"{o[0]} {o[0][2:].upper()}" for o in options]
+    usage = " ".join(s if o[3] else f"[{s}]" for s, o in zip(spelled, options))
+    return "\n".join([f"usage: gfwigner {command} {usage}", "", *(
+        f"  {s:<25} {o[4]}" + (f" (default: {o[2]})" if isinstance(o[2], str) else "")
+        for s, o in zip(spelled, options))])
+
+
+def parse_args(argv: list) -> SimpleNamespace:
+    """argv read against COMMANDS: a command, then its options as --name value
+    or --name=value, a name also by a unique prefix, and the last of a
+    repeated option wins.  -h or --help anywhere makes printing the help the
+    handler.  A usage error, or a --poly that parse_poly rejects, raises
+    MalformedInput."""
+    command = argv[0] if argv else None
+    fn, options = COMMANDS.get(command, (None, ()))
+    table = {o[0]: o for o in (*options, _HELP)}
+
+    def lookup(key: str) -> list:
+        """The option names that key spells: itself, or those it begins."""
+        return [key] if key in table else [o for o in table if o.startswith(key) and len(key) > 2]
+
+    if any(token == "-h" or lookup(token) == ["--help"] for token in argv):
+        return SimpleNamespace(fn=lambda args: print(help_text(command)) or 0)
+    if fn is None:
+        raise MalformedInput(f"the command must be one of {', '.join(COMMANDS)}")
+    args, tokens = SimpleNamespace(fn=fn, **{o[0][2:]: o[2] for o in options}), iter(argv[1:])
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        if len(hits := lookup(name)) != 1 or eq and table[hits[0]][1] is bool:
+            raise MalformedInput(f"{command}: unrecognized argument {token!r}")
+        name, kind = table[hits[0]][:2]
+        if kind is not bool and not eq and (text := next(tokens, "--")).startswith("--"):
+            raise MalformedInput(f"{command} {name} needs a value")
+        if isinstance(kind, tuple) and text not in kind:
+            raise MalformedInput(f"{command} {name} {text!r} is not one of {', '.join(kind)}")
+        # int() raises ValueError on a non-integer, which dispatch reports
+        setattr(args, name[2:], text if isinstance(kind, tuple) else kind is bool or kind(text))
+    if missing := [o[0] for o in options if o[3] and getattr(args, o[0][2:]) is None]:
+        raise MalformedInput(f"{command} needs {' and '.join(missing)}")
+    return args
 
 
 def dispatch(argv=None) -> int:
-    parser = build_parser()
     try:
-        # SystemExit for --help and usage errors; MalformedInput for --poly
-        args = parser.parse_args(argv)
+        # MalformedInput for usage errors and --poly
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
-    except SystemExit as exc:
-        return 2 if exc.code else 0
     except BrokenPipeError:
         # the reader is gone: point stdout at devnull so that the flush at
         # exit cannot fail again, and exit quietly as SIGPIPE would

@@ -91,13 +91,17 @@ def _is_sign(e) -> bool:
     return isinstance(e, Integral) and not isinstance(e, bool) and e in (1, -1)
 
 
+def _no_striation(field: GF2Field, label) -> MalformedInput:
+    return MalformedInput(f"no striation {label!r} at n = {field.n}; the labels are "
+                          f"{', '.join(map(str, striation_labels(field)))}")
+
+
 def _checked_signs(field: GF2Field, signs: dict) -> dict:
     """One tuple of n signs +1 or -1 per striation, in striation order."""
     labels = striation_labels(field)
     unknown = [k for k in signs if k not in labels]
     if unknown:
-        raise MalformedInput(f"no striation {unknown[0]!r} at n = {field.n}; "
-                             f"the labels are {', '.join(map(str, labels))}")
+        raise _no_striation(field, unknown[0])
     out = {}
     for label in labels:
         eps = signs.get(label)
@@ -136,8 +140,11 @@ class QuantumNet:
 
     def ray(self, label) -> StabilizerGroup:
         """The stabilizer group of the ray's state: its generators, signed by
-        the striation's sign vector."""
+        the striation's sign vector.  A label that is not a striation of the
+        field raises MalformedInput."""
         if label not in self._rays:
+            if label not in self.signs:
+                raise _no_striation(self.field, label)
             self._rays[label] = StabilizerGroup(
                 self.field, ray_generators(self.field, label), self.signs[label])
         return self._rays[label]

@@ -1,5 +1,7 @@
 """Command line interface behaviour: exit codes, formats, round trips."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gfwigner
 from gfwigner import apps, cli
@@ -181,6 +185,83 @@ def test_net_file_with_independent_signs_loads_unchecked_diagonals(tmp_path, cap
     code, _, _ = run(capsys, "wigner", "--n", "3", "--net", str(netfile),
                      "--state", "qec_logical_0")
     assert code == 0
+
+
+# -- argv parsing ------------------------------------------------------------------
+
+
+def test_option_forms_prefixes_and_the_last_value_agree(capsys):
+    # --name value, --name=value and a unique prefix name the same option
+    # (--n is exact, though it begins --net), and a repeated option's last
+    # value wins
+    want = run(capsys, "wigner", "--n", "2", "--state", "bell_phi_plus", "--format", "csv",
+               "--net", "covariant")
+    assert want[0] == 0
+    for argv in (["wigner", "--n=2", "--stat", "bell_phi_plus", "--form=csv", "--ne", "covariant"],
+                 ["wigner", "--n", "3", "--format", "json", "--state=bell_phi_plus", "--n", "2",
+                  "--fo", "csv", "--net=covariant"]):
+        assert run(capsys, *argv) == want
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["frobnicate", "-h"], ["field", "--help"],
+                                  ["field", "--he"], ["wigner", "--n", "x", "-h"],
+                                  ["bell", "--verify", "--bogus", "-h"]], ids=" ".join)
+def test_help_anywhere_prints_the_table_to_stdout_and_exits_0(capsys, argv):
+    # a command's help, or with no known command every command's help: its
+    # usage line, then one line per option
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    commands = [argv[0]] if argv[0] in cli.COMMANDS else list(cli.COMMANDS)
+    for command in commands:
+        assert f"usage: gfwigner {command} " in out
+        for name in (*(option[0] for option in cli.COMMANDS[command][1]), "--help"):
+            assert f"\n  {name} " in out
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["frobnicate"], ["--n", "2"], ["field"], ["field", "--n"], ["field", "--n", "--table"],
+    ["field", "--n", "x"], ["field", "--n", "2", "--format", "json"],
+    ["field", "--n", "2", "stray"], ["field", "--n", "2", "--bogus"], ["field", "--n", "2", "-x"],
+    ["field", "--n", "2", "--"], ["bell", "--verify=1"], ["wigner", "--n", "2"],
+    ["wigner", "--n", "2", "--state"],
+], ids=lambda argv: " ".join(argv) or "nothing")
+def test_usage_errors_exit_2_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+# every --n among them is at most 3 or one that field_new refuses at once
+FUZZ_VALUES = ("1", "2", "3", "0", "-1", "17", "111", "1101", "x", "2.5", "", "csv", "json",
+               "xml", "default", "covariant", "/no/such/file.json", "bell_phi_plus",
+               "computational_01", "qec_logical_1", "meanking_phi1", "1_1")
+FUZZ_OPTIONS = sorted({o[0] for _, options in cli.COMMANDS.values() for o in options}
+                      | {"--help", "--bogus"})
+
+
+@st.composite
+def argvs(draw):
+    """A command (or none, or an unknown one), then options by their full
+    name or a prefix, with a value after them, after "=" or missing, and
+    stray values and -h between them."""
+    argv = draw(st.lists(st.sampled_from([*cli.COMMANDS, "frobnicate"]), max_size=1))
+    for _ in range(draw(st.integers(0, 6))):
+        name = draw(st.sampled_from(FUZZ_OPTIONS))
+        name = name[:draw(st.integers(2, len(name)))]
+        value = draw(st.sampled_from(FUZZ_VALUES))
+        argv += draw(st.sampled_from([[name, value], [f"{name}={value}"], [name], [value],
+                                      ["-h"]]))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_argv_fuzz_exits_0_or_2_and_every_2_says_error(argv):
+    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()  # bytes reach out.buffer
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    assert code == 0 or "error:" in err.getvalue(), argv
 
 
 # -- field -------------------------------------------------------------------------
@@ -519,7 +600,10 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
     # computational preset load neither fractions nor decimal either; each
     # array command loads numpy, and later array commands in the same
     # process still work; nothing loads sympy, and no verify loads
-    # numpy.random (its round trip draws from the standard library)
+    # numpy.random (its round trip draws from the standard library); no
+    # command, --help or usage error loads argparse or gettext; verify
+    # --n 1 and --n 4 load neither fractions nor decimal (apps is imported
+    # only by the bell, qec and meanking rows)
     src = Path(gfwigner.__file__).parent.parent
     stab = tmp_path / "ghz3.json"
     stab.write_text(json.dumps({"stabilizer": [["+XXX", 1], ["+ZZI", 1], ["+IZZ", -1]]}))
@@ -572,6 +656,17 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
             with contextlib.redirect_stdout(sink):
                 assert dispatch(["verify", "--n", n]) == 0
             absent(" ".join([*loader, "and verify --n", n]), "sympy", "numpy.random")
+        absent("the commands above", "argparse", "gettext")
+    """)
+    verify = textwrap.dedent("""\
+        import contextlib, io, sys
+        from gfwigner.cli import dispatch
+
+        for n in ("1", "4"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert dispatch(["verify", "--n", n]) == 0
+            for module in ("fractions", "decimal", "argparse", "gettext"):
+                assert module not in sys.modules, module + " imported by verify --n " + n
     """)
     env = dict(os.environ, PYTHONPATH=str(src))
     for loader in (["wigner", "--n", "1", "--state", str(rho)], ["meanking"],
@@ -579,6 +674,8 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
         done = subprocess.run([sys.executable, "-c", script, str(stab), str(net),
                                json.dumps(loader)], env=env, capture_output=True)
         assert done.returncode == 0, done.stderr.decode()
+    done = subprocess.run([sys.executable, "-c", verify], env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
 
 
 @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["unset", "PYTHONUNBUFFERED=1"])

@@ -155,6 +155,16 @@ def test_f_rejects_points_off_the_net_grid(beta):
         build_net(field_new(2)).f(beta)
 
 
+@pytest.mark.parametrize("label", ["x", 7, None], ids=repr)
+def test_ray_rejects_a_label_that_is_not_a_striation(label):
+    # unchecked, "x" raised ValueError, 7 KeyError and None TypeError; the
+    # check also guards ray_state and basis, which go through ray
+    net = build_net(field_new(2))
+    for read in (net.ray, net.ray_state, net.basis):
+        with pytest.raises(MalformedInput, match="no striation"):
+            read(label)
+
+
 def test_covariance_of_covariant_net():
     for n in (2, 3):
         f = field_new(n)
