@@ -188,7 +188,11 @@ def qec_net(field: GF2Field | None = None) -> QuantumNet:
 
 def qec_stabilizer_generators(field: GF2Field):
     """(S1, S2, Z_L): two X-string stabilizer generators at horizontal
-    displacements w^6 and w^5, and the logical Z string at p = w^3."""
+    displacements w^6 and w^5, and the logical Z string at p = w^3: the
+    paper's +IXX, +XXI, +ZZZ on qec_field() only, so any other field (where
+    it is another code) raises FieldMismatch; see logical_group."""
+    if field != qec_field():
+        raise FieldMismatch(f"the generator layout holds on {qec_field()} only, not {field}")
     s1 = translation_for(to_binary(field, PhasePoint(field.pow_omega(6), 0)))
     s2 = translation_for(to_binary(field, PhasePoint(field.pow_omega(5), 0)))
     zl = translation_for(to_binary(field, PhasePoint(0, field.pow_omega(3))))

@@ -26,11 +26,13 @@ density file or the `meanking_phi1` preset.  An exact grid is integer
 numerators, which export_grid renders itself, so `fractions` loads for none
 of `field`, `rays`, `uomega` and `wigner` on a stabilizer file or a
 `computational_*` preset; `verify` loads it (with `apps`) only at n = 2 and
-3, where it runs the bell, meanking or qec rows.  `main` asks for one BLAS
-thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS default
-to 1; a value already set is kept) before numpy loads, and freezes the heap
-(gc.freeze) before exiting, so the final garbage collection at interpreter
-exit does not walk every object the request created.
+3, where it runs the bell, meanking or qec rows.  `json` loads only where a
+document is read or written: state, net and grid files (net and grid files
+through galois.read_field_header), json output and `mub`.  `main` asks for
+one BLAS thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS
+default to 1; a value already set is kept) before numpy loads, and freezes
+the heap (gc.freeze) before exiting, so the final garbage collection at
+interpreter exit does not walk every object the request created.
 
 The paper's checks are one table, `check_rows`: 12 (group, name, check)
 rows, and `run_checks(field, *groups)` runs the rows of the named groups in
@@ -44,7 +46,6 @@ parametrises over the same rows.
 from __future__ import annotations
 
 import gc
-import json
 import math
 import os
 import re
@@ -54,7 +55,8 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .errors import GfwignerError, MalformedInput
-from .galois import GF2Field, field_new, parse_poly, power_ordering, u_omega_gates
+from .galois import (GF2Field, field_new, parse_poly, power_ordering, read_field_header,
+                     u_omega_gates)
 from .phasespace import all_striations, grid_axis
 
 if TYPE_CHECKING:
@@ -111,6 +113,8 @@ def export_grid(grid: WignerGrid, fmt: str, meta: dict | None = None) -> str:
         out.append("-" * len(out[-1]))
         out.append(" " * label_w + " | " + "  ".join(f"  {s:>{width}}" for s in names))
         return "\n".join(out) + "\n"
+    import json
+
     table = "[\n    [\n      " + "\n    ],\n    [\n      ".join(
         ",\n      ".join(row) for row in rows) + "\n    ]\n  ]"
     payload = {"n": field.n, "poly": field.poly_str(), "exact": grid.exact,
@@ -129,6 +133,8 @@ def mub_json(n: int, net: str, bases: dict, overlap_report: dict) -> str:
     The amplitudes take few distinct values, so each distinct one (keyed by
     its bits, which keeps 0.0 and -0.0 apart) is rounded and rendered once,
     and the fixed layout is joined around the rendered pieces."""
+    import json
+
     import numpy as np
 
     mats = [np.asarray(vecs, dtype=complex) for vecs in bases.values()]
@@ -178,20 +184,10 @@ def import_grid(text: str) -> WignerGrid:
     """Inverse of export_grid(fmt='json'); rejects malformed grids."""
     from .wigner import WignerGrid, display_rows
 
-    payload = json.loads(text)
-    keys = {"n", "poly", "exact", "rows_p_descending"}
-    if not (isinstance(payload, dict) and keys <= payload.keys()
-            and isinstance(payload["n"], int) and isinstance(payload["poly"], str)
-            and isinstance(payload["exact"], bool)):
-        raise MalformedInput(
-            f"grid JSON needs the keys {', '.join(sorted(keys))}: an integer n, "
-            "a poly bit string and a boolean exact"
-        )
-    field = field_new(payload["n"], parse_poly(payload["poly"], 'grid JSON "poly"'))
+    field, payload = read_field_header(text, "grid JSON", exact=bool, rows_p_descending=list)
     rows, exact = payload["rows_p_descending"], payload["exact"]
     N = field.N
-    if not (isinstance(rows, list) and len(rows) == N
-            and all(isinstance(row, list) and len(row) == N for row in rows)):
+    if not (len(rows) == N and all(isinstance(row, list) and len(row) == N for row in rows)):
         raise MalformedInput(f"grid JSON needs {N} rows of {N} cells")
     flat = [None] * (N * N)
     for indices, row in zip(display_rows(field), rows):
@@ -261,11 +257,13 @@ def resolve_state(field: GF2Field, spec: str):
 
         phi1 = apps.mean_king_basis(apps.mean_king_net(field))[0]
         return "dense", state_density(phi1)
+    import json
+
     with open(spec) as fh:
         payload = json.load(fh)
-    if not (isinstance(payload, dict) and payload.keys() & {"stabilizer", "density"}):
-        raise MalformedInput("state file needs a JSON object with a 'stabilizer' "
-                             "or 'density' key")
+    if not (isinstance(payload, dict) and len(payload.keys() & {"stabilizer", "density"}) == 1):
+        raise MalformedInput("state file needs a JSON object with exactly one of the "
+                             "keys 'stabilizer' and 'density'")
     if "stabilizer" in payload:
         gens = payload["stabilizer"]
         if not (isinstance(gens, list) and all(
@@ -276,9 +274,10 @@ def resolve_state(field: GF2Field, spec: str):
         return "stabilizer", StabilizerGroup.from_generators(field, gens)
     rows = payload["density"]
     if not (isinstance(rows, list) and all(
-            isinstance(row, list) and all(_is_pair(cell) for cell in row)
+            isinstance(row, list) and len(row) == len(rows) and all(map(_is_pair, row))
             for row in rows)):
-        raise MalformedInput('"density" needs rows of [re, im] number pairs')
+        raise MalformedInput('"density" needs a square matrix: as many rows as '
+                             'columns, of finite [re, im] number pairs')
     import numpy as np
 
     from .wigner import check_density_matrix
@@ -291,8 +290,10 @@ def resolve_state(field: GF2Field, spec: str):
 
 
 def _is_pair(cell) -> bool:
+    """[re, im], ints or finite floats: NaN would pass check_density_matrix."""
     return isinstance(cell, list) and len(cell) == 2 and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell)
+        isinstance(x, float) and math.isfinite(x) or isinstance(x, int) and not isinstance(x, bool)
+        for x in cell)
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -696,7 +697,7 @@ def dispatch(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (GfwignerError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (GfwignerError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - internal errors

@@ -246,6 +246,24 @@ def parse_poly(text, what: str = "polynomial") -> int:
     return int(text[::-1], 2)
 
 
+def read_field_header(text: str, what: str, **members: type) -> tuple[GF2Field, dict]:
+    """The field and the JSON object of a net or grid file, which needs an
+    int "n", a "poly" bit string (parse_poly) and each of members, a key
+    mapped to its value's type; else a GfwignerError names what."""
+    import json
+
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # or nested past the recursion limit
+        raise MalformedInput(f"{what} cannot be read as JSON: {exc}") from None
+    members = {"n": int, "poly": str, **members}
+    if not (isinstance(payload, dict) and all(
+            isinstance(payload.get(key), kind) for key, kind in members.items())):
+        raise MalformedInput(f"{what} needs an object with the members " + ", ".join(
+            f'"{key}" ({kind.__name__})' for key, kind in members.items()))
+    return field_new(payload["n"], parse_poly(payload["poly"], f'{what} "poly"')), payload
+
+
 def solve_gf2(columns: list[int], target: int) -> int:
     """The mask x with the xor of columns[k] over the set bits k of x equal to
     target; columns and target are GF(2) vectors as bit masks.  Raises
@@ -286,15 +304,10 @@ def power_ordering(field: GF2Field, generator: str = "canonical") -> list[int]:
     """The zero string, then the cyclic ordering 1, 1·M, 1·M^2, ... of all
     nonzero strings (the axis labelling).
 
-    generator is "canonical" for the companion matrix M or "dual" for its
-    transpose.
+    generator is "canonical" for the companion matrix M (the powers w^j) or
+    "dual" for its transpose (their momentum strings 1·M~^j, p_to_bits).
     """
     if generator not in ("canonical", "dual"):
         raise ValueError(f"generator must be 'canonical' or 'dual', got {generator!r}")
-    step = field.apply_m if generator == "canonical" else field.apply_mt
-    out = [0]
-    a = 1
-    for _ in range(field.order):
-        out.append(a)
-        a = step(a)
-    return out
+    axis = [0, *field._exp]
+    return axis if generator == "canonical" else list(map(field.p_to_bits, axis))

@@ -10,24 +10,24 @@ T_beta in the group of the ray through beta.  Everything else (line states,
 phase-space point operators) follows from translation covariance.
 
 Covariant nets are derived on the same sign data, for any n <= 16: U_w
-permutes translations, U_w T(a, b) U_w^dagger = +-T(a M, b M~^-1).  U_w's
-matrix is a dense realisation that nets do not need; dense matrices are
-built only when a caller asks for them: A(0) is one Pauli sum,
+permutes translations, U_w T(a, b) U_w^dagger = +-T(a M, b M~^-1).  A net
+is only its signs: a net file's "mode" says whether they are covariant.
+U_w's matrix is a dense realisation that nets do not need; dense matrices
+are built only when a caller asks for them: A(0) is one Pauli sum,
 N^-2 sum_beta f(beta) T_beta over the flat f vector, a ray state is read
 off its group (StabilizerGroup.state), and each striation's N line states,
 its mutually unbiased basis, are the ray state moved by one scatter.  numpy
-is imported only inside the functions that build arrays.
+and json are imported only inside the functions that use them.
 """
 
 from __future__ import annotations
 
-import json
 from itertools import islice
 from numbers import Integral
 from typing import TYPE_CHECKING
 
 from .errors import FieldMismatch, MalformedInput
-from .galois import GF2Field, field_new, parse_poly
+from .galois import GF2Field, read_field_header
 from .galois import u_omega_gates  # noqa: F401  (re-exported beside u_omega_matrix)
 from .pauli import (
     _I_POW,
@@ -117,7 +117,7 @@ def _checked_signs(field: GF2Field, signs: dict) -> dict:
 
 
 class QuantumNet:
-    """Line-to-state assignment, encoded by per-striation sign vectors.
+    """Line-to-state assignment, encoded by per-striation sign vectors alone.
 
     The derived sign function f maps every nonzero phase-space point beta to
     the eigenvalue of T_beta on the state assigned to the ray through beta.
@@ -125,11 +125,8 @@ class QuantumNet:
     so it works symbolically at any supported n.
     """
 
-    def __init__(self, field: GF2Field, signs: dict, mode: str = "independent"):
-        if mode not in ("independent", "covariant"):
-            raise MalformedInput(f'net mode must be "independent" or "covariant", got {mode!r}')
+    def __init__(self, field: GF2Field, signs: dict):
         self.field = field
-        self.mode = mode
         self.signs = _checked_signs(field, signs)
         self._rays = {}
         self._f_vector = None
@@ -234,11 +231,16 @@ class QuantumNet:
         return f"n={self.field.n};poly={self.field.poly:#x};" + ",".join(parts)
 
     def to_json(self) -> str:
+        """The net as JSON, "mode" "covariant" exactly when the diagonal
+        signs are those derived from the h, v and 0 signs (_covariant_signs)."""
+        import json
+
         field = self.field
         payload = {
             "n": field.n,
             "poly": field.poly_str(),
-            "mode": self.mode,
+            "mode": "covariant" if _covariant_signs(field, self.signs) == self.signs
+            else "independent",
             "signs": {str(k): list(v) for k, v in self.signs.items()},
             "f": self._f_json(),
         }
@@ -246,37 +248,20 @@ class QuantumNet:
 
 
 def net_from_json(text: str) -> QuantumNet:
-    """Load a QuantumNet.to_json net; a "covariant" net must carry the signs
-    derived from its h, v and 0 signs, and "f" must match the signs."""
-    payload = json.loads(text)
-    if not (
-        isinstance(payload, dict)
-        and {"n", "poly", "signs"} <= payload.keys()
-        and isinstance(payload["n"], int)
-        and isinstance(payload["poly"], str)
-        and isinstance(payload["signs"], dict)
-    ):
-        raise MalformedInput(
-            'net JSON needs an integer "n", a "poly" bit string and a "signs" object'
-        )
+    """Load a QuantumNet.to_json net, else raise a GfwignerError: "signs" is
+    keyed by str(label), a "covariant" net's diagonal signs are derived from
+    its h, v and 0 signs, and "f" must match the signs."""
+    field, payload = read_field_header(text, "net JSON", signs=dict)
+    labels = {str(label): label for label in striation_labels(field)}
+    if unknown := [key for key in payload["signs"] if key not in labels]:
+        raise MalformedInput(f"net JSON striation key {unknown[0]!r} is not one of "
+                             f"{', '.join(labels)}")
+    net = QuantumNet(field, {labels[key]: eps for key, eps in payload["signs"].items()})
     mode = payload.get("mode", "independent")
-    field = field_new(payload["n"], parse_poly(payload["poly"], 'net JSON "poly"'))
-    signs = {}
-    for key, eps in payload["signs"].items():
-        if key in (HORIZONTAL, VERTICAL):
-            signs[key] = eps
-        elif key.isascii() and key.isdecimal():
-            signs[int(key)] = eps
-        else:
-            raise MalformedInput(f"net JSON striation key {key!r} is not h, v or a number")
-    net = QuantumNet(field, signs, mode)
-    if mode == "covariant":
-        seeds = {label: signs[label] for label in (HORIZONTAL, VERTICAL, 0)}
-        if build_net(field, "covariant", seeds).signs != net.signs:
-            raise MalformedInput(
-                "net JSON is marked covariant, but its diagonal signs differ "
-                "from those derived from its h, v and 0 signs"
-            )
+    if mode != "independent" and (mode != "covariant"
+                                  or _covariant_signs(field, net.signs) != net.signs):
+        raise MalformedInput('net JSON "mode" must be "independent", or "covariant" with the '
+                             f"diagonal signs derived from the h, v and 0 signs; got {mode!r}")
     if "f" in payload and payload["f"] != net._f_json():
         raise MalformedInput('net JSON "f" table disagrees with its signs')
     return net
@@ -286,25 +271,13 @@ def all_plus_signs(field: GF2Field) -> dict:
     return {label: (1,) * field.n for label in striation_labels(field)}
 
 
-def build_net(field: GF2Field, mode: str = "independent", signs: dict | None = None) -> QuantumNet:
-    """Build a quantum net.
-
-    independent: one sign vector per striation (missing entries default to
-    all +1).  covariant: sign vectors for h, v and lambda = 0 only; the
-    remaining diagonal rays follow from the squeezing covariance
-    P(lambda - 2) = U_w P(lambda) U_w^dagger: ray lambda's generators, pushed
-    through U_w on labels, fix its image with the same signs eps_k; pushed
-    generator k has q = w^(k+1), so the image's generator j is at w^(j-1).
-    Any other label, or a vector that is not n signs, raises MalformedInput.
-    """
-    signs = signs or {}
-    if mode == "covariant" and set(signs) - {HORIZONTAL, VERTICAL, 0}:
-        raise MalformedInput("a covariant net takes sign vectors for h, v and 0 "
-                             f"only; got {', '.join(map(str, signs))}")
-    net = QuantumNet(field, {**all_plus_signs(field), **signs}, mode)
-    if mode == "independent":
-        return net
-    base, order = dict(net.signs), field.order
+def _covariant_signs(field: GF2Field, signs: dict) -> dict:
+    """Checked signs with every diagonal ray's but 0's derived by the squeezing
+    covariance P(lambda - 2) = U_w P(lambda) U_w^dagger: ray lambda's
+    generators, pushed through U_w on labels, fix its image with the same
+    signs eps_k; pushed generator k has q = w^(k+1), so the image's generator
+    j is at w^(j-1).  At n = 1 ray 0 is the only diagonal ray."""
+    base, order = dict(signs), field.order
     coords = [field.pow_omega(j - 1) for j in range(field.n)]
     lam = 0
     for _ in range(order - 1):
@@ -312,7 +285,25 @@ def build_net(field: GF2Field, mode: str = "independent", signs: dict | None = N
         image = StabilizerGroup(field, pushed, base[lam])
         lam = (lam - 2) % order
         base[lam] = tuple(map(image.at, coords))
-    return QuantumNet(field, base, "covariant")
+    return base
+
+
+def build_net(field: GF2Field, mode: str = "independent", signs: dict | None = None) -> QuantumNet:
+    """Build a quantum net.
+
+    independent: one sign vector per striation (missing entries default to
+    all +1).  covariant: sign vectors for h, v and lambda = 0 only, the
+    other diagonal rays' derived from them (_covariant_signs).  Any other
+    mode or label, or a vector that is not n signs, raises MalformedInput.
+    """
+    if mode not in ("independent", "covariant"):
+        raise MalformedInput(f'net mode must be "independent" or "covariant", got {mode!r}')
+    signs = signs or {}
+    if mode == "covariant" and set(signs) - {HORIZONTAL, VERTICAL, 0}:
+        raise MalformedInput("a covariant net takes sign vectors for h, v and 0 "
+                             f"only; got {', '.join(map(str, signs))}")
+    signs = _checked_signs(field, {**all_plus_signs(field), **signs})
+    return QuantumNet(field, _covariant_signs(field, signs) if mode == "covariant" else signs)
 
 
 # -- MUB states ----------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from operator import attrgetter
 
 from .errors import FieldMismatch
-from .galois import GF2Field
+from .galois import GF2Field, power_ordering
 
 HORIZONTAL = "h"
 VERTICAL = "v"
@@ -141,8 +141,7 @@ def striation_labels(field: GF2Field) -> list:
 
 def striation(field: GF2Field, label) -> Striation:
     a, b = _direction(field, label)
-    offsets = [0] + [field.pow_omega(j) for j in range(field.order)]
-    return Striation(label, tuple(Line(a, b, c) for c in offsets))
+    return Striation(label, tuple(Line(a, b, c) for c in grid_axis(field)))
 
 
 def all_striations(field: GF2Field) -> list[Striation]:
@@ -180,4 +179,4 @@ def wedge(alpha: BinaryPoint, beta: BinaryPoint) -> int:
 
 def grid_axis(field: GF2Field) -> list[int]:
     """Axis labels in power ordering: 0, 1, w, w^2, ..."""
-    return [0] + [field.pow_omega(j) for j in range(field.order)]
+    return power_ordering(field)

@@ -75,6 +75,13 @@ def test_qec_stabilizer_generators_are_x_strings_and_zl():
     s1, s2, zl = apps.qec_stabilizer_generators(f)
     assert {format_pauli(s1), format_pauli(s2)} == {"+XXI", "+IXX"}
     assert format_pauli(zl) == "+ZZZ"
+    # on x^3 + x + 1 the layout at w^6, w^5 and w^3 gives +XIX +XXX +ZIZ,
+    # another code than logical_group's, so it refuses the field
+    other = field_new(3, 0b1011)
+    with pytest.raises(FieldMismatch, match="generator layout"):
+        apps.qec_stabilizer_generators(other)
+    assert sorted(map(format_pauli, apps.logical_group(other, 0).gens)) == [
+        "+IXX", "+XXI", "+ZZZ"]
 
 
 def test_logical_states_are_orthonormal_and_stabilized():

@@ -1,6 +1,7 @@
 """Command line interface behaviour: exit codes, formats, round trips."""
 
 import contextlib
+import copy
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +21,9 @@ import gfwigner
 from gfwigner import apps, cli
 from gfwigner.cli import (check_rows, dispatch, export_grid, import_grid, mub_json,
                           verify_groups)
-from gfwigner.errors import DegreeMismatch, MalformedInput
+from gfwigner.errors import DegreeMismatch, GfwignerError, MalformedInput
 from gfwigner.galois import field_new, parse_poly
-from gfwigner.net import QuantumNet, all_plus_signs, build_net
+from gfwigner.net import QuantumNet, all_plus_signs, build_net, net_from_json
 from gfwigner.wigner import stabilizer_wigner, state_density, wigner_of
 from oracles import mub_json_nested, mub_stdout_nested, rays_stdout_reference
 
@@ -97,17 +99,24 @@ def test_stabilizer_sign_other_than_one_is_validation_error(tmp_path, capsys):
     {"stabilizer": [["+XQ", 1], ["+ZZ", 1]]},
     {"stabilizer": [["-i", 1], ["+ZZ", 1]]},
     {"density": [[[10 ** 400, 0]]]},
+    {"stabilizer": [["+XX", 1], ["+ZZ", 1]], "density": [[[0.25, 0]] * 4] * 4},
+    {"density": [[[0.5, 0], [0.5, 0]], [[0.5, 0]]]},
+    {"density": [[[0.25, 0]] * 4] * 3 + [[[0.25, 0]] * 3]},
+    {"density": [[[float("inf"), 0], [0, 0]], [[0, 0], [float("-inf"), 0]]]},
+    {"density": [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]},
 ], ids=["bare_string", "stabilizer_not_a_list", "density_cells_not_pairs",
         "pauli_label_not_a_string", "three_qubit_generators_xxi",
         "three_qubit_generators_ixx", "pauli_label_bad_letter", "pauli_label_no_letters",
-        "density_number_beyond_float_range"])
+        "density_number_beyond_float_range", "both_state_keys", "ragged_density_rows",
+        "ragged_last_density_row", "infinite_density_cells", "nan_density_cell"])
 def test_malformed_state_file_is_validation_error(tmp_path, capsys, payload):
+    # JSON's Infinity and NaN would pass the density check and print nan
     state = tmp_path / "state.json"
     state.write_text(json.dumps(payload))
     code, out, err = run(capsys, "wigner", "--n", "2", "--state", str(state))
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("breakage", [
@@ -119,10 +128,14 @@ def test_malformed_state_file_is_validation_error(tmp_path, capsys, payload):
     lambda payload: payload["signs"].update({"0": None}),
     lambda payload: payload["signs"].update(x=[1, 1]),
     lambda payload: payload.update(poly="1a1"),
+    lambda payload: payload["signs"].update({"01": payload["signs"].pop("1")}),
+    lambda payload: payload["signs"].update({" 1": payload["signs"].pop("1")}),
 ], ids=["no_h_striation", "no_poly", "signs_not_an_object", "poly_not_a_string",
         "sign_vector_not_a_list", "sign_vector_null", "striation_key_not_a_number",
-        "poly_not_bits"])
+        "poly_not_bits", "striation_key_with_a_leading_zero",
+        "striation_key_with_a_space"])
 def test_net_file_missing_entry_is_validation_error(tmp_path, capsys, breakage):
+    # "01" used to load as striation 1
     payload = json.loads(build_net(field_new(2)).to_json())
     breakage(payload)
     netfile = tmp_path / "net.json"
@@ -131,7 +144,7 @@ def test_net_file_missing_entry_is_validation_error(tmp_path, capsys, breakage):
                          "--state", "bell_phi_plus")
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def _flip_first_diagonal_sign(payload):
@@ -161,6 +174,18 @@ def test_net_file_false_claim_is_validation_error(tmp_path, capsys, mode, breaka
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("rows", [
+    [[[0.5, 0], [0.5, 0]], [[0.5, 0]]],
+    [[[0.25, 0]] * 4] * 3 + [[[0.25, 0]] * 3],
+], ids=["short_second_row", "short_last_row"])
+def test_ragged_density_rows_are_refused_before_numpy(tmp_path, rows):
+    # numpy used to refuse them with "setting an array element with a sequence"
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"density": rows}))
+    with pytest.raises(MalformedInput, match="square matrix"):
+        cli.resolve_state(field_new(len(rows).bit_length() - 1), str(state))
 
 
 def test_net_file_with_a_boolean_n_is_validation_error(tmp_path, capsys):
@@ -262,6 +287,105 @@ def test_argv_fuzz_exits_0_or_2_and_every_2_says_error(argv):
         code = dispatch(argv)
     assert code in (0, 2), (argv, err.getvalue())
     assert code == 0 or "error:" in err.getvalue(), argv
+
+
+# -- file fuzz ---------------------------------------------------------------------
+
+# values of every JSON type, and members, striation keys and state keys in
+# right and wrong spellings, for the edits below
+FUZZ_JUNK = st.sampled_from((
+    None, True, False, 0, 1, -1, 2, 10 ** 400, 0.5, 1.0, float("nan"), float("inf"),
+    float("-inf"), "", "1", "01", "nan", "inf", "1/0", "101", "+XZ", "-i", "covariant",
+    [], [1], [1, 0], [[1, 0]], {}, {"1": 1})).map(copy.deepcopy)
+FUZZ_KEYS = ("n", "poly", "mode", "signs", "f", "h", "v", "0", "1", "01", " 1", "1 ",
+             "+1", "7", "x", "stabilizer", "density", "exact", "rows_p_descending")
+
+
+def _fuzz_paths(doc, path=()):
+    """The path of every value in a JSON document, the document's first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _fuzz_paths(value, (*path, key))
+
+
+@st.composite
+def edited(draw, doc):
+    """doc with up to three edits, each at a drawn value: replaced by junk,
+    removed, repeated (a list member; ragged rows) or joined by a sibling
+    key holding junk or a copy of it (both state keys), or renamed."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_fuzz_paths(doc))))
+        if not path:
+            doc = draw(FUZZ_JUNK)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key, edit = path[-1], draw(st.sampled_from(("junk", "remove", "repeat", "rename")))
+        if edit == "junk":
+            parent[key] = draw(FUZZ_JUNK)
+        elif edit == "remove":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        elif edit == "repeat":
+            parent[draw(st.sampled_from(FUZZ_KEYS))] = draw(
+                st.one_of(st.just(copy.deepcopy(parent[key])), FUZZ_JUNK))
+        else:
+            parent[draw(st.sampled_from(FUZZ_KEYS))] = parent.pop(key)
+    return doc
+
+
+@cache
+def _fuzz_bases(kind: str, n: int) -> tuple:
+    """Valid documents of a file kind at n: the states |0..0> by their Z
+    stabilizers and by density, and both keys at once; nets of either mode;
+    an exact and a dense grid."""
+    field = field_new(n)
+    if kind == "state":
+        zs = [["+" + "".join("Z" if i == k else "I" for i in range(n)), 1] for k in range(n)]
+        rho = [[[float(i == j == 0), 0.0] for j in range(field.N)] for i in range(field.N)]
+        return {"stabilizer": zs}, {"density": rho}, {"stabilizer": zs, "density": rho}
+    if kind == "net":
+        return tuple(json.loads(build_net(field, mode, {0: (-1,) * n}).to_json())
+                     for mode in ("independent", "covariant"))
+    _, group = cli.resolve_state(field, "computational_" + "0" * n)
+    return tuple(json.loads(export_grid(grid, "json")) for grid in (
+        stabilizer_wigner(build_net(field), group),
+        wigner_of(build_net(field), state_density(np.eye(field.N)[0]))))
+
+
+@pytest.mark.parametrize("kind", ["state", "net", "grid"])
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_file_fuzz_exits_0_or_2_and_the_readers_raise_typed_errors(tmp_path_factory, kind, data):
+    # state and net files through `wigner`, which exits 0 or 2, says error:
+    # with every 2 and prints no nan; net and grid files through their
+    # readers, which return or raise a GfwignerError
+    n = data.draw(st.integers(1, 3 if kind != "grid" else 2))
+    doc = data.draw(edited(data.draw(st.sampled_from(_fuzz_bases(kind, n)))))
+    text = json.dumps(doc)
+    if kind == "grid":
+        with contextlib.suppress(GfwignerError):
+            import_grid(text)
+        return
+    if kind == "net":
+        with contextlib.suppress(GfwignerError):
+            net_from_json(text)
+    path = tmp_path_factory.getbasetemp() / f"fuzz_{kind}.json"
+    path.write_text(text)
+    spec = ["--net", str(path), "--state", "computational_" + "0" * n] if kind == "net" else [
+        "--state", str(path)]
+    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(["wigner", "--n", str(n), *spec])
+    assert code in (0, 2), (text, err.getvalue())
+    assert code == 0 or err.getvalue().startswith("error:"), text
+    # a grid of nan, or a state read off one of two keys, is a wrong answer
+    assert code == 2 or b"nan" not in out.buffer.getvalue(), text
+    assert code == 2 or not (isinstance(doc, dict) and {"stabilizer", "density"} <= doc.keys())
 
 
 # -- field -------------------------------------------------------------------------
@@ -658,6 +782,8 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
             absent(" ".join([*loader, "and verify --n", n]), "sympy", "numpy.random")
         absent("the commands above", "argparse", "gettext")
     """)
+    # a fresh process that does not import json itself: only reading or
+    # writing a document loads it, so these commands do not
     verify = textwrap.dedent("""\
         import contextlib, io, sys
         from gfwigner.cli import dispatch
@@ -667,6 +793,12 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
                 assert dispatch(["verify", "--n", n]) == 0
             for module in ("fractions", "decimal", "argparse", "gettext"):
                 assert module not in sys.modules, module + " imported by verify --n " + n
+        for argv in (["field", "--n", "3"], ["rays", "--n", "2"], ["uomega", "--n", "3"],
+                     ["bell", "--format", "csv"], ["qec"], ["meanking"],
+                     ["verify", "--n", "2"], ["wigner", "--n", "2", "--state", "bell_phi_plus"]):
+            with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
+                assert dispatch(argv) == 0, argv
+            assert "json" not in sys.modules, "json imported by " + " ".join(argv)
     """)
     env = dict(os.environ, PYTHONPATH=str(src))
     for loader in (["wigner", "--n", "1", "--state", str(rho)], ["meanking"],

@@ -13,6 +13,7 @@ from gfwigner.galois import (
     field_new,
     parse_poly,
     power_ordering,
+    read_field_header,
 )
 from oracles import (
     companion_rows,
@@ -162,6 +163,19 @@ def test_poly_string_round_trip_and_malformed_strings():
             parse_poly(text)
 
 
+def test_file_header_needs_an_object_with_an_int_n_and_a_poly_string():
+    header = '"n": 3, "poly": "1011"'
+    field, payload = read_field_header("{" + header + ', "exact": true}', "grid", exact=bool)
+    assert field == field_new(3) and payload["exact"] is True
+    for text in ("{" + header, "[" * 100000, "[3]", '{"n": 3}', '{"n": 3.0, "poly": "1011"}',
+                 '{"n": 3, "poly": 13}', "{" + header + "}", "{" + header + ', "exact": 1}'):
+        with pytest.raises(MalformedInput, match="^grid"):
+            read_field_header(text, "grid", exact=bool)
+    # a boolean n reaches field_new, which names it
+    with pytest.raises(DegreeMismatch, match="True"):
+        read_field_header('{"n": true, "poly": "11"}', "grid")
+
+
 def test_dual_basis_defining_property():
     for n in (2, 3, 4):
         f = field_new(n)
@@ -201,13 +215,15 @@ def test_power_ordering_table_values():
 
 
 def test_power_ordering_visits_everything():
-    for n in (2, 3, 4, 5):
-        f = field_new(n)
-        for gen in ("canonical", "dual"):
+    # each ordering is the walk of 1 by its matrix, M or M~, also off the
+    # default polynomial (x^3 + x + 1, x^5 + x^3 + 1)
+    for f in (*map(field_new, range(1, 9)), field_new(3, 0b1011), field_new(5, 0b101001)):
+        for gen, step in (("canonical", f.apply_m), ("dual", f.apply_mt)):
             seq = power_ordering(f, gen)
             assert len(seq) == f.N
             assert set(seq) == set(range(f.N))
             assert seq[0] == 0 and seq[1] == 1
+            assert all(step(a) == b for a, b in zip(seq[1:], seq[2:]))
 
 
 def test_pinned_polynomials_build():

@@ -282,11 +282,28 @@ def test_net_json_roundtrip():
     assert other.f_table() == net.f_table()
 
 
+def test_net_json_mode_is_read_off_the_signs():
+    # every n = 1 net is covariant: it has no diagonal ray to derive; at
+    # n = 3 the all-+1 net is not, and a net made from the derived signs is
+    assert json.loads(build_net(field_new(1)).to_json())["mode"] == "covariant"
+    field = field_new(3)
+    for signs, mode in ((all_plus_signs(field), "independent"),
+                        (build_net(field, "covariant").signs, "covariant")):
+        net = QuantumNet(field, signs)
+        assert json.loads(net.to_json())["mode"] == mode
+        assert net_from_json(net.to_json()).signs == net.signs
+
+
 @pytest.mark.parametrize("breakage", [
     lambda payload: payload["signs"].update(x=[1, 1]),
     lambda payload: payload.update(poly="1a1"),
-], ids=["striation_key_not_a_number", "poly_not_bits"])
+    lambda payload: payload["signs"].update({"01": payload["signs"].pop("1")}),
+    lambda payload: payload["signs"].update({" 1": payload["signs"].pop("1")}),
+    lambda payload: payload["signs"].update({"3": [1, 1]}),
+], ids=["striation_key_not_a_number", "poly_not_bits", "striation_key_with_a_leading_zero",
+        "striation_key_with_a_space", "no_such_striation"])
 def test_net_json_with_unparsable_entries_is_malformed_input(breakage):
+    # each key must be a label as str() prints it: "01" used to load as 1
     payload = json.loads(build_net(field_new(2)).to_json())
     breakage(payload)
     with pytest.raises(MalformedInput, match="net JSON"):

@@ -6,6 +6,7 @@ or covariant nets derived from random h, v and 0 sign vectors.  Each n >= 3
 is drawn with its default polynomial or one other primitive one.
 """
 
+import json
 import random
 from fractions import Fraction
 from functools import reduce
@@ -18,9 +19,10 @@ from hypothesis import strategies as st
 
 from gfwigner import apps
 from gfwigner.cli import export_grid, import_grid
-from gfwigner.errors import GfwignerError, NonCommutingGenerators, SingularBasis
+from gfwigner.errors import GfwignerError, MalformedInput, NonCommutingGenerators, SingularBasis
 from gfwigner.galois import PRIMITIVE_POLYS, field_new, solve_gf2
-from gfwigner.net import QuantumNet, build_net, conjugate_by_u_omega, line_state, mub_bases
+from gfwigner.net import (QuantumNet, build_net, conjugate_by_u_omega, line_state, mub_bases,
+                          net_from_json)
 from gfwigner.pauli import (
     IDENTITY_ATOL,
     PauliTranslation,
@@ -377,6 +379,29 @@ def test_f_table_walk_equals_pointwise_f(data):
     fresh = QuantumNet(field, net.signs)
     for (a, b), value in table.items():
         assert fresh.f(BinaryPoint(a, b, field.n)) == value
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.data())
+def test_every_net_round_trips_through_json(data):
+    """The signs read back are the signs written, for any net, at n = 1..4
+    and on x^3 + x + 1.  "mode" says covariant exactly when the diagonal
+    signs are those derived from the h, v and 0 signs (every n = 1 net, and
+    every drawn covariant net), and a false covariant claim is refused."""
+    field = data.draw(st.sampled_from([*map(field_new, range(1, 5)), field_new(3, 0b1011)]))
+    net = data.draw(nets(field))
+    seeds = {label: net.signs[label] for label in (HORIZONTAL, VERTICAL, 0)}
+    covariant = build_net(field, "covariant", seeds).signs == net.signs
+    payload = json.loads(net.to_json())
+    assert payload["mode"] == ("covariant" if covariant else "independent")
+    assert net_from_json(net.to_json()).signs == net.signs
+    if field.n > 1:
+        payload["mode"] = "covariant"
+        if covariant:
+            payload["signs"]["1"][0] *= -1
+        del payload["f"]
+        with pytest.raises(MalformedInput, match='"mode" must be'):
+            net_from_json(json.dumps(payload))
 
 
 @settings(PROPERTY, max_examples=30)
