@@ -88,7 +88,9 @@ def bell_translations(field: GF2Field) -> tuple[PauliTranslation, PauliTranslati
 def bell_state(label: str) -> np.ndarray:
     """Dense Bell state vector (qubit 0 is the leftmost tensor factor): the
     state of its stabilizer group, first nonzero entry real positive."""
-    return bell_stabilizer(bell_field(), label).state()
+    import numpy as np
+
+    return np.asarray(bell_stabilizer(bell_field(), label).state())
 
 
 def bell_stabilizer(field: GF2Field, label: str) -> StabilizerGroup:
@@ -214,7 +216,9 @@ def logical_group(field: GF2Field, which: int) -> StabilizerGroup:
 
 def logical_state(field: GF2Field, which: int) -> np.ndarray:
     """Dense logical basis vector; |1_L> = X_L |0_L> with X_L = X0 X1 X2."""
-    v0 = logical_group(field, 0).state()
+    import numpy as np
+
+    v0 = np.asarray(logical_group(field, 0).state())
     if which == 0:
         return v0
     return to_matrix(translation(field.n, (1 << field.n) - 1, 0)) @ v0
@@ -372,7 +376,7 @@ def mean_king_basis(net: QuantumNet) -> list[np.ndarray]:
 
     field = net.field
     ortho = [line_state(net, king_lines(field, o)[0]) for o in ("x", "z", "y")]
-    _, sv, vh = np.linalg.svd(np.array([v.conj() for v in ortho]))
+    _, sv, vh = np.linalg.svd(np.array(ortho).conj())
     if sv[-1] < IDENTITY_ATOL:
         raise AmbiguousInference("the three line states are linearly dependent")
     phi1 = fix_phase(vh[-1].conj())

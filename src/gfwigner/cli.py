@@ -20,15 +20,16 @@ cost more than a trivial request's own work), `errors`, `galois` and
 and import numpy only inside their own functions that build arrays, as do
 the array checks of `check_rows`.  So exact `wigner` requests (a stabilizer
 file or a `computational_*`, `bell_*` or `qec_logical_*` preset, on any
-net), `bell`, `qec`, `bell --verify` and `qec --verify` start without numpy
-too, and it is loaded by `mub`, `meanking`, `verify` and `wigner` on a
-density file or the `meanking_phi1` preset.  An exact grid is integer
-numerators, which export_grid renders itself, so `fractions` loads for none
-of `field`, `rays`, `uomega` and `wigner` on a stabilizer file or a
-`computational_*` preset; `verify` loads it (with `apps`) only at n = 2 and
-3, where it runs the bell, meanking or qec rows.  `json` loads only where a
-document is read or written: state, net and grid files (net and grid files
-through galois.read_field_header), json output and `mub`.  `main` asks for
+net), `bell`, `qec`, `bell --verify`, `qec --verify` and `mub` (its states
+are tuples of Python complex numbers) start without numpy too, and it is
+loaded by `meanking`, `verify` and `wigner` on a density file or the
+`meanking_phi1` preset.  An exact grid is integer numerators, which
+export_grid renders itself, so `fractions` loads for none of `field`,
+`rays`, `uomega` and `wigner` on a stabilizer file or a `computational_*`
+preset; `verify` loads it (with `apps`) only at n = 2 and 3, where it runs
+the bell, meanking or qec rows.  `json` loads only where a document is read
+or written: state, net and grid files (all through galois.load_json), json
+output and `mub`.  `main` asks for
 one BLAS thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS
 default to 1; a value already set is kept) before numpy loads, and freezes
 the heap (gc.freeze) before exiting, so the final garbage collection at
@@ -51,12 +52,13 @@ import os
 import re
 import sys
 from functools import cache
+from itertools import chain, islice
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .errors import GfwignerError, MalformedInput
-from .galois import (GF2Field, field_new, parse_poly, power_ordering, read_field_header,
-                     u_omega_gates)
+from .galois import (GF2Field, field_new, load_json, parse_poly, power_ordering,
+                     read_field_header, u_omega_gates)
 from .phasespace import all_striations, grid_axis
 
 if TYPE_CHECKING:
@@ -130,30 +132,28 @@ def mub_json(n: int, net: str, bases: dict, overlap_report: dict) -> str:
     json.dumps(..., indent=2) writes {"n", "net", "bases", "overlap_report"}
     with each amplitude z of a basis as [round(z.real, 12), round(z.imag, 12)].
 
-    The amplitudes take few distinct values, so each distinct one (keyed by
-    its bits, which keeps 0.0 and -0.0 apart) is rounded and rendered once,
-    and the fixed layout is joined around the rendered pieces."""
+    The rows of QuantumNet.basis share their amplitude objects, and those
+    take few distinct values, so each object is looked up once, each
+    distinct value (keyed by its bits, which keeps 0.0 and -0.0 apart) is
+    rounded and rendered once, and the fixed layout is joined around the
+    rendered pieces."""
     import json
 
-    import numpy as np
-
-    mats = [np.asarray(vecs, dtype=complex) for vecs in bases.values()]
-    flat = np.concatenate([A.ravel() for A in mats])
-    _, first, inverse = np.unique(flat.view(np.dtype((np.void, flat.itemsize))),
-                                  return_index=True, return_inverse=True)
-    pieces = np.array([
-        f"        [\n          {json.dumps(round(z.real, 12))},\n"
-        f"          {json.dumps(round(z.imag, 12))}\n        ]"
-        for z in flat[first]
-    ], dtype=object)[inverse]
+    flat = list(chain.from_iterable(chain.from_iterable(bases.values())))
+    ids = list(map(id, flat))  # unique while flat holds the objects
+    texts, piece = {}, {}
+    for key, z in dict(zip(ids, flat)).items():
+        bits = (z.real.hex(), z.imag.hex())
+        if bits not in texts:
+            texts[bits] = (f"        [\n          {json.dumps(round(z.real, 12))},\n"
+                           f"          {json.dumps(round(z.imag, 12))}\n        ]")
+        piece[key] = texts[bits]
+    pieces = map(piece.__getitem__, ids)
     parts = [json.dumps({"n": n, "net": net}, indent=2)[:-2] + ',\n  "bases": {']
-    start = 0
-    for k, (label, A) in enumerate(zip(bases, mats)):
-        rows = pieces[start:start + A.size].reshape(A.shape).tolist()
-        start += A.size
+    for k, (label, rows) in enumerate(bases.items()):
         parts += [
             ("," if k else "") + f"\n    {json.dumps(str(label))}: [\n      [\n",
-            "\n      ],\n      [\n".join(",\n".join(row) for row in rows),
+            "\n      ],\n      [\n".join(",\n".join(islice(pieces, len(row))) for row in rows),
             "\n      ]\n    ]",
         ]
     parts.append("\n  }," + json.dumps({"overlap_report": overlap_report}, indent=2)[1:] + "\n")
@@ -257,10 +257,8 @@ def resolve_state(field: GF2Field, spec: str):
 
         phi1 = apps.mean_king_basis(apps.mean_king_net(field))[0]
         return "dense", state_density(phi1)
-    import json
-
     with open(spec) as fh:
-        payload = json.load(fh)
+        payload = load_json(fh.read(), "state file")
     if not (isinstance(payload, dict) and len(payload.keys() & {"stabilizer", "density"}) == 1):
         raise MalformedInput("state file needs a JSON object with exactly one of the "
                              "keys 'stabilizer' and 'density'")
@@ -502,7 +500,7 @@ def check_rows(field: GF2Field) -> list[tuple]:
             for line, v in zip(st.lines, mub_bases(net)[st.label]):
                 total = sum(ops[(pt.q << field.n) | field.p_to_bits(pt.p)]
                             for pt in line.points(field))
-                _claim(np.abs(total - np.outer(v, v.conj())).max() < IDENTITY_ATOL)
+                _claim(np.abs(total - np.outer(v, np.conj(v))).max() < IDENTITY_ATOL)
         point_operators.cache_clear()  # the last user: free them for later checks
 
     def roundtrip():

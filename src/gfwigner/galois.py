@@ -246,16 +246,21 @@ def parse_poly(text, what: str = "polynomial") -> int:
     return int(text[::-1], 2)
 
 
+def load_json(text: str, what: str):
+    """The JSON document text, else (nested past the recursion limit too) MalformedInput."""
+    import json
+
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedInput(f"{what} cannot be read as JSON: {exc}") from None
+
+
 def read_field_header(text: str, what: str, **members: type) -> tuple[GF2Field, dict]:
     """The field and the JSON object of a net or grid file, which needs an
     int "n", a "poly" bit string (parse_poly) and each of members, a key
     mapped to its value's type; else a GfwignerError names what."""
-    import json
-
-    try:
-        payload = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # or nested past the recursion limit
-        raise MalformedInput(f"{what} cannot be read as JSON: {exc}") from None
+    payload = load_json(text, what)
     members = {"n": int, "poly": str, **members}
     if not (isinstance(payload, dict) and all(
             isinstance(payload.get(key), kind) for key, kind in members.items())):

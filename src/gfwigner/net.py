@@ -14,15 +14,16 @@ permutes translations, U_w T(a, b) U_w^dagger = +-T(a M, b M~^-1).  A net
 is only its signs: a net file's "mode" says whether they are covariant.
 U_w's matrix is a dense realisation that nets do not need; dense matrices
 are built only when a caller asks for them: A(0) is one Pauli sum,
-N^-2 sum_beta f(beta) T_beta over the flat f vector, a ray state is read
-off its group (StabilizerGroup.state), and each striation's N line states,
-its mutually unbiased basis, are the ray state moved by one scatter.  numpy
-and json are imported only inside the functions that use them.
+N^-2 sum_beta f(beta) T_beta over the flat f vector.  States are tuples of
+Python complex: a ray state is read off its group (StabilizerGroup.state),
+and each striation's N line states, its mutually unbiased basis, are its
+entries moved and signed.  numpy and json load only where they are used.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from functools import cache
+from itertools import combinations, islice
 from numbers import Integral
 from typing import TYPE_CHECKING
 
@@ -33,13 +34,14 @@ from .pauli import (
     _I_POW,
     PauliTranslation,
     StabilizerGroup,
-    _dense_tables,
+    _basis_order,
     basis_index,
     dense_dim,
     fix_phase,
     pauli_sum,
     ray_walk,
     translation,
+    walsh_hadamard_list,
 )
 from .phasespace import (
     BinaryPoint,
@@ -146,32 +148,30 @@ class QuantumNet:
                 self.field, ray_generators(self.field, label), self.signs[label])
         return self._rays[label]
 
-    def ray_state(self, label) -> np.ndarray:
+    def ray_state(self, label) -> tuple[complex, ...]:
         """The ray's state, read off its group; basis(label) keeps it as row 0."""
         return self.ray(label).state()
 
-    def basis(self, label) -> np.ndarray:
-        """The striation's N line states as the rows of one read-only N x N
-        array, in line order: the ray first, then line c at row 1 + log c.
-        Row i is the ray state v moved by line i's displacement (a, b) and
-        phase-fixed.  Column x of T(a, b) sends i^(a.b) (-1)^(b.x) v[index x]
-        to row index(x ^ a), so all N rows are one scatter."""
+    def basis(self, label) -> tuple[tuple[complex, ...], ...]:
+        """The striation's N line states as a tuple of rows in line order: the
+        ray state v, then line c at row 1 + log c, v moved by T(a, b) for
+        the line's displacement (it sends i^(a.b) (-1)^(b.x) v[index x] to
+        index(x ^ a)) and phase-fixed.  On the vertical v is a |y>, which
+        (c, 0) moves; elsewhere v has no zero entry, which (0, c / b) signs."""
         if label not in self._bases:
-            import numpy as np
-
             field = self.field
-            x, index, popcount = _dense_tables(field.n)
-            v = self.ray_state(label)
-            ds = [line_displacement(field, line) for line in striation(field, label).lines]
-            a = np.array([d.q for d in ds])[:, None]
-            b = np.array([field.p_to_bits(d.p) for d in ds])[:, None]
-            rows = np.empty((field.N, field.N), dtype=complex)
-            rows[np.arange(field.N)[:, None], index[x ^ a]] = (
-                np.take(_I_POW, (popcount[a & b] + 2 * popcount[b & x]) % 4) * v[index])
-            rows = fix_phase(rows)
-            rows[0] = v
-            rows.flags.writeable = False
-            self._bases[label] = rows
+            index, v = _basis_order(field.n), self.ray_state(label)
+            plus, minus = [_I_POW[0] * z for z in v], [_I_POW[2] * z for z in v]
+            ds = [line_displacement(field, line) for line in striation(field, label).lines[1:]]
+            if label == VERTICAL:  # every row's phase factor is that of +v[y]
+                fixed = fix_phase(plus)
+                rows = [tuple(fixed[k ^ index[d.q]] for k in range(field.N)) for d in ds]
+            else:  # every row starts with +v[0]: one factor, two products per entry
+                fixed, signs = fix_phase(plus + minus), _parities(field.n)
+                pairs = list(zip(fixed[:field.N], fixed[field.N:]))
+                rows = [tuple(map(tuple.__getitem__, pairs, signs[index[field.p_to_bits(d.p)]]))
+                        for d in ds]
+            self._bases[label] = (v, *rows)
         return self._bases[label]
 
     # -- the sign function f -------------------------------------------------
@@ -318,13 +318,13 @@ def line_displacement(field: GF2Field, line: Line) -> PhasePoint:
     return PhasePoint(line.c, 0)
 
 
-def line_state(net: QuantumNet, line: Line) -> np.ndarray:
+def line_state(net: QuantumNet, line: Line) -> tuple[complex, ...]:
     """State assigned to a line: the translated ray state, phase-fixed; row
     0 of its striation's basis when c = 0, else row 1 + log c.  A line must
     be in the normalised form that striation() gives, with a, b and c field
     elements; any other raises MalformedInput."""
     field = net.field
-    if all(0 <= k < field.N for k in (line.a, line.b, line.c)):
+    if isinstance(line, Line) and all(0 <= k < field.N for k in (line.a, line.b, line.c)):
         label = label_of_line(field, line)
         if (line.a, line.b) == _direction(field, label):
             return net.basis(label)[1 + field.log(line.c) if line.c else 0]
@@ -332,19 +332,33 @@ def line_state(net: QuantumNet, line: Line) -> np.ndarray:
 
 
 def mub_bases(net: QuantumNet) -> dict:
-    """The N + 1 bases: striation label -> N x N read-only array whose row
-    i is line i's state (line order: ray first)."""
+    """The N + 1 bases: striation label -> net.basis(label), N rows whose
+    row i is line i's state (line order: ray first)."""
     return {label: net.basis(label) for label in striation_labels(net.field)}
+
+
+@cache
+def _parities(n: int) -> tuple[tuple[int, ...], ...]:
+    """parity(m & k) for k = 0..N-1, one tuple per mask m."""
+    return tuple(tuple((m & k).bit_count() & 1 for k in range(1 << n)) for m in range(1 << n))
 
 
 def mub_overlap_report(bases: dict) -> dict:
     """Worst deviations from orthonormality within each basis and from
-    |<u|v>|^2 = 1/N across bases; one N x N product per basis and per pair."""
-    import numpy as np
-
-    mats = [np.asarray(vectors) for vectors in bases.values()]
-    N = mats[0].shape[1]
-    gram = max(np.abs(A.conj() @ A.T - np.eye(N)).max() for A in mats)
-    cross = max(np.abs(np.abs(A.conj() @ B.T) ** 2 - 1 / N).max()
-                for i, A in enumerate(mats) for B in mats[i + 1:])
-    return {"max_gram_deviation": float(gram), "max_cross_overlap_deviation": float(cross)}
+    |<u|v>|^2 = 1/N across bases, measured on the ray states (row 0 of each
+    basis) and the translation law, not on each emitted row (verify's
+    line_projectors checks those).  Off the vertical, a basis is the
+    Z-translates of its ray state u: two give the N values |WHT(conj(u) v)|^2,
+    and its Gram matrix is WHT(|u|^2).  The vertical ray state w is a |y>: its
+    overlaps are |u_k|^2 |w_y|^2, its X-translates' Gram WHT(|WHT(w)|^2 / N)."""
+    rays = {label: list(map(complex, rows[0])) for label, rows in bases.items()}
+    w = rays.pop(VERTICAL)
+    N, top = len(w), max(map(abs, w)) ** 2
+    gram = max(max(abs(s[0] - 1), *map(abs, s[1:])) for s in map(walsh_hadamard_list, [
+        [abs(z) ** 2 / N for z in walsh_hadamard_list(w)],
+        *([abs(z) ** 2 for z in u] for u in rays.values())]))
+    cross = max(abs(abs(z) ** 2 * top - 1 / N) for u in rays.values() for z in u)
+    for u, v in combinations(rays.values(), 2):
+        s = list(map(abs, walsh_hadamard_list(map(complex.__mul__, map(complex.conjugate, u), v))))
+        cross = max(cross, max(s) ** 2 - 1 / N, 1 / N - min(s) ** 2)
+    return {"max_gram_deviation": gram, "max_cross_overlap_deviation": cross}

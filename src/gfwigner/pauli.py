@@ -22,8 +22,10 @@ inside the functions that build arrays.
 
 from __future__ import annotations
 
+import math
 from functools import cache, cached_property
 from itertools import combinations
+from operator import add, sub
 from typing import TYPE_CHECKING
 
 from .errors import (DimensionMismatch, DimensionTooLarge, InconsistentStabilizer,
@@ -45,7 +47,7 @@ INPUT_ATOL = 1e-8
 """For outside input (a density matrix, a measurement basis) and values
 derived from it, such as the imaginary part of a Wigner value."""
 
-_I_POW = (1, 1j, -1, -1j)
+_I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
 _set = object.__setattr__
 
@@ -111,12 +113,18 @@ def dense_dim(n: int) -> int:
 
 
 @cache
+def _basis_order(n: int) -> tuple[int, ...]:
+    """The basis index of x = 0..N-1, a bit reversal: index(x ^ a) = index(x) ^ index(a)."""
+    return tuple(basis_index(x, n) for x in range(dense_dim(n)))
+
+
+@cache
 def _dense_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """x = 0..N-1, the basis index of each x and popcount(x)."""
     import numpy as np
 
     x = np.arange(dense_dim(n))
-    return x, np.array([basis_index(b, n) for b in x]), sum((x >> i) & 1 for i in range(n))
+    return x, np.array(_basis_order(n)), sum((x >> i) & 1 for i in range(n))
 
 
 def walsh_hadamard(v: np.ndarray) -> np.ndarray:
@@ -133,14 +141,12 @@ def walsh_hadamard(v: np.ndarray) -> np.ndarray:
 
 
 def walsh_hadamard_list(values) -> list:
-    """walsh_hadamard of one sequence of length 2^k, in plain Python: a new
-    list, exact on ints and Fractions, with no numpy."""
-    c, h = list(values), 1
-    while h < len(c):
-        for lo in range(0, len(c), 2 * h):
-            for j in range(lo, lo + h):
-                c[j], c[j + h] = c[j] + c[j + h], c[j] - c[j + h]
-        h *= 2
+    """walsh_hadamard of one sequence of length 2^k, in plain Python, by
+    walsh_hadamard's sums: k passes of (2j, 2j + 1) into j and j + N/2."""
+    c = list(values)
+    for _ in range(len(c).bit_length() - 1):
+        even, odd = c[::2], c[1::2]
+        c = [*map(add, even, odd), *map(sub, even, odd)]
     return c
 
 
@@ -154,14 +160,23 @@ def to_matrix(t: PauliTranslation) -> np.ndarray:
     return out
 
 
-def fix_phase(v: np.ndarray) -> np.ndarray:
-    """v times the phase that makes its first entry above IDENTITY_ATOL
-    real positive; an array of rows, row by row.  The entry's modulus is
-    np.hypot of its parts, as abs() of a complex scalar computes it."""
-    import numpy as np
+def unphase(z: complex) -> complex:
+    """abs(z) / z, z != 0, as numpy divides: Smith's method, times 1 / denominator."""
+    h = abs(z)
+    if abs(z.real) >= abs(z.imag):
+        rat = z.imag / z.real
+        scl = 1.0 / (z.real + z.imag * rat)
+        return complex((h + 0.0 * rat) * scl, (0.0 - h * rat) * scl)
+    rat = z.real / z.imag
+    scl = 1.0 / (z.imag + z.real * rat)
+    return complex((h * rat + 0.0) * scl, (0.0 * rat - h) * scl)
 
-    first = np.take_along_axis(v, np.argmax(np.abs(v) > IDENTITY_ATOL, axis=-1)[..., None], -1)
-    return v * (np.hypot(first.real, first.imag) / first)
+
+def fix_phase(v):
+    """v times unphase of its first entry above IDENTITY_ATOL (else v[0]): a tuple, or an
+    array by numpy's product, which may use FMA: the same bits on real or imaginary entries."""
+    f = unphase(next((z for z in v if abs(z) > IDENTITY_ATOL), v[0]))
+    return v * f if hasattr(v, "__array__") else tuple(map(f.__mul__, v))
 
 
 def pauli_sum(n: int, coeffs: np.ndarray) -> np.ndarray:
@@ -273,28 +288,23 @@ class StabilizerGroup:
                 a, b, s = a ^ g.a, b ^ g.b, s + g.s + 1 - sg + 2 * (b & g.a).bit_count()
         return _canonical_sign(a, b, s)
 
-    def state(self) -> np.ndarray:
+    def state(self) -> tuple[complex, ...]:
         """The group's state, first nonzero entry real positive, read off
         the members with no N x N projector.  The projector's column at |y>
         holds, at |y ^ a>, N^-1 times the sum of g i^(a.b) (-1)^(b.y) over
         the members (a, b) with that a (see pauli_sum), so its diagonal is
         the transform of the a = 0 members' signs.  The column taken is the
-        first, by basis index, where the diagonal is largest, and it is
-        scaled and normalised as the projector's was: the same bits."""
-        import numpy as np
-
-        x, index, popcount = _dense_tables(self.field.n)
-        diag = [0] * x.size
+        first, by basis index, where the diagonal is largest, summed exactly
+        and scaled as numpy did (times 1 / norm): the same bits."""
+        index, N = _basis_order(self.field.n), self.field.N
+        diag = walsh_hadamard_list([self.elements.get((0, b), 0) for b in range(N)])
+        y = max(index, key=list(map(abs, diag)).__getitem__)
+        parts = [[0] * N, [0] * N]  # real and imaginary
         for (a, b), g in self.elements.items():
-            if not a:
-                diag[b] = g
-        y = index[np.argmax(np.abs(walsh_hadamard_list(diag))[index])]
-        (a, b), g = np.array(list(self.elements)).T, np.array(list(self.elements.values()))
-        col = np.zeros(x.size, dtype=complex)
-        phase = (popcount[a & b] + 2 * popcount[b & y] + 1 - g) % 4  # -1 = i^2
-        np.add.at(col, index[a ^ y], np.take(_I_POW, phase))
-        v = col / x.size
-        return fix_phase(v / np.linalg.norm(v))
+            phase = ((a & b).bit_count() + 2 * (b & y).bit_count() + 1 - g) % 4  # -1 = i^2
+            parts[phase & 1][index[a ^ y]] += 1 - (phase & 2)
+        scale = 1.0 / math.sqrt(sum(x * x for x in parts[0] + parts[1]) / (N * N))
+        return fix_phase([complex(re / N * scale, im / N * scale) for re, im in zip(*parts)])
 
     def projector(self) -> np.ndarray:
         """Dense rank-one projector N^-1 sum_{beta in S} g(beta) T_beta."""

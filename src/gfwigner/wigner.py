@@ -81,13 +81,13 @@ def all_points(field: GF2Field):
 
 
 def check_density_matrix(rho: np.ndarray, n: int) -> np.ndarray:
-    """Validate shape, hermiticity, unit trace and positivity (to INPUT_ATOL)."""
+    """Validate shape, finiteness, hermiticity, unit trace and positivity (to INPUT_ATOL)."""
     import numpy as np
 
     N, atol = 1 << n, INPUT_ATOL
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (N, N):
-        raise InvalidDensityMatrix(f"expected shape ({N}, {N}), got {rho.shape}")
+    if rho.shape != (N, N) or not np.isfinite(rho).all():
+        raise InvalidDensityMatrix(f"need finite entries and shape ({N}, {N}), got {rho.shape}")
     if not np.allclose(rho, rho.conj().T, rtol=0, atol=atol):
         raise InvalidDensityMatrix("matrix is not hermitian")
     if abs(np.trace(rho) - 1) > atol:

@@ -1,7 +1,8 @@
 """Reference routes that the fast code is checked against: per-point loops,
 dense matrix constructions, the N^2-point transform of stabilizer grids,
 stabilizer groups walked by composing Pauli translations, states read off
-dense projectors, MUB line states by one dense translation per line,
+dense projectors, MUB line states by one dense translation per line, their
+overlap report by one dense product per basis and per pair of bases,
 covariant signs by GF(2) solves, the cell-by-cell grid export, the
 nested-list `mub` export and the `rays` output from each line's points, and
 GF(2) arithmetic by explicit matrices and Gauss-Jordan elimination."""
@@ -129,6 +130,17 @@ def mub_bases_per_line(net) -> dict:
                 to_binary(field, line_displacement(field, line)))) @ v)
             for line in st.lines[1:]]
     return bases
+
+
+def mub_overlap_report_dense(bases: dict) -> dict:
+    """net.mub_overlap_report from every row: one N x N product per basis
+    (its Gram matrix) and per pair of bases (their overlaps)."""
+    mats = [np.asarray(vectors) for vectors in bases.values()]
+    N = mats[0].shape[1]
+    gram = max(np.abs(A.conj() @ A.T - np.eye(N)).max() for A in mats)
+    cross = max(np.abs(np.abs(A.conj() @ B.T) ** 2 - 1 / N).max()
+                for i, A in enumerate(mats) for B in mats[i + 1:])
+    return {"max_gram_deviation": float(gram), "max_cross_overlap_deviation": float(cross)}
 
 
 def line_displacement_search(field, line) -> PhasePoint:

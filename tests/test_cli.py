@@ -363,10 +363,13 @@ def _fuzz_bases(kind: str, n: int) -> tuple:
 def test_file_fuzz_exits_0_or_2_and_the_readers_raise_typed_errors(tmp_path_factory, kind, data):
     # state and net files through `wigner`, which exits 0 or 2, says error:
     # with every 2 and prints no nan; net and grid files through their
-    # readers, which return or raise a GfwignerError
+    # readers, which return or raise a GfwignerError; one in ten documents
+    # is 100 000 "[", which json reads past the recursion limit
     n = data.draw(st.integers(1, 3 if kind != "grid" else 2))
     doc = data.draw(edited(data.draw(st.sampled_from(_fuzz_bases(kind, n)))))
     text = json.dumps(doc)
+    if data.draw(st.integers(0, 9)) == 0:  # nested past the recursion limit
+        text = "[" * 100_000
     if kind == "grid":
         with contextlib.suppress(GfwignerError):
             import_grid(text)
@@ -386,6 +389,16 @@ def test_file_fuzz_exits_0_or_2_and_the_readers_raise_typed_errors(tmp_path_fact
     # a grid of nan, or a state read off one of two keys, is a wrong answer
     assert code == 2 or b"nan" not in out.buffer.getvalue(), text
     assert code == 2 or not (isinstance(doc, dict) and {"stabilizer", "density"} <= doc.keys())
+
+
+def test_deeply_nested_state_file_exits_2(tmp_path, capsys):
+    # json raises RecursionError, which the state reader, like the net and
+    # grid readers, reports as MalformedInput: exit 2, not 1
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, _, err = run(capsys, "wigner", "--n", "1", "--state", str(path))
+    assert code == 2
+    assert err.startswith("error: state file cannot be read as JSON")
 
 
 # -- field -------------------------------------------------------------------------
@@ -719,9 +732,10 @@ def test_meanking_subcommand(capsys):
 def test_startup_imports_only_what_a_command_uses(tmp_path):
     # a fresh process: the package and the cli load without numpy or
     # dataclasses, and so do the commands without array work (exact wigner
-    # grids on every kind of net, the bell and qec commands and presets);
-    # field, rays, uomega and exact wigner grids of a stabilizer file or a
-    # computational preset load neither fractions nor decimal either; each
+    # grids on every kind of net, mub at n = 1..5 on every kind of net, the
+    # bell and qec commands and presets); field, rays, uomega, mub and exact
+    # wigner grids of a stabilizer file or a computational preset load
+    # neither fractions nor decimal either; each
     # array command loads numpy, and later array commands in the same
     # process still work; nothing loads sympy, and no verify loads
     # numpy.random (its round trip draws from the standard library); no
@@ -756,6 +770,11 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
                    for net_spec, fmt in (("default", "json"), ("covariant", "csv"),
                                          (net, "ascii"))]
         integer += [["wigner", "--n", "3", "--state", "computational_010"]]
+        # mub at n = 1..5 on the default, the covariant and a JSON net: its
+        # states are Python complex numbers
+        integer += [["mub", "--n", str(n), "--net", net_spec]
+                    for n in range(1, 6) for net_spec in ("default", "covariant")]
+        integer += [["mub", "--n", "3", "--net", net]]
         exact = [["wigner", "--n", "2", "--state", "bell_phi_plus"],
                  ["wigner", "--n", "3", "--state", "qec_logical_1"],
                  ["bell"], ["qec"], ["bell", "--verify"], ["qec", "--verify"]]

@@ -116,7 +116,7 @@ def test_ray_projectors_rank_one():
         P = net.ray(label).projector()
         assert np.allclose(P @ P, P, atol=1e-12)
         assert abs(np.trace(P) - 1) < 1e-12
-        v = net.ray_state(label)
+        v = np.asarray(net.ray_state(label))
         assert np.allclose(np.outer(v, v.conj()), P, atol=1e-12)
 
 
@@ -232,29 +232,35 @@ def test_line_states_are_translated_ray_states():
 
 
 @pytest.mark.parametrize("line", [Line(0, 2, 1), Line(0, 0, 1), Line(2, 0, 1), Line(2, 3, 0),
-                                  Line(0, 1, -1), Line(0, 1, 4), Line(1, 4, 0)], ids=str)
+                                  Line(0, 1, -1), Line(0, 1, 4), Line(1, 4, 0),
+                                  (1, 0, 0), None], ids=str)
 def test_line_state_rejects_lines_not_in_striation_form(line):
     # the row is read off c, which names the line only in the normalised
     # form: unchecked, Line(0, 2, 1), the line 2 p = 1, would get the state
-    # of p = 1
+    # of p = 1; a tuple or None, which is no Line, raised AttributeError
     with pytest.raises(MalformedInput):
         line_state(build_net(field_new(2)), line)
 
 
 def test_bases_are_cached_read_only_rows_ray_first():
-    # one array per striation, shared by mub_bases and line_state; a caller
-    # cannot change the cached states
+    # one tuple of row tuples per striation, shared by mub_bases and
+    # line_state, which returns the cached row itself; tuples cannot be
+    # changed, so a caller cannot change the cached states
     f = field_new(3)
     net = build_net(f, "covariant")
     bases = mub_bases(net)
     for st in all_striations(f):
-        assert bases[st.label] is net.basis(st.label)
-        assert np.array_equal(bases[st.label][0], net.ray_state(st.label))
+        basis = bases[st.label]
+        assert basis is net.basis(st.label)
+        assert type(basis) is tuple and len(basis) == f.N
+        assert basis[0] == net.ray_state(st.label)
         for i, line in enumerate(st.lines):
-            assert line_state(net, line).base is bases[st.label]
-            assert np.array_equal(line_state(net, line), bases[st.label][i])
-        with pytest.raises(ValueError):
-            bases[st.label][0, 0] = 1
+            assert line_state(net, line) is basis[i]
+            assert type(basis[i]) is tuple and all(type(z) is complex for z in basis[i])
+        with pytest.raises(TypeError):
+            basis[0][0] = 1
+        with pytest.raises(TypeError):
+            basis[0] = basis[1]
 
 
 def test_line_displacement_closed_form_equals_search():

@@ -1,5 +1,6 @@
 """Translation operators: phases, composition, commutation, classes."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from gfwigner.pauli import (
     to_matrix,
     translation,
     translation_for,
+    unphase,
     walsh_hadamard,
     walsh_hadamard_list,
 )
@@ -201,11 +203,16 @@ def test_walsh_hadamard_is_the_signed_sum_on_each_row():
             fracs = [Fraction(x, 7) for x in row]
             assert walsh_hadamard_list(fracs) == \
                 walsh_hadamard(np.array(fracs, dtype=object)).tolist()
+        # and, by the same sums, bit for bit on complex floats
+        z = rng.normal(size=(3, size)) + 1j * rng.normal(size=(3, size))
+        for row, row_want in zip(z.tolist(), walsh_hadamard(z)):
+            assert np.array_equal(np.array(walsh_hadamard_list(row)).view(np.int64),
+                                  row_want.view(np.int64))
 
 
 def test_fix_phase_equals_the_scalar_form_bit_for_bit():
-    # on general vectors (the mean king basis is phase-fixed SVD output),
-    # with leading zeros and signed zero parts, and row by row on a stack
+    # on arrays, numpy multiplies: general vectors (the mean king basis is
+    # phase-fixed SVD output), with leading zeros and signed zero parts
     rng = np.random.default_rng(19)
     for size in (1, 2, 4, 64):
         rows = rng.normal(size=(200, size)) + 1j * rng.normal(size=(200, size))
@@ -213,7 +220,37 @@ def test_fix_phase_equals_the_scalar_form_bit_for_bit():
         rows.imag[1::4] = -0.0
         rows.real[2::4] = 0.0
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        want = np.array([fix_phase_scalar(v) for v in rows])
-        assert np.array_equal(fix_phase(rows).view(np.int64), want.view(np.int64))
-        for v, w in zip(rows, want):
-            assert np.array_equal(fix_phase(v).view(np.int64), w.view(np.int64))
+        for v in rows:
+            assert np.array_equal(fix_phase(v).view(np.int64),
+                                  fix_phase_scalar(v).view(np.int64))
+
+
+def test_fix_phase_of_python_complex_equals_the_scalar_form_bit_for_bit():
+    # a state's entries, each real or imaginary with signed zero parts and
+    # rounding noise, as Python complex numbers: a tuple with numpy's bits
+    rng = random.Random(23)
+    for size in (1, 2, 4, 64):
+        for _ in range(200):
+            scale = rng.choice((1.0, 2 ** -0.5, 0.125 * (1 + 2 ** -52)))
+            parts = [rng.choice((0.0, -0.0, scale, -scale, scale * 3 ** -0.5)) for _ in range(size)]
+            parts[rng.randrange(size)] = scale  # a state is not 0
+            v = [complex(x, rng.choice((0.0, -0.0))) if rng.random() < 0.5
+                 else complex(rng.choice((0.0, -0.0)), x) for x in parts]
+            got = fix_phase(v)
+            assert type(got) is tuple and all(type(z) is complex for z in got)
+            assert np.array_equal(np.array(got).view(np.int64),
+                                  fix_phase_scalar(np.array(v)).view(np.int64))
+
+
+def test_unphase_is_numpys_division_on_both_branches():
+    # abs(z) / z by Smith's method, |re| >= |im| and |re| < |im|, with
+    # signed zero parts, against numpy's complex division
+    rng = random.Random(29)
+    zs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2000)]
+    zs += [complex(re, im) for re in (0.0, -0.0, 0.5, -3.0) for im in (0.0, -0.0, 0.5, -3.0)
+           if re or im]
+    assert {abs(z.real) >= abs(z.imag) for z in zs} == {True, False}
+    for z in zs:
+        want = (np.hypot(z.real, z.imag) / np.array([z]))[0]
+        got = unphase(z)
+        assert np.array([got]).view(np.int64).tolist() == np.array([want]).view(np.int64).tolist()

@@ -7,6 +7,7 @@ is drawn with its default polynomial or one other primitive one.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -22,7 +23,7 @@ from gfwigner.cli import export_grid, import_grid
 from gfwigner.errors import GfwignerError, MalformedInput, NonCommutingGenerators, SingularBasis
 from gfwigner.galois import PRIMITIVE_POLYS, field_new, solve_gf2
 from gfwigner.net import (QuantumNet, build_net, conjugate_by_u_omega, line_state, mub_bases,
-                          net_from_json)
+                          mub_overlap_report, net_from_json)
 from gfwigner.pauli import (
     IDENTITY_ATOL,
     PauliTranslation,
@@ -58,6 +59,7 @@ from oracles import (
     group_elements_compose,
     group_sign_compose,
     mub_bases_per_line,
+    mub_overlap_report_dense,
     point_operator_conjugation,
     projector_to_state,
     purity_identity_residual_loop,
@@ -246,7 +248,7 @@ def test_line_sums_equal_line_state_probabilities(net_kind, data):
     grid = wigner_of(net, rho)
     for striation in all_striations(field):
         for line in striation.lines:
-            psi = line_state(net, line)
+            psi = np.asarray(line_state(net, line))
             assert abs(grid.line_sum(line) - (psi.conj() @ rho @ psi).real) < IDENTITY_ATOL
 
 
@@ -547,6 +549,55 @@ def test_mub_bases_and_line_state_equal_the_per_line_reference(n, poly, data):
         assert same_bits(bases[stn.label], want[stn.label])
         for line, vector in zip(stn.lines, want[stn.label], strict=True):
             assert same_bits(line_state(net, line), vector)
+
+
+# the report and the dense products both sum terms of about 1/N; they differ
+# by rounding alone, a few units in the last place of 1
+REPORT_AGREEMENT = 16 * 2 ** -52
+
+
+@pytest.mark.parametrize("n, poly", FIELDS_1_TO_6,
+                         ids=[f"n{n}-{'default' if p is None else bin(p)[2:]}"
+                              for n, p in FIELDS_1_TO_6])
+@settings(PROPERTY, max_examples=3, suppress_health_check=[HealthCheck.large_base_example])
+@given(st.data())
+def test_mub_overlap_report_equals_the_dense_products(n, poly, data):
+    # N-point transforms of the ray states under the translation law
+    # against one N x N product per basis and per pair of emitted bases
+    field = field_new(n, poly)
+    net = data.draw(st.one_of(st.just(build_net(field)),
+                              st.just(build_net(field, "covariant")), nets(field)))
+    bases = mub_bases(net)
+    got, want = mub_overlap_report(bases), mub_overlap_report_dense(bases)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key] < IDENTITY_ATOL and want[key] < IDENTITY_ATOL
+        assert abs(got[key] - want[key]) <= REPORT_AGREEMENT, (key, got, want)
+
+
+@pytest.mark.parametrize("label, change", [(HORIZONTAL, "amplitude"), (0, "amplitude"),
+                                           (VERTICAL, "amplitude"), (HORIZONTAL, "phase"),
+                                           (0, "phase")], ids=str)
+def test_mub_overlap_report_sees_a_perturbed_ray_state(label, change):
+    # the report reads row 0 of each basis: a ray state moved off its
+    # stabilizer state by 1e-6 in one modulus, and renormalised, shows in a
+    # Gram matrix; one entry turned by a phase of 1e-3 keeps |u|^2, so it
+    # shows only in the overlaps of two bases off the vertical
+    field = field_new(3)
+    bases = dict(mub_bases(build_net(field, "covariant")))
+    v = list(bases[label][0])
+    k = next(k for k, z in enumerate(v) if abs(z) > IDENTITY_ATOL)
+    if change == "phase":
+        v[k] *= complex(math.cos(1e-3), math.sin(1e-3))
+    else:
+        j = (k + 1) % field.N
+        v[j] = v[j] * (1 + 1e-6) if v[j] else 1e-6
+        norm = sum(abs(z) ** 2 for z in v) ** 0.5
+        v = [z / norm for z in v]
+    bases[label] = (tuple(v), *bases[label][1:])
+    report = mub_overlap_report(bases)
+    key = "max_cross_overlap_deviation" if change == "phase" else "max_gram_deviation"
+    assert report[key] > IDENTITY_ATOL, report
 
 
 @settings(PROPERTY, max_examples=15)

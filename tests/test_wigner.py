@@ -64,6 +64,20 @@ def test_density_matrix_validation():
         check_density_matrix(herm, 2)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"),
+                                 complex(0, float("inf")), complex(float("nan"), 0)], ids=repr)
+def test_density_matrix_validation_refuses_entries_that_are_not_finite(bad):
+    # every comparison with nan is false, and [[0.5, inf], [inf, 0.5]] has
+    # eigenvalues that eigvalsh returns as nan: unchecked, both passed
+    for i, j in ((0, 1), (1, 1)):
+        rho = np.array([[0.5, 0], [0, 0.5]], dtype=complex)
+        rho[i, j] = rho[j, i] = bad
+        with pytest.raises(InvalidDensityMatrix, match="finite entries"):
+            check_density_matrix(rho, 1)
+    rho = np.full((2, 2), 0.5, dtype=complex)  # finite: the same array back
+    assert np.array_equal(check_density_matrix(rho, 1).view(np.int64), rho.view(np.int64))
+
+
 def test_point_operator_two_routes_agree():
     for n in (2, 3):
         net = build_net(field_new(n), "covariant")
