@@ -38,7 +38,7 @@ from .pauli import (
     to_matrix,
     translation,
     translation_for,
-    walsh_hadamard_list,
+    walsh_hadamard,
 )
 from .phasespace import (
     HORIZONTAL,
@@ -126,10 +126,10 @@ def _slot_values(grid: WignerGrid, slots: dict[str, list[int]]) -> dict:
     constant on every set."""
     params = {}
     for name, cells in slots.items():
-        vals = {grid.flat[i] for i in cells}
+        vals = set(map(grid._at, cells))
         if len(vals) != 1:
             raise InconsistentStabilizer(f"grid not constant on slot {name}")
-        params[name] = Fraction(vals.pop(), grid.den) if grid.exact else vals.pop()
+        params[name] = vals.pop()
     return params
 
 
@@ -279,7 +279,7 @@ def code_solution_family() -> list[dict[str, Fraction]]:
     """
     family = []
     for rest in product((0, Fraction(1, 8)), repeat=3):
-        a, c, e, g = (x / 4 for x in walsh_hadamard_list([Fraction(1, 8), *rest]))
+        a, c, e, g = (x / 4 for x in walsh_hadamard([Fraction(1, 8), *rest]))
         family.append({"a": a, "c": c, "e": e, "g": g,
                        "b": Fraction(1, 8) - a, "d": -c, "f": -e, "h": -g})
     family.sort(key=lambda p: (p["a"], p["c"], p["e"], p["g"]))

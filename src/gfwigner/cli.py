@@ -94,7 +94,7 @@ def export_grid(grid: WignerGrid, fmt: str, meta: dict | None = None) -> str:
         values = list(set(grid.flat))
         texts = [_ratio_text(k, grid.den) for k in values]
     else:  # by cell: 0.0 and -0.0 print apart
-        values = grid.flat.tolist()
+        values = grid.flat
         texts = [f"{v:.12g}" for v in values]
     if fmt == "json":  # digits, signs, "/", "." and "e": nothing to escape
         texts = [f'"{t}"' for t in texts]
@@ -193,11 +193,7 @@ def import_grid(text: str) -> WignerGrid:
     for indices, row in zip(display_rows(field), rows):
         for i, cell in zip(indices, row):
             flat[i] = _grid_cell(cell, exact)
-    if exact:
-        return WignerGrid.from_rationals(field, flat)
-    import numpy as np
-
-    return WignerGrid(field, np.array(flat, dtype=float))
+    return WignerGrid.from_rationals(field, flat) if exact else WignerGrid(field, tuple(flat))
 
 
 # -- net and state resolution ------------------------------------------------------

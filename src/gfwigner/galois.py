@@ -313,6 +313,6 @@ def power_ordering(field: GF2Field, generator: str = "canonical") -> list[int]:
     "dual" for its transpose (their momentum strings 1·M~^j, p_to_bits).
     """
     if generator not in ("canonical", "dual"):
-        raise ValueError(f"generator must be 'canonical' or 'dual', got {generator!r}")
+        raise MalformedInput(f"generator must be 'canonical' or 'dual', got {generator!r}")
     axis = [0, *field._exp]
     return axis if generator == "canonical" else list(map(field.p_to_bits, axis))

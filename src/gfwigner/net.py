@@ -41,7 +41,7 @@ from .pauli import (
     pauli_sum,
     ray_walk,
     translation,
-    walsh_hadamard_list,
+    walsh_hadamard,
 )
 from .phasespace import (
     BinaryPoint,
@@ -50,6 +50,7 @@ from .phasespace import (
     PhasePoint,
     VERTICAL,
     _direction,
+    _no_striation,
     from_binary,
     label_of_line,
     ray_through,
@@ -91,11 +92,6 @@ def conjugate_by_u_omega(field: GF2Field, t: PauliTranslation) -> PauliTranslati
 
 def _is_sign(e) -> bool:
     return isinstance(e, Integral) and not isinstance(e, bool) and e in (1, -1)
-
-
-def _no_striation(field: GF2Field, label) -> MalformedInput:
-    return MalformedInput(f"no striation {label!r} at n = {field.n}; the labels are "
-                          f"{', '.join(map(str, striation_labels(field)))}")
 
 
 def _checked_signs(field: GF2Field, signs: dict) -> dict:
@@ -198,16 +194,14 @@ class QuantumNet:
         del table[(0, 0)]
         return table
 
-    def f_vector(self) -> np.ndarray:
+    def f_vector(self) -> tuple[int, ...]:
         """f at every (qbits << n) | pbits, f(0) = 1: dense Pauli sums' input."""
         if self._f_vector is None:
-            import numpy as np
-
             n, N = self.field.n, dense_dim(self.field.n)
-            f = np.ones(N * N, dtype=np.int64)
+            f = [1] * (N * N)
             for (a, b), sign in self.f_table().items():
                 f[(a << n) | b] = sign
-            self._f_vector = f
+            self._f_vector = tuple(f)
         return self._f_vector
 
     def _f_json(self) -> dict[str, int]:
@@ -354,11 +348,11 @@ def mub_overlap_report(bases: dict) -> dict:
     rays = {label: list(map(complex, rows[0])) for label, rows in bases.items()}
     w = rays.pop(VERTICAL)
     N, top = len(w), max(map(abs, w)) ** 2
-    gram = max(max(abs(s[0] - 1), *map(abs, s[1:])) for s in map(walsh_hadamard_list, [
-        [abs(z) ** 2 / N for z in walsh_hadamard_list(w)],
+    gram = max(max(abs(s[0] - 1), *map(abs, s[1:])) for s in map(walsh_hadamard, [
+        [abs(z) ** 2 / N for z in walsh_hadamard(w)],
         *([abs(z) ** 2 for z in u] for u in rays.values())]))
     cross = max(abs(abs(z) ** 2 * top - 1 / N) for u in rays.values() for z in u)
     for u, v in combinations(rays.values(), 2):
-        s = list(map(abs, walsh_hadamard_list(map(complex.__mul__, map(complex.conjugate, u), v))))
+        s = list(map(abs, walsh_hadamard(map(complex.__mul__, map(complex.conjugate, u), v))))
         cross = max(cross, max(s) ** 2 - 1 / N, 1 / N - min(s) ** 2)
     return {"max_gram_deviation": gram, "max_cross_overlap_deviation": cross}

@@ -13,11 +13,12 @@ stabilizer state are both one.  Its members are walked as (a, b, s) ints
 (Aaronson and Gottesman, PRA 70, 052328).
 
 Every dense operator of the package is built here, as a Pauli sum
-sum_beta c(beta) T_beta: one Walsh-Hadamard transform over b for each a.
-A group's state is one column of its projector's sum, read straight off the
-members with no N x N array (a stabilizer state's amplitudes follow from
-its group: Dehaene and De Moor, PRA 68, 042318).  numpy is imported only
-inside the functions that build arrays.
+sum_beta c(beta) T_beta: one walsh_hadamard over b for each a, the
+package's one (plain Python) Walsh-Hadamard transform, which grids and
+MUB overlaps use too.  A group's state is one column of its projector's
+sum, read straight off the members with no N x N array (a stabilizer
+state's amplitudes follow from its group: Dehaene and De Moor, PRA 68,
+042318).  numpy is imported only inside the functions that build arrays.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import TYPE_CHECKING
 from .errors import (DimensionMismatch, DimensionTooLarge, InconsistentStabilizer,
                      MalformedInput, NonCommutingGenerators)
 from .galois import GF2Field
-from .phasespace import HORIZONTAL, VERTICAL, BinaryPoint, Record
+from .phasespace import HORIZONTAL, VERTICAL, BinaryPoint, Record, _no_striation
 
 if TYPE_CHECKING:
     import numpy as np
@@ -127,22 +128,11 @@ def _dense_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, np.array(_basis_order(n)), sum((x >> i) & 1 for i in range(n))
 
 
-def walsh_hadamard(v: np.ndarray) -> np.ndarray:
-    """H[..., y] = sum_x v[..., x] (-1)^(x.y) along the last axis (of length
-    2^k); unnormalised, so int64 and object arrays of ints sum exactly."""
-    import numpy as np
-
-    shape, h = v.shape, 1
-    while h < shape[-1]:
-        lo, hi = np.moveaxis(v.reshape(*shape[:-1], -1, 2, h), -2, 0)
-        v = np.stack((lo + hi, lo - hi), axis=-2).reshape(shape)
-        h *= 2
-    return v
-
-
-def walsh_hadamard_list(values) -> list:
-    """walsh_hadamard of one sequence of length 2^k, in plain Python, by
-    walsh_hadamard's sums: k passes of (2j, 2j + 1) into j and j + N/2."""
+def walsh_hadamard(values) -> list:
+    """H[y] = sum_x v[x] (-1)^(x.y) for one sequence of length 2^k,
+    unnormalised, so ints and Fractions sum exactly: k passes of (2j, 2j + 1)
+    into j and j + N/2, each output the same sums in the same order as the
+    in-place butterfly over h = 1, 2, 4, ..."""
     c = list(values)
     for _ in range(len(c).bit_length() - 1):
         even, odd = c[::2], c[1::2]
@@ -161,7 +151,10 @@ def to_matrix(t: PauliTranslation) -> np.ndarray:
 
 
 def unphase(z: complex) -> complex:
-    """abs(z) / z, z != 0, as numpy divides: Smith's method, times 1 / denominator."""
+    """abs(z) / z as numpy divides: Smith's method, times 1 / denominator.
+    z = 0 has no phase and raises MalformedInput."""
+    if not z:
+        raise MalformedInput("a zero amplitude has no phase to fix")
     h = abs(z)
     if abs(z.real) >= abs(z.imag):
         rat = z.imag / z.real
@@ -179,16 +172,17 @@ def fix_phase(v):
     return v * f if hasattr(v, "__array__") else tuple(map(f.__mul__, v))
 
 
-def pauli_sum(n: int, coeffs: np.ndarray) -> np.ndarray:
+def pauli_sum(n: int, coeffs) -> np.ndarray:
     """sum_beta coeffs[(a << n) | b] T(a, b) over the canonical T.  Column x
     of T(a, b) holds i^(a.b) (-1)^(b.x) in row x ^ a, so entry (x ^ a, x) of
-    the sum is the Walsh-Hadamard transform over b of coeffs i^(a.b) at x."""
+    the sum is the transform over b of coeffs i^(a.b) at x: one row per a."""
     import numpy as np
 
-    x, index, popcount = _dense_tables(n)
-    terms = np.reshape(coeffs, (x.size, x.size)) * np.take(_I_POW, popcount[x[:, None] & x] % 4)
+    x, index, _ = _dense_tables(n)
     out = np.empty((x.size, x.size), dtype=complex)
-    out[index[x[:, None] ^ x], index] = walsh_hadamard(terms)
+    for a, row in enumerate(np.reshape(coeffs, (x.size, x.size)).tolist()):
+        terms = [c * _I_POW[(a & b).bit_count() % 4] for b, c in enumerate(row)]
+        out[index[x ^ a], index] = walsh_hadamard(terms)
     return out
 
 
@@ -197,13 +191,16 @@ def ray_walk(field: GF2Field, label):
     (0, 1) for v or (1, 1 M~^lambda) for ray lambda, by steps (a M, b M~).
     The first n points generate the ray; the first N - 1 are the class.
     Point k has q = w^k (p = w^k on v), so a ray's member at generator
-    coordinates x has q = x: x is its qbits, or bits_to_p(pbits) on v."""
+    coordinates x has q = x: x is its qbits, or bits_to_p(pbits) on v.
+    Any other label raises MalformedInput on the first step."""
     if label == HORIZONTAL:
         a, b = 1, 0
     elif label == VERTICAL:
         a, b = 0, 1
-    else:
+    elif label in range(field.order):
         a, b = 1, field.p_to_bits(field.pow_omega(int(label)))
+    else:
+        raise _no_striation(field, label)
     while True:
         yield a, b
         a, b = field.apply_m(a), field.apply_mt(b)
@@ -297,7 +294,7 @@ class StabilizerGroup:
         first, by basis index, where the diagonal is largest, summed exactly
         and scaled as numpy did (times 1 / norm): the same bits."""
         index, N = _basis_order(self.field.n), self.field.N
-        diag = walsh_hadamard_list([self.elements.get((0, b), 0) for b in range(N)])
+        diag = walsh_hadamard([self.elements.get((0, b), 0) for b in range(N)])
         y = max(index, key=list(map(abs, diag)).__getitem__)
         parts = [[0] * N, [0] * N]  # real and imaginary
         for (a, b), g in self.elements.items():
@@ -308,10 +305,8 @@ class StabilizerGroup:
 
     def projector(self) -> np.ndarray:
         """Dense rank-one projector N^-1 sum_{beta in S} g(beta) T_beta."""
-        import numpy as np
-
         n, N = self.field.n, dense_dim(self.field.n)
-        g = np.zeros(N * N, dtype=np.int64)
+        g = [0] * (N * N)
         for (qb, pb), sign in self.elements.items():
             g[(qb << n) | pb] = sign
         return pauli_sum(n, g) / N

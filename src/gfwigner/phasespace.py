@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .errors import FieldMismatch
+from .errors import FieldMismatch, MalformedInput
 from .galois import GF2Field, power_ordering
 
 HORIZONTAL = "h"
@@ -132,11 +132,20 @@ def _direction(field: GF2Field, label) -> tuple[int, int]:
         return 0, 1
     if label == VERTICAL:
         return 1, 0
+    if label not in range(field.order):
+        raise _no_striation(field, label)
     return 1, field.pow_omega(-int(label))
 
 
 def striation_labels(field: GF2Field) -> list:
     return [HORIZONTAL, VERTICAL] + list(range(field.order))
+
+
+def _no_striation(field: GF2Field, label) -> MalformedInput:
+    """The error for a label that is not one of striation_labels(field), named
+    by their range, not listed: there are N + 1 of them."""
+    return MalformedInput(f"no striation {label!r} at n = {field.n}; the labels are "
+                          f"{HORIZONTAL!r}, {VERTICAL!r} and the ints 0 to {field.order - 1}")
 
 
 def striation(field: GF2Field, label) -> Striation:
@@ -161,7 +170,7 @@ def label_of_line(field: GF2Field, line: Line):
 def ray_through(field: GF2Field, point: PhasePoint):
     """Striation label of the ray containing a nonzero point."""
     if point.q == 0 and point.p == 0:
-        raise ValueError("every ray passes through the origin")
+        raise MalformedInput("every ray passes through the origin")
     if point.p == 0:
         return HORIZONTAL
     if point.q == 0:

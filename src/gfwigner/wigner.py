@@ -1,10 +1,9 @@
 """Discrete Wigner functions on the GF(2^n) phase space.
 
-A grid is N^2 values in one flat sequence indexed by (qbits << n) | pbits:
-a float64 array for dense grids, integer numerators over grid.den for
-exact ones.  Display order is one permutation of it (display_rows, or
-display_index as an array); grid.values is a {(qbits, pbits): value} dict
-built on request.
+A grid is N^2 values in one flat tuple indexed by (qbits << n) | pbits:
+Python floats for dense grids, integer numerators over grid.den for exact
+ones.  Display order is one permutation of it (display_rows); grid.values
+is a {(qbits, pbits): value} dict built on request.
 
 Two routes are provided and cross-checked in the tests:
 
@@ -37,7 +36,8 @@ f(beta) hat W(beta) (exact on exact grids) and
 rho = N^-1 sum_beta f(beta) hat W(beta) T_beta, one Pauli sum
 (pauli.pauli_sum), as is a stabilizer projector N^-1 sum_{beta in S}
 g(beta) T_beta.  A grid caches hat W, so it is not changed after it is
-built.
+built.  hat W is one pauli.walsh_hadamard of the grid's tuple, so a grid
+file is read and transformed without numpy.
 
 numpy is imported only inside the functions that build arrays, and
 fractions only where a Fraction is made, so an exact grid is computed and
@@ -61,7 +61,6 @@ from .pauli import (
     pauli_sum,
     translation_for,
     walsh_hadamard,
-    walsh_hadamard_list,
 )
 from .phasespace import BinaryPoint, grid_axis, wedge
 
@@ -98,10 +97,14 @@ def check_density_matrix(rho: np.ndarray, n: int) -> np.ndarray:
 
 
 def state_density(vec: np.ndarray) -> np.ndarray:
+    """|v><v| / <v|v>: InvalidDensityMatrix unless v has a finite nonzero norm."""
     import numpy as np
 
     v = np.asarray(vec, dtype=complex)
-    v = v / np.linalg.norm(v)
+    norm = np.linalg.norm(v)
+    if not 0 < norm < np.inf:
+        raise InvalidDensityMatrix(f"state vector needs a finite nonzero norm, got {norm}")
+    v = v / norm
     return np.outer(v, v.conj())
 
 
@@ -111,14 +114,6 @@ def display_rows(field: GF2Field) -> list[list[int]]:
     axis = grid_axis(field)
     return [[(q << field.n) | pb for q in axis]
             for pb in map(field.p_to_bits, reversed(axis))]
-
-
-def display_index(field: GF2Field) -> np.ndarray:
-    """Flat grid indices (qbits << n) | pbits in display order: entry [i, j]
-    is the point with q = axis[i] and p = axis[j], axis = grid_axis(field)."""
-    import numpy as np
-
-    return np.array(display_rows(field))[::-1].T
 
 
 def symmetry_orbits(group: StabilizerGroup, cells) -> list[list[int]]:
@@ -145,14 +140,13 @@ def _fraction(num: int, den: int) -> Fraction:
 class WignerGrid:
     """Wigner values on the N x N grid: flat[(qbits << n) | pbits].
 
-    A dense grid holds a float64 array (den None); an exact grid, integer
-    numerators over den (N^2 on the stabilizer route), making a Fraction only
-    for a value asked for.  A grid is not changed after it is built: its
-    transform hat is computed once and cached.
+    flat is a tuple: of Python floats for a dense grid (den None), or of
+    integer numerators over den (N^2 on the stabilizer route) for an exact
+    one, which makes a Fraction only for a value asked for.  A grid is not
+    changed after it is built: its transform hat is computed once and cached.
     """
 
-    def __init__(self, field: GF2Field, flat: tuple[int, ...] | np.ndarray,
-                 den: int | None = None):
+    def __init__(self, field: GF2Field, flat: tuple, den: int | None = None):
         self.field = field
         self.flat = flat
         self.den = den
@@ -167,7 +161,7 @@ class WignerGrid:
 
     def _at(self, i: int):
         """The value at flat index i: a Fraction, or a Python float."""
-        return _fraction(self.flat[i], self.den) if self.exact else self.flat.item(i)
+        return _fraction(self.flat[i], self.den) if self.exact else self.flat[i]
 
     @property
     def values(self) -> dict:
@@ -179,22 +173,19 @@ class WignerGrid:
         return self._at((point.qbits << self.field.n) | point.pbits)
 
     @cached_property
-    def hat(self) -> tuple[np.ndarray, int]:
+    def hat(self) -> tuple[list, int]:
         """hat W = the symplectic transform of the grid, over a denominator D:
-        an exact grid's numerators over den as Python ints (squared and
-        summed, they can pass 64 bits), or a dense grid's floats over 1."""
-        if not self.exact:
-            return _symplectic_transform(self.flat, self.field.n), 1
-        import numpy as np
-
-        return _symplectic_transform(np.array(self.flat, dtype=object), self.field.n), self.den
+        an exact grid's numerators over den as Python ints, or a dense
+        grid's floats over 1."""
+        return _symplectic_transform(self.flat, self.field.n), self.den or 1
 
     def as_array(self) -> np.ndarray:
-        """Array indexed [q_axis][p_axis] with axis order 0, 1, w, w^2, ..."""
+        """Array indexed [q_axis][p_axis] with axis order 0, 1, w, w^2, ...:
+        display_rows turned so that entry [i, j] has q = axis[i], p = axis[j]."""
         import numpy as np
 
         flat = [k / self.den for k in self.flat] if self.exact else self.flat
-        return np.asarray(flat, dtype=float)[display_index(self.field)]
+        return np.asarray(flat, dtype=float)[np.array(display_rows(self.field))[::-1].T]
 
     def line_sum(self, line) -> float:
         field, total = self.field, 0
@@ -244,15 +235,15 @@ def wigner_of(net: QuantumNet, rho: np.ndarray) -> WignerGrid:
 
     field = net.field
     rho = check_density_matrix(rho, field.n)
-    flat = np.empty(field.N * field.N)
+    flat = []
     for qbits in range(field.N):
         for pbits, A in enumerate(_row_operators(net, qbits)):
             w = np.trace(rho @ A)
             if abs(w.imag) > INPUT_ATOL:
                 alpha = BinaryPoint(qbits, pbits, field.n)
                 raise InvalidDensityMatrix(f"complex Wigner value {w} at {alpha}")
-            flat[(qbits << field.n) | pbits] = w.real
-    return WignerGrid(field, flat)
+            flat.append(float(w.real))
+    return WignerGrid(field, tuple(flat))
 
 
 def reconstruct(net: QuantumNet, grid: WignerGrid) -> np.ndarray:
@@ -261,7 +252,7 @@ def reconstruct(net: QuantumNet, grid: WignerGrid) -> np.ndarray:
     if grid.field != field:
         raise FieldMismatch("grid and net use different fields")
     hat, D = grid.hat
-    return pauli_sum(field.n, net.f_vector() * (hat / D).astype(float)) / field.N
+    return pauli_sum(field.n, [f * (h / D) for f, h in zip(net.f_vector(), hat)]) / field.N
 
 
 def expectation_translation(net: QuantumNet, grid: WignerGrid, beta: BinaryPoint):
@@ -274,16 +265,16 @@ def expectation_translation(net: QuantumNet, grid: WignerGrid, beta: BinaryPoint
     return _fraction(value, D) if grid.exact else float(value)
 
 
-def _symplectic_transform(v: np.ndarray, n: int) -> np.ndarray:
+def _symplectic_transform(v, n: int) -> list:
     """H[alpha] = sum_beta v[beta] (-1)^<alpha,beta> over all N^2 points.
 
-    Arrays are flat and indexed by (qbits << n) | pbits.  Swapping the q and
-    p halves of beta's index turns the symplectic form into a plain dot
-    product, so H is one fast Walsh-Hadamard transform of the swapped vector.
-    Integer arrays (int64, or object arrays of Python ints) give exact sums.
+    Sequences are flat and indexed by (qbits << n) | pbits.  Swapping the q
+    and p halves of beta's index (v[(p << n) | q] at (q << n) | p) turns the
+    symplectic form into a plain dot product, so H is one fast Walsh-Hadamard
+    transform of the swapped sequence; Python ints give exact sums.
     """
     N = 1 << n
-    return walsh_hadamard(v.reshape(N, N).T.reshape(-1))
+    return walsh_hadamard([x for q in range(N) for x in v[q::N]])
 
 
 def purity_identity_residual(net: QuantumNet, grid: WignerGrid) -> float | Fraction:
@@ -294,16 +285,13 @@ def purity_identity_residual(net: QuantumNet, grid: WignerGrid) -> float | Fract
     autocorrelation sum_a W(a)W(a+b) is the transform of hat W^2 over N^2.
     An exact grid gives an exact Fraction; a dense grid gives a float.
     """
-    import numpy as np
-
     n, N = grid.field.n, grid.field.N
     hat, D = grid.hat
-    sq = hat * hat
+    sq = [h * h for h in hat]
+    auto = _symplectic_transform(sq, n)
     if grid.exact:
-        resid = np.abs(sq - N * (_symplectic_transform(sq, n) // (N * N)))
-        return _fraction(int(resid.max()), D * D)
-    resid = np.abs(sq - N * _symplectic_transform(sq, n) / (N * N))
-    return float(resid.max())
+        return _fraction(max(abs(s - N * (t // (N * N))) for s, t in zip(sq, auto)), D * D)
+    return max(abs(s - N * t / (N * N)) for s, t in zip(sq, auto))
 
 
 # -- exact stabilizer route ------------------------------------------------------
@@ -344,7 +332,7 @@ def stabilizer_wigner(net: QuantumNet, group: StabilizerGroup) -> WignerGrid:
     c = [0] * N
     for i, ((qb, pb), g) in enumerate(group.elements.items()):
         c[i ^ (i >> 1)] = net.f(BinaryPoint(qb, pb, n)) * g
-    c = walsh_hadamard_list(c)
+    c = walsh_hadamard(c)
     # s(alpha)_k = <alpha, g_k> is the parity of i & w_k, for i the flat
     # index of alpha and w_k = (b_k << n) | a_k: one XOR doubling of the
     # table per bit j of i

@@ -4,8 +4,9 @@ stabilizer groups walked by composing Pauli translations, states read off
 dense projectors, MUB line states by one dense translation per line, their
 overlap report by one dense product per basis and per pair of bases,
 covariant signs by GF(2) solves, the cell-by-cell grid export, the
-nested-list `mub` export and the `rays` output from each line's points, and
-GF(2) arithmetic by explicit matrices and Gauss-Jordan elimination."""
+nested-list `mub` export and the `rays` output from each line's points,
+GF(2) arithmetic by explicit matrices and Gauss-Jordan elimination, and the
+Walsh-Hadamard transform as numpy's in-place butterfly along an axis."""
 
 import json
 from fractions import Fraction
@@ -37,8 +38,8 @@ from gfwigner.pauli import (
 )
 from gfwigner.phasespace import (BinaryPoint, PhasePoint, all_striations, grid_axis, to_binary,
                                  wedge)
-from gfwigner.wigner import (StabilizerGroup, WignerGrid, _symplectic_transform, all_points,
-                             check_density_matrix, display_rows, point_operator)
+from gfwigner.wigner import (StabilizerGroup, WignerGrid, all_points, check_density_matrix,
+                             display_rows, point_operator)
 
 _XZ = {
     (0, 0): np.eye(2, dtype=complex),
@@ -174,25 +175,39 @@ def point_operator_conjugation(net, alpha: BinaryPoint) -> np.ndarray:
     return T @ A0 @ T.conj().T
 
 
+def walsh_hadamard(v: np.ndarray) -> np.ndarray:
+    """H[..., y] = sum_x v[..., x] (-1)^(x.y) along the last axis (of length
+    2^k), by numpy's in-place butterfly over h = 1, 2, 4, ...; unnormalised,
+    so int64 and object arrays of ints sum exactly."""
+    shape, h = v.shape, 1
+    while h < shape[-1]:
+        lo, hi = np.moveaxis(v.reshape(*shape[:-1], -1, 2, h), -2, 0)
+        v = np.stack((lo + hi, lo - hi), axis=-2).reshape(shape)
+        h *= 2
+    return v
+
+
 def wigner_of_loop(net, rho) -> WignerGrid:
     """W(alpha) = Tr(rho A(alpha)), one conjugated point operator and one
     full product rho @ A(alpha) per point."""
     field = net.field
     rho = check_density_matrix(rho, field.n)
-    flat = np.array([np.trace(rho @ point_operator_conjugation(net, alpha)).real
-                     for alpha in all_points(field)])
-    return WignerGrid(field, flat)
+    return WignerGrid(field, tuple(
+        float(np.trace(rho @ point_operator_conjugation(net, alpha)).real)
+        for alpha in all_points(field)))
 
 
 def stabilizer_wigner_transform(net, group) -> WignerGrid:
     """Exact W(alpha) = N^-2 sum_{beta in S} f(beta) g(beta) (-1)^<alpha,beta>
-    at all N^2 points as one int64 symplectic transform of f g placed on S."""
+    at all N^2 points as one int64 symplectic transform of f g placed on S:
+    the transform of the q/p-swapped array (its transpose as N x N)."""
     field = net.field
     n, N = field.n, field.N
     v = np.zeros(N * N, dtype=np.int64)
     for (qb, pb), g in group.elements.items():
         v[(qb << n) | pb] = net.f(BinaryPoint(qb, pb, n)) * g
-    return WignerGrid(field, tuple(_symplectic_transform(v, n).tolist()), N * N)
+    hat = walsh_hadamard(v.reshape(N, N).T.reshape(-1))
+    return WignerGrid(field, tuple(hat.tolist()), N * N)
 
 
 def _canonical_sign(prod, sign: int) -> int:

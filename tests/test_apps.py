@@ -215,7 +215,7 @@ def test_general_encoded_state_first_columns():
             assert abs(grid.values[key] - val) < 1e-10
         # remaining columns repeat their column class
         for orbit in orbits:
-            assert np.ptp(grid.flat[orbit]) < 1e-10
+            assert np.ptp(np.array(grid.flat)[orbit]) < 1e-10
 
 
 def test_first_columns_refuse_a_field_whose_preset_net_breaks_the_closed_form():

@@ -24,7 +24,8 @@ from gfwigner.cli import (check_rows, dispatch, export_grid, import_grid, mub_js
 from gfwigner.errors import DegreeMismatch, GfwignerError, MalformedInput
 from gfwigner.galois import field_new, parse_poly
 from gfwigner.net import QuantumNet, all_plus_signs, build_net, net_from_json
-from gfwigner.wigner import stabilizer_wigner, state_density, wigner_of
+from gfwigner.wigner import (all_points, expectation_translation, purity_identity_residual,
+                             stabilizer_wigner, state_density, wigner_of)
 from oracles import mub_json_nested, mub_stdout_nested, rays_stdout_reference
 
 
@@ -827,6 +828,43 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
         assert done.returncode == 0, done.stderr.decode()
     done = subprocess.run([sys.executable, "-c", verify], env=env, capture_output=True)
     assert done.returncode == 0, done.stderr.decode()
+
+
+def test_dense_grid_file_is_read_and_transformed_without_numpy(tmp_path):
+    # a fresh process reads a dense grid file and takes its hat W, every
+    # <T_beta> and the purity residual in plain Python: numpy never loads,
+    # and each value is the one this process computes
+    field = field_new(3)
+    rng = np.random.default_rng(31)
+    rho = state_density(rng.normal(size=8) + 1j * rng.normal(size=8))
+    path = tmp_path / "grid3.json"
+    path.write_text(export_grid(wigner_of(build_net(field, "covariant"), rho), "json"))
+    script = textwrap.dedent("""\
+        import json, sys
+        from gfwigner.cli import import_grid
+        from gfwigner.net import build_net
+        from gfwigner.wigner import all_points, expectation_translation, purity_identity_residual
+
+        grid = import_grid(open(sys.argv[1]).read())
+        net = build_net(grid.field, "covariant")
+        hat, den = grid.hat
+        out = {"hat": [float.hex(h) for h in hat], "den": den,
+               "t": [float.hex(expectation_translation(net, grid, b))
+                     for b in all_points(grid.field)],
+               "purity": float.hex(purity_identity_residual(net, grid))}
+        assert type(grid.flat) is tuple and "numpy" not in sys.modules
+        print(json.dumps(out))
+    """)
+    src = Path(gfwigner.__file__).parent.parent
+    done = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr.decode()
+    grid, net = import_grid(path.read_text()), build_net(field, "covariant")
+    want = {"hat": [float.hex(h) for h in grid.hat[0]], "den": 1,
+            "t": [float.hex(expectation_translation(net, grid, b)) for b in all_points(field)],
+            "purity": float.hex(purity_identity_residual(net, grid))}
+    assert json.loads(done.stdout) == want
+    assert purity_identity_residual(net, grid) < 1e-10
 
 
 @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["unset", "PYTHONUNBUFFERED=1"])

@@ -226,6 +226,11 @@ def test_power_ordering_visits_everything():
             assert all(step(a) == b for a, b in zip(seq[1:], seq[2:]))
 
 
+def test_power_ordering_rejects_an_unknown_generator():
+    with pytest.raises(MalformedInput, match="generator must be"):
+        power_ordering(field_new(2), "x")
+
+
 def test_pinned_polynomials_build():
     for n in PRIMITIVE_POLYS:
         field_new(n)  # raises NonPrimitivePolynomial on a bad pin

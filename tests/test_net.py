@@ -155,12 +155,16 @@ def test_f_rejects_points_off_the_net_grid(beta):
         build_net(field_new(2)).f(beta)
 
 
-@pytest.mark.parametrize("label", ["x", 7, None], ids=repr)
+@pytest.mark.parametrize("label", ["x", 7, None, "1", 3, 99, -1], ids=repr)
 def test_ray_rejects_a_label_that_is_not_a_striation(label):
     # unchecked, "x" raised ValueError, 7 KeyError and None TypeError; the
-    # check also guards ray_state and basis, which go through ray
-    net = build_net(field_new(2))
-    for read in (net.ray, net.ray_state, net.basis):
+    # check also guards ray_state and basis, which go through ray; at n = 2
+    # (labels h, v, 0, 1 and 2) striation(F, 99) and ray_generators(F, 9)
+    # built lines and generators, and striation(F, "x") raised ValueError
+    field = field_new(2)
+    net = build_net(field)
+    for read in (net.ray, net.ray_state, net.basis, lambda label: striation(field, label),
+                 lambda label: ray_generators(field, label)):
         with pytest.raises(MalformedInput, match="no striation"):
             read(label)
 

@@ -22,7 +22,6 @@ from gfwigner.pauli import (
     translation_for,
     unphase,
     walsh_hadamard,
-    walsh_hadamard_list,
 )
 from gfwigner.phasespace import (
     BinaryPoint,
@@ -35,6 +34,7 @@ from gfwigner.phasespace import (
 )
 from gfwigner.wigner import StabilizerGroup, WignerGrid, reconstruct
 from oracles import class_points, fix_phase_scalar, to_matrix_kron
+from oracles import walsh_hadamard as walsh_hadamard_numpy
 
 
 def test_translations_are_hermitian_unitary():
@@ -165,7 +165,7 @@ def test_dense_cap():
         lambda: net.a0_matrix(),
         lambda: net.ray(0).projector(),
         lambda: group.projector(),
-        lambda: reconstruct(net, WignerGrid(field, np.zeros(1 << 14))),
+        lambda: reconstruct(net, WignerGrid(field, (0.0,) * (1 << 14))),
         lambda: u_omega_matrix(field),
     ):
         with pytest.raises(DimensionTooLarge):
@@ -187,27 +187,32 @@ def test_to_matrix_equals_kron_for_every_label():
 
 
 def test_walsh_hadamard_is_the_signed_sum_on_each_row():
+    # the package's one butterfly against numpy's in-place one (the oracle)
+    # and the signed sum, bit for bit on int64, big-int, Fraction and
+    # complex rows
     rng = np.random.default_rng(5)
-    for k in range(5):
+    for k in range(7):
         size = 1 << k
         v = rng.integers(-9, 10, size=(3, size))
         want = [[sum(int(row[x]) * (-1) ** (x & y).bit_count() for x in range(size))
                  for y in range(size)] for row in v]
-        assert walsh_hadamard(v).dtype == np.int64
-        assert walsh_hadamard(v).tolist() == want
-        assert walsh_hadamard(v.astype(object) * 2**70).tolist() == \
-            [[w * 2**70 for w in row] for row in want]
-        # the pure-Python form agrees, on ints and on Fractions
-        for row, row_want in zip(v.tolist(), want):
-            assert walsh_hadamard_list(row) == row_want
-            fracs = [Fraction(x, 7) for x in row]
-            assert walsh_hadamard_list(fracs) == \
-                walsh_hadamard(np.array(fracs, dtype=object)).tolist()
-        # and, by the same sums, bit for bit on complex floats
+        assert walsh_hadamard_numpy(v).dtype == np.int64
+        assert walsh_hadamard_numpy(v).tolist() == want
+        big = v.astype(object) * 2**70
         z = rng.normal(size=(3, size)) + 1j * rng.normal(size=(3, size))
-        for row, row_want in zip(z.tolist(), walsh_hadamard(z)):
-            assert np.array_equal(np.array(walsh_hadamard_list(row)).view(np.int64),
-                                  row_want.view(np.int64))
+        z[0, ::3] = -0.0
+        fracs = np.array([[Fraction(int(x), 7) for x in row] for row in v], dtype=object)
+        for rows in (v, big, fracs, z):
+            for row, row_want in zip(rows, walsh_hadamard_numpy(rows)):
+                got = walsh_hadamard(row.tolist())
+                assert type(got) is list
+                assert list(map(type, got)) == list(map(type, row_want.tolist()))
+                if rows is z:
+                    assert np.array_equal(np.array(got).view(np.int64), row_want.view(np.int64))
+                else:
+                    assert got == row_want.tolist()
+        assert [walsh_hadamard(row.tolist()) for row in big] == \
+            [[w * 2**70 for w in row] for row in want]
 
 
 def test_fix_phase_equals_the_scalar_form_bit_for_bit():
@@ -240,6 +245,14 @@ def test_fix_phase_of_python_complex_equals_the_scalar_form_bit_for_bit():
             assert type(got) is tuple and all(type(z) is complex for z in got)
             assert np.array_equal(np.array(got).view(np.int64),
                                   fix_phase_scalar(np.array(v)).view(np.int64))
+
+
+def test_fix_phase_refuses_a_zero_vector():
+    for call in (lambda: fix_phase([0j, 0j]), lambda: fix_phase((0j,)),
+                 lambda: fix_phase(np.zeros(4, dtype=complex)), lambda: unphase(0j),
+                 lambda: unphase(complex(-0.0, 0.0))):
+        with pytest.raises(MalformedInput, match="no phase"):
+            call()
 
 
 def test_unphase_is_numpys_division_on_both_branches():

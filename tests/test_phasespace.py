@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from gfwigner.errors import FieldMismatch
+from gfwigner.errors import FieldMismatch, MalformedInput
 from gfwigner.galois import field_new
 from gfwigner.pauli import PauliTranslation
 from gfwigner.phasespace import (
@@ -25,7 +25,7 @@ from gfwigner.phasespace import (
     to_binary,
     wedge,
 )
-from gfwigner.wigner import display_index
+from gfwigner.wigner import WignerGrid
 from oracles import wedge_field_form
 
 
@@ -175,14 +175,27 @@ def test_grid_axis_order():
     assert grid_axis(f) == [0, 1, w, f.mul(w, w)]
 
 
-def test_display_index_places_each_point_on_its_axes():
+def test_as_array_places_each_point_on_its_axes():
+    # a grid whose value at each flat index is the index itself
     for n in (1, 2, 3):
         f = field_new(n)
-        idx = display_index(f)
+        idx = WignerGrid(f, tuple(map(float, range(f.N * f.N)))).as_array()
         assert sorted(idx.ravel().tolist()) == list(range(f.N * f.N))
         for i, q in enumerate(grid_axis(f)):
             for j, p in enumerate(grid_axis(f)):
                 assert idx[i, j] == (q << n) | f.p_to_bits(p)
+
+
+def test_ray_through_refuses_the_origin():
+    with pytest.raises(MalformedInput, match="origin"):
+        ray_through(field_new(2), PhasePoint(0, 0))
+
+
+def test_unknown_striation_is_named_by_the_range_of_labels():
+    # not one by one: at n = 16 the list of all N + 1 labels ran to 450 kB
+    with pytest.raises(MalformedInput, match="^no striation -1 at n = 16; the labels are "
+                                             "'h', 'v' and the ints 0 to 65534$"):
+        striation(field_new(16), -1)
 
 
 def test_points_on_line_iff_wedge_with_direction_vanishes():

@@ -209,8 +209,8 @@ def test_wigner_of_equals_the_loop_bit_for_bit(data):
     field = data.draw(fields(5))
     net = data.draw(nets(field))
     rho = data.draw(densities(field))
-    got = wigner_of(net, rho).flat.view(np.int64)
-    assert np.array_equal(got, wigner_of_loop(net, rho).flat.view(np.int64))
+    got, want = np.array(wigner_of(net, rho).flat), np.array(wigner_of_loop(net, rho).flat)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @PROPERTY
@@ -738,7 +738,7 @@ def test_stabilizer_wigner_equals_wigner_of_its_projector(data):
     net = data.draw(nets(field))
     group = data.draw(graph_states(field))
     grid = stabilizer_wigner(net, group)
-    dense = wigner_of(net, group.projector()).flat
+    dense = np.array(wigner_of(net, group.projector()).flat)
     assert np.abs(np.array(grid.flat, dtype=float) / grid.den - dense).max() < IDENTITY_ATOL
     # and back, through the exact grid's own hat W
     assert np.abs(reconstruct(net, grid) - group.projector()).max() < IDENTITY_ATOL
@@ -758,8 +758,8 @@ def test_wigner_function_is_translation_covariant(net_kind, data):
     moved = np.arange(N * N) ^ ((t.a << n) | t.b)
     rho = data.draw(densities(field))
     T = to_matrix(t)
-    dense = wigner_of(net, T @ rho @ T.conj().T).flat[moved]
-    assert np.abs(dense - wigner_of(net, rho).flat).max() < IDENTITY_ATOL
+    dense = np.array(wigner_of(net, T @ rho @ T.conj().T).flat)[moved]
+    assert np.abs(dense - np.array(wigner_of(net, rho).flat)).max() < IDENTITY_ATOL
     # on a stabilizer state: T_gamma G T_gamma^dagger = (-1)^<gamma, G> G
     group = data.draw(graph_states(field))
     gens = [(g, s if commutes(t, g) else -s) for g, s in zip(group.gens, group.signs)]

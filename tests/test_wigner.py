@@ -96,9 +96,18 @@ def test_meanking_phi1_grid_equals_the_loop_bit_for_bit():
     field = field_new(2)
     net = build_net(field)
     _, rho = resolve_state(field, "meanking_phi1")
-    got = wigner_of(net, rho).flat
-    assert np.array_equal(got.view(np.int64), wigner_of_loop(net, rho).flat.view(np.int64))
+    got, want = np.array(wigner_of(net, rho).flat), np.array(wigner_of_loop(net, rho).flat)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.count_nonzero(np.abs(got) < IDENTITY_ATOL) == 9
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("vec", [np.zeros(3), [0j, 0j], [1, np.nan], [np.inf, 0], [1e200, 1e200]],
+                         ids=["zeros", "complex zeros", "nan", "inf", "norm overflows"])
+def test_state_density_refuses_a_vector_without_a_finite_nonzero_norm(vec):
+    # unchecked, np.zeros(3) gave a matrix of nan with only a RuntimeWarning
+    with pytest.raises(InvalidDensityMatrix, match="finite nonzero norm"):
+        state_density(vec)
 
 
 def test_complex_wigner_value_names_its_point():
@@ -165,7 +174,7 @@ def test_wigner_reconstruct_roundtrip():
         for _ in range(10):
             rho = random_state(f, rng)
             grid = wigner_of(net, rho)
-            assert abs(grid.flat.sum() - 1) < 1e-10
+            assert abs(np.array(grid.flat).sum() - 1) < 1e-10
             assert np.abs(reconstruct(net, grid) - rho).max() < 1e-10
 
 
