@@ -4,7 +4,7 @@ three-qubit phase-error code (n = 3), and the mean king retrodiction problem
 
 Every result is produced by two independent routes where possible: exact
 rational arithmetic via the stabilizer closed form, and dense numerics via the
-point operators.  The application-specific constants are solved from first
+characteristic function (wigner.wigner_of).  The application-specific constants are solved from first
 principles rather than hard-coded: the Bell orbits and the code's eight slots
 are the orbits of the paper's representatives under the state's stabilizer
 group (wigner.symmetry_orbits), and the code's parameter system is solved in

@@ -18,12 +18,13 @@ cost more than a trivial request's own work), `errors`, `galois` and
 `rays`, `uomega`, `--help` and usage errors never load them.  `pauli`,
 `net`, `wigner` and `apps` are imported inside the functions that use them,
 and import numpy only inside their own functions that build arrays, as do
-the array checks of `check_rows`.  So exact `wigner` requests (a stabilizer
-file or a `computational_*`, `bell_*` or `qec_logical_*` preset, on any
-net), `bell`, `qec`, `bell --verify`, `qec --verify` and `mub` (its states
-are tuples of Python complex numbers) start without numpy too, and it is
-loaded by `meanking`, `verify` and `wigner` on a density file or the
-`meanking_phi1` preset.  An exact grid is integer numerators, which
+the array checks of `check_rows`.  So `wigner` on a stabilizer file, a
+density file (its rows are Python complex numbers, and the dense route is
+plain Python) or a `computational_*`, `bell_*` or `qec_logical_*` preset,
+on any net, `bell`, `qec`, `bell --verify`, `qec --verify` and `mub` (its
+states are tuples of Python complex numbers) start without numpy too, and
+it is loaded by `meanking`, `verify` and `wigner` on the `meanking_phi1`
+preset.  An exact grid is integer numerators, which
 export_grid renders itself, so `fractions` loads for none of `field`,
 `rays`, `uomega` and `wigner` on a stabilizer file or a `computational_*`
 preset; `verify` loads it (with `apps`) only at n = 2 and 3, where it runs
@@ -217,7 +218,8 @@ def resolve_net(field: GF2Field, spec: str) -> QuantumNet:
 def resolve_state(field: GF2Field, spec: str):
     """Resolve a state preset or file.
 
-    Returns ('stabilizer', StabilizerGroup) or ('dense', density matrix).
+    Returns ('stabilizer', StabilizerGroup) or ('dense', density matrix): a
+    file's rows of Python complex numbers, which wigner_of checks.
     Presets: computational_<bits>, bell_{phi,psi}_{plus,minus},
     qec_logical_{0,1}, meanking_phi1.  Files: JSON with either
     {"stabilizer": [["+XXI", 1], ...]} or {"density": [[[re, im], ...], ...]}.
@@ -272,19 +274,14 @@ def resolve_state(field: GF2Field, spec: str):
             for row in rows)):
         raise MalformedInput('"density" needs a square matrix: as many rows as '
                              'columns, of finite [re, im] number pairs')
-    import numpy as np
-
-    from .wigner import check_density_matrix
-
     try:
-        rho = np.array([[complex(re, im) for re, im in row] for row in rows])
+        return "dense", [[complex(re, im) for re, im in row] for row in rows]
     except OverflowError:
         raise MalformedInput('"density" holds a number beyond float range') from None
-    return "dense", check_density_matrix(rho, n)
 
 
 def _is_pair(cell) -> bool:
-    """[re, im], ints or finite floats: NaN would pass check_density_matrix."""
+    """[re, im], ints or finite floats."""
     return isinstance(cell, list) and len(cell) == 2 and all(
         isinstance(x, float) and math.isfinite(x) or isinstance(x, int) and not isinstance(x, bool)
         for x in cell)
@@ -355,13 +352,15 @@ def cmd_uomega(args) -> int:
 
 
 def cmd_wigner(args) -> int:
-    from .wigner import stabilizer_wigner, wigner_of
+    from .wigner import _wigner_by_traces, stabilizer_wigner, wigner_of
 
     field = field_new(args.n, args.poly)
     net = resolve_net(field, args.net)
     kind, state = resolve_state(field, args.state)
     if kind == "stabilizer":
         grid = stabilizer_wigner(net, state)
+    elif args.state == "meanking_phi1":
+        grid = _wigner_by_traces(net, state)
     else:
         grid = wigner_of(net, state)
     write_out(export_grid(grid, args.format, {"net": net.fingerprint()}))
@@ -421,7 +420,7 @@ def cmd_meanking(args) -> int:
     sums = apps.mean_king_line_sums(net)
     print("line sums:")
     for (obs, idx), val in sorted(sums.items()):
-        print(f"  {obs}{idx}: {val:.6f}")
+        print(f"  {obs}{idx}: {round(val, 6) + 0.0:.6f}")  # no sign on a sum of noise
     print(f"retrodiction success probability: "
           f"{apps.mean_king_simulate(net):.12f}")
     return 0

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the validators that its
+library entry points share to raise it for bad input."""
+
+from operator import index
 
 
 class GfwignerError(Exception):
@@ -47,3 +50,37 @@ class AmbiguousInference(GfwignerError):
 
 class MalformedInput(GfwignerError):
     """Input names an unknown preset or label, or lacks a required entry."""
+
+
+# -- the shared input validators of the library entry points -------------------
+
+
+def need_text(value, what: str) -> str:
+    """value, if it is a str; else MalformedInput naming what."""
+    if not isinstance(value, str):
+        raise MalformedInput(f"{what} must be a string, got {type(value).__name__}")
+    return value
+
+
+def need_length(seq, length: int, what: str):
+    """seq, if it has length entries; else (no len() included) MalformedInput."""
+    try:
+        got = len(seq)
+    except TypeError:
+        got = f"a value of type {type(seq).__name__}"
+    if got != length:
+        raise MalformedInput(f"{what} needs {length} entries, got {got}")
+    return seq
+
+
+def need_bits(n: int, **masks) -> None:
+    """MalformedInput unless each named mask is an int from 0 to 2^n - 1 (not a
+    bool): n bits, or a field element of GF(2^n) by its canonical bits.  For
+    entry points, not for the loops behind them."""
+    for name, value in masks.items():
+        try:
+            ok = not isinstance(value, bool) and 0 <= index(value) < 1 << n
+        except TypeError:
+            ok = False
+        if not ok:
+            raise MalformedInput(f"{name} = {value!r} is not an int from 0 to {(1 << n) - 1}")

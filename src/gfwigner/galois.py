@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import DegreeMismatch, MalformedInput, NonPrimitivePolynomial, SingularBasis
+from .errors import (DegreeMismatch, MalformedInput, NonPrimitivePolynomial, SingularBasis,
+                     need_text)
 
 # Default primitive polynomials, one per degree, stored with bit j = coefficient
 # of x^j.  n = 2, 3, 4 are pinned to x^2+x+1, x^3+x^2+1 and x^4+x+1 so that the
@@ -247,11 +248,12 @@ def parse_poly(text, what: str = "polynomial") -> int:
 
 
 def load_json(text: str, what: str):
-    """The JSON document text, else (nested past the recursion limit too) MalformedInput."""
+    """The JSON document text, else (nested past the recursion limit, or not a
+    str, too) MalformedInput."""
     import json
 
     try:
-        return json.loads(text)
+        return json.loads(need_text(text, what))
     except (ValueError, RecursionError) as exc:
         raise MalformedInput(f"{what} cannot be read as JSON: {exc}") from None
 

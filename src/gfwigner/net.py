@@ -40,7 +40,6 @@ from .pauli import (
     fix_phase,
     pauli_sum,
     ray_walk,
-    translation,
     walsh_hadamard,
 )
 from .phasespace import (
@@ -64,9 +63,11 @@ if TYPE_CHECKING:
 
 def ray_generators(field: GF2Field, label) -> tuple[PauliTranslation, ...]:
     """The n generators of one ray's class: the first n points of its walk,
-    T(1 M^k, 1 M~^(k+j)) for the diagonal ray j, X strings for h, Z for v."""
+    T(1 M^k, 1 M~^(k+j)) for the diagonal ray j, X strings for h, Z for v.
+    Each is translation(n, a, b) without its mask check: the walk stays in
+    the field, and covariant nets call this once per ray."""
     points = islice(ray_walk(field, label), field.n)
-    return tuple(translation(field.n, a, b) for a, b in points)
+    return tuple(PauliTranslation(field.n, a, b, (a & b).bit_count()) for a, b in points)
 
 
 # -- squeezing operator -------------------------------------------------------
@@ -249,7 +250,7 @@ def net_from_json(text: str) -> QuantumNet:
     labels = {str(label): label for label in striation_labels(field)}
     if unknown := [key for key in payload["signs"] if key not in labels]:
         raise MalformedInput(f"net JSON striation key {unknown[0]!r} is not one of "
-                             f"{', '.join(labels)}")
+                             f"{HORIZONTAL!r}, {VERTICAL!r} and '0' to '{field.order - 1}'")
     net = QuantumNet(field, {labels[key]: eps for key, eps in payload["signs"].items()})
     mode = payload.get("mode", "independent")
     if mode != "independent" and (mode != "covariant"

@@ -30,7 +30,7 @@ from operator import add, sub
 from typing import TYPE_CHECKING
 
 from .errors import (DimensionMismatch, DimensionTooLarge, InconsistentStabilizer,
-                     MalformedInput, NonCommutingGenerators)
+                     MalformedInput, NonCommutingGenerators, need_bits, need_length, need_text)
 from .galois import GF2Field
 from .phasespace import HORIZONTAL, VERTICAL, BinaryPoint, Record, _no_striation
 
@@ -46,7 +46,11 @@ IDENTITY_ATOL = 1e-10
 purity, norms and probabilities of its own states."""
 INPUT_ATOL = 1e-8
 """For outside input (a density matrix, a measurement basis) and values
-derived from it, such as the imaginary part of a Wigner value."""
+derived from it, such as the imaginary part of a Wigner value.  A density
+matrix is positive to this tolerance when rho + INPUT_ATOL I has a Cholesky
+factor, which in exact arithmetic means every eigenvalue exceeds -INPUT_ATOL;
+for an eigenvalue within rounding of -INPUT_ATOL the factorisation and a
+symmetric eigensolver (numpy's eigvalsh) can decide differently."""
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -74,7 +78,9 @@ class PauliTranslation(Record):
 
 
 def translation(n: int, a: int, b: int) -> PauliTranslation:
-    """The canonical (hermitian, unitary) translation T(a, b)."""
+    """The canonical (hermitian, unitary) translation T(a, b); a and b must be
+    n-bit masks (else MalformedInput)."""
+    need_bits(n, a=a, b=b)
     return PauliTranslation(n, a, b, (a & b).bit_count() % 4)
 
 
@@ -168,6 +174,8 @@ def unphase(z: complex) -> complex:
 def fix_phase(v):
     """v times unphase of its first entry above IDENTITY_ATOL (else v[0]): a tuple, or an
     array by numpy's product, which may use FMA: the same bits on real or imaginary entries."""
+    if not len(v):
+        raise MalformedInput("an empty vector has no phase to fix")
     f = unphase(next((z for z in v if abs(z) > IDENTITY_ATOL), v[0]))
     return v * f if hasattr(v, "__array__") else tuple(map(f.__mul__, v))
 
@@ -175,9 +183,11 @@ def fix_phase(v):
 def pauli_sum(n: int, coeffs) -> np.ndarray:
     """sum_beta coeffs[(a << n) | b] T(a, b) over the canonical T.  Column x
     of T(a, b) holds i^(a.b) (-1)^(b.x) in row x ^ a, so entry (x ^ a, x) of
-    the sum is the transform over b of coeffs i^(a.b) at x: one row per a."""
+    the sum is the transform over b of coeffs i^(a.b) at x: one row per a.
+    coeffs must have N^2 entries (else MalformedInput)."""
     import numpy as np
 
+    need_length(coeffs, 1 << 2 * n, f"pauli_sum at n = {n}")
     x, index, _ = _dense_tables(n)
     out = np.empty((x.size, x.size), dtype=complex)
     for a, row in enumerate(np.reshape(coeffs, (x.size, x.size)).tolist()):
@@ -331,7 +341,7 @@ def format_pauli(t: PauliTranslation) -> str:
 
 
 def parse_pauli(text: str) -> PauliTranslation:
-    s = text.strip()
+    s = need_text(text, "a Pauli string").strip()
     phase = 0
     for prefix in ("-i", "+i", "-", "+", "i"):
         if s.startswith(prefix):

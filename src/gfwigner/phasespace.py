@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .errors import FieldMismatch, MalformedInput
+from .errors import FieldMismatch, MalformedInput, need_bits
 from .galois import GF2Field, power_ordering
 
 HORIZONTAL = "h"
@@ -80,10 +80,18 @@ class BinaryPoint(Record):
 
 
 def to_binary(field: GF2Field, point: PhasePoint) -> BinaryPoint:
+    """The point's binary form; coordinates that are not elements of the
+    field raise MalformedInput."""
+    need_bits(field.n, q=point.q, p=point.p)
     return BinaryPoint(point.q, field.p_to_bits(point.p), field.n)
 
 
 def from_binary(field: GF2Field, point: BinaryPoint) -> PhasePoint:
+    """The point's field coordinates: FieldMismatch for a point of another n,
+    MalformedInput for bits beyond n."""
+    if point.n != field.n:
+        raise FieldMismatch(f"point {point} is not on the n = {field.n} grid")
+    need_bits(field.n, qbits=point.qbits, pbits=point.pbits)
     return PhasePoint(point.qbits, field.bits_to_p(point.pbits))
 
 

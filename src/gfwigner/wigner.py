@@ -8,16 +8,16 @@ is a {(qbits, pbits): value} dict built on request.
 Two routes are provided and cross-checked in the tests:
 
 * a dense route: W(alpha) = Tr(rho A(alpha)) with the phase-space point
-  operators A(alpha) = T_alpha A(0) T_alpha^dagger built from a quantum net.
-  T_alpha is a signed permutation of the basis, so A(alpha) is A(0) with
-  its indices moved (r -> r ^ index[qbits]) and signed (sigma_b[r]
-  sigma_b[r'], sigma_b[r] = (-1)^popcount(b & index[r])): one gather of
-  A(0) per qbits row and one +-1 outer product per point, no matrix
-  product.  Each W(alpha) is still the trace of the full BLAS product
-  rho @ A(alpha): its summation order fixes the float noise of cells that
-  are zero up to rounding, whose sign the exported ascii shading shows, so
-  a cheaper trace (or the transform of chi(beta) = Tr(rho T_beta)) waits
-  until the exported digests no longer depend on that noise;
+  operators A(alpha) = N^-2 sum_beta f(beta) (-1)^<alpha,beta> T_beta of a
+  quantum net, so W is N^-2 times one symplectic transform of f(beta)
+  chi(beta), chi(beta) = Tr(rho T_beta) the characteristic function.
+  T(a, b) is a signed permutation of the basis, so chi(a, .) is one
+  N-point Walsh-Hadamard transform of the entries rho[idx x][idx(x ^ a)]
+  (pauli_sum read backwards): O(N^2 log N) in plain Python complex numbers,
+  with the input check (a Cholesky factorisation) the only O(N^3) step.
+  point_operator builds one A(alpha) as A(0) moved and signed, and the
+  meanking_phi1 preset alone keeps the per-point trace of rho @ A(alpha),
+  whose float noise its recorded output shows;
 * an exact route for stabilizer states: the closed form
   W(alpha) = N^-2 sum_{beta in S} f(beta) g(beta) (-1)^<alpha,beta>.
   f and g are the same kind of sign: f(beta) is the sign of T_beta in the
@@ -40,23 +40,28 @@ built.  hat W is one pauli.walsh_hadamard of the grid's tuple, so a grid
 file is read and transformed without numpy.
 
 numpy is imported only inside the functions that build arrays, and
-fractions only where a Fraction is made, so an exact grid is computed and
-exported without either.
+fractions only where a Fraction is made, so an exact grid, and a dense grid
+of a density given as rows of numbers, is computed and exported without
+either.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from cmath import isfinite
+from functools import cache, cached_property
 from itertools import combinations, product
-from math import lcm
+from math import lcm, sqrt
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import DimensionTooLarge, FieldMismatch, InvalidDensityMatrix
 from .galois import GF2Field
 from .net import QuantumNet
 from .pauli import (
+    _I_POW,
     INPUT_ATOL,
     StabilizerGroup,
+    _basis_order,
     _dense_tables,
     pauli_sum,
     translation_for,
@@ -79,20 +84,54 @@ def all_points(field: GF2Field):
             yield BinaryPoint(qbits, pbits, field.n)
 
 
-def check_density_matrix(rho: np.ndarray, n: int) -> np.ndarray:
-    """Validate shape, finiteness, hermiticity, unit trace and positivity (to INPUT_ATOL)."""
-    import numpy as np
+def _complex_rows(rho, N: int) -> list[list[complex]]:
+    """rho (an array or N sequences of N numbers) as N lists of Python complex
+    numbers; anything else raises InvalidDensityMatrix."""
+    rows = rho.tolist() if hasattr(rho, "tolist") else rho
+    try:
+        rows = [[0j + z for z in row] for row in rows]  # str and None raise here
+    except TypeError:
+        got = "no matrix of numbers"
+    else:
+        lengths = sorted(set(map(len, rows)))
+        if len(rows) != N or lengths != [N]:
+            got = (f"({len(rows)}, {lengths[0]})" if len(lengths) == 1
+                   else f"rows of lengths {lengths}")
+        elif all(all(map(isfinite, row)) for row in rows):
+            return rows
+        else:
+            got = "a non-finite entry"
+    raise InvalidDensityMatrix(f"need finite entries and shape ({N}, {N}), got {got}")
 
+
+def check_density_matrix(rho, n: int):
+    """rho itself, if it is a finite N x N matrix (an array or rows of numbers),
+    hermitian with unit trace and positive to INPUT_ATOL; else
+    InvalidDensityMatrix.  Positive means rho + INPUT_ATOL I has a Cholesky
+    factor: a pivot that is not > 0 (nan included) refuses it (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 10).  O(N^3 / 6)
+    complex products in plain Python, no numpy."""
     N, atol = 1 << n, INPUT_ATOL
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (N, N) or not np.isfinite(rho).all():
-        raise InvalidDensityMatrix(f"need finite entries and shape ({N}, {N}), got {rho.shape}")
-    if not np.allclose(rho, rho.conj().T, rtol=0, atol=atol):
+    rows = _complex_rows(rho, N)
+    if any(abs(row[j] - rows[j][i].conjugate()) > atol
+           for i, row in enumerate(rows) for j in range(i + 1)):
         raise InvalidDensityMatrix("matrix is not hermitian")
-    if abs(np.trace(rho) - 1) > atol:
+    if abs(sum(row[i] for i, row in enumerate(rows)) - 1) > atol:
         raise InvalidDensityMatrix("trace is not 1")
-    if np.linalg.eigvalsh(rho).min() < -atol:
-        raise InvalidDensityMatrix("matrix has a negative eigenvalue")
+    lower, conj = [], []  # rows of the factor L, and of its conjugate
+    for i, row in enumerate(rows):
+        li, ci = [], []
+        for j in range(i):  # L[i][j] = (A[i][j] - sum_k<j L[i][k] conj(L[j][k])) / L[j][j]
+            z = (row[j] - sum(map(mul, li, conj[j]))) / lower[j][j]
+            li.append(z)
+            ci.append(z.conjugate())
+        s = row[i].real + atol - sum(map(mul, li, ci)).real
+        if not s > 0:
+            raise InvalidDensityMatrix("matrix has a negative eigenvalue")
+        li.append(sqrt(s))
+        ci.append(li[i])
+        lower.append(li)
+        conj.append(ci)
     return rho
 
 
@@ -224,17 +263,51 @@ def point_operator(net: QuantumNet, alpha: BinaryPoint) -> np.ndarray:
     return A
 
 
-def wigner_of(net: QuantumNet, rho: np.ndarray) -> WignerGrid:
-    """W(alpha) = Tr(rho A(alpha)) for every phase-space point.
+@cache
+def _i_powers(n: int) -> tuple[tuple[complex, ...], ...]:
+    """i^(a.b) for b = 0..N-1, one tuple per a."""
+    return tuple(tuple(_I_POW[(a & b).bit_count() % 4] for b in range(1 << n))
+                 for a in range(1 << n))
 
-    Each trace is read off the full product rho @ A(alpha): its BLAS
-    summation order fixes the float noise of cells that are zero up to
-    rounding, whose signs the exported grids show.
-    """
+
+def _chi(rows: list[list[complex]], n: int) -> list[complex]:
+    """chi(a, b) = Tr(rho T(a, b)) at every flat index (a << n) | b.  Column x
+    of T(a, b) holds i^(a.b) (-1)^(b.x) in row x ^ a (see pauli_sum), so
+    chi(a, .) is i^(a.b) times the transform of d_a[x] = rho[idx x][idx(x ^ a)],
+    and idx(x ^ a) = idx x ^ idx a: one gather and one N-point transform per a."""
+    index, chi = _basis_order(n), []
+    for a, phases in enumerate(_i_powers(n)):
+        shift = index[a]
+        chi += map(mul, walsh_hadamard([rows[r][r ^ shift] for r in index]), phases)
+    return chi
+
+
+def wigner_of(net: QuantumNet, rho) -> WignerGrid:
+    """W(alpha) = Tr(rho A(alpha)) for every phase-space point, rho an array or
+    rows of numbers (check_density_matrix): N^-2 times the symplectic
+    transform of f chi, in plain Python.  A value whose imaginary part
+    exceeds INPUT_ATOL raises InvalidDensityMatrix naming its point."""
+    field = net.field
+    n, scale = field.n, field.N * field.N
+    rows = _complex_rows(check_density_matrix(rho, n), field.N)
+    hat = _symplectic_transform(list(map(mul, net.f_vector(), _chi(rows, n))), n)
+    for i, h in enumerate(hat):
+        if abs(h.imag / scale) > INPUT_ATOL:
+            alpha = BinaryPoint(i >> n, i & (field.N - 1), n)
+            raise InvalidDensityMatrix(f"complex Wigner value {h / scale} at {alpha}")
+    return WignerGrid(field, tuple(h.real / scale for h in hat))
+
+
+def _wigner_by_traces(net: QuantumNet, rho) -> WignerGrid:
+    """W(alpha) = Tr(rho A(alpha)) point by point, each the trace of the full
+    BLAS product rho @ A(alpha), for the meanking_phi1 preset only.  8 of its
+    16 cells on the default net are zero up to float noise, whose sign the
+    ascii shade prints, and this summation order is the one its recorded
+    output has.  It goes once the shade of a cell that rounds to 0 no longer
+    shows that sign, or the mean king's grid is computed exactly."""
     import numpy as np
 
-    field = net.field
-    rho = check_density_matrix(rho, field.n)
+    rho, field = np.asarray(check_density_matrix(rho, net.field.n), dtype=complex), net.field
     flat = []
     for qbits in range(field.N):
         for pbits, A in enumerate(_row_operators(net, qbits)):

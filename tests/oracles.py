@@ -1,8 +1,9 @@
 """Reference routes that the fast code is checked against: per-point loops,
-dense matrix constructions, the N^2-point transform of stabilizer grids,
-stabilizer groups walked by composing Pauli translations, states read off
-dense projectors, MUB line states by one dense translation per line, their
-overlap report by one dense product per basis and per pair of bases,
+dense matrix constructions, dense Wigner grids through chi in numpy, the
+N^2-point transform of stabilizer grids, stabilizer groups walked by
+composing Pauli translations, states read off dense projectors, MUB line
+states by one dense translation per line, their overlap report by one
+dense product per basis and per pair of bases,
 covariant signs by GF(2) solves, the cell-by-cell grid export, the
 nested-list `mub` export and the `rays` output from each line's points,
 GF(2) arithmetic by explicit matrices and Gauss-Jordan elimination, and the
@@ -15,7 +16,8 @@ from itertools import islice
 import numpy as np
 
 from gfwigner.cli import _axis_names, resolve_net, resolve_state
-from gfwigner.errors import GfwignerError, NonCommutingGenerators, SingularBasis
+from gfwigner.errors import (GfwignerError, InvalidDensityMatrix, NonCommutingGenerators,
+                             SingularBasis)
 from gfwigner.galois import dual_basis, field_new, solve_gf2
 from gfwigner.net import (
     all_plus_signs,
@@ -27,7 +29,9 @@ from gfwigner.net import (
     u_omega_matrix,
 )
 from gfwigner.pauli import (
+    _I_POW,
     IDENTITY_ATOL,
+    INPUT_ATOL,
     PauliTranslation,
     basis_index,
     compose,
@@ -197,6 +201,29 @@ def wigner_of_loop(net, rho) -> WignerGrid:
         for alpha in all_points(field)))
 
 
+def wigner_of_chi(net, rho) -> WignerGrid:
+    """wigner_of in numpy: the rows d[a, x] = rho[idx x, idx(x ^ a)] by one
+    fancy-index gather, chi = i^(a.b) times their butterfly along x, then
+    f chi and the butterfly of its q/p-swapped array, over N^2; an imaginary
+    part beyond INPUT_ATOL raises at the first point, as in wigner_of."""
+    field = net.field
+    n, N = field.n, field.N
+    rho = np.asarray(check_density_matrix(rho, n), dtype=complex)
+    x = np.arange(N)
+    index = np.array([basis_index(k, n) for k in x])
+    shifts = x[:, None] ^ x[None, :]  # [a, x] -> x ^ a
+    popcount = np.array([k.bit_count() for k in range(N)])
+    chi = walsh_hadamard(rho[index[None, :], index[shifts]]) * np.take(
+        _I_POW, popcount[x[:, None] & x[None, :]] % 4)
+    fchi = np.array(net.f_vector()) * chi.reshape(-1)
+    hat = walsh_hadamard(fchi.reshape(N, N).T.reshape(-1))
+    bad = np.flatnonzero(np.abs(hat.imag / (N * N)) > INPUT_ATOL)
+    if bad.size:
+        alpha = BinaryPoint(int(bad[0]) >> n, int(bad[0]) & (N - 1), n)
+        raise InvalidDensityMatrix(f"complex Wigner value {hat[bad[0]] / (N * N)} at {alpha}")
+    return WignerGrid(field, tuple((hat.real / (N * N)).tolist()))
+
+
 def stabilizer_wigner_transform(net, group) -> WignerGrid:
     """Exact W(alpha) = N^-2 sum_{beta in S} f(beta) g(beta) (-1)^<alpha,beta>
     at all N^2 points as one int64 symplectic transform of f g placed on S:
@@ -296,15 +323,17 @@ def export_grid_cells(grid, fmt: str, meta: dict | None = None) -> str:
 def wigner_stdout_reference(n: int, state_spec: str, net_spec: str = "default",
                             poly: int | None = None, fmt: str = "json") -> str:
     """What `gfwigner wigner --n n --state state_spec --net net_spec
-    --format fmt [--poly]` writes, by the per-point loop for a density
-    matrix and by the N^2-point transform for a stabilizer state, exported
-    cell by cell."""
+    --format fmt [--poly]` writes, exported cell by cell: by the numpy chi
+    route for a density file, the per-point loop for the meanking_phi1
+    preset and the N^2-point transform for a stabilizer state."""
     net = resolve_net(field_new(n, poly), net_spec)
     kind, state = resolve_state(net.field, state_spec)
     if kind == "stabilizer":
         grid = stabilizer_wigner_transform(net, state)
-    else:
+    elif state_spec == "meanking_phi1":
         grid = wigner_of_loop(net, state)
+    else:
+        grid = wigner_of_chi(net, state)
     return export_grid_cells(grid, fmt, {"net": net.fingerprint()})
 
 

@@ -26,7 +26,8 @@ from gfwigner.galois import field_new, parse_poly
 from gfwigner.net import QuantumNet, all_plus_signs, build_net, net_from_json
 from gfwigner.wigner import (all_points, expectation_translation, purity_identity_residual,
                              stabilizer_wigner, state_density, wigner_of)
-from oracles import mub_json_nested, mub_stdout_nested, rays_stdout_reference
+from oracles import (mub_json_nested, mub_stdout_nested, rays_stdout_reference,
+                     wigner_stdout_reference)
 
 
 def run(capsys, *argv):
@@ -728,15 +729,36 @@ def test_meanking_subcommand(capsys):
     code, out, _ = run(capsys, "meanking")
     assert code == 0
     assert "retrodiction success probability: 1.000000000000" in out
+    # the line sums y1 and z1 are 0 up to float noise, whose sign the grid's
+    # summation order decides: they print unsigned
+    assert "  y1: 0.000000\n" in out and "  z1: 0.000000\n" in out
+    assert "-0.000000" not in out
+
+
+@pytest.mark.parametrize("net", ["default", "covariant"])
+def test_meanking_phi1_stdout_equals_the_per_point_reference(capsys, net):
+    # 8 cells of the default net's grid are zero up to float noise, and the
+    # ascii shade prints its sign: the preset keeps the per-point traces,
+    # whose signs its recorded benchmark output has, where the chi route
+    # shades some of those cells differently
+    for fmt in ("ascii", "csv", "json"):
+        code, out, _ = run(capsys, "wigner", "--n", "2", "--state", "meanking_phi1",
+                           "--net", net, "--format", fmt)
+        assert code == 0
+        assert out == wigner_stdout_reference(2, "meanking_phi1", net, fmt=fmt)
+    grid_net = cli.resolve_net(field_new(2), net)
+    _, rho = cli.resolve_state(grid_net.field, "meanking_phi1")
+    assert out != export_grid(wigner_of(grid_net, rho), "json", {"net": grid_net.fingerprint()})
 
 
 def test_startup_imports_only_what_a_command_uses(tmp_path):
     # a fresh process: the package and the cli load without numpy or
     # dataclasses, and so do the commands without array work (exact wigner
-    # grids on every kind of net, mub at n = 1..5 on every kind of net, the
-    # bell and qec commands and presets); field, rays, uomega, mub and exact
-    # wigner grids of a stabilizer file or a computational preset load
-    # neither fractions nor decimal either; each
+    # grids and dense grids of density files on every kind of net, mub at
+    # n = 1..5 on every kind of net, the bell and qec commands and presets);
+    # field, rays, uomega, mub, exact wigner grids of a stabilizer file or a
+    # computational preset and dense grids of density files load neither
+    # fractions nor decimal either; each
     # array command loads numpy, and later array commands in the same
     # process still work; nothing loads sympy, and no verify loads
     # numpy.random (its round trip draws from the standard library); no
@@ -750,10 +772,13 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
     net.write_text(build_net(field_new(3), "independent", {0: (1, -1, 1)}).to_json())
     rho = tmp_path / "rho1.json"
     rho.write_text(json.dumps({"density": [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]}))
+    rho3 = tmp_path / "rho3.json"
+    rho3.write_text(json.dumps({"density": [[[1 / 8, 0]] * 8] * 8}))
     script = textwrap.dedent("""\
         import contextlib, io, json, sys
 
         stab, net, loader = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+        rho, rho3 = sys.argv[4], sys.argv[5]
 
         def absent(when, *modules):
             for module in modules:
@@ -776,6 +801,11 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
         integer += [["mub", "--n", str(n), "--net", net_spec]
                     for n in range(1, 6) for net_spec in ("default", "covariant")]
         integer += [["mub", "--n", "3", "--net", net]]
+        # dense grids of density files: rows of Python complex numbers
+        integer += [["wigner", "--n", "1", "--state", rho],
+                    *(["wigner", "--n", "3", "--state", rho3, "--net", net_spec, "--format", fmt]
+                      for net_spec, fmt in (("default", "ascii"), ("covariant", "json"),
+                                            (net, "csv")))]
         exact = [["wigner", "--n", "2", "--state", "bell_phi_plus"],
                  ["wigner", "--n", "3", "--state", "qec_logical_1"],
                  ["bell"], ["qec"], ["bell", "--verify"], ["qec", "--verify"]]
@@ -821,10 +851,11 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
             assert "json" not in sys.modules, "json imported by " + " ".join(argv)
     """)
     env = dict(os.environ, PYTHONPATH=str(src))
-    for loader in (["wigner", "--n", "1", "--state", str(rho)], ["meanking"],
+    for loader in (["wigner", "--n", "2", "--state", "meanking_phi1"], ["meanking"],
                    ["verify", "--n", "2"]):
         done = subprocess.run([sys.executable, "-c", script, str(stab), str(net),
-                               json.dumps(loader)], env=env, capture_output=True)
+                               json.dumps(loader), str(rho), str(rho3)],
+                              env=env, capture_output=True)
         assert done.returncode == 0, done.stderr.decode()
     done = subprocess.run([sys.executable, "-c", verify], env=env, capture_output=True)
     assert done.returncode == 0, done.stderr.decode()

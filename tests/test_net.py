@@ -320,6 +320,22 @@ def test_net_json_with_unparsable_entries_is_malformed_input(breakage):
         net_from_json(json.dumps(payload))
 
 
+def test_net_json_names_its_striation_keys_by_their_range():
+    # the error listed every label: 287 bytes at n = 6, 23 kB at n = 12
+    payload = json.loads(build_net(field_new(6)).to_json())
+    payload["signs"]["x"] = [1] * 6
+    with pytest.raises(MalformedInput, match="^net JSON striation key 'x' is not one of "
+                                             "'h', 'v' and '0' to '62'$"):
+        net_from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("text", [None, 5, b"{}", ["{}"]], ids=repr)
+def test_net_json_that_is_not_text_is_malformed_input(text):
+    # json.loads raised a bare TypeError for None
+    with pytest.raises(MalformedInput, match="net JSON must be a string"):
+        net_from_json(text)
+
+
 def _flip_one(table):
     key = sorted(table)[len(table) // 2]
     table[key] = -table[key]

@@ -255,6 +255,24 @@ def test_fix_phase_refuses_a_zero_vector():
             call()
 
 
+def test_library_entry_points_refuse_bad_input_with_a_typed_error():
+    # each raised a bare IndexError, ValueError or AttributeError, or (the
+    # translation) printed as +II: 8 is no 2-bit mask
+    for call, match in ((lambda: fix_phase([]), "empty vector"),
+                        (lambda: fix_phase(()), "empty vector"),
+                        (lambda: pauli_sum(2, np.zeros(3)), "needs 16 entries, got 3"),
+                        (lambda: pauli_sum(1, 5), "needs 4 entries, got a value of type int"),
+                        (lambda: parse_pauli(5), "must be a string, got int"),
+                        (lambda: parse_pauli(None), "must be a string"),
+                        (lambda: translation(2, 8, 0), "^a = 8 is not an int from 0 to 3$"),
+                        (lambda: translation(2, 0, -1), "^b = -1 "),
+                        (lambda: translation(2, True, 0), "^a = True "),
+                        (lambda: translation_for(BinaryPoint(0, 4, 2)), "^b = 4 ")):
+        with pytest.raises(MalformedInput, match=match):
+            call()
+    assert translation(2, np.int64(3), 1) == translation(2, 3, 1)
+
+
 def test_unphase_is_numpys_division_on_both_branches():
     # abs(z) / z by Smith's method, |re| >= |im| and |re| < |im|, with
     # signed zero parts, against numpy's complex division

@@ -191,6 +191,21 @@ def test_ray_through_refuses_the_origin():
         ray_through(field_new(2), PhasePoint(0, 0))
 
 
+def test_binary_forms_refuse_coordinates_off_the_grid():
+    # to_binary gave qbits=99 and from_binary PhasePoint(9, 0), silently
+    f = field_new(2)
+    for call, match in ((lambda: to_binary(f, PhasePoint(99, 0)), "^q = 99 is not an int "),
+                        (lambda: to_binary(f, PhasePoint(0, 4)), "^p = 4 "),
+                        (lambda: from_binary(f, BinaryPoint(9, 0, 2)), "^qbits = 9 "),
+                        (lambda: from_binary(f, BinaryPoint(0, -1, 2)), "^pbits = -1 ")):
+        with pytest.raises(MalformedInput, match=match):
+            call()
+    with pytest.raises(FieldMismatch):
+        from_binary(f, BinaryPoint(1, 0, 3))
+    for point in (PhasePoint(q, p) for q in range(4) for p in range(4)):
+        assert from_binary(f, to_binary(f, point)) == point
+
+
 def test_unknown_striation_is_named_by_the_range_of_labels():
     # not one by one: at n = 16 the list of all N + 1 labels ran to 450 kB
     with pytest.raises(MalformedInput, match="^no striation -1 at n = 16; the labels are "

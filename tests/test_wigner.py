@@ -20,6 +20,7 @@ from gfwigner.pauli import to_matrix, translation, translation_for
 from gfwigner.phasespace import BinaryPoint, all_striations
 from gfwigner.wigner import (
     StabilizerGroup,
+    _wigner_by_traces,
     WignerGrid,
     all_points,
     all_stabilizer_groups,
@@ -91,12 +92,13 @@ def test_point_operator_two_routes_agree():
 
 def test_meanking_phi1_grid_equals_the_loop_bit_for_bit():
     # `wigner --n 2 --state meanking_phi1` prints the sign of the cells that
-    # are zero up to rounding (8 of float noise, 1 exact 0): the grid must
-    # keep every bit of the per-point T A(0) T^dagger route
+    # are zero up to rounding (8 of float noise, 1 exact 0): the preset's
+    # route must keep every bit of the per-point T A(0) T^dagger route
     field = field_new(2)
     net = build_net(field)
     _, rho = resolve_state(field, "meanking_phi1")
-    got, want = np.array(wigner_of(net, rho).flat), np.array(wigner_of_loop(net, rho).flat)
+    got = np.array(_wigner_by_traces(net, rho).flat)
+    want = np.array(wigner_of_loop(net, rho).flat)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.count_nonzero(np.abs(got) < IDENTITY_ATOL) == 9
 
@@ -128,6 +130,59 @@ def test_complex_wigner_value_names_its_point():
     with pytest.raises(InvalidDensityMatrix,
                        match=f"complex Wigner value .* at {re.escape(str(first))}$"):
         wigner_of(net, rho)
+
+
+def _density_with_spectrum(n, low, seed):
+    """U diag(low, ...) U^dagger, trace 1, exactly hermitian, U a Haar-ish unitary."""
+    N = 1 << n
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
+    spectrum = np.concatenate(([low], rng.uniform(0.1, 1, size=N - 1)))
+    spectrum[1:] *= (1 - low) / spectrum[1:].sum()
+    rho = (q * spectrum) @ q.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_density_check_accepts_ginibre_states_of_every_rank(n):
+    # rank 1 and 2 have N - 1 and N - 2 zero eigenvalues, which rounding
+    # leaves a little below 0: the shift by INPUT_ATOL keeps each pivot > 0
+    rng = np.random.default_rng(n)
+    N = 1 << n
+    for rank in (1, 2, N):
+        g = rng.normal(size=(N, rank)) + 1j * rng.normal(size=(N, rank))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        assert check_density_matrix(rho, n) is rho
+        rows = rho.tolist()
+        assert check_density_matrix(rows, n) is rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_density_check_decides_positivity_as_eigvalsh_away_from_the_boundary(n):
+    # the lowest eigenvalue against -INPUT_ATOL = -1e-8, each case at least
+    # 1e-10 from it, where rounding (about 1e-15 here) cannot decide
+    for seed, low in enumerate((-1e-6, -1.01e-8, -0.99e-8, -1e-9, 0.0, 1e-3)):
+        rho = _density_with_spectrum(n, low, seed)
+        assert np.linalg.eigvalsh(rho).min() == pytest.approx(low, abs=1e-13)
+        if low < -1e-8:
+            with pytest.raises(InvalidDensityMatrix, match="negative eigenvalue"):
+                check_density_matrix(rho, n)
+        else:
+            check_density_matrix(rho, n)
+
+
+@pytest.mark.parametrize("rho", [
+    "x", None, 5, [[0.5, 0], [0.5]], [[0.5, "0"], [0, 0.5]], [[0.5, None], [0, 0.5]],
+    [[[0.5], [0]], [[0], [0.5]]], np.ones(4) / 4, np.eye(4) / 4, [[0.5, 0]],
+], ids=["str", "None", "int", "ragged", "str entry", "None entry", "3-d", "1-d",
+        "4x4", "1 row"])
+def test_density_check_refuses_what_is_not_an_n_qubit_matrix_of_numbers(rho):
+    # "x" raised a bare ValueError from numpy
+    with pytest.raises(InvalidDensityMatrix, match=r"^need finite entries and shape \(2, 2\)"):
+        check_density_matrix(rho, 1)
+    with pytest.raises(InvalidDensityMatrix, match="finite entries"):
+        wigner_of(build_net(field_new(1)), rho)
 
 
 def test_hermiticity_check_has_no_relative_tolerance():
