@@ -18,13 +18,14 @@ cost more than a trivial request's own work), `errors`, `galois` and
 `rays`, `uomega`, `--help` and usage errors never load them.  `pauli`,
 `net`, `wigner` and `apps` are imported inside the functions that use them,
 and import numpy only inside their own functions that build arrays, as do
-the array checks of `check_rows`.  So `wigner` on a stabilizer file, a
+the meanking rows of `check_rows`.  So `wigner` on a stabilizer file, a
 density file (its rows are Python complex numbers, and the dense route is
 plain Python) or a `computational_*`, `bell_*` or `qec_logical_*` preset,
-on any net, `bell`, `qec`, `bell --verify`, `qec --verify` and `mub` (its
-states are tuples of Python complex numbers) start without numpy too, and
-it is loaded by `meanking`, `verify` and `wigner` on the `meanking_phi1`
-preset.  An exact grid is integer numerators, which
+on any net, `bell`, `qec`, `bell --verify`, `qec --verify`, `mub` (its
+states are tuples of Python complex numbers) and `verify` at any n but 2
+(the point operators are checked through A(0)'s rows) start without numpy
+too, and it is loaded by `meanking`, `verify --n 2` and `wigner` on the
+`meanking_phi1` preset.  An exact grid is integer numerators, which
 export_grid renders itself, so `fractions` loads for none of `field`,
 `rays`, `uomega` and `wigner` on a stabilizer file or a `computational_*`
 preset; `verify` loads it (with `apps`) only at n = 2 and 3, where it runs
@@ -52,8 +53,8 @@ import math
 import os
 import re
 import sys
-from functools import cache
 from itertools import chain, islice
+from operator import sub
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -441,21 +442,20 @@ def check_rows(field: GF2Field) -> list[tuple]:
     check raises when its claim fails.  The wigner rows use one covariant net
     on field, the bell and meanking rows need field = GF(4), and the qec rows
     run on apps.qec_field(), where the preset net gives the paper's grid.
-    numpy is imported by the checks that use arrays, so the bell and qec
-    rows run without it, and apps only by the bell, qec and meanking rows."""
+    The field, net, wigner, bell and qec rows are plain Python; numpy is
+    imported only by the meanking rows (their basis is an SVD), and apps
+    only by the bell, qec and meanking rows.  The point operators
+    A(alpha) are A(0) moved and signed, so the wigner rows read them through
+    A(0): all N^4 traces Tr(A(alpha) A(beta)) are the N^2 numbers
+    Tr(A(0) A(alpha ^ beta)) (wigner._a0_traces), and each line's operator
+    sum is its striation's ray sum moved (wigner._line_operators), compared
+    entry by entry with |v><v| for every emitted MUB row v."""
     from .net import build_net, mub_bases, mub_overlap_report
     from .pauli import IDENTITY_ATOL
-    from .wigner import (_row_operators, purity_identity_residual, reconstruct,
-                         stabilizer_wigner, state_density, wigner_of)
+    from .wigner import (_a0_traces, _line_operators, purity_identity_residual, reconstruct,
+                         stabilizer_wigner, wigner_of)
 
     net = build_net(field, "covariant")
-
-    @cache  # lazily, so a failure is reported by the check that needs them
-    def point_operators() -> np.ndarray:
-        """A(alpha) for every point, stacked by flat index (qbits << n) | pbits."""
-        import numpy as np
-
-        return np.array([A for q in range(field.N) for A in _row_operators(net, q)])
 
     def orderings():
         for gen in ("canonical", "dual"):
@@ -477,38 +477,34 @@ def check_rows(field: GF2Field) -> list[tuple]:
             _claim(v in (1, -1))
 
     def orthogonality():
-        # Tr(A_i A_j) of hermitian operators is the Gram matrix of their
-        # entries; N rows of it at a time
-        import numpy as np
-
-        N = field.N
-        V = point_operators().reshape(N * N, -1)
-        for i in range(0, len(V), N):
-            gram = V[i:i + N].conj() @ V.T
-            _claim(np.abs(gram - np.eye(N, len(V), i) / N).max() < IDENTITY_ATOL)
+        # Tr(A_alpha A_beta) = delta / N: the entry at alpha ^ beta
+        traces = _a0_traces(net)
+        worst = max(abs(traces[0] - 1 / field.N), *map(abs, traces[1:]))
+        _claim(worst < IDENTITY_ATOL, f"Tr(A_alpha A_beta) off delta / N by {worst}")
 
     def line_projectors():
-        import numpy as np
-
-        ops = point_operators()
-        for st in all_striations(field):
-            for line, v in zip(st.lines, mub_bases(net)[st.label]):
-                total = sum(ops[(pt.q << field.n) | field.p_to_bits(pt.p)]
-                            for pt in line.points(field))
-                _claim(np.abs(total - np.outer(v, np.conj(v))).max() < IDENTITY_ATOL)
-        point_operators.cache_clear()  # the last user: free them for later checks
+        for label, rows in mub_bases(net).items():
+            for c, (total, v) in enumerate(zip(_line_operators(net, label), rows)):
+                vc = [z.conjugate() for z in v]
+                worst = max(max(map(abs, map(sub, row, map(u.__mul__, vc))))
+                            for row, u in zip(total, v))
+                _claim(worst < IDENTITY_ATOL,
+                       f"line {c} of striation {label}: its sum is off |v><v| by {worst}")
 
     def roundtrip():
         # a complex Gaussian pure state from the standard library's
-        # generator: importing numpy.random would cost more than the check
+        # generator, as rows of Python complex numbers
         import random
 
-        import numpy as np
-
         rng = random.Random(11)
-        rho = state_density([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(field.N)])
+        v = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(field.N)]
+        norm = math.sqrt(sum(abs(z) ** 2 for z in v))
+        v = [z / norm for z in v]
+        rho = [[u * w.conjugate() for w in v] for u in v]
         grid = wigner_of(net, rho)
-        _claim(np.abs(reconstruct(net, grid) - rho).max() < IDENTITY_ATOL)
+        worst = max(abs(x - y) for got, want in zip(reconstruct(net, grid), rho)
+                    for x, y in zip(got, want))
+        _claim(worst < IDENTITY_ATOL, f"reconstruction off rho by {worst}")
         _claim(purity_identity_residual(net, grid) < IDENTITY_ATOL)
 
     def survey():

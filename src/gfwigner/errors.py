@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package, and the validators that its
 library entry points share to raise it for bad input."""
 
+from math import inf
 from operator import index
 
 
@@ -73,14 +74,20 @@ def need_length(seq, length: int, what: str):
     return seq
 
 
+def _int_below(value, bound) -> bool:
+    """value is an int from 0 to bound - 1, and not a bool."""
+    try:
+        return not isinstance(value, bool) and 0 <= index(value) < bound
+    except TypeError:
+        return False
+
+
 def need_bits(n: int, **masks) -> None:
-    """MalformedInput unless each named mask is an int from 0 to 2^n - 1 (not a
-    bool): n bits, or a field element of GF(2^n) by its canonical bits.  For
-    entry points, not for the loops behind them."""
+    """MalformedInput unless n is an int >= 0 and each named mask an int from
+    0 to 2^n - 1 (none of them a bool): n bits, or a field element of GF(2^n)
+    by its canonical bits.  For entry points, not for the loops behind them."""
+    if not _int_below(n, inf):
+        raise MalformedInput(f"n = {n!r} is not an int >= 0")
     for name, value in masks.items():
-        try:
-            ok = not isinstance(value, bool) and 0 <= index(value) < 1 << n
-        except TypeError:
-            ok = False
-        if not ok:
+        if not _int_below(value, 1 << n):
             raise MalformedInput(f"{name} = {value!r} is not an int from 0 to {(1 << n) - 1}")

@@ -35,6 +35,7 @@ from .pauli import (
     PauliTranslation,
     StabilizerGroup,
     _basis_order,
+    _divided,
     basis_index,
     dense_dim,
     fix_phase,
@@ -63,9 +64,8 @@ if TYPE_CHECKING:
 
 def ray_generators(field: GF2Field, label) -> tuple[PauliTranslation, ...]:
     """The n generators of one ray's class: the first n points of its walk,
-    T(1 M^k, 1 M~^(k+j)) for the diagonal ray j, X strings for h, Z for v.
-    Each is translation(n, a, b) without its mask check: the walk stays in
-    the field, and covariant nets call this once per ray."""
+    T(1 M^k, 1 M~^(k+j)) for the diagonal ray j, X strings for h, Z for v:
+    each the canonical translation(n, a, b)."""
     points = islice(ray_walk(field, label), field.n)
     return tuple(PauliTranslation(field.n, a, b, (a & b).bit_count()) for a, b in points)
 
@@ -213,11 +213,13 @@ class QuantumNet:
 
     # -- phase-space point operators -----------------------------------------
 
-    def a0_matrix(self) -> np.ndarray:
-        """A(0) = N^-2 sum_beta f(beta) T_beta = N^-1 (sum_lambda P_lambda - I)."""
+    def a0_matrix(self) -> tuple[tuple[complex, ...], ...]:
+        """A(0) = N^-2 sum_beta f(beta) T_beta = N^-1 (sum_lambda P_lambda - I),
+        as N rows of Python complex (one pauli_sum; np.asarray makes them an
+        array), computed once per net."""
         if self._a0 is None:
             N = self.field.N
-            self._a0 = pauli_sum(self.field.n, self.f_vector()) / (N * N)
+            self._a0 = _divided(pauli_sum(self.field.n, self.f_vector()), N * N)
         return self._a0
 
     def fingerprint(self) -> str:

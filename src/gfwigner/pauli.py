@@ -13,12 +13,13 @@ stabilizer state are both one.  Its members are walked as (a, b, s) ints
 (Aaronson and Gottesman, PRA 70, 052328).
 
 Every dense operator of the package is built here, as a Pauli sum
-sum_beta c(beta) T_beta: one walsh_hadamard over b for each a, the
-package's one (plain Python) Walsh-Hadamard transform, which grids and
-MUB overlaps use too.  A group's state is one column of its projector's
-sum, read straight off the members with no N x N array (a stabilizer
-state's amplitudes follow from its group: Dehaene and De Moor, PRA 68,
-042318).  numpy is imported only inside the functions that build arrays.
+sum_beta c(beta) T_beta in N rows of Python complex: one walsh_hadamard
+over b for each a, the package's one (plain Python) Walsh-Hadamard
+transform, which grids and MUB overlaps use too.  A group's state is one
+column of its projector's sum, read straight off the members with no N x N
+array (a stabilizer state's amplitudes follow from its group: Dehaene and
+De Moor, PRA 68, 042318).  numpy is imported only inside the functions that
+build arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from functools import cache, cached_property
 from itertools import combinations
-from operator import add, sub
+from operator import add, mul, sub
 from typing import TYPE_CHECKING
 
 from .errors import (DimensionMismatch, DimensionTooLarge, InconsistentStabilizer,
@@ -58,11 +59,17 @@ _set = object.__setattr__
 
 
 class PauliTranslation(Record):
-    """i^s X^a Z^b on n qubits; s is stored mod 4."""
+    """i^s X^a Z^b on n qubits; s is stored mod 4.  a and b must be n-bit
+    masks (else MalformedInput)."""
 
     __slots__ = ("n", "a", "b", "s")
 
     def __init__(self, n: int, a: int, b: int, s: int = 0):
+        # plain in-range ints pass at once (walks and products build many);
+        # need_bits decides the rest
+        if not (type(n) is type(a) is type(b) is int and 0 <= n
+                and 0 <= a < 1 << n and 0 <= b < 1 << n):
+            need_bits(n, a=a, b=b)
         _set(self, "n", n)
         _set(self, "a", a)
         _set(self, "b", b)
@@ -80,7 +87,6 @@ class PauliTranslation(Record):
 def translation(n: int, a: int, b: int) -> PauliTranslation:
     """The canonical (hermitian, unitary) translation T(a, b); a and b must be
     n-bit masks (else MalformedInput)."""
-    need_bits(n, a=a, b=b)
     return PauliTranslation(n, a, b, (a & b).bit_count() % 4)
 
 
@@ -180,20 +186,39 @@ def fix_phase(v):
     return v * f if hasattr(v, "__array__") else tuple(map(f.__mul__, v))
 
 
-def pauli_sum(n: int, coeffs) -> np.ndarray:
-    """sum_beta coeffs[(a << n) | b] T(a, b) over the canonical T.  Column x
-    of T(a, b) holds i^(a.b) (-1)^(b.x) in row x ^ a, so entry (x ^ a, x) of
-    the sum is the transform over b of coeffs i^(a.b) at x: one row per a.
-    coeffs must have N^2 entries (else MalformedInput)."""
-    import numpy as np
+@cache
+def _i_powers(n: int) -> tuple[tuple[complex, ...], ...]:
+    """i^(a.b) for b = 0..N-1, one tuple per a."""
+    return tuple(tuple(_I_POW[(a & b).bit_count() % 4] for b in range(1 << n))
+                 for a in range(1 << n))
 
+
+def pauli_sum(n: int, coeffs) -> tuple[tuple[complex, ...], ...]:
+    """sum_beta coeffs[(a << n) | b] T(a, b) over the canonical T, as N rows
+    of Python complex (np.asarray makes them an array).  Column x of T(a, b)
+    holds i^(a.b) (-1)^(b.x) in row x ^ a, so entry (x ^ a, x) of the sum is
+    the transform over b of coeffs i^(a.b) at x: one walsh_hadamard per a,
+    scattered to basis indices.  coeffs must have N^2 entries, an array's in
+    row-major order whatever its shape (else MalformedInput)."""
+    need_bits(n)
+    if hasattr(coeffs, "reshape"):  # an array: its entries as Python numbers
+        coeffs = coeffs.reshape(-1).tolist()
     need_length(coeffs, 1 << 2 * n, f"pauli_sum at n = {n}")
-    x, index, _ = _dense_tables(n)
-    out = np.empty((x.size, x.size), dtype=complex)
-    for a, row in enumerate(np.reshape(coeffs, (x.size, x.size)).tolist()):
-        terms = [c * _I_POW[(a & b).bit_count() % 4] for b, c in enumerate(row)]
-        out[index[x ^ a], index] = walsh_hadamard(terms)
-    return out
+    index = _basis_order(n)
+    N = len(index)
+    rows = [[0j] * N for _ in range(N)]
+    for a, phases in enumerate(_i_powers(n)):
+        shift = index[a]
+        for r, h in zip(index, walsh_hadamard(map(mul, coeffs[a * N:(a + 1) * N], phases))):
+            rows[r ^ shift][r] = h
+    return tuple(map(tuple, rows))
+
+
+def _divided(rows, d: int) -> tuple[tuple[complex, ...], ...]:
+    """Every entry of rows over d, divided by complex(d) as numpy divides a
+    complex array by an int: the same bits, signed zeros included."""
+    d = complex(d)
+    return tuple(tuple(z / d for z in row) for row in rows)
 
 
 def ray_walk(field: GF2Field, label):
@@ -314,12 +339,14 @@ class StabilizerGroup:
         return fix_phase([complex(re / N * scale, im / N * scale) for re, im in zip(*parts)])
 
     def projector(self) -> np.ndarray:
-        """Dense rank-one projector N^-1 sum_{beta in S} g(beta) T_beta."""
+        """Dense rank-one projector N^-1 sum_{beta in S} g(beta) T_beta, an array."""
+        import numpy as np
+
         n, N = self.field.n, dense_dim(self.field.n)
         g = [0] * (N * N)
         for (qb, pb), sign in self.elements.items():
             g[(qb << n) | pb] = sign
-        return pauli_sum(n, g) / N
+        return np.asarray(pauli_sum(n, g)) / N
 
 
 # -- textual Pauli-string format ---------------------------------------------

@@ -15,9 +15,13 @@ Two routes are provided and cross-checked in the tests:
   N-point Walsh-Hadamard transform of the entries rho[idx x][idx(x ^ a)]
   (pauli_sum read backwards): O(N^2 log N) in plain Python complex numbers,
   with the input check (a Cholesky factorisation) the only O(N^3) step.
-  point_operator builds one A(alpha) as A(0) moved and signed, and the
-  meanking_phi1 preset alone keeps the per-point trace of rho @ A(alpha),
-  whose float noise its recorded output shows;
+  point_operator builds one A(alpha) as an array, A(0) moved and signed,
+  and the meanking_phi1 preset alone keeps the per-point trace of
+  rho @ A(alpha), whose float noise its recorded output shows.  `verify`
+  checks the point operators through A(0)'s rows in plain Python: their
+  traces Tr(A(alpha) A(beta)) are the N^2 numbers Tr(A(0) A(alpha ^ beta))
+  (_a0_traces), and each line's operator sum is its ray's moved and signed
+  (_line_operators);
 * an exact route for stabilizer states: the closed form
   W(alpha) = N^-2 sum_{beta in S} f(beta) g(beta) (-1)^<alpha,beta>.
   f and g are the same kind of sign: f(beta) is the sign of T_beta in the
@@ -34,40 +38,41 @@ The symplectic transform inverts a grid of either kind: with
 hat W(beta) = sum_alpha W(alpha) (-1)^<alpha,beta>, <T_beta> is
 f(beta) hat W(beta) (exact on exact grids) and
 rho = N^-1 sum_beta f(beta) hat W(beta) T_beta, one Pauli sum
-(pauli.pauli_sum), as is a stabilizer projector N^-1 sum_{beta in S}
-g(beta) T_beta.  A grid caches hat W, so it is not changed after it is
-built.  hat W is one pauli.walsh_hadamard of the grid's tuple, so a grid
-file is read and transformed without numpy.
+(pauli.pauli_sum, N rows of Python complex), as are A(0) and a stabilizer
+projector N^-1 sum_{beta in S} g(beta) T_beta.  A grid caches hat W, so it
+is not changed after it is built.  hat W is one pauli.walsh_hadamard of the
+grid's tuple, so a grid file is read and transformed without numpy.
 
-numpy is imported only inside the functions that build arrays, and
-fractions only where a Fraction is made, so an exact grid, and a dense grid
-of a density given as rows of numbers, is computed and exported without
-either.
+numpy is imported only inside the functions that build arrays
+(point_operator, the meanking_phi1 traces, state_density and as_array), and
+fractions only where a Fraction is made, so an exact grid, a dense grid of
+a density given as rows of numbers, and its reconstruction, are computed
+and exported without either.
 """
 
 from __future__ import annotations
 
 from cmath import isfinite
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import combinations, product
 from math import lcm, sqrt
-from operator import mul
+from operator import add, mul, neg
 from typing import TYPE_CHECKING
 
-from .errors import DimensionTooLarge, FieldMismatch, InvalidDensityMatrix
+from .errors import DimensionTooLarge, FieldMismatch, InvalidDensityMatrix, need_bits
 from .galois import GF2Field
 from .net import QuantumNet
 from .pauli import (
-    _I_POW,
     INPUT_ATOL,
     StabilizerGroup,
     _basis_order,
-    _dense_tables,
+    _divided,
+    _i_powers,
     pauli_sum,
     translation_for,
     walsh_hadamard,
 )
-from .phasespace import BinaryPoint, grid_axis, wedge
+from .phasespace import BinaryPoint, grid_axis, striation, wedge
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -111,6 +116,7 @@ def check_density_matrix(rho, n: int):
     factor: a pivot that is not > 0 (nan included) refuses it (Higham,
     Accuracy and Stability of Numerical Algorithms, ch. 10).  O(N^3 / 6)
     complex products in plain Python, no numpy."""
+    need_bits(n)
     N, atol = 1 << n, INPUT_ATOL
     rows = _complex_rows(rho, N)
     if any(abs(row[j] - rows[j][i].conjugate()) > atol
@@ -136,10 +142,14 @@ def check_density_matrix(rho, n: int):
 
 
 def state_density(vec: np.ndarray) -> np.ndarray:
-    """|v><v| / <v|v>: InvalidDensityMatrix unless v has a finite nonzero norm."""
+    """|v><v| / <v|v>: InvalidDensityMatrix unless v is numbers with a finite
+    nonzero norm."""
     import numpy as np
 
-    v = np.asarray(vec, dtype=complex)
+    try:
+        v = np.asarray(vec, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InvalidDensityMatrix(f"state vector needs numbers: {exc}") from None
     norm = np.linalg.norm(v)
     if not 0 < norm < np.inf:
         raise InvalidDensityMatrix(f"state vector needs a finite nonzero norm, got {norm}")
@@ -236,38 +246,65 @@ class WignerGrid:
 # -- dense route ----------------------------------------------------------------
 
 
-def _row_operators(net: QuantumNet, qbits: int, pbits=None):
-    """A(alpha) for the points alpha = (qbits, b), b in pbits (default all N,
-    in order), one at a time.
+def _translates(rows, n: int, points):
+    """T(a, b) M T(a, b)^dagger for M given as N rows, for each (a, b) in
+    points, lazily, as N rows of the same entries.
 
     T(a, b) is the signed permutation r -> r ^ index[a] with signs
     sigma_b[r] = (-1)^popcount(b & index[r]) (and a phase i^(a.b) that
-    cancels between T and T^dagger), r the basis index.  So
-    A(alpha)[r, r'] = sigma_b[r] sigma_b[r'] A(0)[r ^ index[a], r' ^ index[a]]:
-    one gather of A(0) per row, one real +-1 outer product per point.  The
-    values are those of T A(0) T^dagger exactly, up to the sign of zeros.
-    """
-    import numpy as np
-
-    x, index, popcount = _dense_tables(net.field.n)
-    moved = x ^ index[qbits]
-    A = net.a0_matrix()[np.ix_(moved, moved)]
-    for b in x if pbits is None else pbits:
-        sigma = 1 - 2 * (popcount[b & index] & 1)
-        yield A * np.outer(sigma, sigma)
+    cancels between T and T^dagger), r the basis index.  So entry (r, r') is
+    sigma_b[r] sigma_b[r'] M[r ^ index[a]][r' ^ index[a]]: each row is picked
+    from a row of M and its negation, so the values are exact."""
+    index = _basis_order(n)
+    N = len(index)
+    both = [(*row, *map(neg, row)) for row in rows]  # each row, then its negation
+    for a, b in points:
+        shift, odd = index[a], [(b & x).bit_count() & 1 for x in index]
+        picks = [[c ^ shift | (o ^ odd[c]) * N for c in range(N)] for o in (0, 1)]
+        yield [tuple(map(both[r ^ shift].__getitem__, picks[o])) for r, o in enumerate(odd)]
 
 
 def point_operator(net: QuantumNet, alpha: BinaryPoint) -> np.ndarray:
-    """A(alpha) = T_alpha A(0) T_alpha^dagger, as A(0) moved and signed."""
-    (A,) = _row_operators(net, alpha.qbits, [alpha.pbits])
-    return A
+    """A(alpha) = T_alpha A(0) T_alpha^dagger, as A(0) moved and signed: an array."""
+    import numpy as np
+
+    (A,) = _translates(net.a0_matrix(), net.field.n, [(alpha.qbits, alpha.pbits)])
+    return np.asarray(A)
 
 
-@cache
-def _i_powers(n: int) -> tuple[tuple[complex, ...], ...]:
-    """i^(a.b) for b = 0..N-1, one tuple per a."""
-    return tuple(tuple(_I_POW[(a & b).bit_count() % 4] for b in range(1 << n))
-                 for a in range(1 << n))
+def _a0_traces(net: QuantumNet) -> list[complex]:
+    """Tr(A(0) A(gamma)) at every flat index gamma = (a << n) | b, in plain
+    Python.  A(alpha) is A(0) moved and signed by T_alpha, so
+    Tr(A(alpha) A(beta)) is this at alpha ^ beta: the N^4 traces of the point
+    operators are N^2 numbers.  With e = u ^ v, sigma_b[u] sigma_b[v] (as in
+    _translates) is (-1)^(b . index e), so Tr(A(0) A(a, b)) is the transform over x of
+    m_a[index x], m_a[e] = sum_u A0[u][u ^ e] A0[u ^ e ^ index a][u ^ index a]:
+    one gather and one N-point transform per a, O(N^3) in all."""
+    A, index = net.a0_matrix(), _basis_order(net.field.n)
+    traces, us = [], range(len(index))
+    for shift in index:  # index a for a = 0..N-1
+        traces += walsh_hadamard([sum(A[u][u ^ e] * A[u ^ e ^ shift][u ^ shift] for u in us)
+                                  for e in index])
+    return traces
+
+
+def _line_operators(net: QuantumNet, label):
+    """sum_alpha A(alpha) over each line of striation label, in line order
+    (the ray first), as N rows each, lazily, in plain Python.  The ray's N
+    point operators are summed once, O(N^3); every other line is the ray
+    translated by any of its points d, so its sum is the ray's moved and
+    signed by T_d, which only permutes and negates: exact."""
+    field = net.field
+    n, lines = field.n, striation(field, label).lines
+    binary = [(d.q, field.p_to_bits(d.p)) for d in lines[0].points(field)]
+    ops = _translates(net.a0_matrix(), n, binary)
+    total = next(ops)
+    for A in ops:
+        total = [tuple(map(add, s, r)) for s, r in zip(total, A)]
+    yield total
+    # a normalised line a q + b p = c has a = 1, or a = 0 and b = 1: (c, 0) or (0, c) is on it
+    yield from _translates(total, n, [(line.c, 0) if line.a else (0, field.p_to_bits(line.c))
+                                      for line in lines[1:]])
 
 
 def _chi(rows: list[list[complex]], n: int) -> list[complex]:
@@ -308,24 +345,26 @@ def _wigner_by_traces(net: QuantumNet, rho) -> WignerGrid:
     import numpy as np
 
     rho, field = np.asarray(check_density_matrix(rho, net.field.n), dtype=complex), net.field
+    points = list(product(range(field.N), repeat=2))  # by flat index
     flat = []
-    for qbits in range(field.N):
-        for pbits, A in enumerate(_row_operators(net, qbits)):
-            w = np.trace(rho @ A)
-            if abs(w.imag) > INPUT_ATOL:
-                alpha = BinaryPoint(qbits, pbits, field.n)
-                raise InvalidDensityMatrix(f"complex Wigner value {w} at {alpha}")
-            flat.append(float(w.real))
+    for (qbits, pbits), A in zip(points, _translates(net.a0_matrix(), field.n, points)):
+        w = np.trace(rho @ np.asarray(A))
+        if abs(w.imag) > INPUT_ATOL:
+            alpha = BinaryPoint(qbits, pbits, field.n)
+            raise InvalidDensityMatrix(f"complex Wigner value {w} at {alpha}")
+        flat.append(float(w.real))
     return WignerGrid(field, tuple(flat))
 
 
-def reconstruct(net: QuantumNet, grid: WignerGrid) -> np.ndarray:
-    """rho = N^-1 sum_beta f(beta) hat W(beta) T_beta, hat W = grid.hat."""
+def reconstruct(net: QuantumNet, grid: WignerGrid) -> tuple[tuple[complex, ...], ...]:
+    """rho = N^-1 sum_beta f(beta) hat W(beta) T_beta, hat W = grid.hat, as N
+    rows of Python complex (one pauli_sum; np.asarray makes them an array)."""
     field = net.field
     if grid.field != field:
         raise FieldMismatch("grid and net use different fields")
     hat, D = grid.hat
-    return pauli_sum(field.n, [f * (h / D) for f, h in zip(net.f_vector(), hat)]) / field.N
+    return _divided(pauli_sum(field.n, [f * (h / D) for f, h in zip(net.f_vector(), hat)]),
+                    field.N)
 
 
 def expectation_translation(net: QuantumNet, grid: WignerGrid, beta: BinaryPoint):

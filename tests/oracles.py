@@ -40,8 +40,8 @@ from gfwigner.pauli import (
     translation,
     translation_for,
 )
-from gfwigner.phasespace import (BinaryPoint, PhasePoint, all_striations, grid_axis, to_binary,
-                                 wedge)
+from gfwigner.phasespace import (BinaryPoint, PhasePoint, all_striations, grid_axis, striation,
+                                 to_binary, wedge)
 from gfwigner.wigner import (StabilizerGroup, WignerGrid, all_points, check_density_matrix,
                              display_rows, point_operator)
 
@@ -172,11 +172,45 @@ def point_operator_sum(net, alpha: BinaryPoint) -> np.ndarray:
 
 def point_operator_conjugation(net, alpha: BinaryPoint) -> np.ndarray:
     """A(alpha) = T_alpha A(0) T_alpha^dagger by two dense products."""
-    A0 = net.a0_matrix()
+    A0 = np.asarray(net.a0_matrix())
     if alpha.is_origin:
         return A0
     T = to_matrix(translation_for(alpha))
     return T @ A0 @ T.conj().T
+
+
+def point_operators_stacked(net) -> np.ndarray:
+    """A(alpha) for every point, stacked by flat index (qbits << n) | pbits,
+    each T_alpha A(0) T_alpha^dagger by dense products."""
+    return np.array([point_operator_conjugation(net, alpha) for alpha in all_points(net.field)])
+
+
+def point_operator_gram(ops: np.ndarray) -> np.ndarray:
+    """Tr(A_alpha^dagger A_beta) for every pair of stacked operators: the Gram
+    matrix of their entries, Tr(A_alpha A_beta) for hermitian ones."""
+    V = ops.reshape(len(ops), -1)
+    return V.conj() @ V.T
+
+
+def line_operator_sums(net, ops: np.ndarray, label) -> list[np.ndarray]:
+    """sum_alpha A(alpha) over each line of striation label, in line order,
+    from the stacked operators and each line's own points."""
+    field = net.field
+    return [sum(ops[(pt.q << field.n) | field.p_to_bits(pt.p)] for pt in line.points(field))
+            for line in striation(field, label).lines]
+
+
+def pauli_sum_dense(n: int, coeffs) -> np.ndarray:
+    """pauli.pauli_sum into one complex array: each a's transform (the same
+    Python complex sums) scattered to rows index(x ^ a) by fancy indexing."""
+    N = 1 << n
+    x = np.arange(N)
+    index = np.array([basis_index(k, n) for k in range(N)])
+    out = np.empty((N, N), dtype=complex)
+    for a, row in enumerate(np.reshape(coeffs, (N, N)).tolist()):
+        terms = [c * _I_POW[(a & b).bit_count() % 4] for b, c in enumerate(row)]
+        out[index[x ^ a], index] = walsh_hadamard(np.array(terms, dtype=object)).tolist()
+    return out
 
 
 def walsh_hadamard(v: np.ndarray) -> np.ndarray:

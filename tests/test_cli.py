@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfwigner
-from gfwigner import apps, cli
+from gfwigner import apps, cli, wigner
 from gfwigner.cli import (check_rows, dispatch, export_grid, import_grid, mub_json,
                           verify_groups)
 from gfwigner.errors import DegreeMismatch, GfwignerError, MalformedInput
@@ -764,7 +764,8 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
     # numpy.random (its round trip draws from the standard library); no
     # command, --help or usage error loads argparse or gettext; verify
     # --n 1 and --n 4 load neither fractions nor decimal (apps is imported
-    # only by the bell, qec and meanking rows)
+    # only by the bell, qec and meanking rows), and only verify --n 2 of
+    # the verify requests loads numpy
     src = Path(gfwigner.__file__).parent.parent
     stab = tmp_path / "ghz3.json"
     stab.write_text(json.dumps({"stabilizer": [["+XXX", 1], ["+ZZI", 1], ["+IZZ", -1]]}))
@@ -833,16 +834,22 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
         absent("the commands above", "argparse", "gettext")
     """)
     # a fresh process that does not import json itself: only reading or
-    # writing a document loads it, so these commands do not
+    # writing a document loads it, so these commands do not; verify --n 1, 4
+    # and 3 load no numpy (their rows are plain Python), and verify --n 2
+    # does: its mean-king basis is an SVD
     verify = textwrap.dedent("""\
         import contextlib, io, sys
         from gfwigner.cli import dispatch
 
-        for n in ("1", "4"):
+        for n in ("1", "4", "3"):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert dispatch(["verify", "--n", n]) == 0
-            for module in ("fractions", "decimal", "argparse", "gettext"):
+            lean = ("numpy", "argparse", "gettext") + (("fractions", "decimal") if n != "3" else ())
+            for module in lean:
                 assert module not in sys.modules, module + " imported by verify --n " + n
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert dispatch(["verify", "--n", "2"]) == 0
+        assert "numpy" in sys.modules, "verify --n 2 did not load numpy"
         for argv in (["field", "--n", "3"], ["rays", "--n", "2"], ["uomega", "--n", "3"],
                      ["bell", "--format", "csv"], ["qec"], ["meanking"],
                      ["verify", "--n", "2"], ["wigner", "--n", "2", "--state", "bell_phi_plus"]):
@@ -979,6 +986,54 @@ def test_failing_row_is_reported_and_later_rows_still_run(capsys, monkeypatch):
         "PASS wigner.operator_orthogonality", "PASS wigner.line_projectors",
         "PASS wigner.reconstruction_roundtrip",
     ]
+
+
+def _perturb_a0(monkeypatch):
+    a0 = QuantumNet.a0_matrix
+
+    def perturbed(net):
+        first, *rest = a0(net)
+        return ((first[0] + 1e-6, *first[1:]), *rest)
+
+    monkeypatch.setattr(QuantumNet, "a0_matrix", perturbed)
+
+
+def _swap_two_rows_of_a_basis(monkeypatch):
+    basis = QuantumNet.basis
+
+    def swapped(net, label):
+        rows = basis(net, label)
+        return (rows[0], rows[2], rows[1], *rows[3:]) if label == 0 else rows
+
+    monkeypatch.setattr(QuantumNet, "basis", swapped)
+
+
+def _perturb_the_reconstruction(monkeypatch):
+    reconstruct = wigner.reconstruct
+
+    def perturbed(net, grid):
+        first, *rest = reconstruct(net, grid)
+        return ((first[0] + 1e-6, *first[1:]), *rest)
+
+    monkeypatch.setattr(wigner, "reconstruct", perturbed)
+
+
+@pytest.mark.parametrize("breaks, row", [
+    (_perturb_a0, "wigner.operator_orthogonality"),
+    (_swap_two_rows_of_a_basis, "wigner.line_projectors"),
+    (_perturb_the_reconstruction, "wigner.reconstruction_roundtrip"),
+], ids=["perturbed A(0)", "swapped basis rows", "perturbed reconstruction"])
+def test_a_broken_point_operator_identity_fails_its_row(capsys, monkeypatch, breaks, row):
+    # the wigner rows are plain Python: each must still catch a fault of the
+    # size of a misplaced sign or entry (1e-6, far above IDENTITY_ATOL);
+    # swapping lines 1 and 2 of striation 0 leaves its ray state, all that
+    # net.mub_property measures, as it was
+    breaks(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--n", "2")
+    assert code == 2
+    lines = out.splitlines()
+    assert any(line.startswith(f"FAIL {row}: ") for line in lines), out
+    assert "PASS net.mub_property" in lines
 
 
 def test_a_failing_claim_fails_under_python_O():

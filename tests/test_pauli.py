@@ -262,15 +262,33 @@ def test_library_entry_points_refuse_bad_input_with_a_typed_error():
                         (lambda: fix_phase(()), "empty vector"),
                         (lambda: pauli_sum(2, np.zeros(3)), "needs 16 entries, got 3"),
                         (lambda: pauli_sum(1, 5), "needs 4 entries, got a value of type int"),
+                        (lambda: pauli_sum(-1, [1]), "^n = -1 is not an int >= 0$"),
+                        (lambda: pauli_sum(2, np.zeros((16, 2))), "needs 16 entries, got 32"),
                         (lambda: parse_pauli(5), "must be a string, got int"),
                         (lambda: parse_pauli(None), "must be a string"),
                         (lambda: translation(2, 8, 0), "^a = 8 is not an int from 0 to 3$"),
                         (lambda: translation(2, 0, -1), "^b = -1 "),
                         (lambda: translation(2, True, 0), "^a = True "),
-                        (lambda: translation_for(BinaryPoint(0, 4, 2)), "^b = 4 ")):
+                        (lambda: translation_for(BinaryPoint(0, 4, 2)), "^b = 4 "),
+                        # n itself: a bare TypeError or ValueError before
+                        (lambda: translation("x", 1, 0), "^n = 'x' is not an int >= 0$"),
+                        (lambda: translation(-1, 0, 0), "^n = -1 "),
+                        (lambda: translation(True, 1, 0), "^n = True "),
+                        (lambda: translation(2.0, 1, 0), "^n = 2.0 "),
+                        # the constructor itself: +II, and a bare IndexError
+                        # from to_matrix, before
+                        (lambda: PauliTranslation(2, 8, 0), "^a = 8 is not an int from 0 to 3$"),
+                        (lambda: PauliTranslation(2, 0, 4, 1), "^b = 4 "),
+                        (lambda: PauliTranslation(2, 1.0, 0), "^a = 1.0 "),
+                        (lambda: PauliTranslation("2", 1, 0), "^n = '2' ")):
         with pytest.raises(MalformedInput, match=match):
             call()
     assert translation(2, np.int64(3), 1) == translation(2, 3, 1)
+    assert PauliTranslation(np.int64(2), np.int64(3), 1, 2) == PauliTranslation(2, 3, 1, 2)
+    # an array of N^2 entries in any shape is read in row-major order
+    want = pauli_sum(2, list(range(16)))
+    assert pauli_sum(2, np.arange(16.0).reshape(16, 1)) == want
+    assert pauli_sum(2, np.arange(16.0).reshape(4, 4)) == want
 
 
 def test_unphase_is_numpys_division_on_both_branches():

@@ -60,6 +60,7 @@ from oracles import (
     group_sign_compose,
     mub_bases_per_line,
     mub_overlap_report_dense,
+    pauli_sum_dense,
     point_operator_conjugation,
     projector_to_state,
     purity_identity_residual_loop,
@@ -449,6 +450,24 @@ def test_pauli_sum_equals_the_sum_of_dense_translations(data):
     assert np.abs(pauli_sum(n, c) - want).max() < 1e-12
 
 
+@PROPERTY
+@given(st.data())
+def test_pauli_sum_rows_are_the_numpy_scatter_bit_for_bit(data):
+    # N rows of Python complex, for ints, floats or complex numbers given as
+    # a list or an array, each entry the bits the array route stored
+    n = data.draw(st.integers(1, 5))
+    N = 1 << n
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    c = data.draw(st.sampled_from([
+        rng.integers(-1, 2, size=N * N).tolist(), rng.normal(size=N * N).tolist(),
+        rng.normal(size=N * N) + 1j * rng.normal(size=N * N)]))
+    rows = pauli_sum(n, c)
+    assert type(rows) is tuple and len(rows) == N
+    assert all(type(row) is tuple and all(type(z) is complex for z in row) for row in rows)
+    want = pauli_sum_dense(n, c)
+    assert np.array_equal(np.asarray(rows).view(np.int64), want.view(np.int64))
+
+
 @settings(PROPERTY, max_examples=15)
 @given(st.data())
 def test_ray_projectors_and_a0_equal_the_projector_products(data):
@@ -459,7 +478,7 @@ def test_ray_projectors_and_a0_equal_the_projector_products(data):
     for label in striation_labels(field):
         products.append(ray_projector(net.ray(label).gens, net.signs[label]))
         assert np.array_equal(net.ray(label).projector(), products[-1])
-    assert np.array_equal(net.a0_matrix(), a0_from_projectors(products))
+    assert np.array_equal(np.asarray(net.a0_matrix()), a0_from_projectors(products))
 
 
 @settings(PROPERTY, max_examples=15)

@@ -12,14 +12,17 @@ from gfwigner.errors import (
     FieldMismatch,
     InconsistentStabilizer,
     InvalidDensityMatrix,
+    MalformedInput,
     NonCommutingGenerators,
 )
 from gfwigner.galois import field_new
 from gfwigner.net import QuantumNet, all_plus_signs, build_net, line_state, ray_generators
 from gfwigner.pauli import to_matrix, translation, translation_for
-from gfwigner.phasespace import BinaryPoint, all_striations
+from gfwigner.phasespace import BinaryPoint, all_striations, striation_labels
 from gfwigner.wigner import (
     StabilizerGroup,
+    _a0_traces,
+    _line_operators,
     _wigner_by_traces,
     WignerGrid,
     all_points,
@@ -38,7 +41,11 @@ from gfwigner.cli import resolve_state
 from gfwigner.pauli import IDENTITY_ATOL
 from oracles import (
     autocorrelation,
+    line_operator_sums,
+    pauli_sum_dense,
+    point_operator_gram,
     point_operator_sum,
+    point_operators_stacked,
     purity_identity_residual_loop,
     translation_from_points,
     wigner_of_loop,
@@ -110,6 +117,21 @@ def test_state_density_refuses_a_vector_without_a_finite_nonzero_norm(vec):
     # unchecked, np.zeros(3) gave a matrix of nan with only a RuntimeWarning
     with pytest.raises(InvalidDensityMatrix, match="finite nonzero norm"):
         state_density(vec)
+
+
+@pytest.mark.parametrize("vec", ["ab", [1, "x"], [[1, 2], [3]]],
+                         ids=["text", "a text entry", "ragged"])
+def test_state_density_refuses_a_vector_that_is_not_numbers(vec):
+    # "ab" raised a bare ValueError from numpy's complex conversion
+    with pytest.raises(InvalidDensityMatrix, match="state vector needs numbers"):
+        state_density(vec)
+
+
+@pytest.mark.parametrize("n", ["x", -1, True, 2.0, None], ids=repr)
+def test_density_matrix_check_refuses_a_bad_n(n):
+    # "x" and None raised a bare TypeError, -1 a bare ValueError
+    with pytest.raises(MalformedInput, match=f"^n = {re.escape(repr(n))} is not an int >= 0$"):
+        check_density_matrix(np.eye(2) / 2, n)
 
 
 def test_complex_wigner_value_names_its_point():
@@ -191,6 +213,62 @@ def test_hermiticity_check_has_no_relative_tolerance():
     rho = np.diag(0.25 + 1e-6j * np.array([0, 1, -1, 0]))
     with pytest.raises(InvalidDensityMatrix, match="matrix is not hermitian"):
         check_density_matrix(rho, 2)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("mode", ["independent", "covariant"])
+def test_a0_rows_equal_the_numpy_pauli_sum_bit_for_bit(n, mode):
+    # A(0) is N rows of Python complex; as an array they are the bits of the
+    # array route's pauli_sum / N^2, signs of zeros included, which the
+    # meanking_phi1 per-point traces print
+    field = field_new(n)
+    net = build_net(field, mode)
+    rows = net.a0_matrix()
+    assert type(rows) is tuple and len(rows) == field.N
+    assert all(type(row) is tuple and all(type(z) is complex for z in row) for row in rows)
+    want = pauli_sum_dense(n, net.f_vector()) / field.N ** 2
+    assert np.array_equal(np.asarray(rows).view(np.int64), want.view(np.int64))
+
+
+# Every value below is a dyadic rational, and at n = 1..4 both sides agreed
+# exactly; the bound leaves room for a different summation order
+ORACLE_ATOL = 1e-15
+
+
+def oracle_nets():
+    """(id, net): the default, covariant and a drawn independent net at
+    n = 1..4, and a covariant net on x^3 + x^2 + 1."""
+    rng = random.Random(41)
+    for n in range(1, 5):
+        field = field_new(n)
+        signs = {label: tuple(rng.choice((1, -1)) for _ in range(n))
+                 for label in striation_labels(field)}
+        yield f"n{n}-default", build_net(field)
+        yield f"n{n}-covariant", build_net(field, "covariant")
+        yield f"n{n}-independent", QuantumNet(field, signs)
+    yield "n3-x3+x2+1-covariant", build_net(field_new(3, 0b1101), "covariant")
+
+
+ORACLE_NETS = dict(oracle_nets())
+
+
+@pytest.mark.parametrize("net", ORACLE_NETS.values(), ids=ORACLE_NETS.keys())
+def test_point_operator_traces_and_line_sums_equal_the_numpy_oracles(net):
+    # verify's wigner rows: the N^2 traces Tr(A(0) A(gamma)) give the whole
+    # Gram matrix of the stacked point operators at alpha ^ beta, and each
+    # line's sum, the ray's moved, equals the sum of its own points' operators
+    field = net.field
+    ops = point_operators_stacked(net)
+    traces = np.array(_a0_traces(net))
+    flat = np.arange(field.N ** 2)
+    gram = point_operator_gram(ops)
+    assert np.abs(gram - traces[flat[:, None] ^ flat[None, :]]).max() <= ORACLE_ATOL
+    for label in striation_labels(field):
+        got = list(_line_operators(net, label))
+        want = line_operator_sums(net, ops, label)
+        assert len(got) == len(want) == field.N
+        for g, w in zip(got, want):
+            assert np.abs(np.asarray(g) - w).max() <= ORACLE_ATOL
 
 
 def test_point_operator_orthogonality():
