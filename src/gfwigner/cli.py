@@ -444,16 +444,16 @@ def check_rows(field: GF2Field) -> list[tuple]:
     run on apps.qec_field(), where the preset net gives the paper's grid.
     The field, net, wigner, bell and qec rows are plain Python; numpy is
     imported only by the meanking rows (their basis is an SVD), and apps
-    only by the bell, qec and meanking rows.  The point operators
-    A(alpha) are A(0) moved and signed, so the wigner rows read them through
-    A(0): all N^4 traces Tr(A(alpha) A(beta)) are the N^2 numbers
-    Tr(A(0) A(alpha ^ beta)) (wigner._a0_traces), and each line's operator
-    sum is its striation's ray sum moved (wigner._line_operators), compared
-    entry by entry with |v><v| for every emitted MUB row v."""
+    only by the bell, qec and meanking rows.  The wigner rows read the point
+    operators through chi(beta) = Tr(A(0) T_beta) (pauli.pauli_coefficients):
+    Tr(A(alpha) A(beta)) is N^-1 sum_gamma chi(gamma)^2 (-1)^<alpha ^ beta,gamma>,
+    so the N^4 traces are one symplectic transform of chi^2, and each line's
+    operator sum, its ray's (one pauli_sum) moved (wigner._line_operators), is
+    compared entry by entry with |v><v| for every emitted MUB row v."""
     from .net import build_net, mub_bases, mub_overlap_report
-    from .pauli import IDENTITY_ATOL
-    from .wigner import (_a0_traces, _line_operators, purity_identity_residual, reconstruct,
-                         stabilizer_wigner, wigner_of)
+    from .pauli import IDENTITY_ATOL, pauli_coefficients
+    from .wigner import (_line_operators, _symplectic_transform, purity_identity_residual,
+                         reconstruct, stabilizer_wigner, wigner_of)
 
     net = build_net(field, "covariant")
 
@@ -478,13 +478,15 @@ def check_rows(field: GF2Field) -> list[tuple]:
 
     def orthogonality():
         # Tr(A_alpha A_beta) = delta / N: the entry at alpha ^ beta
-        traces = _a0_traces(net)
+        chi = pauli_coefficients(net.a0_matrix(), field.n)
+        traces = [t / field.N for t in _symplectic_transform([z * z for z in chi], field.n)]
         worst = max(abs(traces[0] - 1 / field.N), *map(abs, traces[1:]))
         _claim(worst < IDENTITY_ATOL, f"Tr(A_alpha A_beta) off delta / N by {worst}")
 
     def line_projectors():
+        chi = pauli_coefficients(net.a0_matrix(), field.n)
         for label, rows in mub_bases(net).items():
-            for c, (total, v) in enumerate(zip(_line_operators(net, label), rows)):
+            for c, (total, v) in enumerate(zip(_line_operators(net, label, chi), rows)):
                 vc = [z.conjugate() for z in v]
                 worst = max(max(map(abs, map(sub, row, map(u.__mul__, vc))))
                             for row, u in zip(total, v))

@@ -35,7 +35,6 @@ from .pauli import (
     PauliTranslation,
     StabilizerGroup,
     _basis_order,
-    _divided,
     basis_index,
     dense_dim,
     fix_phase,
@@ -49,7 +48,6 @@ from .phasespace import (
     Line,
     PhasePoint,
     VERTICAL,
-    _direction,
     _no_striation,
     from_binary,
     label_of_line,
@@ -218,8 +216,7 @@ class QuantumNet:
         as N rows of Python complex (one pauli_sum; np.asarray makes them an
         array), computed once per net."""
         if self._a0 is None:
-            N = self.field.N
-            self._a0 = _divided(pauli_sum(self.field.n, self.f_vector()), N * N)
+            self._a0 = pauli_sum(self.field.n, [f / self.field.N ** 2 for f in self.f_vector()])
         return self._a0
 
     def fingerprint(self) -> str:
@@ -319,13 +316,9 @@ def line_state(net: QuantumNet, line: Line) -> tuple[complex, ...]:
     """State assigned to a line: the translated ray state, phase-fixed; row
     0 of its striation's basis when c = 0, else row 1 + log c.  A line must
     be in the normalised form that striation() gives, with a, b and c field
-    elements; any other raises MalformedInput."""
+    elements; any other raises MalformedInput (label_of_line)."""
     field = net.field
-    if isinstance(line, Line) and all(0 <= k < field.N for k in (line.a, line.b, line.c)):
-        label = label_of_line(field, line)
-        if (line.a, line.b) == _direction(field, label):
-            return net.basis(label)[1 + field.log(line.c) if line.c else 0]
-    raise MalformedInput(f"{line} is not a normalised line of the n = {field.n} grid")
+    return net.basis(label_of_line(field, line))[1 + field.log(line.c) if line.c else 0]
 
 
 def mub_bases(net: QuantumNet) -> dict:

@@ -15,7 +15,9 @@ stabilizer state are both one.  Its members are walked as (a, b, s) ints
 Every dense operator of the package is built here, as a Pauli sum
 sum_beta c(beta) T_beta in N rows of Python complex: one walsh_hadamard
 over b for each a, the package's one (plain Python) Walsh-Hadamard
-transform, which grids and MUB overlaps use too.  A group's state is one
+transform, which grids and MUB overlaps use too; its inverse,
+pauli_coefficients (chi(beta) = Tr(M T_beta)), is the package's one reader
+of dense operators.  A group's state is one
 column of its projector's sum, read straight off the members with no N x N
 array (a stabilizer state's amplitudes follow from its group: Dehaene and
 De Moor, PRA 68, 042318).  numpy is imported only inside the functions that
@@ -131,15 +133,6 @@ def _basis_order(n: int) -> tuple[int, ...]:
     return tuple(basis_index(x, n) for x in range(dense_dim(n)))
 
 
-@cache
-def _dense_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x = 0..N-1, the basis index of each x and popcount(x)."""
-    import numpy as np
-
-    x = np.arange(dense_dim(n))
-    return x, np.array(_basis_order(n)), sum((x >> i) & 1 for i in range(n))
-
-
 def walsh_hadamard(values) -> list:
     """H[y] = sum_x v[x] (-1)^(x.y) for one sequence of length 2^k,
     unnormalised, so ints and Fractions sum exactly: k passes of (2j, 2j + 1)
@@ -153,13 +146,14 @@ def walsh_hadamard(values) -> list:
 
 
 def to_matrix(t: PauliTranslation) -> np.ndarray:
-    """The signed permutation |x> -> i^s (-1)^(b.x) |x ^ a>."""
+    """The signed permutation |x> -> i^s (-1)^(b.x) |x ^ a>, an array."""
     import numpy as np
 
-    x, index, popcount = _dense_tables(t.n)
-    out = np.zeros((x.size, x.size), dtype=complex)
-    out[index[x ^ t.a], index] = np.take(_I_POW, (t.s + 2 * popcount[t.b & x]) % 4)
-    return out
+    index = _basis_order(t.n)
+    rows = [[0j] * len(index) for _ in index]
+    for x, c in enumerate(index):
+        rows[index[x ^ t.a]][c] = _I_POW[(t.s + 2 * (t.b & x).bit_count()) % 4]
+    return np.asarray(rows)
 
 
 def unphase(z: complex) -> complex:
@@ -214,11 +208,17 @@ def pauli_sum(n: int, coeffs) -> tuple[tuple[complex, ...], ...]:
     return tuple(map(tuple, rows))
 
 
-def _divided(rows, d: int) -> tuple[tuple[complex, ...], ...]:
-    """Every entry of rows over d, divided by complex(d) as numpy divides a
-    complex array by an int: the same bits, signed zeros included."""
-    d = complex(d)
-    return tuple(tuple(z / d for z in row) for row in rows)
+def pauli_coefficients(rows, n: int) -> list[complex]:
+    """chi(a, b) = Tr(M T(a, b)) at every flat index (a << n) | b, M given as N
+    rows of N numbers (unchecked): pauli_sum's inverse, pauli_sum(n, chi) = N M.
+    Column x of T(a, b) holds i^(a.b) (-1)^(b.x) in row x ^ a, so chi(a, .) is
+    i^(a.b) times the transform of d_a[x] = M[idx x][idx x ^ idx a], as
+    idx(x ^ a) = idx x ^ idx a: one gather and one N-point transform per a."""
+    index, chi = _basis_order(n), []
+    for a, phases in enumerate(_i_powers(n)):
+        shift = index[a]
+        chi += map(mul, walsh_hadamard([rows[r][r ^ shift] for r in index]), phases)
+    return chi
 
 
 def ray_walk(field: GF2Field, label):

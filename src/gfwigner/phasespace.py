@@ -167,12 +167,15 @@ def all_striations(field: GF2Field) -> list[Striation]:
 
 
 def label_of_line(field: GF2Field, line: Line):
-    if line.a == 0:
-        return HORIZONTAL
-    if line.b == 0:
-        return VERTICAL
-    # normalized form (1, w^-j): slope j
-    return (-field.log(line.b)) % field.order
+    """The striation label of a line in the normalised form that striation()
+    gives, with a, b and c field elements; any other raises MalformedInput."""
+    if isinstance(line, Line):
+        need_bits(field.n, a=line.a, b=line.b, c=line.c)
+        label = (HORIZONTAL if line.a == 0 else VERTICAL if line.b == 0
+                 else -field.log(line.b) % field.order)  # (1, w^-j): slope j
+        if (line.a, line.b) == _direction(field, label):
+            return label
+    raise MalformedInput(f"{line} is not a normalised line of the n = {field.n} grid")
 
 
 def ray_through(field: GF2Field, point: PhasePoint):

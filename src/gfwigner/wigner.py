@@ -13,15 +13,15 @@ Two routes are provided and cross-checked in the tests:
   chi(beta), chi(beta) = Tr(rho T_beta) the characteristic function.
   T(a, b) is a signed permutation of the basis, so chi(a, .) is one
   N-point Walsh-Hadamard transform of the entries rho[idx x][idx(x ^ a)]
-  (pauli_sum read backwards): O(N^2 log N) in plain Python complex numbers,
-  with the input check (a Cholesky factorisation) the only O(N^3) step.
-  point_operator builds one A(alpha) as an array, A(0) moved and signed,
-  and the meanking_phi1 preset alone keeps the per-point trace of
-  rho @ A(alpha), whose float noise its recorded output shows.  `verify`
-  checks the point operators through A(0)'s rows in plain Python: their
-  traces Tr(A(alpha) A(beta)) are the N^2 numbers Tr(A(0) A(alpha ^ beta))
-  (_a0_traces), and each line's operator sum is its ray's moved and signed
-  (_line_operators);
+  (pauli.pauli_coefficients, pauli_sum's inverse): O(N^2 log N) in plain
+  Python complex numbers, with the input check (a Cholesky factorisation)
+  the only O(N^3) step.  point_operator builds one A(alpha) as an array,
+  A(0) moved and signed, and the meanking_phi1 preset alone keeps the
+  per-point trace of rho @ A(alpha), whose float noise its recorded output
+  shows.  `verify` checks the point operators through chi of A(0) in plain
+  Python: their traces Tr(A(alpha) A(beta)) are one symplectic transform
+  of chi^2, and each line's operator sum is its ray's (one pauli_sum,
+  _line_operators) moved and signed;
 * an exact route for stabilizer states: the closed form
   W(alpha) = N^-2 sum_{beta in S} f(beta) g(beta) (-1)^<alpha,beta>.
   f and g are the same kind of sign: f(beta) is the sign of T_beta in the
@@ -56,23 +56,23 @@ from cmath import isfinite
 from functools import cached_property
 from itertools import combinations, product
 from math import lcm, sqrt
-from operator import add, mul, neg
+from operator import mul, neg
 from typing import TYPE_CHECKING
 
-from .errors import DimensionTooLarge, FieldMismatch, InvalidDensityMatrix, need_bits
+from .errors import (DimensionTooLarge, FieldMismatch, InvalidDensityMatrix, need_bits,
+                     need_length)
 from .galois import GF2Field
 from .net import QuantumNet
 from .pauli import (
     INPUT_ATOL,
     StabilizerGroup,
     _basis_order,
-    _divided,
-    _i_powers,
+    pauli_coefficients,
     pauli_sum,
     translation_for,
     walsh_hadamard,
 )
-from .phasespace import BinaryPoint, grid_axis, striation, wedge
+from .phasespace import BinaryPoint, from_binary, grid_axis, label_of_line, striation, wedge
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -89,12 +89,24 @@ def all_points(field: GF2Field):
             yield BinaryPoint(qbits, pbits, field.n)
 
 
+def _numbers(entries) -> list[complex]:
+    """entries as Python complex numbers, 0j + z, if each is a numbers.Number
+    (Python's or numpy's) but no bool, which 0j + z would read as 0 or 1; else
+    TypeError.  The one reading of a density matrix's or state vector's entries."""
+    for t in set(map(type, entries)) - {float, complex, int}:
+        from numbers import Number
+
+        if t is bool or not issubclass(t, Number):
+            raise TypeError(f"a {t.__name__} is not a number")
+    return [0j + z for z in entries]
+
+
 def _complex_rows(rho, N: int) -> list[list[complex]]:
-    """rho (an array or N sequences of N numbers) as N lists of Python complex
-    numbers; anything else raises InvalidDensityMatrix."""
+    """rho (an array or N sequences of N numbers, see _numbers) as N lists of
+    Python complex numbers; anything else raises InvalidDensityMatrix."""
     rows = rho.tolist() if hasattr(rho, "tolist") else rho
     try:
-        rows = [[0j + z for z in row] for row in rows]  # str and None raise here
+        rows = [_numbers(row) for row in rows]
     except TypeError:
         got = "no matrix of numbers"
     else:
@@ -142,11 +154,12 @@ def check_density_matrix(rho, n: int):
 
 
 def state_density(vec: np.ndarray) -> np.ndarray:
-    """|v><v| / <v|v>: InvalidDensityMatrix unless v is numbers with a finite
-    nonzero norm."""
+    """|v><v| / <v|v>, numpy converting v: InvalidDensityMatrix unless v is
+    numbers (_numbers) with a finite nonzero norm."""
     import numpy as np
 
     try:
+        _numbers(vec)
         v = np.asarray(vec, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise InvalidDensityMatrix(f"state vector needs numbers: {exc}") from None
@@ -197,7 +210,7 @@ class WignerGrid:
 
     def __init__(self, field: GF2Field, flat: tuple, den: int | None = None):
         self.field = field
-        self.flat = flat
+        self.flat = need_length(flat, field.N * field.N, f"a grid at n = {field.n}")
         self.den = den
         self.exact = den is not None
 
@@ -219,6 +232,8 @@ class WignerGrid:
         return dict(zip(product(range(N), repeat=2), map(self._at, range(N * N))))
 
     def value(self, point: BinaryPoint):
+        """The value at point; off the grid, the error from_binary raises."""
+        from_binary(self.field, point)
         return self._at((point.qbits << self.field.n) | point.pbits)
 
     @cached_property
@@ -237,7 +252,9 @@ class WignerGrid:
         return np.asarray(flat, dtype=float)[np.array(display_rows(self.field))[::-1].T]
 
     def line_sum(self, line) -> float:
+        """The sum over a normalised line; any other raises MalformedInput."""
         field, total = self.field, 0
+        label_of_line(field, line)
         for pt in line.points(field):
             total += self._at((pt.q << field.n) | field.p_to_bits(pt.p))
         return total
@@ -272,51 +289,23 @@ def point_operator(net: QuantumNet, alpha: BinaryPoint) -> np.ndarray:
     return np.asarray(A)
 
 
-def _a0_traces(net: QuantumNet) -> list[complex]:
-    """Tr(A(0) A(gamma)) at every flat index gamma = (a << n) | b, in plain
-    Python.  A(alpha) is A(0) moved and signed by T_alpha, so
-    Tr(A(alpha) A(beta)) is this at alpha ^ beta: the N^4 traces of the point
-    operators are N^2 numbers.  With e = u ^ v, sigma_b[u] sigma_b[v] (as in
-    _translates) is (-1)^(b . index e), so Tr(A(0) A(a, b)) is the transform over x of
-    m_a[index x], m_a[e] = sum_u A0[u][u ^ e] A0[u ^ e ^ index a][u ^ index a]:
-    one gather and one N-point transform per a, O(N^3) in all."""
-    A, index = net.a0_matrix(), _basis_order(net.field.n)
-    traces, us = [], range(len(index))
-    for shift in index:  # index a for a = 0..N-1
-        traces += walsh_hadamard([sum(A[u][u ^ e] * A[u ^ e ^ shift][u ^ shift] for u in us)
-                                  for e in index])
-    return traces
-
-
-def _line_operators(net: QuantumNet, label):
+def _line_operators(net: QuantumNet, label, chi):
     """sum_alpha A(alpha) over each line of striation label, in line order
-    (the ray first), as N rows each, lazily, in plain Python.  The ray's N
-    point operators are summed once, O(N^3); every other line is the ray
-    translated by any of its points d, so its sum is the ray's moved and
-    signed by T_d, which only permutes and negates: exact."""
+    (the ray first), as N rows each, lazily, from chi = pauli_coefficients(A(0)).
+    A(alpha) is N^-1 sum_beta chi(beta) (-1)^<alpha,beta> T_beta, so the ray's
+    sum weights chi by the symplectic transform of the ray's indicator: one
+    pauli_sum.  Every other line's sum is the ray's moved and signed by T_d,
+    d a point of that line, which only permutes and negates: exact."""
     field = net.field
-    n, lines = field.n, striation(field, label).lines
-    binary = [(d.q, field.p_to_bits(d.p)) for d in lines[0].points(field)]
-    ops = _translates(net.a0_matrix(), n, binary)
-    total = next(ops)
-    for A in ops:
-        total = [tuple(map(add, s, r)) for s, r in zip(total, A)]
+    n, N, lines = field.n, field.N, striation(field, label).lines
+    ray = [0] * (N * N)
+    for d in lines[0].points(field):
+        ray[(d.q << n) | field.p_to_bits(d.p)] = 1
+    total = pauli_sum(n, [x * r / N for x, r in zip(chi, _symplectic_transform(ray, n))])
     yield total
     # a normalised line a q + b p = c has a = 1, or a = 0 and b = 1: (c, 0) or (0, c) is on it
     yield from _translates(total, n, [(line.c, 0) if line.a else (0, field.p_to_bits(line.c))
                                       for line in lines[1:]])
-
-
-def _chi(rows: list[list[complex]], n: int) -> list[complex]:
-    """chi(a, b) = Tr(rho T(a, b)) at every flat index (a << n) | b.  Column x
-    of T(a, b) holds i^(a.b) (-1)^(b.x) in row x ^ a (see pauli_sum), so
-    chi(a, .) is i^(a.b) times the transform of d_a[x] = rho[idx x][idx(x ^ a)],
-    and idx(x ^ a) = idx x ^ idx a: one gather and one N-point transform per a."""
-    index, chi = _basis_order(n), []
-    for a, phases in enumerate(_i_powers(n)):
-        shift = index[a]
-        chi += map(mul, walsh_hadamard([rows[r][r ^ shift] for r in index]), phases)
-    return chi
 
 
 def wigner_of(net: QuantumNet, rho) -> WignerGrid:
@@ -327,7 +316,7 @@ def wigner_of(net: QuantumNet, rho) -> WignerGrid:
     field = net.field
     n, scale = field.n, field.N * field.N
     rows = _complex_rows(check_density_matrix(rho, n), field.N)
-    hat = _symplectic_transform(list(map(mul, net.f_vector(), _chi(rows, n))), n)
+    hat = _symplectic_transform(list(map(mul, net.f_vector(), pauli_coefficients(rows, n))), n)
     for i, h in enumerate(hat):
         if abs(h.imag / scale) > INPUT_ATOL:
             alpha = BinaryPoint(i >> n, i & (field.N - 1), n)
@@ -363,8 +352,7 @@ def reconstruct(net: QuantumNet, grid: WignerGrid) -> tuple[tuple[complex, ...],
     if grid.field != field:
         raise FieldMismatch("grid and net use different fields")
     hat, D = grid.hat
-    return _divided(pauli_sum(field.n, [f * (h / D) for f, h in zip(net.f_vector(), hat)]),
-                    field.N)
+    return pauli_sum(field.n, [f * (h / D) / field.N for f, h in zip(net.f_vector(), hat)])
 
 
 def expectation_translation(net: QuantumNet, grid: WignerGrid, beta: BinaryPoint):
@@ -397,6 +385,8 @@ def purity_identity_residual(net: QuantumNet, grid: WignerGrid) -> float | Fract
     autocorrelation sum_a W(a)W(a+b) is the transform of hat W^2 over N^2.
     An exact grid gives an exact Fraction; a dense grid gives a float.
     """
+    if grid.field != net.field:
+        raise FieldMismatch("grid and net use different fields")
     n, N = grid.field.n, grid.field.N
     hat, D = grid.hat
     sq = [h * h for h in hat]

@@ -1,5 +1,6 @@
 """Reference routes that the fast code is checked against: per-point loops,
-dense matrix constructions, dense Wigner grids through chi in numpy, the
+dense matrix constructions (translations by Kronecker products and by one
+fancy-index scatter), dense Wigner grids through chi in numpy, the
 N^2-point transform of stabilizer grids, stabilizer groups walked by
 composing Pauli translations, states read off dense projectors, MUB line
 states by one dense translation per line, their overlap report by one
@@ -64,6 +65,18 @@ def to_matrix_kron(t) -> np.ndarray:
     for i in range(t.n):
         out = np.kron(out, _XZ[(t.a >> i & 1, t.b >> i & 1)])
     return (1j ** t.s) * out
+
+
+def to_matrix_fancy(t) -> np.ndarray:
+    """to_matrix by one fancy-index scatter into np.zeros: entry
+    (index(x ^ a), index x) is i^(s + 2 b.x) from the numpy array of _I_POW."""
+    N = 1 << t.n
+    x = np.arange(N)
+    index = np.array([basis_index(k, t.n) for k in range(N)])
+    popcount = np.array([k.bit_count() for k in range(N)])
+    out = np.zeros((N, N), dtype=complex)
+    out[index[x ^ t.a], index] = np.take(_I_POW, (t.s + 2 * popcount[t.b & x]) % 4)
+    return out
 
 
 def ray_projector(gens, signs) -> np.ndarray:

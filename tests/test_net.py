@@ -237,11 +237,13 @@ def test_line_states_are_translated_ray_states():
 
 @pytest.mark.parametrize("line", [Line(0, 2, 1), Line(0, 0, 1), Line(2, 0, 1), Line(2, 3, 0),
                                   Line(0, 1, -1), Line(0, 1, 4), Line(1, 4, 0),
-                                  (1, 0, 0), None], ids=str)
+                                  (1, 0, 0), None, Line(0, 1, 1.5), Line("x", 0, 0),
+                                  Line(True, 0, 0)], ids=str)
 def test_line_state_rejects_lines_not_in_striation_form(line):
     # the row is read off c, which names the line only in the normalised
     # form: unchecked, Line(0, 2, 1), the line 2 p = 1, would get the state
-    # of p = 1; a tuple or None, which is no Line, raised AttributeError
+    # of p = 1; a tuple or None, which is no Line, raised AttributeError;
+    # c = 1.5 and a = "x" raised a bare TypeError, and a = True read as 1
     with pytest.raises(MalformedInput):
         line_state(build_net(field_new(2)), line)
 

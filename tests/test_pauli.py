@@ -16,6 +16,7 @@ from gfwigner.pauli import (
     fix_phase,
     format_pauli,
     parse_pauli,
+    pauli_coefficients,
     pauli_sum,
     to_matrix,
     translation,
@@ -33,7 +34,7 @@ from gfwigner.phasespace import (
     wedge,
 )
 from gfwigner.wigner import StabilizerGroup, WignerGrid, reconstruct
-from oracles import class_points, fix_phase_scalar, to_matrix_kron
+from oracles import class_points, fix_phase_scalar, to_matrix_fancy, to_matrix_kron
 from oracles import walsh_hadamard as walsh_hadamard_numpy
 
 
@@ -183,7 +184,26 @@ def test_to_matrix_equals_kron_for_every_label():
             for b in range(1 << n):
                 for s in range(4):
                     t = PauliTranslation(n, a, b, s)
-                    assert np.array_equal(to_matrix(t), to_matrix_kron(t))
+                    got = to_matrix(t)
+                    assert np.array_equal(got, to_matrix_kron(t))
+                    # the rows in plain Python: the bytes of the numpy scatter
+                    want = to_matrix_fancy(t)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_pauli_coefficients_invert_pauli_sum(n):
+    # Tr(T_beta T_gamma) = N delta: each direction of the pair is N times
+    # the identity, exactly on integer coefficients
+    N = 1 << n
+    rng = random.Random(n)
+    M = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(N)] for _ in range(N)]
+    back = pauli_sum(n, pauli_coefficients(M, n))
+    assert max(abs(x - N * z) for row, want in zip(back, M) for x, z in zip(row, want)) < 1e-12
+    c = [complex(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(N * N)]
+    assert pauli_coefficients(pauli_sum(n, c), n) == [N * z for z in c]
+    ints = [rng.randint(-9, 9) for _ in range(N * N)]
+    assert pauli_coefficients(pauli_sum(n, ints), n) == [N * k for k in ints]
 
 
 def test_walsh_hadamard_is_the_signed_sum_on_each_row():

@@ -17,12 +17,12 @@ from gfwigner.errors import (
 )
 from gfwigner.galois import field_new
 from gfwigner.net import QuantumNet, all_plus_signs, build_net, line_state, ray_generators
-from gfwigner.pauli import to_matrix, translation, translation_for
-from gfwigner.phasespace import BinaryPoint, all_striations, striation_labels
+from gfwigner.pauli import pauli_coefficients, to_matrix, translation, translation_for
+from gfwigner.phasespace import BinaryPoint, Line, all_striations, striation_labels
 from gfwigner.wigner import (
     StabilizerGroup,
-    _a0_traces,
     _line_operators,
+    _symplectic_transform,
     _wigner_by_traces,
     WignerGrid,
     all_points,
@@ -119,12 +119,25 @@ def test_state_density_refuses_a_vector_without_a_finite_nonzero_norm(vec):
         state_density(vec)
 
 
-@pytest.mark.parametrize("vec", ["ab", [1, "x"], [[1, 2], [3]]],
-                         ids=["text", "a text entry", "ragged"])
+@pytest.mark.parametrize("vec", ["ab", [1, "x"], [[1, 2], [3]], ["1", "0"], [True, False],
+                                 np.array([True, False]), [np.True_, 0]],
+                         ids=["text", "a text entry", "ragged", "numeric text", "bools",
+                              "bool array", "numpy bool"])
 def test_state_density_refuses_a_vector_that_is_not_numbers(vec):
-    # "ab" raised a bare ValueError from numpy's complex conversion
+    # "ab" raised a bare ValueError from numpy's complex conversion, and
+    # numpy read ["1", "0"] and [True, False] as |0>
     with pytest.raises(InvalidDensityMatrix, match="state vector needs numbers"):
         state_density(vec)
+
+
+def test_state_density_keeps_the_bits_of_numbers():
+    # numpy still converts what _numbers accepts: signed zeros, numpy
+    # scalars and Fractions included
+    vec = [complex(-0.0, 0.6), np.float64(0.8), Fraction(0), -0.0]
+    v = np.asarray(vec, dtype=complex)
+    v = v / np.linalg.norm(v)
+    want = np.outer(v, v.conj())
+    assert np.array_equal(state_density(vec).view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("n", ["x", -1, True, 2.0, None], ids=repr)
@@ -197,14 +210,37 @@ def test_density_check_decides_positivity_as_eigvalsh_away_from_the_boundary(n):
 @pytest.mark.parametrize("rho", [
     "x", None, 5, [[0.5, 0], [0.5]], [[0.5, "0"], [0, 0.5]], [[0.5, None], [0, 0.5]],
     [[[0.5], [0]], [[0], [0.5]]], np.ones(4) / 4, np.eye(4) / 4, [[0.5, 0]],
+    [[True, False], [False, False]], np.array([[True, False], [False, False]]),
+    [[np.True_, 0], [0, 0]],
 ], ids=["str", "None", "int", "ragged", "str entry", "None entry", "3-d", "1-d",
-        "4x4", "1 row"])
+        "4x4", "1 row", "bools", "bool array", "numpy bool"])
 def test_density_check_refuses_what_is_not_an_n_qubit_matrix_of_numbers(rho):
-    # "x" raised a bare ValueError from numpy
+    # "x" raised a bare ValueError from numpy; bools were read as 0 and 1
     with pytest.raises(InvalidDensityMatrix, match=r"^need finite entries and shape \(2, 2\)"):
         check_density_matrix(rho, 1)
     with pytest.raises(InvalidDensityMatrix, match="finite entries"):
         wigner_of(build_net(field_new(1)), rho)
+
+
+def test_grid_reads_refuse_what_is_not_on_the_grid():
+    # each read a wrong cell, returned a number or raised a bare IndexError,
+    # ZeroDivisionError or AttributeError
+    field = field_new(2)
+    net = build_net(field)
+    grid = stabilizer_wigner(net, net.ray(0))
+    for call, error, match in (
+            (lambda: grid.value(BinaryPoint(0, 5, 2)), MalformedInput, "^pbits = 5 "),
+            (lambda: grid.value(BinaryPoint(0, 1, 3)), FieldMismatch, "not on the n = 2 grid"),
+            (lambda: WignerGrid(field, (0.25, 0.25, 0.5)), MalformedInput,
+             "^a grid at n = 2 needs 16 entries, got 3$"),
+            (lambda: purity_identity_residual(build_net(field_new(3)), grid), FieldMismatch,
+             "different fields"),
+            (lambda: grid.line_sum(Line(1, 0, 99)), MalformedInput, "^c = 99 is not an int "),
+            (lambda: grid.line_sum(Line(0, 1, 1.5)), MalformedInput, "^c = 1.5 "),
+            (lambda: grid.line_sum(Line(0, 0, 1)), MalformedInput, "not a normalised line"),
+            (lambda: grid.line_sum(None), MalformedInput, "^None is not a normalised line")):
+        with pytest.raises(error, match=match):
+            call()
 
 
 def test_hermiticity_check_has_no_relative_tolerance():
@@ -254,17 +290,20 @@ ORACLE_NETS = dict(oracle_nets())
 
 @pytest.mark.parametrize("net", ORACLE_NETS.values(), ids=ORACLE_NETS.keys())
 def test_point_operator_traces_and_line_sums_equal_the_numpy_oracles(net):
-    # verify's wigner rows: the N^2 traces Tr(A(0) A(gamma)) give the whole
-    # Gram matrix of the stacked point operators at alpha ^ beta, and each
-    # line's sum, the ray's moved, equals the sum of its own points' operators
+    # verify's wigner rows, through chi = pauli_coefficients(A(0)): the N^2
+    # traces Tr(A(0) A(gamma)), the symplectic transform of chi^2 over N,
+    # give the whole Gram matrix of the stacked point operators at
+    # alpha ^ beta, and each line's sum (the ray's, one pauli_sum, moved)
+    # equals the sum of its own points' operators
     field = net.field
     ops = point_operators_stacked(net)
-    traces = np.array(_a0_traces(net))
+    chi = pauli_coefficients(net.a0_matrix(), field.n)
+    traces = np.array(_symplectic_transform([z * z for z in chi], field.n)) / field.N
     flat = np.arange(field.N ** 2)
     gram = point_operator_gram(ops)
     assert np.abs(gram - traces[flat[:, None] ^ flat[None, :]]).max() <= ORACLE_ATOL
     for label in striation_labels(field):
-        got = list(_line_operators(net, label))
+        got = list(_line_operators(net, label, chi))
         want = line_operator_sums(net, ops, label)
         assert len(got) == len(want) == field.N
         for g, w in zip(got, want):
