@@ -23,7 +23,7 @@ density file (its rows are Python complex numbers, and the dense route is
 plain Python) or a `computational_*`, `bell_*` or `qec_logical_*` preset,
 on any net, `bell`, `qec`, `bell --verify`, `qec --verify`, `mub` (its
 states are tuples of Python complex numbers) and `verify` at any n but 2
-(the point operators are checked through A(0)'s rows) start without numpy
+(the point operators are checked through chi of A(0)) start without numpy
 too, and it is loaded by `meanking`, `verify --n 2` and `wigner` on the
 `meanking_phi1` preset.  An exact grid is integer numerators, which
 export_grid renders itself, so `fractions` loads for none of `field`,
@@ -54,14 +54,13 @@ import os
 import re
 import sys
 from itertools import chain, islice
-from operator import sub
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .errors import GfwignerError, MalformedInput
 from .galois import (GF2Field, field_new, load_json, parse_poly, power_ordering,
                      read_field_header, u_omega_gates)
-from .phasespace import all_striations, grid_axis
+from .phasespace import all_striations, grid_axis, striation, to_binary
 
 if TYPE_CHECKING:
     from .net import QuantumNet
@@ -447,13 +446,15 @@ def check_rows(field: GF2Field) -> list[tuple]:
     only by the bell, qec and meanking rows.  The wigner rows read the point
     operators through chi(beta) = Tr(A(0) T_beta) (pauli.pauli_coefficients):
     Tr(A(alpha) A(beta)) is N^-1 sum_gamma chi(gamma)^2 (-1)^<alpha ^ beta,gamma>,
-    so the N^4 traces are one symplectic transform of chi^2, and each line's
-    operator sum, its ray's (one pauli_sum) moved (wigner._line_operators), is
-    compared entry by entry with |v><v| for every emitted MUB row v."""
+    so the N^4 traces are one symplectic transform of chi^2, and the operator
+    sum over a line d + R is sum_{beta in R} chi(beta) (-1)^<d,beta> T_beta,
+    the stabilizer projector of R's n generators, so every emitted MUB row v
+    is checked against those n generators: n N steps per row, not N^2."""
     from .net import build_net, mub_bases, mub_overlap_report
-    from .pauli import IDENTITY_ATOL, pauli_coefficients
-    from .wigner import (_line_operators, _symplectic_transform, purity_identity_residual,
-                         reconstruct, stabilizer_wigner, wigner_of)
+    from .pauli import (_I_POW, IDENTITY_ATOL, StabilizerGroup, _basis_order, pauli_coefficients,
+                        translation_for)
+    from .wigner import (_symplectic_transform, purity_identity_residual, reconstruct,
+                         stabilizer_wigner, wigner_of)
 
     net = build_net(field, "covariant")
 
@@ -484,12 +485,37 @@ def check_rows(field: GF2Field) -> list[tuple]:
         _claim(worst < IDENTITY_ATOL, f"Tr(A_alpha A_beta) off delta / N by {worst}")
 
     def line_projectors():
-        chi = pauli_coefficients(net.a0_matrix(), field.n)
+        # the sum of A(alpha) over the line d + R is
+        # sum_{beta in R} chi(beta) (-1)^<d,beta> T_beta: with N chi on R the
+        # sign function of the group of R's generators g_k (its points at
+        # parameter 2^k), that is the projector prod_k (I + e_k T_{g_k}) / 2,
+        # e_k = N chi(g_k) (-1)^<d,g_k>, which is |v><v| iff |v| = 1 and
+        # T_{g_k} v = e_k v for each k
+        n, N, index = field.n, field.N, _basis_order(field.n)
+        chi = pauli_coefficients(net.a0_matrix(), n)
         for label, rows in mub_bases(net).items():
-            for c, (total, v) in enumerate(zip(_line_operators(net, label, chi), rows)):
-                vc = [z.conjugate() for z in v]
-                worst = max(max(map(abs, map(sub, row, map(u.__mul__, vc))))
-                            for row, u in zip(total, v))
+            lines = striation(field, label).lines
+            ray = [to_binary(field, pt) for pt in lines[0].points(field)]
+            nchi = {(pt.qbits, pt.pbits): N * chi[(pt.qbits << n) | pt.pbits] for pt in ray}
+            gens = [translation_for(ray[1 << k]) for k in range(n)]
+            signs = [1 if nchi[g.a, g.b].real > 0 else -1 for g in gens]
+            group = StabilizerGroup(field, gens, signs)
+            _claim(group.elements.keys() == nchi.keys(),
+                   f"striation {label}: its ray is not the span of its points at 2^k")
+            worst = max(abs(nchi[beta] - sign) for beta, sign in group.elements.items())
+            _claim(worst < IDENTITY_ATOL,
+                   f"striation {label}: N chi on its ray is off its group's signs by {worst}")
+            # T(a, b) sends i^s (-1)^(b.x) v[index x] to index(x ^ a), s = popcount(a & b)
+            moves = [[(index[x], index[x ^ g.a], _I_POW[(g.s + 2 * (g.b & x).bit_count()) % 4])
+                      for x in range(N)] for g in gens]
+            for c, (line, v) in enumerate(zip(lines, rows)):
+                # a normalised line a q + b p = c has a = 1, or a = 0 and b = 1:
+                # (c, 0) or (0, c) is on it
+                dq, dp = (line.c, 0) if line.a else (0, field.p_to_bits(line.c))
+                worst = abs(sum(abs(z) ** 2 for z in v) - 1)
+                for g, move in zip(gens, moves):
+                    e = nchi[g.a, g.b] * (-1) ** ((dq & g.b).bit_count() + (g.a & dp).bit_count())
+                    worst = max(worst, *(abs(z * v[i] - e * v[j]) for i, j, z in move))
                 _claim(worst < IDENTITY_ATOL,
                        f"line {c} of striation {label}: its sum is off |v><v| by {worst}")
 
@@ -590,7 +616,11 @@ def run_checks(field: GF2Field, *groups: str) -> int:
 
 
 def cmd_verify(args) -> int:
-    return run_checks(field_new(args.n, args.poly), *verify_groups(args.n))
+    from .pauli import dense_dim
+
+    field = field_new(args.n, args.poly)
+    dense_dim(field.n)  # refused above the dense cap, where the net and wigner rows cannot run
+    return run_checks(field, *verify_groups(field.n))
 
 
 # -- dispatcher ----------------------------------------------------------------------

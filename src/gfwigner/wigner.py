@@ -16,12 +16,13 @@ Two routes are provided and cross-checked in the tests:
   (pauli.pauli_coefficients, pauli_sum's inverse): O(N^2 log N) in plain
   Python complex numbers, with the input check (a Cholesky factorisation)
   the only O(N^3) step.  point_operator builds one A(alpha) as an array,
-  A(0) moved and signed, and the meanking_phi1 preset alone keeps the
-  per-point trace of rho @ A(alpha), whose float noise its recorded output
-  shows.  `verify` checks the point operators through chi of A(0) in plain
-  Python: their traces Tr(A(alpha) A(beta)) are one symplectic transform
-  of chi^2, and each line's operator sum is its ray's (one pauli_sum,
-  _line_operators) moved and signed;
+  one pauli_sum of its coefficients, and the meanking_phi1 preset alone
+  keeps the per-point trace of rho @ A(alpha), whose float noise its
+  recorded output shows.  `verify` checks the point operators through chi
+  of A(0) in plain Python: their traces Tr(A(alpha) A(beta)) are one
+  symplectic transform of chi^2, and their sum over a line d + R is
+  sum_{beta in R} chi(beta) (-1)^<d,beta> T_beta, the stabilizer projector
+  of R's n generators, so each line state is checked against those;
 * an exact route for stabilizer states: the closed form
   W(alpha) = N^-2 sum_{beta in S} f(beta) g(beta) (-1)^<alpha,beta>.
   f and g are the same kind of sign: f(beta) is the sign of T_beta in the
@@ -56,7 +57,7 @@ from cmath import isfinite
 from functools import cached_property
 from itertools import combinations, product
 from math import lcm, sqrt
-from operator import mul, neg
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import (DimensionTooLarge, FieldMismatch, InvalidDensityMatrix, need_bits,
@@ -66,13 +67,12 @@ from .net import QuantumNet
 from .pauli import (
     INPUT_ATOL,
     StabilizerGroup,
-    _basis_order,
     pauli_coefficients,
     pauli_sum,
     translation_for,
     walsh_hadamard,
 )
-from .phasespace import BinaryPoint, from_binary, grid_axis, label_of_line, striation, wedge
+from .phasespace import BinaryPoint, from_binary, grid_axis, label_of_line, wedge
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -263,49 +263,19 @@ class WignerGrid:
 # -- dense route ----------------------------------------------------------------
 
 
-def _translates(rows, n: int, points):
-    """T(a, b) M T(a, b)^dagger for M given as N rows, for each (a, b) in
-    points, lazily, as N rows of the same entries.
-
-    T(a, b) is the signed permutation r -> r ^ index[a] with signs
-    sigma_b[r] = (-1)^popcount(b & index[r]) (and a phase i^(a.b) that
-    cancels between T and T^dagger), r the basis index.  So entry (r, r') is
-    sigma_b[r] sigma_b[r'] M[r ^ index[a]][r' ^ index[a]]: each row is picked
-    from a row of M and its negation, so the values are exact."""
-    index = _basis_order(n)
-    N = len(index)
-    both = [(*row, *map(neg, row)) for row in rows]  # each row, then its negation
-    for a, b in points:
-        shift, odd = index[a], [(b & x).bit_count() & 1 for x in index]
-        picks = [[c ^ shift | (o ^ odd[c]) * N for c in range(N)] for o in (0, 1)]
-        yield [tuple(map(both[r ^ shift].__getitem__, picks[o])) for r, o in enumerate(odd)]
-
-
 def point_operator(net: QuantumNet, alpha: BinaryPoint) -> np.ndarray:
-    """A(alpha) = T_alpha A(0) T_alpha^dagger, as A(0) moved and signed: an array."""
+    """A(alpha) = N^-2 sum_beta f(beta) (-1)^<alpha,beta> T_beta as an array,
+    one pauli_sum: <alpha,beta> is the parity of beta's flat index masked by
+    (pbits << n) | qbits.  A point off the net's grid raises MalformedInput
+    or FieldMismatch (from_binary)."""
     import numpy as np
 
-    (A,) = _translates(net.a0_matrix(), net.field.n, [(alpha.qbits, alpha.pbits)])
-    return np.asarray(A)
-
-
-def _line_operators(net: QuantumNet, label, chi):
-    """sum_alpha A(alpha) over each line of striation label, in line order
-    (the ray first), as N rows each, lazily, from chi = pauli_coefficients(A(0)).
-    A(alpha) is N^-1 sum_beta chi(beta) (-1)^<alpha,beta> T_beta, so the ray's
-    sum weights chi by the symplectic transform of the ray's indicator: one
-    pauli_sum.  Every other line's sum is the ray's moved and signed by T_d,
-    d a point of that line, which only permutes and negates: exact."""
     field = net.field
-    n, N, lines = field.n, field.N, striation(field, label).lines
-    ray = [0] * (N * N)
-    for d in lines[0].points(field):
-        ray[(d.q << n) | field.p_to_bits(d.p)] = 1
-    total = pauli_sum(n, [x * r / N for x, r in zip(chi, _symplectic_transform(ray, n))])
-    yield total
-    # a normalised line a q + b p = c has a = 1, or a = 0 and b = 1: (c, 0) or (0, c) is on it
-    yield from _translates(total, n, [(line.c, 0) if line.a else (0, field.p_to_bits(line.c))
-                                      for line in lines[1:]])
+    from_binary(field, alpha)
+    n, scale = field.n, field.N * field.N
+    mask = (alpha.pbits << n) | alpha.qbits
+    return np.asarray(pauli_sum(n, [(-f if (i & mask).bit_count() & 1 else f) / scale
+                                    for i, f in enumerate(net.f_vector())]))
 
 
 def wigner_of(net: QuantumNet, rho) -> WignerGrid:
@@ -334,12 +304,10 @@ def _wigner_by_traces(net: QuantumNet, rho) -> WignerGrid:
     import numpy as np
 
     rho, field = np.asarray(check_density_matrix(rho, net.field.n), dtype=complex), net.field
-    points = list(product(range(field.N), repeat=2))  # by flat index
     flat = []
-    for (qbits, pbits), A in zip(points, _translates(net.a0_matrix(), field.n, points)):
-        w = np.trace(rho @ np.asarray(A))
+    for alpha in all_points(field):  # by flat index
+        w = np.trace(rho @ point_operator(net, alpha))
         if abs(w.imag) > INPUT_ATOL:
-            alpha = BinaryPoint(qbits, pbits, field.n)
             raise InvalidDensityMatrix(f"complex Wigner value {w} at {alpha}")
         flat.append(float(w.real))
     return WignerGrid(field, tuple(flat))

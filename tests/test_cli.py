@@ -948,10 +948,10 @@ def test_main_defaults_to_one_blas_thread(monkeypatch, preset):
 
 
 def _check_pairs() -> dict:
-    """Each (field, row) that verify --n 1..4, --n 3 --poly 1101, --n 4 --poly
+    """Each (field, row) that verify --n 1..5, --n 3 --poly 1101, --n 4 --poly
     11001 and the bell, qec and meanking --verify flags run, once, by test id."""
     runs = [(field_new(n, poly and parse_poly(poly)), verify_groups(n))
-            for n, poly in ((1, None), (2, None), (3, None), (4, None),
+            for n, poly in ((1, None), (2, None), (3, None), (4, None), (5, None),
                             (3, "1101"), (4, "11001"))]
     runs += [(apps.bell_field(), ("bell",)), (apps.qec_field(), ("qec",)),
              (apps.bell_field(), ("meanking",))]
@@ -969,6 +969,15 @@ CHECK_PAIRS = _check_pairs()
 @pytest.mark.parametrize("check", CHECK_PAIRS.values(), ids=CHECK_PAIRS.keys())
 def test_check_row_passes(check):
     check()
+
+
+@pytest.mark.parametrize("n", [7, 16])
+def test_verify_above_the_dense_cap_is_refused_before_any_row_runs(capsys, monkeypatch, n):
+    # it printed PASS for the field rows and FAIL for four net and wigner
+    # rows that cannot run (at n = 16 after an N^2 field.trace_linear)
+    monkeypatch.setattr(cli, "check_rows", lambda field: pytest.fail("a check row ran"))
+    code, out, err = run(capsys, "verify", "--n", str(n))
+    assert (code, out, err) == (2, "", "error: dense realization capped at 6 qubits\n")
 
 
 def test_failing_row_is_reported_and_later_rows_still_run(capsys, monkeypatch):

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from operator import xor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from gfwigner import apps
-from gfwigner.cli import export_grid, import_grid
+from gfwigner.cli import check_rows, export_grid, import_grid
 from gfwigner.errors import GfwignerError, MalformedInput, NonCommutingGenerators, SingularBasis
 from gfwigner.galois import PRIMITIVE_POLYS, field_new, solve_gf2
 from gfwigner.net import (QuantumNet, build_net, conjugate_by_u_omega, line_state, mub_bases,
@@ -193,7 +194,7 @@ def test_purity_residual_exact_grids_match_loop(data):
 @PROPERTY
 @given(st.data())
 def test_point_operator_equals_the_conjugation(net_kind, data):
-    # A(0) moved and signed equals T A(0) T^dagger by dense products, on one
+    # A(alpha), one Pauli sum, equals T A(0) T^dagger by dense products, on one
     # drawn row of N points (up to the sign of zeros, which array_equal
     # ignores)
     field = data.draw(fields(6))
@@ -202,6 +203,45 @@ def test_point_operator_equals_the_conjugation(net_kind, data):
     for pbits in range(field.N):
         alpha = BinaryPoint(qbits, pbits, field.n)
         assert np.array_equal(point_operator(net, alpha), point_operator_conjugation(net, alpha))
+
+
+def line_projectors_row(net):
+    """verify's wigner.line_projectors row, on net in place of the covariant
+    net that check_rows builds."""
+    with mock.patch("gfwigner.net.build_net", lambda field, mode: net):
+        return {name: check for _, name, check in check_rows(net.field)}[
+            "wigner.line_projectors"]
+
+
+@pytest.mark.parametrize("net_kind", [independent_nets, covariant_nets],
+                         ids=["independent", "covariant"])
+@PROPERTY
+@given(st.data())
+def test_line_projectors_row_catches_swapped_rows_and_a_perturbed_chi(net_kind, data):
+    # the row checks each line state against its ray's n generators: it
+    # passes on a net's own bases, fails on two rows of one striation
+    # swapped, and fails when N chi on one ray member is off by 1e-6
+    field = data.draw(fields(5))
+    net = data.draw(net_kind(field))
+    row = line_projectors_row(net)
+    row()
+    label = data.draw(st.sampled_from(striation_labels(field)))
+    i, j = sorted(data.draw(st.lists(st.integers(0, field.N - 1), min_size=2, max_size=2,
+                                     unique=True)))
+    rows = list(net.basis(label))
+    rows[i], rows[j] = rows[j], rows[i]
+    basis = net.basis
+    with mock.patch.object(net, "basis", lambda lab: tuple(rows) if lab == label else basis(lab)):
+        with pytest.raises(AssertionError, match=f"^line {i} of striation {label}: its sum is off "):
+            row()
+    # N chi(beta) + 1e-6 is Tr(A T_beta) for A = A(0) + 1e-6 N^-2 T_beta
+    beta = data.draw(st.integers(1, field.N ** 2 - 1))
+    bump = pauli_sum(field.n, [1e-6 / field.N ** 2 * (k == beta) for k in range(field.N ** 2)])
+    a0 = tuple(tuple(map(complex.__add__, r, s)) for r, s in zip(net.a0_matrix(), bump))
+    with mock.patch.object(net, "a0_matrix", lambda: a0):
+        with pytest.raises(AssertionError, match="N chi on its ray is off its group's signs by") as e:
+            row()
+    assert abs(float(str(e.value).rsplit(" ", 1)[1]) - 1e-6) < 1e-12
 
 
 # wigner_of (through chi) and the per-point loop Tr(rho A(alpha)) both sum in

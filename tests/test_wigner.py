@@ -21,7 +21,6 @@ from gfwigner.pauli import pauli_coefficients, to_matrix, translation, translati
 from gfwigner.phasespace import BinaryPoint, Line, all_striations, striation_labels
 from gfwigner.wigner import (
     StabilizerGroup,
-    _line_operators,
     _symplectic_transform,
     _wigner_by_traces,
     WignerGrid,
@@ -224,7 +223,9 @@ def test_density_check_refuses_what_is_not_an_n_qubit_matrix_of_numbers(rho):
 
 def test_grid_reads_refuse_what_is_not_on_the_grid():
     # each read a wrong cell, returned a number or raised a bare IndexError,
-    # ZeroDivisionError or AttributeError
+    # ZeroDivisionError or AttributeError; point_operator returned a 4 x 4
+    # operator for the first three points off the grid and raised a bare
+    # IndexError for the last
     field = field_new(2)
     net = build_net(field)
     grid = stabilizer_wigner(net, net.ray(0))
@@ -238,7 +239,11 @@ def test_grid_reads_refuse_what_is_not_on_the_grid():
             (lambda: grid.line_sum(Line(1, 0, 99)), MalformedInput, "^c = 99 is not an int "),
             (lambda: grid.line_sum(Line(0, 1, 1.5)), MalformedInput, "^c = 1.5 "),
             (lambda: grid.line_sum(Line(0, 0, 1)), MalformedInput, "not a normalised line"),
-            (lambda: grid.line_sum(None), MalformedInput, "^None is not a normalised line")):
+            (lambda: grid.line_sum(None), MalformedInput, "^None is not a normalised line"),
+            (lambda: point_operator(net, BinaryPoint(0, 4, 2)), MalformedInput, "^pbits = 4 "),
+            (lambda: point_operator(net, BinaryPoint(1, 1, 3)), FieldMismatch, "n = 2 grid"),
+            (lambda: point_operator(net, BinaryPoint(1, 1, 1)), FieldMismatch, "n = 2 grid"),
+            (lambda: point_operator(net, BinaryPoint(5, 0, 2)), MalformedInput, "^qbits = 5 ")):
         with pytest.raises(error, match=match):
             call()
 
@@ -290,11 +295,12 @@ ORACLE_NETS = dict(oracle_nets())
 
 @pytest.mark.parametrize("net", ORACLE_NETS.values(), ids=ORACLE_NETS.keys())
 def test_point_operator_traces_and_line_sums_equal_the_numpy_oracles(net):
-    # verify's wigner rows, through chi = pauli_coefficients(A(0)): the N^2
+    # verify's wigner rows: through chi = pauli_coefficients(A(0)), the N^2
     # traces Tr(A(0) A(gamma)), the symplectic transform of chi^2 over N,
     # give the whole Gram matrix of the stacked point operators at
-    # alpha ^ beta, and each line's sum (the ray's, one pauli_sum, moved)
-    # equals the sum of its own points' operators
+    # alpha ^ beta; and each line's sum of its own points' operators is
+    # |v><v| for v its row of net.basis, which the line_projectors row
+    # checks through its ray's n generators
     field = net.field
     ops = point_operators_stacked(net)
     chi = pauli_coefficients(net.a0_matrix(), field.n)
@@ -303,11 +309,11 @@ def test_point_operator_traces_and_line_sums_equal_the_numpy_oracles(net):
     gram = point_operator_gram(ops)
     assert np.abs(gram - traces[flat[:, None] ^ flat[None, :]]).max() <= ORACLE_ATOL
     for label in striation_labels(field):
-        got = list(_line_operators(net, label, chi))
+        rows = np.array(net.basis(label))
         want = line_operator_sums(net, ops, label)
-        assert len(got) == len(want) == field.N
-        for g, w in zip(got, want):
-            assert np.abs(np.asarray(g) - w).max() <= ORACLE_ATOL
+        assert len(rows) == len(want) == field.N
+        for v, w in zip(rows, want):
+            assert np.abs(np.outer(v, v.conj()) - w).max() <= ORACLE_ATOL
 
 
 def test_point_operator_orthogonality():
