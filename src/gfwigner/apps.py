@@ -13,7 +13,8 @@ closed form.
 numpy is imported only inside the functions that build arrays (the dense
 Bell, encoded and mean king states and the retrodiction game), so the Bell
 survey, the code's logical grids and its solution family run in plain
-Python.
+Python.  The retrodiction reads one table of |<line|phi_r>| per announced
+observable, and refuses a basis that is not four orthonormal 4-vectors.
 """
 
 from __future__ import annotations
@@ -358,12 +359,10 @@ KING_STRIATIONS = {"z": VERTICAL, "x": HORIZONTAL, "y": 0}
 
 def king_lines(field: GF2Field, observable: str):
     """The two lines of the observable's striation supporting |Phi_+>;
-    returned as (line_1, line_2) = (offset w^2, through the origin)."""
-    st = striation(field, KING_STRIATIONS[observable])
-    w2 = field.pow_omega(2)
-    one = next(line for line in st.lines if line.c == w2)
-    two = next(line for line in st.lines if line.c == 0)
-    return one, two
+    returned as (line_1, line_2) = (offset w^2, through the origin), from
+    places 3 and 0 of the striation (line c != 0 is at 1 + log c)."""
+    lines = striation(field, KING_STRIATIONS[observable]).lines
+    return lines[3], lines[0]
 
 
 def mean_king_basis(net: QuantumNet) -> list[np.ndarray]:
@@ -400,62 +399,53 @@ def mean_king_line_sums(net: QuantumNet) -> dict:
     the other support line of |Phi_+> (sum 1/2), 3 and 4 the rest (sum 1/4)."""
     field = net.field
     grid = mean_king_grid(net)
-    w2 = field.pow_omega(2)
     sums = {}
     for obs in ("x", "z", "y"):
-        st = striation(field, KING_STRIATIONS[obs])
-        order = {w2: 1, 0: 2}
-        rest = iter((3, 4))
-        for line in st.lines:
-            idx = order.get(line.c) or next(rest)
+        support = king_lines(field, obs)
+        rest = [ln for ln in striation(field, KING_STRIATIONS[obs]).lines if ln not in support]
+        for idx, line in enumerate((*support, *rest), start=1):
             sums[(obs, idx)] = grid.line_sum(line)
     return sums
 
 
-def infer_king_outcome(net: QuantumNet, basis: list[np.ndarray], result: int,
-                       observable: str) -> int:
-    """Retrodict the king's outcome from the physicist's measurement result.
-
-    The outcome is the support line (1 or 2) of the announced observable whose
-    line state is *not* orthogonal to basis[result].  Raises
-    AmbiguousInference unless exactly one line qualifies.
-    """
+def _measurement_basis(basis) -> np.ndarray:
+    """basis as a 4 x 4 complex array, one row per vector, if it reads as
+    one (no ragged rows) and its Gram matrix is within INPUT_ATOL of I."""
     import numpy as np
 
-    field = net.field
-    phi = basis[result]
-    consistent = [
-        idx
-        for idx, line in enumerate(king_lines(field, observable), start=1)
-        if abs(np.vdot(line_state(net, line), phi)) > INPUT_ATOL
-    ]
-    if len(consistent) != 1:
-        raise AmbiguousInference(
-            f"{len(consistent)} outcomes consistent with result {result}"
-        )
-    return consistent[0]
+    try:
+        rows = np.asarray(basis)
+        ok = rows.shape == (4, 4) and rows.dtype.kind in "iufc"
+    except ValueError:  # ragged
+        ok = False
+    if ok and np.abs(rows.conj() @ rows.T - np.eye(4)).max() <= INPUT_ATOL:
+        return rows.astype(complex)
+    raise MalformedInput("a mean king basis is 4 orthonormal vectors of 4 complex numbers")
 
 
 def mean_king_simulate(net: QuantumNet, basis: list[np.ndarray] | None = None) -> float:
     """Play every branch of the protocol exhaustively; return the success
-    probability of the retrodiction (1.0 for the phi basis)."""
+    probability of the retrodiction (1.0 for the phi basis).  Per observable
+    one table holds |<line|phi_r>| for its two support lines (king_lines):
+    result r names the line not orthogonal to phi_r, and AmbiguousInference
+    is raised unless a result that can occur names exactly one.  A basis
+    that is not 4 orthonormal 4-vectors raises MalformedInput."""
     import numpy as np
 
-    field = net.field
-    basis = basis if basis is not None else mean_king_basis(net)
+    basis = mean_king_basis(net) if basis is None else _measurement_basis(basis)
     initial = bell_state("phi_plus")
     success = 0.0
     for observable in ("x", "y", "z"):
-        for idx, line in enumerate(king_lines(field, observable), start=1):
-            ls = line_state(net, line)
+        states = [line_state(net, line) for line in king_lines(net.field, observable)]
+        table = [[abs(np.vdot(phi, ls)) for phi in basis] for ls in states]
+        for idx, (ls, row) in enumerate(zip(states, table)):
             p_line = abs(np.vdot(ls, initial)) ** 2
-            if p_line < IDENTITY_ATOL:
-                continue
-            for result, phi in enumerate(basis):
-                p_result = abs(np.vdot(phi, ls)) ** 2
-                if p_result < IDENTITY_ATOL:
-                    continue
-                guess = infer_king_outcome(net, basis, result, observable)
-                if guess == idx:
-                    success += p_line * p_result / 3
+            for result, overlap in enumerate(row):
+                if p_line < IDENTITY_ATOL or overlap ** 2 < IDENTITY_ATOL:
+                    continue  # a branch that cannot occur
+                consistent = [k for k, t in enumerate(table) if t[result] > INPUT_ATOL]
+                if consistent != [idx]:
+                    raise AmbiguousInference(
+                        f"{len(consistent)} outcomes consistent with result {result}")
+                success += p_line * overlap ** 2 / 3
     return success

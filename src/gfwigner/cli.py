@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING
 from .errors import GfwignerError, MalformedInput
 from .galois import (GF2Field, field_new, load_json, parse_poly, power_ordering,
                      read_field_header, u_omega_gates)
-from .phasespace import all_striations, grid_axis, striation, to_binary
+from .phasespace import all_striations, grid_axis, need_grid, striation, to_binary
 
 if TYPE_CHECKING:
     from .net import QuantumNet
@@ -321,6 +321,7 @@ def cmd_rays(args) -> int:
     """Each striation's cells (q, p) marked by their line a q + b p = c: R
     on the ray (c = 0), else 1 + log c, the line's place in the striation."""
     field = field_new(args.n, args.poly)
+    need_grid(field.n)  # N + 1 diagrams of N^2 marks: refused before any work
     axis = grid_axis(field)
     marks = ["R"] + [str(1 + field.log(c)) for c in range(1, field.N)]
     for st in all_striations(field):
@@ -335,8 +336,10 @@ def cmd_rays(args) -> int:
 
 def cmd_mub(args) -> int:
     from .net import mub_bases, mub_overlap_report
+    from .pauli import dense_dim
 
     field = field_new(args.n, args.poly)
+    dense_dim(field.n)  # refused above the dense cap before the net is built
     net = resolve_net(field, args.net)
     bases = mub_bases(net)
     report = mub_overlap_report(bases)
@@ -355,6 +358,7 @@ def cmd_wigner(args) -> int:
     from .wigner import _wigner_by_traces, stabilizer_wigner, wigner_of
 
     field = field_new(args.n, args.poly)
+    need_grid(field.n)  # refused before the net and the state are built
     net = resolve_net(field, args.net)
     kind, state = resolve_state(field, args.state)
     if kind == "stabilizer":
@@ -474,7 +478,7 @@ def check_rows(field: GF2Field) -> list[tuple]:
         _claim(report["max_cross_overlap_deviation"] < IDENTITY_ATOL, report)
 
     def f_signs():
-        for v in net.f_table().values():
+        for v in net.f_vector():
             _claim(v in (1, -1))
 
     def orthogonality():

@@ -6,24 +6,26 @@ A net is encoded by one sign vector per striation: the ray of striation
 lambda is assigned the joint eigenstate of its n generators G_k with
 eigenvalues eps_k, the pauli.StabilizerGroup QuantumNet.ray(lambda).  The
 sign function f is the union of the rays' groups: f(beta) is the sign of
-T_beta in the group of the ray through beta.  Everything else (line states,
+T_beta in the group of the ray through beta, and QuantumNet.f_vector walks
+the groups once for f at every point.  Everything else (line states,
 phase-space point operators) follows from translation covariance.
 
 Covariant nets are derived on the same sign data, for any n <= 16: U_w
 permutes translations, U_w T(a, b) U_w^dagger = +-T(a M, b M~^-1).  A net
 is only its signs: a net file's "mode" says whether they are covariant.
 U_w's matrix is a dense realisation that nets do not need; dense matrices
-are built only when a caller asks for them: A(0) is one Pauli sum,
-N^-2 sum_beta f(beta) T_beta over the flat f vector.  States are tuples of
-Python complex: a ray state is read off its group (StabilizerGroup.state),
-and each striation's N line states, its mutually unbiased basis, are its
-entries moved and signed.  numpy and json load only where they are used.
+are built only when a caller asks for them (refused above the dense cap
+first): A(0) is one Pauli sum, N^-2 sum_beta f(beta) T_beta over the flat
+f vector.  States are tuples of Python complex: a ray state is read off
+its group (StabilizerGroup.state), and each striation's N line states, its
+mutually unbiased basis, are its entries moved and signed.  numpy and json
+load only where they are used.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from numbers import Integral
 from typing import TYPE_CHECKING
 
@@ -96,8 +98,8 @@ def _is_sign(e) -> bool:
 def _checked_signs(field: GF2Field, signs: dict) -> dict:
     """One tuple of n signs +1 or -1 per striation, in striation order."""
     labels = striation_labels(field)
-    unknown = [k for k in signs if k not in labels]
-    if unknown:
+    known = set(labels)
+    if unknown := [k for k in signs if k not in known]:
         raise _no_striation(field, unknown[0])
     out = {}
     for label in labels:
@@ -184,38 +186,32 @@ class QuantumNet:
         label = ray_through(self.field, point)
         return self.ray(label).at(point.p if label == VERTICAL else point.q)
 
-    def f_table(self) -> dict[tuple[int, int], int]:
-        """f on every nonzero point, exact +-1 integers: the union of the
-        rays' elements without the origin."""
-        table = {}
-        for label in striation_labels(self.field):
-            table.update(self.ray(label).elements)
-        del table[(0, 0)]
-        return table
-
     def f_vector(self) -> tuple[int, ...]:
-        """f at every (qbits << n) | pbits, f(0) = 1: dense Pauli sums' input."""
+        """f at every point (qbits << n) | pbits, exact +-1 integers with
+        f(0) = 1: the union of the rays' elements, walked once per net."""
         if self._f_vector is None:
-            n, N = self.field.n, dense_dim(self.field.n)
-            f = [1] * (N * N)
-            for (a, b), sign in self.f_table().items():
-                f[(a << n) | b] = sign
+            n = self.field.n
+            f = [1] * (1 << 2 * n)
+            for label in self.signs:
+                for (a, b), sign in self.ray(label).elements.items():
+                    f[(a << n) | b] = sign
             self._f_vector = tuple(f)
         return self._f_vector
 
     def _f_json(self) -> dict[str, int]:
-        """f keyed by "qbits,pbits" strings, each element's bits rendered once."""
-        N, f = self.field.N, self.f_table()
-        bits = [self.field.bits_str(x) for x in range(N)]
-        return {f"{bits[q]},{bits[p]}": f[q, p] for q in range(N) for p in range(N) if q or p}
+        """f_vector but f(0), keyed by "qbits,pbits", each bits string made once."""
+        bits = [self.field.bits_str(x) for x in range(self.field.N)]
+        keys = islice(product(bits, repeat=2), 1, None)
+        return {f"{q},{p}": f for (q, p), f in zip(keys, self.f_vector()[1:])}
 
     # -- phase-space point operators -----------------------------------------
 
     def a0_matrix(self) -> tuple[tuple[complex, ...], ...]:
         """A(0) = N^-2 sum_beta f(beta) T_beta = N^-1 (sum_lambda P_lambda - I),
         as N rows of Python complex (one pauli_sum; np.asarray makes them an
-        array), computed once per net."""
+        array), computed once per net; refused above the dense cap."""
         if self._a0 is None:
+            dense_dim(self.field.n)
             self._a0 = pauli_sum(self.field.n, [f / self.field.N ** 2 for f in self.f_vector()])
         return self._a0
 

@@ -11,28 +11,35 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .errors import FieldMismatch, MalformedInput, need_bits
+from .errors import DimensionTooLarge, FieldMismatch, MalformedInput, need_bits
 from .galois import GF2Field, power_ordering
 
 HORIZONTAL = "h"
 VERTICAL = "v"
+GRID_MAX_QUBITS = 8
 
-_set = object.__setattr__  # how a Record's own __init__ sets its fields
+_set = object.__setattr__  # how Record.__init__ sets the fields
 
 
 class Record:
     """Base of the immutable value types (points, lines, striations, Pauli
-    translations).  A subclass names its fields in __slots__ and sets them
-    in its own positional __init__ with object.__setattr__.  Records are
-    equal, and hash alike, when type and fields are; assignment raises
-    AttributeError; repr reads like a dataclass's, BinaryPoint(qbits=1,
-    pbits=2, n=3)."""
+    translations).  A subclass names its fields in __slots__, and
+    Record(*values) sets them in that order; a wrong count raises TypeError.
+    Records are equal, and hash alike, when type and fields are; assignment
+    raises AttributeError; repr reads like a dataclass's,
+    BinaryPoint(qbits=1, pbits=2, n=3)."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         # the fields as a tuple: every record has at least two
         cls._values = attrgetter(*cls.__slots__)
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self.__slots__)} values")
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -59,20 +66,11 @@ class Record:
 class PhasePoint(Record):
     __slots__ = ("q", "p")
 
-    def __init__(self, q: int, p: int):
-        _set(self, "q", q)
-        _set(self, "p", p)
-
 
 class BinaryPoint(Record):
     """A phase-space point in binary coordinates (qbits canonical, pbits dual)."""
 
     __slots__ = ("qbits", "pbits", "n")
-
-    def __init__(self, qbits: int, pbits: int, n: int):
-        _set(self, "qbits", qbits)
-        _set(self, "pbits", pbits)
-        _set(self, "n", n)
 
     @property
     def is_origin(self) -> bool:
@@ -101,11 +99,6 @@ class Line(Record):
 
     __slots__ = ("a", "b", "c")
 
-    def __init__(self, a: int, b: int, c: int):
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
-
     def points(self, field: GF2Field) -> list[PhasePoint]:
         if self.a != 0:
             # q = a^-1 (c + b p), parametrized by p
@@ -123,10 +116,6 @@ class Striation(Record):
     exponent of the ray p = w^label q.  The ray comes first."""
 
     __slots__ = ("label", "lines")
-
-    def __init__(self, label, lines: tuple[Line, ...]):
-        _set(self, "label", label)
-        _set(self, "lines", lines)
 
     @property
     def ray(self) -> Line:
@@ -200,3 +189,9 @@ def wedge(alpha: BinaryPoint, beta: BinaryPoint) -> int:
 def grid_axis(field: GF2Field) -> list[int]:
     """Axis labels in power ordering: 0, 1, w, w^2, ..."""
     return power_ordering(field)
+
+
+def need_grid(n: int, hint: str = "") -> None:
+    """DimensionTooLarge above GRID_MAX_QUBITS: a full grid has 2^(2n) points."""
+    if n > GRID_MAX_QUBITS:
+        raise DimensionTooLarge(f"full grids capped at {GRID_MAX_QUBITS} qubits{hint}")

@@ -60,26 +60,24 @@ from math import lcm, sqrt
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .errors import (DimensionTooLarge, FieldMismatch, InvalidDensityMatrix, need_bits,
-                     need_length)
+from .errors import FieldMismatch, InvalidDensityMatrix, need_bits, need_length
 from .galois import GF2Field
 from .net import QuantumNet
 from .pauli import (
     INPUT_ATOL,
     StabilizerGroup,
+    dense_dim,
     pauli_coefficients,
     pauli_sum,
     translation_for,
     walsh_hadamard,
 )
-from .phasespace import BinaryPoint, from_binary, grid_axis, label_of_line, wedge
+from .phasespace import BinaryPoint, from_binary, grid_axis, label_of_line, need_grid, wedge
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
     import numpy as np
-
-GRID_MAX_QUBITS = 8
 
 
 def all_points(field: GF2Field):
@@ -267,12 +265,13 @@ def point_operator(net: QuantumNet, alpha: BinaryPoint) -> np.ndarray:
     """A(alpha) = N^-2 sum_beta f(beta) (-1)^<alpha,beta> T_beta as an array,
     one pauli_sum: <alpha,beta> is the parity of beta's flat index masked by
     (pbits << n) | qbits.  A point off the net's grid raises MalformedInput
-    or FieldMismatch (from_binary)."""
+    or FieldMismatch (from_binary), a net above the dense cap
+    DimensionTooLarge."""
     import numpy as np
 
     field = net.field
     from_binary(field, alpha)
-    n, scale = field.n, field.N * field.N
+    n, scale = field.n, dense_dim(field.n) ** 2
     mask = (alpha.pbits << n) | alpha.qbits
     return np.asarray(pauli_sum(n, [(-f if (i & mask).bit_count() & 1 else f) / scale
                                     for i, f in enumerate(net.f_vector())]))
@@ -392,11 +391,7 @@ def stabilizer_wigner(net: QuantumNet, group: StabilizerGroup) -> WignerGrid:
     field = net.field
     if group.field != field:
         raise FieldMismatch("group and net use different fields")
-    if field.n > GRID_MAX_QUBITS:
-        raise DimensionTooLarge(
-            f"full grids capped at {GRID_MAX_QUBITS} qubits; "
-            "use stabilizer_wigner_value for single points"
-        )
+    need_grid(field.n, "; use stabilizer_wigner_value for single points")
     n, N = field.n, field.N
     # the group's elements come in Gray-code order: step i is x = i ^ (i >> 1)
     c = [0] * N

@@ -16,14 +16,16 @@ from itertools import islice
 
 import numpy as np
 
+from gfwigner.apps import bell_state, king_lines
 from gfwigner.cli import _axis_names, resolve_net, resolve_state
-from gfwigner.errors import (GfwignerError, InvalidDensityMatrix, NonCommutingGenerators,
-                             SingularBasis)
+from gfwigner.errors import (AmbiguousInference, GfwignerError, InvalidDensityMatrix,
+                             NonCommutingGenerators, SingularBasis)
 from gfwigner.galois import dual_basis, field_new, solve_gf2
 from gfwigner.net import (
     all_plus_signs,
     conjugate_by_u_omega,
     line_displacement,
+    line_state,
     mub_overlap_report,
     ray_generators,
     u_omega_gates,
@@ -597,3 +599,36 @@ def wedge_field_form(field, a: PhasePoint, b: PhasePoint) -> int:
     dual_scale = dual_basis(field, [field.pow_omega(i) for i in range(field.n)])[0]
     cross = field.mul(a.q, b.p) ^ field.mul(b.q, a.p)
     return field.trace(field.mul(dual_scale, cross)) if cross else 0
+
+
+def infer_king_outcome_per_branch(net, basis, result: int, observable: str) -> int:
+    """The support line (1 or 2) of the observable whose state is not
+    orthogonal to basis[result], both states re-read; AmbiguousInference
+    unless exactly one qualifies."""
+    phi = basis[result]
+    consistent = [idx for idx, line in enumerate(king_lines(net.field, observable), start=1)
+                  if abs(np.vdot(line_state(net, line), phi)) > INPUT_ATOL]
+    if len(consistent) != 1:
+        raise AmbiguousInference(f"{len(consistent)} outcomes consistent with result {result}")
+    return consistent[0]
+
+
+def mean_king_simulate_per_branch(net, basis) -> float:
+    """The retrodiction game played branch by branch, each of the 24
+    branches inferring the outcome afresh: the reference for
+    apps.mean_king_simulate, which reads one overlap table per observable."""
+    initial = bell_state("phi_plus")
+    success = 0.0
+    for observable in ("x", "y", "z"):
+        for idx, line in enumerate(king_lines(net.field, observable), start=1):
+            ls = line_state(net, line)
+            p_line = abs(np.vdot(ls, initial)) ** 2
+            if p_line < IDENTITY_ATOL:
+                continue
+            for result, phi in enumerate(basis):
+                p_result = abs(np.vdot(phi, ls)) ** 2
+                if p_result < IDENTITY_ATOL:
+                    continue
+                if infer_king_outcome_per_branch(net, basis, result, observable) == idx:
+                    success += p_line * p_result / 3
+    return success

@@ -4,14 +4,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfwigner import apps
-from gfwigner.errors import AmbiguousInference, FieldMismatch, InconsistentStabilizer
+from gfwigner.errors import (AmbiguousInference, FieldMismatch, InconsistentStabilizer,
+                             MalformedInput)
 from gfwigner.galois import field_new
 from gfwigner.net import build_net
-from gfwigner.pauli import format_pauli, to_matrix, translation
+from gfwigner.pauli import IDENTITY_ATOL, format_pauli, to_matrix, translation
 from gfwigner.wigner import (StabilizerGroup, WignerGrid, stabilizer_wigner,
                              state_density, symmetry_orbits, wigner_of)
+from oracles import mean_king_simulate_per_branch
 
 
 # -- Bell ------------------------------------------------------------------------
@@ -254,3 +258,60 @@ def test_mean_king_wrong_basis_is_ambiguous():
     computational = [np.eye(4, dtype=complex)[:, i] for i in range(4)]
     with pytest.raises(AmbiguousInference):
         apps.mean_king_simulate(net, computational)
+
+
+@st.composite
+def king_bases(draw):
+    """The phi basis permuted and re-phased, the computational basis, or the
+    columns of a Haar-random unitary (QR of a complex Ginibre matrix, its
+    R's diagonal phases moved into Q)."""
+    kind = draw(st.sampled_from(["phi", "computational", "haar"]))
+    if kind == "phi":
+        phi = apps.mean_king_basis(apps.mean_king_net())
+        order = draw(st.permutations(range(4)))
+        angles = draw(st.lists(st.floats(0, 2 * np.pi), min_size=4, max_size=4))
+        return [np.exp(1j * t) * np.asarray(phi[k]) for k, t in zip(order, angles)]
+    if kind == "computational":
+        return list(np.eye(4, dtype=complex))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return list((q * (np.diag(r) / abs(np.diag(r)))).T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(king_bases())
+def test_mean_king_simulate_equals_the_per_branch_reference(basis):
+    net = apps.mean_king_net()
+    try:
+        want = mean_king_simulate_per_branch(net, basis)
+    except AmbiguousInference:
+        with pytest.raises(AmbiguousInference):
+            apps.mean_king_simulate(net, basis)
+    else:
+        assert abs(apps.mean_king_simulate(net, basis) - want) < IDENTITY_ATOL
+
+
+def test_mean_king_simulate_refuses_what_is_not_a_basis():
+    # these gave 0.9999999999999997, 0.0, 0.5 and 3.9999999999999982, or a
+    # bare ValueError; a basis within INPUT_ATOL of orthonormal still plays
+    net = apps.mean_king_net()
+    phi = [np.asarray(v) for v in apps.mean_king_basis(net)]
+    bad = {
+        "one vector four times": [phi[0]] * 4,
+        "no vectors": [],
+        "two vectors": phi[:2],
+        "twice the basis": [2 * v for v in phi],
+        "vectors of 3 entries": [v[:3] for v in phi],
+        "ragged": [*phi[:3], phi[3][:3]],
+        "ragged lists": [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        "booleans": np.eye(4, dtype=bool),
+        "strings": [["1", "0", "0", "0"]] * 4,
+        "a NaN": [phi[0] * np.nan, *phi[1:]],
+        "5 x 5": np.eye(5),
+        "not a sequence": 7,
+    }
+    for name, basis in bad.items():
+        with pytest.raises(MalformedInput):
+            apps.mean_king_simulate(net, basis)
+            pytest.fail(name)
+    assert abs(apps.mean_king_simulate(net, [v + 1e-12 for v in phi]) - 1) < 1e-9

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -978,6 +979,27 @@ def test_verify_above_the_dense_cap_is_refused_before_any_row_runs(capsys, monke
     monkeypatch.setattr(cli, "check_rows", lambda field: pytest.fail("a check row ran"))
     code, out, err = run(capsys, "verify", "--n", str(n))
     assert (code, out, err) == (2, "", "error: dense realization capped at 6 qubits\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["mub", "--n", "16"],
+    ["mub", "--n", "16", "--net", "default"],
+    ["wigner", "--n", "16", "--state", "computational_" + "0" * 16],
+    ["wigner", "--n", "16", "--state", "computational_" + "0" * 16, "--net", "covariant"],
+    ["rays", "--n", "9"],
+    ["rays", "--n", "16"],
+], ids=" ".join)
+def test_oversized_requests_are_refused_before_any_work(argv):
+    # mub and wigner refused only after building the n = 16 net (about 55 s),
+    # and rays --n 9 ran for 9 s and printed its N + 1 diagrams of N^2 marks
+    env = dict(os.environ, PYTHONPATH=str(Path(gfwigner.__file__).parent.parent))
+    start = time.monotonic()
+    done = subprocess.run([sys.executable, "-m", "gfwigner.cli", *argv], env=env,
+                          capture_output=True, timeout=60)
+    elapsed = time.monotonic() - start
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert len(lines := done.stderr.decode().splitlines()) == 1 and lines[0].startswith("error: ")
+    assert elapsed < 1.0, f"refused after {elapsed:.2f} s"
 
 
 def test_failing_row_is_reported_and_later_rows_still_run(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Quantum nets, the squeezing circuit, the sign function f, and MUBs."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -130,8 +131,8 @@ def test_f_matches_dense_trace():
                 for label in striation_labels(f)
             }
             net = QuantumNet(f, signs)
-            for (qb, pb), fv in net.f_table().items():
-                beta = BinaryPoint(qb, pb, n)
+            for i, fv in enumerate(net.f_vector()[1:], start=1):
+                beta = BinaryPoint(i >> n, i & (f.N - 1), n)
                 label = ray_through(f, from_binary(f, beta))
                 P = ray_projector(net.ray(label).gens, net.signs[label])
                 dense = np.trace(to_matrix(translation_for(beta)) @ P)
@@ -287,11 +288,22 @@ def test_net_json_roundtrip():
     net = QuantumNet(f, signs)
     # "f" lists every nonzero point as "qbits,pbits" in (qbits, pbits) order
     assert list(json.loads(net.to_json())["f"].items()) == [
-        (f"{f.bits_str(q)},{f.bits_str(p)}", v) for (q, p), v in sorted(net.f_table().items())]
+        (f"{f.bits_str(q)},{f.bits_str(p)}", net.f_vector()[(q << 3) | p])
+        for q in range(f.N) for p in range(f.N) if q or p]
     other = net_from_json(net.to_json())
     assert other.field == net.field
     assert other.signs == net.signs
-    assert other.f_table() == net.f_table()
+    assert other.f_vector() == net.f_vector()
+
+
+def test_build_net_at_n14_finishes_within_2_s():
+    # the label check scanned a list of N + 1 labels per key: 3.4 s and more
+    # at n = 14, about 55 s at n = 16
+    field = field_new(14)
+    start = time.perf_counter()
+    net = build_net(field)
+    assert time.perf_counter() - start < 2.0
+    assert len(net.signs) == field.N + 1
 
 
 def test_net_json_mode_is_read_off_the_signs():

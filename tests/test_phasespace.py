@@ -67,6 +67,24 @@ def test_value_types_compare_hash_and_print_by_type_and_fields():
     assert PauliTranslation(2, 1, 3).s == 0
 
 
+@pytest.mark.parametrize("cls, values", [
+    (PhasePoint, (1, 2)),
+    (BinaryPoint, (1, 2, 3)),
+    (Line, (0, 1, 2)),
+    (Striation, ("h", (Line(0, 1, 0), Line(0, 1, 1)))),
+], ids=lambda x: getattr(x, "__name__", ""))
+def test_record_sets_its_fields_in_slot_order_and_refuses_a_wrong_count(cls, values):
+    value = cls(*values)
+    assert tuple(getattr(value, name) for name in cls.__slots__) == values
+    for wrong in (values[:-1], values + (0,), ()):
+        with pytest.raises(TypeError):
+            cls(*wrong)
+    with pytest.raises(TypeError):  # positional only
+        cls(**dict(zip(cls.__slots__, values)))
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is cls and twin == value and hash(twin) == hash(value)
+
+
 def test_line_has_n_points_each_point_on_n_plus_1_lines():
     for n in (2, 3):
         f = field_new(n)

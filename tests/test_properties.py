@@ -415,13 +415,15 @@ def test_covariant_net_is_covariant_in_symbols(data):
     sigma(beta) T_(U beta), for a derived net beyond the dense range.
 
     h and v keep all +1 signs, the only ones U_w leaves invariant.  n = 7, 8
-    check every nonzero beta through the whole f table; n = 9, 10 check
+    check every nonzero beta through the whole f vector; n = 9, 10 check
     every point of h, v and three drawn diagonal rays, point by point.
     """
     field = data.draw(fields(10, min_n=7))
     net = build_net(field, "covariant", {0: data.draw(sign_vectors(field.n))})
     if field.n <= 8:
-        points = list(net.f_table())
+        f = net.f_vector()
+        points = [(i >> field.n, i & (field.N - 1)) for i in range(1, len(f))]
+        assert len(f) == field.N ** 2 and f[0] == 1
     else:
         rays = ["h", "v"] + data.draw(st.lists(
             st.integers(0, field.order - 1), min_size=3, max_size=3, unique=True))
@@ -437,13 +439,15 @@ def test_covariant_net_is_covariant_in_symbols(data):
 @PROPERTY
 @given(st.data())
 def test_f_table_walk_equals_pointwise_f(data):
+    # f_vector walks the rays' elements once; f reads one ray member per point
     field = data.draw(fields(6))
     net = data.draw(independent_nets(field))
-    table = net.f_table()
-    assert len(table) == field.N * field.N - 1
+    table = net.f_vector()
+    assert len(table) == field.N * field.N and table[0] == 1
+    assert net.f_vector() is table  # built once per net
     fresh = QuantumNet(field, net.signs)
-    for (a, b), value in table.items():
-        assert fresh.f(BinaryPoint(a, b, field.n)) == value
+    for i, value in enumerate(table):
+        assert fresh.f(BinaryPoint(i >> field.n, i & (field.N - 1), field.n)) == value
 
 
 @settings(PROPERTY, max_examples=40)
