@@ -10,20 +10,21 @@ are the orbits of the paper's representatives under the state's stabilizer
 group (wigner.symmetry_orbits), and the code's parameter system is solved in
 closed form.
 
-numpy is imported only inside the functions that build arrays (the dense
-Bell, encoded and mean king states and the retrodiction game), so the Bell
-survey, the code's logical grids and its solution family run in plain
-Python.  The retrodiction reads one table of |<line|phi_r>| per announced
-observable, and refuses a basis that is not four orthonormal 4-vectors.
+State vectors are tuples of Python complex numbers, as in every module;
+numpy is imported by mean_king_basis alone (an SVD), whose bits the
+meanking_phi1 grid prints.  The retrodiction reads one table of
+|<line|phi_r>| per announced observable, in plain Python, and refuses a
+basis that is not four orthonormal 4-vectors.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
-from typing import TYPE_CHECKING
 
-from .errors import AmbiguousInference, FieldMismatch, InconsistentStabilizer, MalformedInput
+from .errors import (AmbiguousInference, FieldMismatch, InconsistentStabilizer, MalformedInput,
+                     need_field)
 from .galois import GF2Field, field_new
 from .net import (
     QuantumNet,
@@ -35,9 +36,9 @@ from .pauli import (
     IDENTITY_ATOL,
     INPUT_ATOL,
     PauliTranslation,
+    _phase_factor,
     fix_phase,
     to_matrix,
-    translation,
     translation_for,
     walsh_hadamard,
 )
@@ -51,14 +52,12 @@ from .phasespace import (
 from .wigner import (
     StabilizerGroup,
     WignerGrid,
+    _numbers,
     state_density,
     stabilizer_wigner,
     symmetry_orbits,
     wigner_of,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # -- Bell states (n = 2) ---------------------------------------------------------
 
@@ -84,14 +83,6 @@ def bell_translations(field: GF2Field) -> tuple[PauliTranslation, PauliTranslati
         translation_for(to_binary(field, PhasePoint(w2, 0))),
         translation_for(to_binary(field, PhasePoint(0, w2))),
     )
-
-
-def bell_state(label: str) -> np.ndarray:
-    """Dense Bell state vector (qubit 0 is the leftmost tensor factor): the
-    state of its stabilizer group, first nonzero entry real positive."""
-    import numpy as np
-
-    return np.asarray(bell_stabilizer(bell_field(), label).state())
 
 
 def bell_stabilizer(field: GF2Field, label: str) -> StabilizerGroup:
@@ -125,13 +116,10 @@ def bell_symmetric_nets(field: GF2Field):
 def _slot_values(grid: WignerGrid, slots: dict[str, list[int]]) -> dict:
     """The grid's value on each named set of flat indices; it must be
     constant on every set."""
-    params = {}
     for name, cells in slots.items():
-        vals = set(map(grid._at, cells))
-        if len(vals) != 1:
+        if len(set(map(grid.flat.__getitem__, cells))) != 1:
             raise InconsistentStabilizer(f"grid not constant on slot {name}")
-        params[name] = vals.pop()
-    return params
+    return {name: grid._at(cells[0]) for name, cells in slots.items()}
 
 
 def bell_parameters(net: QuantumNet, label: str) -> tuple[Fraction, ...]:
@@ -215,22 +203,19 @@ def logical_group(field: GF2Field, which: int) -> StabilizerGroup:
     )
 
 
-def logical_state(field: GF2Field, which: int) -> np.ndarray:
-    """Dense logical basis vector; |1_L> = X_L |0_L> with X_L = X0 X1 X2."""
-    import numpy as np
-
-    v0 = np.asarray(logical_group(field, 0).state())
-    if which == 0:
-        return v0
-    return to_matrix(translation(field.n, (1 << field.n) - 1, 0)) @ v0
+def logical_state(field: GF2Field, which: int) -> tuple[complex, ...]:
+    """Logical basis vector; |1_L> = X_L |0_L> with X_L = X0 X1 X2, which
+    complements every bit: |0_L> in reverse basis order."""
+    v0 = logical_group(field, 0).state()
+    return v0 if which == 0 else v0[::-1]
 
 
-def encode(field: GF2Field, alpha: complex, beta: complex) -> np.ndarray:
+def encode(field: GF2Field, alpha: complex, beta: complex) -> tuple[complex, ...]:
     """Encoded state alpha |0_L> + beta |1_L>, normalized."""
-    import numpy as np
-
-    v = alpha * logical_state(field, 0) + beta * logical_state(field, 1)
-    return v / np.linalg.norm(v)
+    v0 = logical_state(field, 0)
+    v = [alpha * z0 + beta * z1 for z0, z1 in zip(v0, v0[::-1])]
+    norm = math.sqrt(sum(abs(z) ** 2 for z in v))
+    return tuple(complex(z.real / norm, z.imag / norm) for z in v)
 
 
 def qec_slots(field: GF2Field) -> dict[str, list[int]]:
@@ -303,14 +288,12 @@ def covariant_code_solutions(field: GF2Field | None = None) -> list[dict]:
 def logical_f_functions(alpha: complex, beta: complex) -> tuple[float, ...]:
     """The four real functions determining the Wigner function of a general
     encoded state alpha |0_L> + beta |1_L| in the q = 0 column."""
-    import numpy as np
-
     aa, bb = abs(alpha) ** 2, abs(beta) ** 2
-    cross = alpha * np.conj(beta)
-    f1 = (aa + 3 * bb + (2 + 1j) * cross + (2 - 1j) * np.conj(cross)) / 32
-    f2 = (aa - bb + 1j * (cross - np.conj(cross))) / 32
-    f3 = (aa - bb - 1j * (cross - np.conj(cross))) / 32
-    f4 = (aa + 3 * bb - (2 + 1j) * cross - (2 - 1j) * np.conj(cross)) / 32
+    cross = alpha * beta.conjugate()
+    f1 = (aa + 3 * bb + (2 + 1j) * cross + (2 - 1j) * cross.conjugate()) / 32
+    f2 = (aa - bb + 1j * (cross - cross.conjugate())) / 32
+    f3 = (aa - bb - 1j * (cross - cross.conjugate())) / 32
+    f4 = (aa + 3 * bb - (2 + 1j) * cross - (2 - 1j) * cross.conjugate()) / 32
     return tuple(float(v.real) for v in (f1, f2, f3, f4))
 
 
@@ -365,27 +348,25 @@ def king_lines(field: GF2Field, observable: str):
     return lines[3], lines[0]
 
 
-def mean_king_basis(net: QuantumNet) -> list[np.ndarray]:
-    """The orthonormal basis [phi_1..phi_4] measured by the physicist.
-
-    phi_1 is the state orthogonal to the three line states h_1, v_1 and d_1;
-    the rest are its translates under Z0 Z1, Y0 Y1 and X0 X1.
-    """
+def mean_king_basis(net: QuantumNet) -> list[tuple[complex, ...]]:
+    """The orthonormal basis [phi_1..phi_4] measured by the physicist, as
+    tuples: phi_1 is the state orthogonal to the line states h_1, v_1 and
+    d_1, the rest its translates under Z0 Z1, Y0 Y1 and X0 X1.  The one
+    numpy of the states: an SVD, numpy's product for phi_1's phase and
+    dense translates, whose float noise the meanking_phi1 grid prints."""
     import numpy as np
 
-    field = net.field
+    field = need_field(net=net)
     ortho = [line_state(net, king_lines(field, o)[0]) for o in ("x", "z", "y")]
     _, sv, vh = np.linalg.svd(np.array(ortho).conj())
     if sv[-1] < IDENTITY_ATOL:
         raise AmbiguousInference("the three line states are linearly dependent")
-    phi1 = fix_phase(vh[-1].conj())
+    phi1 = vh[-1].conj()
+    phi1 = phi1 * _phase_factor(phi1)
     w2 = field.pow_omega(2)
-    displacements = [(0, w2), (w2, w2), (w2, 0)]
-    basis = [phi1]
-    for dq, dp in displacements:
-        T = to_matrix(translation_for(to_binary(field, PhasePoint(dq, dp))))
-        basis.append(fix_phase(T @ phi1))
-    return basis
+    return [tuple(phi1.tolist())] + [
+        fix_phase(to_matrix(translation_for(to_binary(field, PhasePoint(dq, dp)))) @ phi1)
+        for dq, dp in ((0, w2), (w2, w2), (w2, 0))]
 
 
 def mean_king_grid(net: QuantumNet) -> WignerGrid:
@@ -408,38 +389,45 @@ def mean_king_line_sums(net: QuantumNet) -> dict:
     return sums
 
 
-def _measurement_basis(basis) -> np.ndarray:
-    """basis as a 4 x 4 complex array, one row per vector, if it reads as
-    one (no ragged rows) and its Gram matrix is within INPUT_ATOL of I."""
-    import numpy as np
+def _inner(u, v) -> complex:
+    """<u|v> of two sequences of numbers."""
+    return sum(a.conjugate() * b for a, b in zip(u, v))
 
+
+def _orthonormal(basis, atol: float) -> bool:
+    """Whether each entry of basis's Gram matrix is within atol of I's."""
+    return all(abs(_inner(u, v) - (i == j)) <= atol
+               for i, u in enumerate(basis) for j, v in enumerate(basis))
+
+
+def _measurement_basis(basis) -> list[list[complex]]:
+    """basis as 4 rows of 4 Python complex numbers (wigner._numbers), if it
+    reads as that and its Gram matrix is within INPUT_ATOL of I."""
     try:
-        rows = np.asarray(basis)
-        ok = rows.shape == (4, 4) and rows.dtype.kind in "iufc"
-    except ValueError:  # ragged
-        ok = False
-    if ok and np.abs(rows.conj() @ rows.T - np.eye(4)).max() <= INPUT_ATOL:
-        return rows.astype(complex)
+        rows = [list(map(complex, _numbers(v))) for v in basis]
+    except (TypeError, OverflowError):  # not rows of numbers
+        rows = []
+    if list(map(len, rows)) == [4] * 4 and _orthonormal(rows, INPUT_ATOL):
+        return rows
     raise MalformedInput("a mean king basis is 4 orthonormal vectors of 4 complex numbers")
 
 
-def mean_king_simulate(net: QuantumNet, basis: list[np.ndarray] | None = None) -> float:
+def mean_king_simulate(net: QuantumNet, basis=None) -> float:
     """Play every branch of the protocol exhaustively; return the success
     probability of the retrodiction (1.0 for the phi basis).  Per observable
     one table holds |<line|phi_r>| for its two support lines (king_lines):
     result r names the line not orthogonal to phi_r, and AmbiguousInference
     is raised unless a result that can occur names exactly one.  A basis
     that is not 4 orthonormal 4-vectors raises MalformedInput."""
-    import numpy as np
-
+    field = need_field(net=net)
     basis = mean_king_basis(net) if basis is None else _measurement_basis(basis)
-    initial = bell_state("phi_plus")
+    initial = bell_stabilizer(field, "phi_plus").state()
     success = 0.0
     for observable in ("x", "y", "z"):
-        states = [line_state(net, line) for line in king_lines(net.field, observable)]
-        table = [[abs(np.vdot(phi, ls)) for phi in basis] for ls in states]
+        states = [line_state(net, line) for line in king_lines(field, observable)]
+        table = [[abs(_inner(phi, ls)) for phi in basis] for ls in states]
         for idx, (ls, row) in enumerate(zip(states, table)):
-            p_line = abs(np.vdot(ls, initial)) ** 2
+            p_line = abs(_inner(ls, initial)) ** 2
             for result, overlap in enumerate(row):
                 if p_line < IDENTITY_ATOL or overlap ** 2 < IDENTITY_ATOL:
                     continue  # a branch that cannot occur

@@ -16,9 +16,11 @@ imports the standard library (not argparse, which with gettext and locale
 cost more than a trivial request's own work), `errors`, `galois` and
 `phasespace`, none of which imports numpy or dataclasses, so `field`,
 `rays`, `uomega`, `--help` and usage errors never load them.  `pauli`,
-`net`, `wigner` and `apps` are imported inside the functions that use them,
-and import numpy only inside their own functions that build arrays, as do
-the meanking rows of `check_rows`.  So `wigner` on a stabilizer file, a
+`net`, `wigner` and `apps` are imported inside the functions that use them.
+State vectors are tuples of Python complex numbers: those modules import
+numpy only inside their functions that return arrays and in
+`apps.mean_king_basis`, whose SVD is the one numpy step of a state, and
+this file imports none.  So `wigner` on a stabilizer file, a
 density file (its rows are Python complex numbers, and the dense route is
 plain Python) or a `computational_*`, `bell_*` or `qec_logical_*` preset,
 on any net, `bell`, `qec`, `bell --verify`, `qec --verify`, `mub` (its
@@ -446,7 +448,7 @@ def check_rows(field: GF2Field) -> list[tuple]:
     on field, the bell and meanking rows need field = GF(4), and the qec rows
     run on apps.qec_field(), where the preset net gives the paper's grid.
     The field, net, wigner, bell and qec rows are plain Python; numpy is
-    imported only by the meanking rows (their basis is an SVD), and apps
+    loaded only by the meanking rows (their basis is an SVD), and apps
     only by the bell, qec and meanking rows.  The wigner rows read the point
     operators through chi(beta) = Tr(A(0) T_beta) (pauli.pauli_coefficients):
     Tr(A(alpha) A(beta)) is N^-1 sum_gamma chi(gamma)^2 (-1)^<alpha ^ beta,gamma>,
@@ -563,14 +565,10 @@ def check_rows(field: GF2Field) -> list[tuple]:
         _claim(all(32 * params[k] == 1 for k in "aceg"), params)
 
     def basis_and_sums():
-        import numpy as np
-
         from . import apps
 
         king_net = apps.mean_king_net(field)
-        basis = apps.mean_king_basis(king_net)
-        G = np.array([[np.vdot(u, v) for v in basis] for u in basis])
-        _claim(np.abs(G - np.eye(4)).max() < IDENTITY_ATOL)
+        _claim(apps._orthonormal(apps.mean_king_basis(king_net), IDENTITY_ATOL))
         for (obs, idx), val in apps.mean_king_line_sums(king_net).items():
             want = {1: 0.0, 2: 0.5}.get(idx, 0.25)
             _claim(abs(val - want) < IDENTITY_ATOL, (obs, idx, val))

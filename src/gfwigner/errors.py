@@ -91,3 +91,15 @@ def need_bits(n: int, **masks) -> None:
     for name, value in masks.items():
         if not _int_below(value, 1 << n):
             raise MalformedInput(f"{name} = {value!r} is not an int from 0 to {(1 << n) - 1}")
+
+
+def need_field(**parts):
+    """The field the named parts (a net, grid or group) share: MalformedInput
+    names a part with none, such as None, and FieldMismatch parts that differ."""
+    for name, part in parts.items():
+        if getattr(part, "field", None) is None:
+            raise MalformedInput(f"{name} must have a field, got {type(part).__name__}")
+    first, *rest = (part.field for part in parts.values())
+    if any(field != first for field in rest):
+        raise FieldMismatch(f"{' and '.join(parts)} use different fields")
+    return first

@@ -20,8 +20,8 @@ pauli_coefficients (chi(beta) = Tr(M T_beta)), is the package's one reader
 of dense operators.  A group's state is one
 column of its projector's sum, read straight off the members with no N x N
 array (a stabilizer state's amplitudes follow from its group: Dehaene and
-De Moor, PRA 68, 042318).  numpy is imported only inside the functions that
-build arrays.
+De Moor, PRA 68, 042318).  A state is a tuple of Python complex numbers;
+numpy is imported only inside the functions that return arrays.
 """
 
 from __future__ import annotations
@@ -171,13 +171,17 @@ def unphase(z: complex) -> complex:
     return complex((h * rat + 0.0) * scl, (0.0 * rat - h) * scl)
 
 
-def fix_phase(v):
-    """v times unphase of its first entry above IDENTITY_ATOL (else v[0]): a tuple, or an
-    array by numpy's product, which may use FMA: the same bits on real or imaginary entries."""
+def _phase_factor(v) -> complex:
+    """unphase of v's first entry above IDENTITY_ATOL (else of v[0])."""
     if not len(v):
         raise MalformedInput("an empty vector has no phase to fix")
-    f = unphase(next((z for z in v if abs(z) > IDENTITY_ATOL), v[0]))
-    return v * f if hasattr(v, "__array__") else tuple(map(f.__mul__, v))
+    return unphase(next((z for z in v if abs(z) > IDENTITY_ATOL), v[0]))
+
+
+def fix_phase(v) -> tuple[complex, ...]:
+    """v times _phase_factor(v), a tuple: numpy's product bit for bit on
+    real or imaginary entries (on others numpy may use FMA)."""
+    return tuple(map(_phase_factor(v).__mul__, v))
 
 
 @cache

@@ -44,11 +44,12 @@ projector N^-1 sum_{beta in S} g(beta) T_beta.  A grid caches hat W, so it
 is not changed after it is built.  hat W is one pauli.walsh_hadamard of the
 grid's tuple, so a grid file is read and transformed without numpy.
 
-numpy is imported only inside the functions that build arrays
-(point_operator, the meanking_phi1 traces, state_density and as_array), and
-fractions only where a Fraction is made, so an exact grid, a dense grid of
-a density given as rows of numbers, and its reconstruction, are computed
-and exported without either.
+A state vector is a tuple of Python complex numbers; numpy is imported
+only inside the functions that return arrays (point_operator,
+state_density, as_array) and the meanking_phi1 traces, and fractions only
+where a Fraction is made, so an exact grid, a dense grid of a density
+given as rows of numbers, and its reconstruction, are computed and
+exported without either.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from math import lcm, sqrt
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .errors import FieldMismatch, InvalidDensityMatrix, need_bits, need_length
+from .errors import InvalidDensityMatrix, need_bits, need_field, need_length
 from .galois import GF2Field
 from .net import QuantumNet
 from .pauli import (
@@ -151,9 +152,10 @@ def check_density_matrix(rho, n: int):
     return rho
 
 
-def state_density(vec: np.ndarray) -> np.ndarray:
-    """|v><v| / <v|v>, numpy converting v: InvalidDensityMatrix unless v is
-    numbers (_numbers) with a finite nonzero norm."""
+def state_density(vec) -> np.ndarray:
+    """|v><v| / <v|v> as an array, v a tuple of Python complex or any
+    sequence of numbers (_numbers) that numpy converts: InvalidDensityMatrix
+    unless it has a finite nonzero norm."""
     import numpy as np
 
     try:
@@ -282,7 +284,7 @@ def wigner_of(net: QuantumNet, rho) -> WignerGrid:
     rows of numbers (check_density_matrix): N^-2 times the symplectic
     transform of f chi, in plain Python.  A value whose imaginary part
     exceeds INPUT_ATOL raises InvalidDensityMatrix naming its point."""
-    field = net.field
+    field = need_field(net=net)
     n, scale = field.n, field.N * field.N
     rows = _complex_rows(check_density_matrix(rho, n), field.N)
     hat = _symplectic_transform(list(map(mul, net.f_vector(), pauli_coefficients(rows, n))), n)
@@ -315,18 +317,14 @@ def _wigner_by_traces(net: QuantumNet, rho) -> WignerGrid:
 def reconstruct(net: QuantumNet, grid: WignerGrid) -> tuple[tuple[complex, ...], ...]:
     """rho = N^-1 sum_beta f(beta) hat W(beta) T_beta, hat W = grid.hat, as N
     rows of Python complex (one pauli_sum; np.asarray makes them an array)."""
-    field = net.field
-    if grid.field != field:
-        raise FieldMismatch("grid and net use different fields")
+    field = need_field(grid=grid, net=net)
     hat, D = grid.hat
     return pauli_sum(field.n, [f * (h / D) / field.N for f, h in zip(net.f_vector(), hat)])
 
 
 def expectation_translation(net: QuantumNet, grid: WignerGrid, beta: BinaryPoint):
     """<T_beta> = f(beta) hat W(beta): a Fraction on exact grids."""
-    field = net.field
-    if grid.field != field or beta.n != field.n:
-        raise FieldMismatch("grid, net and point use different fields")
+    field = need_field(grid=grid, net=net)
     hat, D = grid.hat
     value = net.f(beta) * hat[(beta.qbits << field.n) | beta.pbits]
     return _fraction(value, D) if grid.exact else float(value)
@@ -352,9 +350,8 @@ def purity_identity_residual(net: QuantumNet, grid: WignerGrid) -> float | Fract
     autocorrelation sum_a W(a)W(a+b) is the transform of hat W^2 over N^2.
     An exact grid gives an exact Fraction; a dense grid gives a float.
     """
-    if grid.field != net.field:
-        raise FieldMismatch("grid and net use different fields")
-    n, N = grid.field.n, grid.field.N
+    field = need_field(grid=grid, net=net)
+    n, N = field.n, field.N
     hat, D = grid.hat
     sq = [h * h for h in hat]
     auto = _symplectic_transform(sq, n)
@@ -370,9 +367,7 @@ def stabilizer_wigner_value(
     net: QuantumNet, group: StabilizerGroup, alpha: BinaryPoint
 ) -> Fraction:
     """Exact W(alpha) = N^-2 sum_{beta in S} f(beta) g(beta) (-1)^<alpha,beta>."""
-    field = net.field
-    if group.field != field:
-        raise FieldMismatch("group and net use different fields")
+    field = need_field(group=group, net=net)
     total = 0
     for (qb, pb), g in group.elements.items():
         beta = BinaryPoint(qb, pb, field.n)
@@ -388,9 +383,7 @@ def stabilizer_wigner(net: QuantumNet, group: StabilizerGroup) -> WignerGrid:
     the common denominator N^2; the point alpha reads it at its syndrome
     s(alpha)_k = <alpha, g_k>.
     """
-    field = net.field
-    if group.field != field:
-        raise FieldMismatch("group and net use different fields")
+    field = need_field(group=group, net=net)
     need_grid(field.n, "; use stabilizer_wigner_value for single points")
     n, N = field.n, field.N
     # the group's elements come in Gray-code order: step i is x = i ^ (i >> 1)

@@ -16,7 +16,7 @@ from itertools import islice
 
 import numpy as np
 
-from gfwigner.apps import bell_state, king_lines
+from gfwigner.apps import bell_field, bell_stabilizer, king_lines
 from gfwigner.cli import _axis_names, resolve_net, resolve_state
 from gfwigner.errors import (AmbiguousInference, GfwignerError, InvalidDensityMatrix,
                              NonCommutingGenerators, SingularBasis)
@@ -617,7 +617,7 @@ def mean_king_simulate_per_branch(net, basis) -> float:
     """The retrodiction game played branch by branch, each of the 24
     branches inferring the outcome afresh: the reference for
     apps.mean_king_simulate, which reads one overlap table per observable."""
-    initial = bell_state("phi_plus")
+    initial = np.asarray(bell_stabilizer(bell_field(), "phi_plus").state())
     success = 0.0
     for observable in ("x", "y", "z"):
         for idx, line in enumerate(king_lines(net.field, observable), start=1):

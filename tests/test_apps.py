@@ -1,6 +1,11 @@
 """Bell states, the three-qubit phase-error code, and the mean king."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +29,7 @@ from oracles import mean_king_simulate_per_branch
 def test_bell_states_match_their_stabilizers():
     f = apps.bell_field()
     for label in apps.BELL_LABELS:
-        v = apps.bell_state(label)
+        v = np.asarray(apps.bell_stabilizer(f, label).state())
         P = apps.bell_stabilizer(f, label).projector()
         assert np.allclose(np.outer(v, v.conj()), P, atol=1e-12)
 
@@ -67,7 +72,7 @@ def test_bell_translated_states_are_orthogonal():
     f = apps.bell_field()
     X0 = to_matrix(translation(2, 0b01, 0))
     for label in ("psi_plus", "psi_minus"):
-        v = apps.bell_state(label)
+        v = np.asarray(apps.bell_stabilizer(f, label).state())
         assert abs(np.vdot(v, X0 @ v)) < 1e-12
 
 
@@ -90,8 +95,8 @@ def test_qec_stabilizer_generators_are_x_strings_and_zl():
 
 def test_logical_states_are_orthonormal_and_stabilized():
     f = apps.qec_field()
-    v0 = apps.logical_state(f, 0)
-    v1 = apps.logical_state(f, 1)
+    v0 = np.asarray(apps.logical_state(f, 0))
+    v1 = np.asarray(apps.logical_state(f, 1))
     assert abs(np.vdot(v0, v1)) < 1e-12
     s1, s2, zl = apps.qec_stabilizer_generators(f)
     for v, zsign in ((v0, 1), (v1, -1)):
@@ -249,8 +254,51 @@ def test_mean_king_grid_values():
 
 
 def test_mean_king_retrodiction_certain():
+    # a Python float (it was numpy's float64) from tuples of Python complex
     net = apps.mean_king_net()
-    assert abs(apps.mean_king_simulate(net) - 1) < 1e-12
+    prob = apps.mean_king_simulate(net)
+    assert type(prob) is float and abs(prob - 1) < 1e-12
+    basis = apps.mean_king_basis(net)
+    assert len(basis) == 4 and all(type(v) is tuple and len(v) == 4 for v in basis)
+    assert all(type(z) is complex for v in basis for z in v)
+
+
+def test_mean_king_names_a_net_that_is_none():
+    # each raised a bare AttributeError
+    phi = apps.mean_king_basis(apps.mean_king_net())
+    for call in (lambda: apps.mean_king_basis(None), lambda: apps.mean_king_simulate(None),
+                 lambda: apps.mean_king_simulate(None, phi)):
+        with pytest.raises(MalformedInput, match="^net must have a field, got NoneType$"):
+            call()
+
+
+# run in this process and in one where numpy cannot load; phi is a basis
+# of tuples, passed as the hex of each part
+NO_NUMPY_CALLS = """\
+from gfwigner import apps
+
+def calls(phi):
+    qec = apps.qec_field()
+    phi = [tuple(complex(float.fromhex(re), float.fromhex(im)) for re, im in v) for v in phi]
+    return [apps.bell_survey(), apps.code_solution_family(), apps.covariant_code_solutions(),
+            [apps.logical_state(qec, which) for which in (0, 1)],
+            apps.encode(qec, 0.6, 0.8j), apps.logical_f_functions(0.6, 0.8j),
+            apps.logical_first_columns(qec, 0.6, 0.8j),
+            apps.mean_king_simulate(apps.mean_king_net(), phi)]
+"""
+
+
+def test_state_vector_apps_run_without_numpy():
+    phi = [[(z.real.hex(), z.imag.hex()) for z in v]
+           for v in apps.mean_king_basis(apps.mean_king_net())]
+    script = ('import json, sys\nsys.modules["numpy"] = None  # import numpy raises ImportError\n'
+              + NO_NUMPY_CALLS + 'print(repr(calls(json.loads(sys.argv[1]))))\n')
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(phi)], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(Path(apps.__file__).parent.parent)))
+    assert done.returncode == 0, done.stderr.decode()
+    namespace = {}
+    exec(NO_NUMPY_CALLS, namespace)
+    assert done.stdout.decode() == repr(namespace["calls"](phi)) + "\n"
 
 
 def test_mean_king_wrong_basis_is_ambiguous():

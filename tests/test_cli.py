@@ -566,7 +566,7 @@ def test_wigner_state_file_roundtrip(tmp_path, capsys):
 
 
 def test_wigner_density_file(tmp_path, capsys):
-    rho = state_density(apps.bell_state("psi_minus"))
+    rho = state_density(np.asarray(apps.bell_stabilizer(field_new(2), "psi_minus").state()))
     payload = {"density": [[[z.real, z.imag] for z in row] for row in rho]}
     f = tmp_path / "rho.json"
     f.write_text(json.dumps(payload))

@@ -402,6 +402,26 @@ def test_expectation_translation_rejects_a_grid_of_another_field():
         expectation_translation(build_net(f), grid, BinaryPoint(1, 0, 3))
 
 
+def test_entry_points_name_an_argument_that_is_none():
+    # each raised a bare AttributeError: None has no field
+    net = build_net(field_new(2))
+    group = net.ray(0)
+    grid, rho = stabilizer_wigner(net, group), state_density([1, 0, 0, 0])
+    for call, name in ((lambda: wigner_of(None, rho), "net"),
+                       (lambda: stabilizer_wigner(net, None), "group"),
+                       (lambda: stabilizer_wigner(None, group), "net"),
+                       (lambda: stabilizer_wigner_value(net, None, BinaryPoint(1, 0, 2)), "group"),
+                       (lambda: reconstruct(net, None), "grid"),
+                       (lambda: purity_identity_residual(net, None), "grid"),
+                       (lambda: expectation_translation(net, None, BinaryPoint(1, 0, 2)), "grid")):
+        with pytest.raises(MalformedInput, match=f"^{name} must have a field, got NoneType$"):
+            call()
+    with pytest.raises(FieldMismatch, match="^group and net use different fields$"):
+        stabilizer_wigner(build_net(field_new(3)), group)
+    with pytest.raises(FieldMismatch, match="not on the n = 2 grid"):  # from net.f
+        expectation_translation(net, grid, BinaryPoint(1, 0, 3))
+
+
 def test_translations_recovered_from_point_operators():
     f = field_new(2)
     net = build_net(f, "covariant")
