@@ -19,15 +19,15 @@ cost more than a trivial request's own work), `errors`, `galois` and
 `net`, `wigner` and `apps` are imported inside the functions that use them.
 State vectors are tuples of Python complex numbers: those modules import
 numpy only inside their functions that return arrays and in
-`apps.mean_king_basis`, whose SVD is the one numpy step of a state, and
-this file imports none.  So `wigner` on a stabilizer file, a
-density file (its rows are Python complex numbers, and the dense route is
-plain Python) or a `computational_*`, `bell_*` or `qec_logical_*` preset,
-on any net, `bell`, `qec`, `bell --verify`, `qec --verify`, `mub` (its
-states are tuples of Python complex numbers) and `verify` at any n but 2
-(the point operators are checked through chi of A(0)) start without numpy
-too, and it is loaded by `meanking`, `verify --n 2` and `wigner` on the
-`meanking_phi1` preset.  An exact grid is integer numerators, which
+`apps._svd_phi1`, the SVD of the `meanking_phi1` preset, and this file
+imports none.  So `wigner` on a stabilizer file, a density file (its rows
+are Python complex numbers, and the dense route is plain Python) or a
+`computational_*`, `bell_*` or `qec_logical_*` preset, on any net, `bell`,
+`qec`, `meanking` (its phi_1 is an exact cofactor vector), their
+`--verify`, `mub` (its states are tuples of Python complex numbers) and
+`verify` at any n (the point operators are checked through chi of A(0))
+start without numpy too, and only `wigner` on the `meanking_phi1` preset
+loads it.  An exact grid is integer numerators, which
 export_grid renders itself, so `fractions` loads for none of `field`,
 `rays`, `uomega` and `wigner` on a stabilizer file or a `computational_*`
 preset; `verify` loads it (with `apps`) only at n = 2 and 3, where it runs
@@ -255,8 +255,7 @@ def resolve_state(field: GF2Field, spec: str):
         from . import apps
         from .wigner import state_density
 
-        phi1 = apps.mean_king_basis(apps.mean_king_net(field))[0]
-        return "dense", state_density(phi1)
+        return "dense", state_density(apps._svd_phi1(apps.mean_king_net(field)))
     with open(spec) as fh:
         payload = load_json(fh.read(), "state file")
     if not (isinstance(payload, dict) and len(payload.keys() & {"stabilizer", "density"}) == 1):
@@ -447,9 +446,8 @@ def check_rows(field: GF2Field) -> list[tuple]:
     check raises when its claim fails.  The wigner rows use one covariant net
     on field, the bell and meanking rows need field = GF(4), and the qec rows
     run on apps.qec_field(), where the preset net gives the paper's grid.
-    The field, net, wigner, bell and qec rows are plain Python; numpy is
-    loaded only by the meanking rows (their basis is an SVD), and apps
-    only by the bell, qec and meanking rows.  The wigner rows read the point
+    Every row is plain Python, and no row loads numpy; apps is loaded only
+    by the bell, qec and meanking rows.  The wigner rows read the point
     operators through chi(beta) = Tr(A(0) T_beta) (pauli.pauli_coefficients):
     Tr(A(alpha) A(beta)) is N^-1 sum_gamma chi(gamma)^2 (-1)^<alpha ^ beta,gamma>,
     so the N^4 traces are one symplectic transform of chi^2, and the operator

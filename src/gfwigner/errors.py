@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package, and the validators that its
 library entry points share to raise it for bad input."""
 
-from math import inf
+from math import inf, sqrt
 from operator import index
 
 
@@ -72,6 +72,18 @@ def need_length(seq, length: int, what: str):
     if got != length:
         raise MalformedInput(f"{what} needs {length} entries, got {got}")
     return seq
+
+
+def need_norm(values, what: str) -> float:
+    """sqrt(sum |z|^2) over values, if it is finite and nonzero; else (an
+    overflow or a NaN included) MalformedInput naming what."""
+    try:
+        norm = sqrt(sum(abs(z) ** 2 for z in values))
+    except OverflowError:
+        norm = inf
+    if not 0 < norm < inf:
+        raise MalformedInput(f"{what} needs a finite nonzero norm, got {norm}")
+    return norm
 
 
 def _int_below(value, bound) -> bool:

@@ -48,8 +48,8 @@ A state vector is a tuple of Python complex numbers; numpy is imported
 only inside the functions that return arrays (point_operator,
 state_density, as_array) and the meanking_phi1 traces, and fractions only
 where a Fraction is made, so an exact grid, a dense grid of a density
-given as rows of numbers, and its reconstruction, are computed and
-exported without either.
+given as rows of numbers (the mean king's among them), and its
+reconstruction, are computed and exported without either.
 """
 
 from __future__ import annotations
@@ -91,12 +91,16 @@ def all_points(field: GF2Field):
 def _numbers(entries) -> list[complex]:
     """entries as Python complex numbers, 0j + z, if each is a numbers.Number
     (Python's or numpy's) but no bool, which 0j + z would read as 0 or 1; else
-    TypeError.  The one reading of a density matrix's or state vector's entries."""
-    for t in set(map(type, entries)) - {float, complex, int}:
+    TypeError.  Entries of other types than Python's int, float and complex,
+    such as numpy scalars (whose 0j + z is numpy's), pass through complex
+    first.  The one reading of a density matrix's or state vector's entries."""
+    if other := set(map(type, entries)) - {float, complex, int}:
         from numbers import Number
 
-        if t is bool or not issubclass(t, Number):
-            raise TypeError(f"a {t.__name__} is not a number")
+        for t in other:
+            if t is bool or not issubclass(t, Number):
+                raise TypeError(f"a {t.__name__} is not a number")
+        entries = list(map(complex, entries))
     return [0j + z for z in entries]
 
 

@@ -7,8 +7,9 @@ states by one dense translation per line, their overlap report by one
 dense product per basis and per pair of bases,
 covariant signs by GF(2) solves, the cell-by-cell grid export, the
 nested-list `mub` export and the `rays` output from each line's points,
-GF(2) arithmetic by explicit matrices and Gauss-Jordan elimination, and the
-Walsh-Hadamard transform as numpy's in-place butterfly along an axis."""
+GF(2) arithmetic by explicit matrices and Gauss-Jordan elimination, the
+Walsh-Hadamard transform as numpy's in-place butterfly along an axis, and
+the mean king's phi_1 as a numpy SVD."""
 
 import json
 from fractions import Fraction
@@ -47,6 +48,11 @@ from gfwigner.phasespace import (BinaryPoint, PhasePoint, all_striations, grid_a
                                  to_binary, wedge)
 from gfwigner.wigner import (StabilizerGroup, WignerGrid, all_points, check_density_matrix,
                              display_rows, point_operator)
+
+# Every value compared under this bound is a dyadic rational, and at
+# n = 1..4 both sides agreed exactly; the bound leaves room for a different
+# summation order
+ORACLE_ATOL = 1e-15
 
 _XZ = {
     (0, 0): np.eye(2, dtype=complex),
@@ -599,6 +605,26 @@ def wedge_field_form(field, a: PhasePoint, b: PhasePoint) -> int:
     dual_scale = dual_basis(field, [field.pow_omega(i) for i in range(field.n)])[0]
     cross = field.mul(a.q, b.p) ^ field.mul(b.q, a.p)
     return field.trace(field.mul(dual_scale, cross)) if cross else 0
+
+
+def mean_king_svd_row(net) -> np.ndarray:
+    """phi_1 up to phase: the last right-singular vector of the conjugated
+    line states h_1, v_1 and d_1, conjugated; AmbiguousInference when they
+    are linearly dependent to IDENTITY_ATOL."""
+    ortho = [line_state(net, king_lines(net.field, o)[0]) for o in ("x", "z", "y")]
+    _, sv, vh = np.linalg.svd(np.array(ortho).conj())
+    if sv[-1] < IDENTITY_ATOL:
+        raise AmbiguousInference("the three line states are linearly dependent")
+    return vh[-1].conj()
+
+
+def mean_king_svd_basis(net) -> list[np.ndarray]:
+    """mean_king_svd_row phase-fixed, and its translates under Z0 Z1, Y0 Y1
+    and X0 X1 by dense matrix-vector products."""
+    field, phi1 = net.field, fix_phase_scalar(mean_king_svd_row(net))
+    w2 = field.pow_omega(2)
+    return [phi1] + [to_matrix(translation_for(to_binary(field, PhasePoint(dq, dp)))) @ phi1
+                     for dq, dp in ((0, w2), (w2, w2), (w2, 0))]
 
 
 def infer_king_outcome_per_branch(net, basis, result: int, observable: str) -> int:

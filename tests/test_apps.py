@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +17,12 @@ from gfwigner import apps
 from gfwigner.errors import (AmbiguousInference, FieldMismatch, InconsistentStabilizer,
                              MalformedInput)
 from gfwigner.galois import field_new
-from gfwigner.net import build_net
+from gfwigner.net import QuantumNet, build_net, line_state
 from gfwigner.pauli import IDENTITY_ATOL, format_pauli, to_matrix, translation
+from gfwigner.phasespace import striation_labels
 from gfwigner.wigner import (StabilizerGroup, WignerGrid, stabilizer_wigner,
                              state_density, symmetry_orbits, wigner_of)
-from oracles import mean_king_simulate_per_branch
+from oracles import ORACLE_ATOL, mean_king_simulate_per_branch, mean_king_svd_basis
 
 
 # -- Bell ------------------------------------------------------------------------
@@ -227,6 +229,15 @@ def test_general_encoded_state_first_columns():
             assert np.ptp(np.array(grid.flat)[orbit]) < 1e-10
 
 
+def test_encode_refuses_a_state_without_a_finite_nonzero_norm():
+    # (0, 0) raised a bare ZeroDivisionError, (1e200, 1e200) a bare
+    # OverflowError, and a NaN gave a state of NaNs
+    f = apps.qec_field()
+    for alpha, beta in ((0, 0), (0.0, -0.0j), (np.nan, 1), (1e200, 1e200), (1e-200, 0)):
+        with pytest.raises(MalformedInput, match="finite nonzero norm"):
+            apps.encode(f, alpha, beta)
+
+
 def test_first_columns_refuse_a_field_whose_preset_net_breaks_the_closed_form():
     # on x^3 + x + 1 the preset net's grid matches no row layout of f1..f4:
     # it differs from the paper field's layout by about 0.1 at (0.6, 0.8i)
@@ -251,6 +262,70 @@ def test_mean_king_grid_values():
     counts = {v: int(np.sum(np.isclose(scaled, v))) for v in (3, 1, -1)}
     assert counts == {3: 6, 1: 4, -1: 6}
     assert abs(arr.sum() - 1) < 1e-10
+
+
+def test_mean_king_grid_is_exact():
+    # rho = x x^dagger / 8 is dyadic, so on the protocol's net 16 W is an
+    # exact int, and on the default and covariant nets (the meanking_phi1
+    # preset's) each cell that the SVD phi_1 leaves as float noise is an
+    # exact 0
+    f = apps.bell_field()
+    king = apps.mean_king_net(f)
+    assert all(16 * w in (3, 1, -1) for w in apps.mean_king_grid(king).flat)
+    x = apps._king_vector(king)
+    rho = [[u * w.conjugate() / 8 for w in x] for u in x]
+    for net in (build_net(f), build_net(f, "covariant")):
+        flat = wigner_of(net, rho).flat
+        assert flat.count(0) > 0 and all(w == 0 or abs(w) >= ORACLE_ATOL for w in flat)
+        svd = wigner_of(net, state_density(apps._svd_phi1(king))).flat
+        assert max(abs(w - v) for w, v in zip(flat, svd)) <= ORACLE_ATOL
+
+
+def king_nets(f):
+    """Every independent net at n = 2 (4 sign vectors for each of the 5
+    striations), then every covariant one (for h, v and 0)."""
+    vectors = list(product((1, -1), repeat=2))
+    for signs in product(vectors, repeat=5):
+        yield QuantumNet(f, dict(zip(striation_labels(f), signs)))
+    for signs in product(vectors, repeat=3):
+        yield build_net(f, "covariant", dict(zip(("h", "v", 0), signs)))
+
+
+def test_mean_king_basis_and_grid_on_every_net_equal_the_svd_reference():
+    # on all 1024 independent and 64 covariant nets, against the SVD route
+    # the exact one replaced: x is exactly orthogonal to h_1, v_1 and d_1;
+    # each basis vector is the reference's up to a phase, and the basis is
+    # orthonormal where the reference's is (on the other half of the nets
+    # phi_1 is a Bell state, which the three translations keep); the grid is
+    # the reference's
+    f = apps.bell_field()
+    orthonormal = 0
+    for net in king_nets(f):
+        x = apps._king_vector(net)
+        for observable in ("x", "z", "y"):
+            u = line_state(net, apps.king_lines(f, observable)[0])
+            assert sum(a.conjugate() * b for a, b in zip(u, x)) == 0
+        basis, want = apps.mean_king_basis(net), mean_king_svd_basis(net)
+        assert all(abs(abs(np.vdot(v, w)) - 1) < IDENTITY_ATOL for v, w in zip(basis, want))
+        assert apps._orthonormal(basis, IDENTITY_ATOL) == apps._orthonormal(want, IDENTITY_ATOL)
+        orthonormal += apps._orthonormal(basis, IDENTITY_ATOL)
+        got = apps.mean_king_grid(net).flat
+        want = wigner_of(net, state_density(want[0])).flat
+        assert max(abs(w - v) for w, v in zip(got, want)) <= ORACLE_ATOL
+    assert orthonormal == (1024 + 64) // 2
+
+
+def test_mean_king_refuses_dependent_line_states_and_another_field(monkeypatch):
+    # x = 0 exactly when the three line states are dependent, which no net
+    # at n = 2 gives: here all three are h_1; the cofactors need 4 entries
+    net = apps.mean_king_net()
+    h1 = line_state(net, apps.king_lines(net.field, "x")[0])
+    with pytest.raises(FieldMismatch, match="mean king is played on"):
+        apps.mean_king_basis(build_net(field_new(3)))
+    monkeypatch.setattr(apps, "line_state", lambda net, line: h1)
+    for call in (apps.mean_king_basis, apps.mean_king_grid, apps.mean_king_simulate):
+        with pytest.raises(AmbiguousInference, match="linearly dependent"):
+            call(net)
 
 
 def test_mean_king_retrodiction_certain():
@@ -278,13 +353,14 @@ NO_NUMPY_CALLS = """\
 from gfwigner import apps
 
 def calls(phi):
-    qec = apps.qec_field()
+    qec, king = apps.qec_field(), apps.mean_king_net()
     phi = [tuple(complex(float.fromhex(re), float.fromhex(im)) for re, im in v) for v in phi]
     return [apps.bell_survey(), apps.code_solution_family(), apps.covariant_code_solutions(),
             [apps.logical_state(qec, which) for which in (0, 1)],
             apps.encode(qec, 0.6, 0.8j), apps.logical_f_functions(0.6, 0.8j),
-            apps.logical_first_columns(qec, 0.6, 0.8j),
-            apps.mean_king_simulate(apps.mean_king_net(), phi)]
+            apps.logical_first_columns(qec, 0.6, 0.8j), apps.mean_king_simulate(king, phi),
+            apps.mean_king_basis(king), apps.mean_king_grid(king).flat,
+            apps.mean_king_line_sums(king), apps.mean_king_simulate(king)]
 """
 
 

@@ -759,14 +759,15 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
     # n = 1..5 on every kind of net, the bell and qec commands and presets);
     # field, rays, uomega, mub, exact wigner grids of a stabilizer file or a
     # computational preset and dense grids of density files load neither
-    # fractions nor decimal either; each
-    # array command loads numpy, and later array commands in the same
-    # process still work; nothing loads sympy, and no verify loads
-    # numpy.random (its round trip draws from the standard library); no
-    # command, --help or usage error loads argparse or gettext; verify
-    # --n 1 and --n 4 load neither fractions nor decimal (apps is imported
-    # only by the bell, qec and meanking rows), and only verify --n 2 of
-    # the verify requests loads numpy
+    # fractions nor decimal either; meanking, meanking --verify and verify
+    # --n 2 load no numpy (the mean king is exact Gaussian-integer
+    # arithmetic); the meanking_phi1 preset, the one array command, loads
+    # numpy, and later commands in the same process still work; nothing
+    # loads sympy, and no verify loads numpy.random (its round trip draws
+    # from the standard library); no command, --help or usage error loads
+    # argparse or gettext; verify --n 1 and --n 4 load neither fractions
+    # nor decimal (apps is imported only by the bell, qec and meanking
+    # rows), and no verify request loads numpy
     src = Path(gfwigner.__file__).parent.parent
     stab = tmp_path / "ghz3.json"
     stab.write_text(json.dumps({"stabilizer": [["+XXX", 1], ["+ZZI", 1], ["+IZZ", -1]]}))
@@ -777,10 +778,10 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
     rho3 = tmp_path / "rho3.json"
     rho3.write_text(json.dumps({"density": [[[1 / 8, 0]] * 8] * 8}))
     script = textwrap.dedent("""\
-        import contextlib, io, json, sys
+        import contextlib, io, sys
 
-        stab, net, loader = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
-        rho, rho3 = sys.argv[4], sys.argv[5]
+        stab, net, rho, rho3 = sys.argv[1:5]
+        loader = ["wigner", "--n", "2", "--state", "meanking_phi1"]
 
         def absent(when, *modules):
             for module in modules:
@@ -808,9 +809,12 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
                     *(["wigner", "--n", "3", "--state", rho3, "--net", net_spec, "--format", fmt]
                       for net_spec, fmt in (("default", "ascii"), ("covariant", "json"),
                                             (net, "csv")))]
-        exact = [["wigner", "--n", "2", "--state", "bell_phi_plus"],
-                 ["wigner", "--n", "3", "--state", "qec_logical_1"],
-                 ["bell"], ["qec"], ["bell", "--verify"], ["qec", "--verify"]]
+        # apps requests: they load fractions, and no numpy
+        with_apps = [["wigner", "--n", "2", "--state", "bell_phi_plus"],
+                     ["wigner", "--n", "3", "--state", "qec_logical_1"],
+                     ["bell"], ["qec"], ["bell", "--verify"], ["qec", "--verify"],
+                     ["meanking"], ["meanking", "--format", "csv"], ["meanking", "--verify"],
+                     ["verify", "--n", "2"]]
 
         def run(argv, want, *modules):
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -823,7 +827,7 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
                            (["field", "--n"], 2), (["frobnicate"], 2),
                            *((argv, 0) for argv in integer)):
             run(argv, want, *lean)
-        for argv in exact:
+        for argv in with_apps:
             run(argv, 0, "numpy", "dataclasses")
         with contextlib.redirect_stdout(sink):
             assert dispatch(loader) == 0
@@ -835,22 +839,19 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
         absent("the commands above", "argparse", "gettext")
     """)
     # a fresh process that does not import json itself: only reading or
-    # writing a document loads it, so these commands do not; verify --n 1, 4
-    # and 3 load no numpy (their rows are plain Python), and verify --n 2
-    # does: its mean-king basis is an SVD
+    # writing a document loads it, so these commands do not; verify --n 1,
+    # 4, 3 and 2 load no numpy (their rows are plain Python, the mean king's
+    # exact)
     verify = textwrap.dedent("""\
         import contextlib, io, sys
         from gfwigner.cli import dispatch
 
-        for n in ("1", "4", "3"):
+        for n in ("1", "4", "3", "2"):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert dispatch(["verify", "--n", n]) == 0
-            lean = ("numpy", "argparse", "gettext") + (("fractions", "decimal") if n != "3" else ())
+            lean = ("numpy", "argparse", "gettext") + (("fractions", "decimal") if n in ("1", "4") else ())
             for module in lean:
                 assert module not in sys.modules, module + " imported by verify --n " + n
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert dispatch(["verify", "--n", "2"]) == 0
-        assert "numpy" in sys.modules, "verify --n 2 did not load numpy"
         for argv in (["field", "--n", "3"], ["rays", "--n", "2"], ["uomega", "--n", "3"],
                      ["bell", "--format", "csv"], ["qec"], ["meanking"],
                      ["verify", "--n", "2"], ["wigner", "--n", "2", "--state", "bell_phi_plus"]):
@@ -859,12 +860,9 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
             assert "json" not in sys.modules, "json imported by " + " ".join(argv)
     """)
     env = dict(os.environ, PYTHONPATH=str(src))
-    for loader in (["wigner", "--n", "2", "--state", "meanking_phi1"], ["meanking"],
-                   ["verify", "--n", "2"]):
-        done = subprocess.run([sys.executable, "-c", script, str(stab), str(net),
-                               json.dumps(loader), str(rho), str(rho3)],
-                              env=env, capture_output=True)
-        assert done.returncode == 0, done.stderr.decode()
+    done = subprocess.run([sys.executable, "-c", script, str(stab), str(net), str(rho), str(rho3)],
+                          env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
     done = subprocess.run([sys.executable, "-c", verify], env=env, capture_output=True)
     assert done.returncode == 0, done.stderr.decode()
 

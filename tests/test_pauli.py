@@ -9,7 +9,7 @@ import pytest
 from gfwigner import apps
 from gfwigner.errors import DimensionTooLarge, MalformedInput
 from gfwigner.galois import field_new
-from gfwigner.net import build_net, line_state, u_omega_matrix
+from gfwigner.net import build_net, u_omega_matrix
 from gfwigner.pauli import (
     PauliTranslation,
     commutes,
@@ -35,7 +35,8 @@ from gfwigner.phasespace import (
     wedge,
 )
 from gfwigner.wigner import StabilizerGroup, WignerGrid, reconstruct
-from oracles import class_points, fix_phase_scalar, to_matrix_fancy, to_matrix_kron
+from oracles import (class_points, fix_phase_scalar, mean_king_svd_row, to_matrix_fancy,
+                     to_matrix_kron)
 from oracles import walsh_hadamard as walsh_hadamard_numpy
 
 
@@ -237,16 +238,15 @@ def test_walsh_hadamard_is_the_signed_sum_on_each_row():
 
 
 def test_fix_phase_equals_the_scalar_form_bit_for_bit():
-    # phi_1 of the mean king is the one vector phase-fixed by numpy's
-    # product, since its SVD row has general complex entries, where numpy
-    # may use FMA and the meanking_phi1 grid prints the noise: it is the
+    # the meanking_phi1 preset's phi_1 is the one vector phase-fixed by
+    # numpy's product, since its SVD row has general complex entries, where
+    # numpy may use FMA and the preset's grid prints the noise: it is the
     # scalar form of the same row, bit for bit, and a tuple
     net = apps.mean_king_net()
-    ortho = [line_state(net, apps.king_lines(net.field, o)[0]) for o in ("x", "z", "y")]
-    row = np.linalg.svd(np.array(ortho).conj())[2][-1].conj()
-    phi1 = apps.mean_king_basis(net)[0]
+    phi1 = apps._svd_phi1(net)
     assert type(phi1) is tuple and all(type(z) is complex for z in phi1)
-    assert np.array_equal(np.array(phi1).view(np.int64), fix_phase_scalar(row).view(np.int64))
+    want = fix_phase_scalar(mean_king_svd_row(net))
+    assert np.array_equal(np.array(phi1).view(np.int64), want.view(np.int64))
 
 
 def test_fix_phase_of_python_complex_equals_the_scalar_form_bit_for_bit():

@@ -622,8 +622,8 @@ FIELDS_1_TO_6 = FIELDS_1_TO_8[:FIELDS_1_TO_8.index((7, None))]
 @given(st.data())
 def test_mub_bases_and_line_state_equal_the_per_line_reference(n, poly, data):
     # one scatter per striation against one dense T and one matrix-vector
-    # product per line, bit for bit: mean_king_basis reads line_state, and
-    # the signs of its float noise show in exported grids
+    # product per line, bit for bit: the meanking_phi1 preset's SVD reads
+    # line_state, and the signs of its float noise show in exported grids
     field = field_new(n, poly)
     net = data.draw(st.one_of(st.just(build_net(field)),
                               st.just(build_net(field, "covariant")), nets(field)))

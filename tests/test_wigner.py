@@ -21,6 +21,7 @@ from gfwigner.pauli import pauli_coefficients, to_matrix, translation, translati
 from gfwigner.phasespace import BinaryPoint, Line, all_striations, striation_labels
 from gfwigner.wigner import (
     StabilizerGroup,
+    _numbers,
     _symplectic_transform,
     _wigner_by_traces,
     WignerGrid,
@@ -39,6 +40,7 @@ from gfwigner.wigner import (
 from gfwigner.cli import resolve_state
 from gfwigner.pauli import IDENTITY_ATOL
 from oracles import (
+    ORACLE_ATOL,
     autocorrelation,
     line_operator_sums,
     pauli_sum_dense,
@@ -137,6 +139,18 @@ def test_state_density_keeps_the_bits_of_numbers():
     v = v / np.linalg.norm(v)
     want = np.outer(v, v.conj())
     assert np.array_equal(state_density(vec).view(np.int64), want.view(np.int64))
+
+
+def test_rows_of_numpy_scalars_give_a_grid_of_python_floats():
+    # _numbers read numpy scalars as 0j + z, which numpy computes: a grid of
+    # np.float64 from rows of np.complex128, where flat holds Python floats
+    field = field_new(2)
+    net = build_net(field, "covariant")
+    rho = random_state(field, np.random.default_rng(5))
+    grid = wigner_of(net, [list(row) for row in rho])
+    assert all(type(w) is float for w in grid.flat)
+    assert grid.flat == wigner_of(net, rho).flat
+    assert list(map(type, _numbers([np.complex128(1), np.int64(2), -0.0]))) == [complex] * 3
 
 
 @pytest.mark.parametrize("n", ["x", -1, True, 2.0, None], ids=repr)
@@ -269,11 +283,6 @@ def test_a0_rows_equal_the_numpy_pauli_sum_bit_for_bit(n, mode):
     assert all(type(row) is tuple and all(type(z) is complex for z in row) for row in rows)
     want = pauli_sum_dense(n, net.f_vector()) / field.N ** 2
     assert np.array_equal(np.asarray(rows).view(np.int64), want.view(np.int64))
-
-
-# Every value below is a dyadic rational, and at n = 1..4 both sides agreed
-# exactly; the bound leaves room for a different summation order
-ORACLE_ATOL = 1e-15
 
 
 def oracle_nets():
