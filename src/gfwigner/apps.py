@@ -12,12 +12,13 @@ closed form.
 
 State vectors are tuples of Python complex numbers, as in every module.
 The mean king is exact: phi_1 is a vector of Gaussian-integer cofactors of
-three line states, and its grid a dyadic density through wigner.wigner_of,
-all in plain Python.  numpy is imported by _svd_phi1 alone, the SVD phi_1
-of the meanking_phi1 preset, whose float noise that preset prints.  The
-retrodiction reads one table of |<line|phi_r>| per announced observable,
-in plain Python, and refuses a basis that is not four orthonormal
-4-vectors.
+three line states, and its grid a dyadic density (wigner.state_density)
+through wigner.wigner_of, all in plain Python.  numpy is imported by
+_meanking_phi1_grid alone, the whole route of the meanking_phi1 preset
+(an SVD phi_1 and per-point traces), whose float noise that preset
+prints.  The retrodiction reads one table of |<line|phi_r>| per announced
+observable, in plain Python, and refuses a basis that is not four
+orthonormal 4-vectors.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .pauli import (
     IDENTITY_ATOL,
     INPUT_ATOL,
     PauliTranslation,
-    _phase_factor,
     fix_phase,
     pauli_sum,
     translation_for,
@@ -395,36 +395,53 @@ def mean_king_basis(net: QuantumNet) -> list[tuple[complex, ...]]:
     tuples: phi_1 is the state orthogonal to the line states h_1, v_1 and
     d_1, the rest its translates under Z0 Z1, Y0 Y1 and X0 X1.  The exact
     vector x (_king_vector) and its translates are each phase-fixed, then
-    divided by |x|."""
+    divided by |x|.  AmbiguousInference unless they are orthonormal to
+    IDENTITY_ATOL (on some nets phi_1 is a Bell state the translates keep)."""
     x, field = _king_vector(net), net.field
     w2, norm = field.pow_omega(2), math.sqrt(_inner(x, x).real)
-    return [tuple(z / norm for z in fix_phase(v)) for v in (x, *(
+    basis = [tuple(z / norm for z in fix_phase(v)) for v in (x, *(
         _translated(field, PhasePoint(dq, dp), x) for dq, dp in ((0, w2), (w2, w2), (w2, 0))))]
+    if not _orthonormal(basis, IDENTITY_ATOL):
+        raise AmbiguousInference("phi_1 and its translates are not an orthonormal basis")
+    return basis
 
 
 def mean_king_grid(net: QuantumNet) -> WignerGrid:
-    """Dense Wigner grid of phi_1: rho = x x^dagger / |x|^2 (_king_vector)
-    as rows of Python complex.  On mean_king_net |x|^2 = 8, so every entry
-    of rho is dyadic and every cell exactly a multiple of 1/16."""
-    x = _king_vector(net)
-    norm2 = _inner(x, x).real
-    return wigner_of(net, [[u * w.conjugate() / norm2 for w in x] for u in x])
+    """Dense Wigner grid of phi_1: rho = state_density(x) (_king_vector).
+    On mean_king_net <x|x> = 8, so every entry of rho is dyadic and every
+    cell exactly a multiple of 1/16."""
+    return wigner_of(net, state_density(_king_vector(net)))
 
 
-def _svd_phi1(net: QuantumNet) -> tuple[complex, ...]:
-    """phi_1 as numpy's SVD gives it, phase-fixed by numpy's product: the
-    state of the `wigner --n 2 --state meanking_phi1` preset, its only
-    caller, whose float noise the printed shades and the benchmark's golden
-    digest record.  It is deleted once that digest no longer sees the noise
-    (ROADMAP direction 1), and the preset then reads _king_vector."""
+def _meanking_phi1_grid(net: QuantumNet) -> WignerGrid:
+    """The meanking_phi1 preset's grid by its frozen numpy route, whose
+    float noise (8 of 16 cells on the default net) the printed shades and
+    the golden digest record: numpy's SVD phi_1 on mean_king_net (fixed
+    line states), phase-fixed, normalised, rho = np.outer, and each cell
+    Tr(rho @ A(alpha)) on net.  It goes, with its own imports, with the
+    preset (ROADMAP direction 1).  Another field raises FieldMismatch first."""
+    field = need_field(net=net)
+    if field != bell_field():
+        raise FieldMismatch("meanking_phi1 needs --n 2")
     import numpy as np
 
-    ortho = [line_state(net, king_lines(net.field, o)[0]) for o in ("x", "z", "y")]
-    _, sv, vh = np.linalg.svd(np.array(ortho).conj())
-    if sv[-1] < IDENTITY_ATOL:
-        raise AmbiguousInference("the three line states are linearly dependent")
-    phi1 = vh[-1].conj()
-    return tuple((phi1 * _phase_factor(phi1)).tolist())
+    from .errors import InvalidDensityMatrix
+    from .pauli import _phase_factor
+    from .wigner import all_points, check_density_matrix, point_operator
+
+    king = mean_king_net(field)
+    ortho = [line_state(king, king_lines(field, o)[0]) for o in ("x", "z", "y")]
+    v = np.linalg.svd(np.array(ortho).conj())[2][-1].conj()
+    v = v * _phase_factor(v)
+    v = v / np.linalg.norm(v)
+    rho = check_density_matrix(np.outer(v, v.conj()), field.n)
+    flat = []
+    for alpha in all_points(field):  # by flat index
+        w = np.trace(rho @ point_operator(net, alpha))
+        if abs(w.imag) > INPUT_ATOL:
+            raise InvalidDensityMatrix(f"complex Wigner value {w} at {alpha}")
+        flat.append(float(w.real))
+    return WignerGrid(field, tuple(flat))
 
 
 def mean_king_line_sums(net: QuantumNet) -> dict:
@@ -470,7 +487,8 @@ def mean_king_simulate(net: QuantumNet, basis=None) -> float:
     probability of the retrodiction (1.0 for the phi basis).  Per observable
     one table holds |<line|phi_r>| for its two support lines (king_lines):
     result r names the line not orthogonal to phi_r, and AmbiguousInference
-    is raised unless a result that can occur names exactly one.  A basis
+    is raised unless a result that can occur names exactly one, or unless
+    the two lines' probabilities sum to 1 within IDENTITY_ATOL.  A basis
     that is not 4 orthonormal 4-vectors raises MalformedInput."""
     field = need_field(net=net)
     basis = mean_king_basis(net) if basis is None else _measurement_basis(basis)
@@ -478,9 +496,11 @@ def mean_king_simulate(net: QuantumNet, basis=None) -> float:
     success = 0.0
     for observable in ("x", "y", "z"):
         states = [line_state(net, line) for line in king_lines(field, observable)]
+        p_lines = [abs(_inner(ls, initial)) ** 2 for ls in states]
+        if abs(sum(p_lines) - 1) > IDENTITY_ATOL:
+            raise AmbiguousInference(f"|Phi_+> is off the two lines of observable {observable}")
         table = [[abs(_inner(phi, ls)) for phi in basis] for ls in states]
-        for idx, (ls, row) in enumerate(zip(states, table)):
-            p_line = abs(_inner(ls, initial)) ** 2
+        for idx, (p_line, row) in enumerate(zip(p_lines, table)):
             for result, overlap in enumerate(row):
                 if p_line < IDENTITY_ATOL or overlap ** 2 < IDENTITY_ATOL:
                     continue  # a branch that cannot occur

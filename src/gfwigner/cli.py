@@ -19,9 +19,9 @@ cost more than a trivial request's own work), `errors`, `galois` and
 `net`, `wigner` and `apps` are imported inside the functions that use them.
 State vectors are tuples of Python complex numbers: those modules import
 numpy only inside their functions that return arrays and in
-`apps._svd_phi1`, the SVD of the `meanking_phi1` preset, and this file
-imports none.  So `wigner` on a stabilizer file, a density file (its rows
-are Python complex numbers, and the dense route is plain Python) or a
+`apps._meanking_phi1_grid`, the `meanking_phi1` preset's route, and this
+file imports none.  So `wigner` on a stabilizer file, a density file (its
+rows are Python complex numbers, and the dense route is plain Python) or a
 `computational_*`, `bell_*` or `qec_logical_*` preset, on any net, `bell`,
 `qec`, `meanking` (its phi_1 is an exact cofactor vector), their
 `--verify`, `mub` (its states are tuples of Python complex numbers) and
@@ -223,8 +223,9 @@ def resolve_state(field: GF2Field, spec: str):
     Returns ('stabilizer', StabilizerGroup) or ('dense', density matrix): a
     file's rows of Python complex numbers, which wigner_of checks.
     Presets: computational_<bits>, bell_{phi,psi}_{plus,minus},
-    qec_logical_{0,1}, meanking_phi1.  Files: JSON with either
-    {"stabilizer": [["+XXI", 1], ...]} or {"density": [[[re, im], ...], ...]}.
+    qec_logical_{0,1}; cmd_wigner reads meanking_phi1 itself.  Files: JSON
+    with either {"stabilizer": [["+XXI", 1], ...]} or
+    {"density": [[[re, im], ...], ...]}.
     """
     from .pauli import StabilizerGroup, parse_pauli
 
@@ -249,13 +250,6 @@ def resolve_state(field: GF2Field, spec: str):
         from . import apps
 
         return "stabilizer", apps.logical_group(field, int(spec[-1]))
-    if spec == "meanking_phi1":
-        if n != 2:
-            raise GfwignerError("meanking_phi1 needs --n 2")
-        from . import apps
-        from .wigner import state_density
-
-        return "dense", state_density(apps._svd_phi1(apps.mean_king_net(field)))
     with open(spec) as fh:
         payload = load_json(fh.read(), "state file")
     if not (isinstance(payload, dict) and len(payload.keys() & {"stabilizer", "density"}) == 1):
@@ -356,18 +350,18 @@ def cmd_uomega(args) -> int:
 
 
 def cmd_wigner(args) -> int:
-    from .wigner import _wigner_by_traces, stabilizer_wigner, wigner_of
+    from .wigner import stabilizer_wigner, wigner_of
 
     field = field_new(args.n, args.poly)
     need_grid(field.n)  # refused before the net and the state are built
     net = resolve_net(field, args.net)
-    kind, state = resolve_state(field, args.state)
-    if kind == "stabilizer":
-        grid = stabilizer_wigner(net, state)
-    elif args.state == "meanking_phi1":
-        grid = _wigner_by_traces(net, state)
+    if args.state == "meanking_phi1":
+        from .apps import _meanking_phi1_grid
+
+        grid = _meanking_phi1_grid(net)
     else:
-        grid = wigner_of(net, state)
+        kind, state = resolve_state(field, args.state)
+        grid = (stabilizer_wigner if kind == "stabilizer" else wigner_of)(net, state)
     write_out(export_grid(grid, args.format, {"net": net.fingerprint()}))
     return 0
 
@@ -458,7 +452,7 @@ def check_rows(field: GF2Field) -> list[tuple]:
     from .pauli import (_I_POW, IDENTITY_ATOL, StabilizerGroup, _basis_order, pauli_coefficients,
                         translation_for)
     from .wigner import (_symplectic_transform, purity_identity_residual, reconstruct,
-                         stabilizer_wigner, wigner_of)
+                         stabilizer_wigner, state_density, wigner_of)
 
     net = build_net(field, "covariant")
 
@@ -529,10 +523,7 @@ def check_rows(field: GF2Field) -> list[tuple]:
         import random
 
         rng = random.Random(11)
-        v = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(field.N)]
-        norm = math.sqrt(sum(abs(z) ** 2 for z in v))
-        v = [z / norm for z in v]
-        rho = [[u * w.conjugate() for w in v] for u in v]
+        rho = state_density([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(field.N)])
         grid = wigner_of(net, rho)
         worst = max(abs(x - y) for got, want in zip(reconstruct(net, grid), rho)
                     for x, y in zip(got, want))
@@ -566,7 +557,7 @@ def check_rows(field: GF2Field) -> list[tuple]:
         from . import apps
 
         king_net = apps.mean_king_net(field)
-        _claim(apps._orthonormal(apps.mean_king_basis(king_net), IDENTITY_ATOL))
+        apps.mean_king_basis(king_net)  # AmbiguousInference unless orthonormal
         for (obs, idx), val in apps.mean_king_line_sums(king_net).items():
             want = {1: 0.0, 2: 0.5}.get(idx, 0.25)
             _claim(abs(val - want) < IDENTITY_ATOL, (obs, idx, val))

@@ -16,13 +16,13 @@ Two routes are provided and cross-checked in the tests:
   (pauli.pauli_coefficients, pauli_sum's inverse): O(N^2 log N) in plain
   Python complex numbers, with the input check (a Cholesky factorisation)
   the only O(N^3) step.  point_operator builds one A(alpha) as an array,
-  one pauli_sum of its coefficients, and the meanking_phi1 preset alone
-  keeps the per-point trace of rho @ A(alpha), whose float noise its
-  recorded output shows.  `verify` checks the point operators through chi
-  of A(0) in plain Python: their traces Tr(A(alpha) A(beta)) are one
-  symplectic transform of chi^2, and their sum over a line d + R is
-  sum_{beta in R} chi(beta) (-1)^<d,beta> T_beta, the stabilizer projector
-  of R's n generators, so each line state is checked against those;
+  one pauli_sum of its coefficients; the meanking_phi1 preset's per-point
+  traces of rho @ A(alpha) are apps._meanking_phi1_grid.  `verify` checks
+  the point operators through chi of A(0) in plain Python: their traces
+  Tr(A(alpha) A(beta)) are one symplectic transform of chi^2, and their
+  sum over a line d + R is sum_{beta in R} chi(beta) (-1)^<d,beta> T_beta,
+  the stabilizer projector of R's n generators, so each line state is
+  checked against those;
 * an exact route for stabilizer states: the closed form
   W(alpha) = N^-2 sum_{beta in S} f(beta) g(beta) (-1)^<alpha,beta>.
   f and g are the same kind of sign: f(beta) is the sign of T_beta in the
@@ -44,9 +44,9 @@ projector N^-1 sum_{beta in S} g(beta) T_beta.  A grid caches hat W, so it
 is not changed after it is built.  hat W is one pauli.walsh_hadamard of the
 grid's tuple, so a grid file is read and transformed without numpy.
 
-A state vector is a tuple of Python complex numbers; numpy is imported
-only inside the functions that return arrays (point_operator,
-state_density, as_array) and the meanking_phi1 traces, and fractions only
+A state vector is a tuple of Python complex numbers, and state_density
+makes |v><v| / <v|v> as rows of them; numpy is imported only inside the
+functions that return arrays (point_operator, as_array), and fractions only
 where a Fraction is made, so an exact grid, a dense grid of a density
 given as rows of numbers (the mean king's among them), and its
 reconstruction, are computed and exported without either.
@@ -57,7 +57,7 @@ from __future__ import annotations
 from cmath import isfinite
 from functools import cached_property
 from itertools import combinations, product
-from math import lcm, sqrt
+from math import inf, lcm, sqrt
 from operator import mul
 from typing import TYPE_CHECKING
 
@@ -124,9 +124,9 @@ def _complex_rows(rho, N: int) -> list[list[complex]]:
     raise InvalidDensityMatrix(f"need finite entries and shape ({N}, {N}), got {got}")
 
 
-def check_density_matrix(rho, n: int):
-    """rho itself, if it is a finite N x N matrix (an array or rows of numbers),
-    hermitian with unit trace and positive to INPUT_ATOL; else
+def _checked_rows(rho, n: int) -> list[list[complex]]:
+    """rho as rows of Python complex (_complex_rows), if it is a finite N x N
+    matrix, hermitian with unit trace and positive to INPUT_ATOL; else
     InvalidDensityMatrix.  Positive means rho + INPUT_ATOL I has a Cholesky
     factor: a pivot that is not > 0 (nan included) refuses it (Higham,
     Accuracy and Stability of Numerical Algorithms, ch. 10).  O(N^3 / 6)
@@ -153,25 +153,27 @@ def check_density_matrix(rho, n: int):
         ci.append(li[i])
         lower.append(li)
         conj.append(ci)
+    return rows
+
+
+def check_density_matrix(rho, n: int):
+    """rho itself, if _checked_rows accepts it; else InvalidDensityMatrix."""
+    _checked_rows(rho, n)
     return rho
 
 
-def state_density(vec) -> np.ndarray:
-    """|v><v| / <v|v> as an array, v a tuple of Python complex or any
-    sequence of numbers (_numbers) that numpy converts: InvalidDensityMatrix
-    unless it has a finite nonzero norm."""
-    import numpy as np
-
+def state_density(vec) -> list[list[complex]]:
+    """|v><v| / <v|v> as N rows of Python complex, u conj(w) / <v|v> with
+    <v|v> the sum of re^2 + im^2, v any sequence of numbers (_numbers):
+    InvalidDensityMatrix unless it has a finite nonzero norm."""
     try:
-        _numbers(vec)
-        v = np.asarray(vec, dtype=complex)
-    except (TypeError, ValueError) as exc:
+        v = _numbers(vec)
+    except TypeError as exc:
         raise InvalidDensityMatrix(f"state vector needs numbers: {exc}") from None
-    norm = np.linalg.norm(v)
-    if not 0 < norm < np.inf:
-        raise InvalidDensityMatrix(f"state vector needs a finite nonzero norm, got {norm}")
-    v = v / norm
-    return np.outer(v, v.conj())
+    norm2 = sum(z.real * z.real + z.imag * z.imag for z in v)
+    if not 0 < norm2 < inf:
+        raise InvalidDensityMatrix(f"state vector needs a finite nonzero norm, got {sqrt(norm2)}")
+    return [[u * w.conjugate() / norm2 for w in v] for u in v]
 
 
 def display_rows(field: GF2Field) -> list[list[int]]:
@@ -284,38 +286,19 @@ def point_operator(net: QuantumNet, alpha: BinaryPoint) -> np.ndarray:
 
 
 def wigner_of(net: QuantumNet, rho) -> WignerGrid:
-    """W(alpha) = Tr(rho A(alpha)) for every phase-space point, rho an array or
-    rows of numbers (check_density_matrix): N^-2 times the symplectic
-    transform of f chi, in plain Python.  A value whose imaginary part
-    exceeds INPUT_ATOL raises InvalidDensityMatrix naming its point."""
+    """W(alpha) = Tr(rho A(alpha)) for every phase-space point, rho an array
+    or rows of numbers (_checked_rows reads and checks it once): N^-2 times
+    the symplectic transform of f chi, in plain Python.  An imaginary part
+    beyond INPUT_ATOL raises InvalidDensityMatrix naming its point."""
     field = need_field(net=net)
     n, scale = field.n, field.N * field.N
-    rows = _complex_rows(check_density_matrix(rho, n), field.N)
-    hat = _symplectic_transform(list(map(mul, net.f_vector(), pauli_coefficients(rows, n))), n)
+    chi = pauli_coefficients(_checked_rows(rho, n), n)
+    hat = _symplectic_transform(list(map(mul, net.f_vector(), chi)), n)
     for i, h in enumerate(hat):
         if abs(h.imag / scale) > INPUT_ATOL:
             alpha = BinaryPoint(i >> n, i & (field.N - 1), n)
             raise InvalidDensityMatrix(f"complex Wigner value {h / scale} at {alpha}")
     return WignerGrid(field, tuple(h.real / scale for h in hat))
-
-
-def _wigner_by_traces(net: QuantumNet, rho) -> WignerGrid:
-    """W(alpha) = Tr(rho A(alpha)) point by point, each the trace of the full
-    BLAS product rho @ A(alpha), for the meanking_phi1 preset only.  8 of its
-    16 cells on the default net are zero up to float noise, whose sign the
-    ascii shade prints, and this summation order is the one its recorded
-    output has.  It goes once the shade of a cell that rounds to 0 no longer
-    shows that sign, or the mean king's grid is computed exactly."""
-    import numpy as np
-
-    rho, field = np.asarray(check_density_matrix(rho, net.field.n), dtype=complex), net.field
-    flat = []
-    for alpha in all_points(field):  # by flat index
-        w = np.trace(rho @ point_operator(net, alpha))
-        if abs(w.imag) > INPUT_ATOL:
-            raise InvalidDensityMatrix(f"complex Wigner value {w} at {alpha}")
-        flat.append(float(w.real))
-    return WignerGrid(field, tuple(flat))
 
 
 def reconstruct(net: QuantumNet, grid: WignerGrid) -> tuple[tuple[complex, ...], ...]:

@@ -17,7 +17,7 @@ from itertools import islice
 
 import numpy as np
 
-from gfwigner.apps import bell_field, bell_stabilizer, king_lines
+from gfwigner.apps import bell_field, bell_stabilizer, king_lines, mean_king_net
 from gfwigner.cli import _axis_names, resolve_net, resolve_state
 from gfwigner.errors import (AmbiguousInference, GfwignerError, InvalidDensityMatrix,
                              NonCommutingGenerators, SingularBasis)
@@ -379,16 +379,15 @@ def wigner_stdout_reference(n: int, state_spec: str, net_spec: str = "default",
                             poly: int | None = None, fmt: str = "json") -> str:
     """What `gfwigner wigner --n n --state state_spec --net net_spec
     --format fmt [--poly]` writes, exported cell by cell: by the numpy chi
-    route for a density file, the per-point loop for the meanking_phi1
-    preset and the N^2-point transform for a stabilizer state."""
+    route for a density file, the per-point loop on mean_king_svd_density
+    for the meanking_phi1 preset and the N^2-point transform for a
+    stabilizer state."""
     net = resolve_net(field_new(n, poly), net_spec)
-    kind, state = resolve_state(net.field, state_spec)
-    if kind == "stabilizer":
-        grid = stabilizer_wigner_transform(net, state)
-    elif state_spec == "meanking_phi1":
-        grid = wigner_of_loop(net, state)
+    if state_spec == "meanking_phi1":
+        grid = wigner_of_loop(net, mean_king_svd_density(net.field))
     else:
-        grid = wigner_of_chi(net, state)
+        kind, state = resolve_state(net.field, state_spec)
+        grid = (stabilizer_wigner_transform if kind == "stabilizer" else wigner_of_chi)(net, state)
     return export_grid_cells(grid, fmt, {"net": net.fingerprint()})
 
 
@@ -616,6 +615,15 @@ def mean_king_svd_row(net) -> np.ndarray:
     if sv[-1] < IDENTITY_ATOL:
         raise AmbiguousInference("the three line states are linearly dependent")
     return vh[-1].conj()
+
+
+def mean_king_svd_density(field) -> np.ndarray:
+    """The meanking_phi1 preset's rho: mean_king_svd_row on mean_king_net,
+    phase-fixed (fix_phase_scalar) and normalised, times its conjugate by
+    np.outer."""
+    v = fix_phase_scalar(mean_king_svd_row(mean_king_net(field)))
+    v = v / np.linalg.norm(v)
+    return np.outer(v, v.conj())
 
 
 def mean_king_svd_basis(net) -> list[np.ndarray]:

@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -22,7 +24,8 @@ from gfwigner.pauli import IDENTITY_ATOL, format_pauli, to_matrix, translation
 from gfwigner.phasespace import striation_labels
 from gfwigner.wigner import (StabilizerGroup, WignerGrid, stabilizer_wigner,
                              state_density, symmetry_orbits, wigner_of)
-from oracles import ORACLE_ATOL, mean_king_simulate_per_branch, mean_king_svd_basis
+from oracles import (ORACLE_ATOL, mean_king_simulate_per_branch, mean_king_svd_basis,
+                     mean_king_svd_density)
 
 
 # -- Bell ------------------------------------------------------------------------
@@ -277,7 +280,7 @@ def test_mean_king_grid_is_exact():
     for net in (build_net(f), build_net(f, "covariant")):
         flat = wigner_of(net, rho).flat
         assert flat.count(0) > 0 and all(w == 0 or abs(w) >= ORACLE_ATOL for w in flat)
-        svd = wigner_of(net, state_density(apps._svd_phi1(king))).flat
+        svd = wigner_of(net, mean_king_svd_density(f)).flat
         assert max(abs(w - v) for w, v in zip(flat, svd)) <= ORACLE_ATOL
 
 
@@ -293,22 +296,27 @@ def king_nets(f):
 
 def test_mean_king_basis_and_grid_on_every_net_equal_the_svd_reference():
     # on all 1024 independent and 64 covariant nets, against the SVD route
-    # the exact one replaced: x is exactly orthogonal to h_1, v_1 and d_1;
-    # each basis vector is the reference's up to a phase, and the basis is
-    # orthonormal where the reference's is (on the other half of the nets
-    # phi_1 is a Bell state, which the three translations keep); the grid is
-    # the reference's
+    # the exact one replaced: x is exactly orthogonal to h_1, v_1 and d_1
+    # and is the reference's phi_1 up to norm and phase; where the
+    # reference's basis is orthonormal each basis vector is the reference's
+    # up to a phase, and on the other half of the nets (phi_1 is a Bell
+    # state, which the three translations keep) the basis is refused; the
+    # grid is the reference's
     f = apps.bell_field()
     orthonormal = 0
     for net in king_nets(f):
-        x = apps._king_vector(net)
+        x, want = apps._king_vector(net), mean_king_svd_basis(net)
         for observable in ("x", "z", "y"):
             u = line_state(net, apps.king_lines(f, observable)[0])
             assert sum(a.conjugate() * b for a, b in zip(u, x)) == 0
-        basis, want = apps.mean_king_basis(net), mean_king_svd_basis(net)
-        assert all(abs(abs(np.vdot(v, w)) - 1) < IDENTITY_ATOL for v, w in zip(basis, want))
-        assert apps._orthonormal(basis, IDENTITY_ATOL) == apps._orthonormal(want, IDENTITY_ATOL)
-        orthonormal += apps._orthonormal(basis, IDENTITY_ATOL)
+        assert abs(abs(np.vdot(x, want[0])) - np.linalg.norm(x)) < IDENTITY_ATOL
+        if apps._orthonormal(want, IDENTITY_ATOL):
+            basis = apps.mean_king_basis(net)
+            assert all(abs(abs(np.vdot(v, w)) - 1) < IDENTITY_ATOL for v, w in zip(basis, want))
+            orthonormal += 1
+        else:
+            with pytest.raises(AmbiguousInference, match="not an orthonormal basis"):
+                apps.mean_king_basis(net)
         got = apps.mean_king_grid(net).flat
         want = wigner_of(net, state_density(want[0])).flat
         assert max(abs(w - v) for w, v in zip(got, want)) <= ORACLE_ATOL
@@ -326,6 +334,25 @@ def test_mean_king_refuses_dependent_line_states_and_another_field(monkeypatch):
     for call in (apps.mean_king_basis, apps.mean_king_grid, apps.mean_king_simulate):
         with pytest.raises(AmbiguousInference, match="linearly dependent"):
             call(net)
+
+
+def test_mean_king_wins_on_every_covariant_net_or_refuses():
+    # over the 64 covariant nets (the sign choices of h, v and 0) the game is
+    # certain on 8; it gave 0.0 on the 32 where phi_1 is a Bell state that
+    # its translates keep (four copies of one vector), and 1/3 on the 24
+    # where |Phi_+> lies on lines 1 and 2 of two striations while the king
+    # plays lines 3 and 0: both now raise, the latter naming the observable
+    f = apps.bell_field()
+    outcomes = []
+    for signs in product(product((1, -1), repeat=2), repeat=3):
+        net = build_net(f, "covariant", dict(zip(("h", "v", 0), signs)))
+        try:
+            outcomes.append(round(apps.mean_king_simulate(net), 9))
+        except AmbiguousInference as exc:
+            outcomes.append(re.sub(r"observable [xyz]$", "observable", str(exc)))
+    assert Counter(outcomes) == {1.0: 8,
+                                 "phi_1 and its translates are not an orthonormal basis": 32,
+                                 "|Phi_+> is off the two lines of observable": 24}
 
 
 def test_mean_king_retrodiction_certain():
@@ -358,7 +385,9 @@ def calls(phi):
     return [apps.bell_survey(), apps.code_solution_family(), apps.covariant_code_solutions(),
             [apps.logical_state(qec, which) for which in (0, 1)],
             apps.encode(qec, 0.6, 0.8j), apps.logical_f_functions(0.6, 0.8j),
-            apps.logical_first_columns(qec, 0.6, 0.8j), apps.mean_king_simulate(king, phi),
+            apps.logical_first_columns(qec, 0.6, 0.8j),
+            apps.encoded_wigner(apps.qec_net(qec), 0.6, 0.8j).flat,
+            apps.mean_king_simulate(king, phi),
             apps.mean_king_basis(king), apps.mean_king_grid(king).flat,
             apps.mean_king_line_sums(king), apps.mean_king_simulate(king)]
 """

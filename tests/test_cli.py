@@ -27,8 +27,8 @@ from gfwigner.galois import field_new, parse_poly
 from gfwigner.net import QuantumNet, all_plus_signs, build_net, net_from_json
 from gfwigner.wigner import (all_points, expectation_translation, purity_identity_residual,
                              stabilizer_wigner, state_density, wigner_of)
-from oracles import (mub_json_nested, mub_stdout_nested, rays_stdout_reference,
-                     wigner_stdout_reference)
+from oracles import (mean_king_svd_density, mub_json_nested, mub_stdout_nested,
+                     rays_stdout_reference, wigner_stdout_reference)
 
 
 def run(capsys, *argv):
@@ -748,7 +748,7 @@ def test_meanking_phi1_stdout_equals_the_per_point_reference(capsys, net):
         assert code == 0
         assert out == wigner_stdout_reference(2, "meanking_phi1", net, fmt=fmt)
     grid_net = cli.resolve_net(field_new(2), net)
-    _, rho = cli.resolve_state(grid_net.field, "meanking_phi1")
+    rho = mean_king_svd_density(grid_net.field)
     assert out != export_grid(wigner_of(grid_net, rho), "json", {"net": grid_net.fingerprint()})
 
 

@@ -12,6 +12,7 @@ from gfwigner.galois import field_new
 from gfwigner.net import build_net, u_omega_matrix
 from gfwigner.pauli import (
     PauliTranslation,
+    _phase_factor,
     commutes,
     compose,
     fix_phase,
@@ -239,14 +240,13 @@ def test_walsh_hadamard_is_the_signed_sum_on_each_row():
 
 def test_fix_phase_equals_the_scalar_form_bit_for_bit():
     # the meanking_phi1 preset's phi_1 is the one vector phase-fixed by
-    # numpy's product, since its SVD row has general complex entries, where
-    # numpy may use FMA and the preset's grid prints the noise: it is the
-    # scalar form of the same row, bit for bit, and a tuple
-    net = apps.mean_king_net()
-    phi1 = apps._svd_phi1(net)
-    assert type(phi1) is tuple and all(type(z) is complex for z in phi1)
-    want = fix_phase_scalar(mean_king_svd_row(net))
-    assert np.array_equal(np.array(phi1).view(np.int64), want.view(np.int64))
+    # numpy's product, v * _phase_factor(v), since its SVD row has general
+    # complex entries, where numpy may use FMA and the preset's grid prints
+    # the noise: it is the scalar form of the same row, bit for bit
+    row = mean_king_svd_row(apps.mean_king_net())
+    got = row * _phase_factor(row)
+    want = fix_phase_scalar(row)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_fix_phase_of_python_complex_equals_the_scalar_form_bit_for_bit():

@@ -23,7 +23,6 @@ from gfwigner.wigner import (
     StabilizerGroup,
     _numbers,
     _symplectic_transform,
-    _wigner_by_traces,
     WignerGrid,
     all_points,
     all_stabilizer_groups,
@@ -37,12 +36,13 @@ from gfwigner.wigner import (
     state_density,
     wigner_of,
 )
-from gfwigner.cli import resolve_state
+from gfwigner.apps import _meanking_phi1_grid
 from gfwigner.pauli import IDENTITY_ATOL
 from oracles import (
     ORACLE_ATOL,
     autocorrelation,
     line_operator_sums,
+    mean_king_svd_density,
     pauli_sum_dense,
     point_operator_gram,
     point_operator_sum,
@@ -101,12 +101,12 @@ def test_point_operator_two_routes_agree():
 def test_meanking_phi1_grid_equals_the_loop_bit_for_bit():
     # `wigner --n 2 --state meanking_phi1` prints the sign of the cells that
     # are zero up to rounding (8 of float noise, 1 exact 0): the preset's
-    # route must keep every bit of the per-point T A(0) T^dagger route
+    # route must keep every bit of the per-point T A(0) T^dagger route, on
+    # the np.outer of the oracle's SVD phi_1
     field = field_new(2)
     net = build_net(field)
-    _, rho = resolve_state(field, "meanking_phi1")
-    got = np.array(_wigner_by_traces(net, rho).flat)
-    want = np.array(wigner_of_loop(net, rho).flat)
+    got = np.array(_meanking_phi1_grid(net).flat)
+    want = np.array(wigner_of_loop(net, mean_king_svd_density(field)).flat)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.count_nonzero(np.abs(got) < IDENTITY_ATOL) == 9
 
@@ -132,13 +132,17 @@ def test_state_density_refuses_a_vector_that_is_not_numbers(vec):
 
 
 def test_state_density_keeps_the_bits_of_numbers():
-    # numpy still converts what _numbers accepts: signed zeros, numpy
-    # scalars and Fractions included
-    vec = [complex(-0.0, 0.6), np.float64(0.8), Fraction(0), -0.0]
-    v = np.asarray(vec, dtype=complex)
-    v = v / np.linalg.norm(v)
-    want = np.outer(v, v.conj())
-    assert np.array_equal(state_density(vec).view(np.int64), want.view(np.int64))
+    # what _numbers accepts, signed zeros, numpy scalars and Fractions
+    # included, read as 0j + z, then u conj(w) / <v|v> as rows of Python
+    # complex, with <v|v> the sum of re^2 + im^2, bit for bit
+    vec = [complex(-0.0, 0.6), np.float64(0.8), Fraction(1, 3), -0.0]
+    v = [0.6j, 0.8 + 0j, 1 / 3 + 0j, 0j]
+    norm2 = 0.6 * 0.6 + 0.8 * 0.8 + (1 / 3) * (1 / 3)
+    rows = state_density(vec)
+    assert type(rows) is list and all(type(row) is list and list(map(type, row)) == [complex] * 4
+                                      for row in rows)
+    want = [[u * w.conjugate() / norm2 for w in v] for u in v]
+    assert np.array_equal(np.array(rows).view(np.int64), np.array(want).view(np.int64))
 
 
 def test_rows_of_numpy_scalars_give_a_grid_of_python_floats():
@@ -362,7 +366,7 @@ def test_wigner_reconstruct_roundtrip():
             rho = random_state(f, rng)
             grid = wigner_of(net, rho)
             assert abs(np.array(grid.flat).sum() - 1) < 1e-10
-            assert np.abs(reconstruct(net, grid) - rho).max() < 1e-10
+            assert np.abs(reconstruct(net, grid) - np.asarray(rho)).max() < 1e-10
 
 
 def test_expectation_of_translations_two_ways():
