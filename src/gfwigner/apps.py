@@ -10,7 +10,9 @@ are the orbits of the paper's representatives under the state's stabilizer
 group (wigner.symmetry_orbits), and the code's parameter system is solved in
 closed form.
 
-State vectors are tuples of Python complex numbers, as in every module.
+State vectors are tuples of Python complex numbers, as in every module,
+and a caller's amplitudes (encode, logical_f_functions) and measurement
+basis (mean_king_simulate) are read by errors.need_numbers.
 The mean king is exact: phi_1 is a vector of Gaussian-integer cofactors of
 three line states, and its grid a dyadic density (wigner.state_density)
 through wigner.wigner_of, all in plain Python.  numpy is imported by
@@ -29,7 +31,7 @@ from itertools import product
 from operator import mul
 
 from .errors import (AmbiguousInference, FieldMismatch, InconsistentStabilizer, MalformedInput,
-                     need_field, need_norm)
+                     need_field, need_length, need_norm, need_numbers)
 from .galois import GF2Field, field_new
 from .net import (
     QuantumNet,
@@ -56,7 +58,6 @@ from .phasespace import (
 from .wigner import (
     StabilizerGroup,
     WignerGrid,
-    _numbers,
     state_density,
     stabilizer_wigner,
     symmetry_orbits,
@@ -214,12 +215,17 @@ def logical_state(field: GF2Field, which: int) -> tuple[complex, ...]:
     return v0 if which == 0 else v0[::-1]
 
 
+_ENCODED = "an encoded state alpha |0_L> + beta |1_L>"
+
+
 def encode(field: GF2Field, alpha: complex, beta: complex) -> tuple[complex, ...]:
     """Encoded state alpha |0_L> + beta |1_L>, normalized; MalformedInput
-    unless it has a finite nonzero norm (errors.need_norm)."""
+    unless alpha and beta are numbers (errors.need_numbers) and the state
+    has a finite nonzero norm (errors.need_norm)."""
+    alpha, beta = need_numbers((alpha, beta), _ENCODED)
     v0 = logical_state(field, 0)
     v = [alpha * z0 + beta * z1 for z0, z1 in zip(v0, v0[::-1])]
-    norm = need_norm(v, "an encoded state alpha |0_L> + beta |1_L>")
+    norm = need_norm(v, _ENCODED)
     return tuple(complex(z.real / norm, z.imag / norm) for z in v)
 
 
@@ -292,7 +298,9 @@ def covariant_code_solutions(field: GF2Field | None = None) -> list[dict]:
 
 def logical_f_functions(alpha: complex, beta: complex) -> tuple[float, ...]:
     """The four real functions determining the Wigner function of a general
-    encoded state alpha |0_L> + beta |1_L| in the q = 0 column."""
+    encoded state alpha |0_L> + beta |1_L| in the q = 0 column; MalformedInput
+    unless alpha and beta are numbers (errors.need_numbers)."""
+    alpha, beta = need_numbers((alpha, beta), _ENCODED)
     aa, bb = abs(alpha) ** 2, abs(beta) ** 2
     cross = alpha * beta.conjugate()
     f1 = (aa + 3 * bb + (2 + 1j) * cross + (2 - 1j) * cross.conjugate()) / 32
@@ -471,15 +479,14 @@ def _orthonormal(basis, atol: float) -> bool:
 
 
 def _measurement_basis(basis) -> list[list[complex]]:
-    """basis as 4 rows of 4 Python complex numbers (wigner._numbers), if it
-    reads as that and its Gram matrix is within INPUT_ATOL of I."""
-    try:
-        rows = [_numbers(v) for v in basis]
-    except (TypeError, OverflowError):  # not rows of numbers
-        rows = []
+    """basis as 4 rows of 4 Python complex numbers (errors.need_numbers), if
+    it reads as that and its Gram matrix is within INPUT_ATOL of I; else
+    MalformedInput."""
+    what = "a mean king basis"
+    rows = [need_numbers(v, what) for v in need_length(basis, 4, what)]
     if list(map(len, rows)) == [4] * 4 and _orthonormal(rows, INPUT_ATOL):
         return rows
-    raise MalformedInput("a mean king basis is 4 orthonormal vectors of 4 complex numbers")
+    raise MalformedInput(f"{what} is 4 orthonormal vectors of 4 complex numbers")
 
 
 def mean_king_simulate(net: QuantumNet, basis=None) -> float:

@@ -11,33 +11,28 @@ or `--help` anywhere prints the help and exits 0, and a usage error prints
 one `error: ...` line and exits 2.
 
 Start-up costs only what a subcommand uses.  The package namespace is lazy
-(gfwigner/__init__.py loads no submodule), and at module level this file
-imports the standard library (not argparse, which with gettext and locale
-cost more than a trivial request's own work), `errors`, `galois` and
-`phasespace`, none of which imports numpy or dataclasses, so `field`,
-`rays`, `uomega`, `--help` and usage errors never load them.  `pauli`,
-`net`, `wigner` and `apps` are imported inside the functions that use them.
-State vectors are tuples of Python complex numbers: those modules import
-numpy only inside their functions that return arrays and in
-`apps._meanking_phi1_grid`, the `meanking_phi1` preset's route, and this
-file imports none.  So `wigner` on a stabilizer file, a density file (its
-rows are Python complex numbers, and the dense route is plain Python) or a
-`computational_*`, `bell_*` or `qec_logical_*` preset, on any net, `bell`,
-`qec`, `meanking` (its phi_1 is an exact cofactor vector), their
-`--verify`, `mub` (its states are tuples of Python complex numbers) and
-`verify` at any n (the point operators are checked through chi of A(0))
-start without numpy too, and only `wigner` on the `meanking_phi1` preset
-loads it.  An exact grid is integer numerators, which
+(gfwigner/__init__.py loads no submodule); at module level this file
+imports the standard library (not argparse), `errors`, `galois` and
+`phasespace`, none of which imports numpy or dataclasses, and `pauli`,
+`net`, `wigner` and `apps` inside the functions that use them.  numpy is
+imported only inside their functions that return arrays and in
+`apps._meanking_phi1_grid`, so `wigner` on the `meanking_phi1` preset is
+the one request that loads it.  An exact grid is integer numerators, which
 export_grid renders itself, so `fractions` loads for none of `field`,
 `rays`, `uomega` and `wigner` on a stabilizer file or a `computational_*`
 preset; `verify` loads it (with `apps`) only at n = 2 and 3, where it runs
 the bell, meanking or qec rows.  `json` loads only where a document is read
 or written: state, net and grid files (all through galois.load_json), json
-output and `mub`.  `main` asks for
-one BLAS thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS
-default to 1; a value already set is kept) before numpy loads, and freezes
-the heap (gc.freeze) before exiting, so the final garbage collection at
-interpreter exit does not walk every object the request created.
+output and `mub`.  `main` asks for one BLAS thread (OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS default to 1; a value already set is
+kept) before numpy loads, and freezes the heap (gc.freeze) before exiting,
+so the final garbage collection at interpreter exit does not walk every
+object the request created.
+
+A state file's "density" is checked here for its JSON shape only, a square
+list of [re, im] pairs; its numbers are read by errors.need_numbers, the
+package's one reader of numbers from outside, and wigner_of refuses a
+non-finite one.
 
 The paper's checks are one table, `check_rows`: 12 (group, name, check)
 rows, and `run_checks(field, *groups)` runs the rows of the named groups in
@@ -59,7 +54,7 @@ from itertools import chain, islice
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .errors import GfwignerError, MalformedInput
+from .errors import FieldMismatch, GfwignerError, MalformedInput, need_numbers
 from .galois import (GF2Field, field_new, load_json, parse_poly, power_ordering,
                      read_field_header, u_omega_gates)
 from .phasespace import all_striations, grid_axis, need_grid, striation, to_binary
@@ -213,7 +208,7 @@ def resolve_net(field: GF2Field, spec: str) -> QuantumNet:
     with open(spec) as fh:
         net = net_from_json(fh.read())
     if net.field != field:
-        raise GfwignerError("net file does not match the requested field")
+        raise FieldMismatch("net file does not match the requested field")
     return net
 
 
@@ -240,13 +235,13 @@ def resolve_state(field: GF2Field, spec: str):
         return "stabilizer", StabilizerGroup.from_generators(field, zs)
     if spec.startswith(("bell_phi_", "bell_psi_")):
         if n != 2:
-            raise GfwignerError("bell presets need --n 2")
+            raise FieldMismatch("bell presets need --n 2")
         from . import apps
 
         return "stabilizer", apps.bell_stabilizer(field, spec.removeprefix("bell_"))
     if spec in ("qec_logical_0", "qec_logical_1"):
         if n != 3:
-            raise GfwignerError("qec presets need --n 3")
+            raise FieldMismatch("qec presets need --n 3")
         from . import apps
 
         return "stabilizer", apps.logical_group(field, int(spec[-1]))
@@ -265,21 +260,13 @@ def resolve_state(field: GF2Field, spec: str):
         return "stabilizer", StabilizerGroup.from_generators(field, gens)
     rows = payload["density"]
     if not (isinstance(rows, list) and all(
-            isinstance(row, list) and len(row) == len(rows) and all(map(_is_pair, row))
+            isinstance(row, list) and len(row) == len(rows)
+            and all(isinstance(cell, list) and len(cell) == 2 for cell in row)
             for row in rows)):
         raise MalformedInput('"density" needs a square matrix: as many rows as '
-                             'columns, of finite [re, im] number pairs')
-    try:
-        return "dense", [[complex(re, im) for re, im in row] for row in rows]
-    except OverflowError:
-        raise MalformedInput('"density" holds a number beyond float range') from None
-
-
-def _is_pair(cell) -> bool:
-    """[re, im], ints or finite floats."""
-    return isinstance(cell, list) and len(cell) == 2 and all(
-        isinstance(x, float) and math.isfinite(x) or isinstance(x, int) and not isinstance(x, bool)
-        for x in cell)
+                             'columns, of [re, im] pairs')
+    need_numbers([x for row in rows for cell in row for x in cell], '"density"')
+    return "dense", [[complex(re, im) for re, im in row] for row in rows]
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -456,6 +443,14 @@ def check_rows(field: GF2Field) -> list[tuple]:
 
     net = build_net(field, "covariant")
 
+    shared = [None, None]  # the net's A(0) and its chi(beta) = Tr(A(0) T_beta)
+
+    def a0_chi():
+        # the two wigner rows share chi, computed again only if A(0) changes
+        if shared[0] is not (a0 := net.a0_matrix()):
+            shared[:] = a0, pauli_coefficients(a0, field.n)
+        return shared[1]
+
     def orderings():
         for gen in ("canonical", "dual"):
             seq = power_ordering(field, gen)
@@ -477,7 +472,7 @@ def check_rows(field: GF2Field) -> list[tuple]:
 
     def orthogonality():
         # Tr(A_alpha A_beta) = delta / N: the entry at alpha ^ beta
-        chi = pauli_coefficients(net.a0_matrix(), field.n)
+        chi = a0_chi()
         traces = [t / field.N for t in _symplectic_transform([z * z for z in chi], field.n)]
         worst = max(abs(traces[0] - 1 / field.N), *map(abs, traces[1:]))
         _claim(worst < IDENTITY_ATOL, f"Tr(A_alpha A_beta) off delta / N by {worst}")
@@ -490,7 +485,7 @@ def check_rows(field: GF2Field) -> list[tuple]:
         # e_k = N chi(g_k) (-1)^<d,g_k>, which is |v><v| iff |v| = 1 and
         # T_{g_k} v = e_k v for each k
         n, N, index = field.n, field.N, _basis_order(field.n)
-        chi = pauli_coefficients(net.a0_matrix(), n)
+        chi = a0_chi()
         for label, rows in mub_bases(net).items():
             lines = striation(field, label).lines
             ray = [to_binary(field, pt) for pt in lines[0].points(field)]

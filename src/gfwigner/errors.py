@@ -1,5 +1,8 @@
 """Exception hierarchy shared across the package, and the validators that its
-library entry points share to raise it for bad input."""
+library entry points share to raise it for bad input.  need_numbers is the
+one reader of numbers from outside the package: a density matrix's or state
+vector's entries, an encoded state's amplitudes, a measurement basis and a
+state file's "density"."""
 
 from math import inf, sqrt
 from operator import index
@@ -72,6 +75,24 @@ def need_length(seq, length: int, what: str):
     if got != length:
         raise MalformedInput(f"{what} needs {length} entries, got {got}")
     return seq
+
+
+def need_numbers(entries, what: str, error=MalformedInput) -> list[complex]:
+    """entries as Python complex numbers, 0j + z, if each is a numbers.Number
+    (Python's or numpy's, such as numpy scalars, which pass through complex
+    first) within float range and no bool, which 0j + z would read as 0 or 1;
+    else error, "<what> needs numbers: <why>"."""
+    try:
+        if other := set(map(type, entries)) - {float, complex, int}:
+            from numbers import Number
+
+            for t in other:
+                if t is bool or not issubclass(t, Number):
+                    raise TypeError(f"a {t.__name__} is not a number")
+            entries = list(map(complex, entries))
+        return [0j + z for z in entries]
+    except (TypeError, OverflowError) as exc:
+        raise error(f"{what} needs numbers: {exc}") from None
 
 
 def need_norm(values, what: str) -> float:

@@ -45,7 +45,8 @@ is not changed after it is built.  hat W is one pauli.walsh_hadamard of the
 grid's tuple, so a grid file is read and transformed without numpy.
 
 A state vector is a tuple of Python complex numbers, and state_density
-makes |v><v| / <v|v> as rows of them; numpy is imported only inside the
+makes |v><v| / <v|v> as rows of them; a caller's density or state vector
+is read by errors.need_numbers.  numpy is imported only inside the
 functions that return arrays (point_operator, as_array), and fractions only
 where a Fraction is made, so an exact grid, a dense grid of a density
 given as rows of numbers (the mean king's among them), and its
@@ -61,7 +62,7 @@ from math import inf, lcm, sqrt
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .errors import InvalidDensityMatrix, need_bits, need_field, need_length
+from .errors import InvalidDensityMatrix, need_bits, need_field, need_length, need_numbers
 from .galois import GF2Field
 from .net import QuantumNet
 from .pauli import (
@@ -88,40 +89,22 @@ def all_points(field: GF2Field):
             yield BinaryPoint(qbits, pbits, field.n)
 
 
-def _numbers(entries) -> list[complex]:
-    """entries as Python complex numbers, 0j + z, if each is a numbers.Number
-    (Python's or numpy's) but no bool, which 0j + z would read as 0 or 1; else
-    TypeError.  Entries of other types than Python's int, float and complex,
-    such as numpy scalars (whose 0j + z is numpy's), pass through complex
-    first.  The one reading of a density matrix's or state vector's entries."""
-    if other := set(map(type, entries)) - {float, complex, int}:
-        from numbers import Number
-
-        for t in other:
-            if t is bool or not issubclass(t, Number):
-                raise TypeError(f"a {t.__name__} is not a number")
-        entries = list(map(complex, entries))
-    return [0j + z for z in entries]
-
-
 def _complex_rows(rho, N: int) -> list[list[complex]]:
-    """rho (an array or N sequences of N numbers, see _numbers) as N lists of
-    Python complex numbers; anything else raises InvalidDensityMatrix."""
+    """rho (an array, or a list or tuple of N rows of N numbers, each row read
+    by errors.need_numbers) as N lists of Python complex numbers; anything
+    else raises InvalidDensityMatrix."""
     rows = rho.tolist() if hasattr(rho, "tolist") else rho
-    try:
-        rows = [_numbers(row) for row in rows]
-    except TypeError:
-        got = "no matrix of numbers"
-    else:
-        lengths = sorted(set(map(len, rows)))
-        if len(rows) != N or lengths != [N]:
-            got = (f"({len(rows)}, {lengths[0]})" if len(lengths) == 1
-                   else f"rows of lengths {lengths}")
-        elif all(all(map(isfinite, row)) for row in rows):
-            return rows
-        else:
-            got = "a non-finite entry"
-    raise InvalidDensityMatrix(f"need finite entries and shape ({N}, {N}), got {got}")
+    shape = f"need finite entries and shape ({N}, {N})"
+    if not isinstance(rows, (list, tuple)):
+        raise InvalidDensityMatrix(f"{shape}, got a {type(rows).__name__}")
+    rows = [need_numbers(row, f"{shape}; each row", InvalidDensityMatrix) for row in rows]
+    lengths = sorted(set(map(len, rows)))
+    if len(rows) != N or lengths != [N]:
+        got = f"({len(rows)}, {lengths[0]})" if len(lengths) == 1 else f"rows of lengths {lengths}"
+        raise InvalidDensityMatrix(f"{shape}, got {got}")
+    if not all(all(map(isfinite, row)) for row in rows):
+        raise InvalidDensityMatrix(f"{shape}, got a non-finite entry")
+    return rows
 
 
 def _checked_rows(rho, n: int) -> list[list[complex]]:
@@ -164,12 +147,9 @@ def check_density_matrix(rho, n: int):
 
 def state_density(vec) -> list[list[complex]]:
     """|v><v| / <v|v> as N rows of Python complex, u conj(w) / <v|v> with
-    <v|v> the sum of re^2 + im^2, v any sequence of numbers (_numbers):
+    <v|v> the sum of re^2 + im^2, v any sequence of numbers (need_numbers):
     InvalidDensityMatrix unless it has a finite nonzero norm."""
-    try:
-        v = _numbers(vec)
-    except TypeError as exc:
-        raise InvalidDensityMatrix(f"state vector needs numbers: {exc}") from None
+    v = need_numbers(vec, "state vector", InvalidDensityMatrix)
     norm2 = sum(z.real * z.real + z.imag * z.imag for z in v)
     if not 0 < norm2 < inf:
         raise InvalidDensityMatrix(f"state vector needs a finite nonzero norm, got {sqrt(norm2)}")

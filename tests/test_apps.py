@@ -241,6 +241,18 @@ def test_encode_refuses_a_state_without_a_finite_nonzero_norm():
             apps.encode(f, alpha, beta)
 
 
+@pytest.mark.parametrize("alpha, beta", [("a", 1), (True, 0), (10 ** 400, 1)],
+                         ids=["text", "a bool", "int beyond float range"])
+def test_encoded_amplitudes_must_be_numbers(alpha, beta):
+    # "a" raised a bare TypeError and 10 ** 400 a bare OverflowError, and
+    # encode read True as 1
+    f = apps.qec_field()
+    for call in (lambda: apps.encode(f, alpha, beta),
+                 lambda: apps.logical_f_functions(alpha, beta)):
+        with pytest.raises(MalformedInput, match="needs numbers"):
+            call()
+
+
 def test_first_columns_refuse_a_field_whose_preset_net_breaks_the_closed_form():
     # on x^3 + x + 1 the preset net's grid matches no row layout of f1..f4:
     # it differs from the paper field's layout by about 0.1 at (0.6, 0.8i)

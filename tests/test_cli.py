@@ -22,7 +22,7 @@ import gfwigner
 from gfwigner import apps, cli, wigner
 from gfwigner.cli import (check_rows, dispatch, export_grid, import_grid, mub_json,
                           verify_groups)
-from gfwigner.errors import DegreeMismatch, GfwignerError, MalformedInput
+from gfwigner.errors import DegreeMismatch, FieldMismatch, GfwignerError, MalformedInput
 from gfwigner.galois import field_new, parse_poly
 from gfwigner.net import QuantumNet, all_plus_signs, build_net, net_from_json
 from gfwigner.wigner import (all_points, expectation_translation, purity_identity_residual,
@@ -70,10 +70,23 @@ def test_missing_state_file_is_validation_error(capsys):
     assert code == 2
 
 
-def test_preset_field_size_mismatch_is_validation_error(capsys):
-    code, _, err = run(capsys, "wigner", "--n", "3", "--state", "bell_phi_plus")
-    assert code == 2
-    assert "error:" in err
+def test_preset_field_size_mismatch_is_validation_error(capsys, tmp_path):
+    # each raised the base GfwignerError
+    netfile = tmp_path / "net.json"
+    netfile.write_text(build_net(field_new(2)).to_json())
+    for argv, call, match in (
+            (["--n", "3", "--state", "bell_phi_plus"],
+             lambda: cli.resolve_state(field_new(3), "bell_phi_plus"), "^bell presets need --n 2$"),
+            (["--n", "2", "--state", "qec_logical_0"],
+             lambda: cli.resolve_state(field_new(2), "qec_logical_0"), "^qec presets need --n 3$"),
+            (["--n", "3", "--state", "qec_logical_0", "--net", str(netfile)],
+             lambda: cli.resolve_net(field_new(3), str(netfile)),
+             "^net file does not match the requested field$")):
+        code, out, err = run(capsys, "wigner", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        with pytest.raises(FieldMismatch, match=match):
+            call()
 
 
 def test_unknown_bell_preset_is_validation_error(capsys):

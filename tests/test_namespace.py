@@ -157,3 +157,30 @@ def test_every_public_name_is_used_or_kept_for_a_stated_reason():
     assert public - UNREFERENCED_BY_DESIGN.keys() == set(), "dead public code"
     assert UNREFERENCED_BY_DESIGN.keys() - public == set(), "stale allow-list entry"
     assert unused - public == set(), "dead private code"
+
+
+# every private name that one package module imports from another
+# (from .x import _y), as (importer, module, name): a decision that leaks
+# into a second module shows here
+PRIVATE_IMPORTS = {
+    ("apps", "pauli", "_phase_factor"),
+    ("cli", "apps", "_meanking_phi1_grid"),
+    ("cli", "pauli", "_I_POW"),
+    ("cli", "pauli", "_basis_order"),
+    ("cli", "wigner", "_symplectic_transform"),
+    ("net", "pauli", "_I_POW"),
+    ("net", "pauli", "_basis_order"),
+    ("net", "phasespace", "_no_striation"),
+    ("pauli", "phasespace", "_no_striation"),
+}
+
+
+def test_private_names_imported_across_modules_are_the_listed_ones():
+    # module-level and function-level imports alike
+    found = set()
+    for path in Path(gfwigner.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found |= {(path.stem, node.module, alias.name) for alias in node.names
+                          if alias.name.startswith("_")}
+    assert found == PRIVATE_IMPORTS

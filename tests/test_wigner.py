@@ -14,6 +14,7 @@ from gfwigner.errors import (
     InvalidDensityMatrix,
     MalformedInput,
     NonCommutingGenerators,
+    need_numbers,
 )
 from gfwigner.galois import field_new
 from gfwigner.net import QuantumNet, all_plus_signs, build_net, line_state, ray_generators
@@ -21,7 +22,6 @@ from gfwigner.pauli import pauli_coefficients, to_matrix, translation, translati
 from gfwigner.phasespace import BinaryPoint, Line, all_striations, striation_labels
 from gfwigner.wigner import (
     StabilizerGroup,
-    _numbers,
     _symplectic_transform,
     WignerGrid,
     all_points,
@@ -121,18 +121,19 @@ def test_state_density_refuses_a_vector_without_a_finite_nonzero_norm(vec):
 
 
 @pytest.mark.parametrize("vec", ["ab", [1, "x"], [[1, 2], [3]], ["1", "0"], [True, False],
-                                 np.array([True, False]), [np.True_, 0]],
+                                 np.array([True, False]), [np.True_, 0], [10 ** 400, 0]],
                          ids=["text", "a text entry", "ragged", "numeric text", "bools",
-                              "bool array", "numpy bool"])
+                              "bool array", "numpy bool", "int beyond float range"])
 def test_state_density_refuses_a_vector_that_is_not_numbers(vec):
     # "ab" raised a bare ValueError from numpy's complex conversion, and
-    # numpy read ["1", "0"] and [True, False] as |0>
+    # numpy read ["1", "0"] and [True, False] as |0>; 10 ** 400 raised a
+    # bare OverflowError
     with pytest.raises(InvalidDensityMatrix, match="state vector needs numbers"):
         state_density(vec)
 
 
 def test_state_density_keeps_the_bits_of_numbers():
-    # what _numbers accepts, signed zeros, numpy scalars and Fractions
+    # what need_numbers accepts, signed zeros, numpy scalars and Fractions
     # included, read as 0j + z, then u conj(w) / <v|v> as rows of Python
     # complex, with <v|v> the sum of re^2 + im^2, bit for bit
     vec = [complex(-0.0, 0.6), np.float64(0.8), Fraction(1, 3), -0.0]
@@ -146,7 +147,7 @@ def test_state_density_keeps_the_bits_of_numbers():
 
 
 def test_rows_of_numpy_scalars_give_a_grid_of_python_floats():
-    # _numbers read numpy scalars as 0j + z, which numpy computes: a grid of
+    # numpy scalars read as 0j + z, which numpy computes, gave a grid of
     # np.float64 from rows of np.complex128, where flat holds Python floats
     field = field_new(2)
     net = build_net(field, "covariant")
@@ -154,7 +155,8 @@ def test_rows_of_numpy_scalars_give_a_grid_of_python_floats():
     grid = wigner_of(net, [list(row) for row in rho])
     assert all(type(w) is float for w in grid.flat)
     assert grid.flat == wigner_of(net, rho).flat
-    assert list(map(type, _numbers([np.complex128(1), np.int64(2), -0.0]))) == [complex] * 3
+    numbers = need_numbers([np.complex128(1), np.int64(2), -0.0], "a row")
+    assert list(map(type, numbers)) == [complex] * 3
 
 
 @pytest.mark.parametrize("n", ["x", -1, True, 2.0, None], ids=repr)
@@ -228,11 +230,12 @@ def test_density_check_decides_positivity_as_eigvalsh_away_from_the_boundary(n):
     "x", None, 5, [[0.5, 0], [0.5]], [[0.5, "0"], [0, 0.5]], [[0.5, None], [0, 0.5]],
     [[[0.5], [0]], [[0], [0.5]]], np.ones(4) / 4, np.eye(4) / 4, [[0.5, 0]],
     [[True, False], [False, False]], np.array([[True, False], [False, False]]),
-    [[np.True_, 0], [0, 0]],
+    [[np.True_, 0], [0, 0]], [[10 ** 400, 0], [0, 0]],
 ], ids=["str", "None", "int", "ragged", "str entry", "None entry", "3-d", "1-d",
-        "4x4", "1 row", "bools", "bool array", "numpy bool"])
+        "4x4", "1 row", "bools", "bool array", "numpy bool", "int beyond float range"])
 def test_density_check_refuses_what_is_not_an_n_qubit_matrix_of_numbers(rho):
-    # "x" raised a bare ValueError from numpy; bools were read as 0 and 1
+    # "x" raised a bare ValueError from numpy; bools were read as 0 and 1;
+    # 10 ** 400 raised a bare OverflowError
     with pytest.raises(InvalidDensityMatrix, match=r"^need finite entries and shape \(2, 2\)"):
         check_density_matrix(rho, 1)
     with pytest.raises(InvalidDensityMatrix, match="finite entries"):
