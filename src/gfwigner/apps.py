@@ -14,8 +14,8 @@ State vectors are tuples of Python complex numbers, as in every module,
 and a caller's amplitudes (encode, logical_f_functions) and measurement
 basis (mean_king_simulate) are read by errors.need_numbers.
 The mean king is exact: phi_1 is a vector of Gaussian-integer cofactors of
-three line states, and its grid a dyadic density (wigner.state_density)
-through wigner.wigner_of, all in plain Python.  numpy is imported by
+three line states, pauli.translate moves it to the rest of the basis, and
+its grid is a dyadic density through wigner.wigner_of.  numpy is imported by
 _meanking_phi1_grid alone, the whole route of the meanking_phi1 preset
 (an SVD phi_1 and per-point traces), whose float noise that preset
 prints.  The retrodiction reads one table of |<line|phi_r>| per announced
@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
-from operator import mul
 
 from .errors import (AmbiguousInference, FieldMismatch, InconsistentStabilizer, MalformedInput,
                      need_field, need_length, need_norm, need_numbers)
@@ -44,7 +43,8 @@ from .pauli import (
     INPUT_ATOL,
     PauliTranslation,
     fix_phase,
-    pauli_sum,
+    parse_pauli,
+    translate,
     translation_for,
     walsh_hadamard,
 )
@@ -299,8 +299,9 @@ def covariant_code_solutions(field: GF2Field | None = None) -> list[dict]:
 def logical_f_functions(alpha: complex, beta: complex) -> tuple[float, ...]:
     """The four real functions determining the Wigner function of a general
     encoded state alpha |0_L> + beta |1_L| in the q = 0 column; MalformedInput
-    unless alpha and beta are numbers (errors.need_numbers)."""
+    unless alpha and beta are numbers with a finite nonzero norm (errors.need_norm)."""
     alpha, beta = need_numbers((alpha, beta), _ENCODED)
+    need_norm((alpha, beta), _ENCODED)
     aa, bb = abs(alpha) ** 2, abs(beta) ** 2
     cross = alpha * beta.conjugate()
     f1 = (aa + 3 * bb + (2 + 1j) * cross + (2 - 1j) * cross.conjugate()) / 32
@@ -390,14 +391,6 @@ def _king_vector(net: QuantumNet) -> tuple[complex, ...]:
     return x
 
 
-def _translated(field: GF2Field, point: PhasePoint, v) -> tuple[complex, ...]:
-    """T v for the canonical translation T of point, one pauli_sum."""
-    b = to_binary(field, point)
-    coeffs = [0] * (field.N * field.N)
-    coeffs[(b.qbits << field.n) | b.pbits] = 1
-    return tuple(sum(map(mul, row, v)) for row in pauli_sum(field.n, coeffs))
-
-
 def mean_king_basis(net: QuantumNet) -> list[tuple[complex, ...]]:
     """The orthonormal basis [phi_1..phi_4] measured by the physicist, as
     tuples: phi_1 is the state orthogonal to the line states h_1, v_1 and
@@ -405,10 +398,10 @@ def mean_king_basis(net: QuantumNet) -> list[tuple[complex, ...]]:
     vector x (_king_vector) and its translates are each phase-fixed, then
     divided by |x|.  AmbiguousInference unless they are orthonormal to
     IDENTITY_ATOL (on some nets phi_1 is a Bell state the translates keep)."""
-    x, field = _king_vector(net), net.field
-    w2, norm = field.pow_omega(2), math.sqrt(_inner(x, x).real)
-    basis = [tuple(z / norm for z in fix_phase(v)) for v in (x, *(
-        _translated(field, PhasePoint(dq, dp), x) for dq, dp in ((0, w2), (w2, w2), (w2, 0))))]
+    x = _king_vector(net)
+    norm = math.sqrt(_inner(x, x).real)
+    basis = [tuple(z / norm for z in fix_phase(v)) for v in (
+        x, *(translate(parse_pauli(s), x) for s in ("ZZ", "YY", "XX")))]
     if not _orthonormal(basis, IDENTITY_ATOL):
         raise AmbiguousInference("phi_1 and its translates are not an orthonormal basis")
     return basis

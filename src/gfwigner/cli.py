@@ -222,16 +222,12 @@ def resolve_state(field: GF2Field, spec: str):
     with either {"stabilizer": [["+XXI", 1], ...]} or
     {"density": [[[re, im], ...], ...]}.
     """
-    from .pauli import StabilizerGroup, parse_pauli
+    from .pauli import StabilizerGroup, parse_pauli, translation
 
     n = field.n
-    if spec.startswith("computational_"):
+    if spec.startswith("computational_"):  # Z on qubit k, signed by bit k
         bits = field.parse_bits(spec.removeprefix("computational_"))
-        zs = [
-            (parse_pauli("+" + "".join("Z" if i == k else "I" for i in range(n))),
-             -1 if bits >> k & 1 else 1)
-            for k in range(n)
-        ]
+        zs = [(translation(n, 0, 1 << k), -1 if bits >> k & 1 else 1) for k in range(n)]
         return "stabilizer", StabilizerGroup.from_generators(field, zs)
     if spec.startswith(("bell_phi_", "bell_psi_")):
         if n != 2:
@@ -431,15 +427,14 @@ def check_rows(field: GF2Field) -> list[tuple]:
     by the bell, qec and meanking rows.  The wigner rows read the point
     operators through chi(beta) = Tr(A(0) T_beta) (pauli.pauli_coefficients):
     Tr(A(alpha) A(beta)) is N^-1 sum_gamma chi(gamma)^2 (-1)^<alpha ^ beta,gamma>,
-    so the N^4 traces are one symplectic transform of chi^2, and the operator
-    sum over a line d + R is sum_{beta in R} chi(beta) (-1)^<d,beta> T_beta,
-    the stabilizer projector of R's n generators, so every emitted MUB row v
-    is checked against those n generators: n N steps per row, not N^2."""
+    so the N^4 traces are one symplectic transform of chi^2; the sum over the
+    ray R is the projector of R's generators, which check its row v, and the
+    sum over d + R is T_d |v><v| T_d^dagger: N steps a row (pauli.translate)."""
     from .net import build_net, mub_bases, mub_overlap_report
-    from .pauli import (_I_POW, IDENTITY_ATOL, StabilizerGroup, _basis_order, pauli_coefficients,
-                        translation_for)
-    from .wigner import (_symplectic_transform, purity_identity_residual, reconstruct,
-                         stabilizer_wigner, state_density, wigner_of)
+    from .pauli import (IDENTITY_ATOL, StabilizerGroup, pauli_coefficients, translate,
+                        translation, translation_for, walsh_hadamard)
+    from .wigner import (purity_identity_residual, reconstruct, stabilizer_wigner, state_density,
+                         wigner_of)
 
     net = build_net(field, "covariant")
 
@@ -453,8 +448,7 @@ def check_rows(field: GF2Field) -> list[tuple]:
 
     def orderings():
         for gen in ("canonical", "dual"):
-            seq = power_ordering(field, gen)
-            _claim(len(set(seq)) == field.N, "ordering misses elements")
+            _claim(len(set(power_ordering(field, gen))) == field.N, "ordering misses elements")
 
     def trace_linear():
         for x in field.elements():
@@ -467,24 +461,25 @@ def check_rows(field: GF2Field) -> list[tuple]:
         _claim(report["max_cross_overlap_deviation"] < IDENTITY_ATOL, report)
 
     def f_signs():
-        for v in net.f_vector():
-            _claim(v in (1, -1))
+        _claim(all(v in (1, -1) for v in net.f_vector()))
 
     def orthogonality():
-        # Tr(A_alpha A_beta) = delta / N: the entry at alpha ^ beta
+        # Tr(A_alpha A_beta) = delta / N: the entry at alpha ^ beta of the
+        # symplectic transform, whose entries the plain one permutes, 0 fixed
         chi = a0_chi()
-        traces = [t / field.N for t in _symplectic_transform([z * z for z in chi], field.n)]
+        traces = [t / field.N for t in walsh_hadamard([z * z for z in chi])]
         worst = max(abs(traces[0] - 1 / field.N), *map(abs, traces[1:]))
         _claim(worst < IDENTITY_ATOL, f"Tr(A_alpha A_beta) off delta / N by {worst}")
 
     def line_projectors():
-        # the sum of A(alpha) over the line d + R is
-        # sum_{beta in R} chi(beta) (-1)^<d,beta> T_beta: with N chi on R the
-        # sign function of the group of R's generators g_k (its points at
-        # parameter 2^k), that is the projector prod_k (I + e_k T_{g_k}) / 2,
-        # e_k = N chi(g_k) (-1)^<d,g_k>, which is |v><v| iff |v| = 1 and
-        # T_{g_k} v = e_k v for each k
-        n, N, index = field.n, field.N, _basis_order(field.n)
+        # the sum of A(alpha) over the ray R is sum_{beta in R} chi(beta) T_beta:
+        # with N chi on R the sign function of the group of R's generators g_k
+        # (its points at parameter 2^k), that is the projector
+        # prod_k (I + e_k T_{g_k}) / 2, e_k = N chi(g_k), which is |v><v| iff
+        # |v| = 1 and T_{g_k} v = e_k v for each k; the sum over the line
+        # d + R is T_d |v><v| T_d^dagger, which is |u><u| iff |u| = 1 and
+        # u = <T_d v|u> T_d v
+        n, N = field.n, field.N
         chi = a0_chi()
         for label, rows in mub_bases(net).items():
             lines = striation(field, label).lines
@@ -498,17 +493,18 @@ def check_rows(field: GF2Field) -> list[tuple]:
             worst = max(abs(nchi[beta] - sign) for beta, sign in group.elements.items())
             _claim(worst < IDENTITY_ATOL,
                    f"striation {label}: N chi on its ray is off its group's signs by {worst}")
-            # T(a, b) sends i^s (-1)^(b.x) v[index x] to index(x ^ a), s = popcount(a & b)
-            moves = [[(index[x], index[x ^ g.a], _I_POW[(g.s + 2 * (g.b & x).bit_count()) % 4])
-                      for x in range(N)] for g in gens]
-            for c, (line, v) in enumerate(zip(lines, rows)):
+            # worst carries over the rows: it stays below IDENTITY_ATOL while they pass
+            v = rows[0]
+            worst = max(abs(y - nchi[g.a, g.b] * z)
+                        for g in gens for y, z in zip(translate(g, v), v))
+            for c, (line, u) in enumerate(zip(lines, rows)):
                 # a normalised line a q + b p = c has a = 1, or a = 0 and b = 1:
                 # (c, 0) or (0, c) is on it
-                dq, dp = (line.c, 0) if line.a else (0, field.p_to_bits(line.c))
-                worst = abs(sum(abs(z) ** 2 for z in v) - 1)
-                for g, move in zip(gens, moves):
-                    e = nchi[g.a, g.b] * (-1) ** ((dq & g.b).bit_count() + (g.a & dp).bit_count())
-                    worst = max(worst, *(abs(z * v[i] - e * v[j]) for i, j, z in move))
+                w = translate(translation(n, line.c, 0) if line.a
+                              else translation(n, 0, field.p_to_bits(line.c)), v)
+                p = sum(z.conjugate() * y for z, y in zip(w, u))
+                worst = max(worst, abs(sum(abs(z) ** 2 for z in u) - 1),
+                            *(abs(y - p * z) for z, y in zip(w, u)))
                 _claim(worst < IDENTITY_ATOL,
                        f"line {c} of striation {label}: its sum is off |v><v| by {worst}")
 

@@ -33,7 +33,6 @@ from .errors import FieldMismatch, MalformedInput
 from .galois import GF2Field, read_field_header
 from .galois import u_omega_gates  # noqa: F401  (re-exported beside u_omega_matrix)
 from .pauli import (
-    _I_POW,
     PauliTranslation,
     StabilizerGroup,
     _basis_order,
@@ -53,6 +52,7 @@ from .phasespace import (
     _no_striation,
     from_binary,
     label_of_line,
+    need_point,
     ray_through,
     striation,
     striation_labels,
@@ -151,14 +151,14 @@ class QuantumNet:
 
     def basis(self, label) -> tuple[tuple[complex, ...], ...]:
         """The striation's N line states as a tuple of rows in line order: the
-        ray state v, then line c at row 1 + log c, v moved by T(a, b) for
-        the line's displacement (it sends i^(a.b) (-1)^(b.x) v[index x] to
-        index(x ^ a)) and phase-fixed.  On the vertical v is a |y>, which
-        (c, 0) moves; elsewhere v has no zero entry, which (0, c / b) signs."""
+        ray state v, then line c at row 1 + log c, v moved by T(a, b) for the
+        line's displacement (pauli.translate's rule) and phase-fixed.  On the
+        vertical v is a |y>, which (c, 0) moves; elsewhere v has no zero entry,
+        and (0, c / b) signs it."""
         if label not in self._bases:
             field = self.field
             index, v = _basis_order(field.n), self.ray_state(label)
-            plus, minus = [_I_POW[0] * z for z in v], [_I_POW[2] * z for z in v]
+            plus, minus = [(1 + 0j) * z for z in v], [(-1 + 0j) * z for z in v]
             ds = [line_displacement(field, line) for line in striation(field, label).lines[1:]]
             if label == VERTICAL:  # every row's phase factor is that of +v[y]
                 fixed = fix_phase(plus)
@@ -176,9 +176,9 @@ class QuantumNet:
     def f(self, beta: BinaryPoint) -> int:
         """T_beta's eigenvalue (+-1) on its ray's state: the member at x = q
         (p on v; ray_walk).  Raises FieldMismatch for a point of another n
-        or with bits beyond n."""
+        or with bits beyond n, MalformedInput for a value that is not a point."""
         n = self.field.n
-        if beta.n != n or (beta.qbits | beta.pbits) >> n:
+        if need_point(beta).n != n or (beta.qbits | beta.pbits) >> n:
             raise FieldMismatch(f"point {beta} is not on the n = {n} grid")
         if beta.is_origin:
             return 1

@@ -20,8 +20,8 @@ pauli_coefficients (chi(beta) = Tr(M T_beta)), is the package's one reader
 of dense operators.  A group's state is one
 column of its projector's sum, read straight off the members with no N x N
 array (a stabilizer state's amplitudes follow from its group: Dehaene and
-De Moor, PRA 68, 042318).  A state is a tuple of Python complex numbers;
-numpy is imported only inside the functions that return arrays.
+De Moor, PRA 68, 042318).  A state is a tuple of Python complex, which
+translate moves; numpy is imported only in the functions that return arrays.
 """
 
 from __future__ import annotations
@@ -154,6 +154,14 @@ def to_matrix(t: PauliTranslation) -> np.ndarray:
     for x, c in enumerate(index):
         rows[index[x ^ t.a]][c] = _I_POW[(t.s + 2 * (t.b & x).bit_count()) % 4]
     return np.asarray(rows)
+
+
+def translate(t: PauliTranslation, v) -> tuple[complex, ...]:
+    """T v for a state tuple v: i^s (-1)^(b.x) v[index x] at index(x ^ a), as
+    to_matrix writes it; index is its own inverse, so entry k takes x = index k ^ a."""
+    index = _basis_order(t.n)
+    return tuple(_I_POW[(t.s + 2 * (t.b & x).bit_count()) % 4] * v[index[x]]
+                 for x in (y ^ t.a for y in index))
 
 
 def unphase(z: complex) -> complex:

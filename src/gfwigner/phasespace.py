@@ -77,6 +77,13 @@ class BinaryPoint(Record):
         return self.qbits == 0 and self.pbits == 0
 
 
+def need_point(point) -> BinaryPoint:
+    """point, if it is a BinaryPoint; any other value raises MalformedInput."""
+    if not isinstance(point, BinaryPoint):
+        raise MalformedInput(f"{point!r} is not a BinaryPoint")
+    return point
+
+
 def to_binary(field: GF2Field, point: PhasePoint) -> BinaryPoint:
     """The point's binary form; coordinates that are not elements of the
     field raise MalformedInput."""
@@ -86,8 +93,8 @@ def to_binary(field: GF2Field, point: PhasePoint) -> BinaryPoint:
 
 def from_binary(field: GF2Field, point: BinaryPoint) -> PhasePoint:
     """The point's field coordinates: FieldMismatch for a point of another n,
-    MalformedInput for bits beyond n."""
-    if point.n != field.n:
+    MalformedInput for bits beyond n or a value that is not a point."""
+    if need_point(point).n != field.n:
         raise FieldMismatch(f"point {point} is not on the n = {field.n} grid")
     need_bits(field.n, qbits=point.qbits, pbits=point.pbits)
     return PhasePoint(point.qbits, field.bits_to_p(point.pbits))
@@ -179,8 +186,8 @@ def ray_through(field: GF2Field, point: PhasePoint):
 
 
 def wedge(alpha: BinaryPoint, beta: BinaryPoint) -> int:
-    """The symplectic exponent (q_a . p_b - q_b . p_a) mod 2."""
-    if alpha.n != beta.n:
+    """The symplectic exponent (q_a . p_b - q_b . p_a) mod 2; need_point checks both."""
+    if need_point(alpha).n != need_point(beta).n:
         raise FieldMismatch("points live in different fields")
     return ((alpha.qbits & beta.pbits).bit_count()
             ^ (beta.qbits & alpha.pbits).bit_count()) & 1

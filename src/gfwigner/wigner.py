@@ -19,10 +19,10 @@ Two routes are provided and cross-checked in the tests:
   one pauli_sum of its coefficients; the meanking_phi1 preset's per-point
   traces of rho @ A(alpha) are apps._meanking_phi1_grid.  `verify` checks
   the point operators through chi of A(0) in plain Python: their traces
-  Tr(A(alpha) A(beta)) are one symplectic transform of chi^2, and their
-  sum over a line d + R is sum_{beta in R} chi(beta) (-1)^<d,beta> T_beta,
-  the stabilizer projector of R's n generators, so each line state is
-  checked against those;
+  Tr(A(alpha) A(beta)) are one transform of chi^2, their sum over a ray R
+  is the stabilizer projector of R's n generators, which check the ray
+  state, and their sum over d + R is that moved by T_d, so each other
+  line state is checked against the ray state's translate;
 * an exact route for stabilizer states: the closed form
   W(alpha) = N^-2 sum_{beta in S} f(beta) g(beta) (-1)^<alpha,beta>.
   f and g are the same kind of sign: f(beta) is the sign of T_beta in the

@@ -234,11 +234,14 @@ def test_general_encoded_state_first_columns():
 
 def test_encode_refuses_a_state_without_a_finite_nonzero_norm():
     # (0, 0) raised a bare ZeroDivisionError, (1e200, 1e200) a bare
-    # OverflowError, and a NaN gave a state of NaNs
+    # OverflowError, and a NaN gave a state of NaNs; logical_f_functions
+    # raised OverflowError at (1e200, 0) and returned NaNs or zeros
     f = apps.qec_field()
     for alpha, beta in ((0, 0), (0.0, -0.0j), (np.nan, 1), (1e200, 1e200), (1e-200, 0)):
         with pytest.raises(MalformedInput, match="finite nonzero norm"):
             apps.encode(f, alpha, beta)
+        with pytest.raises(MalformedInput, match="finite nonzero norm"):
+            apps.logical_f_functions(alpha, beta)
 
 
 @pytest.mark.parametrize("alpha, beta", [("a", 1), (True, 0), (10 ** 400, 1)],

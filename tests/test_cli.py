@@ -1078,6 +1078,29 @@ def test_a_broken_point_operator_identity_fails_its_row(capsys, monkeypatch, bre
     assert "PASS net.mub_property" in lines
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_line_projectors_row_is_linear_in_a_rotation_of_one_line_state(monkeypatch, n):
+    # entries 0 and 1 of line 1 of striation 0 turned by 1e-6 keep the
+    # row's norm; the row reports a deviation of about 2.5e-7, where a check
+    # of |u| = 1 and |<u|T_d v>| = 1 alone sees about 1e-13 and passes
+    basis = QuantumNet.basis
+    cos, sin = np.cos(1e-6), np.sin(1e-6)
+
+    def rotated(net, label):
+        rows = basis(net, label)
+        if label:
+            return rows
+        (u0, u1, *rest) = rows[1]
+        return (rows[0], (cos * u0 - sin * u1, sin * u0 + cos * u1, *rest), *rows[2:])
+
+    monkeypatch.setattr(QuantumNet, "basis", rotated)
+    row = {name: check for _, name, check in check_rows(field_new(n))}["wigner.line_projectors"]
+    with pytest.raises(AssertionError,
+                       match="^line 1 of striation 0: its sum is off \\|v><v\\| by ") as e:
+        row()
+    assert 1e-7 < float(str(e.value).rsplit(" ", 1)[1]) < 1e-6
+
+
 def test_a_failing_claim_fails_under_python_O():
     # -O strips assert statements; verify's claims must fail there all the same
     script = textwrap.dedent("""

@@ -165,10 +165,6 @@ def test_every_public_name_is_used_or_kept_for_a_stated_reason():
 PRIVATE_IMPORTS = {
     ("apps", "pauli", "_phase_factor"),
     ("cli", "apps", "_meanking_phi1_grid"),
-    ("cli", "pauli", "_I_POW"),
-    ("cli", "pauli", "_basis_order"),
-    ("cli", "wigner", "_symplectic_transform"),
-    ("net", "pauli", "_I_POW"),
     ("net", "pauli", "_basis_order"),
     ("net", "phasespace", "_no_striation"),
     ("pauli", "phasespace", "_no_striation"),

@@ -33,6 +33,7 @@ from gfwigner.pauli import (
     parse_pauli,
     pauli_sum,
     to_matrix,
+    translate,
     translation,
 )
 from gfwigner.phasespace import (BinaryPoint, HORIZONTAL, VERTICAL, all_striations,
@@ -480,6 +481,20 @@ def test_to_matrix_equals_kron(data):
     a, b = (data.draw(st.integers(0, (1 << n) - 1)) for _ in range(2))
     t = PauliTranslation(n, a, b, data.draw(st.integers(0, 3)))
     assert np.array_equal(to_matrix(t), to_matrix_kron(t))
+
+
+@settings(PROPERTY, max_examples=30)
+@given(st.data())
+def test_translate_equals_the_dense_product(data):
+    # T v moved entry by entry equals the signed permutation matrix times v:
+    # each entry is one product with a unit phase, exact on finite entries
+    # (array_equal ignores the sign of zeros)
+    n = data.draw(st.integers(1, 6))
+    a, b = (data.draw(st.integers(0, (1 << n) - 1)) for _ in range(2))
+    t = PauliTranslation(n, a, b, data.draw(st.integers(0, 3)))
+    parts = st.floats(-1e6, 1e6, allow_nan=False)
+    v = tuple(complex(data.draw(parts), data.draw(parts)) for _ in range(1 << n))
+    assert np.array_equal(translate(t, v), to_matrix(t) @ np.array(v))
 
 
 @PROPERTY

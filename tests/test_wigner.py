@@ -19,7 +19,7 @@ from gfwigner.errors import (
 from gfwigner.galois import field_new
 from gfwigner.net import QuantumNet, all_plus_signs, build_net, line_state, ray_generators
 from gfwigner.pauli import pauli_coefficients, to_matrix, translation, translation_for
-from gfwigner.phasespace import BinaryPoint, Line, all_striations, striation_labels
+from gfwigner.phasespace import BinaryPoint, Line, all_striations, striation_labels, wedge
 from gfwigner.wigner import (
     StabilizerGroup,
     _symplectic_transform,
@@ -267,6 +267,26 @@ def test_grid_reads_refuse_what_is_not_on_the_grid():
             (lambda: point_operator(net, BinaryPoint(5, 0, 2)), MalformedInput, "^qbits = 5 ")):
         with pytest.raises(error, match=match):
             call()
+
+
+POINT_READS = {
+    "QuantumNet.f": lambda net, grid, point: net.f(point),
+    "WignerGrid.value": lambda net, grid, point: grid.value(point),
+    "point_operator": lambda net, grid, point: point_operator(net, point),
+    "expectation_translation": lambda net, grid, point: expectation_translation(net, grid, point),
+    "wedge": lambda net, grid, point: wedge(BinaryPoint(0, 1, 2), point),
+    "wedge, first": lambda net, grid, point: wedge(point, BinaryPoint(0, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("point", [None, (0, 1)], ids=repr)
+@pytest.mark.parametrize("read", POINT_READS.values(), ids=POINT_READS.keys())
+def test_a_value_that_is_not_a_point_is_malformed_input(read, point):
+    # each raised a bare AttributeError reading point.n
+    net = build_net(field_new(2))
+    grid = stabilizer_wigner(net, net.ray(0))
+    with pytest.raises(MalformedInput, match=" is not a BinaryPoint$"):
+        read(net, grid, point)
 
 
 def test_hermiticity_check_has_no_relative_tolerance():
