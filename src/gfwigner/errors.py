@@ -107,8 +107,8 @@ def need_norm(values, what: str) -> float:
     return norm
 
 
-def _int_below(value, bound) -> bool:
-    """value is an int from 0 to bound - 1, and not a bool."""
+def int_below(value, bound) -> bool:
+    """value is an int from 0 to bound - 1 and not a bool: need_bits' and need_label's rule."""
     try:
         return not isinstance(value, bool) and 0 <= index(value) < bound
     except TypeError:
@@ -119,10 +119,10 @@ def need_bits(n: int, **masks) -> None:
     """MalformedInput unless n is an int >= 0 and each named mask an int from
     0 to 2^n - 1 (none of them a bool): n bits, or a field element of GF(2^n)
     by its canonical bits.  For entry points, not for the loops behind them."""
-    if not _int_below(n, inf):
+    if not int_below(n, inf):
         raise MalformedInput(f"n = {n!r} is not an int >= 0")
     for name, value in masks.items():
-        if not _int_below(value, 1 << n):
+        if not int_below(value, 1 << n):
             raise MalformedInput(f"{name} = {value!r} is not an int from 0 to {(1 << n) - 1}")
 
 

@@ -1,6 +1,6 @@
-"""Quantum nets: ray generators, ray states, the squeezing operator U_w
-(its gate list, galois.u_omega_gates, is re-exported here), covariant net
-construction, the sign function f, and MUB generation.
+"""Quantum nets: ray walks and generators, ray states, the squeezing
+operator U_w (its gate list, galois.u_omega_gates, is re-exported here),
+covariant net construction, the sign function f, and MUB generation.
 
 A net is encoded by one sign vector per striation: the ray of striation
 lambda is assigned the joint eigenstate of its n generators G_k with
@@ -29,7 +29,7 @@ from itertools import combinations, islice, product
 from numbers import Integral
 from typing import TYPE_CHECKING
 
-from .errors import FieldMismatch, MalformedInput
+from .errors import MalformedInput
 from .galois import GF2Field, read_field_header
 from .galois import u_omega_gates  # noqa: F401  (re-exported beside u_omega_matrix)
 from .pauli import (
@@ -40,7 +40,6 @@ from .pauli import (
     dense_dim,
     fix_phase,
     pauli_sum,
-    ray_walk,
     walsh_hadamard,
 )
 from .phasespace import (
@@ -49,10 +48,9 @@ from .phasespace import (
     Line,
     PhasePoint,
     VERTICAL,
-    _no_striation,
     from_binary,
     label_of_line,
-    need_point,
+    need_label,
     ray_through,
     striation,
     striation_labels,
@@ -60,6 +58,21 @@ from .phasespace import (
 
 if TYPE_CHECKING:
     import numpy as np
+
+
+def ray_walk(field: GF2Field, label):
+    """The (a, b) labels of one striation's class, lazily: from (1, 0) for h,
+    (0, 1) for v or (1, 1 M~^lambda) for ray lambda, by steps (a M, b M~).
+    The first n points generate the ray; the first N - 1 are the class.
+    Point k has q = w^k (p = w^k on v), so a ray's member at generator
+    coordinates x has q = x: x is its qbits, or bits_to_p(pbits) on v.
+    need_label reads the label on the first step."""
+    label = need_label(field, label)
+    a, b = ((1, 0) if label == HORIZONTAL else (0, 1) if label == VERTICAL
+            else (1, field.p_to_bits(field.pow_omega(label))))
+    while True:
+        yield a, b
+        a, b = field.apply_m(a), field.apply_mt(b)
 
 
 def ray_generators(field: GF2Field, label) -> tuple[PauliTranslation, ...]:
@@ -96,20 +109,15 @@ def _is_sign(e) -> bool:
 
 
 def _checked_signs(field: GF2Field, signs: dict) -> dict:
-    """One tuple of n signs +1 or -1 per striation, in striation order."""
-    labels = striation_labels(field)
-    known = set(labels)
-    if unknown := [k for k in signs if k not in known]:
-        raise _no_striation(field, unknown[0])
-    out = {}
-    for label in labels:
+    """One tuple of n signs +1 or -1 per striation, in striation order (keys by need_label)."""
+    signs = {need_label(field, label): eps for label, eps in signs.items()}
+    for label in striation_labels(field):
         eps = signs.get(label)
         if not (isinstance(eps, (list, tuple)) and len(eps) == field.n
                 and all(map(_is_sign, eps))):
             raise MalformedInput(f"sign vector for striation {label} must be "
                                  f"{field.n} entries +1 or -1, got {eps!r}")
-        out[label] = tuple(eps)
-    return out
+    return {label: tuple(signs[label]) for label in striation_labels(field)}
 
 
 # -- the quantum net -----------------------------------------------------------
@@ -137,10 +145,9 @@ class QuantumNet:
     def ray(self, label) -> StabilizerGroup:
         """The stabilizer group of the ray's state: its generators, signed by
         the striation's sign vector.  A label that is not a striation of the
-        field raises MalformedInput."""
+        field raises MalformedInput (need_label)."""
+        label = need_label(self.field, label)
         if label not in self._rays:
-            if label not in self.signs:
-                raise _no_striation(self.field, label)
             self._rays[label] = StabilizerGroup(
                 self.field, ray_generators(self.field, label), self.signs[label])
         return self._rays[label]
@@ -155,6 +162,7 @@ class QuantumNet:
         line's displacement (pauli.translate's rule) and phase-fixed.  On the
         vertical v is a |y>, which (c, 0) moves; elsewhere v has no zero entry,
         and (0, c / b) signs it."""
+        label = need_label(self.field, label)
         if label not in self._bases:
             field = self.field
             index, v = _basis_order(field.n), self.ray_state(label)
@@ -175,14 +183,11 @@ class QuantumNet:
 
     def f(self, beta: BinaryPoint) -> int:
         """T_beta's eigenvalue (+-1) on its ray's state: the member at x = q
-        (p on v; ray_walk).  Raises FieldMismatch for a point of another n
-        or with bits beyond n, MalformedInput for a value that is not a point."""
-        n = self.field.n
-        if need_point(beta).n != n or (beta.qbits | beta.pbits) >> n:
-            raise FieldMismatch(f"point {beta} is not on the n = {n} grid")
+        (p on v; ray_walk).  need_point (by from_binary) raises MalformedInput
+        for a value that is not a point, FieldMismatch for one of another n."""
+        point = from_binary(self.field, beta)
         if beta.is_origin:
             return 1
-        point = from_binary(self.field, beta)
         label = ray_through(self.field, point)
         return self.ray(label).at(point.p if label == VERTICAL else point.q)
 
@@ -288,12 +293,15 @@ def build_net(field: GF2Field, mode: str = "independent", signs: dict | None = N
     """
     if mode not in ("independent", "covariant"):
         raise MalformedInput(f'net mode must be "independent" or "covariant", got {mode!r}')
-    signs = signs or {}
+    # the labels read before the defaults: True would land on striation 1
+    signs = {need_label(field, label): eps for label, eps in (signs or {}).items()}
     if mode == "covariant" and set(signs) - {HORIZONTAL, VERTICAL, 0}:
         raise MalformedInput("a covariant net takes sign vectors for h, v and 0 "
                              f"only; got {', '.join(map(str, signs))}")
-    signs = _checked_signs(field, {**all_plus_signs(field), **signs})
-    return QuantumNet(field, _covariant_signs(field, signs) if mode == "covariant" else signs)
+    signs = {**all_plus_signs(field), **signs}
+    if mode == "covariant":  # the derivation reads checked signs
+        signs = _covariant_signs(field, _checked_signs(field, signs))
+    return QuantumNet(field, signs)
 
 
 # -- MUB states ----------------------------------------------------------------

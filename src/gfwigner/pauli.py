@@ -10,7 +10,7 @@ s = popcount(a & b) mod 4, which makes it hermitian and unitary.
 A StabilizerGroup is n commuting signed translations and their span, with
 the sign of each canonical member: the state of a net's ray and a
 stabilizer state are both one.  Its members are walked as (a, b, s) ints
-(Aaronson and Gottesman, PRA 70, 052328).
+(Aaronson and Gottesman, PRA 70, 052328).  Striations are net's (ray_walk).
 
 Every dense operator of the package is built here, as a Pauli sum
 sum_beta c(beta) T_beta in N rows of Python complex: one walsh_hadamard
@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 from .errors import (DimensionMismatch, DimensionTooLarge, InconsistentStabilizer,
                      MalformedInput, NonCommutingGenerators, need_bits, need_length, need_text)
 from .galois import GF2Field
-from .phasespace import HORIZONTAL, VERTICAL, BinaryPoint, Record, _no_striation
+from .phasespace import BinaryPoint, Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -231,26 +231,6 @@ def pauli_coefficients(rows, n: int) -> list[complex]:
         shift = index[a]
         chi += map(mul, walsh_hadamard([rows[r][r ^ shift] for r in index]), phases)
     return chi
-
-
-def ray_walk(field: GF2Field, label):
-    """The (a, b) labels of one striation's class, lazily: from (1, 0) for h,
-    (0, 1) for v or (1, 1 M~^lambda) for ray lambda, by steps (a M, b M~).
-    The first n points generate the ray; the first N - 1 are the class.
-    Point k has q = w^k (p = w^k on v), so a ray's member at generator
-    coordinates x has q = x: x is its qbits, or bits_to_p(pbits) on v.
-    Any other label raises MalformedInput on the first step."""
-    if label == HORIZONTAL:
-        a, b = 1, 0
-    elif label == VERTICAL:
-        a, b = 0, 1
-    elif label in range(field.order):
-        a, b = 1, field.p_to_bits(field.pow_omega(int(label)))
-    else:
-        raise _no_striation(field, label)
-    while True:
-        yield a, b
-        a, b = field.apply_m(a), field.apply_mt(b)
 
 
 # -- signed stabilizer groups --------------------------------------------------

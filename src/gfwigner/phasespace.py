@@ -9,9 +9,9 @@ is 1.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, index
 
-from .errors import DimensionTooLarge, FieldMismatch, MalformedInput, need_bits
+from .errors import DimensionTooLarge, FieldMismatch, MalformedInput, int_below, need_bits
 from .galois import GF2Field, power_ordering
 
 HORIZONTAL = "h"
@@ -68,19 +68,33 @@ class PhasePoint(Record):
 
 
 class BinaryPoint(Record):
-    """A phase-space point in binary coordinates (qbits canonical, pbits dual)."""
+    """A phase-space point in binary coordinates (qbits canonical, pbits dual),
+    both n-bit masks (else MalformedInput)."""
 
     __slots__ = ("qbits", "pbits", "n")
+
+    def __init__(self, qbits: int, pbits: int, n: int, /):
+        # plain in-range ints pass at once (grids build N^2); need_bits
+        # decides the rest
+        if not (type(qbits) is type(pbits) is type(n) is int and 0 <= n
+                and 0 <= qbits < 1 << n and 0 <= pbits < 1 << n):
+            need_bits(n, qbits=qbits, pbits=pbits)
+        _set(self, "qbits", qbits)
+        _set(self, "pbits", pbits)
+        _set(self, "n", n)
 
     @property
     def is_origin(self) -> bool:
         return self.qbits == 0 and self.pbits == 0
 
 
-def need_point(point) -> BinaryPoint:
-    """point, if it is a BinaryPoint; any other value raises MalformedInput."""
+def need_point(point, n: int) -> BinaryPoint:
+    """point, if it is a BinaryPoint (else MalformedInput) of n qubits (else
+    FieldMismatch); a BinaryPoint checks its own bits as it is built."""
     if not isinstance(point, BinaryPoint):
         raise MalformedInput(f"{point!r} is not a BinaryPoint")
+    if point.n != n:
+        raise FieldMismatch(f"point {point} is not on the n = {n} grid")
     return point
 
 
@@ -92,11 +106,8 @@ def to_binary(field: GF2Field, point: PhasePoint) -> BinaryPoint:
 
 
 def from_binary(field: GF2Field, point: BinaryPoint) -> PhasePoint:
-    """The point's field coordinates: FieldMismatch for a point of another n,
-    MalformedInput for bits beyond n or a value that is not a point."""
-    if need_point(point).n != field.n:
-        raise FieldMismatch(f"point {point} is not on the n = {field.n} grid")
-    need_bits(field.n, qbits=point.qbits, pbits=point.pbits)
+    """The point's field coordinates; need_point checks it."""
+    need_point(point, field.n)
     return PhasePoint(point.qbits, field.bits_to_p(point.pbits))
 
 
@@ -136,23 +147,27 @@ def _direction(field: GF2Field, label) -> tuple[int, int]:
         return 0, 1
     if label == VERTICAL:
         return 1, 0
-    if label not in range(field.order):
-        raise _no_striation(field, label)
-    return 1, field.pow_omega(-int(label))
+    return 1, field.pow_omega(-label)
 
 
 def striation_labels(field: GF2Field) -> list:
     return [HORIZONTAL, VERTICAL] + list(range(field.order))
 
 
-def _no_striation(field: GF2Field, label) -> MalformedInput:
-    """The error for a label that is not one of striation_labels(field), named
-    by their range, not listed: there are N + 1 of them."""
-    return MalformedInput(f"no striation {label!r} at n = {field.n}; the labels are "
-                          f"{HORIZONTAL!r}, {VERTICAL!r} and the ints 0 to {field.order - 1}")
+def need_label(field: GF2Field, label):
+    """label, if it is h, v or an int from 0 to N - 2 that is not a bool (read
+    by operator.index, as need_bits reads one; returned as a plain int); else
+    MalformedInput, naming the N + 1 labels by their range, not one by one."""
+    if isinstance(label, str) and label in (HORIZONTAL, VERTICAL):
+        return label
+    if not int_below(label, field.order):
+        raise MalformedInput(f"no striation {label!r} at n = {field.n}; the labels are "
+                             f"{HORIZONTAL!r}, {VERTICAL!r} and the ints 0 to {field.order - 1}")
+    return index(label)
 
 
 def striation(field: GF2Field, label) -> Striation:
+    label = need_label(field, label)
     a, b = _direction(field, label)
     return Striation(label, tuple(Line(a, b, c) for c in grid_axis(field)))
 
@@ -175,7 +190,8 @@ def label_of_line(field: GF2Field, line: Line):
 
 
 def ray_through(field: GF2Field, point: PhasePoint):
-    """Striation label of the ray containing a nonzero point."""
+    """Striation label of the ray through a nonzero point; need_bits reads q and p."""
+    need_bits(field.n, q=point.q, p=point.p)
     if point.q == 0 and point.p == 0:
         raise MalformedInput("every ray passes through the origin")
     if point.p == 0:
@@ -187,8 +203,7 @@ def ray_through(field: GF2Field, point: PhasePoint):
 
 def wedge(alpha: BinaryPoint, beta: BinaryPoint) -> int:
     """The symplectic exponent (q_a . p_b - q_b . p_a) mod 2; need_point checks both."""
-    if need_point(alpha).n != need_point(beta).n:
-        raise FieldMismatch("points live in different fields")
+    need_point(beta, need_point(alpha, getattr(alpha, "n", None)).n)
     return ((alpha.qbits & beta.pbits).bit_count()
             ^ (beta.qbits & alpha.pbits).bit_count()) & 1
 

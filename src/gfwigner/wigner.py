@@ -267,11 +267,11 @@ def point_operator(net: QuantumNet, alpha: BinaryPoint) -> np.ndarray:
 
 def wigner_of(net: QuantumNet, rho) -> WignerGrid:
     """W(alpha) = Tr(rho A(alpha)) for every phase-space point, rho an array
-    or rows of numbers (_checked_rows reads and checks it once): N^-2 times
-    the symplectic transform of f chi, in plain Python.  An imaginary part
-    beyond INPUT_ATOL raises InvalidDensityMatrix naming its point."""
+    or rows of numbers, read and checked once (_checked_rows) after the dense
+    cap: N^-2 times the symplectic transform of f chi, in plain Python.  An
+    imaginary part beyond INPUT_ATOL raises InvalidDensityMatrix naming its point."""
     field = need_field(net=net)
-    n, scale = field.n, field.N * field.N
+    n, scale = field.n, dense_dim(field.n) ** 2
     chi = pauli_coefficients(_checked_rows(rho, n), n)
     hat = _symplectic_transform(list(map(mul, net.f_vector(), chi)), n)
     for i, h in enumerate(hat):

@@ -29,6 +29,7 @@ from gfwigner.net import (
     line_state,
     mub_overlap_report,
     ray_generators,
+    ray_walk,
     u_omega_gates,
     u_omega_matrix,
 )
@@ -39,7 +40,6 @@ from gfwigner.pauli import (
     PauliTranslation,
     basis_index,
     compose,
-    ray_walk,
     to_matrix,
     translation,
     translation_for,

@@ -166,8 +166,6 @@ PRIVATE_IMPORTS = {
     ("apps", "pauli", "_phase_factor"),
     ("cli", "apps", "_meanking_phi1_grid"),
     ("net", "pauli", "_basis_order"),
-    ("net", "phasespace", "_no_striation"),
-    ("pauli", "phasespace", "_no_striation"),
 }
 
 

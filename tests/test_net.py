@@ -8,6 +8,7 @@ import pytest
 
 from gfwigner.errors import FieldMismatch, MalformedInput, SingularBasis
 from gfwigner.galois import field_new, solve_gf2
+from gfwigner import net as net_module
 from gfwigner.net import (
     QuantumNet,
     all_plus_signs,
@@ -147,27 +148,44 @@ def test_f_decomposition_rejects_off_ray_points():
         solve_gf2([g.a | g.b << 2 for g in gens], 1)
 
 
-@pytest.mark.parametrize("beta", [BinaryPoint(5, 1, 3), BinaryPoint(1, 9, 2),
-                                  BinaryPoint(0, 0, 3), BinaryPoint(4, 0, 2),
-                                  BinaryPoint(-1, 0, 2)], ids=str)
-def test_f_rejects_points_off_the_net_grid(beta):
-    # a point of another n, or with bits beyond n, raised a bare IndexError
-    with pytest.raises(FieldMismatch):
-        build_net(field_new(2)).f(beta)
+@pytest.mark.parametrize("bits", [(5, 1, 3), (1, 9, 2), (0, 0, 3), (4, 0, 2), (-1, 0, 2)],
+                         ids=lambda bits: "BinaryPoint(qbits={}, pbits={}, n={})".format(*bits))
+def test_f_rejects_points_off_the_net_grid(bits):
+    # a point of another n, or with bits beyond n, raised a bare IndexError;
+    # bits beyond n now refuse the point itself, as it is built
+    with pytest.raises(MalformedInput if bits[2] == 2 else FieldMismatch):
+        build_net(field_new(2)).f(BinaryPoint(*bits))
 
 
-@pytest.mark.parametrize("label", ["x", 7, None, "1", 3, 99, -1], ids=repr)
+@pytest.mark.parametrize("label", ["x", 7, None, "1", 3, 99, -1, True, 1.0], ids=repr)
 def test_ray_rejects_a_label_that_is_not_a_striation(label):
     # unchecked, "x" raised ValueError, 7 KeyError and None TypeError; the
     # check also guards ray_state and basis, which go through ray; at n = 2
     # (labels h, v, 0, 1 and 2) striation(F, 99) and ray_generators(F, 9)
-    # built lines and generators, and striation(F, "x") raised ValueError
+    # built lines and generators, and striation(F, "x") raised ValueError;
+    # True and 1.0 read as striation 1, in build_net's signs too
     field = field_new(2)
     net = build_net(field)
+    net.basis(1)  # a cached basis must not answer for True
     for read in (net.ray, net.ray_state, net.basis, lambda label: striation(field, label),
-                 lambda label: ray_generators(field, label)):
+                 lambda label: ray_generators(field, label),
+                 lambda label: build_net(field, signs={label: (1, -1)})):
         with pytest.raises(MalformedInput, match="no striation"):
             read(label)
+
+
+def test_build_net_checks_independent_signs_once(monkeypatch):
+    # independent nets were checked twice, by build_net and by QuantumNet,
+    # each pass O(N n); the covariant derivation reads checked signs, so
+    # that mode checks the given ones first
+    calls = []
+    checked = net_module._checked_signs
+    monkeypatch.setattr(net_module, "_checked_signs",
+                        lambda *args: calls.append(args) or checked(*args))
+    for mode, passes in (("independent", 1), ("covariant", 2)):
+        calls.clear()
+        build_net(field_new(3), mode)
+        assert len(calls) == passes, mode
 
 
 def test_covariance_of_covariant_net():

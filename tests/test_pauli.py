@@ -288,7 +288,8 @@ def test_library_entry_points_refuse_bad_input_with_a_typed_error():
                         (lambda: translation(2, 8, 0), "^a = 8 is not an int from 0 to 3$"),
                         (lambda: translation(2, 0, -1), "^b = -1 "),
                         (lambda: translation(2, True, 0), "^a = True "),
-                        (lambda: translation_for(BinaryPoint(0, 4, 2)), "^b = 4 "),
+                        # the point itself refuses first, as it is built
+                        (lambda: translation_for(BinaryPoint(0, 4, 2)), "^pbits = 4 "),
                         # n itself: a bare TypeError or ValueError before
                         (lambda: translation("x", 1, 0), "^n = 'x' is not an int >= 0$"),
                         (lambda: translation(-1, 0, 0), "^n = -1 "),

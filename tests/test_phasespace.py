@@ -3,6 +3,7 @@
 import copy
 import pickle
 
+import numpy as np
 import pytest
 
 from gfwigner.errors import FieldMismatch, MalformedInput
@@ -19,6 +20,8 @@ from gfwigner.phasespace import (
     from_binary,
     grid_axis,
     label_of_line,
+    need_label,
+    need_point,
     ray_through,
     striation,
     striation_labels,
@@ -215,13 +218,52 @@ def test_binary_forms_refuse_coordinates_off_the_grid():
     for call, match in ((lambda: to_binary(f, PhasePoint(99, 0)), "^q = 99 is not an int "),
                         (lambda: to_binary(f, PhasePoint(0, 4)), "^p = 4 "),
                         (lambda: from_binary(f, BinaryPoint(9, 0, 2)), "^qbits = 9 "),
-                        (lambda: from_binary(f, BinaryPoint(0, -1, 2)), "^pbits = -1 ")):
+                        (lambda: from_binary(f, BinaryPoint(0, -1, 2)), "^pbits = -1 "),
+                        # ray_through raised a bare IndexError reading log(9)
+                        (lambda: ray_through(f, PhasePoint(9, 1)), "^q = 9 is not an int ")):
         with pytest.raises(MalformedInput, match=match):
             call()
     with pytest.raises(FieldMismatch):
         from_binary(f, BinaryPoint(1, 0, 3))
     for point in (PhasePoint(q, p) for q in range(4) for p in range(4)):
         assert from_binary(f, to_binary(f, point)) == point
+
+
+@pytest.mark.parametrize("bits, match", [
+    ((1.5, 0, 2), "^qbits = 1.5 is not an int from 0 to 3$"),
+    (("1", 0, 2), "^qbits = '1' "),
+    ((True, 0, 2), "^qbits = True "),
+    ((4, 0, 2), "^qbits = 4 "),
+    ((0, 0, -1), "^n = -1 is not an int >= 0$"),
+], ids=repr)
+def test_binary_point_refuses_bits_that_are_not_n_bit_masks(bits, match):
+    # each was built, and net.f, wedge and the other point reads then raised
+    # a bare TypeError or IndexError, or (True) read it as 1
+    with pytest.raises(MalformedInput, match=match):
+        BinaryPoint(*bits)
+
+
+def test_binary_point_takes_any_int_and_need_point_checks_type_and_n():
+    assert BinaryPoint(np.int64(3), 1, np.int64(2)) == BinaryPoint(3, 1, 2)
+    point = BinaryPoint(1, 0, 2)
+    assert need_point(point, 2) is point
+    with pytest.raises(MalformedInput, match="^PhasePoint\\(q=1, p=0\\) is not a BinaryPoint$"):
+        need_point(PhasePoint(1, 0), 2)
+    with pytest.raises(FieldMismatch, match="is not on the n = 3 grid$"):
+        need_point(point, 3)
+
+
+def test_need_label_returns_a_plain_label():
+    f = field_new(2)
+    for label in (HORIZONTAL, VERTICAL, 0, 2):
+        assert need_label(f, label) == label
+    one = need_label(f, np.int64(1))
+    assert one == 1 and type(one) is int
+    assert striation(f, np.int64(1)) == striation(f, 1)
+    assert type(striation(f, np.int64(1)).label) is int
+    for label in (True, False, 1.0, 3, -1, "H", None, [1]):
+        with pytest.raises(MalformedInput, match="^no striation "):
+            need_label(f, label)
 
 
 def test_unknown_striation_is_named_by_the_range_of_labels():

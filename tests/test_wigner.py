@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gfwigner.errors import (
+    DimensionTooLarge,
     FieldMismatch,
     InconsistentStabilizer,
     InvalidDensityMatrix,
@@ -287,6 +288,13 @@ def test_a_value_that_is_not_a_point_is_malformed_input(read, point):
     grid = stabilizer_wigner(net, net.ray(0))
     with pytest.raises(MalformedInput, match=" is not a BinaryPoint$"):
         read(net, grid, point)
+
+
+def test_wigner_of_refuses_a_net_above_the_dense_cap_before_reading_rho():
+    # the density was read and checked first, an O(N^3) factorisation, so
+    # this 128 x 128 matrix of trace 0 raised InvalidDensityMatrix
+    with pytest.raises(DimensionTooLarge, match="dense realization capped at 6 qubits"):
+        wigner_of(build_net(field_new(7)), [[0.0] * 128 for _ in range(128)])
 
 
 def test_hermiticity_check_has_no_relative_tolerance():
