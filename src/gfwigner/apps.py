@@ -8,7 +8,9 @@ characteristic function (wigner.wigner_of).  The application-specific constants 
 principles rather than hard-coded: the Bell orbits and the code's eight slots
 are the orbits of the paper's representatives under the state's stabilizer
 group (wigner.symmetry_orbits), and the code's parameter system is solved in
-closed form.
+closed form.  The Bell survey reads its exact grids as integer numerators
+over 16, and fractions is imported only by code_solution_family, the one
+function here that makes a Fraction.
 
 State vectors are tuples of Python complex numbers, as in every module,
 and a caller's amplitudes (encode, logical_f_functions) and measurement
@@ -26,8 +28,8 @@ orthonormal 4-vectors.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import product
+from typing import TYPE_CHECKING
 
 from .errors import (AmbiguousInference, FieldMismatch, InconsistentStabilizer, MalformedInput,
                      need_field, need_length, need_norm, need_numbers)
@@ -63,6 +65,9 @@ from .wigner import (
     symmetry_orbits,
     wigner_of,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # -- Bell states (n = 2) ---------------------------------------------------------
 
@@ -118,13 +123,22 @@ def bell_symmetric_nets(field: GF2Field):
         yield QuantumNet(field, signs)
 
 
-def _slot_values(grid: WignerGrid, slots: dict[str, list[int]]) -> dict:
-    """The grid's value on each named set of flat indices; it must be
-    constant on every set."""
+def _slot_entries(grid: WignerGrid, slots: dict[str, list[int]]) -> dict:
+    """The grid's flat entry on each named set of flat indices (a numerator
+    over grid.den on an exact grid); it must be constant on every set."""
+    entries = {}
     for name, cells in slots.items():
-        if len(set(map(grid.flat.__getitem__, cells))) != 1:
+        values = set(map(grid.flat.__getitem__, cells))
+        if len(values) != 1:
             raise InconsistentStabilizer(f"grid not constant on slot {name}")
-    return {name: grid._at(cells[0]) for name, cells in slots.items()}
+        (entries[name],) = values
+    return entries
+
+
+def _slot_values(grid: WignerGrid, slots: dict[str, list[int]]) -> dict:
+    """The grid's value on each named set (_slot_entries): a Fraction on an
+    exact grid."""
+    return {name: grid._at(slots[name][0]) for name in _slot_entries(grid, slots)}
 
 
 def bell_parameters(net: QuantumNet, label: str) -> tuple[Fraction, ...]:
@@ -134,22 +148,33 @@ def bell_parameters(net: QuantumNet, label: str) -> tuple[Fraction, ...]:
     return tuple(_slot_values(grid, bell_orbits(field)).values())
 
 
-def classify_bell_parameters(params) -> str:
-    """'concentrated' for {1/4, 0, 0, 0}, 'spread' for {1/8, 1/8, 1/8, -1/8}."""
-    key = tuple(sorted(params, reverse=True))
-    if key == (Fraction(1, 4), 0, 0, 0):
+def _bell_pattern(sixteenths) -> str:
+    """The pattern of four orbit values given in sixteenths: 'concentrated'
+    for {4, 0, 0, 0}, 'spread' for {2, 2, 2, -2}."""
+    key = sorted(sixteenths, reverse=True)
+    if key == [4, 0, 0, 0]:
         return "concentrated"
-    if key == (Fraction(1, 8),) * 3 + (Fraction(-1, 8),):
+    if key == [2, 2, 2, -2]:
         return "spread"
-    raise InconsistentStabilizer(f"unexpected Bell pattern {params}")
+    raise InconsistentStabilizer(
+        f"unexpected Bell pattern ({', '.join(map(str, sixteenths))}) / 16")
+
+
+def classify_bell_parameters(params) -> str:
+    """'concentrated' for {1/4, 0, 0, 0}, 'spread' for {1/8, 1/8, 1/8, -1/8}:
+    _bell_pattern of the values times 16."""
+    return _bell_pattern([16 * p for p in params])
 
 
 def bell_survey(field: GF2Field | None = None) -> dict:
     """Classify the Bell-state Wigner functions over all 64 symmetric nets.
 
-    Checks, for every net and Bell state: constancy on orbits, the linear
-    system a+b+c+d = 1/4 with the eigenvalue conditions, and the
-    orthogonality constraint ab + cd = 0.  Returns the pattern counts.
+    Every grid's flat entries are integer numerators over N^2 = 16, and the
+    checks read them as they are, with no Fraction: for every net and Bell
+    state, constancy on the four orbits (a, b, c, d), a+b+c+d = 4 (the
+    normalisation 1/4), the eigenvalue conditions a+b-c-d = 4 s_1 and
+    a+c-b-d = 4 s_2, and the orthogonality constraint ab + cd = 0; then
+    _bell_pattern.  Returns the pattern counts.
     """
     field = field or bell_field()
     groups = {label: bell_stabilizer(field, label) for label in BELL_LABELS}
@@ -157,15 +182,15 @@ def bell_survey(field: GF2Field | None = None) -> dict:
     counts = {"concentrated": 0, "spread": 0}
     for net in bell_symmetric_nets(field):
         for label, group in groups.items():
-            a, b, c, d = _slot_values(stabilizer_wigner(net, group), orbits).values()
-            if a + b + c + d != Fraction(1, 4):
+            a, b, c, d = _slot_entries(stabilizer_wigner(net, group), orbits).values()
+            if a + b + c + d != 4:
                 raise InconsistentStabilizer("normalization violated")
             s1, s2 = _BELL_SIGNS[label]
-            if a + b - c - d != Fraction(s1, 4) or a + c - b - d != Fraction(s2, 4):
+            if a + b - c - d != 4 * s1 or a + c - b - d != 4 * s2:
                 raise InconsistentStabilizer("eigenvalue conditions violated")
             if a * b + c * d != 0:
                 raise InconsistentStabilizer("orthogonality condition violated")
-            counts[classify_bell_parameters((a, b, c, d))] += 1
+            counts[_bell_pattern((a, b, c, d))] += 1
     return counts
 
 
@@ -274,6 +299,8 @@ def code_solution_family() -> list[dict[str, Fraction]]:
     transform value is 0 or 1/8, and the first is sum(x) = 1/8.  That leaves
     eight solutions x = H(xhat)/4, all exact.
     """
+    from fractions import Fraction
+
     family = []
     for rest in product((0, Fraction(1, 8)), repeat=3):
         a, c, e, g = (x / 4 for x in walsh_hadamard([Fraction(1, 8), *rest]))

@@ -18,10 +18,10 @@ imports the standard library (not argparse), `errors`, `galois` and
 imported only inside their functions that return arrays and in
 `apps._meanking_phi1_grid`, so `wigner` on the `meanking_phi1` preset is
 the one request that loads it.  An exact grid is integer numerators, which
-export_grid renders itself, so `fractions` loads for none of `field`,
-`rays`, `uomega` and `wigner` on a stabilizer file or a `computational_*`
-preset; `verify` loads it (with `apps`) only at n = 2 and 3, where it runs
-the bell, meanking or qec rows.  `json` loads only where a document is read
+export_grid renders itself, and the Bell survey reads them as they are, so
+`fractions` loads only where a Fraction is made: for `qec`, `qec --verify`
+and `verify --n 3` (its qec rows), and for library calls that return a
+Fraction.  `json` loads only where a document is read
 or written: state, net and grid files (all through galois.load_json), json
 output and `mub`.  `main` asks for one BLAS thread (OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS default to 1; a value already set is

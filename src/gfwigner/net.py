@@ -24,9 +24,10 @@ load only where they are used.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import cache
 from itertools import combinations, islice, product
-from numbers import Integral
+from operator import index
 from typing import TYPE_CHECKING
 
 from .errors import MalformedInput
@@ -105,12 +106,26 @@ def conjugate_by_u_omega(field: GF2Field, t: PauliTranslation) -> PauliTranslati
 
 
 def _is_sign(e) -> bool:
-    return isinstance(e, Integral) and not isinstance(e, bool) and e in (1, -1)
+    """e is +1 or -1 as an int that is not a bool, read by operator.index
+    (errors.int_below's rule): numpy's ints pass, 1.0 and numpy's bools not."""
+    try:
+        return not isinstance(e, bool) and index(e) in (1, -1)
+    except TypeError:
+        return False
 
 
-def _checked_signs(field: GF2Field, signs: dict) -> dict:
-    """One tuple of n signs +1 or -1 per striation, in striation order (keys by need_label)."""
-    signs = {need_label(field, label): eps for label, eps in signs.items()}
+def _labelled(field: GF2Field, signs) -> dict:
+    """signs, a mapping of sign vectors, keyed by need_label; anything else
+    raises MalformedInput."""
+    if not isinstance(signs, Mapping):
+        raise MalformedInput("signs must map striation labels to sign vectors, "
+                             f"got {type(signs).__name__}")
+    return {need_label(field, label): eps for label, eps in signs.items()}
+
+
+def _checked_signs(field: GF2Field, signs) -> dict:
+    """One tuple of n signs +1 or -1 per striation, in striation order (keys by _labelled)."""
+    signs = _labelled(field, signs)
     for label in striation_labels(field):
         eps = signs.get(label)
         if not (isinstance(eps, (list, tuple)) and len(eps) == field.n
@@ -184,12 +199,15 @@ class QuantumNet:
     def f(self, beta: BinaryPoint) -> int:
         """T_beta's eigenvalue (+-1) on its ray's state: the member at x = q
         (p on v; ray_walk).  need_point (by from_binary) raises MalformedInput
-        for a value that is not a point, FieldMismatch for one of another n."""
+        for a value that is not a point, FieldMismatch for one of another n.
+        The label ray_through computes is never a bool, so it reads the ray
+        cache without need_label."""
         point = from_binary(self.field, beta)
         if beta.is_origin:
             return 1
         label = ray_through(self.field, point)
-        return self.ray(label).at(point.p if label == VERTICAL else point.q)
+        ray = self._rays.get(label) or self.ray(label)
+        return ray.at(point.p if label == VERTICAL else point.q)
 
     def f_vector(self) -> tuple[int, ...]:
         """f at every point (qbits << n) | pbits, exact +-1 integers with
@@ -294,7 +312,7 @@ def build_net(field: GF2Field, mode: str = "independent", signs: dict | None = N
     if mode not in ("independent", "covariant"):
         raise MalformedInput(f'net mode must be "independent" or "covariant", got {mode!r}')
     # the labels read before the defaults: True would land on striation 1
-    signs = {need_label(field, label): eps for label, eps in (signs or {}).items()}
+    signs = _labelled(field, {} if signs is None else signs)
     if mode == "covariant" and set(signs) - {HORIZONTAL, VERTICAL, 0}:
         raise MalformedInput("a covariant net takes sign vectors for h, v and 0 "
                              f"only; got {', '.join(map(str, signs))}")

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 from .errors import (DimensionMismatch, DimensionTooLarge, InconsistentStabilizer,
                      MalformedInput, NonCommutingGenerators, need_bits, need_length, need_text)
 from .galois import GF2Field
-from .phasespace import BinaryPoint, Record
+from .phasespace import BinaryPoint, Record, need_grid
 
 if TYPE_CHECKING:
     import numpy as np
@@ -253,7 +253,8 @@ class StabilizerGroup:
 
     elements maps each (qbits, pbits) of the span to the sign g(beta) of the
     canonical T_beta in the group; at(x) reads one member by its generator
-    coordinates without expanding the group.
+    coordinates without expanding the group; syndromes gives every point's
+    syndrome against the generators.  Both are cached on the group.
     """
 
     def __init__(self, field: GF2Field, gens, signs):
@@ -302,6 +303,22 @@ class StabilizerGroup:
             a, b, s = a ^ ak, b ^ bk, s + sk + 2 * (b & ak).bit_count()
             out[(a, b)] = _canonical_sign(a, b, s)
         return out
+
+    @cached_property
+    def syndromes(self) -> tuple[int, ...]:
+        """s(alpha) at every flat index i = (qbits << n) | pbits of the grid,
+        bit k the symplectic product <alpha, g_k> with generator k (the
+        signs do not enter): the parity of i & w_k, w_k = (b_k << n) | a_k,
+        built by one XOR doubling of the table per bit j of i.  Refused
+        above the grid cap (need_grid)."""
+        n = self.field.n
+        need_grid(n)
+        w = [(g.b << n) | g.a for g in self.gens]
+        table = [0]
+        for j in range(2 * n):
+            m = sum((wk >> j & 1) << k for k, wk in enumerate(w))
+            table += [s ^ m for s in table]
+        return tuple(table)
 
     def at(self, x: int) -> int:
         """g at generator coordinates x: the canonical sign of the product of

@@ -98,11 +98,23 @@ def need_point(point, n: int) -> BinaryPoint:
     return point
 
 
+def _coordinates(field: GF2Field, point) -> tuple[int, int]:
+    """point's (q, p), if it is a PhasePoint (else MalformedInput) whose
+    coordinates are elements of the field (need_bits)."""
+    if not isinstance(point, PhasePoint):
+        raise MalformedInput(f"{point!r} is not a PhasePoint")
+    q, p = point.q, point.p
+    # plain in-range ints pass at once (f reads one point per call);
+    # need_bits decides the rest
+    if not (type(q) is type(p) is int and 0 <= q < field.N and 0 <= p < field.N):
+        need_bits(field.n, q=q, p=p)
+    return q, p
+
+
 def to_binary(field: GF2Field, point: PhasePoint) -> BinaryPoint:
-    """The point's binary form; coordinates that are not elements of the
-    field raise MalformedInput."""
-    need_bits(field.n, q=point.q, p=point.p)
-    return BinaryPoint(point.q, field.p_to_bits(point.p), field.n)
+    """The point's binary form; _coordinates reads the point."""
+    q, p = _coordinates(field, point)
+    return BinaryPoint(q, field.p_to_bits(p), field.n)
 
 
 def from_binary(field: GF2Field, point: BinaryPoint) -> PhasePoint:
@@ -190,15 +202,16 @@ def label_of_line(field: GF2Field, line: Line):
 
 
 def ray_through(field: GF2Field, point: PhasePoint):
-    """Striation label of the ray through a nonzero point; need_bits reads q and p."""
-    need_bits(field.n, q=point.q, p=point.p)
-    if point.q == 0 and point.p == 0:
+    """Striation label of the ray through a nonzero point; _coordinates reads
+    the point."""
+    q, p = _coordinates(field, point)
+    if q == 0 and p == 0:
         raise MalformedInput("every ray passes through the origin")
-    if point.p == 0:
+    if p == 0:
         return HORIZONTAL
-    if point.q == 0:
+    if q == 0:
         return VERTICAL
-    return (field.log(point.p) - field.log(point.q)) % field.order
+    return (field.log(p) - field.log(q)) % field.order
 
 
 def wedge(alpha: BinaryPoint, beta: BinaryPoint) -> int:

@@ -32,7 +32,8 @@ Two routes are provided and cross-checked in the tests:
   (-1)^<alpha,beta(x)> is (-1)^(x . s(alpha)), s(alpha)_k = <alpha, g_k>
   the syndrome of alpha.  The whole grid is therefore one N-point integer
   Walsh-Hadamard transform of c[x] = f(beta(x)) g(beta(x)), read off at
-  each point's syndrome: O(N log N + N^2) in plain Python ints, with one
+  each point's syndrome, a table that S keeps (StabilizerGroup.syndromes)
+  for every net: O(N log N + N^2) in plain Python ints, with one
   denominator N^2, so the grid stays rational and needs no numpy.
 
 The symplectic transform inverts a grid of either kind: with
@@ -348,7 +349,8 @@ def stabilizer_wigner(net: QuantumNet, group: StabilizerGroup) -> WignerGrid:
     One N-point integer Walsh-Hadamard transform of c[x] = f(beta(x))
     g(beta(x)) over the generator coordinates x gives every numerator over
     the common denominator N^2; the point alpha reads it at its syndrome
-    s(alpha)_k = <alpha, g_k>.
+    s(alpha)_k = <alpha, g_k>, from the table group.syndromes, which the
+    group builds once and keeps for every net it is read on.
     """
     field = need_field(group=group, net=net)
     need_grid(field.n, "; use stabilizer_wigner_value for single points")
@@ -358,15 +360,7 @@ def stabilizer_wigner(net: QuantumNet, group: StabilizerGroup) -> WignerGrid:
     for i, ((qb, pb), g) in enumerate(group.elements.items()):
         c[i ^ (i >> 1)] = net.f(BinaryPoint(qb, pb, n)) * g
     c = walsh_hadamard(c)
-    # s(alpha)_k = <alpha, g_k> is the parity of i & w_k, for i the flat
-    # index of alpha and w_k = (b_k << n) | a_k: one XOR doubling of the
-    # table per bit j of i
-    w = [(g.b << n) | g.a for g in group.gens]
-    syndrome = [0]
-    for j in range(2 * n):
-        m = sum((wk >> j & 1) << k for k, wk in enumerate(w))
-        syndrome += [s ^ m for s in syndrome]
-    return WignerGrid(field, tuple(map(c.__getitem__, syndrome)), N * N)
+    return WignerGrid(field, tuple(map(c.__getitem__, group.syndromes)), N * N)
 
 
 def all_stabilizer_groups(field: GF2Field) -> list[frozenset]:

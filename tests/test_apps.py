@@ -63,6 +63,50 @@ def test_bell_survey_realizes_exactly_two_patterns():
     assert counts == {"concentrated": 128, "spread": 128}
 
 
+@pytest.mark.parametrize("call, orbit", [(0, "a"), (85, "b"), (170, "c"), (255, "d")])
+def test_bell_survey_checks_every_grid(monkeypatch, call, orbit):
+    # the survey reads integer numerators: one cell of one orbit shifted on
+    # any one of its 256 grids breaks constancy, and a whole orbit shifted
+    # breaks the normalisation a+b+c+d = 4 (sixteenths)
+    orbits = apps.bell_orbits(apps.bell_field())
+    for cells, match in ((orbits[orbit][-1:], f"^grid not constant on slot {orbit}$"),
+                         (orbits[orbit], "^normalization violated$")):
+        calls = []
+
+        def shifted(net, group, cells=cells):
+            grid = stabilizer_wigner(net, group)
+            calls.append(None)
+            if len(calls) - 1 != call:
+                return grid
+            flat = [k + (i in cells) for i, k in enumerate(grid.flat)]
+            return WignerGrid(grid.field, tuple(flat), grid.den)
+
+        monkeypatch.setattr(apps, "stabilizer_wigner", shifted)
+        with pytest.raises(InconsistentStabilizer, match=match):
+            apps.bell_survey()
+        assert len(calls) == call + 1
+
+
+def test_bell_survey_builds_one_syndrome_table_per_state(monkeypatch):
+    # four groups for the 256 grids, and the one bell_orbits reads, which
+    # no grid is built on; each group keeps its table
+    groups = []
+    make = apps.bell_stabilizer
+    monkeypatch.setattr(apps, "bell_stabilizer",
+                        lambda field, label: groups.append(make(field, label)) or groups[-1])
+    apps.bell_survey()
+    assert len(groups) == 5
+    assert sum("syndromes" in group.__dict__ for group in groups) == 4
+
+
+def test_bell_patterns_are_one_rule_on_sixteenths():
+    assert apps.classify_bell_parameters([Fraction(1, 8)] * 3 + [Fraction(-1, 8)]) == "spread"
+    assert apps.classify_bell_parameters((0, Fraction(1, 4), 0, 0)) == "concentrated"
+    with pytest.raises(InconsistentStabilizer,
+                       match=r"^unexpected Bell pattern \(1/2, 0, 0, 0\) / 16$"):
+        apps.classify_bell_parameters((Fraction(1, 32), 0, 0, 0))
+
+
 def test_bell_parameters_concentrated_example():
     f = apps.bell_field()
     net = apps.mean_king_net(f)

@@ -772,15 +772,20 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
     # n = 1..5 on every kind of net, the bell and qec commands and presets);
     # field, rays, uomega, mub, exact wigner grids of a stabilizer file or a
     # computational preset and dense grids of density files load neither
-    # fractions nor decimal either; meanking, meanking --verify and verify
-    # --n 2 load no numpy (the mean king is exact Gaussian-integer
-    # arithmetic); the meanking_phi1 preset, the one array command, loads
+    # fractions, decimal nor numbers either; meanking, meanking --verify
+    # and verify --n 2 load no numpy (the mean king is exact
+    # Gaussian-integer arithmetic); bell, bell --verify, meanking (both formats and
+    # --verify), the bell_* and qec_logical_* presets and verify --n 2 load
+    # neither fractions, decimal nor numbers (the Bell survey reads integer
+    # numerators, and apps makes a Fraction only for qec, which may load
+    # them); the meanking_phi1 preset, the one array command, loads
     # numpy, and later commands in the same process still work; nothing
     # loads sympy, and no verify loads numpy.random (its round trip draws
     # from the standard library); no command, --help or usage error loads
-    # argparse or gettext; verify --n 1 and --n 4 load neither fractions
+    # argparse or gettext; verify --n 1, 4 and 2 load neither fractions
     # nor decimal (apps is imported only by the bell, qec and meanking
-    # rows), and no verify request loads numpy
+    # rows, and only the qec rows of verify --n 3 make a Fraction), and no
+    # verify request loads numpy
     src = Path(gfwigner.__file__).parent.parent
     stab = tmp_path / "ghz3.json"
     stab.write_text(json.dumps({"stabilizer": [["+XXX", 1], ["+ZZI", 1], ["+IZZ", -1]]}))
@@ -800,7 +805,7 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
             for module in modules:
                 assert module not in sys.modules, module + " imported by " + when
 
-        lean = ("numpy", "dataclasses", "fractions", "decimal")
+        lean = ("numpy", "dataclasses", "fractions", "decimal", "numbers")
         import gfwigner
         absent("import gfwigner", *lean)
         gfwigner.field_new, gfwigner.all_striations, gfwigner.GfwignerError
@@ -822,12 +827,13 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
                     *(["wigner", "--n", "3", "--state", rho3, "--net", net_spec, "--format", fmt]
                       for net_spec, fmt in (("default", "ascii"), ("covariant", "json"),
                                             (net, "csv")))]
-        # apps requests: they load fractions, and no numpy
+        # apps requests: no numpy, and only the qec ones make a Fraction
         with_apps = [["wigner", "--n", "2", "--state", "bell_phi_plus"],
                      ["wigner", "--n", "3", "--state", "qec_logical_1"],
-                     ["bell"], ["qec"], ["bell", "--verify"], ["qec", "--verify"],
+                     ["bell"], ["bell", "--verify"],
                      ["meanking"], ["meanking", "--format", "csv"], ["meanking", "--verify"],
                      ["verify", "--n", "2"]]
+        with_fractions = [["qec"], ["qec", "--verify"]]
 
         def run(argv, want, *modules):
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -841,6 +847,8 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
                            *((argv, 0) for argv in integer)):
             run(argv, want, *lean)
         for argv in with_apps:
+            run(argv, 0, *lean)
+        for argv in with_fractions:
             run(argv, 0, "numpy", "dataclasses")
         with contextlib.redirect_stdout(sink):
             assert dispatch(loader) == 0
@@ -859,10 +867,10 @@ def test_startup_imports_only_what_a_command_uses(tmp_path):
         import contextlib, io, sys
         from gfwigner.cli import dispatch
 
-        for n in ("1", "4", "3", "2"):
+        for n in ("1", "4", "2", "3"):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert dispatch(["verify", "--n", n]) == 0
-            lean = ("numpy", "argparse", "gettext") + (("fractions", "decimal") if n in ("1", "4") else ())
+            lean = ("numpy", "argparse", "gettext") + (("fractions", "decimal") if n != "3" else ())
             for module in lean:
                 assert module not in sys.modules, module + " imported by verify --n " + n
         for argv in (["field", "--n", "3"], ["rays", "--n", "2"], ["uomega", "--n", "3"],

@@ -394,7 +394,8 @@ def test_net_json_f_table_must_match_the_signs(mode, breakage):
 
 def test_bad_signs_rejected():
     f = field_new(2)
-    for eps in ((1, 0), (1,), (True, 1), (1.0, 1), 5, None, "+-"):
+    for eps in ((1, 0), (1,), (True, 1), (1.0, 1), (np.True_, 1), (1, np.float64(-1)), 5,
+                None, "+-"):
         signs = all_plus_signs(f)
         signs[0] = eps
         with pytest.raises(MalformedInput):
@@ -414,3 +415,25 @@ def test_bad_signs_rejected():
     del missing[VERTICAL]
     with pytest.raises(MalformedInput):
         QuantumNet(f, missing)
+
+
+def test_numpy_int_signs_are_read_as_ints():
+    # a sign is an int that is not a bool, read by operator.index (the rule
+    # of errors.int_below): numpy's ints pass as numbers.Integral let them
+    f = field_new(2)
+    signs = all_plus_signs(f) | {0: (np.int64(-1), np.uint8(1)), HORIZONTAL: (1, np.int8(-1))}
+    assert QuantumNet(f, signs).signs == QuantumNet(f, all_plus_signs(f) | {
+        0: (-1, 1), HORIZONTAL: (1, -1)}).signs
+    assert build_net(f, "covariant", {0: (np.int64(-1), np.uint8(1))}).signs == build_net(
+        f, "covariant", {0: (-1, 1)}).signs
+
+
+@pytest.mark.parametrize("make", [lambda f: build_net(f, signs=[("h", (1, 1))]),
+                                  lambda f: build_net(f, "covariant", [(0, (1, -1))]),
+                                  lambda f: QuantumNet(f, None),
+                                  lambda f: QuantumNet(f, [("h", (1, 1))])],
+                         ids=["build_net_list", "covariant_list", "net_none", "net_list"])
+def test_signs_that_are_not_a_mapping_are_refused(make):
+    # each raised a bare AttributeError reading .items()
+    with pytest.raises(MalformedInput, match="^signs must map striation labels to sign vectors"):
+        make(field_new(2))

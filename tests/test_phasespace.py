@@ -229,6 +229,26 @@ def test_binary_forms_refuse_coordinates_off_the_grid():
         assert from_binary(f, to_binary(f, point)) == point
 
 
+@pytest.mark.parametrize("read", [to_binary, ray_through], ids=["to_binary", "ray_through"])
+@pytest.mark.parametrize("point", [None, (1, 0), BinaryPoint(1, 0, 2), Line(0, 1, 0)], ids=repr)
+def test_phase_point_reads_refuse_a_value_that_is_not_a_phase_point(read, point):
+    # to_binary(F, None) and ray_through(F, (1, 0)) raised a bare
+    # AttributeError reading .q; both read a point by one rule
+    with pytest.raises(MalformedInput, match="is not a PhasePoint$"):
+        read(field_new(2), point)
+
+
+def test_phase_point_reads_take_numpy_ints_as_before():
+    f = field_new(2)
+    point = PhasePoint(np.int64(2), np.uint8(3))
+    assert to_binary(f, point) == to_binary(f, PhasePoint(2, 3))
+    assert ray_through(f, point) == ray_through(f, PhasePoint(2, 3))
+    for bad, match in ((PhasePoint(True, 1), "^q = True "), (PhasePoint(1, 1.0), "^p = 1.0 ")):
+        for read in (to_binary, ray_through):
+            with pytest.raises(MalformedInput, match=match):
+                read(f, bad)
+
+
 @pytest.mark.parametrize("bits, match", [
     ((1.5, 0, 2), "^qbits = 1.5 is not an int from 0 to 3$"),
     (("1", 0, 2), "^qbits = '1' "),

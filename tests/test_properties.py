@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 from gfwigner import apps
 from gfwigner.cli import check_rows, export_grid, import_grid
-from gfwigner.errors import GfwignerError, MalformedInput, NonCommutingGenerators, SingularBasis
+from gfwigner.errors import (DimensionTooLarge, GfwignerError, MalformedInput,
+                             NonCommutingGenerators, SingularBasis)
 from gfwigner.galois import PRIMITIVE_POLYS, field_new, solve_gf2
 from gfwigner.net import (QuantumNet, build_net, conjugate_by_u_omega, line_state, mub_bases,
                           mub_overlap_report, net_from_json)
@@ -36,8 +37,8 @@ from gfwigner.pauli import (
     translate,
     translation,
 )
-from gfwigner.phasespace import (BinaryPoint, HORIZONTAL, VERTICAL, all_striations,
-                                  striation_labels)
+from gfwigner.phasespace import (BinaryPoint, HORIZONTAL, VERTICAL, all_striations, from_binary,
+                                  ray_through, striation_labels, wedge)
 from gfwigner.wigner import (
     StabilizerGroup,
     WignerGrid,
@@ -449,6 +450,62 @@ def test_f_table_walk_equals_pointwise_f(data):
     fresh = QuantumNet(field, net.signs)
     for i, value in enumerate(table):
         assert fresh.f(BinaryPoint(i >> field.n, i & (field.N - 1), field.n)) == value
+
+
+# n = 1..5, each n >= 3 on its default polynomial and one other
+FIELD_SPECS = [(n, None) for n in range(1, 6)] + [(n, OTHER_POLY[n]) for n in range(3, 6)]
+
+
+@pytest.mark.parametrize("n, poly", FIELD_SPECS, ids=repr)
+@settings(PROPERTY, max_examples=4)
+@given(st.data())
+def test_syndrome_table_is_the_wedge_with_each_generator(n, poly, data):
+    # bit k of the table at alpha's flat index is <alpha, g_k>, for a graph
+    # state's group and for a ray's; the table is built once per group, and
+    # stabilizer_wigner reads the group's own
+    field = field_new(n, poly)
+    net = data.draw(nets(field))
+    for group in (data.draw(graph_states(field)), net.ray(data.draw(st.sampled_from(
+            striation_labels(field))))):
+        table = group.syndromes
+        assert group.syndromes is table and len(table) == field.N ** 2
+        gens = [BinaryPoint(g.a, g.b, n) for g in group.gens]
+        for alpha in all_points(field):
+            want = sum(wedge(alpha, g) << k for k, g in enumerate(gens))
+            assert table[(alpha.qbits << n) | alpha.pbits] == want
+    fresh = StabilizerGroup(field, group.gens, group.signs)
+    stabilizer_wigner(net, fresh)
+    assert fresh.__dict__["syndromes"] == table
+
+
+def test_syndrome_table_is_refused_above_the_grid_cap():
+    field = field_new(9)
+    group = StabilizerGroup(field, [translation(9, 1 << k, 0) for k in range(9)], [1] * 9)
+    with pytest.raises(DimensionTooLarge):
+        group.syndromes
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("net_kind", [independent_nets, covariant_nets],
+                         ids=["independent", "covariant"])
+@settings(PROPERTY, max_examples=2)
+@given(st.data())
+def test_f_equals_the_per_point_ray_reference(n, net_kind, data):
+    # f reads the label ray_through computes from the ray cache; the
+    # reference asks ray (need_label) for the label of each point, on a
+    # net of its own, so neither warms the other's cache
+    field = data.draw(fields(n, min_n=n))
+    net = data.draw(net_kind(field))
+    reference = QuantumNet(field, net.signs)
+    for alpha in all_points(field):
+        if alpha.is_origin:
+            want = 1
+        else:
+            point = from_binary(field, alpha)
+            label = ray_through(field, point)
+            want = reference.ray(label).at(point.p if label == VERTICAL else point.q)
+        assert net.f(alpha) == want
+    assert net.f_vector() == reference.f_vector()
 
 
 @settings(PROPERTY, max_examples=40)
