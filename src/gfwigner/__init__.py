@@ -28,12 +28,10 @@ _EXPORTS = {
         "MalformedInput",
         "NonCommutingGenerators",
         "NonPrimitivePolynomial",
-        "SingularBasis",
     ),
     "galois": (
         "GF2Field",
         "PRIMITIVE_POLYS",
-        "dual_basis",
         "field_new",
         "power_ordering",
         "u_omega_gates",

@@ -57,7 +57,7 @@ from typing import TYPE_CHECKING
 from .errors import FieldMismatch, GfwignerError, MalformedInput, need_numbers
 from .galois import (GF2Field, field_new, load_json, parse_poly, power_ordering,
                      read_field_header, u_omega_gates)
-from .phasespace import all_striations, grid_axis, need_grid, striation, to_binary
+from .phasespace import all_striations, need_grid, striation, to_binary
 
 if TYPE_CHECKING:
     from .net import QuantumNet
@@ -300,7 +300,7 @@ def cmd_rays(args) -> int:
     on the ray (c = 0), else 1 + log c, the line's place in the striation."""
     field = field_new(args.n, args.poly)
     need_grid(field.n)  # N + 1 diagrams of N^2 marks: refused before any work
-    axis = grid_axis(field)
+    axis = power_ordering(field)
     marks = ["R"] + [str(1 + field.log(c)) for c in range(1, field.N)]
     for st in all_striations(field):
         print(f"striation {st.label} (ray first):")
@@ -438,14 +438,6 @@ def check_rows(field: GF2Field) -> list[tuple]:
 
     net = build_net(field, "covariant")
 
-    shared = [None, None]  # the net's A(0) and its chi(beta) = Tr(A(0) T_beta)
-
-    def a0_chi():
-        # the two wigner rows share chi, computed again only if A(0) changes
-        if shared[0] is not (a0 := net.a0_matrix()):
-            shared[:] = a0, pauli_coefficients(a0, field.n)
-        return shared[1]
-
     def orderings():
         for gen in ("canonical", "dual"):
             _claim(len(set(power_ordering(field, gen))) == field.N, "ordering misses elements")
@@ -466,7 +458,7 @@ def check_rows(field: GF2Field) -> list[tuple]:
     def orthogonality():
         # Tr(A_alpha A_beta) = delta / N: the entry at alpha ^ beta of the
         # symplectic transform, whose entries the plain one permutes, 0 fixed
-        chi = a0_chi()
+        chi = pauli_coefficients(net.a0_matrix(), field.n)
         traces = [t / field.N for t in walsh_hadamard([z * z for z in chi])]
         worst = max(abs(traces[0] - 1 / field.N), *map(abs, traces[1:]))
         _claim(worst < IDENTITY_ATOL, f"Tr(A_alpha A_beta) off delta / N by {worst}")
@@ -480,7 +472,7 @@ def check_rows(field: GF2Field) -> list[tuple]:
         # d + R is T_d |v><v| T_d^dagger, which is |u><u| iff |u| = 1 and
         # u = <T_d v|u> T_d v
         n, N = field.n, field.N
-        chi = a0_chi()
+        chi = pauli_coefficients(net.a0_matrix(), n)
         for label, rows in mub_bases(net).items():
             lines = striation(field, label).lines
             ray = [to_binary(field, pt) for pt in lines[0].points(field)]

@@ -24,10 +24,6 @@ class FieldMismatch(GfwignerError):
     """Operands belong to different field constructions."""
 
 
-class SingularBasis(GfwignerError):
-    """The given field elements are not linearly independent over GF(2)."""
-
-
 class DimensionMismatch(GfwignerError):
     """Pauli translations act on different numbers of qubits."""
 
@@ -111,6 +107,16 @@ def int_below(value, bound) -> bool:
     """value is an int from 0 to bound - 1 and not a bool: need_bits' and need_label's rule."""
     try:
         return not isinstance(value, bool) and 0 <= index(value) < bound
+    except TypeError:
+        return False
+
+
+def is_sign(value) -> bool:
+    """value is +1 or -1 as an int that is not a bool, read by operator.index
+    (int_below's rule): numpy's ints pass, 1.0, 1+0j and numpy's bools not.
+    The one rule for the signs of nets and stabilizer groups."""
+    try:
+        return not isinstance(value, bool) and index(value) in (1, -1)
     except TypeError:
         return False
 

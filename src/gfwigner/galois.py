@@ -1,5 +1,5 @@
-"""Exact arithmetic in GF(2^n) via primitive polynomials, and the package's
-GF(2) linear algebra.
+"""Exact arithmetic in GF(2^n) via primitive polynomials, and the GF(2)-linear
+maps of its two axes.
 
 Field elements are plain Python ints used as n-bit coefficient vectors in the
 canonical basis {1, w, ..., w^(n-1)}: bit i of the int is the coefficient of
@@ -12,9 +12,9 @@ rescaled dual basis, on which it is M~, the transpose of M.  On row vectors
 the three maps the package uses are shifts: a M shifts a up and folds the
 overflow back in with the polynomial, b M~ shifts b down with the parity of
 b & poly as its new top bit, and b M~^-1 shifts up with the same parity as
-its new low bit.  The trace is a linear form: tr(a) is the parity of a & mask,
-bit i of the mask being tr(w^i).  solve_gf2 is the one Gaussian elimination,
-for dual bases.
+its new low bit.  The p axis's basis is built once, by the walk 1·M~^j
+(GF2Field._p2b).  The trace is a linear form: tr(a) is the parity of a & mask,
+bit i of the mask being tr(w^i).
 u_omega_gates is the qubit circuit of U_w, which realizes a -> a M on
 computational basis labels.
 
@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import (DegreeMismatch, MalformedInput, NonPrimitivePolynomial, SingularBasis,
-                     need_text)
+from .errors import DegreeMismatch, MalformedInput, NonPrimitivePolynomial, need_text
 
 # Default primitive polynomials, one per degree, stored with bit j = coefficient
 # of x^j.  n = 2, 3, 4 are pinned to x^2+x+1, x^3+x^2+1 and x^4+x+1 so that the
@@ -99,8 +98,9 @@ class GF2Field:
             exp[j] = x
             log[x] = j
             x = self.apply_m(x)
-        if x != 1:
-            raise NonPrimitivePolynomial("x^(2^n - 1) != 1; pi(x) is not primitive")
+        # x has order 2^n - 1 (the constant term makes it a unit, and no
+        # smaller order passed the loop), so the ring is a field and each
+        # trace below lies in GF(2)
         self._exp = exp
         self._log = log
         # bit i of the trace mask is tr(w^i) = sum_k w^(i 2^k)
@@ -109,8 +109,6 @@ class GF2Field:
             t = 0
             for k in range(n):
                 t ^= exp[(i << k) % self.order]
-            if t not in (0, 1):
-                raise NonPrimitivePolynomial("trace fell outside GF(2)")
             self._trace_mask |= t << i
 
     # -- basic arithmetic ---------------------------------------------------
@@ -269,42 +267,6 @@ def read_field_header(text: str, what: str, **members: type) -> tuple[GF2Field, 
         raise MalformedInput(f"{what} needs an object with the members " + ", ".join(
             f'"{key}" ({kind.__name__})' for key, kind in members.items()))
     return field_new(payload["n"], parse_poly(payload["poly"], f'{what} "poly"')), payload
-
-
-def solve_gf2(columns: list[int], target: int) -> int:
-    """The mask x with the xor of columns[k] over the set bits k of x equal to
-    target; columns and target are GF(2) vectors as bit masks.  Raises
-    SingularBasis when target is outside the span of the columns."""
-    basis = {}  # lowest set bit -> (reduced column, combination mask)
-    for k, col in enumerate(columns):
-        mask = 1 << k
-        while col:
-            low = col & -col
-            if low not in basis:
-                basis[low] = (col, mask)
-                break
-            col ^= basis[low][0]
-            mask ^= basis[low][1]
-    sol = 0
-    while target:
-        low = target & -target
-        if low not in basis:
-            raise SingularBasis("target not in the span of the columns")
-        target ^= basis[low][0]
-        sol ^= basis[low][1]
-    return sol
-
-
-def dual_basis(field: GF2Field, basis: list[int]) -> list[int]:
-    """The unique basis ebar with tr(ebar_i e_j) = delta_ij."""
-    n = field.n
-    if len(basis) != n:
-        raise SingularBasis(f"need {n} elements, got {len(basis)}")
-    # ebar_i = sum_k x_k w^k with sum_k x_k tr(w^k e_j) = delta_ij: column k
-    # holds tr(w^k e_j) at bit j
-    columns = [sum(field.trace(field.mul(field.pow_omega(k), e)) << j
-                   for j, e in enumerate(basis)) for k in range(n)]
-    return [solve_gf2(columns, 1 << i) for i in range(n)]
 
 
 def power_ordering(field: GF2Field, generator: str = "canonical") -> list[int]:

@@ -30,7 +30,7 @@ from itertools import combinations, islice, product
 from operator import index
 from typing import TYPE_CHECKING
 
-from .errors import MalformedInput
+from .errors import MalformedInput, is_sign
 from .galois import GF2Field, read_field_header
 from .galois import u_omega_gates  # noqa: F401  (re-exported beside u_omega_matrix)
 from .pauli import (
@@ -105,15 +105,6 @@ def conjugate_by_u_omega(field: GF2Field, t: PauliTranslation) -> PauliTranslati
     return PauliTranslation(t.n, field.apply_m(t.a), field.apply_mt_inv(t.b), t.s)
 
 
-def _is_sign(e) -> bool:
-    """e is +1 or -1 as an int that is not a bool, read by operator.index
-    (errors.int_below's rule): numpy's ints pass, 1.0 and numpy's bools not."""
-    try:
-        return not isinstance(e, bool) and index(e) in (1, -1)
-    except TypeError:
-        return False
-
-
 def _labelled(field: GF2Field, signs) -> dict:
     """signs, a mapping of sign vectors, keyed by need_label; anything else
     raises MalformedInput."""
@@ -129,10 +120,10 @@ def _checked_signs(field: GF2Field, signs) -> dict:
     for label in striation_labels(field):
         eps = signs.get(label)
         if not (isinstance(eps, (list, tuple)) and len(eps) == field.n
-                and all(map(_is_sign, eps))):
+                and all(map(is_sign, eps))):
             raise MalformedInput(f"sign vector for striation {label} must be "
                                  f"{field.n} entries +1 or -1, got {eps!r}")
-    return {label: tuple(signs[label]) for label in striation_labels(field)}
+    return {label: tuple(map(index, signs[label])) for label in striation_labels(field)}
 
 
 # -- the quantum net -----------------------------------------------------------

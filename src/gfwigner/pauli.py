@@ -29,11 +29,12 @@ from __future__ import annotations
 import math
 from functools import cache, cached_property
 from itertools import combinations
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 from typing import TYPE_CHECKING
 
 from .errors import (DimensionMismatch, DimensionTooLarge, InconsistentStabilizer,
-                     MalformedInput, NonCommutingGenerators, need_bits, need_length, need_text)
+                     MalformedInput, NonCommutingGenerators, is_sign, need_bits, need_length,
+                     need_text)
 from .galois import GF2Field
 from .phasespace import BinaryPoint, Record, need_grid
 
@@ -276,7 +277,7 @@ class StabilizerGroup:
         for g, sg in gens:
             if g.n != n:
                 raise DimensionMismatch(f"generator {g} acts on {g.n} qubits, not {n}")
-            if isinstance(sg, bool) or sg not in (1, -1):
+            if not is_sign(sg):
                 raise InconsistentStabilizer(f"sign of {g} must be +1 or -1, got {sg!r}")
         for (g, _), (h, _) in combinations(gens, 2):
             if not commutes(g, h):
@@ -284,7 +285,7 @@ class StabilizerGroup:
         for g, _ in gens:
             if g.phase_vs_canonical % 2:
                 raise InconsistentStabilizer(f"non-hermitian generator {g}")
-        group = cls(field, [g for g, _ in gens], [int(sg) for _, sg in gens])
+        group = cls(field, [g for g, _ in gens], [index(sg) for _, sg in gens])
         if len(group.elements) != field.N:
             raise InconsistentStabilizer("generators are dependent or include the identity")
         return group

@@ -181,7 +181,7 @@ def need_label(field: GF2Field, label):
 def striation(field: GF2Field, label) -> Striation:
     label = need_label(field, label)
     a, b = _direction(field, label)
-    return Striation(label, tuple(Line(a, b, c) for c in grid_axis(field)))
+    return Striation(label, tuple(Line(a, b, c) for c in power_ordering(field)))
 
 
 def all_striations(field: GF2Field) -> list[Striation]:
@@ -219,11 +219,6 @@ def wedge(alpha: BinaryPoint, beta: BinaryPoint) -> int:
     need_point(beta, need_point(alpha, getattr(alpha, "n", None)).n)
     return ((alpha.qbits & beta.pbits).bit_count()
             ^ (beta.qbits & alpha.pbits).bit_count()) & 1
-
-
-def grid_axis(field: GF2Field) -> list[int]:
-    """Axis labels in power ordering: 0, 1, w, w^2, ..."""
-    return power_ordering(field)
 
 
 def need_grid(n: int, hint: str = "") -> None:

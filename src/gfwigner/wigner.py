@@ -64,7 +64,7 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import InvalidDensityMatrix, need_bits, need_field, need_length, need_numbers
-from .galois import GF2Field
+from .galois import GF2Field, power_ordering
 from .net import QuantumNet
 from .pauli import (
     INPUT_ATOL,
@@ -75,7 +75,7 @@ from .pauli import (
     translation_for,
     walsh_hadamard,
 )
-from .phasespace import BinaryPoint, from_binary, grid_axis, label_of_line, need_grid, wedge
+from .phasespace import BinaryPoint, from_binary, label_of_line, need_grid, wedge
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -159,8 +159,8 @@ def state_density(vec) -> list[list[complex]]:
 
 def display_rows(field: GF2Field) -> list[list[int]]:
     """Flat grid indices (qbits << n) | pbits as a grid is printed: rows are
-    p descending, columns q ascending, both along axis = grid_axis(field)."""
-    axis = grid_axis(field)
+    p descending, columns q ascending, both along axis = power_ordering(field)."""
+    axis = power_ordering(field)
     return [[(q << field.n) | pb for q in axis]
             for pb in map(field.p_to_bits, reversed(axis))]
 

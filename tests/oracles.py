@@ -13,6 +13,7 @@ the mean king's phi_1 as a numpy SVD."""
 
 import json
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 
 import numpy as np
@@ -20,8 +21,8 @@ import numpy as np
 from gfwigner.apps import bell_field, bell_stabilizer, king_lines, mean_king_net
 from gfwigner.cli import _axis_names, resolve_net, resolve_state
 from gfwigner.errors import (AmbiguousInference, GfwignerError, InvalidDensityMatrix,
-                             NonCommutingGenerators, SingularBasis)
-from gfwigner.galois import dual_basis, field_new, solve_gf2
+                             NonCommutingGenerators)
+from gfwigner.galois import field_new, power_ordering
 from gfwigner.net import (
     all_plus_signs,
     conjugate_by_u_omega,
@@ -44,8 +45,8 @@ from gfwigner.pauli import (
     translation,
     translation_for,
 )
-from gfwigner.phasespace import (BinaryPoint, PhasePoint, all_striations, grid_axis, striation,
-                                 to_binary, wedge)
+from gfwigner.phasespace import (BinaryPoint, PhasePoint, all_striations, striation, to_binary,
+                                 wedge)
 from gfwigner.wigner import (StabilizerGroup, WignerGrid, all_points, check_density_matrix,
                              display_rows, point_operator)
 
@@ -313,9 +314,33 @@ def group_elements_compose(group) -> dict:
     return out
 
 
+def solve_gf2(columns: list[int], target: int) -> int:
+    """The mask x with the xor of columns[k] over the set bits k of x equal to
+    target; columns and target are GF(2) vectors as bit masks.  Raises
+    ValueError when target is outside the span of the columns."""
+    basis = {}  # lowest set bit -> (reduced column, combination mask)
+    for k, col in enumerate(columns):
+        mask = 1 << k
+        while col:
+            low = col & -col
+            if low not in basis:
+                basis[low] = (col, mask)
+                break
+            col ^= basis[low][0]
+            mask ^= basis[low][1]
+    sol = 0
+    while target:
+        low = target & -target
+        if low not in basis:
+            raise ValueError("target not in the span of the columns")
+        target ^= basis[low][0]
+        sol ^= basis[low][1]
+    return sol
+
+
 def group_sign_compose(group, a: int, b: int) -> int:
     """The group's sign at (a, b), which must lie in its span (else
-    SingularBasis), by composing the generators that a GF(2) solve finds."""
+    ValueError), by composing the generators that a GF(2) solve finds."""
     n = group.field.n
     x = solve_gf2([g.a | g.b << n for g in group.gens], a | b << n)
     prod, sign = PauliTranslation(n, 0, 0), 1
@@ -488,7 +513,7 @@ def rays_stdout_reference(n: int, poly: int | None = None) -> str:
     """`gfwigner rays` output from each line's points (Line.points), through
     an N^2-entry mark table per striation."""
     field = field_new(n, poly)
-    axis = grid_axis(field)
+    axis = power_ordering(field)
     out = []
     for st in all_striations(field):
         out.append(f"striation {st.label} (ray first):")
@@ -566,7 +591,7 @@ def traces_by_squaring(field) -> np.ndarray:
 def solve_gf2_gauss_jordan(rows: list[int], rhs: list[int], n: int) -> int:
     """Solve the GF(2) system given by row bit masks; returns the solution mask.
 
-    Raises SingularBasis when the matrix is singular.
+    Raises ValueError when the matrix is singular.
     """
     aug = [rows[i] | (rhs[i] << n) for i in range(n)]
     pivot_row_for_col = {}
@@ -574,7 +599,7 @@ def solve_gf2_gauss_jordan(rows: list[int], rhs: list[int], n: int) -> int:
     for col in range(n):
         pivot = next((i for i in range(r, n) if aug[i] >> col & 1), None)
         if pivot is None:
-            raise SingularBasis("matrix is singular over GF(2)")
+            raise ValueError("matrix is singular over GF(2)")
         aug[r], aug[pivot] = aug[pivot], aug[r]
         for i in range(n):
             if i != r and aug[i] >> col & 1:
@@ -597,11 +622,18 @@ def dual_basis_gauss_jordan(field, basis: list[int], traces) -> list[int]:
             for i in range(n)]
 
 
+@cache
+def _dual_scale(field) -> int:
+    """ebar_0, the first element of the canonical basis's dual."""
+    canonical = [field.pow_omega(i) for i in range(field.n)]
+    return dual_basis_gauss_jordan(field, canonical, traces_by_squaring(field))[0]
+
+
 def wedge_field_form(field, a: PhasePoint, b: PhasePoint) -> int:
     """Basis-independent wedge: tr(s (q_a p_b - q_b p_a)) with s = ebar_0,
     the dual-basis scaling element (coordinates pair through the trace as
     q_a . p_b = tr(ebar_0 q_a p_b)); the reference for phasespace.wedge."""
-    dual_scale = dual_basis(field, [field.pow_omega(i) for i in range(field.n)])[0]
+    dual_scale = _dual_scale(field)
     cross = field.mul(a.q, b.p) ^ field.mul(b.q, a.p)
     return field.trace(field.mul(dual_scale, cross)) if cross else 0
 

@@ -66,19 +66,30 @@ def test_bell_survey_realizes_exactly_two_patterns():
 @pytest.mark.parametrize("call, orbit", [(0, "a"), (85, "b"), (170, "c"), (255, "d")])
 def test_bell_survey_checks_every_grid(monkeypatch, call, orbit):
     # the survey reads integer numerators: one cell of one orbit shifted on
-    # any one of its 256 grids breaks constancy, and a whole orbit shifted
-    # breaks the normalisation a+b+c+d = 4 (sixteenths)
+    # any one of its 256 grids breaks constancy, a whole orbit shifted
+    # breaks the normalisation a+b+c+d = 4 (sixteenths), and the orbits
+    # shifted by (-2, 2, -2, 2) and by (1, -1, -1, 1), which keep it, break
+    # the eigenvalue conditions and the orthogonality ab + cd = 0 on every
+    # Bell state: grid 0, phi_plus on the all-plus net, (2, 2, 2, -2),
+    # becomes (0, 4, 0, 0) and (3, 1, 1, -1)
     orbits = apps.bell_orbits(apps.bell_field())
-    for cells, match in ((orbits[orbit][-1:], f"^grid not constant on slot {orbit}$"),
-                         (orbits[orbit], "^normalization violated$")):
+
+    def orbit_shift(**steps):
+        return {i: step for name, step in steps.items() for i in orbits[name]}
+
+    for shift, match in (({orbits[orbit][-1]: 1}, f"^grid not constant on slot {orbit}$"),
+                         (orbit_shift(**{orbit: 1}), "^normalization violated$"),
+                         (orbit_shift(a=-2, b=2, c=-2, d=2), "^eigenvalue conditions violated$"),
+                         (orbit_shift(a=1, b=-1, c=-1, d=1),
+                          "^orthogonality condition violated$")):
         calls = []
 
-        def shifted(net, group, cells=cells):
+        def shifted(net, group, shift=shift):
             grid = stabilizer_wigner(net, group)
             calls.append(None)
             if len(calls) - 1 != call:
                 return grid
-            flat = [k + (i in cells) for i, k in enumerate(grid.flat)]
+            flat = [k + shift.get(i, 0) for i, k in enumerate(grid.flat)]
             return WignerGrid(grid.field, tuple(flat), grid.den)
 
         monkeypatch.setattr(apps, "stabilizer_wigner", shifted)

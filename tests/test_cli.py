@@ -57,9 +57,10 @@ def test_bad_n_is_validation_error(capsys):
 
 
 def test_non_primitive_poly_is_validation_error(capsys):
-    # x^2 + 1 has coefficient bits 101 (low to high); the others are not bit
-    # strings, though int(text, 2) would read both as 111
-    for poly in ("101", "1_11", " 111"):
+    # x^2 + 1 has coefficient bits 101 (low to high); 1101 has degree 3 and
+    # 011 no constant term; the others are not bit strings, though
+    # int(text, 2) would read both as 111
+    for poly in ("101", "1101", "011", "1_11", " 111"):
         code, out, err = run(capsys, "field", "--n", "2", "--poly", poly)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1, err
@@ -81,7 +82,10 @@ def test_preset_field_size_mismatch_is_validation_error(capsys, tmp_path):
              lambda: cli.resolve_state(field_new(2), "qec_logical_0"), "^qec presets need --n 3$"),
             (["--n", "3", "--state", "qec_logical_0", "--net", str(netfile)],
              lambda: cli.resolve_net(field_new(3), str(netfile)),
-             "^net file does not match the requested field$")):
+             "^net file does not match the requested field$"),
+            (["--n", "3", "--state", "meanking_phi1"],
+             lambda: apps._meanking_phi1_grid(build_net(field_new(3))),
+             "^meanking_phi1 needs --n 2$")):
         code, out, err = run(capsys, "wigner", *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1, err
@@ -564,6 +568,10 @@ def test_wigner_computational_preset(capsys):
     assert lines[0].startswith("p\\q,")
     cells = [c for line in lines[1:] for c in line.split(",")[1:]]
     assert cells.count("0") == 56 and cells.count("1/8") == 8
+    # one bit per qubit
+    code, out, err = run(capsys, "wigner", "--n", "2", "--state", "computational_1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "expected 2 binary digits" in err, err
 
 
 def test_wigner_state_file_roundtrip(tmp_path, capsys):
@@ -721,6 +729,8 @@ def test_export_grid_ascii_shading():
     grid = stabilizer_wigner(net, apps.bell_stabilizer(field, "phi_plus"))
     text = export_grid(grid, "ascii")
     assert "#" in text and "." in text
+    with pytest.raises(GfwignerError, match="^unknown format 'xml'$"):
+        export_grid(grid, "xml")
 
 
 # -- application subcommands --------------------------------------------------------

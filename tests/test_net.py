@@ -6,8 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from gfwigner.errors import FieldMismatch, MalformedInput, SingularBasis
-from gfwigner.galois import field_new, solve_gf2
+from gfwigner.errors import FieldMismatch, MalformedInput
+from gfwigner.galois import field_new
 from gfwigner import net as net_module
 from gfwigner.net import (
     QuantumNet,
@@ -40,7 +40,7 @@ from gfwigner.phasespace import (
     striation,
     striation_labels,
 )
-from oracles import line_displacement_search, ray_projector, u_omega_from_gates
+from oracles import line_displacement_search, ray_projector, solve_gf2, u_omega_from_gates
 
 
 def index_bits(idx: int, n: int) -> int:
@@ -144,7 +144,7 @@ def test_f_matches_dense_trace():
 def test_f_decomposition_rejects_off_ray_points():
     f = field_new(2)
     gens = ray_generators(f, 0)
-    with pytest.raises(SingularBasis):
+    with pytest.raises(ValueError):
         solve_gf2([g.a | g.b << 2 for g in gens], 1)
 
 
@@ -419,11 +419,13 @@ def test_bad_signs_rejected():
 
 def test_numpy_int_signs_are_read_as_ints():
     # a sign is an int that is not a bool, read by operator.index (the rule
-    # of errors.int_below): numpy's ints pass as numbers.Integral let them
+    # of errors.is_sign): numpy's ints pass as numbers.Integral let them,
+    # and are kept as plain ints
     f = field_new(2)
     signs = all_plus_signs(f) | {0: (np.int64(-1), np.uint8(1)), HORIZONTAL: (1, np.int8(-1))}
-    assert QuantumNet(f, signs).signs == QuantumNet(f, all_plus_signs(f) | {
-        0: (-1, 1), HORIZONTAL: (1, -1)}).signs
+    net = QuantumNet(f, signs)
+    assert net.signs == QuantumNet(f, all_plus_signs(f) | {0: (-1, 1), HORIZONTAL: (1, -1)}).signs
+    assert {type(e) for eps in net.signs.values() for e in eps} == {int}
     assert build_net(f, "covariant", {0: (np.int64(-1), np.uint8(1))}).signs == build_net(
         f, "covariant", {0: (-1, 1)}).signs
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gfwigner import apps
-from gfwigner.errors import DimensionTooLarge, MalformedInput
+from gfwigner.errors import DimensionMismatch, DimensionTooLarge, MalformedInput
 from gfwigner.galois import field_new
 from gfwigner.net import build_net, u_omega_matrix
 from gfwigner.pauli import (
@@ -69,6 +69,10 @@ def test_compose_matches_matrix_product_exhaustive_n2():
                     prod = compose(t1, t2)
                     assert np.allclose(
                         to_matrix(prod), to_matrix(t1) @ to_matrix(t2))
+    # translations on different numbers of qubits neither compose nor commute
+    for op in (compose, commutes):
+        with pytest.raises(DimensionMismatch, match="^1 vs 2 qubits$"):
+            op(translation(1, 1, 0), translation(2, 1, 0))
 
 
 def test_x_times_z_is_minus_i_y():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gfwigner.errors import FieldMismatch, MalformedInput
-from gfwigner.galois import field_new
+from gfwigner.galois import field_new, power_ordering
 from gfwigner.pauli import PauliTranslation
 from gfwigner.phasespace import (
     BinaryPoint,
@@ -18,7 +18,6 @@ from gfwigner.phasespace import (
     VERTICAL,
     all_striations,
     from_binary,
-    grid_axis,
     label_of_line,
     need_label,
     need_point,
@@ -190,20 +189,14 @@ def test_wedge_field_mismatch():
         wedge(BinaryPoint(1, 0, 2), BinaryPoint(1, 0, 3))
 
 
-def test_grid_axis_order():
-    f = field_new(2)
-    w = f.pow_omega(1)
-    assert grid_axis(f) == [0, 1, w, f.mul(w, w)]
-
-
 def test_as_array_places_each_point_on_its_axes():
     # a grid whose value at each flat index is the index itself
     for n in (1, 2, 3):
         f = field_new(n)
         idx = WignerGrid(f, tuple(map(float, range(f.N * f.N)))).as_array()
         assert sorted(idx.ravel().tolist()) == list(range(f.N * f.N))
-        for i, q in enumerate(grid_axis(f)):
-            for j, p in enumerate(grid_axis(f)):
+        for i, q in enumerate(power_ordering(f)):
+            for j, p in enumerate(power_ordering(f)):
                 assert idx[i, j] == (q << n) | f.p_to_bits(p)
 
 

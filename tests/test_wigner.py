@@ -19,7 +19,8 @@ from gfwigner.errors import (
 )
 from gfwigner.galois import field_new
 from gfwigner.net import QuantumNet, all_plus_signs, build_net, line_state, ray_generators
-from gfwigner.pauli import pauli_coefficients, to_matrix, translation, translation_for
+from gfwigner.pauli import (pauli_coefficients, parse_pauli, to_matrix, translation,
+                            translation_for)
 from gfwigner.phasespace import BinaryPoint, Line, all_striations, striation_labels, wedge
 from gfwigner.wigner import (
     StabilizerGroup,
@@ -545,9 +546,17 @@ def test_stabilizer_group_rejects_bad_generators():
             f, [(translation(2, 1, 0), 1), (translation(2, 1, 0), 1)])
     with pytest.raises(InconsistentStabilizer):
         StabilizerGroup.from_generators(f, [(translation(2, 1, 0), 1)])
-    with pytest.raises(InconsistentStabilizer):
-        StabilizerGroup.from_generators(
-            f, [(translation(2, 0b11, 0), 1), (translation(2, 0, 0b11), 2)])
+    # a sign is +1 or -1 as an int that is not a bool (errors.is_sign, the
+    # rule nets follow): numpy's ints are kept as plain ints
+    for sign in (2, True, np.True_, 1.0, 1 + 0j):
+        with pytest.raises(InconsistentStabilizer, match="must be \\+1 or -1"):
+            StabilizerGroup.from_generators(
+                f, [(translation(2, 0b11, 0), 1), (translation(2, 0, 0b11), sign)])
+    group = StabilizerGroup.from_generators(
+        f, [(translation(2, 0b11, 0), 1), (translation(2, 0, 0b11), np.int64(-1))])
+    assert group.signs == (1, -1) and type(group.signs[1]) is int
+    with pytest.raises(InconsistentStabilizer, match="^non-hermitian generator"):
+        StabilizerGroup.from_generators(field_new(1), [(parse_pauli("iX"), 1)])
 
 
 def test_stabilizer_wigner_matches_dense_exhaustive_n2():
